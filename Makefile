@@ -28,7 +28,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ is a module of its own (root `go test ./...` cannot see it) that
+# imports this module's packages, so the gate builds and tests it too: a
+# refactor that breaks the benchmark fails here, not in the pipeline.
 check: fmt vet build race
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench: bench-pull
 	$(GO) test -bench=. -benchmem ./...

@@ -189,136 +189,65 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if err != nil {
 			return err
 		}
-		name := d.String()
-		files := d.Uint64()
-		subs := d.Uint64()
-		ok := d.Uint64()
-		failed := d.Uint64()
-		bytes := d.Int64()
-		pending := d.Uint64()
-		restored := d.Uint64()
-		requeued := d.Uint64()
-		quarantined := d.Uint64()
-		notices := d.Uint64()
-		journal := d.String()
-		// The pool-cache block trails the payload; an older daemon simply
-		// does not send it, so only decode what is actually there.
-		var poolUsed, poolCap, poolHits, poolMisses, poolEvictions int64
-		if d.Remaining() > 0 {
-			poolUsed = d.Int64()
-			poolCap = d.Int64()
-			poolHits = d.Int64()
-			poolMisses = d.Int64()
-			poolEvictions = d.Int64()
-		}
-		var paritySC, parityRebuilds, parityFallbacks, bytesLocal, bytesRepulled int64
-		if d.Remaining() > 0 {
-			paritySC = d.Int64()
-			parityRebuilds = d.Int64()
-			parityFallbacks = d.Int64()
-			bytesLocal = d.Int64()
-			bytesRepulled = d.Int64()
-		}
-		var digestGen, digestPushes, digestLFNs, rliQueries, rliFPs, locateP99 int64
-		if d.Remaining() > 0 {
-			digestGen = d.Int64()
-			digestPushes = d.Int64()
-			digestLFNs = d.Int64()
-			rliQueries = d.Int64()
-			rliFPs = d.Int64()
-			locateP99 = d.Int64()
-		}
-		// The per-peer health block is the newest trailing generation: a
-		// count word, then one row per peer the site has pulled from or
-		// dialed.
-		type peerRow struct {
-			peer, breaker        string
-			fails, bwKbps, latUs int64
-			transition           int64
-		}
-		var peers []peerRow
-		if d.Remaining() > 0 {
-			n := int(d.Uint64())
-			for i := 0; i < n && d.Remaining() > 0; i++ {
-				peers = append(peers, peerRow{
-					peer: d.String(), breaker: d.String(),
-					fails: d.Int64(), bwKbps: d.Int64(),
-					latUs: d.Int64(), transition: d.Int64(),
-				})
-			}
-		}
-		// The overload-protection block trails the health rows.
-		var brownoutActive bool
-		var loadMilli, admAdmitted, admRejected, admExpired, admShed int64
-		var brownEntered, brownDeferred int64
-		if d.Remaining() > 0 {
-			brownoutActive = d.Uint8() != 0
-			loadMilli = d.Int64()
-			admAdmitted = d.Int64()
-			admRejected = d.Int64()
-			admExpired = d.Int64()
-			admShed = d.Int64()
-			brownEntered = d.Int64()
-			brownDeferred = d.Int64()
-		}
-		if err := d.Finish(); err != nil {
+		st, err := core.DecodeSiteStatus(d)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("site %s: %d local files, %d subscribers\n", name, files, subs)
+		fmt.Printf("site %s: %d local files, %d subscribers\n", st.Name, st.LocalFiles, st.Subscribers)
 		fmt.Printf("transfers: %d ok, %d failed, %d bytes replicated, %d pending\n",
-			ok, failed, bytes, pending)
-		if restored+requeued+quarantined+notices > 0 {
+			st.TransfersOK, st.TransfersFailed, st.BytesReplicated, st.PendingTransfers)
+		if st.RestoredFiles+st.RequeuedPulls+st.QuarantinedFiles+st.RequeuedNotices > 0 {
 			fmt.Printf("last restart: %d files restored, %d pulls requeued, %d notices requeued, %d quarantined\n",
-				restored, requeued, notices, quarantined)
+				st.RestoredFiles, st.RequeuedPulls, st.RequeuedNotices, st.QuarantinedFiles)
 		}
-		if journal != "" {
-			fmt.Printf("journal: %s\n", journal)
+		if st.Journal != "" {
+			fmt.Printf("journal: %s\n", st.Journal)
 		}
-		if poolCap > 0 {
+		if st.PoolCapacity > 0 {
 			rate := 0.0
-			if poolHits+poolMisses > 0 {
-				rate = float64(poolHits) / float64(poolHits+poolMisses)
+			if st.PoolHits+st.PoolMisses > 0 {
+				rate = float64(st.PoolHits) / float64(st.PoolHits+st.PoolMisses)
 			}
 			fmt.Printf("pool: %d/%d bytes, %.1f%% hit rate (%d hits, %d misses), %d evictions\n",
-				poolUsed, poolCap, 100*rate, poolHits, poolMisses, poolEvictions)
+				st.PoolUsed, st.PoolCapacity, 100*rate, st.PoolHits, st.PoolMisses, st.PoolEvictions)
 		}
-		if paritySC+parityRebuilds+parityFallbacks+bytesLocal+bytesRepulled > 0 {
+		if st.ParitySidecars+st.ParityRebuilds+st.ParityFallbacks+st.RepairBytesLocal+st.RepairBytesRepulled > 0 {
 			fmt.Printf("parity: %d sidecars, %d local rebuilds (%d bytes), %d fallbacks, %d bytes re-pulled\n",
-				paritySC, parityRebuilds, bytesLocal, parityFallbacks, bytesRepulled)
+				st.ParitySidecars, st.ParityRebuilds, st.RepairBytesLocal, st.ParityFallbacks, st.RepairBytesRepulled)
 		}
-		if digestGen+digestPushes+rliQueries > 0 {
+		if st.DigestGen+st.DigestPushes+st.RLIQueries > 0 {
 			fmt.Printf("rls: digest gen %d (%d LFNs, %d pushes), %d RLI queries (%d false positives), locate p99 %dus\n",
-				digestGen, digestLFNs, digestPushes, rliQueries, rliFPs, locateP99)
+				st.DigestGen, st.DigestLFNs, st.DigestPushes, st.RLIQueries, st.RLIFalsePositives, st.RLSLocateP99Micros)
 		}
-		if len(peers) > 0 {
+		if len(st.HealthPeers) > 0 {
 			fmt.Printf("peer health:\n")
-			for _, p := range peers {
-				line := fmt.Sprintf("  %s: breaker %s", p.peer, p.breaker)
-				if p.fails > 0 {
-					line += fmt.Sprintf(", %d consecutive failures", p.fails)
+			for _, p := range st.HealthPeers {
+				line := fmt.Sprintf("  %s: breaker %s", p.Peer, p.Breaker)
+				if p.ConsecFails > 0 {
+					line += fmt.Sprintf(", %d consecutive failures", p.ConsecFails)
 				}
-				if p.bwKbps > 0 {
-					line += fmt.Sprintf(", %.1f Mbps", float64(p.bwKbps)/1000)
+				if p.BandwidthKbps > 0 {
+					line += fmt.Sprintf(", %.1f Mbps", float64(p.BandwidthKbps)/1000)
 				}
-				if p.latUs > 0 {
-					line += fmt.Sprintf(", rtt %dus", p.latUs)
+				if p.LatencyMicros > 0 {
+					line += fmt.Sprintf(", rtt %dus", p.LatencyMicros)
 				}
-				if p.transition != 0 {
-					line += ", since " + time.Unix(0, p.transition).Format(time.RFC3339)
+				if !p.LastTransition.IsZero() {
+					line += ", since " + p.LastTransition.Format(time.RFC3339)
 				}
 				fmt.Println(line)
 			}
 		}
-		if admAdmitted+admRejected > 0 || brownoutActive {
+		if st.AdmissionAdmitted+st.AdmissionRejected > 0 || st.BrownoutActive {
 			mode := "normal"
-			if brownoutActive {
+			if st.BrownoutActive {
 				mode = "brownout"
 			}
 			fmt.Printf("admission: %s (load %.1f%%), %d admitted, %d rejected (%d expired, %d shed)\n",
-				mode, float64(loadMilli)/10, admAdmitted, admRejected, admExpired, admShed)
-			if brownEntered > 0 {
+				mode, float64(st.BrownoutLoadMilli)/10, st.AdmissionAdmitted, st.AdmissionRejected, st.AdmissionExpired, st.AdmissionShed)
+			if st.BrownoutEntered > 0 {
 				fmt.Printf("brownout: entered %d times, %d background work units deferred\n",
-					brownEntered, brownDeferred)
+					st.BrownoutEntered, st.BrownoutDeferred)
 			}
 		}
 		return nil

@@ -4,22 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
 	"gdmp/internal/gridftp"
-	"gdmp/internal/health"
 	"gdmp/internal/obs"
-	"gdmp/internal/replica"
 )
 
-// This file is the pull path's partition armor: replica sources are ranked
-// by the per-peer health scoreboard, peers behind open circuit breakers are
-// shed, and a transfer whose byte stream stalls past the source's
-// p99-derived deadline is hedged — a second replica is warmed up in the
-// background and, if the first source stays wedged, takes over the
-// CRC-verified .part prefix instead of restarting from zero.
+// This file is the fetch stage's stall watchdog (pull.go has the stages):
+// a transfer whose byte stream stalls past the source's p99-derived
+// deadline is hedged — a second replica is warmed up in the background and,
+// if the first source stays wedged, takes over the CRC-verified .part
+// prefix instead of restarting from zero.
 
 // HedgeMetricsPrefix namespaces the hedged-pull counters.
 const HedgeMetricsPrefix = "gdmp_xfer_hedge"
@@ -51,43 +47,6 @@ func newHedgeMetrics(reg *obs.Registry) *hedgeMetrics {
 	}
 }
 
-// healthOrder ranks replica sources by scoreboard health (probe-due peers
-// first, so live traffic carries reopen probes; then closed breakers by
-// descending EWMA bandwidth) and filters out peers whose breakers refuse
-// traffic. When every candidate is gated, the full ranked list returns with
-// forced=true: a single-replica grid must not deadlock behind its only
-// peer, so the attempt is admitted as an early reopen probe instead.
-func (s *Site) healthOrder(order []PFN) (avail []PFN, forced bool) {
-	ranked := append([]PFN(nil), order...)
-	// Snapshot scores once: the comparator must not see a peer change
-	// state mid-sort.
-	scores := make([]health.Score, len(ranked))
-	for i := range ranked {
-		scores[i] = s.health.ScoreOf(ranked[i].Addr)
-	}
-	idx := make([]int, len(ranked))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return health.Healthier(scores[idx[a]], scores[idx[b]])
-	})
-	out := make([]PFN, 0, len(ranked))
-	for _, i := range idx {
-		out = append(out, ranked[i])
-	}
-	avail = out[:0:0]
-	for _, p := range out {
-		if s.health.Usable(p.Addr) {
-			avail = append(avail, p)
-		}
-	}
-	if len(avail) > 0 {
-		return avail, false
-	}
-	return out, true
-}
-
 // hedgeDeadline is the stall deadline for a pull from addr: the
 // scoreboard's p99-derived value once the peer has history, the configured
 // cold-start default before that, 0 when hedging is disabled.
@@ -106,25 +65,17 @@ type legResult struct {
 	err   error
 }
 
-// replicateFromHedged runs one replication attempt with breaker admission
-// and stall hedging. The primary leg runs under a watchdog armed with the
-// source's stall deadline; if the byte stream goes quiet, a backup replica
-// is warmed up (stage request + control-channel dial + size probe) while
-// the primary gets one grace window to recover. If it does not, the
-// primary is canceled, waited out — there is never a second writer on the
-// .part file — and the backup resumes the verified prefix cross-source.
-func (s *Site) replicateFromHedged(ctx context.Context, entry *replica.LogicalFile, lfn string, primary PFN, backup *PFN, localPath string, forced bool) error {
-	begin := s.health.Begin
-	if forced {
-		begin = s.health.BeginForced
-	}
-	end, ok := begin(primary.Addr)
-	if !ok {
-		return fmt.Errorf("%w: %s", errBreakerOpen, primary.Addr)
-	}
-
-	legCtx, cancelLeg := context.WithCancel(ctx)
-	defer cancelLeg()
+// fetchHedged runs one fetch attempt with stall hedging. The primary leg
+// runs under a watchdog armed with the source's stall deadline; if the
+// byte stream goes quiet, a backup replica is warmed up (stage request +
+// control-channel dial + size probe) while the primary gets one grace
+// window to recover. If it does not, the primary is canceled, waited out —
+// there is never a second writer on the .part file — and the backup
+// resumes the verified prefix cross-source.
+func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced bool) error {
+	s := p.s
+	legCtx, cancelLeg := context.WithCancelCause(ctx)
+	defer cancelLeg(nil)
 
 	// The stall clock starts at leg start and advances on every byte the
 	// transfer lands, so a source that dies mid-stream is caught as surely
@@ -133,13 +84,19 @@ func (s *Site) replicateFromHedged(ctx context.Context, entry *replica.LogicalFi
 	lastProgress.Store(time.Now().UnixNano())
 	progress := func(int64) { lastProgress.Store(time.Now().UnixNano()) }
 
+	deadline := s.hedgeDeadline(primary.Addr)
+	// The watchdog cancels a wedged leg with the stall as the cause, which
+	// runLeg reports in place of the cancellation: the caller's retry policy
+	// keeps going and the leg's record says why it ended.
+	stall := fmt.Errorf("%w: %s moved no bytes for %v pulling %s",
+		errStalled, primary.Addr, deadline, p.lfn)
+
 	resCh := make(chan legResult, 1)
 	go func() {
-		stats, err := s.replicateFrom(legCtx, entry, lfn, primary, localPath, progress)
+		stats, err := p.runLeg(legCtx, primary, forced, progress)
 		resCh <- legResult{stats, err}
 	}()
 
-	deadline := s.hedgeDeadline(primary.Addr)
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	if deadline > 0 {
@@ -151,29 +108,15 @@ func (s *Site) replicateFromHedged(ctx context.Context, entry *replica.LogicalFi
 	hedgeCtx, cancelHedge := context.WithCancel(ctx)
 	defer cancelHedge()
 	var prepCh chan error
-	stalled := false
-
-	finishPrimary := func(res legResult) error {
-		err := res.err
-		if stalled && err != nil && ctx.Err() == nil {
-			// The watchdog canceled the leg; report the stall, not the
-			// cancellation, so the caller's retry policy keeps going.
-			err = fmt.Errorf("%w: %s moved no bytes for %v pulling %s",
-				errStalled, primary.Addr, deadline, lfn)
-		}
-		end(res.stats.Bytes, res.stats.Elapsed, err)
-		return err
-	}
 
 	for {
 		select {
 		case res := <-resCh:
-			err := finishPrimary(res)
 			if prepCh == nil {
-				return err
+				return res.err
 			}
 			cancelHedge()
-			if err == nil {
+			if res.err == nil {
 				// The primary recovered inside the hedge's warm-up window:
 				// it wins, the hedge is abandoned before moving data.
 				s.hedgeMet.wins.WithLabelValues("primary").Inc()
@@ -182,49 +125,47 @@ func (s *Site) replicateFromHedged(ctx context.Context, entry *replica.LogicalFi
 			// The primary died with a hedge already warming up: wait for
 			// the prep verdict and take over if the backup is reachable.
 			if perr := <-prepCh; perr != nil {
-				return errors.Join(err, perr)
+				return errors.Join(res.err, perr)
 			}
-			return s.hedgeTakeover(ctx, entry, lfn, *backup, localPath, res.stats, progress)
+			return p.hedgeTakeover(ctx, *backup, res.stats, progress)
 		case <-timerC:
 			idle := time.Since(time.Unix(0, lastProgress.Load()))
 			if idle < deadline {
 				timer.Reset(deadline - idle)
 				continue
 			}
-			stalled = true
 			s.health.ObserveStall(primary.Addr)
 			if backup == nil {
 				// No second replica to race: cancel the wedged leg so the
 				// outer failover loop retries instead of hanging on a
 				// black-holed connection.
-				cancelLeg()
+				cancelLeg(stall)
 				timerC = nil
 				continue
 			}
 			s.hedgeMet.started.Inc()
 			b := *backup
 			prepCh = make(chan error, 1)
-			go func() { prepCh <- s.hedgePrep(hedgeCtx, entry, lfn, b) }()
+			go func() { prepCh <- p.hedgePrep(hedgeCtx, b) }()
 			timerC = nil
 		case perr := <-prepCh:
 			// The hedge is ready before the primary recovered: cancel the
 			// stalled leg and wait for it to release the .part file.
 			prepCh = nil
-			cancelLeg()
+			cancelLeg(stall)
 			res := <-resCh
-			err := finishPrimary(res)
-			if err == nil {
+			if res.err == nil {
 				// It squeaked in during the cancel race after all.
 				s.hedgeMet.wins.WithLabelValues("primary").Inc()
 				return nil
 			}
 			if perr != nil {
-				return errors.Join(err, perr)
+				return errors.Join(res.err, perr)
 			}
-			return s.hedgeTakeover(ctx, entry, lfn, *backup, localPath, res.stats, progress)
+			return p.hedgeTakeover(ctx, *backup, res.stats, progress)
 		case <-ctx.Done():
-			cancelLeg()
-			finishPrimary(<-resCh)
+			cancelLeg(nil)
+			<-resCh
 			return ctx.Err()
 		}
 	}
@@ -233,21 +174,17 @@ func (s *Site) replicateFromHedged(ctx context.Context, entry *replica.LogicalFi
 // hedgePrep warms up the hedge source while the stalled primary gets its
 // grace window: the stage request and control-channel dial happen now, so
 // a takeover starts with the expensive handshakes already paid.
-func (s *Site) hedgePrep(ctx context.Context, entry *replica.LogicalFile, lfn string, backup PFN) error {
-	if ctl := entry.Attrs[ctlAttrPrefix+backup.Addr]; ctl != "" {
-		if err := s.requestStage(ctx, ctl, lfn); err != nil {
-			return fmt.Errorf("core: hedge stage %s at %s: %w", lfn, backup.Addr, err)
-		}
+func (p *pull) hedgePrep(ctx context.Context, backup PFN) error {
+	if err := p.stageAt(ctx, backup); err != nil {
+		return err
 	}
-	cl, err := s.ftpConnect(backup)(ctx)
+	cl, err := p.s.ftpConnect(backup)(ctx)
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
-	if _, err := cl.Size(backup.Path); err != nil {
-		return err
-	}
-	return nil
+	_, err = cl.Size(backup.Path)
+	return err
 }
 
 // hedgeTakeover runs the backup leg after the primary has been canceled
@@ -256,13 +193,9 @@ func (s *Site) hedgePrep(ctx context.Context, entry *replica.LogicalFile, lfn st
 // checksum first), so on the happy path zero already-verified bytes cross
 // the wire again. The wasted-bytes ledger charges whatever the loser moved
 // that the winner could not reuse.
-func (s *Site) hedgeTakeover(ctx context.Context, entry *replica.LogicalFile, lfn string, backup PFN, localPath string, primaryStats gridftp.TransferStats, progress func(int64)) error {
-	end, ok := s.health.Begin(backup.Addr)
-	if !ok {
-		return fmt.Errorf("%w: hedge source %s", errBreakerOpen, backup.Addr)
-	}
-	stats, err := s.replicateFrom(ctx, entry, lfn, backup, localPath, progress)
-	end(stats.Bytes, stats.Elapsed, err)
+func (p *pull) hedgeTakeover(ctx context.Context, backup PFN, primaryStats gridftp.TransferStats, progress func(int64)) error {
+	s := p.s
+	stats, err := p.runLeg(ctx, backup, false, progress)
 	if err != nil {
 		return err
 	}

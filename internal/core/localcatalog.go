@@ -48,6 +48,7 @@ type localCatalog struct {
 	byLFN   map[string]FileInfo
 	byPath  map[string]string        // site-relative path -> LFN
 	waiters map[string]chan struct{} // lfn -> closed when the entry appears
+	landing map[string]bool          // entries put by putLanding, not yet revealed
 }
 
 func newLocalCatalog() *localCatalog {
@@ -55,31 +56,64 @@ func newLocalCatalog() *localCatalog {
 		byLFN:   make(map[string]FileInfo),
 		byPath:  make(map[string]string),
 		waiters: make(map[string]chan struct{}),
+		landing: make(map[string]bool),
 	}
 }
 
 func (c *localCatalog) put(info FileInfo) {
+	c.putLanding(info)
+	c.reveal(info.LFN)
+}
+
+// putLanding is put for a file still landing (journal, pool, parity
+// sidecar): the table knows a new entry at once — the pool's eviction
+// callback must find it — but has and await report it only after reveal.
+func (c *localCatalog) putLanding(info FileInfo) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.byLFN[info.LFN]; ok && old.Path != info.Path {
+	old, had := c.byLFN[info.LFN]
+	if had && old.Path != info.Path {
 		delete(c.byPath, old.Path)
 	}
 	c.byLFN[info.LFN] = info
 	c.byPath[info.Path] = info.LFN
-	if ch, ok := c.waiters[info.LFN]; ok {
-		close(ch)
-		delete(c.waiters, info.LFN)
+	if !had {
+		c.landing[info.LFN] = true
 	}
 }
 
+// reveal ends an entry's landing and releases its waiters, if the entry is
+// still there (an eviction may have withdrawn it mid-landing).
+func (c *localCatalog) reveal(lfn string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.landing, lfn)
+	if ch, ok := c.waiters[lfn]; ok && c.landed(lfn) {
+		close(ch)
+		delete(c.waiters, lfn)
+	}
+}
+
+// landed reports whether the LFN is present and revealed; c.mu is held.
+func (c *localCatalog) landed(lfn string) bool {
+	_, ok := c.byLFN[lfn]
+	return ok && !c.landing[lfn]
+}
+
+func (c *localCatalog) has(lfn string) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.landed(lfn)
+}
+
 // await returns a channel that is closed once the LFN is present in the
-// catalog (immediately if it already is). All waiters for one LFN share a
-// channel, so an LFN that never arrives costs one channel, not one per
-// call.
+// catalog and landed (immediately if it already is). All waiters for one
+// LFN share a channel, so an LFN that never arrives costs one channel, not
+// one per call.
 func (c *localCatalog) await(lfn string) <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.byLFN[lfn]; ok {
+	if c.landed(lfn) {
 		ch := make(chan struct{})
 		close(ch)
 		return ch
@@ -106,6 +140,7 @@ func (c *localCatalog) remove(lfn string) {
 		delete(c.byPath, info.Path)
 	}
 	delete(c.byLFN, lfn)
+	delete(c.landing, lfn)
 }
 
 // getByPath resolves a site-relative path back to its catalog entry — the

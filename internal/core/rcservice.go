@@ -154,11 +154,12 @@ func (rc *rcService) lookup(ctx context.Context, lfn string) (*replica.LogicalFi
 	return rc.cl().Lookup(ctx, lfn)
 }
 
-// setAttrs merges attributes into an entry.
+// listCollection returns the member LFNs of a collection.
 func (rc *rcService) listCollection(ctx context.Context, name string) ([]string, error) {
 	return rc.cl().ListCollection(ctx, name)
 }
 
+// setAttrs merges attributes into an entry.
 func (rc *rcService) setAttrs(ctx context.Context, lfn string, attrs map[string]string) error {
 	return rc.cl().SetAttrs(ctx, lfn, attrs)
 }

@@ -302,6 +302,28 @@ func (s *Site) rliSources(ctx context.Context, entry *replica.LogicalFile, lfn s
 	return out
 }
 
+// remoteSources is the locator behind both Locate and the pull path: where
+// other sites hold an LFN's bytes. The central catalog's location table
+// answers first (tier "catalog"), minus this site's own endpoint; when that
+// is empty (withdrawal race, partial registration, foreign publisher) the
+// RLI tier does ("rli", see rliSources). With no source at all the location
+// table's error, if any, is returned.
+func (s *Site) remoteSources(ctx context.Context, lfn string, entry *replica.LogicalFile) (pfns []PFN, tier string, err error) {
+	locs, err := s.rc.locations(ctx, lfn)
+	for _, p := range locs {
+		if p.Addr != s.DataAddr() {
+			pfns = append(pfns, p)
+		}
+	}
+	if len(pfns) > 0 {
+		return pfns, "catalog", nil
+	}
+	if pfns = s.rliSources(ctx, entry, lfn); len(pfns) > 0 {
+		return pfns, "rli", nil
+	}
+	return nil, "", err
+}
+
 // Locate resolves an LFN RLS-style and reports which tier answered:
 // "lrc" — this site's own Local Replica Catalog (the read-your-writes
 // tier: a just-published file is visible here no matter how stale every
@@ -316,18 +338,14 @@ func (s *Site) Locate(ctx context.Context, lfn string) (pfns []PFN, source strin
 		s.rlsMet.locates.WithLabelValues("lrc").Inc()
 		return []PFN{{Addr: s.DataAddr(), Path: fi.Path}}, "lrc", nil
 	}
-	locs, lerr := s.rc.locations(ctx, lfn)
-	if lerr == nil && len(locs) > 0 {
-		s.rlsMet.locates.WithLabelValues("catalog").Inc()
-		return locs, "catalog", nil
-	}
-	if pfns = s.rliSources(ctx, nil, lfn); len(pfns) > 0 {
-		s.rlsMet.locates.WithLabelValues("rli").Inc()
-		return pfns, "rli", nil
+	pfns, source, err = s.remoteSources(ctx, lfn, nil)
+	if len(pfns) > 0 {
+		s.rlsMet.locates.WithLabelValues(source).Inc()
+		return pfns, source, nil
 	}
 	s.rlsMet.locates.WithLabelValues("miss").Inc()
-	if lerr != nil {
-		return nil, "", fmt.Errorf("core: locate %s: %w", lfn, lerr)
+	if err != nil {
+		return nil, "", fmt.Errorf("core: locate %s: %w", lfn, err)
 	}
 	return nil, "", fmt.Errorf("core: no known replica of %s", lfn)
 }

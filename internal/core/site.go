@@ -100,14 +100,6 @@ func classifyMethod(method string) admission.Class {
 	}
 }
 
-// ReplicaSelector picks which physical replica to fetch. The paper leaves
-// "replica selection based on cost functions" as future work [VTF01]; the
-// hook is here, with FirstReplica as the default policy.
-type ReplicaSelector func(lfn string, candidates []PFN) PFN
-
-// FirstReplica picks the first candidate (catalog order).
-func FirstReplica(_ string, candidates []PFN) PFN { return candidates[0] }
-
 // Config assembles one GDMP site.
 type Config struct {
 	// Name identifies the site (e.g. "cern.ch").
@@ -249,7 +241,9 @@ type Config struct {
 	// disables stall detection and hedging.
 	HedgeDeadline time.Duration
 
-	// Select chooses among replicas (default FirstReplica).
+	// Select names the replica a pull should prefer among equally healthy
+	// sources (nil = catalog order). The health ranking still applies on
+	// top: a preferred source behind an open breaker is shed like any other.
 	Select ReplicaSelector
 
 	// DialFunc substitutes the transport dialer (WAN emulation).
@@ -424,9 +418,6 @@ func NewSite(cfg Config) (*Site, error) {
 	}
 	if cfg.NotifyFailureThreshold <= 0 {
 		cfg.NotifyFailureThreshold = 3
-	}
-	if cfg.Select == nil {
-		cfg.Select = FirstReplica
 	}
 	if cfg.ListenHost == "" {
 		cfg.ListenHost = "127.0.0.1"
@@ -606,10 +597,7 @@ func (s *Site) RegisterFileType(ft FileType) error { return s.types.register(ft)
 func (s *Site) LocalFiles() []FileInfo { return s.local.list() }
 
 // HasFile reports whether the LFN is replicated locally.
-func (s *Site) HasFile(lfn string) bool {
-	_, ok := s.local.get(lfn)
-	return ok
-}
+func (s *Site) HasFile(lfn string) bool { return s.local.has(lfn) }
 
 // Query searches the central replica catalog with an LDAP-style filter.
 func (s *Site) Query(filter string) ([]*replica.LogicalFile, error) {
@@ -790,23 +778,9 @@ func (s *Site) publishCore(ctx context.Context, relPath string, opts PublishOpti
 		LFN: lfn, Path: pfn.Path, Size: info.Size(),
 		CRC32: crcHex, FileType: ftName, State: StateDisk,
 	}
-	s.local.put(fi)
-	if err := s.persist.putFile(fi); err != nil {
-		// The journal-before-ack contract: a publication that cannot be
-		// made durable must fail rather than ack.
-		return PublishedFile{}, fmt.Errorf("core: journal publish %s: %w", lfn, err)
+	if err := s.land(fi, nil); err != nil {
+		return PublishedFile{}, err
 	}
-	if s.storage != nil {
-		if err := s.storage.AddToPool(pfn.Path); err != nil {
-			s.logger.Printf("gdmp[%s]: pool registration of %s: %v", s.cfg.Name, pfn.Path, err)
-		} else {
-			// Producer originals are never evicted: cache pressure from
-			// pulled replicas must not push locally produced data out of
-			// the pool before it is archived.
-			s.storage.Protect(pfn.Path)
-		}
-	}
-	s.writeParitySidecar(fi)
 
 	if notify {
 		if err := s.notifySubscribers([]FileInfo{fi}); err != nil {
@@ -1131,364 +1105,6 @@ func (s *Site) dialGDMP(ctx context.Context, addr string) (*rpc.Client, error) {
 		return derr
 	})
 	return cl, err
-}
-
-// --- get (replication) ----------------------------------------------------------
-
-// Get replicates a logical file to this site, running the full pipeline of
-// Section 4.1: pre-processing, secure restartable transfer with CRC
-// verification, post-processing, and insertion into the replica catalog.
-// Concurrent Gets of the same LFN coalesce onto one scheduler job, and
-// every waiter receives that job's real error.
-func (s *Site) Get(lfn string) error {
-	return s.GetCtx(s.ctx, lfn)
-}
-
-// GetCtx is Get bounded by a caller context. The pull itself runs as a
-// scheduler job under the site's lifetime; ctx only bounds this caller's
-// wait. When the last interested caller gives up, the job is canceled
-// (dequeued if still pending, interrupted mid-transfer if running).
-func (s *Site) GetCtx(ctx context.Context, lfn string) error {
-	if s.HasFile(lfn) {
-		if s.storage != nil {
-			// A Get satisfied by a resident replica is a pool cache hit;
-			// the matching miss is counted when a pull lands (replicate).
-			// The hit also refreshes the replica's recency, or LRU would
-			// never see read traffic and degenerate to FIFO.
-			if fi, ok := s.local.get(lfn); ok {
-				s.storage.Touch(fi.Path)
-			}
-			s.storage.NoteAccess(true, 0)
-		}
-		return nil
-	}
-	return s.submitGet(lfn, 0).Wait(ctx)
-}
-
-// submitGet admits one LFN pull to the scheduler; the LFN is the dedup
-// key, so concurrent submissions share a single transfer.
-func (s *Site) submitGet(lfn string, priority int) *xfer.Ticket {
-	// Admission is durable: a crash between here and replication requeues
-	// the pull at restart (no-op when the LFN is already journaled with
-	// richer detail from its notification). A journal failure degrades the
-	// pull to memory-only — the caller still holds the ticket and no ack
-	// has gone to anyone yet, so losing it in a crash is safe.
-	if err := s.persist.pullQueued(FileInfo{LFN: lfn}); err != nil {
-		s.logger.Printf("gdmp[%s]: journal pull admission %s: %v", s.cfg.Name, lfn, err)
-	}
-	return s.sched.Submit(lfn, priority, func(jobCtx context.Context) error {
-		if s.HasFile(lfn) {
-			s.journalPullDone(lfn)
-			return nil
-		}
-		err := s.replicate(jobCtx, lfn)
-		s.met.replications.WithLabelValues(outcomeOf(err)).Inc()
-		if err == nil {
-			s.journalPullDone(lfn)
-		}
-		return err
-	})
-}
-
-// journalPullDone retires a pull's journal record. Best-effort: a record
-// that outlives its pull merely requeues at the next restart, where the
-// already-present file retires it for good.
-func (s *Site) journalPullDone(lfn string) {
-	if err := s.persist.pullDone(lfn); err != nil {
-		s.logger.Printf("gdmp[%s]: journal pull-done %s: %v", s.cfg.Name, lfn, err)
-	}
-}
-
-func (s *Site) replicate(ctx context.Context, lfn string) error {
-	entry, err := s.rc.lookup(ctx, lfn)
-	if err != nil {
-		return fmt.Errorf("core: lookup %s: %w", lfn, err)
-	}
-	candidates, err := s.rc.locations(ctx, lfn)
-	if err != nil {
-		return err
-	}
-	// Never fetch from ourselves.
-	usable := candidates[:0:0]
-	for _, p := range candidates {
-		if p.Addr != s.DataAddr() {
-			usable = append(usable, p)
-		}
-	}
-	if len(usable) == 0 {
-		// The central location table came up empty (withdrawal race,
-		// partial registration, foreign publisher): fall back to the RLI
-		// tier, confirming digest hints with LRC point queries.
-		usable = s.rliSources(ctx, entry, lfn)
-	}
-	if len(usable) == 0 {
-		return fmt.Errorf("core: no remote replica of %s", lfn)
-	}
-	// Failover order: the selector's pick first, then the remaining
-	// replicas in catalog order.
-	pick := s.cfg.Select(lfn, usable)
-	order := make([]PFN, 0, len(usable))
-	order = append(order, pick)
-	for _, p := range usable {
-		if p != pick {
-			order = append(order, p)
-		}
-	}
-
-	ftName := entry.Attrs[replica.AttrFileType]
-	if ftName == "" {
-		ftName = FlatType{}.Name()
-	}
-	ft, err := s.types.lookup(ftName)
-	if err != nil {
-		return err
-	}
-
-	// Step 1: pre-processing.
-	if err := ft.PreProcess(s, lfn); err != nil {
-		return fmt.Errorf("core: pre-process %s: %w", lfn, err)
-	}
-
-	// Step 2: the actual file transfer (staged at the source if needed).
-	// Attempts rotate through the replica locations, so a dead or corrupt
-	// source fails over to the next one under the same backoff policy.
-	rel := entry.Attrs[attrPath]
-	if rel == "" {
-		rel = order[0].Path
-	}
-	localPath, err := s.resolveLocal(rel)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(filepath.Dir(localPath), 0o755); err != nil {
-		return err
-	}
-	size, _ := entry.Size()
-	var poolReserve func()
-	if s.storage != nil {
-		release, rerr := s.storage.Reserve(size)
-		if rerr != nil {
-			return fmt.Errorf("core: reserve %d bytes for %s: %w", size, lfn, rerr)
-		}
-		// The defer covers the error paths; the success path releases
-		// explicitly before AddToPool, because holding the reservation
-		// while the pool also counts the landed bytes would double-charge
-		// capacity and trigger spurious evictions. Release is once-only,
-		// so both firing is safe.
-		defer release()
-		poolReserve = release
-	}
-	pol := s.retryPolicy("core.replicate")
-	if pol.Attempts < len(order) {
-		pol.Attempts = len(order) // visit every replica at least once
-	}
-	fetchStart := time.Now()
-	err = pol.Do(ctx, func(attempt int) error {
-		// Each attempt re-ranks the replicas by live health: open-breaker
-		// peers are shed (unless every peer is gated, in which case the
-		// attempt doubles as a forced reopen probe), probe-due peers go
-		// first so traffic closes breakers, and the healthiest remaining
-		// usable peer stands by as the hedge target.
-		avail, forced := s.healthOrder(order)
-		src := avail[(attempt-1)%len(avail)]
-		var backup *PFN
-		for i := range avail {
-			if avail[i].Addr != src.Addr && s.health.Usable(avail[i].Addr) {
-				b := avail[i]
-				backup = &b
-				break
-			}
-		}
-		return s.replicateFromHedged(ctx, entry, lfn, src, backup, localPath, forced)
-	})
-	if err != nil {
-		return fmt.Errorf("core: transfer %s: %w", lfn, err)
-	}
-	fetchElapsed := time.Since(fetchStart)
-
-	// Step 3: post-processing (e.g. attach to the federation).
-	if err := ft.PostProcess(s, lfn, localPath); err != nil {
-		return fmt.Errorf("core: post-process %s: %w", lfn, err)
-	}
-
-	// Step 4: insert into the local catalog (journaled) first, then
-	// register the location with the replica catalog. The local catalog
-	// backs gdmp.digest, so this order means a crash or RC failure
-	// between the two leaves a local file without an RC entry — which
-	// the scrubber's location re-assertion heals — rather than an RC
-	// entry whose digest denies the file, which peers' anti-entropy
-	// rounds would withdraw as dangling.
-	info, err := os.Stat(localPath)
-	if err != nil {
-		return err
-	}
-	myPFN := s.pfnFor(rel)
-	fi := FileInfo{
-		LFN: lfn, Path: myPFN.Path, Size: info.Size(),
-		CRC32: entry.Attrs[replica.AttrCRC], FileType: ftName, State: StateDisk,
-	}
-	s.local.put(fi)
-	if err := s.persist.putFile(fi); err != nil {
-		return fmt.Errorf("core: journal replica %s: %w", lfn, err)
-	}
-	if s.storage != nil {
-		poolReserve()
-		if err := s.storage.AddToPool(myPFN.Path); err != nil {
-			s.logger.Printf("gdmp[%s]: pool registration of %s: %v", s.cfg.Name, myPFN.Path, err)
-		}
-		s.storage.NoteAccess(false, fetchElapsed)
-		s.notePoolDemand(rel)
-	}
-	s.writeParitySidecar(fi)
-	if err := s.rc.addReplica(ctx, lfn, myPFN); err != nil {
-		return err
-	}
-	if err := s.rc.setAttrs(ctx, lfn, map[string]string{ctlAttrPrefix + myPFN.Addr: s.Addr()}); err != nil {
-		return err
-	}
-	return nil
-}
-
-// replicateFrom runs one replication attempt against one source: stage
-// request, restartable transfer, and verification against the catalog's
-// published CRC (not only the source's current content, which guards
-// against catalog/file drift). A CRC mismatch removes the local file and
-// returns a retryable error so the caller fails over to another replica.
-// The returned stats are reported even on failure — the hedge driver's
-// breaker feed and wasted-bytes ledger need the partial byte counts.
-func (s *Site) replicateFrom(ctx context.Context, entry *replica.LogicalFile, lfn string, src PFN, localPath string, progress func(int64)) (gridftp.TransferStats, error) {
-	// The source is only known here, after replica selection, so the
-	// per-source concurrency cap is enforced at this layer rather than at
-	// admission. Blocking counts against the job, not the queue.
-	release, err := s.sched.AcquireSource(ctx, src.Addr)
-	if err != nil {
-		return gridftp.TransferStats{}, err
-	}
-	defer release()
-	if ctl := entry.Attrs[ctlAttrPrefix+src.Addr]; ctl != "" {
-		if err := s.requestStage(ctx, ctl, lfn); err != nil {
-			err = fmt.Errorf("core: stage %s at source: %w", lfn, err)
-			s.xferLog.add(TransferRecord{
-				LFN: lfn, Source: src.Addr, When: time.Now(),
-				Failed: true, Error: err.Error(),
-			})
-			return gridftp.TransferStats{}, err
-		}
-	}
-	stats, err := s.fetch(ctx, src, localPath, progress)
-	record := TransferRecord{
-		LFN: lfn, Source: src.Addr, Bytes: stats.Bytes,
-		Elapsed: stats.Elapsed, Attempts: stats.Attempts,
-		RateMbps: stats.RateMbps(), When: time.Now(),
-	}
-	if err != nil {
-		record.Failed = true
-		record.Error = err.Error()
-		s.xferLog.add(record)
-		return stats, err
-	}
-	s.xferLog.add(record)
-	s.logger.Printf("gdmp[%s]: replicated %s from %s (%d bytes, %d attempts, %.2f Mbps)",
-		s.cfg.Name, lfn, src.Addr, stats.Bytes, stats.Attempts, stats.RateMbps())
-
-	if want := entry.Attrs[replica.AttrCRC]; want != "" {
-		got, err := gridftp.CRC32File(localPath)
-		if err != nil {
-			return stats, retry.Permanent(err)
-		}
-		if fmt.Sprintf("%08x", got) != want {
-			os.Remove(localPath)
-			return stats, fmt.Errorf("%w: %s catalog=%s local=%08x", gridftp.ErrChecksum, lfn, want, got)
-		}
-	}
-	return stats, nil
-}
-
-// fetch is the Data Mover service: a secure, restartable, CRC-verified
-// GridFTP retrieval (Section 4.3), with optional per-source buffer
-// auto-tuning. progress, when set, fires with the cumulative byte count as
-// data lands — the hedge driver's stall watchdog listens to it.
-func (s *Site) fetch(ctx context.Context, src PFN, localPath string, progress func(int64)) (gridftp.TransferStats, error) {
-	pol := s.retryPolicy("gridftp.get")
-	pol.Attempts = s.cfg.TransferAttempts
-	pol.Retryable = nil // transfer failures are all retryable
-	return gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, localPath, pol,
-		gridftp.GetFileOptions{Progress: progress, WrapWriter: s.cfg.StageWriter})
-}
-
-// ftpConnect builds the dial closure for one source's GridFTP endpoint:
-// session options, per-source buffer tuning, and a scoreboard latency
-// sample per successful dial. Both the data mover and the hedge warm-up
-// path use it, so a hedge probe pays the same handshake a takeover will.
-func (s *Site) ftpConnect(src PFN) func(ctx context.Context) (*gridftp.Client, error) {
-	return func(ctx context.Context) (*gridftp.Client, error) {
-		opts := []gridftp.ClientOption{
-			gridftp.WithParallelism(s.cfg.Parallelism),
-			gridftp.WithTimeout(30 * time.Second),
-			gridftp.WithMetrics(s.metrics),
-		}
-		if buf := s.bufferFor(src.Addr); buf > 0 {
-			opts = append(opts, gridftp.WithBufferSize(buf))
-		}
-		if s.cfg.DialFunc != nil {
-			opts = append(opts, gridftp.WithDialFunc(s.cfg.DialFunc))
-		}
-		start := time.Now()
-		cl, err := gridftp.DialContext(ctx, src.Addr, s.cfg.Cred, s.cfg.TrustRoots, opts...)
-		if err != nil {
-			return nil, err
-		}
-		s.health.ObserveLatency(src.Addr, time.Since(start))
-		if s.cfg.AutoTuneBuffers && s.cfg.BufferBytes == 0 && s.bufferFor(src.Addr) == 0 {
-			// First contact with this source: run the negotiation once
-			// and remember the outcome (the paper computes the optimum
-			// per link, not per transfer).
-			if buf, err := cl.AutoTune(src.Path, 512*1024); err == nil {
-				s.tuneMu.Lock()
-				s.tunedBuf[src.Addr] = buf
-				s.tuneMu.Unlock()
-				s.logger.Printf("gdmp[%s]: auto-tuned buffer for %s: %d bytes",
-					s.cfg.Name, src.Addr, buf)
-			} else {
-				s.logger.Printf("gdmp[%s]: auto-tune against %s failed: %v",
-					s.cfg.Name, src.Addr, err)
-			}
-		}
-		return cl, nil
-	}
-}
-
-// bufferFor returns the socket buffer to use against a source: the static
-// configuration wins; otherwise a previously negotiated value, if any.
-func (s *Site) bufferFor(addr string) int {
-	if s.cfg.BufferBytes > 0 {
-		return s.cfg.BufferBytes
-	}
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
-	return s.tunedBuf[addr]
-}
-
-// requestStage asks the source site's GDMP server to bring the file onto
-// disk before the disk-to-disk transfer (Section 4.4). The whole exchange
-// retries as a unit: staging is idempotent at the source, and the dial
-// already succeeded once so a fresh session is cheap.
-func (s *Site) requestStage(ctx context.Context, ctlAddr, lfn string) error {
-	pol := s.retryPolicy("core.stage")
-	return pol.Do(ctx, func(attempt int) error {
-		cl, err := rpc.DialContext(ctx, ctlAddr, s.cfg.Cred, s.cfg.TrustRoots, s.rpcDialOpts()...)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		var e rpc.Encoder
-		e.String(lfn)
-		// The wire carries the retry attempt so an overloaded source can
-		// shed the hottest retriers first.
-		_, err = cl.CallContext(rpc.WithAttempt(ctx, attempt), MethodStage, &e)
-		s.observeOverload(ctlAddr, err)
-		return err
-	})
 }
 
 // observeOverload records a typed overload rejection from addr on the

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -12,8 +13,11 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/faults"
+	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
 	"gdmp/internal/objectstore"
+	"gdmp/internal/retry"
 	"gdmp/internal/testbed"
 )
 
@@ -386,19 +390,248 @@ func TestMSSStagingOnDemand(t *testing.T) {
 func TestReplicaSelectorFallsBackFromDeadReplica(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	// The selector probes candidates; the dead one loses.
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
-		Select: core.LowestLatencySelector(nil),
-	})
+	// No Select: the default ranking is catalog order on a cold scoreboard.
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
 	data := testbed.MakeData(60_000, 21)
 	pf := publish(t, g, cern, "pick.db", data, core.PublishOptions{})
 
 	// Register a bogus replica that sorts before the real one.
-	if err := g.Catalog.AddReplica(pf.LFN, "gridftp://127.0.0.1:1/pick.db"); err != nil {
+	const dead = "127.0.0.1:1"
+	if err := g.Catalog.AddReplica(pf.LFN, "gridftp://"+dead+"/pick.db"); err != nil {
 		t.Fatal(err)
 	}
 	if err := anl.Get(pf.LFN); err != nil {
-		t.Fatalf("Get with latency selector: %v", err)
+		t.Fatalf("Get past a dead first-ranked replica: %v", err)
+	}
+	// The dead replica really was tried first, failed as one leg, and the
+	// pull failed over to the live one.
+	hist := anl.TransferHistory()
+	if len(hist) != 2 || hist[0].Source != dead || !hist[0].Failed ||
+		hist[1].Source != cern.DataAddr() || hist[1].Failed {
+		t.Fatalf("history = %+v", hist)
+	}
+}
+
+// TestLocateStage drives the pull pipeline's locate stage alone against
+// doctored catalog state.
+func TestLocateStage(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		doctor func(g *testbed.Grid, cern, anl *core.Site, pf core.PublishedFile) error
+		viaRLI bool
+	}{
+		{"own endpoint in the location table is never a source",
+			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
+				return g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path)
+			}, false},
+		{"empty location table falls back to the RLI",
+			func(g *testbed.Grid, _, _ *core.Site, pf core.PublishedFile) error {
+				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
+			}, true},
+		{"only the own endpoint listed still falls back to the RLI",
+			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
+				if err := g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path); err != nil {
+					return err
+				}
+				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
+			}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGrid(t)
+			cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+			pf := publish(t, g, cern, "runs/loc.db", testbed.MakeData(1_000, 40), core.PublishOptions{})
+			if _, err := cern.PushDigest(ctx); err != nil {
+				t.Fatal(err)
+			}
+			// Forget the producer's control address, as a partial
+			// registration would: only an RLI confirmation can restore it.
+			ctlKey := "ctl." + cern.DataAddr()
+			if err := g.Catalog.SetAttrs(pf.LFN, map[string]string{ctlKey: ""}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.doctor(g, cern, anl, pf); err != nil {
+				t.Fatal(err)
+			}
+
+			sources, attrs, err := anl.LocateForPull(ctx, pf.LFN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sources) != 1 || sources[0] != pf.PFN {
+				t.Fatalf("sources = %v, want only %v", sources, pf.PFN)
+			}
+			wantCtl := ""
+			if tc.viaRLI {
+				wantCtl = cern.Addr()
+			}
+			if attrs[ctlKey] != wantCtl {
+				t.Fatalf("entry ctl address = %q, want %q", attrs[ctlKey], wantCtl)
+			}
+		})
+	}
+}
+
+// TestCatalogCRCDrift pins the verify stage. The producer's file is
+// overwritten after publish, so the source's own CKSM matches the bytes it
+// serves and the transfer's end-to-end check passes; only the comparison
+// against the catalog's published CRC can reject the leg. The rejected
+// leg must be one failed transfer everywhere it is recorded.
+func TestCatalogCRCDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		goodReplica bool
+	}{
+		{"fails over to a good replica", true},
+		{"fails with no other replica", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGrid(t)
+			cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+			data := testbed.MakeData(90_000, 30)
+			pf := publish(t, g, cern, "runs/drift.db", data, core.PublishOptions{})
+			if tc.goodReplica {
+				fnal := addSite(t, g, "fnal.gov", testbed.SiteOptions{})
+				if err := fnal.Get(pf.LFN); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := g.WriteSiteFile("cern.ch", "runs/drift.db", testbed.MakeData(90_000, 31)); err != nil {
+				t.Fatal(err)
+			}
+			// The drifted producer is tried first.
+			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+				Select: func(_ string, cands []core.PFN) core.PFN {
+					for _, c := range cands {
+						if c.Addr == cern.DataAddr() {
+							return c
+						}
+					}
+					return cands[0]
+				},
+			})
+			err := anl.Get(pf.LFN)
+
+			st := anl.Status()
+			hist := anl.TransferHistory()
+			if st.TransfersFailed < 1 || len(hist) == 0 || !hist[0].Failed ||
+				hist[0].Source != cern.DataAddr() || !strings.Contains(hist[0].Error, "checksum") {
+				t.Fatalf("drifted leg not recorded as failed: status %+v, history %+v", st, hist)
+			}
+			dest := filepath.Join(anl.DataDir(), "runs", "drift.db")
+			if _, serr := os.Stat(dest + gridftp.PartSuffix); !os.IsNotExist(serr) {
+				t.Fatalf("staging file left behind: %v", serr)
+			}
+			locs, lerr := g.Catalog.Locations(pf.LFN)
+			if lerr != nil {
+				t.Fatal(lerr)
+			}
+			registered := false
+			for _, l := range locs {
+				registered = registered || strings.Contains(l, anl.DataAddr())
+			}
+
+			if tc.goodReplica {
+				if err != nil {
+					t.Fatalf("Get did not fail over: %v", err)
+				}
+				if got, _ := os.ReadFile(dest); !bytes.Equal(got, data) {
+					t.Fatal("landed bytes are not the published ones")
+				}
+				if st.TransfersOK != 1 || st.TransfersFailed != 1 || st.BytesReplicated != int64(len(data)) || !registered {
+					t.Fatalf("status %+v, registered %v", st, registered)
+				}
+				return
+			}
+			if !errors.Is(err, gridftp.ErrChecksum) {
+				t.Fatalf("Get = %v, want ErrChecksum", err)
+			}
+			if _, serr := os.Stat(dest); !os.IsNotExist(serr) {
+				t.Fatalf("drifted bytes left at destination: %v", serr)
+			}
+			if st.TransfersOK != 0 || st.BytesReplicated != 0 || anl.HasFile(pf.LFN) || registered {
+				t.Fatalf("status %+v, has %v, registered %v", st, anl.HasFile(pf.LFN), registered)
+			}
+		})
+	}
+}
+
+// TestStalledLegIsRecordedAsStall: a leg the stall watchdog cancels is one
+// failed TransferRecord that names the stall, not the cancellation the
+// watchdog used to end it, and the pull still completes on the retry.
+func TestStalledLegIsRecordedAsStall(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	data := testbed.MakeData(300_000, 50)
+	pf := publish(t, g, cern, "runs/stall.db", data, core.PublishOptions{})
+
+	// The first passive-mode data connection black-holes its reads.
+	known := map[string]bool{g.CatalogAddr: true, cern.Addr(): true, cern.DataAddr(): true}
+	var mu sync.Mutex
+	dataConns := 0
+	inj := faults.New(1, func(c faults.ConnInfo) faults.Plan {
+		mu.Lock()
+		defer mu.Unlock()
+		if known[c.Addr] {
+			return faults.Plan{}
+		}
+		if dataConns++; dataConns == 1 {
+			return faults.Partition(64 << 10)
+		}
+		return faults.Plan{}
+	})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+		Faults: inj, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond,
+		Retry: retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	})
+	if err := anl.Get(pf.LFN); err != nil {
+		t.Fatalf("pull did not recover from the stall: %v", err)
+	}
+	hist := anl.TransferHistory()
+	if len(hist) != 2 || !hist[0].Failed || !strings.Contains(hist[0].Error, "stalled") || hist[1].Failed {
+		t.Fatalf("history = %+v, want one stalled leg then one good one", hist)
+	}
+	if st := anl.Status(); st.TransfersFailed != 1 || st.TransfersOK != 1 {
+		t.Fatalf("status = %+v, want 1 failed + 1 ok", st)
+	}
+}
+
+// TestLandingSurvivesConcurrentEviction pins the landing order: a pool too
+// small for two concurrent pulls evicts one file while the other is still
+// landing, possibly the very file that is mid-landing. Whatever the pool
+// does, a replica the site says it holds on disk must have its bytes there.
+func TestLandingSurvivesConcurrentEviction(t *testing.T) {
+	const size = 8 << 20
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	fnal := addSite(t, g, "fnal.gov", testbed.SiteOptions{
+		WithMSS: true, MSSCapacity: 12 << 20, PullWorkers: 2, ParityK: 8, ParityM: 2,
+	})
+	for i := 0; i < 8; i++ {
+		var lfns [2]string
+		for j := range lfns {
+			rel := fmt.Sprintf("evict/f%d-%d.db", i, j)
+			lfns[j] = publish(t, g, cern, rel, testbed.MakeData(size, int64(2*i+j)), core.PublishOptions{}).LFN
+		}
+		var wg sync.WaitGroup
+		for j, lfn := range lfns {
+			wg.Add(1)
+			go func(j int, lfn string) {
+				defer wg.Done()
+				time.Sleep(time.Duration(j*(i+1)) * 5 * time.Millisecond)
+				fnal.Get(lfn) // may fail for want of pool space; the invariant below holds either way
+			}(j, lfn)
+		}
+		wg.Wait()
+		for _, fi := range fnal.LocalFiles() {
+			if fi.State != core.StateDisk || !fnal.HasFile(fi.LFN) {
+				continue
+			}
+			if _, err := os.Stat(filepath.Join(fnal.DataDir(), fi.Path)); err != nil {
+				t.Fatalf("round %d: %s is cataloged on disk but its bytes are gone: %v", i, fi.LFN, err)
+			}
+		}
 	}
 }
 

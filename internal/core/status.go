@@ -247,6 +247,12 @@ func (s *Site) RemoteStatus(remoteAddr string) (SiteStatus, error) {
 	if err != nil {
 		return SiteStatus{}, err
 	}
+	return DecodeSiteStatus(d)
+}
+
+// DecodeSiteStatus reads one complete gdmp.status reply: the one decoder
+// of the payload layout, shared by RemoteStatus and the gdmp CLI.
+func DecodeSiteStatus(d *rpc.Decoder) (SiteStatus, error) {
 	st := decodeSiteStatus(d)
 	return st, d.Finish()
 }

@@ -50,6 +50,11 @@ type TransferStats struct {
 	// pulls report.
 	ResumedBytes   int64
 	DiscardedBytes int64
+
+	// CRC32 is the landed file's IEEE CRC-32 as the end-to-end verification
+	// pass computed it, valid when the transfer returned no error: a caller
+	// with its own expectation (a catalog's CRC) compares, not re-reads.
+	CRC32 uint32
 }
 
 // RateMbps returns the achieved rate in megabits per second.
@@ -822,7 +827,7 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = c.verifyLocal(remotePath, part)
+		stats.CRC32, err = c.verifyLocal(remotePath, part)
 	}
 	if err != nil {
 		os.Remove(part)
@@ -845,21 +850,22 @@ func syncDir(dir string) {
 	}
 }
 
-// verifyLocal compares the server CRC with a locally computed one.
-func (c *Client) verifyLocal(remotePath, localPath string) error {
+// verifyLocal compares the server CRC with a locally computed one and
+// returns the verified value.
+func (c *Client) verifyLocal(remotePath, localPath string) (uint32, error) {
 	want, err := c.Checksum(remotePath)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	got, err := CRC32File(localPath)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if got != want {
 		c.rec.CRCFailure()
-		return fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
+		return 0, fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
 	}
-	return nil
+	return got, nil
 }
 
 // CRC32File computes the IEEE CRC-32 of a local file.
@@ -1054,7 +1060,7 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 		return stats, err
 	}
 	defer cl.Close()
-	if err := cl.verifyLocal(remotePath, part); err != nil {
+	if stats.CRC32, err = cl.verifyLocal(remotePath, part); err != nil {
 		// The staged bytes failed end-to-end verification; drop them so
 		// the next attempt starts clean instead of resuming corruption.
 		os.Remove(part)
