@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
+.PHONY: all build test check loc vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
 
 all: build
 
@@ -33,6 +33,18 @@ fmt:
 # refactor that breaks the benchmark fails here, not in the pipeline.
 check: fmt vet build race
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Size report: non-test Go lines under internal/ and cmd/ per package,
+# their total, and each daemon's flag count — the numbers a pruning PR
+# quotes (ROADMAP item 3). Informational; never fails.
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
+	done
+	@printf '%6d  total\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@for d in gdmpd replicad; do \
+		printf '%6d  %s flags\n' "$$($(GO) run ./cmd/$$d -h 2>&1 | grep -c '^  -')" "$$d"; \
+	done
 
 bench: bench-pull
 	$(GO) test -bench=. -benchmem ./...

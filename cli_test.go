@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -145,12 +146,13 @@ func TestCLIDeployment(t *testing.T) {
 
 	// 2. The central replica catalog daemon.
 	rcAddr := freePort(t)
-	snapshot := filepath.Join(work, "catalog.snap")
-	startDaemon(t, filepath.Join(bin, "replicad"),
+	replicadArgs := []string{
 		"-listen", rcAddr,
 		"-cred", filepath.Join(certs, "replicad.pem"),
 		"-ca", caPem,
-		"-snapshot", snapshot)
+		"-state-dir", filepath.Join(work, "catalog-state"),
+	}
+	replicad := startDaemon(t, filepath.Join(bin, "replicad"), replicadArgs...)
 	waitPort(t, rcAddr)
 
 	// 3. Two GDMP site daemons.
@@ -290,6 +292,22 @@ func TestCLIDeployment(t *testing.T) {
 	got, _ = os.ReadFile(byLFN)
 	if !bytes.Equal(got, payload) {
 		t.Fatal("fetch-lfn content mismatch")
+	}
+
+	// 13. The catalog is journaled under -state-dir: replicad shuts down
+	// cleanly on SIGTERM, and a new one on the same directory still knows
+	// the registered replica.
+	if err := replicad.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := replicad.Wait(); err != nil {
+		t.Fatalf("replicad exit after SIGTERM: %v", err)
+	}
+	startDaemon(t, filepath.Join(bin, "replicad"), replicadArgs...)
+	waitPort(t, rcAddr)
+	out = runTool(t, gdmp, "-cred", proxyPem, "-ca", caPem, "-rc", rcAddr, "locations", lfn)
+	if !strings.Contains(out, pfn) {
+		t.Fatalf("locations after replicad restart: %s", out)
 	}
 }
 

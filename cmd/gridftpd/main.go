@@ -52,20 +52,12 @@ func run(root, listen, credPath, caPath, gridmap string, markers int64, block in
 	if err != nil {
 		return err
 	}
-	var acl *gsi.ACL
+	acl := gsi.NewACL()
+	acl.AllowAll(gridftp.OpRead, gridftp.OpWrite)
 	if gridmap != "" {
-		f, err := os.Open(gridmap)
-		if err != nil {
+		if acl, err = gsi.LoadGridmapFile(gridmap); err != nil {
 			return err
 		}
-		acl, err = gsi.ParseGridmap(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		acl = gsi.NewACL()
-		acl.AllowAll(gridftp.OpRead, gridftp.OpWrite)
 	}
 
 	srv, err := gridftp.NewServer(gridftp.ServerConfig{

@@ -15,14 +15,12 @@
 //
 //	replicad -listen :39000 -cred certs/replicad.pem -ca certs/ca.pem \
 //	         [-state-dir /var/lib/replicad] [-shards 64] [-rli-ttl 5m] \
-//	         [-snapshot catalog.snap] [-gridmap gridmap] [-save-every 1m]
+//	         [-gridmap gridmap]
 //
 // With -state-dir, the catalog is journaled: every mutation is appended to
 // a write-ahead log before it is acknowledged, and compaction freezes the
-// state into per-shard snapshot generations. A -snapshot file from an
-// older deployment is imported once, when the journaled store is still
-// empty. Without -state-dir, -snapshot alone gives the legacy behavior:
-// load at startup, persist every -save-every and on shutdown. Without
+// state into per-shard snapshot generations once the log has grown enough
+// and on shutdown. Without it the catalog lives in memory only. Without
 // -gridmap, every authenticated identity may use the catalog.
 package main
 
@@ -30,162 +28,74 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"gdmp/internal/gsi"
 	"gdmp/internal/replica"
 )
 
-func main() {
-	listen := flag.String("listen", ":39000", "address to listen on")
-	credPath := flag.String("cred", "", "server credential file (required)")
-	caPath := flag.String("ca", "", "trust anchor certificate (required)")
-	stateDir := flag.String("state-dir", "", "journaled store directory (crash-safe persistence)")
-	shards := flag.Int("shards", replica.DefaultShards, "catalog shard count (rounded up to a power of two)")
-	rliTTL := flag.Duration("rli-ttl", replica.DefaultRLITTL, "RLI digest soft-state lifetime")
-	snapshot := flag.String("snapshot", "", "legacy catalog snapshot file (load + persist without -state-dir)")
-	gridmap := flag.String("gridmap", "", "authorization gridmap file (default: allow all)")
-	saveEvery := flag.Duration("save-every", time.Minute, "legacy periodic snapshot interval")
-	flag.Parse()
+// settings is what the command line decides: the hosted catalog's
+// configuration, bound to its flags directly, plus the files to load the
+// credentials and the ACL from.
+type settings struct {
+	host                      replica.HostConfig
+	credPath, caPath, gridmap string
+}
 
-	if err := run(*listen, *credPath, *caPath, *stateDir, *snapshot, *gridmap, *shards, *rliTTL, *saveEvery); err != nil {
+func registerFlags(fs *flag.FlagSet, s *settings) {
+	fs.StringVar(&s.host.Listen, "listen", ":39000", "address to listen on")
+	fs.StringVar(&s.credPath, "cred", "", "server credential file (required)")
+	fs.StringVar(&s.caPath, "ca", "", "trust anchor certificate (required)")
+	fs.StringVar(&s.host.StateDir, "state-dir", "", "journaled store directory (crash-safe persistence; empty = memory only)")
+	fs.IntVar(&s.host.Shards, "shards", replica.DefaultShards, "catalog shard count (rounded up to a power of two)")
+	fs.DurationVar(&s.host.RLITTL, "rli-ttl", replica.DefaultRLITTL, "RLI digest soft-state lifetime")
+	fs.StringVar(&s.gridmap, "gridmap", "", "authorization gridmap file (default: allow all)")
+}
+
+func main() {
+	var s settings
+	registerFlags(flag.CommandLine, &s)
+	flag.Parse()
+	if err := run(s); err != nil {
 		fmt.Fprintln(os.Stderr, "replicad:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, credPath, caPath, stateDir, snapshot, gridmap string, shards int, rliTTL, saveEvery time.Duration) error {
-	if credPath == "" || caPath == "" {
+func run(s settings) error {
+	if s.credPath == "" || s.caPath == "" {
 		return fmt.Errorf("-cred and -ca are required")
 	}
-	cred, err := gsi.LoadCredential(credPath)
+	cred, err := gsi.LoadCredential(s.credPath)
 	if err != nil {
 		return err
 	}
-	root, err := gsi.LoadCertificate(caPath)
+	root, err := gsi.LoadCertificate(s.caPath)
 	if err != nil {
 		return err
 	}
-
-	var acl *gsi.ACL
-	if gridmap != "" {
-		f, err := os.Open(gridmap)
-		if err != nil {
+	acl := gsi.NewACL()
+	replica.AllowCatalogUseAll(acl)
+	if s.gridmap != "" {
+		if acl, err = gsi.LoadGridmapFile(s.gridmap); err != nil {
 			return err
-		}
-		acl, err = gsi.ParseGridmap(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		acl = gsi.NewACL()
-		replica.AllowCatalogUseAll(acl)
-	}
-
-	catalog := replica.New(replica.Options{Shards: shards})
-	var store *replica.Store
-	if stateDir != "" {
-		if err := os.MkdirAll(stateDir, 0o755); err != nil {
-			return err
-		}
-		store, err = replica.OpenStore(stateDir, catalog, replica.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		st := catalog.Stats()
-		if st.Files+st.Collections == 0 && snapshot != "" {
-			// One-time import of a legacy single-file snapshot into the
-			// journaled store; compaction adopts it into shard snapshots.
-			if err := catalog.LoadFile(snapshot); err == nil {
-				if err := store.Compact(); err != nil {
-					return fmt.Errorf("adopt legacy snapshot: %w", err)
-				}
-				st = catalog.Stats()
-				log.Printf("imported legacy snapshot %s: %d files, %d replicas, %d collections",
-					snapshot, st.Files, st.Replicas, st.Collections)
-			} else if !os.IsNotExist(err) {
-				return fmt.Errorf("load legacy snapshot: %w", err)
-			}
-		} else {
-			log.Printf("recovered store %s: %d files, %d replicas, %d collections (%d shards)",
-				stateDir, st.Files, st.Replicas, st.Collections, catalog.ShardCount())
-		}
-	} else if snapshot != "" {
-		if err := catalog.LoadFile(snapshot); err == nil {
-			st := catalog.Stats()
-			log.Printf("loaded snapshot %s: %d files, %d replicas, %d collections",
-				snapshot, st.Files, st.Replicas, st.Collections)
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("load snapshot: %w", err)
 		}
 	}
+	s.host.Cred, s.host.TrustRoots, s.host.ACL = cred, []*gsi.Certificate{root}, acl
+	s.host.Logger = log.Default()
 
-	srv := replica.NewServerWithRLI(catalog, replica.NewRLI(rliTTL, nil), cred, []*gsi.Certificate{root}, acl)
-	ln, err := net.Listen("tcp", listen)
+	host, err := replica.StartHost(s.host)
 	if err != nil {
 		return err
 	}
-	log.Printf("replica catalog %s listening on %s (%d shards)",
-		cred.Identity(), ln.Addr(), catalog.ShardCount())
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if saveEvery <= 0 {
-			return
-		}
-		t := time.NewTicker(saveEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if store != nil {
-					if _, err := store.MaybeCompact(); err != nil {
-						log.Printf("compact: %v", err)
-					}
-				} else if snapshot != "" {
-					if err := catalog.SaveFile(snapshot); err != nil {
-						log.Printf("snapshot: %v", err)
-					}
-				}
-			}
-		}
-	}()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-
 	select {
-	case err := <-errCh:
-		close(stop)
-		<-done
-		return err
-	case s := <-sig:
-		log.Printf("received %v, shutting down", s)
+	case sg := <-sig:
+		log.Printf("received %v, shutting down", sg)
+	case <-host.Done():
 	}
-	srv.Close()
-	close(stop)
-	<-done
-	if store != nil {
-		if err := store.Close(); err != nil {
-			return fmt.Errorf("close store: %w", err)
-		}
-		log.Printf("catalog compacted into %s", stateDir)
-	} else if snapshot != "" {
-		if err := catalog.SaveFile(snapshot); err != nil {
-			return fmt.Errorf("final snapshot: %w", err)
-		}
-		log.Printf("catalog persisted to %s", snapshot)
-	}
-	return nil
+	return host.Close()
 }

@@ -150,6 +150,15 @@ type Config struct {
 // sustained 100ms admission wait saturates the latency component.
 const waitRef = 100 * time.Millisecond
 
+// Defaults the slot counts and the brownout entry threshold of a zero
+// Config take.
+const (
+	DefaultControlSlots    = 64
+	DefaultBulkSlots       = 8
+	DefaultBackgroundSlots = 2
+	DefaultBrownoutEnter   = 0.75
+)
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	def := func(v *int, d int) {
@@ -157,14 +166,14 @@ func (c *Config) withDefaults() Config {
 			*v = d
 		}
 	}
-	def(&out.ControlSlots, 64)
-	def(&out.BulkSlots, 8)
-	def(&out.BackgroundSlots, 2)
+	def(&out.ControlSlots, DefaultControlSlots)
+	def(&out.BulkSlots, DefaultBulkSlots)
+	def(&out.BackgroundSlots, DefaultBackgroundSlots)
 	def(&out.ControlQueue, 256)
 	def(&out.BulkQueue, 64)
 	def(&out.BackgroundQueue, 16)
 	if out.BrownoutEnter <= 0 || out.BrownoutEnter > 1 {
-		out.BrownoutEnter = 0.75
+		out.BrownoutEnter = DefaultBrownoutEnter
 	}
 	if out.BrownoutExit <= 0 || out.BrownoutExit >= out.BrownoutEnter {
 		out.BrownoutExit = out.BrownoutEnter / 3

@@ -158,7 +158,7 @@ func (s *Site) PushDigest(ctx context.Context) (outcome string, err error) {
 
 	fp := s.cfg.DigestFPRate
 	if fp <= 0 {
-		fp = 0.01
+		fp = DefaultDigestFPRate
 	}
 	b := replica.NewBloom(len(lfns), fp)
 	for _, lfn := range lfns {

@@ -100,6 +100,15 @@ func classifyMethod(method string) admission.Class {
 	}
 }
 
+// Defaults NewSite applies to zero Config fields.
+const (
+	DefaultParallelism            = 2
+	DefaultTransferAttempts       = 3
+	DefaultNotifyFailureThreshold = 3
+	DefaultHedgeDeadline          = 10 * time.Second
+	DefaultDigestFPRate           = 0.01
+)
+
 // Config assembles one GDMP site.
 type Config struct {
 	// Name identifies the site (e.g. "cern.ch").
@@ -411,13 +420,13 @@ func NewSite(cfg Config) (*Site, error) {
 		return nil, err
 	}
 	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 2
+		cfg.Parallelism = DefaultParallelism
 	}
 	if cfg.TransferAttempts <= 0 {
-		cfg.TransferAttempts = 3
+		cfg.TransferAttempts = DefaultTransferAttempts
 	}
 	if cfg.NotifyFailureThreshold <= 0 {
-		cfg.NotifyFailureThreshold = 3
+		cfg.NotifyFailureThreshold = DefaultNotifyFailureThreshold
 	}
 	if cfg.ListenHost == "" {
 		cfg.ListenHost = "127.0.0.1"
@@ -429,7 +438,7 @@ func NewSite(cfg Config) (*Site, error) {
 		cfg.Metrics = obs.Default
 	}
 	if cfg.HedgeDeadline == 0 {
-		cfg.HedgeDeadline = 10 * time.Second
+		cfg.HedgeDeadline = DefaultHedgeDeadline
 	}
 	if err := (parity.Params{K: cfg.ParityK, M: cfg.ParityM}).Validate(); err != nil {
 		return nil, err
@@ -475,27 +484,26 @@ func NewSite(cfg Config) (*Site, error) {
 		MaxQueue:  cfg.MaxQueuedPulls,
 		Registry:  cfg.Metrics,
 	})
+	// From here on a failed start releases what the half-built site holds
+	// through the same teardown Close uses, minus the final compaction.
+	fail := func(err error) (*Site, error) {
+		s.teardown(false)
+		return nil, err
+	}
 	if s.federation != nil {
 		if err := s.types.register(ObjectivityType{}); err != nil {
-			s.sched.Close()
-			rcClient.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
 
 	if cfg.StateDir != "" {
 		persist, torn, err := openPersistence(cfg.StateDir, cfg.Metrics, cfg.Logger)
 		if err != nil {
-			s.sched.Close()
-			rcClient.Close()
-			return nil, err
+			return fail(err)
 		}
 		s.persist = persist
 		if err := s.restoreFromJournal(torn); err != nil {
-			persist.close(false)
-			s.sched.Close()
-			rcClient.Close()
-			return nil, fmt.Errorf("core: restart recovery: %w", err)
+			return fail(fmt.Errorf("core: restart recovery: %w", err))
 		}
 	}
 
@@ -519,10 +527,7 @@ func NewSite(cfg Config) (*Site, error) {
 		},
 	})
 	if err != nil {
-		s.persist.close(false)
-		s.sched.Close()
-		rcClient.Close()
-		return nil, err
+		return fail(err)
 	}
 	ftpListen := cfg.FTPListen
 	if ftpListen == "" {
@@ -531,10 +536,7 @@ func NewSite(cfg Config) (*Site, error) {
 	s.ftpSrv = ftpSrv
 	s.ftpLn, err = net.Listen("tcp", ftpListen)
 	if err != nil {
-		s.persist.close(false)
-		s.sched.Close()
-		rcClient.Close()
-		return nil, err
+		return fail(err)
 	}
 	go ftpSrv.Serve(s.ftpLn)
 
@@ -549,11 +551,7 @@ func NewSite(cfg Config) (*Site, error) {
 	s.registerHandlers()
 	s.gdmpLn, err = net.Listen("tcp", gdmpListen)
 	if err != nil {
-		s.persist.close(false)
-		s.sched.Close()
-		s.ftpSrv.Close()
-		rcClient.Close()
-		return nil, err
+		return fail(err)
 	}
 	go s.gdmpSrv.Serve(s.gdmpLn)
 
@@ -613,36 +611,42 @@ func (s *Site) QueryCtx(ctx context.Context, filter string) ([]*replica.LogicalF
 // into a journal snapshot so the next start replays nothing.
 func (s *Site) Close() error {
 	var err error
-	s.closeOnce.Do(func() {
-		s.cancel()
-		// The self-healing loops first: the daemon's in-flight pass and
-		// the repairer's in-flight pull both unblock on the canceled site
-		// context, and nothing may queue new work into a closing scheduler.
-		if s.scrubDmn != nil {
-			s.scrubDmn.Close()
-		}
-		if s.repairer != nil {
-			s.repairer.Close()
-		}
-		// Stop the pull pipeline: running transfers are canceled, queued
-		// jobs fail with context.Canceled, and the workers drain.
-		s.sched.Close()
-		s.notifyWG.Wait()
-		s.rlsWG.Wait()
-		e1 := s.gdmpSrv.Close()
-		e2 := s.ftpSrv.Close()
-		e3 := s.rc.close()
-		if s.federation != nil {
-			s.federation.Close()
-		}
-		s.persist.close(true)
-		for _, e := range []error{e1, e2, e3} {
-			if e != nil && err == nil {
-				err = e
-			}
-		}
-	})
+	s.closeOnce.Do(func() { err = s.teardown(true) })
 	return err
+}
+
+// teardown stops and joins everything the site started, in dependency
+// order. It tolerates a half-built site (NewSite's error returns call it
+// with graceful false), so parts not yet created are skipped.
+func (s *Site) teardown(graceful bool) error {
+	s.cancel()
+	// The self-healing loops first: the daemon's in-flight pass and
+	// the repairer's in-flight pull both unblock on the canceled site
+	// context, and nothing may queue new work into a closing scheduler.
+	if s.scrubDmn != nil {
+		s.scrubDmn.Close()
+	}
+	if s.repairer != nil {
+		s.repairer.Close()
+	}
+	// Stop the pull pipeline: running transfers are canceled, queued
+	// jobs fail with context.Canceled, and the workers drain.
+	s.sched.Close()
+	s.notifyWG.Wait()
+	s.rlsWG.Wait()
+	var errs []error
+	if s.gdmpSrv != nil {
+		errs = append(errs, s.gdmpSrv.Close())
+	}
+	if s.ftpSrv != nil {
+		errs = append(errs, s.ftpSrv.Close())
+	}
+	errs = append(errs, s.rc.close())
+	if s.federation != nil {
+		s.federation.Close()
+	}
+	s.persist.close(graceful)
+	return errors.Join(errs...)
 }
 
 // Kill tears the site down abruptly, skipping every graceful step: the

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +58,33 @@ func publish(t *testing.T, g *testbed.Grid, site *core.Site, rel string, data []
 		t.Fatalf("Publish(%s): %v", rel, err)
 	}
 	return pf
+}
+
+// TestFailedStartLeaksNothing: a site whose control port is taken fails
+// to start after its repairer, scheduler, catalog session and GridFTP
+// server are already up; every one of them must be torn down again.
+func TestFailedStartLeaksNothing(t *testing.T) {
+	g := newGrid(t)
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+
+	baseline := runtime.NumGoroutine()
+	if _, err := g.AddSite("late.ch", testbed.SiteOptions{GDMPListen: taken.Addr().String()}); err == nil {
+		t.Fatal("site started on an occupied control port")
+	}
+	// The catalog server notices the closed session asynchronously.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the failed start, %d before:\n%s",
+			n, baseline, buf[:runtime.Stack(buf, true)])
+	}
 }
 
 func TestPublishRegistersEverything(t *testing.T) {

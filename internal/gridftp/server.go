@@ -152,6 +152,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		ln.Close() // Close ran first and could not: the listener is ours
 		return errors.New("gridftp: server closed")
 	}
 	s.ln = ln

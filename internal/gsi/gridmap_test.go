@@ -1,6 +1,8 @@
 package gsi
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -54,6 +56,27 @@ func TestParseGridmapErrors(t *testing.T) {
 		if _, err := ParseGridmap(strings.NewReader(line)); err == nil {
 			t.Errorf("gridmap line %q accepted", line)
 		}
+	}
+}
+
+func TestLoadGridmapFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gridmap")
+	if err := os.WriteFile(path, []byte(`"/O=DataGrid/CN=alice" gdmp.ping`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	acl, err := LoadGridmapFile(path)
+	if err != nil {
+		t.Fatalf("LoadGridmapFile: %v", err)
+	}
+	if !acl.Authorized(Identity{"DataGrid", "alice"}, "gdmp.ping") || acl.Authorized(Identity{"DataGrid", "bob"}, "gdmp.ping") {
+		t.Error("loaded ACL does not hold exactly the file's grants")
+	}
+	if _, err := LoadGridmapFile(path + ".missing"); err == nil {
+		t.Error("missing gridmap accepted")
+	}
+	os.WriteFile(path, []byte("unquoted op\n"), 0o644)
+	if _, err := LoadGridmapFile(path); err == nil || !strings.Contains(err.Error(), path) {
+		t.Errorf("malformed gridmap: err = %v, want one naming the file", err)
 	}
 }
 

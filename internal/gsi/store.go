@@ -103,3 +103,18 @@ func LoadCredential(path string) (*Credential, error) {
 	}
 	return cred, nil
 }
+
+// LoadGridmapFile reads the authorization gridmap at path (see
+// ParseGridmap for the format).
+func LoadGridmapFile(path string) (*ACL, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	acl, err := ParseGridmap(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return acl, nil
+}

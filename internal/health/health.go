@@ -112,18 +112,26 @@ type Config struct {
 	Now func() time.Time
 }
 
+// Defaults the breaker fields of a zero Config take.
+const (
+	DefaultFailureThreshold = 3
+	DefaultReopenBase       = 2 * time.Second
+	DefaultReopenMax        = 60 * time.Second
+	DefaultProbeSuccesses   = 1
+)
+
 func (c Config) withDefaults() Config {
 	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
+		c.FailureThreshold = DefaultFailureThreshold
 	}
 	if c.ReopenBase <= 0 {
-		c.ReopenBase = 2 * time.Second
+		c.ReopenBase = DefaultReopenBase
 	}
 	if c.ReopenMax <= 0 {
-		c.ReopenMax = 60 * time.Second
+		c.ReopenMax = DefaultReopenMax
 	}
 	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
+		c.ProbeSuccesses = DefaultProbeSuccesses
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3

@@ -100,8 +100,7 @@ type Catalog struct {
 	shards      []*catShard
 	collMu      sync.RWMutex
 	collections map[string]map[string]bool // collection -> set of LFNs
-	collDirty   bool
-	serial      atomic.Uint64 // for LFN auto-generation
+	serial      atomic.Uint64              // for LFN auto-generation
 	onMutate    func(Mutation) error
 	met         *catalogMetrics
 	rls         *rlsCatalogMetrics
@@ -192,7 +191,7 @@ func (c *Catalog) register(name string, attrs map[string]string, serial uint64) 
 	}
 	sh.files[name] = &LogicalFile{Name: name, Attrs: cp}
 	sh.locations[name] = make(map[string]bool)
-	return c.mutated(sh, Mutation{Op: MutRegister, Shard: i, LFN: name, Attrs: cp, Serial: serial})
+	return c.mutated(Mutation{Op: MutRegister, LFN: name, Attrs: cp, Serial: serial})
 }
 
 // GenerateLFN reserves and registers an automatically generated unique
@@ -269,7 +268,7 @@ func (c *Catalog) SetAttrs(name string, attrs map[string]string) (err error) {
 	for k, v := range attrs {
 		f.Attrs[k] = v
 	}
-	return c.mutated(sh, Mutation{Op: MutSetAttrs, Shard: i, LFN: name, Attrs: attrs})
+	return c.mutated(Mutation{Op: MutSetAttrs, LFN: name, Attrs: attrs})
 }
 
 // Delete removes a logical file entry, its replica locations, and its
@@ -285,7 +284,7 @@ func (c *Catalog) Delete(name string) (err error) {
 	}
 	delete(sh.files, name)
 	delete(sh.locations, name)
-	err = c.mutated(sh, Mutation{Op: MutDelete, Shard: i, LFN: name})
+	err = c.mutated(Mutation{Op: MutDelete, LFN: name})
 	sh.mu.Unlock()
 	// Collection membership cleanup happens outside the shard lock (shard
 	// locks and collMu are never held together; see AddToCollection). The
@@ -322,20 +321,6 @@ func (c *Catalog) Query(filter string) (out []*LogicalFile, err error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.queryFilter(f), nil
-}
-
-// QueryFilter evaluates an already-parsed filter: the matcher is
-// compiled once and reused across the shard fan-out (and across calls,
-// if the caller caches it), instead of re-parsing the expression per
-// query.
-func (c *Catalog) QueryFilter(f Filter) []*LogicalFile {
-	defer c.met.record(opQuery, time.Now(), nil)
-	return c.queryFilter(f)
-}
-
-func (c *Catalog) queryFilter(f Filter) []*LogicalFile {
-	var out []*LogicalFile
 	for _, sh := range c.shards {
 		sh.mu.RLock()
 		for _, lf := range sh.files {
@@ -346,7 +331,7 @@ func (c *Catalog) queryFilter(f Filter) []*LogicalFile {
 		sh.mu.RUnlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return out, nil
 }
 
 // --- locations -----------------------------------------------------------
@@ -369,7 +354,7 @@ func (c *Catalog) AddReplica(lfn, pfn string) (err error) {
 		return fmt.Errorf("%w: replica %q of %q", ErrExists, pfn, lfn)
 	}
 	locs[pfn] = true
-	return c.mutated(sh, Mutation{Op: MutAddReplica, Shard: i, LFN: lfn, PFN: pfn})
+	return c.mutated(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
 }
 
 // RemoveReplica deletes one physical location of a logical file.
@@ -387,7 +372,7 @@ func (c *Catalog) RemoveReplica(lfn, pfn string) (err error) {
 		return fmt.Errorf("%w: %q of %q", ErrNoSuchReplica, pfn, lfn)
 	}
 	delete(locs, pfn)
-	return c.mutated(sh, Mutation{Op: MutRemoveReplica, Shard: i, LFN: lfn, PFN: pfn})
+	return c.mutated(Mutation{Op: MutRemoveReplica, LFN: lfn, PFN: pfn})
 }
 
 // Locations returns all physical locations of a logical file, sorted — the
@@ -425,7 +410,7 @@ func (c *Catalog) CreateCollection(name string) (err error) {
 		return fmt.Errorf("%w: collection %q", ErrExists, name)
 	}
 	c.collections[name] = make(map[string]bool)
-	return c.mutated(nil, Mutation{Op: MutCreateColl, Shard: -1, Coll: name})
+	return c.mutated(Mutation{Op: MutCreateColl, Coll: name})
 }
 
 // DeleteCollection removes a collection. It must be empty unless force is
@@ -442,7 +427,7 @@ func (c *Catalog) DeleteCollection(name string, force bool) (err error) {
 		return fmt.Errorf("%w: %q has %d members", ErrNotEmpty, name, len(set))
 	}
 	delete(c.collections, name)
-	return c.mutated(nil, Mutation{Op: MutDeleteColl, Shard: -1, Coll: name, Force: force})
+	return c.mutated(Mutation{Op: MutDeleteColl, Coll: name, Force: force})
 }
 
 // AddToCollection inserts a registered logical file into a collection.
@@ -460,7 +445,7 @@ func (c *Catalog) AddToCollection(coll, lfn string) (err error) {
 		return fmt.Errorf("%w: collection %q", ErrNotFound, coll)
 	}
 	set[lfn] = true
-	return c.mutated(nil, Mutation{Op: MutAddToColl, Shard: -1, Coll: coll, LFN: lfn})
+	return c.mutated(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
 }
 
 func (c *Catalog) exists(lfn string) bool {
@@ -484,7 +469,7 @@ func (c *Catalog) RemoveFromCollection(coll, lfn string) (err error) {
 		return fmt.Errorf("%w: %q not in collection %q", ErrNotFound, lfn, coll)
 	}
 	delete(set, lfn)
-	return c.mutated(nil, Mutation{Op: MutRemoveFromColl, Shard: -1, Coll: coll, LFN: lfn})
+	return c.mutated(Mutation{Op: MutRemoveFromColl, Coll: coll, LFN: lfn})
 }
 
 // ListCollection returns the sorted members of a collection.

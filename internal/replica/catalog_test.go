@@ -1,13 +1,15 @@
 package replica
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"gdmp/internal/obs"
 )
 
 func newTestCatalog(t *testing.T) *Catalog {
@@ -241,8 +243,13 @@ func TestConcurrentCatalogAccess(t *testing.T) {
 	}
 }
 
+// The snapshot tests drive the one persistence path there is: a journaled
+// Store compacts the catalog into a shard-snapshot directory and a reopen
+// reads it back (see reopenFromSnapshot).
+
 func TestSnapshotRoundTrip(t *testing.T) {
-	c := newTestCatalog(t)
+	dir := t.TempDir()
+	c, st := openTestStore(t, dir, 8)
 	mustRegister(t, c, "lfn://cern.ch/run1.db", map[string]string{
 		AttrSize: "2048", AttrOwner: "heinz", "weird key": "value with \"quotes\" and\nnewline",
 	})
@@ -255,14 +262,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewCatalog()
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+	restored := reopenFromSnapshot(t, dir, st, 8)
 
 	if st, want := restored.Stats(), c.Stats(); st != want {
 		t.Fatalf("restored stats %+v, want %+v", st, want)
@@ -292,9 +292,29 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// snapshotFiles returns the contents of the store's live snapshot
+// directory by file name.
+func snapshotFiles(t *testing.T, storeDir string) map[string]string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(storeDir, "shards.*", "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no snapshot files under %s (%v)", storeDir, err)
+	}
+	files := make(map[string]string, len(paths))
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(p)] = string(b)
+	}
+	return files
+}
+
 func TestSnapshotDeterministic(t *testing.T) {
-	build := func() *Catalog {
-		c := NewCatalog()
+	build := func() map[string]string {
+		dir := t.TempDir()
+		c, st := openTestStore(t, dir, 4)
 		for i := 0; i < 20; i++ {
 			c.Register(fmt.Sprintf("f%02d", i), map[string]string{"i": fmt.Sprint(i), AttrSize: "10"})
 			c.AddReplica(fmt.Sprintf("f%02d", i), fmt.Sprintf("pfn%d", i))
@@ -303,58 +323,76 @@ func TestSnapshotDeterministic(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			c.AddToCollection("all", fmt.Sprintf("f%02d", i))
 		}
-		return c
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return snapshotFiles(t, dir)
 	}
-	var a, b bytes.Buffer
-	build().Save(&a)
-	build().Save(&b)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("snapshot output not deterministic")
+	a, b := build(), build()
+	if len(a) != 5 { // meta + 4 shard files
+		t.Fatalf("snapshot holds %d files, want 5", len(a))
 	}
-}
-
-func TestSnapshotRejectsCorruption(t *testing.T) {
-	cases := map[string]string{
-		"empty":           "",
-		"bad header":      "not-a-snapshot\n",
-		"attr first":      snapshotHeader + "\nattr \"k\" \"v\"\n",
-		"member first":    snapshotHeader + "\nmember \"x\"\n",
-		"unknown verb":    snapshotHeader + "\nfrobnicate \"x\"\n",
-		"bad quoting":     snapshotHeader + "\nfile notquoted\n",
-		"dangling member": snapshotHeader + "\ncoll \"c\"\nmember \"nofile\"\n",
-		"duplicate file":  snapshotHeader + "\nfile \"a\"\nfile \"a\"\n",
-		"bad serial":      snapshotHeader + "\nserial notanumber\n",
-	}
-	for name, in := range cases {
-		c := NewCatalog()
-		if err := c.Load(bytes.NewReader([]byte(in))); err == nil {
-			t.Errorf("%s: corruption accepted", name)
+	for name, content := range a {
+		if b[name] != content {
+			t.Fatalf("snapshot file %s not deterministic", name)
 		}
 	}
 }
 
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.snap")
-	c := newTestCatalog(t)
-	mustRegister(t, c, "f", map[string]string{"a": "b"})
-	if err := c.SaveFile(path); err != nil {
-		t.Fatal(err)
+func TestSnapshotRejectsCorruption(t *testing.T) {
+	const meta, shard = metaFileName, "shard-0000.snap"
+	const removed = "\x00removed" // content standing for "delete the file"
+	cases := []struct{ name, file, content string }{
+		{"empty", shard, ""},
+		{"bad header", shard, "not-a-snapshot\n"},
+		{"shard header on meta", meta, shardHeader + "\n"},
+		{"attr first", shard, shardHeader + "\nattr \"k\" \"v\"\n"},
+		{"member first", meta, metaHeader + "\nmember \"x\"\n"},
+		{"unknown verb", shard, shardHeader + "\nfrobnicate \"x\"\n"},
+		{"bad quoting", shard, shardHeader + "\nfile notquoted\n"},
+		{"dangling member", meta, metaHeader + "\ncoll \"c\"\nmember \"nofile\"\n"},
+		{"duplicate file", shard, shardHeader + "\nfile \"a\"\nfile \"a\"\n"},
+		{"bad serial", meta, metaHeader + "\nserial notanumber\n"},
+		{"file in meta", meta, metaHeader + "\nfile \"a\"\n"},
+		{"coll in shard", shard, shardHeader + "\ncoll \"c\"\n"},
+		{"meta missing", meta, removed},
 	}
-	restored := NewCatalog()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Lookup("f"); err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		dir := t.TempDir()
+		c, st := openTestStore(t, dir, 1)
+		mustRegister(t, c, "lfn://cern.ch/a", nil)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		gens, _ := filepath.Glob(filepath.Join(dir, "shards.*"))
+		if len(gens) != 1 {
+			t.Fatalf("%s: %d snapshot generations", tc.name, len(gens))
+		}
+		path := filepath.Join(gens[0], tc.file)
+		var err error
+		if tc.content == removed {
+			err = os.Remove(path)
+		} else {
+			err = os.WriteFile(path, []byte(tc.content), 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2, err := OpenStore(dir, New(Options{Shards: 1, Registry: obs.NewRegistry()}),
+			StoreOptions{Registry: obs.NewRegistry(), NoSync: true})
+		if err == nil {
+			st2.Close()
+			t.Errorf("%s: corruption accepted", tc.name)
+		}
 	}
 }
 
 // TestSnapshotPropertyRoundTrip: any catalog built from generated names
-// survives a save/load cycle with identical contents.
+// survives a compact/reopen cycle with identical contents.
 func TestSnapshotPropertyRoundTrip(t *testing.T) {
 	f := func(names []string, attr string) bool {
-		c := NewCatalog()
+		dir := t.TempDir()
+		c, st := openTestStore(t, dir, 4)
 		registered := make(map[string]bool)
 		for _, n := range names {
 			if validName(n) != nil || registered[n] {
@@ -364,14 +402,7 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 			c.Register(n, map[string]string{"attr": attr})
 			c.AddReplica(n, "pfn://"+n)
 		}
-		var buf bytes.Buffer
-		if c.Save(&buf) != nil {
-			return false
-		}
-		r := NewCatalog()
-		if r.Load(bytes.NewReader(buf.Bytes())) != nil {
-			return false
-		}
+		r := reopenFromSnapshot(t, dir, st, 4)
 		if len(r.Files()) != len(c.Files()) {
 			return false
 		}

@@ -121,9 +121,6 @@ func (s *Server) Serve(ln net.Listener) error { return s.rpc.Serve(ln) }
 // Close shuts the server down.
 func (s *Server) Close() error { return s.rpc.Close() }
 
-// Catalog returns the underlying catalog (for snapshotting by the daemon).
-func (s *Server) Catalog() *Catalog { return s.catalog }
-
 func (s *Server) register() {
 	s.rpc.Handle(MethodRegister, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
 		name := args.String()

@@ -55,17 +55,23 @@ func startCatalog(t *testing.T) (*Client, *Catalog) {
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
+	return dialTestClient(t, ln.Addr().String()), cat
+}
 
+// dialTestClient connects a fresh site identity to the catalog at addr.
+func dialTestClient(t *testing.T, addr string) *Client {
+	t.Helper()
+	ca := testCA(t)
 	clientCred, err := ca.Issue("site-client", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DialTimeout(ln.Addr().String(), clientCred, roots, 5*time.Second)
+	cl, err := DialTimeout(addr, clientCred, []*gsi.Certificate{ca.Certificate()}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	return cl, cat
+	return cl
 }
 
 func TestClientRegisterLookupLocations(t *testing.T) {

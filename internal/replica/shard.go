@@ -23,7 +23,6 @@ type catShard struct {
 	mu        sync.RWMutex
 	files     map[string]*LogicalFile
 	locations map[string]map[string]bool // lfn -> set of PFNs
-	dirty     bool                       // mutated since the last per-shard snapshot
 }
 
 func newCatShard() *catShard {
@@ -67,7 +66,6 @@ const (
 // replays the shard ops on top of the last per-shard snapshot set.
 type Mutation struct {
 	Op    string
-	Shard int // shard the LFN hashed to; -1 for collection ops
 	LFN   string
 	PFN   string
 	Coll  string
@@ -90,14 +88,9 @@ func (c *Catalog) OnMutate(fn func(Mutation) error) {
 	c.onMutate = fn
 }
 
-// mutated marks the shard dirty and runs the hook. Call with the
-// relevant shard lock (or collMu for shard -1) held.
-func (c *Catalog) mutated(sh *catShard, m Mutation) error {
-	if sh != nil {
-		sh.dirty = true
-	} else {
-		c.collDirty = true
-	}
+// mutated runs the hook. Call with the mutated shard's lock (collMu for a
+// collection op) held.
+func (c *Catalog) mutated(m Mutation) error {
 	if c.onMutate == nil {
 		return nil
 	}

@@ -61,7 +61,7 @@ func TestShardIndexStable(t *testing.T) {
 }
 
 // TestShardRebalanceProperty is the seeded rebalance property test: any
-// catalog saved under one shard count and loaded under another must hold
+// catalog compacted under one shard count and reopened under another must hold
 // exactly the same files, attrs, locations, and collections, with every
 // entry living on the shard its hash names under the NEW layout.
 func TestShardRebalanceProperty(t *testing.T) {
@@ -73,7 +73,8 @@ func TestShardRebalanceProperty(t *testing.T) {
 		toShards := 1 << rng.Intn(6)
 		n := 50 + rng.Intn(200)
 
-		src := New(Options{Shards: fromShards, Registry: obs.NewRegistry()})
+		dir := t.TempDir()
+		src, st := openTestStore(t, dir, fromShards)
 		type entry struct {
 			attrs map[string]string
 			locs  []string
@@ -108,14 +109,7 @@ func TestShardRebalanceProperty(t *testing.T) {
 			}
 		}
 
-		dir := t.TempDir()
-		if err := src.SaveShards(dir); err != nil {
-			t.Fatalf("seed=%d round=%d SaveShards: %v", seed, round, err)
-		}
-		dst := New(Options{Shards: toShards, Registry: obs.NewRegistry()})
-		if err := dst.LoadShards(dir); err != nil {
-			t.Fatalf("seed=%d round=%d LoadShards(%d->%d): %v", seed, round, fromShards, toShards, err)
-		}
+		dst := reopenFromSnapshot(t, dir, st, toShards)
 
 		if got := len(dst.Files()); got != n {
 			t.Fatalf("seed=%d round=%d: %d files after %d->%d rebalance, want %d",

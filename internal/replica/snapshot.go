@@ -16,30 +16,27 @@ import (
 // line-oriented text snapshots, which also serve GDMP's failure-recovery
 // path ("obtaining a remote site's file catalog for failure recovery").
 //
-// Two layouts exist:
+// A snapshot is a directory: one meta file with the serial and the
+// collections, plus one file per shard with that partition's entries.
+// Shard files record which partition of how many they were written as,
+// but loading re-hashes every entry into the current shard layout —
+// changing the shard count is a rebalance, not a migration. The journaled
+// Store is the only caller: Compact writes a fresh directory through
+// writeShards, OpenStore reads the live one back through LoadShards.
 //
-//   - the single-file v1 format (Save/Load), kept for compatibility and
-//     for export/import;
-//   - the per-shard layout (SaveShards/LoadShards): one meta file with
-//     the serial and collections plus one file per dirty shard, so a
-//     large catalog's periodic snapshot rewrites only the partitions
-//     that changed. Shard files record which partition of how many they
-//     were written as, but loading re-hashes every entry into the
-//     current shard layout — changing the shard count is a rebalance,
-//     not a migration.
+// Meta file (all strings Go-quoted):
 //
-// Single-file format (all strings Go-quoted):
-//
-//	gdmp-replica-catalog v1
+//	gdmp-replica-rls-meta v1
 //	serial <n>
+//	coll <name>
+//	member <lfn>                # belongs to the preceding coll
+//
+// Shard file:
+//
+//	gdmp-replica-shard v1
 //	file <lfn>
 //	attr <key> <value>          # belongs to the preceding file
 //	loc <pfn>                   # belongs to the preceding file
-//	coll <name>
-//	member <lfn>                # belongs to the preceding coll
-const snapshotHeader = "gdmp-replica-catalog v1"
-
-// Per-shard layout headers and names.
 const (
 	metaHeader    = "gdmp-replica-rls-meta v1"
 	shardHeader   = "gdmp-replica-shard v1"
@@ -49,7 +46,7 @@ const (
 
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.snap", i) }
 
-// loaded is the parse result both Load paths build before installing.
+// loaded is the parse result LoadShards builds before installing.
 type loaded struct {
 	files       map[string]*LogicalFile
 	locations   map[string]map[string]bool
@@ -85,83 +82,39 @@ func (c *Catalog) install(l *loaded) {
 		sh.mu.Lock()
 		sh.files = fresh[i].files
 		sh.locations = fresh[i].locations
-		sh.dirty = true
 		sh.mu.Unlock()
 	}
 	c.collMu.Lock()
 	c.collections = l.collections
-	c.collDirty = true
 	c.collMu.Unlock()
 	c.serial.Store(l.serial)
+}
+
+// sortedKeys returns m's keys in order, so snapshot bytes depend only on
+// catalog contents.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // writeFileEntry emits one file's lines (file/attr/loc) to w.
 func writeFileEntry(bw *bufio.Writer, f *LogicalFile, locs map[string]bool) {
 	fmt.Fprintf(bw, "file %s\n", strconv.Quote(f.Name))
-	keys := make([]string, 0, len(f.Attrs))
-	for k := range f.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(f.Attrs) {
 		fmt.Fprintf(bw, "attr %s %s\n", strconv.Quote(k), strconv.Quote(f.Attrs[k]))
 	}
-	pfns := make([]string, 0, len(locs))
-	for p := range locs {
-		pfns = append(pfns, p)
-	}
-	sort.Strings(pfns)
-	for _, p := range pfns {
+	for _, p := range sortedKeys(locs) {
 		fmt.Fprintf(bw, "loc %s\n", strconv.Quote(p))
 	}
 }
 
-// writeCollections emits coll/member lines to w.
-func (c *Catalog) writeCollections(bw *bufio.Writer) {
-	c.collMu.RLock()
-	defer c.collMu.RUnlock()
-	colls := make([]string, 0, len(c.collections))
-	for n := range c.collections {
-		colls = append(colls, n)
-	}
-	sort.Strings(colls)
-	for _, n := range colls {
-		fmt.Fprintf(bw, "coll %s\n", strconv.Quote(n))
-		members := make([]string, 0, len(c.collections[n]))
-		for m := range c.collections[n] {
-			members = append(members, m)
-		}
-		sort.Strings(members)
-		for _, m := range members {
-			fmt.Fprintf(bw, "member %s\n", strconv.Quote(m))
-		}
-	}
-}
-
-// Save writes a single-file snapshot of the entire catalog. Shards are
-// read one at a time, so concurrent mutations may straddle the snapshot;
-// crash consistency for live catalogs comes from the journaled Store,
-// which compacts through this same writer while holding the WAL.
-func (c *Catalog) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, snapshotHeader)
-	fmt.Fprintf(bw, "serial %d\n", c.serial.Load())
-
-	names := c.Files()
-	for _, n := range names {
-		sh, _ := c.shardFor(n)
-		sh.mu.RLock()
-		if f, ok := sh.files[n]; ok {
-			writeFileEntry(bw, f, sh.locations[n])
-		}
-		sh.mu.RUnlock()
-	}
-	c.writeCollections(bw)
-	return bw.Flush()
-}
-
-// snapParser parses snapshot lines into a loaded state. Each layout
-// wraps it with its own header check and verb whitelist.
+// snapParser parses snapshot lines into a loaded state. The meta file
+// and the shard files each wrap it with their own header check and verb
+// whitelist.
 type snapParser struct {
 	l      *loaded
 	lineNo int
@@ -298,20 +251,6 @@ func checkMembers(l *loaded) error {
 	return nil
 }
 
-// Load replaces the catalog contents with a snapshot previously written by
-// Save.
-func (c *Catalog) Load(r io.Reader) error {
-	p := &snapParser{l: newLoaded()}
-	if err := scanInto(r, snapshotHeader, p, true, true); err != nil {
-		return err
-	}
-	if err := checkMembers(p.l); err != nil {
-		return err
-	}
-	c.install(p.l)
-	return nil
-}
-
 // cutQuoted splits `"k" "v"` into the two quoted tokens.
 func cutQuoted(s string) (a, b string, ok bool) {
 	s = strings.TrimSpace(s)
@@ -350,78 +289,47 @@ func writeAtomic(path string, fill func(io.Writer) error) error {
 	return os.Rename(tmp, path)
 }
 
-// SaveFile atomically writes a single-file snapshot to path.
-func (c *Catalog) SaveFile(path string) error {
-	return writeAtomic(path, c.Save)
-}
-
-// LoadFile loads a single-file snapshot from path.
-func (c *Catalog) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.Load(f)
-}
-
-// SaveShards writes the per-shard snapshot layout into dir (created if
-// needed): the meta file (serial + collections) plus one file per shard.
-// Shards whose file already exists and that have not been mutated since
-// their last save are skipped, so steady-state periodic snapshots of a
-// big catalog rewrite only what changed. Every write is atomic
-// (tmp+rename).
-func (c *Catalog) SaveShards(dir string) error {
+// writeShards writes the catalog as a snapshot directory (created if
+// needed), every file atomically (tmp+rename). The catalog must be
+// quiesced: the caller holds every shard lock and collMu, as Compact
+// does, so the maps are read directly.
+func (c *Catalog) writeShards(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for i, sh := range c.shards {
-		path := filepath.Join(dir, shardFileName(i))
-		sh.mu.RLock()
-		skip := !sh.dirty
-		sh.mu.RUnlock()
-		if skip {
-			if _, err := os.Stat(path); err == nil {
-				continue
-			}
-		}
-		err := writeAtomic(path, func(w io.Writer) error {
+		err := writeAtomic(filepath.Join(dir, shardFileName(i)), func(w io.Writer) error {
 			bw := bufio.NewWriter(w)
 			fmt.Fprintln(bw, shardHeader)
 			fmt.Fprintf(bw, "# shard %d of %d\n", i, len(c.shards))
-			sh.mu.RLock()
-			names := make([]string, 0, len(sh.files))
-			for n := range sh.files {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
+			for _, n := range sortedKeys(sh.files) {
 				writeFileEntry(bw, sh.files[n], sh.locations[n])
 			}
-			sh.mu.RUnlock()
 			return bw.Flush()
 		})
 		if err != nil {
 			return err
 		}
-		sh.mu.Lock()
-		sh.dirty = false
-		sh.mu.Unlock()
 	}
 	return writeAtomic(filepath.Join(dir, metaFileName), func(w io.Writer) error {
 		bw := bufio.NewWriter(w)
 		fmt.Fprintln(bw, metaHeader)
 		fmt.Fprintf(bw, "serial %d\n", c.serial.Load())
 		fmt.Fprintf(bw, "# shards %d\n", len(c.shards))
-		c.writeCollections(bw)
+		for _, n := range sortedKeys(c.collections) {
+			fmt.Fprintf(bw, "coll %s\n", strconv.Quote(n))
+			for _, m := range sortedKeys(c.collections[n]) {
+				fmt.Fprintf(bw, "member %s\n", strconv.Quote(m))
+			}
+		}
 		return bw.Flush()
 	})
 }
 
-// LoadShards replaces the catalog contents with a per-shard snapshot set
-// previously written by SaveShards. Entries are re-hashed into the
-// current shard layout, so the snapshot may have been written under a
-// different shard count — the load is a rebalance.
+// LoadShards replaces the catalog contents with the snapshot directory a
+// Store compaction wrote. Entries are re-hashed into the current shard
+// layout, so the snapshot may have been written under a different shard
+// count — the load is a rebalance.
 func (c *Catalog) LoadShards(dir string) error {
 	p := &snapParser{l: newLoaded()}
 	mf, err := os.Open(filepath.Join(dir, metaFileName))

@@ -1,12 +1,9 @@
 package replica
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,7 +16,7 @@ import (
 // Store makes a Catalog durable: every committed mutation (shard op) is
 // appended to a write-ahead log via the catalog's mutation hook, and
 // Compact freezes the state into a per-shard snapshot generation
-// (shards.<gen>/ written by SaveShards) before truncating the WAL. Open
+// (shards.<gen>/, see snapshot.go) before truncating the WAL. Open
 // recovers by loading the generation the journal's snapshot marker names
 // and replaying the WAL records on top — the same journal-before-ack
 // durability contract internal/core uses for site state.
@@ -34,35 +31,29 @@ type Store struct {
 	mu  sync.Mutex
 	j   *journal.Journal
 	gen uint64
-
-	compactRecs int
 }
 
 // StoreOptions tunes a Store.
 type StoreOptions struct {
 	// Registry receives the journal's gdmp_journal_* metrics.
 	Registry *obs.Registry
-	// CompactRecords is the WAL record count past which MaybeCompact
-	// compacts (default 8192).
-	CompactRecords int
 	// NoSync skips the per-append fsync (benchmarks only).
 	NoSync bool
 }
 
 const storeWALDir = "wal"
 
+// compactRecords is the WAL record count past which MaybeCompact compacts.
+const compactRecords = 8192
+
 func shardsDirName(gen uint64) string { return fmt.Sprintf("shards.%d", gen) }
 
 // OpenStore opens (creating if needed) the journaled store in dir and
 // recovers the catalog from it: the per-shard snapshot generation named
 // by the journal marker, plus a replay of every WAL record after it.
-// When the store is empty the catalog is left untouched, so a caller may
-// import legacy state first and Compact to adopt it. On return the
-// catalog's mutation hook is installed; the caller must not replace it.
+// On return the catalog's mutation hook is installed; the caller must not
+// replace it.
 func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
-	if opts.CompactRecords <= 0 {
-		opts.CompactRecords = 8192
-	}
 	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{
 		NoSync:   opts.NoSync,
 		Registry: opts.Registry,
@@ -70,7 +61,7 @@ func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{c: c, dir: dir, j: j, compactRecs: opts.CompactRecords}
+	st := &Store{c: c, dir: dir, j: j}
 	if rec.Snapshot != nil {
 		gen, err := parseShardsMarker(rec.Snapshot)
 		if err != nil {
@@ -162,7 +153,7 @@ func (s *Store) Compact() error {
 
 	gen := s.gen + 1
 	dir := filepath.Join(s.dir, shardsDirName(gen))
-	if err := s.saveShardsLocked(dir); err != nil {
+	if err := s.c.writeShards(dir); err != nil {
 		os.RemoveAll(dir)
 		return err
 	}
@@ -173,20 +164,13 @@ func (s *Store) Compact() error {
 	old := s.gen
 	s.gen = gen
 	os.RemoveAll(filepath.Join(s.dir, shardsDirName(old)))
-	for _, sh := range s.c.shards {
-		sh.dirty = false
-	}
-	s.c.collDirty = false
 	return nil
 }
 
-// MaybeCompact compacts when the WAL has grown past the configured
-// record count; reports whether it did.
+// MaybeCompact compacts when the WAL has grown past compactRecords;
+// reports whether it did.
 func (s *Store) MaybeCompact() (bool, error) {
-	s.mu.Lock()
-	n := s.j.Records()
-	s.mu.Unlock()
-	if n < s.compactRecs {
+	if s.Records() < compactRecords {
 		return false, nil
 	}
 	return true, s.Compact()
@@ -205,58 +189,6 @@ func (s *Store) Close() error {
 		return err
 	}
 	return cerr
-}
-
-// saveShardsLocked is SaveShards for a quiesced catalog: every shard
-// lock and collMu are already held by Compact, so it reads the maps
-// directly.
-func (s *Store) saveShardsLocked(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	c := s.c
-	for i, sh := range c.shards {
-		err := writeAtomic(filepath.Join(dir, shardFileName(i)), func(w io.Writer) error {
-			bw := bufio.NewWriter(w)
-			fmt.Fprintln(bw, shardHeader)
-			fmt.Fprintf(bw, "# shard %d of %d\n", i, len(c.shards))
-			names := make([]string, 0, len(sh.files))
-			for n := range sh.files {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				writeFileEntry(bw, sh.files[n], sh.locations[n])
-			}
-			return bw.Flush()
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return writeAtomic(filepath.Join(dir, metaFileName), func(w io.Writer) error {
-		bw := bufio.NewWriter(w)
-		fmt.Fprintln(bw, metaHeader)
-		fmt.Fprintf(bw, "serial %d\n", c.serial.Load())
-		fmt.Fprintf(bw, "# shards %d\n", len(c.shards))
-		colls := make([]string, 0, len(c.collections))
-		for n := range c.collections {
-			colls = append(colls, n)
-		}
-		sort.Strings(colls)
-		for _, n := range colls {
-			fmt.Fprintf(bw, "coll %s\n", strconv.Quote(n))
-			members := make([]string, 0, len(c.collections[n]))
-			for m := range c.collections[n] {
-				members = append(members, m)
-			}
-			sort.Strings(members)
-			for _, m := range members {
-				fmt.Fprintf(bw, "member %s\n", strconv.Quote(m))
-			}
-		}
-		return bw.Flush()
-	})
 }
 
 // replay applies a recovered WAL record. Replay is tolerant: records are
@@ -279,53 +211,43 @@ func (s *Store) replay(m Mutation) {
 			sh.files[m.LFN] = &LogicalFile{Name: m.LFN, Attrs: attrs}
 			sh.locations[m.LFN] = make(map[string]bool)
 		}
-		sh.dirty = true
 	case MutSetAttrs:
 		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
 		if f, ok := sh.files[m.LFN]; ok {
 			for k, v := range m.Attrs {
 				f.Attrs[k] = v
 			}
-			sh.dirty = true
 		}
 	case MutDelete:
 		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
 		delete(sh.files, m.LFN)
 		delete(sh.locations, m.LFN)
-		sh.dirty = true
 		for _, set := range c.collections {
 			delete(set, m.LFN)
 		}
-		c.collDirty = true
 	case MutAddReplica:
 		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
 		if locs, ok := sh.locations[m.LFN]; ok {
 			locs[m.PFN] = true
-			sh.dirty = true
 		}
 	case MutRemoveReplica:
 		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
 		if locs, ok := sh.locations[m.LFN]; ok {
 			delete(locs, m.PFN)
-			sh.dirty = true
 		}
 	case MutCreateColl:
 		if _, ok := c.collections[m.Coll]; !ok {
 			c.collections[m.Coll] = make(map[string]bool)
 		}
-		c.collDirty = true
 	case MutDeleteColl:
 		delete(c.collections, m.Coll)
-		c.collDirty = true
 	case MutAddToColl:
 		if set, ok := c.collections[m.Coll]; ok {
 			set[m.LFN] = true
-			c.collDirty = true
 		}
 	case MutRemoveFromColl:
 		if set, ok := c.collections[m.Coll]; ok {
 			delete(set, m.LFN)
-			c.collDirty = true
 		}
 	}
 }

@@ -20,6 +20,22 @@ func openTestStore(t *testing.T, dir string, shards int) (*Catalog, *Store) {
 	return c, st
 }
 
+// reopenFromSnapshot closes st and recovers a fresh catalog of the given
+// shard count from dir. Close compacts, so the WAL the reopen replays is
+// empty and the shard snapshot alone carries the state.
+func reopenFromSnapshot(t *testing.T, dir string, st *Store, shards int) *Catalog {
+	t.Helper()
+	if err := st.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	c, st2 := openTestStore(t, dir, shards)
+	t.Cleanup(func() { st2.Close() })
+	if n := st2.Records(); n != 0 {
+		t.Fatalf("reopen replayed %d WAL records; the snapshot was not the only source", n)
+	}
+	return c
+}
+
 func TestStoreRecoversFromWAL(t *testing.T) {
 	dir := t.TempDir()
 	c, st := openTestStore(t, dir, 8)
@@ -132,40 +148,6 @@ func TestStoreRebalanceAcrossShardCounts(t *testing.T) {
 			}
 		}
 		sh.mu.RUnlock()
-	}
-}
-
-func TestStoreLegacyImportViaCompact(t *testing.T) {
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "rc.snap")
-	// Seed a legacy single-file snapshot.
-	old := NewCatalog()
-	if err := old.Register("lfn://cern.ch/legacy", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.SaveFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-
-	storeDir := filepath.Join(dir, "store")
-	c, st := openTestStore(t, storeDir, 8)
-	if got := len(c.Files()); got != 0 {
-		t.Fatalf("empty store loaded %d files", got)
-	}
-	if err := c.LoadFile(legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(); err != nil {
-		t.Fatalf("adopting Compact: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, st2 := openTestStore(t, storeDir, 8)
-	defer st2.Close()
-	if _, err := c2.Lookup("lfn://cern.ch/legacy"); err != nil {
-		t.Fatalf("imported entry lost: %v", err)
 	}
 }
 

@@ -194,6 +194,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
 	if s.closed {
 		s.lnMu.Unlock()
+		ln.Close() // Close ran first and could not: the listener is ours
 		return errors.New("rpc: server closed")
 	}
 	s.ln = ln

@@ -51,9 +51,12 @@ const MetricsPrefix = "gdmp_xfer"
 // it when the last waiter abandons the job or the scheduler closes.
 type Job func(ctx context.Context) error
 
+// DefaultWorkers is the worker count a zero Config.Workers takes.
+const DefaultWorkers = 4
+
 // Config tunes a Scheduler.
 type Config struct {
-	// Workers bounds concurrently running jobs (default 4).
+	// Workers bounds concurrently running jobs (default DefaultWorkers).
 	Workers int
 
 	// PerSource caps jobs transferring from one source at a time,
@@ -251,7 +254,7 @@ type Scheduler struct {
 // New starts a scheduler with cfg.Workers workers.
 func New(cfg Config) *Scheduler {
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = DefaultWorkers
 	}
 	s := &Scheduler{
 		cfg:      cfg,
