@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check loc vet fmt race bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
+.PHONY: all build test check loc vet fmt race fuzz-smoke bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
 
 all: build
 
@@ -33,6 +33,14 @@ fmt:
 # refactor that breaks the benchmark fails here, not in the pipeline.
 check: fmt vet build race
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
+# of bytes a GridFTP peer controls). The seed corpora already run under
+# plain `go test`; a crasher found here lands in the package's
+# testdata/fuzz/ and fails every later run until fixed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
+	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR

@@ -106,6 +106,14 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		defer cl.Close()
 		return cl.CallContext(ctx, method, enc)
 	}
+	// fetch is the Data Mover's restartable, CRC-verified retrieval of one
+	// physical file.
+	fetch := func(ctx context.Context, pfn core.PFN, local string) (gridftp.TransferStats, error) {
+		connect := func(ctx context.Context) (*gridftp.Client, error) {
+			return gridftp.DialContext(ctx, pfn.Addr, cred, roots, gridftp.WithParallelism(parallel))
+		}
+		return gridftp.ReliableGetFile(ctx, connect, pfn.Path, local, pol)
+	}
 
 	switch args[0] {
 	case "ping":
@@ -430,21 +438,11 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if err != nil {
 			return err
 		}
-		var pfn core.PFN
-		found := false
-		for _, l := range locs {
-			if p, err := core.ParsePFN(l); err == nil {
-				pfn, found = p, true
-				break
-			}
+		pfn, err := firstPFN(locs)
+		if err != nil {
+			return fmt.Errorf("%s: %w", args[1], err)
 		}
-		if !found {
-			return fmt.Errorf("no usable replica of %s (locations: %v)", args[1], locs)
-		}
-		connect := func(ctx context.Context) (*gridftp.Client, error) {
-			return gridftp.DialContext(ctx, pfn.Addr, cred, roots, gridftp.WithParallelism(parallel))
-		}
-		stats, err := gridftp.ReliableGetFile(ctx, connect, pfn.Path, args[2], pol)
+		stats, err := fetch(ctx, pfn, args[2])
 		if err != nil {
 			return err
 		}
@@ -482,30 +480,20 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 				if err != nil {
 					return err
 				}
-				var pfn core.PFN
-				found := false
-				for _, l := range locs {
-					if p, err := core.ParsePFN(l); err == nil {
-						pfn, found = p, true
-						break
-					}
-				}
-				if !found {
-					return fmt.Errorf("no usable replica (locations: %v)", locs)
+				pfn, err := firstPFN(locs)
+				if err != nil {
+					return err
 				}
 				release, err := sched.AcquireSource(jobCtx, pfn.Addr)
 				if err != nil {
 					return err
 				}
 				defer release()
-				connect := func(ctx context.Context) (*gridftp.Client, error) {
-					return gridftp.DialContext(ctx, pfn.Addr, cred, roots, gridftp.WithParallelism(parallel))
-				}
 				dst := filepath.Join(destDir, filepath.FromSlash(path.Clean("/"+pfn.Path)))
 				if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 					return err
 				}
-				_, err = gridftp.ReliableGetFile(jobCtx, connect, pfn.Path, dst, pol)
+				_, err = fetch(jobCtx, pfn, dst)
 				return err
 			})})
 		}
@@ -527,10 +515,7 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if err != nil {
 			return err
 		}
-		connect := func(ctx context.Context) (*gridftp.Client, error) {
-			return gridftp.DialContext(ctx, pfn.Addr, cred, roots, gridftp.WithParallelism(parallel))
-		}
-		stats, err := gridftp.ReliableGetFile(ctx, connect, pfn.Path, args[2], pol)
+		stats, err := fetch(ctx, pfn, args[2])
 		if err != nil {
 			return err
 		}
@@ -542,4 +527,15 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 	default:
 		return fmt.Errorf("unknown subcommand %q", args[0])
 	}
+}
+
+// firstPFN picks the first catalog location that parses as a physical
+// file name.
+func firstPFN(locs []string) (core.PFN, error) {
+	for _, l := range locs {
+		if p, err := core.ParsePFN(l); err == nil {
+			return p, nil
+		}
+	}
+	return core.PFN{}, fmt.Errorf("no usable replica (locations: %v)", locs)
 }

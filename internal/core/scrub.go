@@ -405,18 +405,6 @@ func (s *Site) removeProducer(addr string) {
 	}
 }
 
-// Producers lists the ctl addresses of sites this site subscribes to.
-func (s *Site) Producers() []string {
-	s.prodMu.Lock()
-	defer s.prodMu.Unlock()
-	out := make([]string, 0, len(s.producers))
-	for addr := range s.producers {
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // localDigest snapshots the site's integrity digest.
 func (s *Site) localDigest() []scrub.Entry {
 	files := s.local.list()

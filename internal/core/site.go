@@ -545,6 +545,7 @@ func NewSite(cfg Config) (*Site, error) {
 		gdmpListen = net.JoinHostPort(cfg.ListenHost, "0")
 	}
 	s.gdmpSrv = rpc.NewServer(cfg.Cred, cfg.TrustRoots, cfg.ACL)
+	s.gdmpSrv.SetLogger(s.logger)
 	s.gdmpSrv.SetMetrics(cfg.Metrics)
 	s.gdmpSrv.SetAdmission(s.admit, classifyMethod)
 	s.gdmpSrv.MaxConns = cfg.RPCMaxConns
@@ -632,12 +633,15 @@ func (s *Site) teardown(graceful bool) error {
 	// Stop the pull pipeline: running transfers are canceled, queued
 	// jobs fail with context.Canceled, and the workers drain.
 	s.sched.Close()
-	s.notifyWG.Wait()
-	s.rlsWG.Wait()
+	// The control server next: its notify and stage handlers start
+	// notifyWG goroutines, so every handler must have returned before that
+	// group is waited on (an Add racing the Wait is WaitGroup misuse).
 	var errs []error
 	if s.gdmpSrv != nil {
 		errs = append(errs, s.gdmpSrv.Close())
 	}
+	s.notifyWG.Wait()
+	s.rlsWG.Wait()
 	if s.ftpSrv != nil {
 		errs = append(errs, s.ftpSrv.Close())
 	}
@@ -915,18 +919,6 @@ func (s *Site) drainSubscriber(st *subscriberState) {
 			return
 		}
 	}
-}
-
-// NotifyQueueDepth reports how many notices are queued for redelivery
-// across all subscribers.
-func (s *Site) NotifyQueueDepth() int {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	n := 0
-	for _, st := range s.subscribers {
-		n += len(st.queue)
-	}
-	return n
 }
 
 // SuspectSubscribers lists subscribers currently marked suspect.

@@ -20,6 +20,7 @@ import (
 	"gdmp/internal/gsi"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/retry"
+	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
 )
 
@@ -85,6 +86,51 @@ func TestFailedStartLeaksNothing(t *testing.T) {
 		t.Fatalf("%d goroutines after the failed start, %d before:\n%s",
 			n, baseline, buf[:runtime.Stack(buf, true)])
 	}
+}
+
+// TestCloseDuringNotifyStorm: every notification of a fresh LFN starts a
+// waiter on the site's background WaitGroup, whose count keeps touching
+// zero as those waiters finish. Close must have stopped dispatching
+// handlers before it waits on that group; under -race a handler's Add
+// racing the Wait is reported.
+func TestCloseDuringNotifyStorm(t *testing.T) {
+	g := newGrid(t)
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{AutoReplicate: true})
+	cred, err := g.CA.Issue("gdmp/storm", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := rpc.Dial(anl.Addr(), cred, g.Roots)
+			if err != nil {
+				return // the site is already gone
+			}
+			defer cl.Close()
+			for i := 0; ; i++ {
+				// One FileInfo nobody holds: the pull fails at locate and
+				// its waiter parks the notice as pending.
+				var e rpc.Encoder
+				e.String("storm")
+				e.Uint32(1)
+				e.String(fmt.Sprintf("lfn://storm/%d/%d", w, i))
+				e.String("x.db")
+				e.Int64(1)
+				e.String("")
+				e.String("flat")
+				e.String(string(core.StateDisk))
+				if _, err := cl.Call(core.MethodNotify, &e); err != nil {
+					return // the closing site hung up
+				}
+			}
+		}()
+	}
+	waitFor(t, func() bool { return len(anl.Pending()) > 0 }, "the storm to reach the site")
+	anl.Close() // its error is the catalog session's, cut mid-call by the storm's pulls
+	wg.Wait()
 }
 
 func TestPublishRegistersEverything(t *testing.T) {

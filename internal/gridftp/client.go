@@ -492,25 +492,20 @@ func (c *Client) openDataConns(pi passiveInfo, n int) ([]net.Conn, error) {
 	return conns, nil
 }
 
-// parse150 extracts the stream count and size from a 150 reply of the form
-// "opening N streams size=M".
-func parse150(text string) (streams int, size int64, err error) {
+// parse150 extracts the stream count from a 150 reply of the form
+// "opening N streams size=M". The count decides how many data connections
+// the client dials, so it is held to what a client may ask for.
+func parse150(text string) (streams int, err error) {
 	fields := strings.Fields(text)
 	for i, f := range fields {
 		if f == "opening" && i+1 < len(fields) {
 			streams, _ = strconv.Atoi(fields[i+1])
 		}
-		if strings.HasPrefix(f, "size=") {
-			size, err = strconv.ParseInt(f[len("size="):], 10, 64)
-			if err != nil {
-				return 0, 0, fmt.Errorf("%w: 150 size %q", ErrProtocol, f)
-			}
-		}
 	}
-	if streams < 1 {
-		return 0, 0, fmt.Errorf("%w: 150 reply %q", ErrProtocol, text)
+	if streams < 1 || streams > MaxParallelism {
+		return 0, fmt.Errorf("%w: 150 reply %q", ErrProtocol, text)
 	}
-	return streams, size, nil
+	return streams, nil
 }
 
 // Get retrieves a whole remote file, writing payload at absolute file
@@ -533,37 +528,35 @@ func (c *Client) GetRange(path string, r Range, dst io.WriterAt) (TransferStats,
 	return c.getRangeLocked(path, r, dst, nil)
 }
 
-// getRangeLocked performs one ERET transfer, recording it in the client's
-// transfer instrumentation. Received ranges are recorded into track (when
-// non-nil) as blocks land, so an interrupted transfer leaves an accurate
-// restart map behind.
-func (c *Client) getRangeLocked(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
+// recorded runs one transfer under the client's transfer instrumentation.
+func (c *Client) recorded(direction string, body func() (TransferStats, error)) (TransferStats, error) {
 	finish := c.rec.Start()
-	stats, err := c.getRangeBody(path, r, dst, track)
+	stats, err := body()
 	finish(obs.TransferSample{
-		Direction: "get", Bytes: stats.Bytes, Streams: stats.Streams,
+		Direction: direction, Bytes: stats.Bytes, Streams: stats.Streams,
 		Elapsed: stats.Elapsed, Err: err,
 	})
 	return stats, err
 }
 
-func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
-	if r.Len() < 0 {
-		return TransferStats{}, fmt.Errorf("gridftp: negative range %+v", r)
-	}
+// dataCommand is the control-channel dialogue every data transfer shares:
+// PASV, the transfer command, as many data connections as its 150 reply
+// announces, move over them, then the 112 markers and the final verdict.
+func (c *Client) dataCommand(move func([]net.Conn) ([]int64, error), format string, args ...interface{}) (TransferStats, error) {
 	start := time.Now()
+	verb, _, _ := strings.Cut(format, " ")
 	pi, err := c.enterPassive()
 	if err != nil {
 		return TransferStats{}, err
 	}
-	code, text, err := c.roundTrip("ERET %d %d %s", r.Start, r.Len(), path)
+	code, text, err := c.roundTrip(format, args...)
 	if err != nil {
 		return TransferStats{}, err
 	}
 	if code != codeOpening {
-		return TransferStats{}, fmt.Errorf("%w: ERET: %d %s", ErrTransferFailed, code, text)
+		return TransferStats{}, fmt.Errorf("%w: %s: %d %s", ErrTransferFailed, verb, code, text)
 	}
-	streams, _, err := parse150(text)
+	streams, err := parse150(text)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -578,46 +571,12 @@ func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *Rang
 		}
 	}()
 
-	stats := TransferStats{Streams: streams, PerStream: make([]int64, streams), Attempts: 1}
-	var trackMu sync.Mutex
-	var wg sync.WaitGroup
-	errs := make(chan error, streams)
-	for i, dc := range conns {
-		wg.Add(1)
-		go func(i int, dc net.Conn) {
-			defer wg.Done()
-			var buf []byte
-			for {
-				flags, offset, payload, err := readBlock(dc, buf)
-				if err != nil {
-					errs <- fmt.Errorf("stream %d: %w", i, err)
-					return
-				}
-				buf = payload[:cap(payload)]
-				if len(payload) > 0 {
-					if _, err := dst.WriteAt(payload, offset); err != nil {
-						errs <- fmt.Errorf("stream %d write: %w", i, err)
-						return
-					}
-					atomic.AddInt64(&stats.PerStream[i], int64(len(payload)))
-					atomic.AddInt64(&stats.Bytes, int64(len(payload)))
-					if track != nil {
-						trackMu.Lock()
-						track.Add(offset, offset+int64(len(payload)))
-						trackMu.Unlock()
-					}
-				}
-				if flags&flagEOD != 0 {
-					return
-				}
-			}
-		}(i, dc)
+	stats := TransferStats{Streams: streams, Attempts: 1}
+	var dataErr error
+	stats.PerStream, dataErr = move(conns)
+	for _, n := range stats.PerStream {
+		stats.Bytes += n
 	}
-	wg.Wait()
-	close(errs)
-	dataErr := <-errs
-
-	// Drain control replies: 112 markers, then the final verdict.
 	finalCode, finalText, err := c.drainTransferReplies(&stats)
 	if err != nil {
 		return stats, err
@@ -629,10 +588,39 @@ func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *Rang
 	if finalCode != codeComplete {
 		return stats, fmt.Errorf("%w: %d %s", ErrTransferFailed, finalCode, finalText)
 	}
-	if stats.Bytes != r.Len() {
-		return stats, fmt.Errorf("%w: received %d of %d bytes", ErrTransferFailed, stats.Bytes, r.Len())
-	}
 	return stats, nil
+}
+
+// getRangeLocked performs one ERET transfer, recording it in the client's
+// transfer instrumentation. Received ranges are recorded into track (when
+// non-nil) as blocks land, so an interrupted transfer leaves an accurate
+// restart map behind.
+func (c *Client) getRangeLocked(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
+	return c.recorded("get", func() (TransferStats, error) {
+		return c.getRangeBody(path, r, dst, track)
+	})
+}
+
+func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
+	if r.Len() < 0 {
+		return TransferStats{}, fmt.Errorf("gridftp: negative range %+v", r)
+	}
+	var onBlock blockFunc
+	if track != nil {
+		var mu sync.Mutex
+		onBlock = func(off, n, _ int64) {
+			mu.Lock()
+			track.Add(off, off+n)
+			mu.Unlock()
+		}
+	}
+	stats, err := c.dataCommand(func(conns []net.Conn) ([]int64, error) {
+		return recvBlocks(conns, dst, r, onBlock)
+	}, "ERET %d %d %s", r.Start, r.Len(), path)
+	if err == nil && stats.Bytes != r.Len() {
+		err = fmt.Errorf("%w: received %d of %d bytes", ErrTransferFailed, stats.Bytes, r.Len())
+	}
+	return stats, err
 }
 
 // drainTransferReplies reads control lines until a non-marker reply. The
@@ -658,14 +646,14 @@ func (c *Client) drainTransferReplies(stats *TransferStats) (int, string, error)
 }
 
 // Put stores size bytes read from src (at absolute offsets) as the remote
-// file at path, using the negotiated parallelism.
+// file at path, one contiguous sub-range per negotiated stream.
 func (c *Client) Put(path string, src io.ReaderAt, size int64) (TransferStats, error) {
-	return c.put("STOR", path, src, size)
+	return c.putRanges("STOR", path, src, Range{0, size}.split(c.parallelism), size)
 }
 
 // PutRegion writes bytes into an existing remote file without truncating it
 // (the ESTO partial-store extension). src must cover the given ranges at
-// absolute offsets; total is the number of bytes that will be sent.
+// absolute offsets.
 func (c *Client) PutRegion(path string, src io.ReaderAt, ranges []Range) (TransferStats, error) {
 	var total int64
 	for _, r := range ranges {
@@ -674,118 +662,18 @@ func (c *Client) PutRegion(path string, src io.ReaderAt, ranges []Range) (Transf
 	return c.putRanges("ESTO", path, src, ranges, total)
 }
 
-func (c *Client) put(verb, path string, src io.ReaderAt, size int64) (TransferStats, error) {
-	// Split the file into one contiguous sub-range per stream.
-	n := c.parallelism
-	per := size / int64(n)
-	ranges := make([]Range, 0, n)
-	for i := 0; i < n; i++ {
-		start := int64(i) * per
-		end := start + per
-		if i == n-1 {
-			end = size
-		}
-		ranges = append(ranges, Range{start, end})
-	}
-	return c.putRanges(verb, path, src, ranges, size)
-}
-
 func (c *Client) putRanges(verb, path string, src io.ReaderAt, ranges []Range, total int64) (TransferStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	finish := c.rec.Start()
-	stats, err := c.putRangesLocked(verb, path, src, ranges, total)
-	finish(obs.TransferSample{
-		Direction: "put", Bytes: stats.Bytes, Streams: stats.Streams,
-		Elapsed: stats.Elapsed, Err: err,
+	return c.recorded("put", func() (TransferStats, error) {
+		return c.putRangesLocked(verb, path, src, ranges, total)
 	})
-	return stats, err
 }
 
 func (c *Client) putRangesLocked(verb, path string, src io.ReaderAt, ranges []Range, total int64) (TransferStats, error) {
-	start := time.Now()
-	pi, err := c.enterPassive()
-	if err != nil {
-		return TransferStats{}, err
-	}
-	code, text, err := c.roundTrip("%s %d %s", verb, total, path)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	if code != codeOpening {
-		return TransferStats{}, fmt.Errorf("%w: %s: %d %s", ErrTransferFailed, verb, code, text)
-	}
-	streams, _, err := parse150(text)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	conns, err := c.openDataConns(pi, streams)
-	if err != nil {
-		return TransferStats{}, err
-	}
-	defer func() {
-		for _, dc := range conns {
-			dc.Close()
-			c.untrack(dc)
-		}
-	}()
-
-	// Assign ranges to connections round-robin.
-	assign := make([][]Range, streams)
-	for i, r := range ranges {
-		assign[i%streams] = append(assign[i%streams], r)
-	}
-
-	stats := TransferStats{Streams: streams, PerStream: make([]int64, streams), Attempts: 1}
-	var wg sync.WaitGroup
-	errs := make(chan error, streams)
-	for i, dc := range conns {
-		wg.Add(1)
-		go func(i int, dc net.Conn, work []Range) {
-			defer wg.Done()
-			buf := make([]byte, c.blockSize)
-			for _, r := range work {
-				pos := r.Start
-				for pos < r.End {
-					chunk := int64(len(buf))
-					if pos+chunk > r.End {
-						chunk = r.End - pos
-					}
-					if _, err := src.ReadAt(buf[:chunk], pos); err != nil {
-						errs <- fmt.Errorf("stream %d read at %d: %w", i, pos, err)
-						return
-					}
-					if err := writeBlock(dc, 0, pos, buf[:chunk]); err != nil {
-						errs <- fmt.Errorf("stream %d send at %d: %w", i, pos, err)
-						return
-					}
-					atomic.AddInt64(&stats.PerStream[i], chunk)
-					atomic.AddInt64(&stats.Bytes, chunk)
-					pos += chunk
-				}
-			}
-			// Every stream terminates with a bare end-of-data block.
-			if err := writeBlock(dc, flagEOD, 0, nil); err != nil {
-				errs <- err
-			}
-		}(i, dc, assign[i])
-	}
-	wg.Wait()
-	close(errs)
-	dataErr := <-errs
-
-	finalCode, finalText, err := c.drainTransferReplies(&stats)
-	if err != nil {
-		return stats, err
-	}
-	stats.Elapsed = time.Since(start)
-	if dataErr != nil {
-		return stats, fmt.Errorf("%w: %w", ErrTransferFailed, dataErr)
-	}
-	if finalCode != codeComplete {
-		return stats, fmt.Errorf("%w: %d %s", ErrTransferFailed, finalCode, finalText)
-	}
-	return stats, nil
+	return c.dataCommand(func(conns []net.Conn) ([]int64, error) {
+		return sendBlocks(conns, src, ranges, c.blockSize, nil)
+	}, verb+" %d %s", total, path)
 }
 
 // PutFile uploads a local file.
@@ -809,45 +697,64 @@ func (c *Client) PutFile(localPath, remotePath string) (TransferStats, error) {
 const PartSuffix = ".part"
 
 // GetFile downloads a remote file to a local path, verifying the CRC-32
-// end to end (Section 4.3's integrity check beyond TCP checksums). The
-// payload is staged at localPath+PartSuffix and renamed into place only
-// after verification; a failed transfer removes the staging file and
-// never touches the destination.
+// end to end (Section 4.3's integrity check beyond TCP checksums). It is
+// the single-session, non-resuming form of the landing tail
+// ReliableGetFile shares (landStaged): the payload is staged at
+// localPath+PartSuffix and renamed into place only after verification on
+// this same session; any failure removes the staging file and never
+// touches the destination.
 func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
-	part := localPath + PartSuffix
-	f, err := os.Create(part)
+	f, err := os.Create(localPath + PartSuffix)
 	if err != nil {
 		return TransferStats{}, err
 	}
 	stats, err := c.Get(remotePath, f)
+	stats.CRC32, err = landStaged(f, err, c, remotePath, localPath, false)
+	return stats, err
+}
+
+// landStaged is the landing tail every file download ends with: fsync and
+// close the staging file f, verify it end to end on session cl, rename it
+// to localPath and fsync the directory. err is the download's outcome so
+// far; cl may be nil when it is not. A resumable download keeps the staging
+// file of a failed transfer as its restart marker (recovery quarantines it
+// if orphaned), with two exceptions: after ENOSPC the partial file is
+// worthless as a marker (resuming onto a full disk fails the same way) and
+// holding it only deepens the space crisis, and staged bytes that failed
+// verification are dropped so the next attempt starts clean instead of
+// resuming corruption.
+func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string, resumable bool) (uint32, error) {
+	part := f.Name()
 	if err == nil {
 		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err == nil {
-		stats.CRC32, err = c.verifyLocal(remotePath, part)
+	if err != nil {
+		if !resumable || errors.Is(err, syscall.ENOSPC) {
+			os.Remove(part)
+		}
+		return 0, err
 	}
+	crc, err := cl.verifyLocal(remotePath, part)
 	if err != nil {
 		os.Remove(part)
-		return stats, err
+		return 0, err
 	}
 	if err := os.Rename(part, localPath); err != nil {
-		os.Remove(part)
-		return stats, err
+		if !resumable {
+			os.Remove(part)
+		}
+		return 0, err
 	}
-	syncDir(filepath.Dir(localPath))
-	return stats, nil
-}
-
-// syncDir makes a rename within dir durable; best-effort (some
-// filesystems refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
+	// Make the rename durable; best-effort (some filesystems refuse
+	// directory fsync).
+	if d, err := os.Open(filepath.Dir(localPath)); err == nil {
 		d.Sync()
 		d.Close()
 	}
+	return crc, nil
 }
 
 // verifyLocal compares the server CRC with a locally computed one and
@@ -875,11 +782,15 @@ func CRC32File(path string) (uint32, error) {
 		return 0, err
 	}
 	defer f.Close()
+	return crcOf(f)
+}
+
+// crcOf returns the IEEE CRC-32 of everything r yields; every checksum the
+// package computes (CKSM replies, landed files, resume prefixes) is this.
+func crcOf(r io.Reader) (uint32, error) {
 	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
+	_, err := io.Copy(h, r)
+	return h.Sum32(), err
 }
 
 // --- reliable restartable transfer ------------------------------------------
@@ -1011,8 +922,7 @@ func (p *progressWriterAt) WriteAt(b []byte, off int64) (int, error) {
 
 // ReliableGetFileOpts is ReliableGetFile with options.
 func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Client, error), remotePath, localPath string, pol retry.Policy, opt GetFileOptions) (TransferStats, error) {
-	part := localPath + PartSuffix
-	f, err := os.OpenFile(part, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(localPath+PartSuffix, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return TransferStats{}, err
 	}
@@ -1036,41 +946,16 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 	stats, err := reliableGet(ctx, connect, remotePath, dst, &rs, pol)
 	stats.ResumedBytes = resumed
 	stats.DiscardedBytes = discarded
+	// Verification runs on a session of its own, dialed only once the
+	// transfer has succeeded.
+	var cl *Client
 	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if errors.Is(err, syscall.ENOSPC) {
-			// The disk is full: the partial file is worthless as a restart
-			// marker (resuming onto a full disk fails the same way) and
-			// holding it only deepens the space crisis and leaves a .part
-			// orphan for the sweep. Give the bytes back.
-			os.Remove(part)
-			return stats, err
+		if cl, err = connect(ctx); err == nil {
+			defer cl.Close()
 		}
-		// Keep the partial file: it is the restart marker a future
-		// attempt resumes from (and recovery quarantines if orphaned).
-		return stats, err
 	}
-	cl, err := connect(ctx)
-	if err != nil {
-		return stats, err
-	}
-	defer cl.Close()
-	if stats.CRC32, err = cl.verifyLocal(remotePath, part); err != nil {
-		// The staged bytes failed end-to-end verification; drop them so
-		// the next attempt starts clean instead of resuming corruption.
-		os.Remove(part)
-		return stats, err
-	}
-	if err := os.Rename(part, localPath); err != nil {
-		return stats, err
-	}
-	syncDir(filepath.Dir(localPath))
-	return stats, nil
+	stats.CRC32, err = landStaged(f, err, cl, remotePath, localPath, true)
+	return stats, err
 }
 
 // resumePartial decides whether an existing staging file can seed a
@@ -1105,7 +990,7 @@ func resumePartial(ctx context.Context, connect func(context.Context) (*Client, 
 		restart()
 		return 0, have
 	}
-	got, err := crcOfReader(f, have)
+	got, err := crcOf(io.NewSectionReader(f, 0, have))
 	if err != nil || got != want {
 		cl.rec.ResumeRejected()
 		restart()
@@ -1166,117 +1051,6 @@ type discardWriterAt struct{}
 
 func (discardWriterAt) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
 
-// ReliablePut stores a file with restart-on-failure semantics, the upload
-// mirror of ReliableGet: after an interrupted attempt, only the byte ranges
-// the server has not confirmed are re-sent with ESTO from a fresh session.
-// Because the receiving server only acknowledges a transfer once every
-// expected byte arrived, confirmation is tracked per successful command.
-func ReliablePut(ctx context.Context, connect func(context.Context) (*Client, error), src io.ReaderAt, size int64, remotePath string, pol retry.Policy) (TransferStats, error) {
-	var agg TransferStats
-	var created bool
-	var done RangeSet
-	if pol.Op == "" {
-		pol.Op = "gridftp.put"
-	}
-	if pol.Retryable == nil {
-		pol.Retryable = transferRetryable
-	}
-	err := pol.Do(ctx, func(attempt int) error {
-		agg.Attempts = attempt
-		cl, err := connect(ctx)
-		if err != nil {
-			return err
-		}
-		if attempt > 1 {
-			cl.rec.Restart()
-		}
-		err = func() error {
-			defer cl.Close()
-			if !created {
-				// First pass: a plain STOR of the whole file.
-				st, err := cl.Put(remotePath, src, size)
-				agg.merge(st)
-				if err != nil {
-					return err
-				}
-				created = true
-				done.Add(0, size)
-				return nil
-			}
-			// Retry passes: probe what landed, resend the remainder.
-			// The server only reports full-file success, so compare sizes
-			// and checksums; a short or mismatched file is resent in
-			// halves via ESTO to exercise partial restore.
-			remoteSize, err := cl.Size(remotePath)
-			if err != nil || remoteSize != size {
-				st, err2 := cl.Put(remotePath, src, size)
-				agg.merge(st)
-				if err2 != nil {
-					return err2
-				}
-				done.Add(0, size)
-				return err
-			}
-			for _, missing := range done.Missing(size) {
-				st, err := cl.PutRegion(remotePath, src, []Range{missing})
-				agg.merge(st)
-				if err != nil {
-					return err
-				}
-				done.Add(missing.Start, missing.End)
-			}
-			return nil
-		}()
-		if err != nil {
-			return err
-		}
-		// Verify end to end before declaring success.
-		cl2, err := connect(ctx)
-		if err != nil {
-			return err
-		}
-		want, err := cl2.Checksum(remotePath)
-		cl2.Close()
-		if err != nil {
-			return err
-		}
-		got, err := crcOfReader(src, size)
-		if err != nil {
-			// A local read failure will not heal on retry.
-			return retry.Permanent(err)
-		}
-		if got != want {
-			cl2.rec.CRCFailure()
-			created = false // resend everything
-			done = RangeSet{}
-			return fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
-		}
-		return nil
-	})
-	if err != nil {
-		return agg, fmt.Errorf("gridftp: reliable put of %s: %w", remotePath, err)
-	}
-	return agg, nil
-}
-
-// crcOfReader computes the CRC-32 of size bytes from an io.ReaderAt.
-func crcOfReader(src io.ReaderAt, size int64) (uint32, error) {
-	h := crc32.NewIEEE()
-	buf := make([]byte, 256*1024)
-	for pos := int64(0); pos < size; {
-		chunk := int64(len(buf))
-		if pos+chunk > size {
-			chunk = size - pos
-		}
-		if _, err := src.ReadAt(buf[:chunk], pos); err != nil {
-			return 0, err
-		}
-		h.Write(buf[:chunk])
-		pos += chunk
-	}
-	return h.Sum32(), nil
-}
-
 // --- striped transfer --------------------------------------------------------
 
 // StripedGet fetches one file from several servers that each hold a replica,
@@ -1291,19 +1065,12 @@ func StripedGet(clients []*Client, path string, dst io.WriterAt) (TransferStats,
 	if err != nil {
 		return TransferStats{}, err
 	}
-	m := len(clients)
-	per := size / int64(m)
 	start := time.Now()
 	var mu sync.Mutex
 	var agg TransferStats
 	var wg sync.WaitGroup
-	errs := make(chan error, m)
-	for i, cl := range clients {
-		lo := int64(i) * per
-		hi := lo + per
-		if i == m-1 {
-			hi = size
-		}
+	errs := make(chan error, len(clients))
+	for i, r := range (Range{0, size}).split(len(clients)) {
 		wg.Add(1)
 		go func(cl *Client, r Range) {
 			defer wg.Done()
@@ -1314,7 +1081,7 @@ func StripedGet(clients []*Client, path string, dst io.WriterAt) (TransferStats,
 			if err != nil {
 				errs <- err
 			}
-		}(cl, Range{lo, hi})
+		}(clients[i], r)
 	}
 	wg.Wait()
 	close(errs)
@@ -1341,13 +1108,9 @@ func ThirdParty(src, dst *Client, srcPath, dstPath string) (TransferStats, error
 	dst.mu.Lock()
 	defer dst.mu.Unlock()
 
-	finish := src.rec.Start()
-	stats, err := thirdPartyLocked(src, dst, srcPath, dstPath)
-	finish(obs.TransferSample{
-		Direction: "3rd-party", Bytes: stats.Bytes, Streams: stats.Streams,
-		Elapsed: stats.Elapsed, Err: err,
+	return src.recorded("3rd-party", func() (TransferStats, error) {
+		return thirdPartyLocked(src, dst, srcPath, dstPath)
 	})
-	return stats, err
 }
 
 func thirdPartyLocked(src, dst *Client, srcPath, dstPath string) (TransferStats, error) {
@@ -1378,7 +1141,7 @@ func thirdPartyLocked(src, dst *Client, srcPath, dstPath string) (TransferStats,
 		return TransferStats{}, err
 	}
 	if code != codeOpening {
-		return TransferStats{}, fmt.Errorf("%w: ESTO: %d %s", ErrTransferFailed, code, text)
+		return TransferStats{}, fmt.Errorf("%w: STOR: %d %s", ErrTransferFailed, code, text)
 	}
 
 	stats := TransferStats{Attempts: 1}

@@ -6,14 +6,14 @@
 //     mutually authenticated before any command runs);
 //   - parallel data transfer: one host pair, multiple TCP streams;
 //   - striped data transfer: the client fetches disjoint ranges of a
-//     replicated file from several servers at once (see Client.StripedGet);
+//     replicated file from several servers at once (see StripedGet);
 //   - third-party control of data transfer (server-to-server moves driven
 //     by a client that owns both control channels);
 //   - partial file transfer (ERET/ESTO commands over byte ranges);
 //   - automatic negotiation of TCP buffer/window sizes (SBUF);
 //   - reliable and restartable transfers: extended-block offsets double as
 //     restart markers, so an interrupted transfer resumes with exactly the
-//     missing byte ranges (see Client.ReliableGet and RangeSet);
+//     missing byte ranges (see ReliableGet and RangeSet);
 //   - integrated instrumentation: the server emits 112 performance markers
 //     on the control channel during transfers, and the client aggregates
 //     per-stream statistics.

@@ -14,6 +14,18 @@ type Range struct {
 // Len returns the number of bytes covered.
 func (r Range) Len() int64 { return r.End - r.Start }
 
+// split cuts r into n contiguous ranges of equal length, the last also
+// taking the remainder: one sub-range per parallel stream or stripe.
+func (r Range) split(n int) []Range {
+	per := r.Len() / int64(n)
+	out := make([]Range, n)
+	for i := range out {
+		out[i] = Range{r.Start + int64(i)*per, r.Start + int64(i+1)*per}
+	}
+	out[n-1].End = r.End
+	return out
+}
+
 // RangeSet tracks which byte ranges of a file have been received. It backs
 // GridFTP's "reliable and restartable data transfer": after an interrupted
 // transfer the client re-requests exactly the missing ranges (the protocol's

@@ -2,14 +2,21 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gdmp/internal/gsi"
+	"gdmp/internal/wan"
 )
 
 // rawSession opens an authenticated control connection and returns reader/
@@ -129,30 +136,39 @@ func TestDataChannelTokenRequired(t *testing.T) {
 }
 
 // TestAutoTune exercises the paper's ping+pipechar+formula negotiation over
-// a WAN-shaped link: the measured RTT and bandwidth must reflect the link,
-// and the negotiated buffer must be their product.
+// a shaped link: the negotiated buffer must be the RTT x bandwidth product
+// of the link that was configured. The probe is sized so the shaped
+// transfer time (0.4 s) dwarfs both the fixed round trips in front of it
+// and scheduling noise: load can only stretch the measured RTT and shrink
+// the measured bandwidth, each by far less than the factor of two allowed.
 func TestAutoTune(t *testing.T) {
 	addr, root := startServer(t, nil)
 	makeFile(t, root, "probe.db", 2_000_000, 60)
 
-	link := wanLikeDialer(40*time.Millisecond, 80) // 40 ms RTT, 80 Mbps
-	cl, err := Dial(addr, cred(t, "tuner"), roots(t), WithDialFunc(link))
+	const (
+		mbps = 40
+		rtt  = 20 * time.Millisecond
+	)
+	link := wan.NewLink(mbps, rtt)
+	cl, err := Dial(addr, cred(t, "tuner"), roots(t), WithDialFunc(link.Dialer(nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	buf, err := cl.AutoTune("probe.db", 1_000_000)
+	buf, err := cl.AutoTune("probe.db", 2_000_000)
 	if err != nil {
 		t.Fatalf("AutoTune: %v", err)
 	}
-	// RTT >= 40ms (app-level NOOP costs a round trip through the shaped
-	// conn), bandwidth <= 80 Mbps, so the buffer should land between
-	// roughly rtt*bw/2 and a loose upper bound.
-	if buf < 64*1024 || buf > 4*1024*1024 {
-		t.Fatalf("negotiated buffer %d outside plausible range", buf)
+	product := int(rtt.Seconds() * mbps * 1e6 / 8)
+	if buf < product/2 || buf > product*2 {
+		t.Fatalf("negotiated buffer %d, want about RTT x bandwidth = %d", buf, product)
 	}
-	// The negotiation stuck: a subsequent SBUF probe shows the setting.
+	// The negotiation stuck: the session carries the setting and the server
+	// accepts it again.
+	if cl.bufferSize != buf {
+		t.Fatalf("session buffer size %d, negotiated %d", cl.bufferSize, buf)
+	}
 	if err := cl.SetBufferSize(buf); err != nil {
 		t.Fatalf("negotiated buffer rejected by server: %v", err)
 	}
@@ -162,45 +178,173 @@ func TestAutoTune(t *testing.T) {
 	}
 }
 
-// wanLikeDialer returns a dial function adding latency per round trip and
-// pacing reads to the given rate (a tiny, self-contained shaper so this
-// package does not import internal/wan).
-func wanLikeDialer(rtt time.Duration, mbps float64) func(network, addr string) (net.Conn, error) {
-	bytesPerSec := mbps * 1e6 / 8
-	return func(network, addr string) (net.Conn, error) {
-		c, err := net.Dial(network, addr)
+// --- blocks outside the window the command named ---------------------------
+
+// strayBlocks are payload blocks a peer must not get away with when the
+// command named the window [100, 200): each lies at least partly outside.
+var strayBlocks = []struct {
+	name string
+	off  int64
+	n    int
+}{
+	{"negative offset", -1, 10},
+	{"before the range", 50, 10},
+	{"straddles the range end", 150, 100},
+	{"past the range end", 1 << 40, 10},
+	{"offset+len overflows", math.MaxInt64 - 5, 10},
+}
+
+// writeLog is an io.WriterAt that accepts anything and remembers what it
+// was asked to write.
+type writeLog struct {
+	mu     sync.Mutex
+	writes []Range
+}
+
+func (w *writeLog) WriteAt(p []byte, off int64) (int, error) {
+	w.mu.Lock()
+	w.writes = append(w.writes, Range{off, off + int64(len(p))})
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+// strayServer is a GridFTP server whose every ERET answers, on one stream,
+// with a single block of n bytes at off — whatever range was asked for.
+func strayServer(t *testing.T, off int64, n int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	srvCred, rts := cred(t, "gridftpd/stray"), roots(t)
+	go func() {
+		c, err := ln.Accept()
 		if err != nil {
-			return nil, err
+			return
 		}
-		return &shapedConn{Conn: c, rtt: rtt, rate: bytesPerSec}, nil
+		defer c.Close()
+		if _, err := gsi.Handshake(c, srvCred, rts, false); err != nil {
+			return
+		}
+		ctl := newControlConn(c)
+		ctl.reply(220, "ready")
+		var data net.Listener
+		for {
+			line, err := ctl.readLine()
+			if err != nil {
+				return
+			}
+			switch verb, _, _ := strings.Cut(line, " "); verb {
+			case "PASV":
+				if data, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+					return
+				}
+				defer data.Close()
+				ctl.reply(codePassive, "tok %s", data.Addr())
+			case "ERET":
+				ctl.reply(codeOpening, "opening 1 streams size=%d", n)
+				dc, err := data.Accept()
+				if err != nil {
+					return
+				}
+				bufio.NewReader(dc).ReadString('\n') // pairing token
+				writeBlock(dc, 0, off, make([]byte, n))
+				writeBlock(dc, flagEOD, 0, nil)
+				dc.Close()
+				ctl.reply(codeComplete, "transfer complete")
+			case "QUIT":
+				ctl.reply(codeClosing, "goodbye")
+				return
+			default:
+				ctl.reply(codeOK, "ok")
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientRejectsBlocksOutsideRequestedRange: block offsets arrive from
+// the peer, so a server must not be able to make the client write outside
+// the ERET range it asked for.
+func TestClientRejectsBlocksOutsideRequestedRange(t *testing.T) {
+	for _, tc := range strayBlocks {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := dial(t, strayServer(t, tc.off, tc.n))
+			var dst writeLog
+			_, err := cl.GetRange("f.db", Range{100, 200}, &dst)
+			if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("GetRange = %v, want ErrProtocol", err)
+			}
+			if len(dst.writes) != 0 {
+				t.Fatalf("client wrote %v outside the requested [100,200)", dst.writes)
+			}
+		})
 	}
 }
 
-type shapedConn struct {
-	net.Conn
-	rtt  time.Duration
-	rate float64
+// storeRaw drives one STOR/ESTO by hand: a single data stream carrying one
+// block of n bytes at off, then the end-of-data block. It returns the
+// server's verdict line.
+func storeRaw(t *testing.T, addr, cmd string, off int64, n int) string {
+	t.Helper()
+	conn, r := rawSession(t, addr)
+	sendLine(t, conn, "PASV")
+	pasv := strings.Fields(expectCode(t, r, "229")) // 229 <token> <addr>
+	sendLine(t, conn, cmd)
+	expectCode(t, r, "150")
+	dc, err := net.Dial("tcp", pasv[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dc.Close()
+	fmt.Fprintf(dc, "%s\n", pasv[1])
+	// The server may hang up on the stray block before the EOD is written.
+	writeBlock(dc, 0, off, make([]byte, n))
+	writeBlock(dc, flagEOD, 0, nil)
+	verdict, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("read verdict: %v", err)
+	}
+	return verdict
 }
 
-func (s *shapedConn) Read(p []byte) (int, error) {
-	n, err := s.Conn.Read(p)
-	if n > 0 {
-		if n < 1024 {
-			// Small control messages pay propagation delay.
-			time.Sleep(s.rtt / 2)
-		} else {
-			// Bulk payload pays the rate limit.
-			time.Sleep(time.Duration(float64(n) / s.rate * float64(time.Second)))
+// TestServerRejectsBlocksOutsideStoreWindow: STOR <len> accepts blocks in
+// [0, len) only — a block far past it used to pass the byte count and
+// leave a sparse file of any size — and ESTO refuses offsets that are
+// negative or overflow.
+func TestServerRejectsBlocksOutsideStoreWindow(t *testing.T) {
+	addr, root := startServer(t, nil)
+	_, orig := makeFile(t, root, "esto.db", 1000, 70)
+	cases := []struct {
+		cmd  string
+		off  int64
+		n    int
+		code string
+	}{
+		{"STOR 10 stor.db", 0, 10, "226"},
+		{"STOR 10 stor.db", 1 << 40, 10, "426"},
+		{"STOR 10 stor.db", 5, 10, "426"},
+		{"STOR 10 stor.db", -1, 10, "426"},
+		{"STOR 10 stor.db", math.MaxInt64 - 5, 10, "426"},
+		{"ESTO 10 esto.db", 500, 10, "226"},
+		{"ESTO 10 esto.db", -8, 10, "426"},
+		{"ESTO 10 esto.db", math.MaxInt64 - 5, 10, "426"},
+	}
+	for _, tc := range cases {
+		verdict := storeRaw(t, addr, tc.cmd, tc.off, tc.n)
+		if !strings.HasPrefix(verdict, tc.code) {
+			t.Errorf("%s with a block at %d: %q, want %s", tc.cmd, tc.off, strings.TrimSpace(verdict), tc.code)
+		}
+		if info, err := os.Stat(filepath.Join(root, "stor.db")); err != nil || info.Size() > 10 {
+			t.Fatalf("%s with a block at %d left stor.db at %v bytes (%v)", tc.cmd, tc.off, info.Size(), err)
 		}
 	}
-	return n, err
-}
-
-func (s *shapedConn) Write(p []byte) (int, error) {
-	if len(p) < 1024 {
-		time.Sleep(s.rtt / 2)
+	got, err := os.ReadFile(filepath.Join(root, "esto.db"))
+	copy(orig[500:510], make([]byte, 10)) // the one accepted ESTO block
+	if err != nil || !bytes.Equal(got, orig) {
+		t.Fatalf("esto.db changed beyond the accepted block (%d bytes, %v)", len(got), err)
 	}
-	return s.Conn.Write(p)
 }
 
 // TestUnauthenticatedControlRejected: a client that skips the GSI handshake

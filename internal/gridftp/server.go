@@ -3,9 +3,9 @@ package gridftp
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"path"
@@ -447,11 +447,11 @@ func (se *session) cmdCKSM(args string) error {
 	if length >= 0 {
 		r = io.NewSectionReader(f, off, length)
 	}
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, r); err != nil {
+	sum, err := crcOf(r)
+	if err != nil {
 		return se.reply(codeLocalErr, "read: %v", err)
 	}
-	return se.reply(codeStat, "%08x", h.Sum32())
+	return se.reply(codeStat, "%08x", sum)
 }
 
 func (se *session) cmdNLST(args string) error {
@@ -555,7 +555,7 @@ func (se *session) cmdERET(args string) error {
 	if err != nil || info.IsDir() {
 		return se.reply(codeNoFile, "no such file")
 	}
-	if off+length > info.Size() {
+	if length > info.Size()-off { // not off+length: that sum can overflow
 		return se.reply(codeBadArgs, "range [%d,%d) beyond EOF %d", off, off+length, info.Size())
 	}
 	return se.sendFile("ERET", p, off, length)
@@ -629,20 +629,14 @@ func (se *session) tuneConn(c net.Conn) {
 	}
 }
 
-// sendFile streams [off, off+length) of the file over the arranged data
-// connections: the range is split into one contiguous sub-range per stream,
-// sent as self-describing extended blocks.
-func (se *session) sendFile(verb, p string, off, length int64) error {
+// transfer runs the data phase of one verb and accounts for it: announce
+// the streams, open the data connections, run move over them with the 112
+// marker emitter as its block observer, then reply with the verdict. move
+// returns the bytes each stream moved; verdict turns a clean move into the
+// final reply (anything but 226 counts as a failed transfer).
+func (se *session) transfer(verb, direction string, length int64,
+	move func([]net.Conn, blockFunc) ([]int64, error), verdict func(moved int64) (int, string)) error {
 	met := se.srv.met
-	if !se.authorize(OpRead) {
-		return se.reply(codeDenied, "not authorized for read")
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		return se.reply(codeNoFile, "open: %v", err)
-	}
-	defer f.Close()
-
 	start := time.Now()
 	n := se.parallelism
 	if err := se.reply(codeOpening, "opening %d streams size=%d", n, length); err != nil {
@@ -659,67 +653,59 @@ func (se *session) sendFile(verb, p string, off, length int64) error {
 		}
 	}()
 
-	var sent int64
-	var lastMark int64
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	per := length / int64(n)
-	for i := 0; i < n; i++ {
-		start := off + int64(i)*per
-		end := start + per
-		if i == n-1 {
-			end = off + length
+	var mark blockFunc
+	if mb := se.srv.cfg.MarkerBytes; mb > 0 {
+		// Whichever stream first carries the total MarkerBytes past the
+		// last marker emits the next one.
+		var lastMark atomic.Int64
+		mark = func(_, _, total int64) {
+			if last := lastMark.Load(); total-last >= mb && lastMark.CompareAndSwap(last, total) {
+				met.markers.Inc()
+				se.reply(codeMarker, "%d %d", total, length)
+			}
 		}
-		wg.Add(1)
-		go func(c net.Conn, start, end int64) {
-			defer wg.Done()
-			buf := make([]byte, se.srv.cfg.BlockSize)
-			pos := start
-			for pos < end {
-				chunk := int64(len(buf))
-				if pos+chunk > end {
-					chunk = end - pos
-				}
-				if _, err := f.ReadAt(buf[:chunk], pos); err != nil {
-					errs <- fmt.Errorf("read at %d: %w", pos, err)
-					return
-				}
-				if err := writeBlock(c, 0, pos, buf[:chunk]); err != nil {
-					errs <- fmt.Errorf("send block at %d: %w", pos, err)
-					return
-				}
-				pos += chunk
-				total := atomic.AddInt64(&sent, chunk)
-				if mb := se.srv.cfg.MarkerBytes; mb > 0 {
-					if last := atomic.LoadInt64(&lastMark); total-last >= mb &&
-						atomic.CompareAndSwapInt64(&lastMark, last, total) {
-						met.markers.Inc()
-						se.reply(codeMarker, "%d %d", total, length)
-					}
-				}
-			}
-			// Every stream terminates with a bare end-of-data block.
-			if err := writeBlock(c, flagEOD, end, nil); err != nil {
-				errs <- err
-			}
-		}(conns[i], start, end)
 	}
-	wg.Wait()
-	close(errs)
-	met.bytes.WithLabelValues("sent").Add(atomic.LoadInt64(&sent))
-	if err := <-errs; err != nil {
-		met.transfers.WithLabelValues(verb, "error").Inc()
-		return se.reply(codeInterrupt, "transfer aborted: %v", err)
+	perStream, err := move(conns, mark)
+	var moved int64
+	for _, b := range perStream {
+		moved += b
 	}
-	met.transfers.WithLabelValues(verb, "ok").Inc()
-	met.streams.Observe(float64(n))
-	met.transferTime.ObserveDuration(time.Since(start))
-	return se.reply(codeComplete, "transfer complete %d bytes", length)
+	met.bytes.WithLabelValues(direction).Add(moved)
+	code, text := codeInterrupt, fmt.Sprintf("transfer aborted: %v", err)
+	if err == nil {
+		code, text = verdict(moved)
+	}
+	outcome := "error"
+	if code == codeComplete {
+		outcome = "ok"
+		met.streams.Observe(float64(n))
+		met.transferTime.ObserveDuration(time.Since(start))
+	}
+	met.transfers.WithLabelValues(verb, outcome).Inc()
+	return se.reply(code, "%s", text)
 }
 
-// cmdSTOR receives a file. STOR truncates/creates; ESTO writes into an
-// existing (or new) file at the block offsets, enabling partial restores
-// and restartable puts.
+// sendFile streams [off, off+length) of the file over the arranged data
+// connections, one contiguous sub-range per stream.
+func (se *session) sendFile(verb, p string, off, length int64) error {
+	if !se.authorize(OpRead) {
+		return se.reply(codeDenied, "not authorized for read")
+	}
+	f, err := os.Open(p)
+	if err != nil {
+		return se.reply(codeNoFile, "open: %v", err)
+	}
+	defer f.Close()
+	return se.transfer(verb, "sent", length, func(conns []net.Conn, mark blockFunc) ([]int64, error) {
+		return sendBlocks(conns, f, Range{off, off + length}.split(len(conns)), se.srv.cfg.BlockSize, mark)
+	}, func(int64) (int, string) {
+		return codeComplete, fmt.Sprintf("transfer complete %d bytes", length)
+	})
+}
+
+// cmdSTOR receives a file. STOR truncates/creates and accepts blocks inside
+// [0, length); ESTO writes into an existing (or new) file at any block
+// offset, enabling partial restores and restartable puts.
 func (se *session) cmdSTOR(args string, extended bool) error {
 	if !se.authorize(OpWrite) {
 		return se.reply(codeDenied, "not authorized for write")
@@ -739,90 +725,24 @@ func (se *session) cmdSTOR(args string, extended bool) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return se.reply(codeLocalErr, "mkdir: %v", err)
 	}
-	flags := os.O_WRONLY | os.O_CREATE
-	if !extended {
-		flags |= os.O_TRUNC
+	verb, flags, window := "STOR", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, Range{0, length}
+	if extended {
+		verb, flags, window = "ESTO", os.O_WRONLY|os.O_CREATE, Range{0, math.MaxInt64}
 	}
 	f, err := os.OpenFile(p, flags, 0o644)
 	if err != nil {
 		return se.reply(codeLocalErr, "open: %v", err)
 	}
 	defer f.Close()
-
-	met := se.srv.met
-	verb := "STOR"
-	if extended {
-		verb = "ESTO"
-	}
-	start := time.Now()
-	n := se.parallelism
-	if err := se.reply(codeOpening, "opening %d streams size=%d", n, length); err != nil {
-		return err
-	}
-	conns, err := se.openDataConns(n)
-	if err != nil {
-		met.transfers.WithLabelValues(verb, "error").Inc()
-		return se.reply(codeProtoErr, "%v", err)
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
+	return se.transfer(verb, "received", length, func(conns []net.Conn, mark blockFunc) ([]int64, error) {
+		return recvBlocks(conns, f, window, mark)
+	}, func(got int64) (int, string) {
+		if got != length {
+			return codeInterrupt, fmt.Sprintf("expected %d bytes, received %d", length, got)
 		}
-	}()
-
-	var received int64
-	var lastMark int64
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for _, c := range conns {
-		wg.Add(1)
-		go func(c net.Conn) {
-			defer wg.Done()
-			var buf []byte
-			for {
-				flags, offset, payload, err := readBlock(c, buf)
-				if err != nil {
-					errs <- fmt.Errorf("read block: %w", err)
-					return
-				}
-				buf = payload[:cap(payload)]
-				if len(payload) > 0 {
-					if _, err := f.WriteAt(payload, offset); err != nil {
-						errs <- fmt.Errorf("write at %d: %w", offset, err)
-						return
-					}
-					total := atomic.AddInt64(&received, int64(len(payload)))
-					if mb := se.srv.cfg.MarkerBytes; mb > 0 {
-						if last := atomic.LoadInt64(&lastMark); total-last >= mb &&
-							atomic.CompareAndSwapInt64(&lastMark, last, total) {
-							met.markers.Inc()
-							se.reply(codeMarker, "%d %d", total, length)
-						}
-					}
-				}
-				if flags&flagEOD != 0 {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	met.bytes.WithLabelValues("received").Add(atomic.LoadInt64(&received))
-	if err := <-errs; err != nil {
-		met.transfers.WithLabelValues(verb, "error").Inc()
-		return se.reply(codeInterrupt, "transfer aborted: %v", err)
-	}
-	if got := atomic.LoadInt64(&received); got != length {
-		met.transfers.WithLabelValues(verb, "error").Inc()
-		return se.reply(codeInterrupt, "expected %d bytes, received %d", length, got)
-	}
-	if err := f.Sync(); err != nil {
-		met.transfers.WithLabelValues(verb, "error").Inc()
-		return se.reply(codeLocalErr, "sync: %v", err)
-	}
-	met.transfers.WithLabelValues(verb, "ok").Inc()
-	met.streams.Observe(float64(n))
-	met.transferTime.ObserveDuration(time.Since(start))
-	return se.reply(codeComplete, "stored %d bytes", length)
+		if err := f.Sync(); err != nil {
+			return codeLocalErr, fmt.Sprintf("sync: %v", err)
+		}
+		return codeComplete, fmt.Sprintf("stored %d bytes", length)
+	})
 }

@@ -47,13 +47,6 @@ var Methods = []string{
 	MethodRLIPush, MethodRLIWhich, MethodRLISites,
 }
 
-// AllowCatalogUse grants an identity every catalog operation.
-func AllowCatalogUse(acl *gsi.ACL, id gsi.Identity) {
-	for _, m := range Methods {
-		acl.Allow(id, gsi.Operation(m))
-	}
-}
-
 // AllowCatalogUseAll grants every authenticated identity every catalog
 // operation (typical for a collaboration-internal catalog).
 func AllowCatalogUseAll(acl *gsi.ACL) {

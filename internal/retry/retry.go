@@ -107,12 +107,6 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// WithOp returns a copy labeled for one operation.
-func (p Policy) WithOp(op string) Policy {
-	p.Op = op
-	return p
-}
-
 // permanentError marks an error as not worth retrying.
 type permanentError struct{ err error }
 

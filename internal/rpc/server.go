@@ -243,17 +243,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe starts listening on addr and serves until Close. It
-// returns the bound address on a channel-free API by requiring the caller
-// to use Listen first when the port matters; for tests, use Listen+Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Close stops accepting connections, cancels the context passed to every
 // in-flight handler, and closes existing connections.
 func (s *Server) Close() error {
