@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check loc vet fmt race fuzz-smoke bench bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
+.PHONY: all build test check loc vet fmt race fuzz-smoke bench bench-e2e bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
 
 all: build
 
@@ -56,6 +56,13 @@ loc:
 
 bench: bench-pull
 	$(GO) test -bench=. -benchmem ./...
+
+# End-to-end benchmark (BENCHMARK.json, bench/README.md): one traced run of
+# all four loopback workloads with the per-layer budget and the exact
+# per-pull counts. Builds into .bench_build/ and leaves the result there.
+# Not part of `check`: it takes minutes and its times are not gated.
+bench-e2e:
+	sh bench/run.sh --trace 1 --runs 1 --out .bench_build/bench.json
 
 # Pull-scheduler benchmark: drains a 16-file pending queue over a
 # latency-shaped WAN link, sequentially and with the 4-worker pool, and

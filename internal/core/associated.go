@@ -19,16 +19,11 @@ import (
 
 // GetCollection replicates every logical file of a catalog collection to
 // this site, returning the LFNs actually fetched (already-present files
-// are skipped).
+// are skipped). The member pulls fan out through the scheduler, so a
+// collection downloads with the worker pool's concurrency rather than one
+// file at a time.
 func (s *Site) GetCollection(collection string) ([]string, error) {
-	return s.GetCollectionCtx(s.ctx, collection)
-}
-
-// GetCollectionCtx is GetCollection bounded by a caller context. The
-// member pulls fan out through the scheduler, so a collection downloads
-// with the worker pool's concurrency rather than one file at a time.
-func (s *Site) GetCollectionCtx(ctx context.Context, collection string) ([]string, error) {
-	members, err := s.rc.client.ListCollection(ctx, collection)
+	members, err := s.rc.client.ListCollection(s.ctx, collection)
 	if err != nil {
 		return nil, err
 	}
@@ -39,7 +34,7 @@ func (s *Site) GetCollectionCtx(ctx context.Context, collection string) ([]strin
 			missing = append(missing, FileInfo{LFN: lfn})
 		}
 	}
-	_, failed, err := s.pullAll(ctx, missing, 0, "collection "+collection)
+	_, failed, err := s.pullAll(missing, 0, "collection "+collection)
 	failedSet := make(map[string]bool, len(failed))
 	for _, fi := range failed {
 		failedSet[fi.LFN] = true
@@ -62,11 +57,7 @@ func (s *Site) GetCollectionCtx(ctx context.Context, collection string) ([]strin
 // unreplicated database fails with objectstore.ErrNotAttached — exactly the
 // hazard Section 2.1 describes.
 func (s *Site) GetWithAssociated(lfn string) ([]string, error) {
-	return s.GetWithAssociatedCtx(s.ctx, lfn)
-}
-
-// GetWithAssociatedCtx is GetWithAssociated bounded by a caller context.
-func (s *Site) GetWithAssociatedCtx(ctx context.Context, lfn string) ([]string, error) {
+	ctx := s.ctx
 	var fetched []string
 	visitedLFN := make(map[string]bool)
 	visitedDB := make(map[string]bool)

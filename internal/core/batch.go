@@ -23,7 +23,7 @@ func (s *Site) PublishAll(relPaths []string, opts PublishOptions) ([]PublishedFi
 	infos := make([]FileInfo, 0, len(relPaths))
 	var firstErr error
 	for _, rel := range relPaths {
-		pf, err := s.publishNoNotify(rel, opts)
+		pf, err := s.publishCore(rel, opts, false)
 		if err != nil {
 			firstErr = fmt.Errorf("core: publish %s: %w", rel, err)
 			break
@@ -39,13 +39,6 @@ func (s *Site) PublishAll(relPaths []string, opts PublishOptions) ([]PublishedFi
 		}
 	}
 	return published, firstErr
-}
-
-// publishNoNotify runs the registration half of Publish without notifying
-// subscribers; PublishAll sends one batched notification afterwards.
-func (s *Site) publishNoNotify(relPath string, opts PublishOptions) (PublishedFile, error) {
-	opts.LFN = ""
-	return s.publishCore(s.ctx, relPath, opts, false)
 }
 
 // RebuildLocalCatalog reconstructs the site's local file catalog from the
@@ -94,10 +87,10 @@ func (s *Site) RebuildLocalCatalog() (int, error) {
 			FileType: entry.Attrs["filetype"],
 			State:    state,
 		}
-		s.local.put(fi)
-		if err := s.persist.putFile(fi); err != nil {
+		if err := s.enter(fi); err != nil {
 			return restored, err
 		}
+		s.local.reveal(fi.LFN)
 		restored++
 	}
 	return restored, nil

@@ -13,3 +13,15 @@ func (s *Site) LocateForPull(ctx context.Context, lfn string) ([]PFN, map[string
 	}
 	return p.sources, p.entry.Attrs, nil
 }
+
+// SeverJournal closes the site's journal underneath it, so every later
+// append fails and latches the journal failed (a full or faulted state
+// disk, without the disk).
+func (s *Site) SeverJournal() { s.persist.j.Close() }
+
+// SidecarJournaled reports whether the journal's mirror holds a parity
+// sidecar record for lfn.
+func (s *Site) SidecarJournaled(lfn string) bool {
+	_, ok := s.persist.recoveredParity()[lfn]
+	return ok
+}

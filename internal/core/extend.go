@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,45 +37,21 @@ func (s *Site) HandleRPC(method string, h rpc.Handler) {
 // CallRemote invokes a Request Manager method on another site using this
 // site's credential and transport settings.
 func (s *Site) CallRemote(addr, method string, args *rpc.Encoder) (*rpc.Decoder, error) {
-	return s.CallRemoteCtx(s.ctx, addr, method, args)
-}
-
-// CallRemoteCtx is CallRemote bounded by a caller context.
-func (s *Site) CallRemoteCtx(ctx context.Context, addr, method string, args *rpc.Encoder) (*rpc.Decoder, error) {
-	cl, err := s.dialGDMP(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	return cl.CallContext(ctx, method, args)
+	return s.call(s.ctx, addr, method, args)
 }
 
 // RemoveLocal deletes this site's replica of a logical file: the bytes on
-// disk, the replica catalog location, and the local catalog entry. The
-// logical file itself (and replicas elsewhere) survive. Object replication
-// uses this to delete extraction files at the source after transfer
-// (Section 5.2: "after having been transferred, the files are deleted on
-// the source site(s)").
+// disk (with their parity sidecar), the local catalog entry, and the
+// replica catalog location. The logical file itself (and replicas
+// elsewhere) survive. Object replication uses this to delete extraction
+// files at the source after transfer (Section 5.2: "after having been
+// transferred, the files are deleted on the source site(s)").
 func (s *Site) RemoveLocal(lfn string) error {
 	fi, ok := s.local.get(lfn)
 	if !ok {
 		return fmt.Errorf("core: %q is not replicated at %s", lfn, s.cfg.Name)
 	}
-	localPath, err := s.resolveLocal(fi.Path)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(localPath); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	if s.storage != nil {
-		s.storage.Drop(fi.Path)
-	}
-	if err := s.rc.removeReplica(s.ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil {
-		return err
-	}
-	s.local.remove(lfn)
-	return s.persist.removeFile(lfn)
+	return s.withdraw(s.ctx, fi, bytesUnlinked, true)
 }
 
 // DeleteLogical removes the logical file entirely from the Grid: local
@@ -84,18 +59,7 @@ func (s *Site) RemoveLocal(lfn string) error {
 // producing site should call this.
 func (s *Site) DeleteLogical(lfn string) error {
 	if fi, ok := s.local.get(lfn); ok {
-		localPath, err := s.resolveLocal(fi.Path)
-		if err != nil {
-			return err
-		}
-		if err := os.Remove(localPath); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		if s.storage != nil {
-			s.storage.Drop(fi.Path)
-		}
-		s.local.remove(lfn)
-		if err := s.persist.removeFile(lfn); err != nil {
+		if err := s.withdraw(s.ctx, fi, bytesUnlinked, false); err != nil {
 			return err
 		}
 	}

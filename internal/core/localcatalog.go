@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 )
@@ -60,6 +62,8 @@ func newLocalCatalog() *localCatalog {
 	}
 }
 
+// put is putLanding and reveal in one step, for journal replay: its
+// entries were journaled and parity-protected in an earlier life.
 func (c *localCatalog) put(info FileInfo) {
 	c.putLanding(info)
 	c.reveal(info.LFN)
@@ -143,6 +147,16 @@ func (c *localCatalog) remove(lfn string) {
 	delete(c.landing, lfn)
 }
 
+// restore puts lfn's entry back to old, or takes it out again if there was
+// none: the undo of a putLanding, remove or setState whose journal record
+// failed to append.
+func (c *localCatalog) restore(lfn string, old FileInfo, had bool) {
+	c.remove(lfn)
+	if had {
+		c.put(old)
+	}
+}
+
 // getByPath resolves a site-relative path back to its catalog entry — the
 // reverse lookup the disk-pool eviction callback needs, since the pool
 // names files by path, not LFN.
@@ -184,4 +198,136 @@ func (c *localCatalog) len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.byLFN)
+}
+
+// --- membership and residency: the three mutators ---------------------------
+//
+// A site keeps its file table twice — s.local while it runs, recPutFile /
+// recRemoveFile / recSetState records across restarts — and only enter,
+// leave and setResidency change either (replay rebuilds the one from the
+// other). Each updates the table and appends the record under catMu, so
+// one LFN's records are in table order, and puts the table back if the
+// append fails: a change the disk does not hold is not visible either.
+
+// enter adds (or replaces) fi's entry, still landing: see putLanding.
+func (s *Site) enter(fi FileInfo) error {
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	old, had := s.local.get(fi.LFN)
+	s.local.putLanding(fi)
+	if err := s.persist.putFile(fi); err != nil {
+		s.local.restore(fi.LFN, old, had)
+		return fmt.Errorf("core: journal %s: %w", fi.LFN, err)
+	}
+	return nil
+}
+
+// leave removes lfn's entry.
+func (s *Site) leave(lfn string) error {
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	old, had := s.local.get(lfn)
+	s.local.remove(lfn)
+	if err := s.persist.removeFile(lfn); err != nil {
+		s.local.restore(lfn, old, had)
+		return fmt.Errorf("core: journal removal of %s: %w", lfn, err)
+	}
+	return nil
+}
+
+// setResidency records that lfn's bytes moved between disk and tape.
+func (s *Site) setResidency(lfn string, st FileState) error {
+	s.catMu.Lock()
+	defer s.catMu.Unlock()
+	old, _ := s.local.get(lfn)
+	if err := s.local.setState(lfn, st); err != nil {
+		return err
+	}
+	if err := s.persist.setState(lfn, st); err != nil {
+		s.local.restore(lfn, old, true)
+		return fmt.Errorf("core: journal %s as %s: %w", lfn, st, err)
+	}
+	return nil
+}
+
+// land makes verified on-disk bytes part of this site: local catalog
+// entry and journal record (enter, before anything is acknowledged), disk
+// pool, parity sidecar. The entry goes in before the pool sees the file —
+// the pool may evict it at once, and onPoolEvict keeps the catalog
+// consistent only for entries it can find — and is revealed to HasFile and
+// WaitForFile last, so whoever is told the file is here finds it
+// parity-protected. A file that cannot be made durable fails rather than
+// acks: enter took the entry back out, so nobody is told it is here; the
+// bytes stay (a publish's are the producer's original). A pulled replica
+// hands in its pool reservation, released only here: holding it while the
+// pool also counts the landed bytes would double-charge capacity and
+// trigger spurious evictions. A nil reservation marks a producer original,
+// pinned instead: cache pressure from pulled replicas must not push
+// locally produced data out of the pool before it is archived.
+func (s *Site) land(fi FileInfo, reservation func()) error {
+	if err := s.enter(fi); err != nil {
+		return err
+	}
+	defer s.local.reveal(fi.LFN)
+	if s.storage != nil {
+		if reservation != nil {
+			reservation()
+		}
+		if err := s.storage.AddToPool(fi.Path); err != nil {
+			s.logger.Printf("gdmp[%s]: pool registration of %s: %v", s.cfg.Name, fi.Path, err)
+		} else if reservation == nil {
+			s.storage.Protect(fi.Path)
+		}
+	}
+	s.writeParitySidecar(fi)
+	return nil
+}
+
+// bytesFate is what a withdrawal does with the replica's bytes.
+type bytesFate int
+
+const (
+	bytesKept        bytesFate = iota // already gone: evicted or vanished
+	bytesUnlinked                     // deleted, and dropped from the pool's accounting
+	bytesQuarantined                  // moved to <StateDir>/quarantine as evidence
+)
+
+// withdraw takes a replica out of this site, the one way one leaves: the
+// bytes meet their fate; the parity sidecar goes with them (whatever
+// survives would be parity for content the catalogs no longer promise);
+// the local entry is removed and journaled (leave); and only then, when
+// central is set, this site's location is withdrawn from the replica
+// catalog so no consumer is routed here — a crash in between leaves a
+// dangling location for anti-entropy to heal. Start-up reconciliation
+// passes central false: it runs before the servers listen, so there is no
+// data address to build the PFN from. DeleteLogical does too: deleting the
+// logical file removes every location at once. The first failure stops the
+// withdrawal and is returned; the next scrub pass retries it.
+func (s *Site) withdraw(ctx context.Context, fi FileInfo, fate bytesFate, central bool) error {
+	localPath, err := s.resolveLocal(fi.Path)
+	if err != nil {
+		return err
+	}
+	switch fate {
+	case bytesQuarantined:
+		s.quarantine(localPath)
+	case bytesUnlinked:
+		if err := os.Remove(localPath); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		if s.storage != nil {
+			s.storage.Drop(fi.Path)
+		}
+	}
+	s.dropParitySidecar(fi)
+	if err := s.leave(fi.LFN); err != nil {
+		return err
+	}
+	if !central {
+		return nil
+	}
+	if err := s.rc.removeReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !isNotFound(err) {
+		return fmt.Errorf("core: withdraw %s from replica catalog: %w", fi.LFN, err)
+	}
+	return nil
 }

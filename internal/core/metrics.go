@@ -76,12 +76,7 @@ func (s *Site) Metrics() *obs.Registry { return s.metrics }
 // RemoteMetrics fetches another site's metrics dump (Prometheus text
 // format) over the Request Manager.
 func (s *Site) RemoteMetrics(remoteAddr string) (string, error) {
-	cl, err := s.dialGDMP(s.ctx, remoteAddr)
-	if err != nil {
-		return "", err
-	}
-	defer cl.Close()
-	d, err := cl.CallContext(s.ctx, MethodMetrics, nil)
+	d, err := s.call(s.ctx, remoteAddr, MethodMetrics, nil)
 	if err != nil {
 		return "", err
 	}

@@ -232,9 +232,6 @@ func (s *Site) sweepOrphanSidecars() {
 	for _, lfn := range stale {
 		s.dropParitySidecar(FileInfo{LFN: lfn})
 	}
-	if s.cfg.DataDir == "" {
-		return
-	}
 	err := filepath.WalkDir(s.cfg.DataDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !parity.IsSidecar(d.Name()) {
 			return err

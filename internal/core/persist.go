@@ -94,8 +94,9 @@ func newPersistState() persistState {
 }
 
 // sitePersistence couples the journal with its state mirror. All methods
-// are safe for concurrent use; a nil *sitePersistence (site without a
-// StateDir) turns every method into a no-op.
+// are safe for concurrent use. A site without a StateDir has a nil
+// *sitePersistence, on which record, view and close — everything the hooks
+// below are made of — do nothing.
 type sitePersistence struct {
 	mu     sync.Mutex
 	j      *journal.Journal
@@ -129,33 +130,34 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 	return p, rec.TornBytes, nil
 }
 
-// commit appends one record to the journal and applies it to the mirror,
-// compacting when the WAL has grown past the threshold. It returns only
-// after the record is fsync'd, so callers may acknowledge the mutation
-// the moment commit returns nil — and must refuse to acknowledge when it
-// errors: an append failure (disk full, I/O fault) latches the journal
-// failed, the record never reaches the mirror, and the error surfaces so
-// the mutating operation fails instead of silently losing durability.
-func (p *sitePersistence) commit(rec []byte) error {
+// record is the one way a mutation reaches the journal: the tag and the
+// fields make the record, which is appended and then applied to the
+// mirror, compacting when the WAL has grown past the threshold. alreadySo,
+// when set, makes the hook idempotent: it runs against the mirror under
+// the same lock hold as the append, so a record the mirror already
+// reflects is not written twice and no concurrent record can slip in
+// between the check and the commit. record returns only after the record
+// is fsync'd, so callers may acknowledge the mutation the moment it
+// returns nil — and must refuse to acknowledge when it errors: an append
+// failure (disk full, I/O fault) latches the journal failed, the record
+// never reaches the mirror, and the error surfaces so the mutating
+// operation fails instead of silently losing durability.
+func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, fields func(*rpc.Encoder)) error {
 	if p == nil {
 		return nil
 	}
+	var e rpc.Encoder
+	e.Uint8(tag)
+	fields(&e)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.commitLocked(rec)
-}
-
-// commitLocked is commit with p.mu already held (pull hooks take the lock
-// earlier so their existing-record checks and the append are one atomic
-// step).
-func (p *sitePersistence) commitLocked(rec []byte) error {
-	if p.closed {
+	if p.closed || (alreadySo != nil && alreadySo(&p.st)) {
 		return nil
 	}
-	if err := p.j.Append(rec); err != nil {
+	if err := p.j.Append(e.Bytes()); err != nil {
 		return err
 	}
-	if err := p.st.apply(rec); err != nil {
+	if err := p.st.apply(e.Bytes()); err != nil {
 		// The record is our own encoding, already durable; a mirror
 		// rejection is a bug, not an I/O condition.
 		p.logger.Printf("gdmp: journal record rejected by mirror: %v", err)
@@ -166,6 +168,16 @@ func (p *sitePersistence) commitLocked(rec []byte) error {
 		}
 	}
 	return nil
+}
+
+// view runs read against the mirror under its lock (the replay hooks).
+func (p *sitePersistence) view(read func(*persistState)) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	read(&p.st)
 }
 
 // close shuts the journal down. A graceful close folds the final state
@@ -189,171 +201,88 @@ func (p *sitePersistence) close(graceful bool) {
 	p.j.Close()
 }
 
-// --- record constructors (the site's journaling hooks) ---------------------
+// --- the site's journaling hooks: one per record tag ------------------------
 
 func (p *sitePersistence) putFile(fi FileInfo) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recPutFile)
-	encodeFileInfo(&e, fi)
-	return p.commit(e.Bytes())
+	return p.record(recPutFile, nil, func(e *rpc.Encoder) { encodeFileInfo(e, fi) })
 }
 
 func (p *sitePersistence) removeFile(lfn string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recRemoveFile)
-	e.String(lfn)
-	return p.commit(e.Bytes())
+	return p.record(recRemoveFile, nil, func(e *rpc.Encoder) { e.String(lfn) })
 }
 
 func (p *sitePersistence) setState(lfn string, st FileState) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recSetState)
-	e.String(lfn)
-	e.String(string(st))
-	return p.commit(e.Bytes())
+	return p.record(recSetState, nil, func(e *rpc.Encoder) {
+		e.String(lfn)
+		e.String(string(st))
+	})
 }
 
 func (p *sitePersistence) subscribe(name, addr string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recSubscribe)
-	e.String(name)
-	e.String(addr)
-	return p.commit(e.Bytes())
+	return p.record(recSubscribe, nil, func(e *rpc.Encoder) {
+		e.String(name)
+		e.String(addr)
+	})
 }
 
 func (p *sitePersistence) unsubscribe(name string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recUnsubscribe)
-	e.String(name)
-	return p.commit(e.Bytes())
+	return p.record(recUnsubscribe, nil, func(e *rpc.Encoder) { e.String(name) })
 }
 
 func (p *sitePersistence) notifyQueue(name string, files []FileInfo) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recNotifyQueue)
-	e.String(name)
-	encodeFileInfos(&e, files)
-	return p.commit(e.Bytes())
+	return p.record(recNotifyQueue, nil, func(e *rpc.Encoder) {
+		e.String(name)
+		encodeFileInfos(e, files)
+	})
 }
 
 func (p *sitePersistence) notifyAck(name string, n int) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recNotifyAck)
-	e.String(name)
-	e.Uint32(uint32(n))
-	return p.commit(e.Bytes())
+	return p.record(recNotifyAck, nil, func(e *rpc.Encoder) {
+		e.String(name)
+		e.Uint32(uint32(n))
+	})
 }
 
 func (p *sitePersistence) notifyDrop(name string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recNotifyDrop)
-	e.String(name)
-	return p.commit(e.Bytes())
+	return p.record(recNotifyDrop, nil, func(e *rpc.Encoder) { e.String(name) })
 }
 
 // pullQueued records an unfinished pull. It is idempotent by LFN and
 // never downgrades: a record that already carries the file's path is not
-// replaced by a bare-LFN admission for the same file. The check and the
-// commit happen under one lock hold, so a concurrent bare admission can
-// never slip in after a path-bearing record was checked and overwrite it.
+// replaced by a bare-LFN admission for the same file.
 func (p *sitePersistence) pullQueued(fi FileInfo) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recPullQueued)
-	encodeFileInfo(&e, fi)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if existing, ok := p.st.pulls[fi.LFN]; ok && (existing.Path != "" || fi.Path == "") {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recPullQueued, func(st *persistState) bool {
+		existing, ok := st.pulls[fi.LFN]
+		return ok && (existing.Path != "" || fi.Path == "")
+	}, func(e *rpc.Encoder) { encodeFileInfo(e, fi) })
 }
 
 func (p *sitePersistence) pullDone(lfn string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recPullDone)
-	e.String(lfn)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.st.pulls[lfn]; !ok {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recPullDone, func(st *persistState) bool {
+		_, queued := st.pulls[lfn]
+		return !queued
+	}, func(e *rpc.Encoder) { e.String(lfn) })
 }
 
 // producerAdd records that this site subscribed to a producer at addr.
-// Idempotent by address.
 func (p *sitePersistence) producerAdd(addr string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recProducerAdd)
-	e.String(addr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.st.producers[addr] {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recProducerAdd, func(st *persistState) bool { return st.producers[addr] },
+		func(e *rpc.Encoder) { e.String(addr) })
 }
 
 // producerRemove records an unsubscription from the producer at addr.
 func (p *sitePersistence) producerRemove(addr string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recProducerRemove)
-	e.String(addr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.st.producers[addr] {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recProducerRemove, func(st *persistState) bool { return !st.producers[addr] },
+		func(e *rpc.Encoder) { e.String(addr) })
 }
 
 // producerAddrs returns the recovered producer set (replay hook).
-func (p *sitePersistence) producerAddrs() []string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.st.producers))
-	for addr := range p.st.producers {
-		out = append(out, addr)
-	}
+func (p *sitePersistence) producerAddrs() (out []string) {
+	p.view(func(st *persistState) {
+		for addr := range st.producers {
+			out = append(out, addr)
+		}
+	})
 	return out
 }
 
@@ -363,92 +292,54 @@ func (p *sitePersistence) producerAddrs() []string {
 // re-verification, but the caller still surfaces the error so a latched
 // journal is noticed.
 func (p *sitePersistence) scrubCursor(lfn string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recScrubCursor)
-	e.String(lfn)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.st.scrubCursor == lfn {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recScrubCursor, func(st *persistState) bool { return st.scrubCursor == lfn },
+		func(e *rpc.Encoder) { e.String(lfn) })
 }
 
 // paritySet records that lfn has a parity sidecar whose file bytes hash
-// to crcHex. Idempotent on identical (lfn, crc) pairs; a regenerated
-// sidecar just overwrites the entry.
+// to crcHex; a regenerated sidecar just overwrites the entry.
 func (p *sitePersistence) paritySet(lfn, crcHex string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recParitySet)
-	e.String(lfn)
-	e.String(crcHex)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.st.parity[lfn] == crcHex {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recParitySet, func(st *persistState) bool { return st.parity[lfn] == crcHex },
+		func(e *rpc.Encoder) {
+			e.String(lfn)
+			e.String(crcHex)
+		})
 }
 
 // parityDrop forgets lfn's parity sidecar (file withdrawn, sidecar
 // invalid, or sidecar evicted with its file).
 func (p *sitePersistence) parityDrop(lfn string) error {
-	if p == nil {
-		return nil
-	}
-	var e rpc.Encoder
-	e.Uint8(recParityDrop)
-	e.String(lfn)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.st.parity[lfn]; !ok {
-		return nil
-	}
-	return p.commitLocked(e.Bytes())
+	return p.record(recParityDrop, func(st *persistState) bool {
+		_, has := st.parity[lfn]
+		return !has
+	}, func(e *rpc.Encoder) { e.String(lfn) })
 }
 
 // recoveredParity returns a copy of the journaled sidecar registry
 // (replay hook).
 func (p *sitePersistence) recoveredParity() map[string]string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]string, len(p.st.parity))
-	for lfn, crc := range p.st.parity {
-		out[lfn] = crc
-	}
+	out := make(map[string]string)
+	p.view(func(st *persistState) {
+		for lfn, crc := range st.parity {
+			out[lfn] = crc
+		}
+	})
 	return out
 }
 
 // recoveredScrubCursor returns the journaled scrub cursor (replay hook).
-func (p *sitePersistence) recoveredScrubCursor() string {
-	if p == nil {
-		return ""
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st.scrubCursor
+func (p *sitePersistence) recoveredScrubCursor() (lfn string) {
+	p.view(func(st *persistState) { lfn = st.scrubCursor })
+	return lfn
 }
 
 // incompletePulls returns the recovered unfinished-pull set (replay hook).
-func (p *sitePersistence) incompletePulls() []FileInfo {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]FileInfo, 0, len(p.st.pulls))
-	for _, fi := range p.st.pulls {
-		out = append(out, fi)
-	}
+func (p *sitePersistence) incompletePulls() (out []FileInfo) {
+	p.view(func(st *persistState) {
+		for _, fi := range st.pulls {
+			out = append(out, fi)
+		}
+	})
 	return out
 }
 
@@ -472,6 +363,30 @@ func decodeFileInfo(d *rpc.Decoder) FileInfo {
 		FileType: d.String(),
 		State:    FileState(d.String()),
 	}
+}
+
+// encodeFileInfos and decodeFileInfos are the counted-list form, shared by
+// the journal (notice queues) and the wire (gdmp.notify, gdmp.catalog).
+func encodeFileInfos(e *rpc.Encoder, files []FileInfo) {
+	e.Uint32(uint32(len(files)))
+	for _, fi := range files {
+		encodeFileInfo(e, fi)
+	}
+}
+
+func decodeFileInfos(d *rpc.Decoder) []FileInfo {
+	n := d.Uint32()
+	// n is peer-supplied: cap the preallocation so a short body claiming
+	// 2^32-1 entries cannot ask for gigabytes; append grows past the cap.
+	out := make([]FileInfo, 0, min(n, 4096))
+	for i := uint32(0); i < n; i++ {
+		fi := decodeFileInfo(d)
+		if d.Err() != nil {
+			return nil
+		}
+		out = append(out, fi)
+	}
+	return out
 }
 
 // apply runs one record against the mirror. Replay calls it for every
@@ -606,11 +521,8 @@ func (st *persistState) decode(b []byte) error {
 	if (v < 1 || v > snapshotVersion) && d.Err() == nil {
 		return fmt.Errorf("unsupported snapshot version %d", v)
 	}
-	for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-		fi := decodeFileInfo(d)
-		if d.Err() == nil {
-			st.files[fi.LFN] = fi
-		}
+	for _, fi := range decodeFileInfos(d) {
+		st.files[fi.LFN] = fi
 	}
 	for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
 		name := d.String()
@@ -620,11 +532,8 @@ func (st *persistState) decode(b []byte) error {
 			st.subs[name] = sub
 		}
 	}
-	for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-		fi := decodeFileInfo(d)
-		if d.Err() == nil {
-			st.pulls[fi.LFN] = fi
-		}
+	for _, fi := range decodeFileInfos(d) {
+		st.pulls[fi.LFN] = fi
 	}
 	if v >= 2 {
 		for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
@@ -683,9 +592,6 @@ type RecoveryStats struct {
 
 // recordRecoveryMetrics publishes the gdmp_recovery_* family.
 func recordRecoveryMetrics(reg *obs.Registry, rs RecoveryStats) {
-	if reg == nil {
-		reg = obs.Default
-	}
 	set := func(name, help string, v int64) {
 		reg.Gauge(RecoveryMetricsPrefix+"_"+name, help).Set(v)
 	}
@@ -706,25 +612,20 @@ func recordRecoveryMetrics(reg *obs.Registry, rs RecoveryStats) {
 // delivery drains and pull requeues are kicked separately once they can
 // run (resumeRecovered).
 func (s *Site) restoreFromJournal(tornBytes int64) error {
-	p := s.persist
-	p.mu.Lock()
-	files := make([]FileInfo, 0, len(p.st.files))
-	for _, fi := range p.st.files {
-		files = append(files, fi)
-	}
-	type subRestore struct {
-		name string
-		sub  persistSub
-	}
-	subs := make([]subRestore, 0, len(p.st.subs))
-	for name, sub := range p.st.subs {
-		subs = append(subs, subRestore{name, persistSub{
-			addr:    sub.addr,
-			suspect: sub.suspect,
-			queue:   append([]FileInfo(nil), sub.queue...),
-		}})
-	}
-	p.mu.Unlock()
+	var files []FileInfo
+	subs := make(map[string]persistSub)
+	s.persist.view(func(st *persistState) {
+		for _, fi := range st.files {
+			files = append(files, fi)
+		}
+		for name, sub := range st.subs {
+			subs[name] = persistSub{
+				addr:    sub.addr,
+				suspect: sub.suspect,
+				queue:   append([]FileInfo(nil), sub.queue...),
+			}
+		}
+	})
 
 	rs := RecoveryStats{TornBytes: tornBytes}
 	for _, fi := range files {
@@ -732,15 +633,15 @@ func (s *Site) restoreFromJournal(tornBytes int64) error {
 		rs.FilesRestored++
 	}
 	s.subMu.Lock()
-	for _, sr := range subs {
-		s.subscribers[sr.name] = &subscriberState{
-			name:    sr.name,
-			addr:    sr.sub.addr,
-			suspect: sr.sub.suspect,
-			queue:   sr.sub.queue,
+	for name, sub := range subs {
+		s.subscribers[name] = &subscriberState{
+			name:    name,
+			addr:    sub.addr,
+			suspect: sub.suspect,
+			queue:   sub.queue,
 		}
 		rs.SubscribersRestored++
-		rs.NoticesRequeued += len(sr.sub.queue)
+		rs.NoticesRequeued += len(sub.queue)
 	}
 	s.met.subscribers.Set(int64(len(s.subscribers)))
 	s.updateNotifyGaugesLocked()
@@ -770,29 +671,22 @@ func (s *Site) reconcileDataDir(rs *RecoveryStats) error {
 			continue
 		}
 		info, err := os.Stat(localPath)
-		if os.IsNotExist(err) {
+		switch {
+		case os.IsNotExist(err):
 			s.logger.Printf("gdmp[%s]: recovery: %s has no bytes at %s, dropping catalog entry",
 				s.cfg.Name, fi.LFN, fi.Path)
-			s.local.remove(fi.LFN)
-			if err := s.persist.removeFile(fi.LFN); err != nil {
-				return err
-			}
+			err = s.withdraw(s.ctx, fi, bytesKept, false)
 			rs.MissingFiles++
-			continue
+		case err == nil && fi.Size > 0 && info.Size() != fi.Size:
+			s.logger.Printf("gdmp[%s]: recovery: %s is %d bytes, catalog says %d; quarantining",
+				s.cfg.Name, fi.LFN, info.Size(), fi.Size)
+			err = s.withdraw(s.ctx, fi, bytesQuarantined, false)
+			if _, serr := os.Lstat(localPath); os.IsNotExist(serr) {
+				rs.Quarantined++ // counted only when the bytes did move
+			}
 		}
 		if err != nil {
 			return err
-		}
-		if fi.Size > 0 && info.Size() != fi.Size {
-			s.logger.Printf("gdmp[%s]: recovery: %s is %d bytes, catalog says %d; quarantining",
-				s.cfg.Name, fi.LFN, info.Size(), fi.Size)
-			if s.quarantine(localPath) {
-				rs.Quarantined++
-			}
-			s.local.remove(fi.LFN)
-			if err := s.persist.removeFile(fi.LFN); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -863,24 +757,8 @@ func (s *Site) resumeRecovered() {
 	pulls := s.persist.incompletePulls()
 	s.recovery.PullsRequeued = len(pulls)
 	recordRecoveryMetrics(s.metrics, s.recovery)
-	if len(pulls) == 0 {
-		return
-	}
-	s.logger.Printf("gdmp[%s]: recovery: requeueing %d unfinished pulls", s.cfg.Name, len(pulls))
-	if !s.cfg.AutoReplicate {
-		s.addPending(pulls...)
-		return
-	}
-	for _, fi := range pulls {
-		fi := fi
-		tk := s.submitGet(fi.LFN, 0)
-		s.notifyWG.Add(1)
-		go func() {
-			defer s.notifyWG.Done()
-			if err := tk.Wait(s.ctx); err != nil {
-				s.logger.Printf("gdmp[%s]: recovered pull %s: %v", s.cfg.Name, fi.LFN, err)
-				s.addPending(fi)
-			}
-		}()
+	if len(pulls) > 0 {
+		s.logger.Printf("gdmp[%s]: recovery: requeueing %d unfinished pulls", s.cfg.Name, len(pulls))
+		s.takeOn(pulls, "recovered pull")
 	}
 }

@@ -53,10 +53,8 @@ func (s *Site) onPoolEvict(name string, size int64) {
 		return // not a cataloged replica (scratch bytes, test files)
 	}
 	if _, err := s.storage.TapeSize(name); err == nil {
-		if err := s.local.setState(fi.LFN, StateTape); err == nil {
-			if jerr := s.persist.setState(fi.LFN, StateTape); jerr != nil {
-				s.logger.Printf("gdmp[%s]: journal eviction of %s to tape: %v", s.cfg.Name, fi.LFN, jerr)
-			}
+		if err := s.setResidency(fi.LFN, StateTape); err != nil {
+			s.logger.Printf("gdmp[%s]: eviction of %s to tape: %v", s.cfg.Name, fi.LFN, err)
 		}
 		// The attached sidecar's bytes left the pool with the file; forget
 		// the registry entry too. A re-stage regenerates parity on the next
@@ -67,7 +65,7 @@ func (s *Site) onPoolEvict(name string, size int64) {
 	}
 	ctx, cancel := context.WithTimeout(s.ctx, 30*time.Second)
 	defer cancel()
-	s.withdrawReplica(ctx, fi, false)
+	s.withdrawLogged(ctx, fi, bytesKept)
 	s.logger.Printf("gdmp[%s]: pool evicted %s (%d bytes), location withdrawn", s.cfg.Name, fi.LFN, size)
 }
 

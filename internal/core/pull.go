@@ -2,15 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"time"
 
+	"gdmp/internal/admission"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/health"
 	"gdmp/internal/replica"
+	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
 	"gdmp/internal/xfer"
 )
@@ -426,7 +429,11 @@ func (s *Site) requestStage(ctx context.Context, ctlAddr, lfn string) error {
 		// The wire carries the retry attempt so an overloaded source can
 		// shed the hottest retriers first.
 		_, err = cl.CallContext(rpc.WithAttempt(ctx, attempt), MethodStage, &e)
-		s.observeOverload(ctlAddr, err)
+		if errors.Is(err, admission.ErrOverloaded) {
+			// Cool the peer on the scoreboard for the retry-after it
+			// suggested, so queued work stops hammering it.
+			s.health.ObserveOverload(ctlAddr, retry.RetryAfterOf(err))
+		}
 		return err
 	})
 }
@@ -475,37 +482,4 @@ func (p *pull) commit(ctx context.Context) error {
 		return err
 	}
 	return s.rc.setAttrs(ctx, p.lfn, map[string]string{ctlAttrPrefix + myPFN.Addr: s.Addr()})
-}
-
-// land makes verified on-disk bytes part of this site: local catalog
-// entry, journal (before anything is acknowledged), disk pool, parity
-// sidecar. The entry goes in before the pool sees the file — the pool may
-// evict it at once, and onPoolEvict keeps the catalog consistent only for
-// entries it can find — and is revealed to HasFile and WaitForFile last,
-// so whoever is told the file is here finds it parity-protected. A pulled
-// replica hands in its pool reservation, released only here: holding it
-// while the pool also counts the landed bytes would double-charge capacity
-// and trigger spurious evictions. A nil reservation marks a producer
-// original, pinned instead: cache pressure from pulled replicas must not
-// push locally produced data out of the pool before it is archived.
-func (s *Site) land(fi FileInfo, reservation func()) error {
-	s.local.putLanding(fi)
-	defer s.local.reveal(fi.LFN)
-	if err := s.persist.putFile(fi); err != nil {
-		// The journal-before-ack contract: a file that cannot be made
-		// durable must fail rather than ack.
-		return fmt.Errorf("core: journal %s: %w", fi.LFN, err)
-	}
-	if s.storage != nil {
-		if reservation != nil {
-			reservation()
-		}
-		if err := s.storage.AddToPool(fi.Path); err != nil {
-			s.logger.Printf("gdmp[%s]: pool registration of %s: %v", s.cfg.Name, fi.Path, err)
-		} else if reservation == nil {
-			s.storage.Protect(fi.Path)
-		}
-	}
-	s.writeParitySidecar(fi)
-	return nil
 }

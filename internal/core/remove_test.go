@@ -6,13 +6,28 @@ import (
 	"testing"
 
 	"gdmp/internal/core"
+	"gdmp/internal/parity"
 	"gdmp/internal/testbed"
 )
 
 func TestRemoveLocal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts testbed.SiteOptions
+	}{
+		{"plain", testbed.SiteOptions{}},
+		// A parity site without an MSS: nothing but the withdrawal itself
+		// can take the sidecar along.
+		{"parity+durable", testbed.SiteOptions{Durable: true, ParityK: parity.DefaultK, ParityM: parity.DefaultM}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testRemoveLocal(t, tc.opts) })
+	}
+}
+
+func testRemoveLocal(t *testing.T, consumer testbed.SiteOptions) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+	anl := addSite(t, g, "anl.gov", consumer)
 	pf := publish(t, g, cern, "rm.db", testbed.MakeData(10_000, 100), core.PublishOptions{})
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatal(err)
@@ -20,9 +35,16 @@ func TestRemoveLocal(t *testing.T) {
 	if locs, _ := g.Catalog.Locations(pf.LFN); len(locs) != 2 {
 		t.Fatalf("locations = %v", locs)
 	}
+	sidecar := parity.SidecarPath(filepath.Join(anl.DataDir(), "rm.db"))
+	if consumer.ParityK > 0 {
+		if _, err := os.Stat(sidecar); err != nil {
+			t.Fatalf("landed replica has no parity sidecar: %v", err)
+		}
+	}
 
-	// The consumer drops its replica: bytes gone, catalog location gone,
-	// the logical file and the producer's replica survive.
+	// The consumer drops its replica: bytes gone, sidecar gone with its
+	// journal record, catalog location gone; the logical file and the
+	// producer's replica survive.
 	if err := anl.RemoveLocal(pf.LFN); err != nil {
 		t.Fatalf("RemoveLocal: %v", err)
 	}
@@ -32,6 +54,12 @@ func TestRemoveLocal(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(anl.DataDir(), "rm.db")); err == nil {
 		t.Fatal("bytes still on disk")
 	}
+	if _, err := os.Stat(sidecar); err == nil {
+		t.Fatal("parity sidecar outlived its replica")
+	}
+	if consumer.Durable && anl.SidecarJournaled(pf.LFN) {
+		t.Fatal("journal still holds the removed replica's sidecar record")
+	}
 	locs, err := g.Catalog.Locations(pf.LFN)
 	if err != nil || len(locs) != 1 {
 		t.Fatalf("locations after removal = %v, %v", locs, err)
@@ -40,15 +68,29 @@ func TestRemoveLocal(t *testing.T) {
 	if err := anl.RemoveLocal(pf.LFN); err == nil {
 		t.Fatal("double RemoveLocal accepted")
 	}
+	if consumer.Durable {
+		// The removal is what a crash and replay reconstruct, too.
+		if anl, err = g.RestartSite("anl.gov"); err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if anl.HasFile(pf.LFN) || anl.SidecarJournaled(pf.LFN) {
+			t.Fatal("removed replica or its sidecar record came back with the restart")
+		}
+	}
 	// The file can be fetched again afterwards.
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatalf("re-Get after removal: %v", err)
+	}
+	if consumer.ParityK > 0 {
+		if _, err := os.Stat(sidecar); err != nil {
+			t.Fatalf("re-fetched replica has no parity sidecar: %v", err)
+		}
 	}
 }
 
 func TestDeleteLogical(t *testing.T) {
 	g := newGrid(t)
-	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{ParityK: parity.DefaultK, ParityM: parity.DefaultM})
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
 	pf := publish(t, g, cern, "gone.db", testbed.MakeData(5_000, 101), core.PublishOptions{})
 	if err := anl.Get(pf.LFN); err != nil {
@@ -66,6 +108,9 @@ func TestDeleteLogical(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(cern.DataDir(), "gone.db")); err == nil {
 		t.Fatal("producer's bytes still on disk")
+	}
+	if _, err := os.Stat(parity.SidecarPath(filepath.Join(cern.DataDir(), "gone.db"))); err == nil {
+		t.Fatal("producer's parity sidecar outlived the logical file")
 	}
 	// A consumer's Get now fails cleanly.
 	if err := anl.RemoveLocal(pf.LFN); err == nil {

@@ -216,14 +216,9 @@ type LRCAnswer struct {
 // LRCQuery asks the site at the given control address whether its Local
 // Replica Catalog holds the LFN.
 func (s *Site) LRCQuery(ctx context.Context, addr, lfn string) (LRCAnswer, error) {
-	cl, err := s.dialGDMP(ctx, addr)
-	if err != nil {
-		return LRCAnswer{}, err
-	}
-	defer cl.Close()
 	var e rpc.Encoder
 	e.String(lfn)
-	d, err := cl.CallContext(ctx, MethodLRCQuery, &e)
+	d, err := s.call(ctx, addr, MethodLRCQuery, &e)
 	if err != nil {
 		return LRCAnswer{}, err
 	}

@@ -113,20 +113,9 @@ func (s *Site) repairFile(ctx context.Context, lfn string) error {
 	return nil
 }
 
-// queueRepair hands one withdrawn or missing replica to the repair driver.
-func (s *Site) queueRepair(lfn string) bool {
-	if s.repairer == nil {
-		return false
-	}
-	return s.repairer.Add(lfn)
-}
-
 // RepairQuiesce blocks until the repair queue is drained and the worker
 // idle (test barrier).
 func (s *Site) RepairQuiesce(ctx context.Context) error {
-	if s.repairer == nil {
-		return nil
-	}
 	return s.repairer.Quiesce(ctx)
 }
 
@@ -181,13 +170,13 @@ func (s *Site) ScrubPass(ctx context.Context) (scrub.Report, error) {
 				// unusable.
 				rep.Fallbacks++
 			}
-			if s.queueRepair(fi.LFN) {
+			if s.repairer.Add(fi.LFN) {
 				rep.Repairs++
 			}
 		case scrubMissing:
 			rep.Missing++
 			s.scrubMet.ScrubMissing.Inc()
-			if s.queueRepair(fi.LFN) {
+			if s.repairer.Add(fi.LFN) {
 				rep.Repairs++
 			}
 		case scrubAborted:
@@ -265,7 +254,7 @@ func (s *Site) scrubOne(ctx context.Context, fi FileInfo) (scrubVerdict, int64) 
 	case os.IsNotExist(err):
 		s.logger.Printf("gdmp[%s]: scrub: %s has no bytes at %s, withdrawing",
 			s.cfg.Name, fi.LFN, fi.Path)
-		s.withdrawReplica(ctx, fi, false)
+		s.withdrawLogged(ctx, fi, bytesKept)
 		return scrubMissing, 0
 	case ctx.Err() != nil:
 		return scrubAborted, n
@@ -300,30 +289,15 @@ func (s *Site) scrubOne(ctx context.Context, fi FileInfo) (scrubVerdict, int64) 
 	}
 	s.logger.Printf("gdmp[%s]: scrub: %s is corrupt (crc %08x, catalog %s), quarantining",
 		s.cfg.Name, fi.LFN, crc, fi.CRC32)
-	s.withdrawReplica(ctx, fi, true)
+	s.withdrawLogged(ctx, fi, bytesQuarantined)
 	return scrubCorrupt, n
 }
 
-// withdrawReplica removes a bad local replica from the world: optionally
-// quarantining its bytes, dropping the local catalog entry (journaled),
-// and withdrawing this site's location from the replica catalog so no
-// consumer is routed to it. Catalog errors are logged, not fatal — the
-// next pass retries the withdrawal.
-func (s *Site) withdrawReplica(ctx context.Context, fi FileInfo, quarantineBytes bool) {
-	if quarantineBytes {
-		if localPath, err := s.resolveLocal(fi.Path); err == nil {
-			s.quarantine(localPath)
-		}
-	}
-	// The sidecar never outlives its replica: whatever bytes survive are
-	// parity for content the catalogs no longer promise.
-	s.dropParitySidecar(fi)
-	s.local.remove(fi.LFN)
-	if err := s.persist.removeFile(fi.LFN); err != nil {
-		s.logger.Printf("gdmp[%s]: journal withdraw %s: %v", s.cfg.Name, fi.LFN, err)
-	}
-	if err := s.rc.removeReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !isNotFound(err) {
-		s.logger.Printf("gdmp[%s]: withdraw %s from replica catalog: %v", s.cfg.Name, fi.LFN, err)
+// withdrawLogged is withdraw for the background paths (scrub verdicts, pool
+// evictions), which have no caller to hand the error to.
+func (s *Site) withdrawLogged(ctx context.Context, fi FileInfo, fate bytesFate) {
+	if err := s.withdraw(ctx, fi, fate, true); err != nil {
+		s.logger.Printf("gdmp[%s]: withdraw %s: %v", s.cfg.Name, fi.LFN, err)
 	}
 }
 
@@ -373,7 +347,7 @@ func (s *Site) sweepQuarantine() {
 		doomed = len(files) - maxCount
 	}
 	for _, f := range files[:doomed] {
-		if err := os.Remove(s.quarantinePath(f.name)); err != nil {
+		if err := os.Remove(filepath.Join(qdir, f.name)); err != nil {
 			s.logger.Printf("gdmp[%s]: quarantine sweep %s: %v", s.cfg.Name, f.name, err)
 			continue
 		}
@@ -417,12 +391,7 @@ func (s *Site) localDigest() []scrub.Entry {
 
 // digestFrom fetches a peer's digest over the gdmp.digest verb.
 func (s *Site) digestFrom(ctx context.Context, addr string) (name, dataAddr string, entries []scrub.Entry, err error) {
-	cl, err := s.dialGDMP(ctx, addr)
-	if err != nil {
-		return "", "", nil, err
-	}
-	defer cl.Close()
-	d, err := cl.CallContext(ctx, MethodDigest, nil)
+	d, err := s.call(ctx, addr, MethodDigest, nil)
 	if err != nil {
 		return "", "", nil, err
 	}
@@ -444,14 +413,9 @@ func (s *Site) digestFrom(ctx context.Context, addr string) (name, dataAddr stri
 // peerHasFile asks a peer whether it holds lfn right now, the live
 // point-query behind every anti-entropy withdrawal.
 func (s *Site) peerHasFile(ctx context.Context, addr, lfn string) (bool, error) {
-	cl, err := s.dialGDMP(ctx, addr)
-	if err != nil {
-		return false, err
-	}
-	defer cl.Close()
 	var e rpc.Encoder
 	e.String(lfn)
-	d, err := cl.CallContext(ctx, MethodHasFile, &e)
+	d, err := s.call(ctx, addr, MethodHasFile, &e)
 	if err != nil {
 		return false, err
 	}
@@ -543,7 +507,7 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 				}) {
 					rep.Dangling++
 				}
-				if s.queueRepair(lfn) {
+				if s.repairer.Add(lfn) {
 					rep.Repairs++
 				}
 			}
@@ -559,7 +523,7 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 			s.scrubMu.Lock()
 			if fi, ok := s.local.get(e.LFN); ok {
 				if verdict, _ := s.scrubOne(ctx, fi); verdict == scrubCorrupt || verdict == scrubMissing {
-					if s.queueRepair(fi.LFN) {
+					if s.repairer.Add(fi.LFN) {
 						rep.Repairs++
 					}
 				}
@@ -677,8 +641,4 @@ func (s *Site) registerScrubHandlers() {
 // quarantineDir returns <StateDir>/quarantine.
 func (s *Site) quarantineDir() string {
 	return filepath.Join(s.cfg.StateDir, "quarantine")
-}
-
-func (s *Site) quarantinePath(name string) string {
-	return filepath.Join(s.quarantineDir(), name)
 }

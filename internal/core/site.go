@@ -318,6 +318,7 @@ type Site struct {
 
 	rc    *rcService
 	local *localCatalog
+	catMu sync.Mutex // held by enter/leave/setResidency across table update + journal record
 
 	federation *objectstore.Federation
 	storage    *mss.MSS
@@ -444,21 +445,9 @@ func NewSite(cfg Config) (*Site, error) {
 		return nil, err
 	}
 
-	dialOpts := []rpc.DialOption{rpc.WithTimeout(30 * time.Second)}
-	if cfg.DialFunc != nil {
-		dialOpts = append(dialOpts, rpc.WithDialer(cfg.DialFunc))
-	}
-	rcClient, err := replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, dialOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("core: connect replica catalog: %w", err)
-	}
-
 	s := &Site{
-		cfg:    cfg,
-		logger: cfg.Logger,
-		rc: &rcService{client: rcClient, dial: func() (*replica.Client, error) {
-			return replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, dialOpts...)
-		}},
+		cfg:         cfg,
+		logger:      cfg.Logger,
 		local:       newLocalCatalog(),
 		federation:  cfg.Federation,
 		storage:     cfg.MSS,
@@ -470,6 +459,14 @@ func NewSite(cfg Config) (*Site, error) {
 		tunedBuf:    make(map[string]int),
 		paritySC:    make(map[string]string),
 	}
+	dialRC := func() (*replica.Client, error) {
+		return replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
+	}
+	rcClient, err := dialRC()
+	if err != nil {
+		return nil, fmt.Errorf("core: connect replica catalog: %w", err)
+	}
+	s.rc = &rcService{client: rcClient, dial: dialRC}
 	hcfg := cfg.Health
 	hcfg.Registry = cfg.Metrics
 	s.health = health.New(hcfg)
@@ -600,12 +597,7 @@ func (s *Site) HasFile(lfn string) bool { return s.local.has(lfn) }
 
 // Query searches the central replica catalog with an LDAP-style filter.
 func (s *Site) Query(filter string) ([]*replica.LogicalFile, error) {
-	return s.QueryCtx(s.ctx, filter)
-}
-
-// QueryCtx is Query bounded by a caller context.
-func (s *Site) QueryCtx(ctx context.Context, filter string) ([]*replica.LogicalFile, error) {
-	return s.rc.query(ctx, filter)
+	return s.rc.query(s.ctx, filter)
 }
 
 // Close shuts the site down. With a StateDir, the final state is folded
@@ -720,11 +712,12 @@ type PublishOptions struct {
 // it is added to the replica catalog with its meta-information, and all
 // subscribers are notified of its existence.
 func (s *Site) Publish(relPath string, opts PublishOptions) (PublishedFile, error) {
-	return s.publishCore(s.ctx, relPath, opts, true)
+	return s.publishCore(relPath, opts, true)
 }
 
-// publishCore registers a file and optionally notifies subscribers.
-func (s *Site) publishCore(ctx context.Context, relPath string, opts PublishOptions, notify bool) (pf PublishedFile, err error) {
+// publishCore registers a file and optionally notifies subscribers
+// (PublishAll sends one batched notification afterwards instead).
+func (s *Site) publishCore(relPath string, opts PublishOptions, notify bool) (pf PublishedFile, err error) {
 	defer s.met.publishTime.Time()()
 	defer func() { s.met.publishes.WithLabelValues(outcomeOf(err)).Inc() }()
 	localPath, err := s.resolveLocal(relPath)
@@ -778,7 +771,7 @@ func (s *Site) publishCore(ctx context.Context, relPath string, opts PublishOpti
 	for k, v := range typeAttrs {
 		attrs[k] = v
 	}
-	if err := s.rc.publishFile(ctx, lfn, attrs, pfn, opts.Collection); err != nil {
+	if err := s.rc.publishFile(s.ctx, lfn, attrs, pfn, opts.Collection); err != nil {
 		return PublishedFile{}, err
 	}
 
@@ -876,7 +869,7 @@ func (s *Site) drainSubscriber(st *subscriberState) {
 		addr := st.addr
 		s.subMu.Unlock()
 
-		err := s.sendNotify(s.ctx, addr, batch)
+		err := s.sendNotify(addr, batch)
 		s.met.notifySent.WithLabelValues(outcomeOf(err)).Inc()
 
 		s.subMu.Lock()
@@ -939,20 +932,10 @@ func (s *Site) SuspectSubscribers() []string {
 // SubscribeTo registers this site as a consumer of another site's
 // publications (Section 4.1's first client service).
 func (s *Site) SubscribeTo(remoteAddr string) error {
-	return s.SubscribeToCtx(s.ctx, remoteAddr)
-}
-
-// SubscribeToCtx is SubscribeTo bounded by a caller context.
-func (s *Site) SubscribeToCtx(ctx context.Context, remoteAddr string) error {
-	cl, err := s.dialGDMP(ctx, remoteAddr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
 	var e rpc.Encoder
 	e.String(s.cfg.Name)
 	e.String(s.Addr())
-	if _, err = cl.CallContext(ctx, MethodSubscribe, &e); err != nil {
+	if _, err := s.call(s.ctx, remoteAddr, MethodSubscribe, &e); err != nil {
 		return err
 	}
 	// The producer is now an anti-entropy peer: its digest tells us about
@@ -963,19 +946,9 @@ func (s *Site) SubscribeToCtx(ctx context.Context, remoteAddr string) error {
 
 // UnsubscribeFrom removes this site from a producer's subscriber list.
 func (s *Site) UnsubscribeFrom(remoteAddr string) error {
-	return s.UnsubscribeFromCtx(s.ctx, remoteAddr)
-}
-
-// UnsubscribeFromCtx is UnsubscribeFrom bounded by a caller context.
-func (s *Site) UnsubscribeFromCtx(ctx context.Context, remoteAddr string) error {
-	cl, err := s.dialGDMP(ctx, remoteAddr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
 	var e rpc.Encoder
 	e.String(s.cfg.Name)
-	if _, err = cl.CallContext(ctx, MethodUnsubscribe, &e); err != nil {
+	if _, err := s.call(s.ctx, remoteAddr, MethodUnsubscribe, &e); err != nil {
 		return err
 	}
 	s.removeProducer(remoteAddr)
@@ -1028,35 +1001,17 @@ func transientRPC(err error) bool {
 // recovery path: a site that missed notifications reconciles against the
 // producer's catalog.
 func (s *Site) RemoteCatalog(remoteAddr string) ([]FileInfo, error) {
-	return s.RemoteCatalogCtx(s.ctx, remoteAddr)
-}
-
-// RemoteCatalogCtx is RemoteCatalog bounded by a caller context.
-func (s *Site) RemoteCatalogCtx(ctx context.Context, remoteAddr string) ([]FileInfo, error) {
-	cl, err := s.dialGDMP(ctx, remoteAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer cl.Close()
-	d, err := cl.CallContext(ctx, MethodCatalog, nil)
+	d, err := s.call(s.ctx, remoteAddr, MethodCatalog, nil)
 	if err != nil {
 		return nil, err
 	}
 	files := decodeFileInfos(d)
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return files, nil
+	return files, d.Finish()
 }
 
 // Ping checks liveness and returns the remote site's name.
 func (s *Site) Ping(remoteAddr string) (string, error) {
-	cl, err := s.dialGDMP(s.ctx, remoteAddr)
-	if err != nil {
-		return "", err
-	}
-	defer cl.Close()
-	d, err := cl.CallContext(s.ctx, MethodPing, nil)
+	d, err := s.call(s.ctx, remoteAddr, MethodPing, nil)
 	if err != nil {
 		return "", err
 	}
@@ -1066,23 +1021,32 @@ func (s *Site) Ping(remoteAddr string) (string, error) {
 
 // Recover pulls every file the remote site has that we lack, using its
 // catalog instead of notifications (failure recovery after downtime).
+// Every missing file is attempted even when some fail — a single dead
+// source must not stop the whole reconciliation — and the failures come
+// back joined, alongside the true count of files that did arrive.
 func (s *Site) Recover(remoteAddr string) (fetched int, err error) {
-	return s.RecoverCtx(s.ctx, remoteAddr)
-}
-
-// RecoverCtx is Recover bounded by a caller context. Every missing file is
-// attempted even when some fail — a single dead source must not stop the
-// whole reconciliation — and the failures come back joined, alongside the
-// true count of files that did arrive.
-func (s *Site) RecoverCtx(ctx context.Context, remoteAddr string) (fetched int, err error) {
-	files, err := s.RemoteCatalogCtx(ctx, remoteAddr)
+	files, err := s.RemoteCatalog(remoteAddr)
 	if err != nil {
 		return 0, err
 	}
 	// Recovery is bulk reconciliation; it runs below notification-driven
 	// pulls so it cannot starve them.
-	fetched, _, err = s.pullAll(ctx, files, -1, "recover")
+	fetched, _, err = s.pullAll(files, -1, "recover")
 	return fetched, err
+}
+
+// call is the site's one control-plane exchange with another site's
+// Request Manager: a session dialed with this site's credential and
+// transport settings (dialGDMP: retried, scored on the health board), one
+// request, the session closed. The reply is the caller's to decode and
+// Finish. requestStage alone stays outside it (DESIGN 5l).
+func (s *Site) call(ctx context.Context, addr, method string, args *rpc.Encoder) (*rpc.Decoder, error) {
+	cl, err := s.dialGDMP(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	return cl.CallContext(ctx, method, args)
 }
 
 // dialGDMP opens a Request Manager session, retrying transient dial
@@ -1103,16 +1067,6 @@ func (s *Site) dialGDMP(ctx context.Context, addr string) (*rpc.Client, error) {
 	return cl, err
 }
 
-// observeOverload records a typed overload rejection from addr on the
-// health scoreboard, cooling the peer for the server-suggested
-// retry-after so queued work stops hammering it.
-func (s *Site) observeOverload(addr string, err error) {
-	if err == nil || !errors.Is(err, admission.ErrOverloaded) {
-		return
-	}
-	s.health.ObserveOverload(addr, retry.RetryAfterOf(err))
-}
-
 func (s *Site) rpcDialOpts() []rpc.DialOption {
 	opts := []rpc.DialOption{rpc.WithTimeout(30 * time.Second)}
 	if s.cfg.DialFunc != nil {
@@ -1131,23 +1085,18 @@ func (s *Site) Pending() []FileInfo {
 }
 
 // ProcessPending replicates every pending notification through the pull
-// scheduler and returns how many files were fetched.
+// scheduler, as one concurrent batch, and returns how many files were
+// fetched: every missing file is submitted up front, so the workers
+// overlap transfers across sources. Each file is attempted even when
+// others fail; the failed ones go back on the pending queue for a later
+// pass, and their errors come back joined.
 func (s *Site) ProcessPending() (int, error) {
-	return s.ProcessPendingCtx(s.ctx)
-}
-
-// ProcessPendingCtx drains the pending queue as one concurrent batch:
-// every missing file is submitted to the scheduler up front, so the
-// workers overlap transfers across sources. Each file is attempted even
-// when others fail; the failed ones go back on the pending queue for a
-// later pass, and their errors come back joined.
-func (s *Site) ProcessPendingCtx(ctx context.Context) (int, error) {
 	s.pendMu.Lock()
 	work := s.pending
 	s.pending = nil
 	s.met.pendingDepth.Set(0)
 	s.pendMu.Unlock()
-	n, failed, err := s.pullAll(ctx, work, 0, "pending")
+	n, failed, err := s.pullAll(work, 0, "pending")
 	if len(failed) > 0 {
 		// Requeue only what actually failed; the rest either arrived or
 		// was already here.
@@ -1160,7 +1109,7 @@ func (s *Site) ProcessPendingCtx(ctx context.Context) (int, error) {
 // them. It returns how many were fetched, the files whose pulls failed,
 // and the failures joined into one error. Already-present files count as
 // neither fetched nor failed.
-func (s *Site) pullAll(ctx context.Context, files []FileInfo, priority int, op string) (int, []FileInfo, error) {
+func (s *Site) pullAll(files []FileInfo, priority int, op string) (int, []FileInfo, error) {
 	type pull struct {
 		fi FileInfo
 		tk *xfer.Ticket
@@ -1180,7 +1129,7 @@ func (s *Site) pullAll(ctx context.Context, files []FileInfo, priority int, op s
 	var failed []FileInfo
 	var errs []error
 	for _, p := range pulls {
-		if err := p.tk.Wait(ctx); err != nil {
+		if err := p.tk.Wait(s.ctx); err != nil {
 			failed = append(failed, p.fi)
 			errs = append(errs, fmt.Errorf("core: %s %s: %w", op, p.fi.LFN, err))
 			continue
@@ -1214,52 +1163,38 @@ func (s *Site) WaitForFile(lfn string, timeout time.Duration) error {
 }
 
 // sendNotify delivers a notification to one subscriber.
-func (s *Site) sendNotify(ctx context.Context, addr string, files []FileInfo) error {
-	cl, err := s.dialGDMP(ctx, addr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
+func (s *Site) sendNotify(addr string, files []FileInfo) error {
 	var e rpc.Encoder
 	e.String(s.cfg.Name)
 	encodeFileInfos(&e, files)
-	_, err = cl.CallContext(ctx, MethodNotify, &e)
+	_, err := s.call(s.ctx, addr, MethodNotify, &e)
 	return err
 }
 
+// takeOn is what the site does with pulls it has come to own (accepted
+// notices, intents recovered from the journal): with AutoReplicate each is
+// admitted to the scheduler at once — its workers bound concurrency, and
+// duplicates coalesce by LFN — and only the ones that fail join the
+// pending queue; without, they all wait there for ProcessPending.
+func (s *Site) takeOn(files []FileInfo, why string) {
+	if !s.cfg.AutoReplicate {
+		s.addPending(files...)
+		return
+	}
+	for _, fi := range files {
+		tk := s.submitGet(fi.LFN, 0)
+		s.notifyWG.Add(1)
+		go func() {
+			defer s.notifyWG.Done()
+			if err := tk.Wait(s.ctx); err != nil {
+				s.logger.Printf("gdmp[%s]: %s %s: %v", s.cfg.Name, why, fi.LFN, err)
+				s.addPending(fi)
+			}
+		}()
+	}
+}
+
 // --- server handlers -------------------------------------------------------------
-
-func encodeFileInfos(e *rpc.Encoder, files []FileInfo) {
-	e.Uint32(uint32(len(files)))
-	for _, f := range files {
-		e.String(f.LFN)
-		e.String(f.Path)
-		e.Int64(f.Size)
-		e.String(f.CRC32)
-		e.String(f.FileType)
-		e.String(string(f.State))
-	}
-}
-
-func decodeFileInfos(d *rpc.Decoder) []FileInfo {
-	n := d.Uint32()
-	out := make([]FileInfo, 0, n)
-	for i := uint32(0); i < n; i++ {
-		fi := FileInfo{
-			LFN:      d.String(),
-			Path:     d.String(),
-			Size:     d.Int64(),
-			CRC32:    d.String(),
-			FileType: d.String(),
-			State:    FileState(d.String()),
-		}
-		if d.Err() != nil {
-			return nil
-		}
-		out = append(out, fi)
-	}
-	return out
-}
 
 func (s *Site) registerHandlers() {
 	s.gdmpSrv.Handle(MethodPing, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
@@ -1344,25 +1279,7 @@ func (s *Site) registerHandlers() {
 				return fmt.Errorf("core: journal notice %s: %w", fi.LFN, err)
 			}
 		}
-		if s.cfg.AutoReplicate {
-			// Submit the batch to the pull scheduler instead of spawning
-			// one unbounded goroutine per file: the worker pool bounds
-			// concurrency, and duplicate notices coalesce by LFN.
-			for _, fi := range fresh {
-				fi := fi
-				tk := s.submitGet(fi.LFN, 0)
-				s.notifyWG.Add(1)
-				go func() {
-					defer s.notifyWG.Done()
-					if err := tk.Wait(s.ctx); err != nil {
-						s.logger.Printf("gdmp[%s]: auto-replicate %s: %v", s.cfg.Name, fi.LFN, err)
-						s.addPending(fi)
-					}
-				}()
-			}
-			return nil
-		}
-		s.addPending(fresh...)
+		s.takeOn(fresh, "auto-replicate")
 		return nil
 	})
 	s.gdmpSrv.Handle(MethodCatalog, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
@@ -1399,10 +1316,7 @@ func (s *Site) stageLocal(ctx context.Context, lfn string) error {
 		return err
 	}
 	if _, err := os.Stat(localPath); err == nil {
-		if err := s.local.setState(lfn, StateDisk); err != nil {
-			return err
-		}
-		return s.persist.setState(lfn, StateDisk)
+		return s.setResidency(lfn, StateDisk)
 	}
 	if s.storage == nil {
 		return fmt.Errorf("core: %q missing on disk and no MSS configured", lfn)
@@ -1414,10 +1328,7 @@ func (s *Site) stageLocal(ctx context.Context, lfn string) error {
 	// The transfer itself re-reads from disk; unpin right away and rely on
 	// the pool's recency to keep the file until the transfer completes.
 	s.storage.Release(fi.Path)
-	if err := s.local.setState(lfn, StateDisk); err != nil {
-		return err
-	}
-	return s.persist.setState(lfn, StateDisk)
+	return s.setResidency(lfn, StateDisk)
 }
 
 // ArchiveLocal pushes a published file's bytes to tape and (optionally)

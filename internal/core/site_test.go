@@ -710,6 +710,54 @@ func TestLandingSurvivesConcurrentEviction(t *testing.T) {
 	}
 }
 
+// TestFailedLandingIsNotRevealed: a replica whose journal record cannot be
+// appended must not become visible. With the journal severed every Get
+// fails — the first one must not leave an entry behind for the second to
+// be satisfied by — and the site is never listed as a location.
+func TestFailedLandingIsNotRevealed(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Durable: true})
+	pf := publish(t, g, cern, "unjournaled.db", testbed.MakeData(10_000, 24), core.PublishOptions{})
+
+	anl.SeverJournal()
+	for attempt := 1; attempt <= 2; attempt++ {
+		if err := anl.Get(pf.LFN); err == nil || !strings.Contains(err.Error(), "journal") {
+			t.Fatalf("Get %d with a severed journal = %v, want a journal error", attempt, err)
+		}
+		if anl.HasFile(pf.LFN) {
+			t.Fatalf("after Get %d: an unjournaled replica is revealed", attempt)
+		}
+	}
+	if len(anl.LocalFiles()) != 0 {
+		t.Fatalf("local catalog = %+v, want empty", anl.LocalFiles())
+	}
+	if locs, _ := g.Catalog.Locations(pf.LFN); len(locs) != 1 {
+		t.Fatalf("locations = %v, want the producer only", locs)
+	}
+	if st := anl.Status(); st.Journal != "failed" {
+		t.Fatalf("status journal = %q, want failed", st.Journal)
+	}
+}
+
+// TestNotifyWithHostileCount: the entry count of a gdmp.notify body comes
+// from the peer. A four-byte list claiming 2^32-1 entries must cost an
+// error reply, not the memory to hold them.
+func TestNotifyWithHostileCount(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+	var e rpc.Encoder
+	e.String("cern.ch")
+	e.Uint32(1<<32 - 1)
+	if _, err := cern.CallRemote(anl.Addr(), core.MethodNotify, &e); err == nil {
+		t.Fatal("truncated notify with an oversized count was accepted")
+	}
+	if _, err := cern.Ping(anl.Addr()); err != nil {
+		t.Fatalf("site did not survive the hostile notify: %v", err)
+	}
+}
+
 func TestConcurrentGetsCoalesce(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})

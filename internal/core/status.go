@@ -238,12 +238,7 @@ func (s *Site) journalHealth() string {
 
 // RemoteStatus fetches another site's status over the Request Manager.
 func (s *Site) RemoteStatus(remoteAddr string) (SiteStatus, error) {
-	cl, err := s.dialGDMP(s.ctx, remoteAddr)
-	if err != nil {
-		return SiteStatus{}, err
-	}
-	defer cl.Close()
-	d, err := cl.CallContext(s.ctx, MethodStatus, nil)
+	d, err := s.call(s.ctx, remoteAddr, MethodStatus, nil)
 	if err != nil {
 		return SiteStatus{}, err
 	}

@@ -388,10 +388,10 @@ func (c *Client) List(prefix string) ([]ListEntry, error) {
 		return nil, &ReplyError{Verb: "NLST", Code: code, Text: text}
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(text))
-	if err != nil {
+	if err != nil || n < 0 {
 		return nil, fmt.Errorf("%w: NLST count %q", ErrProtocol, text)
 	}
-	entries := make([]ListEntry, 0, n)
+	entries := make([]ListEntry, 0, min(n, 4096)) // cap wire-supplied preallocation
 	defer c.clearDeadline()
 	for i := 0; i < n; i++ {
 		c.armDeadline()

@@ -114,7 +114,7 @@ func (c *Client) Query(ctx context.Context, filter string) ([]*LogicalFile, erro
 		return nil, err
 	}
 	n := d.Uint32()
-	out := make([]*LogicalFile, 0, n)
+	out := make([]*LogicalFile, 0, min(n, 4096)) // cap wire-supplied preallocation
 	for i := uint32(0); i < n; i++ {
 		name := d.String()
 		attrs := decodeAttrs(d)

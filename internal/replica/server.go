@@ -68,7 +68,7 @@ func encodeAttrs(e *rpc.Encoder, attrs map[string]string) {
 
 func decodeAttrs(d *rpc.Decoder) map[string]string {
 	n := d.Uint32()
-	attrs := make(map[string]string, n)
+	attrs := make(map[string]string, min(n, 64)) // cap wire-supplied preallocation
 	for i := uint32(0); i < n; i++ {
 		k := d.String()
 		v := d.String()

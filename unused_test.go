@@ -46,7 +46,10 @@ var keptUnused = []struct{ why, names string }{
 // under internal/, cmd/, examples/ or bench/ mentions outside its own
 // declaration. Matching is by name, not by type: a name any package uses
 // counts as used everywhere, so the check under-reports rather than
-// flags live code.
+// flags live code. One mention does not count: the call inside a method
+// whose whole body forwards to another method of its own receiver
+// (`func (s *Site) Get(l string) error { return s.GetCtx(s.ctx, l) }`), or
+// a fork that only its own plain-named wrapper calls would pass as used.
 func TestNoUnusedExports(t *testing.T) {
 	fset := token.NewFileSet()
 	type export struct {
@@ -84,6 +87,9 @@ func TestNoUnusedExports(t *testing.T) {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					declare(d.Name)
+					if name := forwardedTo(d); name != "" {
+						mentions[name]--
+					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
@@ -130,4 +136,34 @@ func TestNoUnusedExports(t *testing.T) {
 			t.Errorf("keptUnused lists %s, which is gone or used by non-test code now: drop the entry", name)
 		}
 	}
+}
+
+// forwardedTo returns the method name m when d is a method whose body is
+// the single statement `recv.m(...)` or `return recv.m(...)` on d's own
+// receiver, and "" otherwise.
+func forwardedTo(d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) != 1 || len(d.Recv.List[0].Names) != 1 || d.Body == nil || len(d.Body.List) != 1 {
+		return ""
+	}
+	var expr ast.Expr
+	switch st := d.Body.List[0].(type) {
+	case *ast.ExprStmt:
+		expr = st.X
+	case *ast.ReturnStmt:
+		if len(st.Results) == 1 {
+			expr = st.Results[0]
+		}
+	}
+	call, ok := expr.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != d.Recv.List[0].Names[0].Name {
+		return ""
+	}
+	return sel.Sel.Name
 }
