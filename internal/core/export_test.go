@@ -25,3 +25,16 @@ func (s *Site) SidecarJournaled(lfn string) bool {
 	_, ok := s.persist.recoveredParity()[lfn]
 	return ok
 }
+
+// RewriteSidecar drops lfn's parity sidecar and runs the landing path's
+// sidecar step again on whatever bytes the replica holds now. It reports
+// whether the in-memory registry holds a sidecar for lfn afterwards.
+func (s *Site) RewriteSidecar(lfn string) bool {
+	fi, _ := s.local.get(lfn)
+	s.dropParitySidecar(fi)
+	s.writeParitySidecar(fi)
+	s.parityMu.Lock()
+	defer s.parityMu.Unlock()
+	_, ok := s.paritySC[lfn]
+	return ok
+}

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"gdmp/internal/gridftp"
 	"gdmp/internal/parity"
 )
 
@@ -41,17 +40,15 @@ func (s *Site) writeParitySidecar(fi FileInfo) {
 	if err != nil {
 		return
 	}
-	sc, err := parity.CreateFile(localPath, pp.K, pp.M)
+	// The encoder ends holding the CRC of the bytes it read: when they are
+	// not the cataloged content it writes nothing, and the replica takes the
+	// no-sidecar path until scrub has dealt with the rot.
+	crcHex, err := parity.ProtectFile(localPath, pp.K, pp.M, fi.CRC32)
 	if err != nil {
-		s.logger.Printf("gdmp[%s]: parity: encode %s: %v", s.cfg.Name, fi.LFN, err)
+		s.logger.Printf("gdmp[%s]: parity: sidecar for %s: %v", s.cfg.Name, fi.LFN, err)
 		return
 	}
 	scPath := parity.SidecarPath(localPath)
-	crcHex, err := sc.WriteFile(scPath)
-	if err != nil {
-		s.logger.Printf("gdmp[%s]: parity: write sidecar for %s: %v", s.cfg.Name, fi.LFN, err)
-		return
-	}
 	// Sidecars are pool residents too: they count against capacity and are
 	// attached to their data file, so they leave the pool with it and are
 	// never eviction victims on their own.
@@ -142,50 +139,17 @@ func (s *Site) loadSidecar(fi FileInfo, localPath string) *parity.Sidecar {
 	return sc
 }
 
-// parityRebuild reconstructs a corrupt replica in place from its sidecar.
-// Rebuild verifies the result end-to-end against the recorded whole-file
-// CRC before anything is written, and the write goes through the same
-// atomic .part→rename path transfers use, so a crash mid-rebuild leaves
-// the original bytes plus quarantinable .part debris, never a torn file.
+// parityRebuild reconstructs a corrupt replica in place from its sidecar,
+// file to file. RebuildFile verifies the result before its atomic
+// .part→rename, the staging suffix recovery already quarantines.
 func (s *Site) parityRebuild(fi FileInfo, localPath string, sc *parity.Sidecar) error {
-	data, err := os.ReadFile(localPath)
+	rebuilt, err := sc.RebuildFile(localPath)
 	if err != nil {
-		return err
-	}
-	fixed, rebuilt, err := sc.Rebuild(data)
-	if err != nil {
-		return err
-	}
-	tmp := localPath + gridftp.PartSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(fixed); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, localPath); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	var repaired int64
 	for _, b := range rebuilt {
-		bl := sc.BlockSize
-		if off := int64(b) * sc.BlockSize; off+bl > sc.DataSize {
-			bl = sc.DataSize - off
-		}
-		repaired += bl
+		repaired += min(sc.BlockSize, sc.DataSize-int64(b)*sc.BlockSize)
 	}
 	s.scrubMet.ParityRebuilds.Inc()
 	s.scrubMet.RepairBytesLocal.Add(repaired)

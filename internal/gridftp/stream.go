@@ -88,8 +88,11 @@ func recvBlocks(conns []net.Conn, dst io.WriterAt, window Range, onBlock blockFu
 // carrying the offset it stopped at.
 func sendBlocks(conns []net.Conn, src io.ReaderAt, ranges []Range, blockSize int, onBlock blockFunc) ([]int64, error) {
 	return eachStream(conns, onBlock, func(stream int, c net.Conn, moved func(off, n int64)) error {
-		buf := make([]byte, blockSize)
-		var pos int64
+		var longest, pos int64 // the buffer is sized to the work: a 4 KiB file needs no 64 KiB block
+		for i := stream; i < len(ranges); i += len(conns) {
+			longest = max(longest, ranges[i].End-ranges[i].Start)
+		}
+		buf := make([]byte, min(int64(blockSize), longest))
 		for i := stream; i < len(ranges); i += len(conns) {
 			for pos = ranges[i].Start; pos < ranges[i].End; {
 				chunk := min(int64(len(buf)), ranges[i].End-pos)

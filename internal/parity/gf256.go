@@ -7,71 +7,65 @@
 // damage exceeds the parity budget or the sidecar itself is corrupt.
 package parity
 
+import "encoding/binary"
+
 // GF(2^8) arithmetic with the AES-adjacent primitive polynomial x^8 + x^4 +
-// x^3 + x^2 + 1 (0x11d), the polynomial every RS storage codec uses.
-// Multiplication goes through exp/log tables; the exp table is doubled so
-// gfMul needs no modular reduction of the summed logs.
+// x^3 + x^2 + 1 (0x11d), the polynomial every RS storage codec uses. Every
+// multiplication reads gfMulTable, the full 256 × 256 product table
+// (64 KiB): one load, no branch on the data.
 
 const gfPoly = 0x11d
 
-var (
-	gfExp [512]byte
-	gfLog [256]byte
-)
+var gfMulTable [256][256]byte
 
 func init() {
-	x := 1
-	for i := 0; i < 255; i++ {
-		gfExp[i] = byte(x)
-		gfLog[x] = byte(i)
-		x <<= 1
-		if x >= 256 {
-			x ^= gfPoly
+	for a := range gfMulTable {
+		row := &gfMulTable[a]
+		for b := 1; b < 256; b++ {
+			// a·b = (a·⌊b/2⌋)·x, plus a when b is odd: one doubling of an
+			// earlier entry, reduced by the polynomial when it overflows.
+			d := int(row[b>>1]) << 1
+			if d >= 256 {
+				d ^= gfPoly
+			}
+			if b&1 != 0 {
+				d ^= a
+			}
+			row[b] = byte(d)
 		}
 	}
-	for i := 255; i < 512; i++ {
-		gfExp[i] = gfExp[i-255]
-	}
 }
 
-func gfMul(a, b byte) byte {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+int(gfLog[b])]
-}
-
-func gfDiv(a, b byte) byte {
-	if b == 0 {
-		panic("parity: division by zero in GF(2^8)")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
-}
+func gfMul(a, b byte) byte { return gfMulTable[a][b] }
 
 func gfInv(a byte) byte {
-	return gfDiv(1, a)
+	for b, p := range gfMulTable[a] {
+		if p == 1 {
+			return byte(b)
+		}
+	}
+	panic("parity: division by zero in GF(2^8)")
 }
 
 // gfMulSlice accumulates c*in into out (out[i] ^= c*in[i]) — the inner loop
-// of both encoding and reconstruction.
+// of both encoding and reconstruction. Eight products are looked up in c's
+// row of the table, assembled into one word and XORed into out with a single
+// load and store.
 func gfMulSlice(c byte, in, out []byte) {
 	if c == 0 {
 		return
 	}
-	if c == 1 {
-		for i, v := range in {
-			out[i] ^= v
-		}
-		return
+	t := &gfMulTable[c]
+	out = out[:len(in)]
+	n := len(in) &^ 7
+	for i := 0; i < n; i += 8 {
+		s, o := in[i:i+8:i+8], out[i:i+8:i+8]
+		v := uint64(t[s[0]]) | uint64(t[s[1]])<<8 | uint64(t[s[2]])<<16 | uint64(t[s[3]])<<24 |
+			uint64(t[s[4]])<<32 | uint64(t[s[5]])<<40 | uint64(t[s[6]])<<48 | uint64(t[s[7]])<<56
+		binary.LittleEndian.PutUint64(o, binary.LittleEndian.Uint64(o)^v)
 	}
-	logC := int(gfLog[c])
-	for i, v := range in {
-		if v != 0 {
-			out[i] ^= gfExp[logC+int(gfLog[v])]
-		}
+	for i := n; i < len(in); i++ {
+		out[i] ^= t[in[i]]
 	}
 }
 
@@ -86,31 +80,12 @@ func newMatrix(rows, cols int) matrix {
 	return m
 }
 
-// identityMatrix returns the n×n identity.
-func identityMatrix(n int) matrix {
-	m := newMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m[i][i] = 1
-	}
-	return m
-}
-
 // mul returns a×b.
 func (a matrix) mul(b matrix) matrix {
-	rows, inner, cols := len(a), len(b), len(b[0])
-	out := newMatrix(rows, cols)
-	for r := 0; r < rows; r++ {
-		for k := 0; k < inner; k++ {
-			c := a[r][k]
-			if c == 0 {
-				continue
-			}
-			logC := int(gfLog[c])
-			for j := 0; j < cols; j++ {
-				if v := b[k][j]; v != 0 {
-					out[r][j] ^= gfExp[logC+int(gfLog[v])]
-				}
-			}
+	out := newMatrix(len(a), len(b[0]))
+	for r, row := range a {
+		for k, c := range row {
+			gfMulSlice(c, b[k], out[r])
 		}
 	}
 	return out
@@ -137,18 +112,13 @@ func (a matrix) invert() (matrix, bool) {
 			return nil, true
 		}
 		work[col], work[pivot] = work[pivot], work[col]
-		if inv := gfInv(work[col][col]); inv != 1 {
-			for j := 0; j < 2*n; j++ {
-				work[col][j] = gfMul(work[col][j], inv)
-			}
+		inv := gfInv(work[col][col])
+		for j, v := range work[col] {
+			work[col][j] = gfMul(v, inv)
 		}
-		for r := 0; r < n; r++ {
-			if r == col || work[r][col] == 0 {
-				continue
-			}
-			c := work[r][col]
-			for j := 0; j < 2*n; j++ {
-				work[r][j] ^= gfMul(c, work[col][j])
+		for r := range work {
+			if r != col {
+				gfMulSlice(work[r][col], work[col], work[r])
 			}
 		}
 	}
@@ -173,9 +143,7 @@ func codingMatrix(k, m int) matrix {
 			e = gfMul(e, byte(r+1))
 		}
 	}
-	top := make(matrix, k)
-	copy(top, vand[:k])
-	inv, singular := top.invert()
+	inv, singular := vand[:k].invert()
 	if singular {
 		// Cannot happen: a k×k Vandermonde matrix with distinct
 		// evaluation points 1..k is always invertible.

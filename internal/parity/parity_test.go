@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,10 +163,27 @@ func TestSidecarFileRoundTrip(t *testing.T) {
 		got.DataSize != sc.DataSize || got.DataCRC != sc.DataCRC {
 		t.Fatalf("header mismatch: %+v vs %+v", got, sc)
 	}
+	// Load is header-only: the payload stays on disk, after the header.
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := enc[headerLen(sc.K, sc.M):]
 	for i := range sc.Parity {
-		if !bytes.Equal(got.Parity[i], sc.Parity[i]) {
+		if !bytes.Equal(payload[int64(i)*sc.BlockSize:int64(i+1)*sc.BlockSize], sc.Parity[i]) {
 			t.Fatalf("parity shard %d mismatch", i)
 		}
+	}
+	if got.Parity != nil || !slices.Equal(got.DataCRCs, sc.DataCRCs) || !slices.Equal(got.ParityCRCs, sc.ParityCRCs) {
+		t.Fatalf("loaded sidecar differs: %+v vs %+v", got, sc)
+	}
+	// The loaded sidecar repairs from its file exactly as the in-memory one
+	// does from its shards.
+	corrupt := append([]byte(nil), orig...)
+	damage(corrupt, sc, []int{0, 4}, rng)
+	fixed, rebuilt, err := got.Rebuild(corrupt)
+	if err != nil || !bytes.Equal(fixed, orig) || len(rebuilt) != 2 {
+		t.Fatalf("rebuild from a loaded sidecar: %v (rebuilt %v)", err, rebuilt)
 	}
 	if _, err := os.Stat(path + partSuffix); !os.IsNotExist(err) {
 		t.Fatalf("staging file left behind: %v", err)
@@ -256,5 +274,84 @@ func TestDamagedBlocksMatchesDigest(t *testing.T) {
 	bad := sc.DamagedBlocks(crcs)
 	if len(bad) != 1 || bad[0] != 2 {
 		t.Fatalf("expected damaged=[2], got %v", bad)
+	}
+}
+
+// TestCRCCombineProperty: crcCombine agrees with a CRC of the concatenation
+// for random splits, empty halves included.
+func TestCRCCombineProperty(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ab := make([]byte, rng.Intn(200_000))
+		rng.Read(ab)
+		cut := 0
+		switch rng.Intn(4) {
+		case 0: // empty a
+		case 1:
+			cut = len(ab) // empty b
+		default:
+			cut = rng.Intn(len(ab) + 1)
+		}
+		a, b := ab[:cut], ab[cut:]
+		return crcCombine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), int64(len(b))) == crc32.ChecksumIEEE(ab)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refMul multiplies in GF(2^8) from the definition, with no table: the
+// carry-less product of the two polynomials, then its remainder mod 0x11d.
+func refMul(a, b byte) byte {
+	var p uint16
+	for i := 0; i < 8; i++ {
+		if b&(1<<i) != 0 {
+			p ^= uint16(a) << i
+		}
+	}
+	for bit := 14; bit >= 8; bit-- {
+		if p&(1<<bit) != 0 {
+			p ^= gfPoly << (bit - 8)
+		}
+	}
+	return byte(p)
+}
+
+// TestMulSliceMatchesField: the word-at-a-time kernel computes, for every
+// coefficient and every length around its 8-byte stride, what the definition
+// of the field does byte by byte; and the table's inverses are inverses.
+func TestMulSliceMatchesField(t *testing.T) {
+	for a := 1; a < 256; a++ {
+		if refMul(byte(a), gfInv(byte(a))) != 1 {
+			t.Fatalf("gfInv(%d) is not its inverse", a)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	in := make([]byte, 256+19)
+	for i := range in {
+		in[i] = byte(i) // every field element, then a ragged tail
+	}
+	for c := 0; c < 256; c++ {
+		for _, n := range []int{0, 1, 7, 8, 9, len(in)} {
+			out := make([]byte, n)
+			rng.Read(out)
+			want := append([]byte(nil), out...)
+			for i, v := range in[:n] {
+				want[i] ^= refMul(byte(c), v)
+			}
+			gfMulSlice(byte(c), in[:n], out)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("c=%d n=%d: kernel disagrees with the field", c, n)
+			}
+		}
+	}
+}
+
+func BenchmarkMulSlice(b *testing.B) {
+	in, out := make([]byte, chunkSize), make([]byte, chunkSize)
+	rand.New(rand.NewSource(1)).Read(in)
+	b.SetBytes(chunkSize)
+	for i := 0; i < b.N; i++ {
+		gfMulSlice(byte(i)|2, in, out)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -56,10 +58,7 @@ func (p Params) Enabled() bool { return p.K > 0 && p.M > 0 }
 
 // Validate rejects geometries the GF(2^8) code cannot express.
 func (p Params) Validate() error {
-	if !p.Enabled() {
-		return nil
-	}
-	if p.K < 1 || p.M < 1 || p.K+p.M > 255 {
+	if p.Enabled() && p.K+p.M > 255 {
 		return fmt.Errorf("parity: invalid geometry k=%d m=%d (need k,m >= 1 and k+m <= 255)", p.K, p.M)
 	}
 	return nil
@@ -71,8 +70,10 @@ func SidecarPath(dataPath string) string { return dataPath + Suffix }
 // IsSidecar reports whether a file name is a parity sidecar.
 func IsSidecar(name string) bool { return strings.HasSuffix(name, Suffix) }
 
-// Sidecar is the in-memory form of a parity sidecar: the code geometry,
-// per-block CRCs for damage localisation, and the parity payload itself.
+// Sidecar is the in-memory form of a parity sidecar: the code geometry and
+// per-block CRCs for damage localisation. Parity holds the payload of a
+// sidecar made by Create or CreateFile; a sidecar from Load leaves it nil
+// and reads the payload from its file, chunk by chunk, when it rebuilds.
 //
 // On disk the layout is little-endian and self-checksummed:
 //
@@ -99,207 +100,217 @@ type Sidecar struct {
 	DataCRCs   []uint32
 	ParityCRCs []uint32
 	Parity     [][]byte
+
+	path string // the file Load read the header from
 }
 
-// Create computes the parity sidecar for a file's content. The content must
-// be non-empty: zero-byte files have nothing to protect and callers skip
-// them.
-func Create(data []byte, k, m int) (*Sidecar, error) {
-	p := Params{K: k, M: m}
-	if !p.Enabled() {
-		return nil, errors.New("parity: Create called with parity disabled")
+// headerLen is the size of the on-disk header of a k+m sidecar.
+func headerLen(k, m int) int64 { return 8 + 2 + 2 + 8 + 8 + 4 + 4*int64(k+m) + 4 }
+
+// encode is the one encoder: a stripe walk over the k data blocks of src
+// that writes the m parity blocks to payload, block r at base + r·blockSize
+// (a nil payload keeps them in memory, as Sidecar.Parity), and returns the
+// sidecar describing them. Every CRC comes out of the same walk: the
+// per-block ones directly, the whole-file one by combining them.
+func encode(src io.ReaderAt, size int64, k, m int, payload io.WriterAt, base int64) (*Sidecar, error) {
+	if p := (Params{K: k, M: m}); !p.Enabled() || p.Validate() != nil || size <= 0 {
+		return nil, fmt.Errorf("parity: cannot protect %d bytes with a %d+%d code", size, k, m)
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, errors.New("parity: cannot protect an empty file")
-	}
-	size := int64(len(data))
-	bs := (size + int64(k) - 1) / int64(k)
-	sc := &Sidecar{
-		K:          k,
-		M:          m,
-		BlockSize:  bs,
-		DataSize:   size,
-		DataCRC:    crc32.ChecksumIEEE(data),
-		DataCRCs:   make([]uint32, k),
-		ParityCRCs: make([]uint32, m),
-		Parity:     make([][]byte, m),
-	}
-	shards := dataShards(data, k, bs)
-	for i, sh := range shards {
-		sc.DataCRCs[i] = crc32.ChecksumIEEE(sh[:blockLen(i, bs, size)])
+	bs := (size-1)/int64(k) + 1
+	sc := &Sidecar{K: k, M: m, BlockSize: bs, DataSize: size}
+	var mem memory
+	if payload == nil {
+		mem = make(memory, int64(m)*bs)
+		payload = mem
 	}
 	mat := codingMatrix(k, m)
-	for r := 0; r < m; r++ {
-		out := make([]byte, bs)
-		for c := 0; c < k; c++ {
-			gfMulSlice(mat[k+r][c], shards[c], out)
+	in, out := make([]*block, k), make([]*block, m)
+	for i := range in {
+		in[i] = &block{src: src, off: int64(i) * bs, n: blockLen(i, bs, size)}
+	}
+	for r := range out {
+		out[r] = &block{row: mat[k+r], dst: payload, off: base + int64(r)*bs, n: bs}
+	}
+	if err := stripe(bs, in, out); err != nil {
+		return nil, err
+	}
+	for _, b := range in {
+		sc.DataCRCs = append(sc.DataCRCs, b.crc)
+		sc.DataCRC = crcCombine(sc.DataCRC, b.crc, b.n)
+	}
+	for _, b := range out {
+		sc.ParityCRCs = append(sc.ParityCRCs, b.crc)
+		if mem != nil {
+			sc.Parity = append(sc.Parity, mem[b.off:b.off+bs])
 		}
-		sc.Parity[r] = out
-		sc.ParityCRCs[r] = crc32.ChecksumIEEE(out)
 	}
 	return sc, nil
 }
 
-// CreateFile is Create over a file on disk.
+// Create computes the parity sidecar for a file's content, payload in
+// memory. The content must be non-empty: zero-byte files have nothing to
+// protect and callers skip them.
+func Create(data []byte, k, m int) (*Sidecar, error) {
+	return encode(bytes.NewReader(data), int64(len(data)), k, m, nil, 0)
+}
+
+// CreateFile is Create over a file on disk, read once through the stripe
+// loop.
 func CreateFile(dataPath string, k, m int) (*Sidecar, error) {
-	data, err := os.ReadFile(dataPath)
+	f, size, err := openSized(dataPath)
 	if err != nil {
 		return nil, err
 	}
-	return Create(data, k, m)
+	defer f.Close()
+	return encode(f, size, k, m, nil, 0)
 }
 
-// dataShards slices data into k shards of bs bytes, zero-padding the tail.
-func dataShards(data []byte, k int, bs int64) [][]byte {
-	shards := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		sh := make([]byte, bs)
-		off := int64(i) * bs
-		if off < int64(len(data)) {
-			copy(sh, data[off:])
-		}
-		shards[i] = sh
+// ProtectFile encodes dataPath's sidecar file-to-file: parity chunks go
+// straight into the staged sidecar, the header last, and nothing larger than
+// the stripe loop's chunk set is held in memory. When wantCRC (the cataloged
+// hex CRC of the content) is non-empty and the bytes read do not hash to it,
+// nothing is written: a sidecar must not enshrine rot. It returns the hex
+// CRC of the sidecar file, which the caller journals so recovery can tell a
+// current sidecar from a stale one.
+func ProtectFile(dataPath string, k, m int, wantCRC string) (crcHex string, err error) {
+	src, size, err := openSized(dataPath)
+	if err != nil {
+		return "", err
 	}
-	return shards
+	defer src.Close()
+	err = stage(SidecarPath(dataPath), func(f *os.File) error {
+		sc, err := encode(src, size, k, m, f, headerLen(k, m))
+		if err != nil {
+			return err
+		}
+		if got := fmt.Sprintf("%08x", sc.DataCRC); wantCRC != "" && got != wantCRC {
+			return fmt.Errorf("parity: content has crc %s, catalog says %s", got, wantCRC)
+		}
+		hdr := sc.header()
+		sum := crc32.ChecksumIEEE(hdr)
+		for _, c := range sc.ParityCRCs {
+			sum = crcCombine(sum, c, sc.BlockSize)
+		}
+		crcHex = fmt.Sprintf("%08x", sum)
+		_, err = f.WriteAt(hdr, 0)
+		return err
+	})
+	return crcHex, err
+}
+
+func openSized(path string) (*os.File, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return f, st.Size(), nil
 }
 
 // blockLen is the unpadded length of data block i.
 func blockLen(i int, bs, size int64) int64 {
-	off := int64(i) * bs
-	if off >= size {
-		return 0
-	}
-	if off+bs > size {
-		return size - off
-	}
-	return bs
+	return max(0, min(bs, size-int64(i)*bs))
 }
 
-// encode renders the sidecar to its on-disk byte form.
-func (sc *Sidecar) encode() []byte {
-	var buf bytes.Buffer
-	buf.Write(sidecarMagic[:])
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(sc.K))
-	buf.Write(tmp[:2])
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(sc.M))
-	buf.Write(tmp[:2])
-	binary.LittleEndian.PutUint64(tmp[:], uint64(sc.BlockSize))
-	buf.Write(tmp[:])
-	binary.LittleEndian.PutUint64(tmp[:], uint64(sc.DataSize))
-	buf.Write(tmp[:])
-	binary.LittleEndian.PutUint32(tmp[:4], sc.DataCRC)
-	buf.Write(tmp[:4])
+// header renders the sidecar's on-disk header, its own checksum included.
+func (sc *Sidecar) header() []byte {
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, headerLen(sc.K, sc.M)), sidecarMagic[:]...)
+	b = le.AppendUint16(b, uint16(sc.K))
+	b = le.AppendUint16(b, uint16(sc.M))
+	b = le.AppendUint64(b, uint64(sc.BlockSize))
+	b = le.AppendUint64(b, uint64(sc.DataSize))
+	b = le.AppendUint32(b, sc.DataCRC)
 	for _, c := range sc.DataCRCs {
-		binary.LittleEndian.PutUint32(tmp[:4], c)
-		buf.Write(tmp[:4])
+		b = le.AppendUint32(b, c)
 	}
 	for _, c := range sc.ParityCRCs {
-		binary.LittleEndian.PutUint32(tmp[:4], c)
-		buf.Write(tmp[:4])
+		b = le.AppendUint32(b, c)
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(tmp[:4])
-	for _, sh := range sc.Parity {
-		buf.Write(sh)
-	}
-	return buf.Bytes()
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// WriteFile persists the sidecar atomically (stage to ".part", fsync,
-// rename) and returns the hex CRC of the sidecar file itself, which the
-// caller journals so recovery can tell a current sidecar from a stale one.
+// WriteFile persists an in-memory sidecar atomically (stage to ".part",
+// fsync, rename) and returns the hex CRC of the sidecar file itself.
 func (sc *Sidecar) WriteFile(path string) (string, error) {
-	enc := sc.encode()
-	tmp := path + partSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", err
-	}
-	if _, err := f.Write(enc); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(enc)), nil
+	var sum uint32
+	err := stage(path, func(f *os.File) error {
+		for _, p := range append([][]byte{sc.header()}, sc.Parity...) {
+			sum = crc32.Update(sum, crc32.IEEETable, p)
+			if _, err := f.Write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return fmt.Sprintf("%08x", sum), err
 }
 
-// Load reads and validates a sidecar file. It checks the magic, the header
-// checksum, the geometry, and the payload length; per-parity-block CRCs are
-// deliberately NOT enforced here — Rebuild treats a rotted parity block as
-// one more erasure rather than giving up on the whole sidecar. The returned
-// hex CRC is of the entire file, for comparison against the journalled
-// value.
+// Load reads and validates a sidecar's header — magic, header checksum,
+// geometry, and the payload length the header implies against the file's
+// size — and streams the file once for its CRC; the payload itself stays on
+// disk. Per-parity-block CRCs are deliberately NOT enforced here — a rebuild
+// treats a rotted parity block as one more erasure rather than giving up on
+// the whole sidecar. The returned hex CRC is of the entire file, for
+// comparison against the journalled value.
 func Load(path string) (*Sidecar, string, error) {
-	enc, err := os.ReadFile(path)
+	f, size, err := openSized(path)
 	if err != nil {
 		return nil, "", err
 	}
-	fileCRC := fmt.Sprintf("%08x", crc32.ChecksumIEEE(enc))
-	const fixed = 8 + 2 + 2 + 8 + 8 + 4 // magic..dataCRC
-	if len(enc) < fixed+4 || !bytes.Equal(enc[:8], sidecarMagic[:]) {
-		return nil, fileCRC, ErrSidecarCorrupt
+	defer f.Close()
+	whole := &block{src: f, n: size}
+	if err := stripe(size, []*block{whole}, nil); err != nil {
+		return nil, "", err
 	}
-	k := int(binary.LittleEndian.Uint16(enc[8:10]))
-	m := int(binary.LittleEndian.Uint16(enc[10:12]))
-	if err := (Params{K: k, M: m}).Validate(); err != nil || k == 0 || m == 0 {
-		return nil, fileCRC, ErrSidecarCorrupt
+	fileCRC := fmt.Sprintf("%08x", whole.crc)
+	hdr := make([]byte, min(size, headerLen(255, 0)))
+	if _, err := f.ReadAt(hdr, 0); err != nil && err != io.EOF {
+		return nil, fileCRC, err
 	}
-	headerLen := fixed + 4*(k+m) + 4
-	if len(enc) < headerLen {
-		return nil, fileCRC, ErrSidecarCorrupt
+	sc, err := parseHeader(hdr, size)
+	if err != nil {
+		return nil, fileCRC, err
 	}
-	gotSum := binary.LittleEndian.Uint32(enc[headerLen-4 : headerLen])
-	if crc32.ChecksumIEEE(enc[:headerLen-4]) != gotSum {
-		return nil, fileCRC, ErrSidecarCorrupt
-	}
-	sc := &Sidecar{
-		K:          k,
-		M:          m,
-		BlockSize:  int64(binary.LittleEndian.Uint64(enc[12:20])),
-		DataSize:   int64(binary.LittleEndian.Uint64(enc[20:28])),
-		DataCRC:    binary.LittleEndian.Uint32(enc[28:32]),
-		DataCRCs:   make([]uint32, k),
-		ParityCRCs: make([]uint32, m),
-		Parity:     make([][]byte, m),
-	}
-	wantBS := (sc.DataSize + int64(k) - 1) / int64(k)
-	if sc.DataSize <= 0 || sc.BlockSize != wantBS {
-		return nil, fileCRC, ErrSidecarCorrupt
-	}
-	off := fixed
-	for i := 0; i < k; i++ {
-		sc.DataCRCs[i] = binary.LittleEndian.Uint32(enc[off : off+4])
-		off += 4
-	}
-	for i := 0; i < m; i++ {
-		sc.ParityCRCs[i] = binary.LittleEndian.Uint32(enc[off : off+4])
-		off += 4
-	}
-	payload := enc[headerLen:]
-	if int64(len(payload)) != int64(m)*sc.BlockSize {
-		return nil, fileCRC, ErrSidecarCorrupt
-	}
-	for i := 0; i < m; i++ {
-		sc.Parity[i] = payload[int64(i)*sc.BlockSize : int64(i+1)*sc.BlockSize]
-	}
+	sc.path = path
 	return sc, fileCRC, nil
+}
+
+// parseHeader decodes and validates a sidecar header against the size of the
+// file it came from. Every length is derived by division from the two sizes
+// that are real — the header bytes in hand and the file size — so no header
+// field is multiplied or added before it has been bounded, and nothing is
+// allocated from a size the header merely claims.
+func parseHeader(enc []byte, fileSize int64) (*Sidecar, error) {
+	le := binary.LittleEndian
+	if int64(len(enc)) < headerLen(0, 0) || !bytes.Equal(enc[:8], sidecarMagic[:]) {
+		return nil, ErrSidecarCorrupt
+	}
+	k, m := int(le.Uint16(enc[8:10])), int(le.Uint16(enc[10:12]))
+	hl := headerLen(k, m)
+	if k < 1 || m < 1 || k+m > 255 || int64(len(enc)) < hl ||
+		crc32.ChecksumIEEE(enc[:hl-4]) != le.Uint32(enc[hl-4:hl]) {
+		return nil, ErrSidecarCorrupt
+	}
+	sc := &Sidecar{K: k, M: m,
+		BlockSize: int64(le.Uint64(enc[12:20])),
+		DataSize:  int64(le.Uint64(enc[20:28])),
+		DataCRC:   le.Uint32(enc[28:32]),
+	}
+	payload := fileSize - hl
+	if sc.DataSize <= 0 || sc.BlockSize != (sc.DataSize-1)/int64(k)+1 ||
+		payload%int64(m) != 0 || payload/int64(m) != sc.BlockSize {
+		return nil, ErrSidecarCorrupt
+	}
+	for off := int64(32); off < hl-4; off += 4 {
+		sc.DataCRCs = append(sc.DataCRCs, le.Uint32(enc[off:off+4]))
+	}
+	sc.DataCRCs, sc.ParityCRCs = sc.DataCRCs[:k:k], sc.DataCRCs[k:]
+	return sc, nil
 }
 
 // DamagedBlocks compares a streaming per-block digest of the data file (as
@@ -322,103 +333,120 @@ func (sc *Sidecar) DamagedBlocks(blockCRCs []uint32) []int {
 }
 
 // Rebuild reconstructs the original file content from the (possibly
-// damaged) on-disk bytes plus the sidecar's parity blocks. It localises the
+// damaged) bytes in data plus the sidecar's parity blocks. It localises the
 // damage itself from the per-block CRCs, counts rotted parity blocks as
 // erasures, and refuses (ErrTooDamaged) whenever more than M blocks are
 // gone or the reconstruction fails its end-to-end CRC — a wrong "repair" is
 // never returned. On success it returns the verified content plus the
 // indices of the data blocks it rebuilt.
 func (sc *Sidecar) Rebuild(data []byte) ([]byte, []int, error) {
-	k, m, bs := sc.K, sc.M, sc.BlockSize
-	if int64(len(data)) > sc.DataSize {
-		// Grown files are not bit-rot; nothing sane to rebuild.
-		return nil, nil, fmt.Errorf("%w: file grew past recorded size", ErrTooDamaged)
+	out := make(memory, sc.DataSize)
+	rebuilt, err := sc.rebuild(bytes.NewReader(data), int64(len(data)), out)
+	if err != nil {
+		return nil, nil, err
 	}
-	shards := dataShards(data, k, bs)
-	var missing []int
-	for i := 0; i < k; i++ {
-		bl := blockLen(i, bs, sc.DataSize)
-		if bl == 0 {
-			continue
-		}
-		ok := int64(len(data)) >= int64(i)*bs+bl &&
-			crc32.ChecksumIEEE(shards[i][:bl]) == sc.DataCRCs[i]
-		if !ok {
-			shards[i] = nil
-			missing = append(missing, i)
-		}
-	}
-	erasures := len(missing)
-	parityOK := make([]bool, m)
-	for r := 0; r < m; r++ {
-		parityOK[r] = crc32.ChecksumIEEE(sc.Parity[r]) == sc.ParityCRCs[r]
-		if !parityOK[r] {
-			erasures++
-		}
-	}
-	if erasures > m {
-		return nil, nil, fmt.Errorf("%w: %d damaged blocks > %d parity blocks", ErrTooDamaged, erasures, m)
-	}
-	if len(missing) > 0 {
-		if err := sc.reconstruct(shards, parityOK); err != nil {
-			return nil, nil, err
-		}
-	}
-	out := make([]byte, 0, sc.DataSize)
-	for i := 0; i < k; i++ {
-		bl := blockLen(i, bs, sc.DataSize)
-		if bl > 0 {
-			out = append(out, shards[i][:bl]...)
-		}
-	}
-	if crc32.ChecksumIEEE(out) != sc.DataCRC {
-		return nil, nil, fmt.Errorf("%w: rebuilt content failed end-to-end CRC", ErrTooDamaged)
-	}
-	return out, missing, nil
+	return out, rebuilt, nil
 }
 
-// reconstruct fills the nil entries of shards in place using the surviving
-// data shards plus the healthy parity shards. The decode matrix is the
-// inverse of the k surviving rows of the coding matrix.
-func (sc *Sidecar) reconstruct(shards [][]byte, parityOK []bool) error {
-	k, bs := sc.K, sc.BlockSize
-	mat := codingMatrix(k, sc.M)
-	rows := make([]int, 0, k)      // coding-matrix row index of each input
-	inputs := make([][]byte, 0, k) // the surviving shard for that row
-	for i := 0; i < k && len(rows) < k; i++ {
-		if shards[i] != nil {
-			rows = append(rows, i)
-			inputs = append(inputs, shards[i])
+// RebuildFile is Rebuild file-to-file and in place: the repaired content is
+// staged next to dataPath chunk by chunk and renamed over the damaged file
+// only once every block and the whole file have verified, so a crash leaves
+// the original bytes plus quarantinable ".part" debris, never a torn file.
+func (sc *Sidecar) RebuildFile(dataPath string) (rebuilt []int, err error) {
+	src, size, err := openSized(dataPath)
+	if err != nil {
+		return nil, err
+	}
+	defer src.Close()
+	err = stage(dataPath, func(f *os.File) error {
+		rebuilt, err = sc.rebuild(src, size, f)
+		return err
+	})
+	return rebuilt, err
+}
+
+// rebuild is the one reconstruct path: two stripe walks over src (srcSize
+// bytes of possibly damaged content) and the parity payload. The first only
+// checksums, to find which blocks survive: a block is lost when its CRC is
+// wrong, a data block also when the file ends before it does. The second
+// runs the inverse of the first k surviving coding-matrix rows — healthy
+// data blocks copied through to dst, lost ones recomputed — and every
+// block's CRC and their combination must match the header before it counts.
+func (sc *Sidecar) rebuild(src io.ReaderAt, srcSize int64, dst io.WriterAt) ([]int, error) {
+	k, m, bs := sc.K, sc.M, sc.BlockSize
+	if srcSize > sc.DataSize {
+		// Grown files are not bit-rot; nothing sane to rebuild.
+		return nil, fmt.Errorf("%w: file grew past recorded size", ErrTooDamaged)
+	}
+	var payload *os.File
+	if sc.Parity == nil {
+		var err error
+		if payload, err = os.Open(sc.path); err != nil {
+			return nil, err
+		}
+		defer payload.Close()
+	}
+	all := make([]*block, k+m) // coding-matrix row order: data, then parity
+	var present []*block
+	for i := range all {
+		switch {
+		case i < k:
+			all[i] = &block{src: src, off: int64(i) * bs, n: blockLen(i, bs, sc.DataSize)}
+			if all[i].n > 0 && all[i].off+all[i].n > srcSize {
+				all[i].src = nil
+				continue
+			}
+		case payload == nil:
+			all[i] = &block{src: bytes.NewReader(sc.Parity[i-k]), n: bs}
+		default:
+			all[i] = &block{src: payload, off: headerLen(k, m) + int64(i-k)*bs, n: bs}
+		}
+		present = append(present, all[i])
+	}
+	if err := stripe(bs, present, nil); err != nil {
+		return nil, err
+	}
+	want := slices.Concat(sc.DataCRCs, sc.ParityCRCs)
+	mat := codingMatrix(k, m)
+	var in, out []*block
+	var rows matrix
+	var missing []int
+	for i, b := range all {
+		if b.src != nil && b.crc == want[i] {
+			if len(in) < k {
+				in, rows = append(in, b), append(rows, mat[i])
+			}
+		} else if i < k {
+			out, missing = append(out, b), append(missing, i)
+		}
+		if i < k {
+			b.dst = dst
 		}
 	}
-	for r := 0; r < sc.M && len(rows) < k; r++ {
-		if parityOK[r] {
-			rows = append(rows, k+r)
-			inputs = append(inputs, sc.Parity[r])
-		}
+	if len(in) < k { // more than m of the k+m blocks are gone
+		return nil, fmt.Errorf("%w: %d healthy blocks of %d, need %d", ErrTooDamaged, len(in), k+m, k)
 	}
-	if len(rows) < k {
-		return fmt.Errorf("%w: only %d healthy blocks, need %d", ErrTooDamaged, len(rows), k)
-	}
-	sub := make(matrix, k)
-	for i, r := range rows {
-		sub[i] = mat[r]
-	}
-	dec, singular := sub.invert()
+	dec, singular := rows.invert()
 	if singular {
 		// Cannot happen with the Vandermonde-derived coding matrix; treat
 		// it as damage rather than panicking on corrupt input.
-		return fmt.Errorf("%w: singular decode matrix", ErrTooDamaged)
+		return nil, fmt.Errorf("%w: singular decode matrix", ErrTooDamaged)
 	}
-	for i := 0; i < k; i++ {
-		if shards[i] != nil {
-			continue
-		}
-		out := make([]byte, bs)
-		for c := 0; c < k; c++ {
-			gfMulSlice(dec[i][c], inputs[c], out)
-		}
-		shards[i] = out
+	for j, b := range out {
+		b.row = dec[missing[j]]
 	}
-	return nil
+	if err := stripe(bs, in, out); err != nil {
+		return nil, err
+	}
+	var sum uint32
+	for i, b := range all[:k] {
+		if b.crc != want[i] {
+			return nil, fmt.Errorf("%w: rebuilt block %d failed its CRC", ErrTooDamaged, i)
+		}
+		sum = crcCombine(sum, b.crc, b.n)
+	}
+	if sum != sc.DataCRC {
+		return nil, fmt.Errorf("%w: rebuilt content failed end-to-end CRC", ErrTooDamaged)
+	}
+	return missing, nil
 }

@@ -1,0 +1,161 @@
+package parity
+
+import (
+	"hash/crc32"
+	"io"
+	"os"
+	"sync"
+)
+
+// chunkSize is how much of each block one step of the stripe loop holds. A
+// walk over a k+m code keeps one pooled slab of k+m chunks and nothing else,
+// whatever the file size (and less for a file smaller than k chunks).
+const chunkSize = 64 << 10
+
+var slabPool sync.Pool // of *[]byte
+
+// block is one code block taking part in a stripe walk: an input is read
+// from src, an output is row · inputs, and either is written to dst when it
+// has one, all at off. The first n bytes are real: the rest of the stripe's
+// block size is zero padding that exists for the field arithmetic only,
+// never for a CRC or on disk.
+type block struct {
+	src io.ReaderAt
+	row []byte // coefficients over the walk's inputs, in order
+	dst io.WriterAt
+	off int64
+	n   int64
+	crc uint32 // IEEE CRC of the n real bytes, filled by the walk
+}
+
+// stripe is the one loop that encodes, checks and reconstructs: it walks all
+// blocks in lock-step, chunkSize bytes of each per step — read the inputs,
+// accumulate the outputs, advance every block's running CRC, write what has
+// a destination. Each input byte is read exactly once.
+func stripe(blockSize int64, in, out []*block) error {
+	step := int(min(chunkSize, blockSize))
+	slab, _ := slabPool.Get().(*[]byte)
+	if need := step * (len(in) + len(out)); slab == nil || len(*slab) < need {
+		slab = new([]byte)
+		*slab = make([]byte, need)
+	}
+	defer slabPool.Put(slab)
+	buf := func(i int, n int64) []byte { return (*slab)[i*step:][:n] }
+	for pos := int64(0); pos < blockSize; pos += chunkSize {
+		n := min(chunkSize, blockSize-pos)
+		for i, b := range in {
+			chunk := buf(i, n)
+			data := chunk[:max(0, min(n, b.n-pos))]
+			if len(data) > 0 {
+				if got, err := b.src.ReadAt(data, b.off+pos); got < len(data) {
+					return err
+				}
+			}
+			clear(chunk[len(data):])
+			if err := b.emit(data, pos); err != nil {
+				return err
+			}
+		}
+		for j, b := range out {
+			chunk := buf(len(in)+j, n)
+			clear(chunk)
+			for c, coef := range b.row {
+				gfMulSlice(coef, buf(c, n), chunk)
+			}
+			if err := b.emit(chunk[:max(0, min(n, b.n-pos))], pos); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// emit folds one chunk of real bytes into the block's CRC, which every walk
+// starts afresh, and writes it through when the block has a destination.
+func (b *block) emit(p []byte, pos int64) error {
+	if pos == 0 {
+		b.crc = 0
+	}
+	b.crc = crc32.Update(b.crc, crc32.IEEETable, p)
+	if b.dst == nil || len(p) == 0 {
+		return nil
+	}
+	_, err := b.dst.WriteAt(p, b.off+pos)
+	return err
+}
+
+// memory is a []byte as a stripe destination, for the in-memory forms.
+type memory []byte
+
+func (m memory) WriteAt(p []byte, off int64) (int, error) { return copy(m[off:], p), nil }
+
+// stage fills path+".part", then fsync → close → rename: the atomic write
+// every sidecar and every rebuilt replica goes through. Any failure removes
+// the staging file and leaves path as it was.
+func stage(path string, fill func(*os.File) error) (err error) {
+	tmp := path + partSuffix
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close after a failed one is harmless
+			os.Remove(tmp)
+		}
+	}()
+	if err = fill(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// crcCombine returns the IEEE CRC of a‖b given crc(a), crc(b) and len(b) —
+// zlib's crc32_combine, which hash/crc32 does not export. It lets the stripe
+// loop, which sees a file as k interleaved block streams, produce the
+// whole-file CRC (and the sidecar-file CRC the journal records) without a
+// second read. Appending len(b) zero bytes to a is a linear map over GF(2):
+// square the one-zero-byte operator once per bit of len(b), apply the powers
+// the set bits select.
+func crcCombine(crcA, crcB uint32, lenB int64) uint32 {
+	if lenB <= 0 {
+		return crcA
+	}
+	var even, odd [32]uint32
+	odd[0] = crc32.IEEE // operator for one zero bit: the reflected polynomial...
+	for n := 1; n < 32; n++ {
+		odd[n] = 1 << (n - 1) // ...and a shift
+	}
+	a, b := &even, &odd
+	gf2Square(a, b) // two zero bits
+	gf2Square(b, a) // four
+	for ; lenB > 0; lenB >>= 1 {
+		gf2Square(a, b) // first pass: eight zero bits, one byte
+		if lenB&1 != 0 {
+			crcA = gf2Times(a, crcA)
+		}
+		a, b = b, a
+	}
+	return crcA ^ crcB
+}
+
+func gf2Times(mat *[32]uint32, vec uint32) (sum uint32) {
+	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
+		if vec&1 != 0 {
+			sum ^= mat[i]
+		}
+	}
+	return sum
+}
+
+func gf2Square(square, mat *[32]uint32) {
+	for n := range square {
+		square[n] = gf2Times(mat, mat[n])
+	}
+}

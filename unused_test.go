@@ -24,7 +24,7 @@ var keptUnused = []struct{ why, names string }{
 		objrep.ReplicateFromSites mss.PutTape`},
 	{"state the seeded harnesses and package tests assert on",
 		`admission.Draining admission.Browned admission.ClassStats admission.Queued admission.InFlight admission.Settled
-		core.RemoteMetrics core.RemoteStatus core.Pool core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
+		core.RemoteMetrics core.RemoteStatus core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
 		core.TransferHistory gridftp.Ranges gridftp.Covered gridftp.ParseRangeSet gsi.Entries gsi.Revoke
 		health.StateOf health.ConsecutiveFailures mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
