@@ -46,7 +46,7 @@ fuzz-smoke:
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR
-# quotes (ROADMAP item 3). Informational; never fails.
+# quotes (ROADMAP item 4). Informational; never fails.
 loc:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
 		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \
@@ -111,13 +111,16 @@ chaos:
 # unfinished pull, resume partial downloads, and quarantine anything
 # corrupt. The seed is logged by every test; replay a run with
 # `make crash CRASH_SEED=7`. State directories of failed tests survive
-# under $(CRASH_ARTIFACT_DIR) for inspection.
+# under $(CRASH_ARTIFACT_DIR) for inspection. The unit-level durability
+# tests (record semantics, torn tails, byte-compatibility with the parent's
+# journals) run with the suite, three times over.
 CRASH_SEED ?= 20260805
 CRASH_ARTIFACT_DIR ?= crash-artifacts
 crash:
 	@echo "crash seed: $(CRASH_SEED)"
 	CRASH_SEED=$(CRASH_SEED) CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR) \
 		$(GO) test -race -v -run 'TestCrashRestart' .
+	$(GO) test -race -count=3 -run 'TestPersist|TestJournalBytesMatchParent' ./internal/core
 
 # Partition chaos suite: a seeded asymmetric partition wedges the
 # primary replica source mid-stream; every pull must still complete from

@@ -87,8 +87,8 @@ func (s *Site) RebuildLocalCatalog() (int, error) {
 			FileType: entry.Attrs["filetype"],
 			State:    state,
 		}
-		if err := s.enter(fi); err != nil {
-			return restored, err
+		if err := s.persist.putFile(fi); err != nil {
+			return restored, fmt.Errorf("core: journal %s: %w", fi.LFN, err)
 		}
 		s.local.reveal(fi.LFN)
 		restored++

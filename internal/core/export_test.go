@@ -1,6 +1,10 @@
 package core
 
-import "context"
+import (
+	"context"
+
+	"gdmp/internal/scrub"
+)
 
 // LocateForPull runs the pull pipeline's locate stage alone, for the
 // external test package (which can build a testbed grid; this one cannot
@@ -19,22 +23,30 @@ func (s *Site) LocateForPull(ctx context.Context, lfn string) ([]PFN, map[string
 // disk, without the disk).
 func (s *Site) SeverJournal() { s.persist.j.Close() }
 
-// SidecarJournaled reports whether the journal's mirror holds a parity
-// sidecar record for lfn.
+// SidecarJournaled reports whether the sidecar registry holds a record
+// for lfn.
 func (s *Site) SidecarJournaled(lfn string) bool {
-	_, ok := s.persist.recoveredParity()[lfn]
+	s.persist.st.tabMu.Lock()
+	defer s.persist.st.tabMu.Unlock()
+	_, ok := s.persist.st.parity[lfn]
 	return ok
 }
 
 // RewriteSidecar drops lfn's parity sidecar and runs the landing path's
 // sidecar step again on whatever bytes the replica holds now. It reports
-// whether the in-memory registry holds a sidecar for lfn afterwards.
+// whether the registry holds a sidecar for lfn afterwards.
 func (s *Site) RewriteSidecar(lfn string) bool {
 	fi, _ := s.local.get(lfn)
 	s.dropParitySidecar(fi)
 	s.writeParitySidecar(fi)
-	s.parityMu.Lock()
-	defer s.parityMu.Unlock()
-	_, ok := s.paritySC[lfn]
-	return ok
+	return s.SidecarJournaled(lfn)
 }
+
+// PeriodicScrubPass is the pass the scrub daemon runs on its interval.
+func (s *Site) PeriodicScrubPass(ctx context.Context) (scrub.Report, error) {
+	return s.scrubPass(ctx, true)
+}
+
+// ShedBackground makes admission refuse all background work from now on,
+// as it does in a brownout.
+func (s *Site) ShedBackground() { s.admit.Drain() }

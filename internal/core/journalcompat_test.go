@@ -25,9 +25,9 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.subscribe("anl.gov", "127.0.0.1:1000")
 	p.subscribe("fnal.gov", "127.0.0.1:2000")
 	p.notifyQueue("anl.gov", []FileInfo{a, b})
-	p.notifyAck("anl.gov", 1)
+	p.notifyAck(p.st.subs["anl.gov"], 1)
 	p.notifyQueue("fnal.gov", []FileInfo{a})
-	p.notifyDrop("fnal.gov")
+	p.notifyDrop(p.st.subs["fnal.gov"])
 	p.unsubscribe("fnal.gov")
 	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p1", Path: "y/p1.db", Size: 5})
 	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p1"}) // no downgrade, no record
@@ -47,7 +47,7 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.parityDrop(b.LFN) // already gone, no record
 }
 
-// goldenGracefulSequence leaves every map of the mirror with exactly one
+// goldenGracefulSequence leaves every table with exactly one
 // entry, so the snapshot a graceful close writes has one possible encoding.
 func goldenGracefulSequence(p *sitePersistence) {
 	a := FileInfo{LFN: "lfn://cern.ch/run1/a.db", Path: "run1/a.db", Size: 10, CRC32: "0000000a", FileType: "flat", State: StateDisk}
@@ -61,13 +61,14 @@ func goldenGracefulSequence(p *sitePersistence) {
 }
 
 // TestJournalBytesMatchParent pins the on-disk format across the commit
-// that put every hook behind sitePersistence.record. The state directories
+// that put every hook behind sitePersistence.record, and the one that made
+// the journal's state machine the site's only tables. The state directories
 // under testdata/parent-journal were written by the two sequences above at
 // the parent of that commit (9fd26eb): a crash image (WAL only, all fifteen
 // record tags) and a graceful close (snapshot version 3). Running the same
 // sequences here must produce the same files byte for byte — so a journal
 // written on either side replays on the other — and opening the parent's
-// directories must reconstruct the mirror the sequences leave behind.
+// directories must reconstruct the tables the sequences leave behind.
 func TestJournalBytesMatchParent(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -117,8 +118,8 @@ func TestJournalBytesMatchParent(t *testing.T) {
 				t.Fatalf("replaying the parent's journal: %v, %d torn bytes", err, torn)
 			}
 			defer q.close(false)
-			if !reflect.DeepEqual(q.st, p.st) {
-				t.Errorf("parent's journal replays to\n%+v\nwant\n%+v", q.st, p.st)
+			if !reflect.DeepEqual(q.tables(), p.tables()) {
+				t.Errorf("parent's journal replays to\n%+v\nwant\n%+v", q.tables(), p.tables())
 			}
 		})
 	}

@@ -44,13 +44,16 @@ type FileInfo struct {
 
 // localCatalog is the site's own file table — the per-site catalog whose
 // transfer to other sites provides GDMP's failure recovery ("obtaining a
-// remote site's file catalog for failure recovery").
+// remote site's file catalog for failure recovery"). It is one of the
+// durable tables of persistState: byLFN and its byPath index change only in
+// persistState.apply (recPutFile, recRemoveFile, recSetState); waiters and
+// landing are this life's bookkeeping about them.
 type localCatalog struct {
 	mu      sync.RWMutex
 	byLFN   map[string]FileInfo
 	byPath  map[string]string        // site-relative path -> LFN
 	waiters map[string]chan struct{} // lfn -> closed when the entry appears
-	landing map[string]bool          // entries put by putLanding, not yet revealed
+	landing map[string]bool          // new entries not yet revealed
 }
 
 func newLocalCatalog() *localCatalog {
@@ -59,30 +62,6 @@ func newLocalCatalog() *localCatalog {
 		byPath:  make(map[string]string),
 		waiters: make(map[string]chan struct{}),
 		landing: make(map[string]bool),
-	}
-}
-
-// put is putLanding and reveal in one step, for journal replay: its
-// entries were journaled and parity-protected in an earlier life.
-func (c *localCatalog) put(info FileInfo) {
-	c.putLanding(info)
-	c.reveal(info.LFN)
-}
-
-// putLanding is put for a file still landing (journal, pool, parity
-// sidecar): the table knows a new entry at once — the pool's eviction
-// callback must find it — but has and await report it only after reveal.
-func (c *localCatalog) putLanding(info FileInfo) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, had := c.byLFN[info.LFN]
-	if had && old.Path != info.Path {
-		delete(c.byPath, old.Path)
-	}
-	c.byLFN[info.LFN] = info
-	c.byPath[info.Path] = info.LFN
-	if !had {
-		c.landing[info.LFN] = true
 	}
 }
 
@@ -137,26 +116,6 @@ func (c *localCatalog) get(lfn string) (FileInfo, bool) {
 	return info, ok
 }
 
-func (c *localCatalog) remove(lfn string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if info, ok := c.byLFN[lfn]; ok && c.byPath[info.Path] == lfn {
-		delete(c.byPath, info.Path)
-	}
-	delete(c.byLFN, lfn)
-	delete(c.landing, lfn)
-}
-
-// restore puts lfn's entry back to old, or takes it out again if there was
-// none: the undo of a putLanding, remove or setState whose journal record
-// failed to append.
-func (c *localCatalog) restore(lfn string, old FileInfo, had bool) {
-	c.remove(lfn)
-	if had {
-		c.put(old)
-	}
-}
-
 // getByPath resolves a site-relative path back to its catalog entry — the
 // reverse lookup the disk-pool eviction callback needs, since the pool
 // names files by path, not LFN.
@@ -169,18 +128,6 @@ func (c *localCatalog) getByPath(p string) (FileInfo, bool) {
 	}
 	info, ok := c.byLFN[lfn]
 	return info, ok
-}
-
-func (c *localCatalog) setState(lfn string, st FileState) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	info, ok := c.byLFN[lfn]
-	if !ok {
-		return fmt.Errorf("core: %q not in local catalog", lfn)
-	}
-	info.State = st
-	c.byLFN[lfn] = info
-	return nil
 }
 
 func (c *localCatalog) list() []FileInfo {
@@ -200,73 +147,23 @@ func (c *localCatalog) len() int {
 	return len(c.byLFN)
 }
 
-// --- membership and residency: the three mutators ---------------------------
-//
-// A site keeps its file table twice — s.local while it runs, recPutFile /
-// recRemoveFile / recSetState records across restarts — and only enter,
-// leave and setResidency change either (replay rebuilds the one from the
-// other). Each updates the table and appends the record under catMu, so
-// one LFN's records are in table order, and puts the table back if the
-// append fails: a change the disk does not hold is not visible either.
-
-// enter adds (or replaces) fi's entry, still landing: see putLanding.
-func (s *Site) enter(fi FileInfo) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old, had := s.local.get(fi.LFN)
-	s.local.putLanding(fi)
-	if err := s.persist.putFile(fi); err != nil {
-		s.local.restore(fi.LFN, old, had)
-		return fmt.Errorf("core: journal %s: %w", fi.LFN, err)
-	}
-	return nil
-}
-
-// leave removes lfn's entry.
-func (s *Site) leave(lfn string) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old, had := s.local.get(lfn)
-	s.local.remove(lfn)
-	if err := s.persist.removeFile(lfn); err != nil {
-		s.local.restore(lfn, old, had)
-		return fmt.Errorf("core: journal removal of %s: %w", lfn, err)
-	}
-	return nil
-}
-
-// setResidency records that lfn's bytes moved between disk and tape.
-func (s *Site) setResidency(lfn string, st FileState) error {
-	s.catMu.Lock()
-	defer s.catMu.Unlock()
-	old, _ := s.local.get(lfn)
-	if err := s.local.setState(lfn, st); err != nil {
-		return err
-	}
-	if err := s.persist.setState(lfn, st); err != nil {
-		s.local.restore(lfn, old, true)
-		return fmt.Errorf("core: journal %s as %s: %w", lfn, st, err)
-	}
-	return nil
-}
-
 // land makes verified on-disk bytes part of this site: local catalog
-// entry and journal record (enter, before anything is acknowledged), disk
-// pool, parity sidecar. The entry goes in before the pool sees the file —
+// entry (recPutFile, durable before anything is acknowledged), disk pool,
+// parity sidecar. The entry goes in before the pool sees the file —
 // the pool may evict it at once, and onPoolEvict keeps the catalog
 // consistent only for entries it can find — and is revealed to HasFile and
 // WaitForFile last, so whoever is told the file is here finds it
 // parity-protected. A file that cannot be made durable fails rather than
-// acks: enter took the entry back out, so nobody is told it is here; the
-// bytes stay (a publish's are the producer's original). A pulled replica
+// acks: the entry never went in, so nobody is told it is here; the bytes
+// stay (a publish's are the producer's original). A pulled replica
 // hands in its pool reservation, released only here: holding it while the
 // pool also counts the landed bytes would double-charge capacity and
 // trigger spurious evictions. A nil reservation marks a producer original,
 // pinned instead: cache pressure from pulled replicas must not push
 // locally produced data out of the pool before it is archived.
 func (s *Site) land(fi FileInfo, reservation func()) error {
-	if err := s.enter(fi); err != nil {
-		return err
+	if err := s.persist.putFile(fi); err != nil {
+		return fmt.Errorf("core: journal %s: %w", fi.LFN, err)
 	}
 	defer s.local.reveal(fi.LFN)
 	if s.storage != nil {
@@ -295,7 +192,7 @@ const (
 // withdraw takes a replica out of this site, the one way one leaves: the
 // bytes meet their fate; the parity sidecar goes with them (whatever
 // survives would be parity for content the catalogs no longer promise);
-// the local entry is removed and journaled (leave); and only then, when
+// the local entry is removed (recRemoveFile); and only then, when
 // central is set, this site's location is withdrawn from the replica
 // catalog so no consumer is routed here — a crash in between leaves a
 // dangling location for anti-entropy to heal. Start-up reconciliation
@@ -320,8 +217,8 @@ func (s *Site) withdraw(ctx context.Context, fi FileInfo, fate bytesFate, centra
 		}
 	}
 	s.dropParitySidecar(fi)
-	if err := s.leave(fi.LFN); err != nil {
-		return err
+	if err := s.persist.removeFile(fi.LFN); err != nil {
+		return fmt.Errorf("core: journal removal of %s: %w", fi.LFN, err)
 	}
 	if !central {
 		return nil

@@ -61,9 +61,6 @@ func (s *Site) writeParitySidecar(fi FileInfo) {
 		}
 		s.storage.Attach(fi.Path, rel)
 	}
-	s.parityMu.Lock()
-	s.paritySC[fi.LFN] = crcHex
-	s.parityMu.Unlock()
 	if err := s.persist.paritySet(fi.LFN, crcHex); err != nil {
 		s.logger.Printf("gdmp[%s]: parity: journal sidecar for %s: %v", s.cfg.Name, fi.LFN, err)
 	}
@@ -71,14 +68,11 @@ func (s *Site) writeParitySidecar(fi FileInfo) {
 }
 
 // dropParitySidecar forgets and deletes a replica's sidecar: registry
-// entry, journal record, pool accounting, and bytes. Called whenever the
+// entry, pool accounting, and bytes. Called whenever the
 // data replica leaves the local catalog (withdrawal, eviction to tape) or
 // the sidecar itself is found invalid — a sidecar must never outlive the
 // replica it describes.
 func (s *Site) dropParitySidecar(fi FileInfo) {
-	s.parityMu.Lock()
-	delete(s.paritySC, fi.LFN)
-	s.parityMu.Unlock()
 	if err := s.persist.parityDrop(fi.LFN); err != nil {
 		s.logger.Printf("gdmp[%s]: parity: journal sidecar drop for %s: %v", s.cfg.Name, fi.LFN, err)
 	}
@@ -103,9 +97,10 @@ func (s *Site) dropParitySidecar(fi FileInfo) {
 func (s *Site) loadSidecar(fi FileInfo, localPath string) *parity.Sidecar {
 	scPath := parity.SidecarPath(localPath)
 	sc, gotCRC, err := parity.Load(scPath)
-	s.parityMu.Lock()
-	wantCRC, journaled := s.paritySC[fi.LFN]
-	s.parityMu.Unlock()
+	tbl := &s.persist.st
+	tbl.tabMu.Lock()
+	wantCRC, journaled := tbl.parity[fi.LFN]
+	tbl.tabMu.Unlock()
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.logger.Printf("gdmp[%s]: parity: sidecar of %s unusable: %v", s.cfg.Name, fi.LFN, err)
@@ -129,9 +124,6 @@ func (s *Site) loadSidecar(fi FileInfo, localPath string) *parity.Sidecar {
 		return nil
 	}
 	if !journaled {
-		s.parityMu.Lock()
-		s.paritySC[fi.LFN] = gotCRC
-		s.parityMu.Unlock()
 		if err := s.persist.paritySet(fi.LFN, gotCRC); err != nil {
 			s.logger.Printf("gdmp[%s]: parity: journal recovered sidecar for %s: %v", s.cfg.Name, fi.LFN, err)
 		}
@@ -178,6 +170,18 @@ func (s *Site) reconstructLocal(ctx context.Context, lfn string) (bool, error) {
 	return verdict == scrubOK || verdict == scrubRepaired, nil
 }
 
+// registeredSidecars lists the LFNs the sidecar registry holds.
+func (s *Site) registeredSidecars() []string {
+	tbl := &s.persist.st
+	tbl.tabMu.Lock()
+	defer tbl.tabMu.Unlock()
+	lfns := make([]string, 0, len(tbl.parity))
+	for lfn := range tbl.parity {
+		lfns = append(lfns, lfn)
+	}
+	return lfns
+}
+
 // sweepOrphanSidecars removes parity sidecars whose data file is gone:
 // registry entries for LFNs no longer in the local catalog, and on-disk
 // sidecar files next to nothing. Runs with the quarantine retention
@@ -185,16 +189,10 @@ func (s *Site) reconstructLocal(ctx context.Context, lfn string) (bool, error) {
 // replica by more than one pass even when the deletion path that should
 // have dropped it was interrupted.
 func (s *Site) sweepOrphanSidecars() {
-	s.parityMu.Lock()
-	var stale []string
-	for lfn := range s.paritySC {
+	for _, lfn := range s.registeredSidecars() {
 		if _, ok := s.local.get(lfn); !ok {
-			stale = append(stale, lfn)
+			s.dropParitySidecar(FileInfo{LFN: lfn})
 		}
-	}
-	s.parityMu.Unlock()
-	for _, lfn := range stale {
-		s.dropParitySidecar(FileInfo{LFN: lfn})
 	}
 	err := filepath.WalkDir(s.cfg.DataDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !parity.IsSidecar(d.Name()) {
@@ -215,35 +213,19 @@ func (s *Site) sweepOrphanSidecars() {
 	}
 }
 
-// recoverParity reconciles the journaled sidecar registry against the
-// disk after restart recovery has settled the catalog: records for
-// replicas that no longer exist are dropped, sidecar files that fail
-// verification are dropped and removed, and everything that survives
-// fills the in-memory registry. Unjournaled-but-valid sidecars (crash
-// between rename and commit) are left on disk for the next scrub pass to
-// re-adopt via loadSidecar.
+// recoverParity reconciles the replayed sidecar registry against the disk
+// after restart recovery has settled the catalog: records for replicas
+// that no longer exist are dropped, and loadSidecar drops every record
+// whose sidecar file fails verification, file and all.
+// Unjournaled-but-valid sidecars (crash between rename and commit) are
+// left on disk for the next scrub pass to re-adopt, again via loadSidecar.
 func (s *Site) recoverParity() {
-	for lfn, crcHex := range s.persist.recoveredParity() {
+	for _, lfn := range s.registeredSidecars() {
 		fi, ok := s.local.get(lfn)
 		if !ok {
-			if err := s.persist.parityDrop(lfn); err != nil {
-				s.logger.Printf("gdmp[%s]: parity: journal recovery drop of %s: %v", s.cfg.Name, lfn, err)
-			}
-			continue
+			s.dropParitySidecar(FileInfo{LFN: lfn})
+		} else if localPath, err := s.resolveLocal(fi.Path); err == nil {
+			s.loadSidecar(fi, localPath)
 		}
-		localPath, err := s.resolveLocal(fi.Path)
-		if err != nil {
-			continue
-		}
-		sc, gotCRC, err := parity.Load(parity.SidecarPath(localPath))
-		if err != nil || gotCRC != crcHex ||
-			(fi.CRC32 != "" && fmt.Sprintf("%08x", sc.DataCRC) != fi.CRC32) {
-			s.logger.Printf("gdmp[%s]: recovery: dropping unverifiable sidecar of %s", s.cfg.Name, lfn)
-			s.dropParitySidecar(fi)
-			continue
-		}
-		s.parityMu.Lock()
-		s.paritySC[lfn] = crcHex
-		s.parityMu.Unlock()
 	}
 }

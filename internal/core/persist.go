@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gdmp/internal/gridftp"
 	"gdmp/internal/journal"
@@ -20,12 +21,13 @@ const RecoveryMetricsPrefix = "gdmp_recovery"
 
 // Journal record tags. Every mutation of durable site state — the local
 // file catalog, the subscriber registry with its undelivered notification
-// queues, and the set of notified-but-unfinished pulls — is one tagged
-// record, appended to the journal and then applied to the persistence
-// mirror, and re-applied in order at replay. Records are deltas, so
-// their per-key ordering matters; the journal's per-generation WAL
-// guarantees a record is only ever replayed against the snapshot it was
-// appended after, never double-applied.
+// queues, the set of notified-but-unfinished pulls, the producer set, the
+// scrub cursor and the parity-sidecar registry — is one tagged record,
+// appended to the journal and then applied to the site's tables, and
+// re-applied in order at replay. Records are deltas, so their per-key
+// ordering matters; the journal's per-generation WAL guarantees a record
+// is only ever replayed against the snapshot it was appended after, never
+// double-applied.
 const (
 	recPutFile uint8 = iota + 1
 	recRemoveFile
@@ -48,20 +50,38 @@ const (
 // is folded into a snapshot.
 const compactThreshold = 1024
 
-// persistSub mirrors one subscriber's durable delivery state.
-type persistSub struct {
-	addr    string
-	suspect bool
-	queue   []FileInfo
+// subscriberState is one subscriber's delivery record: address, suspicion
+// and the undelivered notices are durable; failures and draining are the
+// drain goroutine's bookkeeping. All fields are guarded by
+// persistState.subMu.
+type subscriberState struct {
+	name     string
+	addr     string
+	queue    []FileInfo // notices not yet acknowledged
+	suspect  bool       // past the failure threshold; skipped until re-subscribe
+	failures int        // consecutive delivery failures
+	draining bool       // a drain goroutine is running
 }
 
-// persistState is the durable mirror of a site: exactly the state a
-// restart must reconstruct. The mirror is the journal's state machine —
-// records are transitions on it — so a snapshot is just its encoding and
-// needs no other site locks.
+// persistState is the site's durable tables — exactly the state a restart
+// must reconstruct — and the journal's state machine: records are
+// transitions on it, a snapshot is its encoding. Each table exists once.
+// It is read under its table lock and written by apply alone, which runs
+// under the journal lock (sitePersistence.mu) and takes the table lock
+// inside it. So the lock order is journal lock outermost, table lock
+// innermost; nothing appends (fsyncs) while it holds a table lock, no read
+// path takes the journal lock, and whoever holds the journal lock may read
+// the durable fields without a table lock (the predicates, encode).
 type persistState struct {
-	files map[string]FileInfo
-	subs  map[string]*persistSub
+	// files is the local file catalog, under its own lock.
+	files *localCatalog
+
+	subMu sync.Mutex
+	subs  map[string]*subscriberState // site name -> delivery state
+
+	// tabMu guards the four small tables below.
+	tabMu sync.Mutex
+
 	pulls map[string]FileInfo // notified or admitted, not yet replicated
 
 	// producers are the ctl addresses of sites this site has subscribed
@@ -74,45 +94,47 @@ type persistState struct {
 	// mid-scan instead of re-reading the files it already verified.
 	scrubCursor string
 
-	// parity maps LFN → hex CRC32 of that file's parity sidecar. A
-	// sidecar is journaled only after its bytes are durably renamed into
-	// place, so after a crash the registry and the disk can disagree in
-	// exactly one direction: a sidecar file with no record (crashed before
-	// commit — readopted or swept at recovery), never a record with
-	// unverifiable bytes.
+	// parity maps LFN → hex CRC32 of that file's parity sidecar;
+	// loadSidecar checks a sidecar against it before trusting it for a
+	// rebuild. A sidecar is journaled only after its bytes are durably
+	// renamed into place, so after a crash the registry and the disk can
+	// disagree in exactly one direction: a sidecar file with no record
+	// (crashed before commit — readopted or swept at recovery), never a
+	// record with unverifiable bytes.
 	parity map[string]string
 }
 
-func newPersistState() persistState {
-	return persistState{
-		files:     make(map[string]FileInfo),
-		subs:      make(map[string]*persistSub),
-		pulls:     make(map[string]FileInfo),
-		producers: make(map[string]bool),
-		parity:    make(map[string]string),
-	}
-}
-
-// sitePersistence couples the journal with its state mirror. All methods
-// are safe for concurrent use. A site without a StateDir has a nil
-// *sitePersistence, on which record, view and close — everything the hooks
-// below are made of — do nothing.
+// sitePersistence couples the site's tables with the journal that makes
+// them durable. All methods are safe for concurrent use. A site without a
+// StateDir has no journal (j is nil): the same transitions run on the
+// same tables, with the append skipped.
 type sitePersistence struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // the journal lock: check → append → apply → compact
 	j      *journal.Journal
 	st     persistState
 	closed bool
+	failed atomic.Bool // j.Failed() != nil, for readers that must not wait for j
 	logger *log.Logger
 }
 
-// openPersistence opens the journal under stateDir and replays it into a
-// fresh mirror. tornBytes reports WAL bytes quarantined at open.
+// openPersistence builds the site's tables: empty without a stateDir,
+// else replayed from the journal it opens there. tornBytes reports WAL
+// bytes quarantined at open.
 func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p *sitePersistence, tornBytes int64, err error) {
+	p = &sitePersistence{logger: logger, st: persistState{
+		files:     newLocalCatalog(),
+		subs:      make(map[string]*subscriberState),
+		pulls:     make(map[string]FileInfo),
+		producers: make(map[string]bool),
+		parity:    make(map[string]string),
+	}}
+	if stateDir == "" {
+		return p, 0, nil
+	}
 	j, rec, err := journal.Open(filepath.Join(stateDir, "journal"), journal.Options{Registry: reg})
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: open journal: %w", err)
 	}
-	p = &sitePersistence{j: j, st: newPersistState(), logger: logger}
 	if rec.Snapshot != nil {
 		if err := p.st.decode(rec.Snapshot); err != nil {
 			j.Close()
@@ -127,25 +149,24 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 			return nil, 0, fmt.Errorf("core: replay journal record: %w", err)
 		}
 	}
+	// Replayed entries finished landing in an earlier life.
+	clear(p.st.files.landing)
+	p.j = j
 	return p, rec.TornBytes, nil
 }
 
-// record is the one way a mutation reaches the journal: the tag and the
-// fields make the record, which is appended and then applied to the
-// mirror, compacting when the WAL has grown past the threshold. alreadySo,
-// when set, makes the hook idempotent: it runs against the mirror under
-// the same lock hold as the append, so a record the mirror already
-// reflects is not written twice and no concurrent record can slip in
-// between the check and the commit. record returns only after the record
-// is fsync'd, so callers may acknowledge the mutation the moment it
-// returns nil — and must refuse to acknowledge when it errors: an append
-// failure (disk full, I/O fault) latches the journal failed, the record
-// never reaches the mirror, and the error surfaces so the mutating
-// operation fails instead of silently losing durability.
+// record is the one way a table changes: the tag and the fields make the
+// record, which is appended and then applied, compacting when the WAL has
+// grown past the threshold. alreadySo, when set, makes the hook
+// idempotent: it runs against the tables under the same lock hold as the
+// append, so a record they already reflect is not written twice and no
+// concurrent record can slip in between the check and the commit. record
+// returns only after the record is fsync'd, so callers may acknowledge the
+// mutation the moment it returns nil — and must refuse to acknowledge when
+// it errors: an append failure (disk full, I/O fault) latches the journal
+// failed, the tables stay as they were, and the error surfaces so the
+// mutating operation fails instead of silently losing durability.
 func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, fields func(*rpc.Encoder)) error {
-	if p == nil {
-		return nil
-	}
 	var e rpc.Encoder
 	e.Uint8(tag)
 	fields(&e)
@@ -154,15 +175,18 @@ func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, 
 	if p.closed || (alreadySo != nil && alreadySo(&p.st)) {
 		return nil
 	}
-	if err := p.j.Append(e.Bytes()); err != nil {
-		return err
+	if p.j != nil {
+		if err := p.j.Append(e.Bytes()); err != nil {
+			p.failed.Store(p.j.Failed() != nil)
+			return err
+		}
 	}
 	if err := p.st.apply(e.Bytes()); err != nil {
-		// The record is our own encoding, already durable; a mirror
-		// rejection is a bug, not an I/O condition.
-		p.logger.Printf("gdmp: journal record rejected by mirror: %v", err)
+		// The record is our own encoding, already durable; a rejection is
+		// a bug, not an I/O condition.
+		p.logger.Printf("gdmp: journal record rejected by its own transition: %v", err)
 	}
-	if p.j.Records() >= compactThreshold {
+	if p.j != nil && p.j.Records() >= compactThreshold {
 		if err := p.j.Compact(p.st.encode()); err != nil {
 			p.logger.Printf("gdmp: journal compaction failed: %v", err)
 		}
@@ -170,29 +194,20 @@ func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, 
 	return nil
 }
 
-// view runs read against the mirror under its lock (the replay hooks).
-func (p *sitePersistence) view(read func(*persistState)) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	read(&p.st)
-}
-
-// close shuts the journal down. A graceful close folds the final state
-// into a snapshot first; an abrupt close (Kill) writes nothing more, so
-// only already-fsync'd records survive — exactly a crash's disk image.
+// close freezes the tables and shuts the journal down. A graceful close
+// folds the final state into a snapshot first; an abrupt close (Kill)
+// writes nothing more, so only already-fsync'd records survive — exactly
+// a crash's disk image.
 func (p *sitePersistence) close(graceful bool) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
 	p.closed = true
+	if p.j == nil {
+		return
+	}
 	if graceful {
 		if err := p.j.Compact(p.st.encode()); err != nil {
 			p.logger.Printf("gdmp: final journal compaction failed: %v", err)
@@ -201,7 +216,7 @@ func (p *sitePersistence) close(graceful bool) {
 	p.j.Close()
 }
 
-// --- the site's journaling hooks: one per record tag ------------------------
+// --- the transitions a site may request: one hook per record tag ------------
 
 func (p *sitePersistence) putFile(fi FileInfo) error {
 	return p.record(recPutFile, nil, func(e *rpc.Encoder) { encodeFileInfo(e, fi) })
@@ -236,15 +251,24 @@ func (p *sitePersistence) notifyQueue(name string, files []FileInfo) error {
 	})
 }
 
-func (p *sitePersistence) notifyAck(name string, n int) error {
-	return p.record(recNotifyAck, nil, func(e *rpc.Encoder) {
-		e.String(name)
+// replaced reports whether sub is no longer the subscriber registered
+// under its name: it unsubscribed, or did and subscribed again. The two
+// hooks of a drain goroutine carry it as their predicate, because the
+// record names the queue by subscriber name and that queue is now someone
+// else's undelivered notices.
+func replaced(sub *subscriberState) func(*persistState) bool {
+	return func(st *persistState) bool { return st.subs[sub.name] != sub }
+}
+
+func (p *sitePersistence) notifyAck(sub *subscriberState, n int) error {
+	return p.record(recNotifyAck, replaced(sub), func(e *rpc.Encoder) {
+		e.String(sub.name)
 		e.Uint32(uint32(n))
 	})
 }
 
-func (p *sitePersistence) notifyDrop(name string) error {
-	return p.record(recNotifyDrop, nil, func(e *rpc.Encoder) { e.String(name) })
+func (p *sitePersistence) notifyDrop(sub *subscriberState) error {
+	return p.record(recNotifyDrop, replaced(sub), func(e *rpc.Encoder) { e.String(sub.name) })
 }
 
 // pullQueued records an unfinished pull. It is idempotent by LFN and
@@ -276,16 +300,6 @@ func (p *sitePersistence) producerRemove(addr string) error {
 		func(e *rpc.Encoder) { e.String(addr) })
 }
 
-// producerAddrs returns the recovered producer set (replay hook).
-func (p *sitePersistence) producerAddrs() (out []string) {
-	p.view(func(st *persistState) {
-		for addr := range st.producers {
-			out = append(out, addr)
-		}
-	})
-	return out
-}
-
 // scrubCursor journals scrub-pass progress: lfn is the last catalog entry
 // verified ("" marks the pass complete). Best-effort durability is wrong
 // here in the other direction than acks: losing the cursor only costs
@@ -315,35 +329,18 @@ func (p *sitePersistence) parityDrop(lfn string) error {
 	}, func(e *rpc.Encoder) { e.String(lfn) })
 }
 
-// recoveredParity returns a copy of the journaled sidecar registry
-// (replay hook).
-func (p *sitePersistence) recoveredParity() map[string]string {
-	out := make(map[string]string)
-	p.view(func(st *persistState) {
-		for lfn, crc := range st.parity {
-			out[lfn] = crc
-		}
-	})
+// incompletePulls lists the unfinished pulls.
+func (st *persistState) incompletePulls() []FileInfo {
+	st.tabMu.Lock()
+	defer st.tabMu.Unlock()
+	out := make([]FileInfo, 0, len(st.pulls))
+	for _, fi := range st.pulls {
+		out = append(out, fi)
+	}
 	return out
 }
 
-// recoveredScrubCursor returns the journaled scrub cursor (replay hook).
-func (p *sitePersistence) recoveredScrubCursor() (lfn string) {
-	p.view(func(st *persistState) { lfn = st.scrubCursor })
-	return lfn
-}
-
-// incompletePulls returns the recovered unfinished-pull set (replay hook).
-func (p *sitePersistence) incompletePulls() (out []FileInfo) {
-	p.view(func(st *persistState) {
-		for _, fi := range st.pulls {
-			out = append(out, fi)
-		}
-	})
-	return out
-}
-
-// --- mirror transitions -----------------------------------------------------
+// --- the transition function -------------------------------------------------
 
 func encodeFileInfo(e *rpc.Encoder, fi FileInfo) {
 	e.String(fi.LFN)
@@ -389,25 +386,62 @@ func decodeFileInfos(d *rpc.Decoder) []FileInfo {
 	return out
 }
 
-// apply runs one record against the mirror. Replay calls it for every
-// recovered record in append order; commit calls it before appending, so
-// both paths share one transition function.
+// tableLock returns the lock of the table that records of this tag change
+// (the tags, fixed on disk, are numbered table by table).
+func (st *persistState) tableLock(tag uint8) sync.Locker {
+	switch {
+	case tag <= recSetState:
+		return &st.files.mu
+	case tag <= recNotifyDrop:
+		return &st.subMu
+	default:
+		return &st.tabMu
+	}
+}
+
+// apply runs one record against the tables, the only writer they have
+// (decode fills them once, before anyone can look). record calls it after
+// a successful append and replay calls it for every recovered record in
+// append order, so a running site and a restarted one share one
+// transition function. The caller holds the journal lock (at replay, the
+// only reference); apply takes the lock of the table it changes.
 func (st *persistState) apply(rec []byte) error {
 	d := rpc.NewDecoder(rec)
-	switch tag := d.Uint8(); tag {
+	tag := d.Uint8()
+	mu := st.tableLock(tag)
+	mu.Lock()
+	defer mu.Unlock()
+	switch c := st.files; tag {
 	case recPutFile:
 		fi := decodeFileInfo(d)
-		if d.Err() == nil {
-			st.files[fi.LFN] = fi
+		if d.Err() != nil {
+			break
+		}
+		old, had := c.byLFN[fi.LFN]
+		if had && old.Path != fi.Path {
+			delete(c.byPath, old.Path)
+		}
+		c.byLFN[fi.LFN] = fi
+		c.byPath[fi.Path] = fi.LFN
+		if !had {
+			// A new entry is still landing (pool, parity sidecar): the
+			// table knows it at once — the pool's eviction callback must
+			// find it — but has and await report it only after reveal.
+			c.landing[fi.LFN] = true
 		}
 	case recRemoveFile:
-		delete(st.files, d.String())
+		lfn := d.String()
+		if fi, ok := c.byLFN[lfn]; ok && c.byPath[fi.Path] == lfn {
+			delete(c.byPath, fi.Path)
+		}
+		delete(c.byLFN, lfn)
+		delete(c.landing, lfn)
 	case recSetState:
 		lfn := d.String()
 		state := FileState(d.String())
-		if fi, ok := st.files[lfn]; ok && d.Err() == nil {
+		if fi, ok := c.byLFN[lfn]; ok && d.Err() == nil {
 			fi.State = state
-			st.files[lfn] = fi
+			c.byLFN[lfn] = fi
 		}
 	case recSubscribe:
 		name := d.String()
@@ -416,12 +450,14 @@ func (st *persistState) apply(rec []byte) error {
 			break
 		}
 		if sub, ok := st.subs[name]; ok {
-			// Re-subscribing updates the address and clears suspicion; the
-			// undelivered queue survives.
+			// Re-subscribing updates the address and resets delivery
+			// health — the site is telling us it is back; the undelivered
+			// queue survives.
 			sub.addr = addr
 			sub.suspect = false
+			sub.failures = 0
 		} else {
-			st.subs[name] = &persistSub{addr: addr}
+			st.subs[name] = &subscriberState{name: name, addr: addr}
 		}
 	case recUnsubscribe:
 		delete(st.subs, d.String())
@@ -435,10 +471,10 @@ func (st *persistState) apply(rec []byte) error {
 		name := d.String()
 		n := int(d.Uint32())
 		if sub, ok := st.subs[name]; ok && d.Err() == nil {
-			if n > len(sub.queue) {
-				n = len(sub.queue)
-			}
-			sub.queue = append([]FileInfo(nil), sub.queue[n:]...)
+			// Notices queued while the send ran stay; the copy leaves the
+			// sender's batch alone.
+			sub.queue = append([]FileInfo(nil), sub.queue[min(n, len(sub.queue)):]...)
+			sub.failures = 0
 		}
 	case recNotifyDrop:
 		if sub, ok := st.subs[d.String()]; ok && d.Err() == nil {
@@ -482,12 +518,13 @@ func (st *persistState) apply(rec []byte) error {
 // empty.
 const snapshotVersion = 3
 
-// encode serializes the mirror for a journal snapshot.
+// encode serializes the tables for a journal snapshot; the caller holds
+// the journal lock.
 func (st *persistState) encode() []byte {
 	var e rpc.Encoder
 	e.Uint8(snapshotVersion)
-	e.Uint32(uint32(len(st.files)))
-	for _, fi := range st.files {
+	e.Uint32(uint32(len(st.files.byLFN)))
+	for _, fi := range st.files.byLFN {
 		encodeFileInfo(&e, fi)
 	}
 	e.Uint32(uint32(len(st.subs)))
@@ -514,7 +551,7 @@ func (st *persistState) encode() []byte {
 	return e.Bytes()
 }
 
-// decode loads a snapshot payload into the (empty) mirror.
+// decode loads a snapshot payload into the (empty, not yet shared) tables.
 func (st *persistState) decode(b []byte) error {
 	d := rpc.NewDecoder(b)
 	v := d.Uint8()
@@ -522,14 +559,14 @@ func (st *persistState) decode(b []byte) error {
 		return fmt.Errorf("unsupported snapshot version %d", v)
 	}
 	for _, fi := range decodeFileInfos(d) {
-		st.files[fi.LFN] = fi
+		st.files.byLFN[fi.LFN] = fi
+		st.files.byPath[fi.Path] = fi.LFN
 	}
 	for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-		name := d.String()
-		sub := &persistSub{addr: d.String(), suspect: d.Bool()}
+		sub := &subscriberState{name: d.String(), addr: d.String(), suspect: d.Bool()}
 		sub.queue = decodeFileInfos(d)
 		if d.Err() == nil {
-			st.subs[name] = sub
+			st.subs[sub.name] = sub
 		}
 	}
 	for _, fi := range decodeFileInfos(d) {
@@ -605,47 +642,21 @@ func recordRecoveryMetrics(reg *obs.Registry, rs RecoveryStats) {
 	set("torn_bytes", "Torn journal bytes truncated at the last restart.", rs.TornBytes)
 }
 
-// restoreFromJournal fills the site's in-memory state from the replayed
-// mirror: local catalog, subscriber registry with undelivered queues, and
-// the unfinished-pull set. It then reconciles the data directory against
-// the recovered catalog. Called from NewSite before the servers start;
-// delivery drains and pull requeues are kicked separately once they can
-// run (resumeRecovered).
+// restoreFromJournal finishes what the journal replay began: it counts
+// what the replayed tables hold, then reconciles the data directory and
+// the parity sidecars against the recovered catalog. Called from NewSite
+// before the servers start; delivery drains and pull requeues are kicked
+// separately once they can run (resumeRecovered).
 func (s *Site) restoreFromJournal(tornBytes int64) error {
-	var files []FileInfo
-	subs := make(map[string]persistSub)
-	s.persist.view(func(st *persistState) {
-		for _, fi := range st.files {
-			files = append(files, fi)
-		}
-		for name, sub := range st.subs {
-			subs[name] = persistSub{
-				addr:    sub.addr,
-				suspect: sub.suspect,
-				queue:   append([]FileInfo(nil), sub.queue...),
-			}
-		}
-	})
-
-	rs := RecoveryStats{TornBytes: tornBytes}
-	for _, fi := range files {
-		s.local.put(fi)
-		rs.FilesRestored++
-	}
-	s.subMu.Lock()
-	for name, sub := range subs {
-		s.subscribers[name] = &subscriberState{
-			name:    name,
-			addr:    sub.addr,
-			suspect: sub.suspect,
-			queue:   sub.queue,
-		}
-		rs.SubscribersRestored++
+	rs := RecoveryStats{TornBytes: tornBytes, FilesRestored: s.local.len()}
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	rs.SubscribersRestored = len(tbl.subs)
+	for _, sub := range tbl.subs {
 		rs.NoticesRequeued += len(sub.queue)
 	}
-	s.met.subscribers.Set(int64(len(s.subscribers)))
-	s.updateNotifyGaugesLocked()
-	s.subMu.Unlock()
+	tbl.subMu.Unlock()
+	s.updateNotifyGauges()
 
 	if err := s.reconcileDataDir(&rs); err != nil {
 		return err
@@ -692,7 +703,7 @@ func (s *Site) reconcileDataDir(rs *RecoveryStats) error {
 
 	// Staging files an unfinished pull may legitimately resume.
 	expected := make(map[string]bool)
-	for _, fi := range s.persist.incompletePulls() {
+	for _, fi := range s.persist.st.incompletePulls() {
 		if fi.Path == "" {
 			continue
 		}
@@ -744,17 +755,8 @@ func (s *Site) quarantine(path string) bool {
 // unfinished pulls back into the scheduler (AutoReplicate) or the pending
 // queue.
 func (s *Site) resumeRecovered() {
-	s.subMu.Lock()
-	for _, st := range s.subscribers {
-		if len(st.queue) > 0 && !st.suspect && !st.draining {
-			st.draining = true
-			s.notifyWG.Add(1)
-			go s.drainSubscriber(st)
-		}
-	}
-	s.subMu.Unlock()
-
-	pulls := s.persist.incompletePulls()
+	s.startDrains()
+	pulls := s.persist.st.incompletePulls()
 	s.recovery.PullsRequeued = len(pulls)
 	recordRecoveryMetrics(s.metrics, s.recovery)
 	if len(pulls) > 0 {

@@ -5,6 +5,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"gdmp/internal/obs"
@@ -22,9 +23,38 @@ func testPersist(t *testing.T, dir string) *sitePersistence {
 	return p
 }
 
+// durableSub and durableTables are the durable content of a persistState —
+// what a snapshot holds — as plain values reflect.DeepEqual can compare.
+type durableSub struct {
+	addr    string
+	suspect bool
+	queue   []FileInfo
+}
+
+type durableTables struct {
+	files       map[string]FileInfo
+	byPath      map[string]string
+	subs        map[string]durableSub
+	pulls       map[string]FileInfo
+	producers   map[string]bool
+	scrubCursor string
+	parity      map[string]string
+}
+
+func (p *sitePersistence) tables() durableTables {
+	t := durableTables{
+		files: p.st.files.byLFN, byPath: p.st.files.byPath, subs: map[string]durableSub{},
+		pulls: p.st.pulls, producers: p.st.producers, scrubCursor: p.st.scrubCursor, parity: p.st.parity,
+	}
+	for name, sub := range p.st.subs {
+		t.subs[name] = durableSub{sub.addr, sub.suspect, append([]FileInfo(nil), sub.queue...)}
+	}
+	return t
+}
+
 // TestPersistCrashRoundTrip commits one of every record kind, severs the
 // journal abruptly (no final snapshot — the crash image), and reopens:
-// the replayed mirror must equal the pre-crash mirror exactly.
+// the replayed tables must equal the pre-crash tables exactly.
 func TestPersistCrashRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	p := testPersist(t, dir)
@@ -37,7 +67,7 @@ func TestPersistCrashRoundTrip(t *testing.T) {
 	p.subscribe("anl.gov", "127.0.0.1:1000")
 	p.subscribe("fnal.gov", "127.0.0.1:2000")
 	p.notifyQueue("anl.gov", []FileInfo{{LFN: "a", Path: "x/a.db", Size: 10}, {LFN: "b", Path: "x/b.db", Size: 20}})
-	p.notifyAck("anl.gov", 1)
+	p.notifyAck(p.st.subs["anl.gov"], 1)
 	p.unsubscribe("fnal.gov")
 	p.pullQueued(FileInfo{LFN: "p1", Path: "y/p1.db", Size: 5})
 	p.pullQueued(FileInfo{LFN: "p2"})
@@ -52,13 +82,13 @@ func TestPersistCrashRoundTrip(t *testing.T) {
 	if torn != 0 {
 		t.Fatalf("clean crash reported %d torn bytes", torn)
 	}
-	if n := len(q.st.files); n != 2 {
-		t.Fatalf("files = %d, want 2 (%+v)", n, q.st.files)
+	if n := len(q.st.files.byLFN); n != 2 {
+		t.Fatalf("files = %d, want 2 (%+v)", n, q.st.files.byLFN)
 	}
-	if fi := q.st.files["b"]; fi.State != StateDisk || fi.Size != 20 {
+	if fi := q.st.files.byLFN["b"]; fi.State != StateDisk || fi.Size != 20 {
 		t.Fatalf("file b replayed wrong: %+v", fi)
 	}
-	if _, ok := q.st.files["dead"]; ok {
+	if _, ok := q.st.files.byLFN["dead"]; ok {
 		t.Fatal("removed file survived replay")
 	}
 	if n := len(q.st.subs); n != 1 {
@@ -68,7 +98,7 @@ func TestPersistCrashRoundTrip(t *testing.T) {
 	if sub == nil || len(sub.queue) != 1 || sub.queue[0].LFN != "b" {
 		t.Fatalf("undelivered queue replayed wrong: %+v", sub)
 	}
-	pulls := q.incompletePulls()
+	pulls := q.st.incompletePulls()
 	if len(pulls) != 1 || pulls[0].LFN != "p2" {
 		t.Fatalf("incomplete pulls = %+v, want just p2", pulls)
 	}
@@ -97,8 +127,8 @@ func TestPersistGracefulCloseSnapshots(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer q.close(false)
-	if len(q.st.files) != 1 || len(q.st.subs) != 1 {
-		t.Fatalf("snapshot round-trip lost state: %+v", q.st)
+	if len(q.st.files.byLFN) != 1 || len(q.st.subs) != 1 {
+		t.Fatalf("snapshot round-trip lost state: %+v", q.tables())
 	}
 }
 
@@ -128,10 +158,10 @@ func TestPersistTornTailRecovered(t *testing.T) {
 	if torn == 0 {
 		t.Fatal("torn tail not reported")
 	}
-	if _, ok := q.st.files["whole"]; !ok {
+	if _, ok := q.st.files.byLFN["whole"]; !ok {
 		t.Fatal("whole record lost with the torn tail")
 	}
-	if _, ok := q.st.files["torn"]; ok {
+	if _, ok := q.st.files.byLFN["torn"]; ok {
 		t.Fatal("torn record replayed")
 	}
 	q.putFile(FileInfo{LFN: "after", Path: "a.db", Size: 1})
@@ -143,7 +173,7 @@ func TestPersistTornTailRecovered(t *testing.T) {
 	}
 	defer r.close(false)
 	for _, lfn := range []string{"whole", "after"} {
-		if _, ok := r.st.files[lfn]; !ok {
+		if _, ok := r.st.files.byLFN[lfn]; !ok {
 			t.Fatalf("%s missing after post-truncation append", lfn)
 		}
 	}
@@ -183,7 +213,7 @@ func TestPersistSubscriberTransitions(t *testing.T) {
 
 	p.subscribe("anl.gov", "127.0.0.1:1000")
 	p.notifyQueue("anl.gov", []FileInfo{{LFN: "a"}, {LFN: "b"}})
-	p.notifyAck("anl.gov", 5) // over-ack clamps instead of corrupting
+	p.notifyAck(p.st.subs["anl.gov"], 5) // over-ack clamps instead of corrupting
 	if q := p.st.subs["anl.gov"].queue; len(q) != 0 {
 		t.Fatalf("over-ack left queue %+v", q)
 	}
@@ -195,7 +225,7 @@ func TestPersistSubscriberTransitions(t *testing.T) {
 		t.Fatalf("re-subscribe lost queue or address: %+v", sub)
 	}
 
-	p.notifyDrop("anl.gov")
+	p.notifyDrop(p.st.subs["anl.gov"])
 	if sub := p.st.subs["anl.gov"]; !sub.suspect || len(sub.queue) != 0 {
 		t.Fatalf("drop did not mark suspect and clear: %+v", sub)
 	}
@@ -208,8 +238,8 @@ func TestPersistSubscriberTransitions(t *testing.T) {
 // TestPersistAppendFailurePropagates pins the journal-before-ack
 // contract's failure half: when the WAL cannot take the record, the hook
 // must return the error (so the mutating RPC fails) instead of
-// acknowledging a mutation the disk does not hold — and the mirror must
-// not apply it, staying consistent with disk.
+// acknowledging a mutation the disk does not hold — and the tables must
+// not change, staying consistent with disk.
 func TestPersistAppendFailurePropagates(t *testing.T) {
 	p := testPersist(t, t.TempDir())
 	if err := p.putFile(FileInfo{LFN: "ok", Path: "ok.db"}); err != nil {
@@ -225,40 +255,47 @@ func TestPersistAppendFailurePropagates(t *testing.T) {
 	if err := p.pullQueued(FileInfo{LFN: "pull"}); err == nil {
 		t.Fatal("pullQueued on a severed journal acked")
 	}
-	if _, ok := p.st.files["lost"]; ok {
-		t.Fatal("mirror applied a record the WAL rejected")
+	if _, ok := p.st.files.byLFN["lost"]; ok {
+		t.Fatal("a record the WAL rejected was applied")
 	}
 	if len(p.st.subs) != 0 || len(p.st.pulls) != 0 {
-		t.Fatalf("mirror diverged from disk: %+v", p.st)
+		t.Fatalf("tables diverged from disk: %+v", p.tables())
 	}
 }
 
-// TestPersistNilIsNoOp: a site without a StateDir journals nothing and
-// never panics.
-func TestPersistNilIsNoOp(t *testing.T) {
-	var p *sitePersistence
-	p.putFile(FileInfo{LFN: "x"})
-	p.removeFile("x")
-	p.setState("x", StateDisk)
-	p.subscribe("s", "a")
-	p.unsubscribe("s")
-	p.notifyQueue("s", nil)
-	p.notifyAck("s", 1)
-	p.notifyDrop("s")
-	p.pullQueued(FileInfo{LFN: "x"})
-	p.pullDone("x")
-	p.producerAdd("a")
-	p.producerRemove("a")
-	p.scrubCursor("x")
-	p.close(true)
-	if got := p.incompletePulls(); got != nil {
-		t.Fatalf("nil persistence returned pulls: %v", got)
+// TestPersistSameTablesWithoutJournal: a site without a StateDir runs the
+// same transitions on the same tables with the append skipped, so the
+// golden crash sequence — every record kind, and the no-ops — leaves it
+// exactly the tables it leaves a journaled site, and what a replay of that
+// site's journal rebuilds.
+func TestPersistSameTablesWithoutJournal(t *testing.T) {
+	dir := t.TempDir()
+	var got []durableTables
+	for _, tc := range []struct{ name, stateDir string }{
+		{"journaled", dir},
+		{"no state dir", ""},
+		{"replayed", dir},
+	} {
+		p := testPersist(t, tc.stateDir)
+		if tc.name != "replayed" {
+			goldenCrashSequence(p)
+		}
+		if (p.j != nil) != (tc.stateDir != "") {
+			t.Fatalf("%s: journal open = %v", tc.name, p.j != nil)
+		}
+		got = append(got, p.tables())
+		p.close(false)
+		if err := p.putFile(FileInfo{LFN: "late", Path: "late.db"}); err != nil || p.st.files.has("late") {
+			t.Fatalf("%s: a record after close = %v, applied %v; want dropped", tc.name, err, p.st.files.has("late"))
+		}
 	}
-	if got := p.producerAddrs(); got != nil {
-		t.Fatalf("nil persistence returned producers: %v", got)
+	if len(got[0].files) != 2 || len(got[0].subs) != 1 || len(got[0].pulls) != 1 || len(got[0].parity) != 1 {
+		t.Fatalf("golden sequence left %+v", got[0])
 	}
-	if got := p.recoveredScrubCursor(); got != "" {
-		t.Fatalf("nil persistence returned a scrub cursor: %q", got)
+	for i, name := range []string{"no state dir", "replayed"} {
+		if !reflect.DeepEqual(got[i+1], got[0]) {
+			t.Errorf("%s:\n%+v\nwant the journaled site's tables\n%+v", name, got[i+1], got[0])
+		}
 	}
 }
 
@@ -281,10 +318,10 @@ func TestPersistProducersAndScrubCursor(t *testing.T) {
 	if torn != 0 {
 		t.Fatalf("clean crash reported %d torn bytes", torn)
 	}
-	if got := q.producerAddrs(); len(got) != 1 || got[0] != "127.0.0.1:2000" {
+	if got := q.st.producers; len(got) != 1 || !got["127.0.0.1:2000"] {
 		t.Fatalf("replayed producers = %v, want [127.0.0.1:2000]", got)
 	}
-	if got := q.recoveredScrubCursor(); got != "lfn://cern.ch/run1/b.db" {
+	if got := q.st.scrubCursor; got != "lfn://cern.ch/run1/b.db" {
 		t.Fatalf("replayed scrub cursor = %q", got)
 	}
 	q.close(true) // graceful: fold into a snapshot
@@ -294,15 +331,15 @@ func TestPersistProducersAndScrubCursor(t *testing.T) {
 		t.Fatalf("reopen after snapshot: %v", err)
 	}
 	defer r.close(false)
-	if got := r.producerAddrs(); len(got) != 1 || got[0] != "127.0.0.1:2000" {
+	if got := r.st.producers; len(got) != 1 || !got["127.0.0.1:2000"] {
 		t.Fatalf("snapshotted producers = %v, want [127.0.0.1:2000]", got)
 	}
-	if got := r.recoveredScrubCursor(); got != "lfn://cern.ch/run1/b.db" {
+	if got := r.st.scrubCursor; got != "lfn://cern.ch/run1/b.db" {
 		t.Fatalf("snapshotted scrub cursor = %q", got)
 	}
 	// Clearing the cursor at pass end must stick too.
 	r.scrubCursor("")
-	if got := r.recoveredScrubCursor(); got != "" {
+	if got := r.st.scrubCursor; got != "" {
 		t.Fatalf("cleared scrub cursor = %q", got)
 	}
 }

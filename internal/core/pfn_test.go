@@ -75,13 +75,16 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// TestLocalCatalog drives the file table the only way it changes, through
+// the three file records of a (journal-less) sitePersistence.
 func TestLocalCatalog(t *testing.T) {
-	c := newLocalCatalog()
+	p := testPersist(t, "")
+	c := p.st.files
 	if c.len() != 0 {
 		t.Fatal("new catalog not empty")
 	}
-	c.put(FileInfo{LFN: "b", Path: "b", Size: 2, State: StateDisk})
-	c.put(FileInfo{LFN: "a", Path: "a", Size: 1, State: StateDisk})
+	p.putFile(FileInfo{LFN: "b", Path: "b", Size: 2, State: StateDisk})
+	p.putFile(FileInfo{LFN: "a", Path: "a", Size: 1, State: StateDisk})
 	if c.len() != 2 {
 		t.Fatalf("len = %d", c.len())
 	}
@@ -92,18 +95,39 @@ func TestLocalCatalog(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("get(a) missed")
 	}
-	if err := c.setState("a", StateTape); err != nil {
-		t.Fatal(err)
+	// A new entry is found by path at once and reported by has once revealed.
+	if _, ok := c.getByPath("a"); !ok || c.has("a") {
+		t.Fatalf("landing entry: by path %v, has %v; want true, false", ok, c.has("a"))
 	}
+	arrived := c.await("a")
+	c.reveal("a")
+	select {
+	case <-arrived:
+	default:
+		t.Fatal("reveal did not release the waiter")
+	}
+	if !c.has("a") {
+		t.Fatal("revealed entry not reported")
+	}
+	p.setState("a", StateTape)
 	fi, _ := c.get("a")
 	if fi.State != StateTape {
 		t.Fatalf("state = %v", fi.State)
 	}
-	if err := c.setState("zzz", StateDisk); err == nil {
-		t.Fatal("setState on missing entry accepted")
+	p.setState("zzz", StateDisk)
+	if _, ok := c.get("zzz"); ok || c.len() != 2 {
+		t.Fatal("a residency record made an entry")
 	}
-	c.remove("a")
+	// Replacing an entry moves its path and keeps it revealed.
+	p.putFile(FileInfo{LFN: "a", Path: "a2", Size: 1, State: StateDisk})
+	if _, old := c.getByPath("a"); old || !c.has("a") {
+		t.Fatalf("replaced entry: old path %v, has %v; want false, true", old, c.has("a"))
+	}
+	p.removeFile("a")
 	if _, ok := c.get("a"); ok {
 		t.Fatal("remove did not remove")
+	}
+	if _, ok := c.getByPath("a2"); ok {
+		t.Fatal("remove left the path index behind")
 	}
 }

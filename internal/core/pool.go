@@ -53,7 +53,7 @@ func (s *Site) onPoolEvict(name string, size int64) {
 		return // not a cataloged replica (scratch bytes, test files)
 	}
 	if _, err := s.storage.TapeSize(name); err == nil {
-		if err := s.setResidency(fi.LFN, StateTape); err != nil {
+		if err := s.persist.setState(fi.LFN, StateTape); err != nil {
 			s.logger.Printf("gdmp[%s]: eviction of %s to tape: %v", s.cfg.Name, fi.LFN, err)
 		}
 		// The attached sidecar's bytes left the pool with the file; forget

@@ -41,15 +41,11 @@ const (
 // initScrub builds the self-healing runtime: metrics, rate limiter, and
 // the repair driver. Called from NewSite before the servers start (the
 // digest/fsck handlers need it); the background daemon starts later, once
-// recovery has resumed.
+// recovery has resumed. The producer set and the pass cursor they work
+// from are tables of s.persist, already replayed.
 func (s *Site) initScrub() {
 	s.scrubMet = scrub.NewMetrics(s.metrics)
 	s.scrubLim = scrub.NewLimiter(s.cfg.ScrubRateBytes)
-	s.producers = make(map[string]bool)
-	for _, addr := range s.persist.producerAddrs() {
-		s.producers[addr] = true
-	}
-	s.scrubCur = s.persist.recoveredScrubCursor()
 	s.repairer = scrub.NewRepairer(s.ctx, scrub.RepairConfig{
 		Do:          s.repairFile,
 		Reconstruct: s.reconstructLocal,
@@ -78,13 +74,11 @@ type siteScrubOps struct{ s *Site }
 
 // The daemon's periodic passes yield to brownout: under overload the
 // next interval tries again, so integrity work is deferred, never lost.
-// On-demand Fsck is not gated — an operator asking for a scan gets one.
+// On-demand passes and Fsck are not gated — an operator asking for a scan
+// gets one.
 
 func (o siteScrubOps) ScrubPass(ctx context.Context) (scrub.Report, error) {
-	if !o.s.admit.Allow("scrub") {
-		return scrub.Report{}, nil
-	}
-	return o.s.ScrubPass(ctx)
+	return o.s.scrubPass(ctx, true)
 }
 
 func (o siteScrubOps) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error) {
@@ -124,7 +118,6 @@ func (s *Site) RepairQuiesce(ctx context.Context) error {
 // setScrubCursor advances the journaled pass cursor. Best-effort: losing
 // it only costs re-verification after a crash.
 func (s *Site) setScrubCursor(lfn string) {
-	s.scrubCur = lfn
 	if err := s.persist.scrubCursor(lfn); err != nil {
 		s.logger.Printf("gdmp[%s]: journal scrub cursor: %v", s.cfg.Name, err)
 	}
@@ -138,12 +131,24 @@ func (s *Site) setScrubCursor(lfn string) {
 // a crash mid-pass resumes where it stopped instead of re-reading the
 // verified prefix. One pass runs at a time.
 func (s *Site) ScrubPass(ctx context.Context) (scrub.Report, error) {
+	return s.scrubPass(ctx, false)
+}
+
+// scrubPass is ScrubPass; a periodic one asks admission before every file
+// and again before it counts itself complete, so a brownout sheds the pass
+// in flight, not only the ones that have yet to start (with a byte-rate
+// limit a pass can outlast many brownouts). A pass that yields keeps its
+// cursor, and a later tick resumes it.
+func (s *Site) scrubPass(ctx context.Context, periodic bool) (scrub.Report, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
 	start := time.Now()
+	shed := func() bool { return periodic && !s.admit.Allow("scrub") }
 
 	var rep scrub.Report
-	cursor := s.scrubCur
+	s.persist.st.tabMu.Lock()
+	cursor := s.persist.st.scrubCursor
+	s.persist.st.tabMu.Unlock()
 	rep.Resumed = cursor != ""
 
 	// The snapshot is taken once; files published mid-pass are covered by
@@ -154,6 +159,9 @@ func (s *Site) ScrubPass(ctx context.Context) (scrub.Report, error) {
 		}
 		if err := ctx.Err(); err != nil {
 			return rep, err
+		}
+		if shed() {
+			return rep, nil
 		}
 		verdict, bytes := s.scrubOne(ctx, fi)
 		rep.Scanned++
@@ -195,8 +203,11 @@ func (s *Site) ScrubPass(ctx context.Context) (scrub.Report, error) {
 		}
 		s.setScrubCursor(fi.LFN)
 	}
-	s.setScrubCursor("")
+	if shed() {
+		return rep, nil
+	}
 	s.scrubMet.ScrubPasses.Inc()
+	s.setScrubCursor("")
 	s.scrubMet.ScrubPassSeconds.Observe(time.Since(start).Seconds())
 	s.sweepQuarantine()
 	s.sweepOrphanSidecars()
@@ -361,9 +372,6 @@ func (s *Site) sweepQuarantine() {
 // addProducer durably records a producer this site subscribed to, making
 // it an anti-entropy peer across restarts.
 func (s *Site) addProducer(addr string) {
-	s.prodMu.Lock()
-	s.producers[addr] = true
-	s.prodMu.Unlock()
 	if err := s.persist.producerAdd(addr); err != nil {
 		s.logger.Printf("gdmp[%s]: journal producer %s: %v", s.cfg.Name, addr, err)
 	}
@@ -371,9 +379,6 @@ func (s *Site) addProducer(addr string) {
 
 // removeProducer forgets a producer after unsubscription.
 func (s *Site) removeProducer(addr string) {
-	s.prodMu.Lock()
-	delete(s.producers, addr)
-	s.prodMu.Unlock()
 	if err := s.persist.producerRemove(addr); err != nil {
 		s.logger.Printf("gdmp[%s]: journal producer removal %s: %v", s.cfg.Name, addr, err)
 	}
@@ -435,22 +440,23 @@ type antiEntropyPeer struct {
 func (s *Site) antiEntropyPeers() []antiEntropyPeer {
 	seen := make(map[string]bool)
 	var peers []antiEntropyPeer
-	s.prodMu.Lock()
-	for addr := range s.producers {
+	tbl := &s.persist.st
+	tbl.tabMu.Lock()
+	for addr := range tbl.producers {
 		if !seen[addr] {
 			seen[addr] = true
 			peers = append(peers, antiEntropyPeer{addr: addr, producer: true})
 		}
 	}
-	s.prodMu.Unlock()
-	s.subMu.Lock()
-	for _, st := range s.subscribers {
+	tbl.tabMu.Unlock()
+	tbl.subMu.Lock()
+	for _, st := range tbl.subs {
 		if !seen[st.addr] {
 			seen[st.addr] = true
 			peers = append(peers, antiEntropyPeer{addr: st.addr})
 		}
 	}
-	s.subMu.Unlock()
+	tbl.subMu.Unlock()
 	sort.Slice(peers, func(i, j int) bool { return peers[i].addr < peers[j].addr })
 	return peers
 }

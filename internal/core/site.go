@@ -316,18 +316,21 @@ type Site struct {
 	gdmpLn net.Listener
 	ftpLn  net.Listener
 
-	rc    *rcService
-	local *localCatalog
-	catMu sync.Mutex // held by enter/leave/setResidency across table update + journal record
+	rc *rcService
+
+	// persist holds the site's durable tables (local file catalog,
+	// subscribers and their notice queues, unfinished pulls, producers,
+	// scrub cursor, parity sidecars) and the journal behind them; local is
+	// its file table, persist.st.files, under the name its readers use.
+	persist *sitePersistence
+	local   *localCatalog
 
 	federation *objectstore.Federation
 	storage    *mss.MSS
 
 	types *typeRegistry
 
-	subMu       sync.Mutex
-	subscribers map[string]*subscriberState // site name -> delivery state
-	notifyWG    sync.WaitGroup
+	notifyWG sync.WaitGroup
 
 	// ctx is canceled by Close; it gates retry backoffs and redelivery
 	// drains so shutdown does not wait out a backoff schedule.
@@ -344,8 +347,6 @@ type Site struct {
 
 	xferLog *transferLog
 
-	// persist journals durable state mutations; nil without Config.StateDir.
-	persist  *sitePersistence
 	recovery RecoveryStats
 
 	metrics *obs.Registry
@@ -353,24 +354,12 @@ type Site struct {
 
 	// Self-healing runtime (internal/scrub): metrics, the scan rate
 	// limiter, the repair driver, and the background daemon. scrubMu
-	// serializes passes and guards the in-memory cursor mirror.
+	// serializes passes.
 	scrubMet *scrub.Metrics
 	scrubLim *scrub.Limiter
 	repairer *scrub.Repairer
 	scrubDmn *scrub.Daemon
 	scrubMu  sync.Mutex
-	scrubCur string
-
-	// producers are the ctl addresses this site has subscribed to — its
-	// anti-entropy pull peers (journaled, so they survive restarts).
-	prodMu    sync.Mutex
-	producers map[string]bool
-
-	// paritySC mirrors the journaled parity-sidecar registry: LFN → hex
-	// CRC of the sidecar file last written for it. loadSidecar checks a
-	// sidecar against this before trusting it for a rebuild.
-	parityMu sync.Mutex
-	paritySC map[string]string
 
 	// RLS runtime (rls.go): the digest pusher's generation counter and
 	// change-detection hash, plus its loop's join handle.
@@ -446,18 +435,15 @@ func NewSite(cfg Config) (*Site, error) {
 	}
 
 	s := &Site{
-		cfg:         cfg,
-		logger:      cfg.Logger,
-		local:       newLocalCatalog(),
-		federation:  cfg.Federation,
-		storage:     cfg.MSS,
-		types:       newTypeRegistry(),
-		subscribers: make(map[string]*subscriberState),
-		xferLog:     newTransferLog(0),
-		metrics:     cfg.Metrics,
-		met:         newSiteMetrics(cfg.Metrics),
-		tunedBuf:    make(map[string]int),
-		paritySC:    make(map[string]string),
+		cfg:        cfg,
+		logger:     cfg.Logger,
+		federation: cfg.Federation,
+		storage:    cfg.MSS,
+		types:      newTypeRegistry(),
+		xferLog:    newTransferLog(0),
+		metrics:    cfg.Metrics,
+		met:        newSiteMetrics(cfg.Metrics),
+		tunedBuf:   make(map[string]int),
 	}
 	dialRC := func() (*replica.Client, error) {
 		return replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
@@ -493,12 +479,12 @@ func NewSite(cfg Config) (*Site, error) {
 		}
 	}
 
+	persist, torn, err := openPersistence(cfg.StateDir, cfg.Metrics, cfg.Logger)
+	if err != nil {
+		return fail(err)
+	}
+	s.persist, s.local = persist, persist.st.files
 	if cfg.StateDir != "" {
-		persist, torn, err := openPersistence(cfg.StateDir, cfg.Metrics, cfg.Logger)
-		if err != nil {
-			return fail(err)
-		}
-		s.persist = persist
 		if err := s.restoreFromJournal(torn); err != nil {
 			return fail(fmt.Errorf("core: restart recovery: %w", err))
 		}
@@ -558,7 +544,7 @@ func NewSite(cfg Config) (*Site, error) {
 	// every eviction they trigger is already catalog-consistent.
 	s.initPool()
 
-	if s.persist != nil {
+	if cfg.StateDir != "" {
 		// Only now can recovered work run: delivery drains need the site
 		// context, requeued pulls need the servers' addresses.
 		s.resumeRecovered()
@@ -641,7 +627,9 @@ func (s *Site) teardown(graceful bool) error {
 	if s.federation != nil {
 		s.federation.Close()
 	}
-	s.persist.close(graceful)
+	if s.persist != nil {
+		s.persist.close(graceful)
+	}
 	return errors.Join(errs...)
 }
 
@@ -791,60 +779,66 @@ func (s *Site) publishCore(relPath string, opts PublishOptions, notify bool) (pf
 	return PublishedFile{LFN: lfn, PFN: pfn, Size: info.Size(), CRC: crcHex}, nil
 }
 
-// subscriberState is the per-subscriber delivery queue and health record.
-// All fields are guarded by Site.subMu.
-type subscriberState struct {
-	name     string
-	addr     string
-	queue    []FileInfo // notices not yet acknowledged
-	failures int        // consecutive delivery failures
-	suspect  bool       // past the failure threshold; skipped until re-subscribe
-	draining bool       // a drain goroutine is running
-}
-
 // notifySubscribers queues the publication notice for every healthy
 // subscriber and kicks each subscriber's drain goroutine. Delivery is
 // asynchronous and retried with backoff; a subscriber that keeps failing
 // turns suspect and reconciles later via the catalog transfer (Recover).
-// A journal failure keeps the notice out of the in-memory queue too and
-// is returned, so Publish fails rather than acks a notice that would not
-// survive a crash.
+// A notice is journaled before Publish returns: an acknowledged
+// publication's notices survive a crash and redeliver after restart, and
+// a journal failure is returned, so Publish fails rather than acks a
+// notice that would not.
 func (s *Site) notifySubscribers(files []FileInfo) error {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	var errs []error
-	for _, st := range s.subscribers {
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	names := make([]string, 0, len(tbl.subs))
+	for name, st := range tbl.subs {
 		if st.suspect {
 			s.met.notifySkipped.Inc()
 			continue
 		}
-		// Journaled before Publish returns: an acknowledged publication's
-		// notices survive a crash and redeliver after restart.
-		if err := s.persist.notifyQueue(st.name, files); err != nil {
-			errs = append(errs, fmt.Errorf("core: journal notice for %s: %w", st.name, err))
-			continue
+		names = append(names, name)
+	}
+	tbl.subMu.Unlock()
+	var errs []error
+	for _, name := range names {
+		if err := s.persist.notifyQueue(name, files); err != nil {
+			errs = append(errs, fmt.Errorf("core: journal notice for %s: %w", name, err))
 		}
-		st.queue = append(st.queue, files...)
-		if !st.draining {
+	}
+	s.startDrains()
+	return errors.Join(errs...)
+}
+
+// startDrains starts a delivery goroutine for every subscriber that has
+// notices queued, is not suspect and has none running yet.
+func (s *Site) startDrains() {
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	for _, st := range tbl.subs {
+		if len(st.queue) > 0 && !st.suspect && !st.draining {
 			st.draining = true
 			s.notifyWG.Add(1)
 			go s.drainSubscriber(st)
 		}
 	}
-	s.updateNotifyGaugesLocked()
-	return errors.Join(errs...)
+	tbl.subMu.Unlock()
+	s.updateNotifyGauges()
 }
 
-// updateNotifyGaugesLocked refreshes the queue-depth and suspect gauges;
-// the caller holds subMu.
-func (s *Site) updateNotifyGaugesLocked() {
+// updateNotifyGauges refreshes the subscriber-count, queue-depth and
+// suspect gauges from the table.
+func (s *Site) updateNotifyGauges() {
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	defer tbl.subMu.Unlock()
 	var depth, suspect int64
-	for _, st := range s.subscribers {
+	for _, st := range tbl.subs {
 		depth += int64(len(st.queue))
 		if st.suspect {
 			suspect++
 		}
 	}
+	s.met.subscribers.Set(int64(len(tbl.subs)))
 	s.met.notifyQueueDepth.Set(depth)
 	s.met.suspectSubscribers.Set(suspect)
 }
@@ -853,73 +847,70 @@ func (s *Site) updateNotifyGaugesLocked() {
 // backing off between consecutive failures. After NotifyFailureThreshold
 // consecutive failures the subscriber is marked suspect and its queue
 // dropped: GDMP's recovery path for a site that missed notifications is the
-// producer-catalog reconciliation (Recover), not an unbounded queue.
+// producer-catalog reconciliation (Recover), not an unbounded queue. The
+// goroutine stops, acknowledging nothing, once st is no longer the
+// registered subscriber of its name (unsubscribed, perhaps subscribed
+// again since): the queue under that name is not the one it was sending.
 func (s *Site) drainSubscriber(st *subscriberState) {
 	defer s.notifyWG.Done()
+	tbl := &s.persist.st
 	pol := s.cfg.Retry
 	for {
-		s.subMu.Lock()
-		if len(st.queue) == 0 || st.suspect || s.ctx.Err() != nil {
+		tbl.subMu.Lock()
+		if len(st.queue) == 0 || st.suspect || s.ctx.Err() != nil || tbl.subs[st.name] != st {
+			// Ended under the lock hold of the look at the queue, so a
+			// notice queued after it starts a new drain.
 			st.draining = false
-			s.updateNotifyGaugesLocked()
-			s.subMu.Unlock()
+			tbl.subMu.Unlock()
+			s.updateNotifyGauges()
 			return
 		}
-		batch := st.queue
-		addr := st.addr
-		s.subMu.Unlock()
+		batch, addr := st.queue, st.addr
+		tbl.subMu.Unlock()
 
 		err := s.sendNotify(addr, batch)
 		s.met.notifySent.WithLabelValues(outcomeOf(err)).Inc()
-
-		s.subMu.Lock()
-		if err == nil {
-			// New notices may have been queued while the send ran; keep them.
-			st.queue = st.queue[len(batch):]
-			st.failures = 0
-			// Best-effort: a failed ack record redelivers the batch after a
-			// restart, and consumers dedup by LFN.
-			if err := s.persist.notifyAck(st.name, len(batch)); err != nil {
-				s.logger.Printf("gdmp[%s]: journal notify-ack for %s: %v", s.cfg.Name, st.name, err)
-			}
-			s.updateNotifyGaugesLocked()
-			s.subMu.Unlock()
-			continue
+		failures := 0
+		if err != nil {
+			tbl.subMu.Lock()
+			st.failures++
+			failures = st.failures
+			tbl.subMu.Unlock()
 		}
-		st.failures++
-		failures := st.failures
-		if failures >= s.cfg.NotifyFailureThreshold {
-			st.suspect = true
-			st.draining = false
-			st.queue = nil
-			if err := s.persist.notifyDrop(st.name); err != nil {
-				s.logger.Printf("gdmp[%s]: journal notify-drop for %s: %v", s.cfg.Name, st.name, err)
-			}
-			s.updateNotifyGaugesLocked()
-			s.subMu.Unlock()
+		var jerr error
+		switch {
+		case err == nil:
+			jerr = s.persist.notifyAck(st, len(batch))
+		case failures >= s.cfg.NotifyFailureThreshold:
+			jerr = s.persist.notifyDrop(st)
 			s.logger.Printf("gdmp[%s]: subscriber %s (%s) suspect after %d failures: %v",
 				s.cfg.Name, st.name, addr, failures, err)
-			return
+		default:
+			s.met.notifyRedeliveries.Inc()
+			s.logger.Printf("gdmp[%s]: notify %s (%s) failed (%d/%d), retrying: %v",
+				s.cfg.Name, st.name, addr, failures, s.cfg.NotifyFailureThreshold, err)
+			retry.Sleep(s.ctx, pol.Delay(failures))
 		}
-		s.subMu.Unlock()
-		s.met.notifyRedeliveries.Inc()
-		s.logger.Printf("gdmp[%s]: notify %s (%s) failed (%d/%d), retrying: %v",
-			s.cfg.Name, st.name, addr, failures, s.cfg.NotifyFailureThreshold, err)
-		if retry.Sleep(s.ctx, pol.Delay(failures)) != nil {
-			s.subMu.Lock()
+		if jerr != nil {
+			// The journal is latched and the queue stands as it was: what
+			// is on it redelivers after a restart (consumers dedup by LFN).
+			s.logger.Printf("gdmp[%s]: journal delivery state of %s: %v", s.cfg.Name, st.name, jerr)
+			tbl.subMu.Lock()
 			st.draining = false
-			s.subMu.Unlock()
+			tbl.subMu.Unlock()
 			return
 		}
+		s.updateNotifyGauges()
 	}
 }
 
 // SuspectSubscribers lists subscribers currently marked suspect.
 func (s *Site) SuspectSubscribers() []string {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	defer tbl.subMu.Unlock()
 	var out []string
-	for name, st := range s.subscribers {
+	for name, st := range tbl.subs {
 		if st.suspect {
 			out = append(out, name)
 		}
@@ -957,10 +948,11 @@ func (s *Site) UnsubscribeFrom(remoteAddr string) error {
 
 // Subscribers lists the currently subscribed consumer sites.
 func (s *Site) Subscribers() []string {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	out := make([]string, 0, len(s.subscribers))
-	for name := range s.subscribers {
+	tbl := &s.persist.st
+	tbl.subMu.Lock()
+	defer tbl.subMu.Unlock()
+	out := make([]string, 0, len(tbl.subs))
+	for name := range tbl.subs {
 		out = append(out, name)
 	}
 	return out
@@ -1213,27 +1205,14 @@ func (s *Site) registerHandlers() {
 		if name == "" || addr == "" {
 			return errors.New("subscribe wants site name and address")
 		}
-		s.subMu.Lock()
-		if st, ok := s.subscribers[name]; ok {
-			// Re-subscribing updates the address and resets delivery
-			// health: the site is telling us it is back.
-			st.addr = addr
-			st.suspect = false
-			st.failures = 0
-		} else {
-			s.subscribers[name] = &subscriberState{name: name, addr: addr}
-		}
 		// Journaled before the RPC acks: a subscription that the consumer
 		// believes registered survives a producer crash. A journal failure
-		// fails the RPC so the consumer retries instead of trusting an
-		// ack the disk does not back.
-		err := s.persist.subscribe(name, addr)
-		s.met.subscribers.Set(int64(len(s.subscribers)))
-		s.updateNotifyGaugesLocked()
-		s.subMu.Unlock()
-		if err != nil {
+		// fails the RPC, and registers nothing, so the consumer retries
+		// instead of trusting an ack the disk does not back.
+		if err := s.persist.subscribe(name, addr); err != nil {
 			return fmt.Errorf("core: journal subscribe %s: %w", name, err)
 		}
+		s.updateNotifyGauges()
 		s.logger.Printf("gdmp[%s]: %s subscribed as %s (%s)", s.cfg.Name, peer.Base, name, addr)
 		return nil
 	})
@@ -1242,15 +1221,10 @@ func (s *Site) registerHandlers() {
 		if err := args.Finish(); err != nil {
 			return err
 		}
-		s.subMu.Lock()
-		delete(s.subscribers, name)
-		err := s.persist.unsubscribe(name)
-		s.met.subscribers.Set(int64(len(s.subscribers)))
-		s.updateNotifyGaugesLocked()
-		s.subMu.Unlock()
-		if err != nil {
+		if err := s.persist.unsubscribe(name); err != nil {
 			return fmt.Errorf("core: journal unsubscribe %s: %w", name, err)
 		}
+		s.updateNotifyGauges()
 		return nil
 	})
 	s.gdmpSrv.Handle(MethodNotify, func(ctx context.Context, peer *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
@@ -1316,7 +1290,7 @@ func (s *Site) stageLocal(ctx context.Context, lfn string) error {
 		return err
 	}
 	if _, err := os.Stat(localPath); err == nil {
-		return s.setResidency(lfn, StateDisk)
+		return s.persist.setState(lfn, StateDisk)
 	}
 	if s.storage == nil {
 		return fmt.Errorf("core: %q missing on disk and no MSS configured", lfn)
@@ -1328,7 +1302,7 @@ func (s *Site) stageLocal(ctx context.Context, lfn string) error {
 	// The transfer itself re-reads from disk; unpin right away and rely on
 	// the pool's recency to keep the file until the transfer completes.
 	s.storage.Release(fi.Path)
-	return s.setResidency(lfn, StateDisk)
+	return s.persist.setState(lfn, StateDisk)
 }
 
 // ArchiveLocal pushes a published file's bytes to tape and (optionally)

@@ -156,9 +156,9 @@ func (s *Site) Status() SiteStatus {
 	s.xferLog.mu.Lock()
 	ok, failed, bytes := s.xferLog.ok, s.xferLog.failed, s.xferLog.bytes
 	s.xferLog.mu.Unlock()
-	s.subMu.Lock()
-	subs := len(s.subscribers)
-	s.subMu.Unlock()
+	s.persist.st.subMu.Lock()
+	subs := len(s.persist.st.subs)
+	s.persist.st.subMu.Unlock()
 	s.pendMu.Lock()
 	pending := len(s.pending)
 	s.pendMu.Unlock()
@@ -225,12 +225,10 @@ func (s *Site) Status() SiteStatus {
 
 // journalHealth maps the journal's latch state to the status string.
 func (s *Site) journalHealth() string {
-	if s.persist == nil {
+	switch {
+	case s.persist.j == nil:
 		return ""
-	}
-	s.persist.mu.Lock()
-	defer s.persist.mu.Unlock()
-	if s.persist.j.Failed() != nil {
+	case s.persist.failed.Load():
 		return "failed"
 	}
 	return "ok"

@@ -290,16 +290,37 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	}
 
 	waitUntil(t, 10*time.Second, "brownout entry", func() bool { return site.Status().BrownoutActive })
-	passesDuring := scrubPasses()
-	deferredBefore := site.Status().BrownoutDeferred
-	time.Sleep(300 * time.Millisecond) // several scrub intervals under brownout
-	if got := scrubPasses(); got != passesDuring {
-		t.Errorf("scrub passes advanced %d -> %d during brownout, want deferred", passesDuring, got)
+	// Several scrub intervals under the storm. No pass completes while a
+	// brownout holds — a periodic pass asks admission again before it counts
+	// itself, so even one in flight at the entry is shed — but the brownout
+	// need not hold for the whole window: the storm is closed-loop, most of
+	// its time goes into GSI handshakes, and whenever the bulk queue runs
+	// empty for a moment (1 run in 15 on an idle two-core machine, every
+	// second run beside another test package) the load signal falls below
+	// the exit threshold, the brownout lifts, passes run, and it re-enters.
+	// That is the controller working. So every stretch between two looks in
+	// which the brownout did hold (active at both, BrownoutEntered unmoved)
+	// is judged, and there must be such stretches.
+	prev := site.Status()
+	deferredBefore := prev.BrownoutDeferred
+	passesBefore := scrubPasses() // read after prev, so inside the stretch
+	held := 0
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		time.Sleep(5 * time.Millisecond)
+		passes := scrubPasses() // read before st, so inside the stretch
+		st := site.Status()
+		if prev.BrownoutActive && st.BrownoutActive && st.BrownoutEntered == prev.BrownoutEntered {
+			held++
+			if passes != passesBefore {
+				t.Errorf("scrub passes advanced %d -> %d while the brownout held, want deferred", passesBefore, passes)
+			}
+		}
+		prev, passesBefore = st, scrubPasses()
+	}
+	if held == 0 {
+		t.Error("the brownout never held between two looks while the storm ran")
 	}
 	st := site.Status()
-	if !st.BrownoutActive {
-		t.Error("brownout lifted while the storm was still running")
-	}
 	if st.BrownoutDeferred <= deferredBefore {
 		t.Errorf("brownout deferred count did not advance (%d -> %d)", deferredBefore, st.BrownoutDeferred)
 	}
