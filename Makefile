@@ -35,13 +35,15 @@ check: fmt vet build race
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
-# of bytes a GridFTP peer controls, and of the parity sidecar header a
+# of bytes a GridFTP peer controls, of the certificate chain an
+# unauthenticated GSI peer sends first, and of the parity sidecar header a
 # rotting disk controls). The seed corpora already run under
 # plain `go test`; a crasher found here lands in the package's
 # testdata/fuzz/ and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,

@@ -26,11 +26,6 @@ import (
 	"gdmp/internal/workload"
 )
 
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024 // smaller keys keep grid setup fast; protocols unchanged
-	os.Exit(m.Run())
-}
-
 // --- Figure 5: transfer rate vs parallel streams, untuned 64 KB buffers ----
 
 func BenchmarkFigure5(b *testing.B) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"log"
@@ -155,6 +156,10 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 	return p, rec.TornBytes, nil
 }
 
+// errPersistClosed refuses a table change after the site's persistence
+// closed: nothing was written or applied.
+var errPersistClosed = errors.New("core: site closed: change not recorded")
+
 // record is the one way a table changes: the tag and the fields make the
 // record, which is appended and then applied, compacting when the WAL has
 // grown past the threshold. alreadySo, when set, makes the hook
@@ -165,14 +170,19 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 // mutation the moment it returns nil — and must refuse to acknowledge when
 // it errors: an append failure (disk full, I/O fault) latches the journal
 // failed, the tables stay as they were, and the error surfaces so the
-// mutating operation fails instead of silently losing durability.
+// mutating operation fails instead of silently losing durability. Once
+// the persistence is closed (Close, or Kill severing the journal while
+// handlers still run) every change is refused the same way.
 func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, fields func(*rpc.Encoder)) error {
 	var e rpc.Encoder
 	e.Uint8(tag)
 	fields(&e)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed || (alreadySo != nil && alreadySo(&p.st)) {
+	if p.closed {
+		return errPersistClosed
+	}
+	if alreadySo != nil && alreadySo(&p.st) {
 		return nil
 	}
 	if p.j != nil {

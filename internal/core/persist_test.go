@@ -284,9 +284,12 @@ func TestPersistSameTablesWithoutJournal(t *testing.T) {
 			t.Fatalf("%s: journal open = %v", tc.name, p.j != nil)
 		}
 		got = append(got, p.tables())
+		// Kill closes the persistence before it stops the servers, so a
+		// handler can still record after it: that must be refused, not
+		// acked, or a notify handler acks a pull that is on no disk.
 		p.close(false)
-		if err := p.putFile(FileInfo{LFN: "late", Path: "late.db"}); err != nil || p.st.files.has("late") {
-			t.Fatalf("%s: a record after close = %v, applied %v; want dropped", tc.name, err, p.st.files.has("late"))
+		if err := p.putFile(FileInfo{LFN: "late", Path: "late.db"}); err == nil || p.st.files.has("late") {
+			t.Fatalf("%s: a record after close = %v, applied %v; want refused", tc.name, err, p.st.files.has("late"))
 		}
 	}
 	if len(got[0].files) != 2 || len(got[0].subs) != 1 || len(got[0].pulls) != 1 || len(got[0].parity) != 1 {

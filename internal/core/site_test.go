@@ -17,17 +17,11 @@ import (
 	"gdmp/internal/core"
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
-	"gdmp/internal/gsi"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
 )
-
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
 
 // newGrid builds a grid with cleanup registered.
 func newGrid(t *testing.T) *testbed.Grid {

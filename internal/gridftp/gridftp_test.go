@@ -27,11 +27,6 @@ func fastPolicy(n int) retry.Policy {
 	return retry.Policy{Attempts: n, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond}
 }
 
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
-
 var (
 	ftpCAOnce sync.Once
 	ftpCA     *gsi.CA

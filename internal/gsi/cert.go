@@ -2,10 +2,8 @@ package gsi
 
 import (
 	"bytes"
-	"crypto"
+	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/rsa"
-	"crypto/sha256"
 	"crypto/x509"
 	"encoding/binary"
 	"errors"
@@ -29,7 +27,7 @@ var (
 // maxChainLen bounds chain verification work (root + user + proxies).
 const maxChainLen = 8
 
-// Certificate binds an identity to an RSA public key, signed by an issuer.
+// Certificate binds an identity to an Ed25519 public key, signed by an issuer.
 // The encoding is a fixed, deterministic binary layout (see marshalTBS) so
 // that signatures are stable across processes.
 type Certificate struct {
@@ -41,11 +39,11 @@ type Certificate struct {
 	IsCA      bool
 	IsProxy   bool
 
-	// PublicKey is the subject's RSA public key.
-	PublicKey *rsa.PublicKey
+	// PublicKey is the subject's Ed25519 public key.
+	PublicKey ed25519.PublicKey
 
-	// Signature is an RSASSA-PKCS1v15/SHA-256 signature over marshalTBS,
-	// made with the issuer's private key.
+	// Signature is an Ed25519 signature over marshalTBS, made with the
+	// issuer's private key.
 	Signature []byte
 }
 
@@ -93,37 +91,28 @@ func (c *Certificate) marshalTBS() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// digest hashes the to-be-signed bytes.
-func (c *Certificate) digest() ([]byte, error) {
-	tbs, err := c.marshalTBS()
-	if err != nil {
-		return nil, err
-	}
-	h := sha256.Sum256(tbs)
-	return h[:], nil
-}
-
 // sign attaches a signature made by the issuer key.
-func (c *Certificate) sign(issuerKey *rsa.PrivateKey) error {
-	d, err := c.digest()
+func (c *Certificate) sign(issuerKey ed25519.PrivateKey) error {
+	tbs, err := c.marshalTBS()
 	if err != nil {
 		return err
 	}
-	sig, err := rsa.SignPKCS1v15(rand.Reader, issuerKey, crypto.SHA256, d)
-	if err != nil {
-		return fmt.Errorf("gsi: sign certificate: %w", err)
-	}
-	c.Signature = sig
+	c.Signature = ed25519.Sign(issuerKey, tbs)
 	return nil
 }
 
 // checkSignature verifies the certificate against the issuer's public key.
-func (c *Certificate) checkSignature(issuerPub *rsa.PublicKey) error {
-	d, err := c.digest()
+// A key of the wrong length is a bad signature, not a panic in
+// ed25519.Verify.
+func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey) error {
+	if len(issuerPub) != ed25519.PublicKeySize {
+		return ErrBadSignature
+	}
+	tbs, err := c.marshalTBS()
 	if err != nil {
 		return err
 	}
-	if err := rsa.VerifyPKCS1v15(issuerPub, crypto.SHA256, d, c.Signature); err != nil {
+	if !ed25519.Verify(issuerPub, tbs, c.Signature) {
 		return ErrBadSignature
 	}
 	return nil
@@ -139,14 +128,14 @@ func (c *Certificate) ValidAt(t time.Time) bool {
 // concurrent use.
 type CA struct {
 	cert *Certificate
-	key  *rsa.PrivateKey
+	key  ed25519.PrivateKey
 
 	mu   sync.Mutex
 	next uint64
 }
 
-// KeyBits is the RSA modulus size for generated keys. It is a variable so
-// the test suite can shrink it for speed; production code leaves it alone.
+// KeyBits is ignored: keys are Ed25519, whose size is fixed. It stays only
+// because bench/bench_test.go still assigns it.
 var KeyBits = 2048
 
 // NewCA creates a certificate authority for the given organization.
@@ -154,7 +143,7 @@ func NewCA(organization string, validity time.Duration) (*CA, error) {
 	if organization == "" {
 		return nil, errors.New("gsi: CA organization must be non-empty")
 	}
-	key, err := rsa.GenerateKey(rand.Reader, KeyBits)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: generate CA key: %w", err)
 	}
@@ -167,7 +156,7 @@ func NewCA(organization string, validity time.Duration) (*CA, error) {
 		NotBefore: now.Add(-time.Minute),
 		NotAfter:  now.Add(validity),
 		IsCA:      true,
-		PublicKey: &key.PublicKey,
+		PublicKey: pub,
 	}
 	if err := cert.sign(key); err != nil {
 		return nil, err
@@ -208,7 +197,7 @@ func (ca *CA) Issue(commonName string, validity time.Duration) (*Credential, err
 	if commonName == "" {
 		return nil, errors.New("gsi: common name must be non-empty")
 	}
-	key, err := rsa.GenerateKey(rand.Reader, KeyBits)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: generate subject key: %w", err)
 	}
@@ -223,7 +212,7 @@ func (ca *CA) Issue(commonName string, validity time.Duration) (*Credential, err
 		Issuer:    ca.cert.Subject,
 		NotBefore: now.Add(-time.Minute),
 		NotAfter:  now.Add(validity),
-		PublicKey: &key.PublicKey,
+		PublicKey: pub,
 	}
 	if err := cert.sign(ca.key); err != nil {
 		return nil, err
@@ -284,10 +273,16 @@ func VerifyChain(chain []*Certificate, roots []*Certificate, now time.Time) (Ide
 }
 
 // anchor checks that cert is one of the trusted roots or directly signed by
-// one of them.
+// one of them. Being a root means being it in every field: a match on
+// subject and signature alone would anchor the public root with a peer's
+// own key put in it, under which the peer could sign any identity.
 func anchor(cert *Certificate, roots []*Certificate) error {
+	enc, err := MarshalCertificate(cert)
+	if err != nil {
+		return err
+	}
 	for _, root := range roots {
-		if cert.Subject == root.Subject && bytes.Equal(cert.Signature, root.Signature) {
+		if rootEnc, err := MarshalCertificate(root); err == nil && bytes.Equal(enc, rootEnc) {
 			return nil
 		}
 		if cert.Issuer == root.Subject && root.IsCA {

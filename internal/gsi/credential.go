@@ -2,10 +2,8 @@ package gsi
 
 import (
 	"bytes"
-	"crypto"
+	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/rsa"
-	"crypto/sha256"
 	"crypto/x509"
 	"encoding/binary"
 	"errors"
@@ -18,7 +16,7 @@ import (
 // of issuing certificates up to (and including) the trust root.
 type Credential struct {
 	Cert *Certificate
-	Key  *rsa.PrivateKey
+	Key  ed25519.PrivateKey
 
 	// Chain lists the issuing certificates, leaf's issuer first, ending at
 	// the root. For a CA-issued identity this is just [root]; for a proxy
@@ -46,7 +44,7 @@ func (c *Credential) Delegate(validity time.Duration) (*Credential, error) {
 	if c.Cert.IsCA {
 		return nil, errors.New("gsi: refusing to delegate from a CA credential")
 	}
-	key, err := rsa.GenerateKey(rand.Reader, KeyBits)
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("gsi: generate proxy key: %w", err)
 	}
@@ -62,7 +60,7 @@ func (c *Credential) Delegate(validity time.Duration) (*Credential, error) {
 		NotBefore: now.Add(-time.Minute),
 		NotAfter:  notAfter,
 		IsProxy:   true,
-		PublicKey: &key.PublicKey,
+		PublicKey: pub,
 	}
 	if err := cert.sign(c.Key); err != nil {
 		return nil, err
@@ -74,21 +72,20 @@ func (c *Credential) Delegate(validity time.Duration) (*Credential, error) {
 	}, nil
 }
 
-// SignData signs arbitrary bytes with the credential's key (SHA-256 +
-// RSASSA-PKCS1v15). Used by the handshake and by catalog update records.
+// SignData signs arbitrary bytes with the credential's Ed25519 key. Used by
+// the handshake.
 func (c *Credential) SignData(data []byte) ([]byte, error) {
-	h := sha256.Sum256(data)
-	sig, err := rsa.SignPKCS1v15(rand.Reader, c.Key, crypto.SHA256, h[:])
-	if err != nil {
-		return nil, fmt.Errorf("gsi: sign data: %w", err)
+	if len(c.Key) != ed25519.PrivateKeySize {
+		return nil, errors.New("gsi: sign data: credential has no Ed25519 key")
 	}
-	return sig, nil
+	return ed25519.Sign(c.Key, data), nil
 }
 
-// VerifyData verifies a SignData signature against a certificate.
+// VerifyData verifies a SignData signature against a certificate. A
+// certificate key of the wrong length is a bad signature, not a panic in
+// ed25519.Verify.
 func VerifyData(cert *Certificate, data, sig []byte) error {
-	h := sha256.Sum256(data)
-	if err := rsa.VerifyPKCS1v15(cert.PublicKey, crypto.SHA256, h[:], sig); err != nil {
+	if len(cert.PublicKey) != ed25519.PublicKeySize || !ed25519.Verify(cert.PublicKey, data, sig) {
 		return ErrBadSignature
 	}
 	return nil
@@ -189,6 +186,10 @@ func MarshalCertificate(c *Certificate) ([]byte, error) {
 	return w.buf.Bytes(), nil
 }
 
+// errNotEd25519 marks a certificate whose key is not Ed25519, such as one
+// issued while this package still used RSA: it must be re-issued.
+var errNotEd25519 = errors.New("gsi: certificate key is not Ed25519")
+
 // UnmarshalCertificate decodes a certificate from the wire.
 func UnmarshalCertificate(b []byte) (*Certificate, error) {
 	r := certReader{b: b}
@@ -214,11 +215,11 @@ func UnmarshalCertificate(b []byte) (*Certificate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gsi: parse public key: %w", err)
 	}
-	rsaPub, ok := pub.(*rsa.PublicKey)
+	edPub, ok := pub.(ed25519.PublicKey)
 	if !ok {
-		return nil, errors.New("gsi: certificate key is not RSA")
+		return nil, fmt.Errorf("%w (it is %T)", errNotEd25519, pub)
 	}
-	c.PublicKey = rsaPub
+	c.PublicKey = edPub
 	return c, nil
 }
 

@@ -10,12 +10,6 @@ import (
 	"time"
 )
 
-func TestMain(m *testing.M) {
-	// Smaller keys keep the suite fast; the protocol logic is unchanged.
-	KeyBits = 1024
-	m.Run()
-}
-
 var (
 	testCAOnce sync.Once
 	testCAInst *CA
@@ -280,7 +274,7 @@ func TestCertificateMarshalRoundTrip(t *testing.T) {
 		dec.IsProxy != cred.Cert.IsProxy {
 		t.Fatalf("round trip mismatch: %+v vs %+v", dec, cred.Cert)
 	}
-	if dec.PublicKey.N.Cmp(cred.Cert.PublicKey.N) != 0 {
+	if !dec.PublicKey.Equal(cred.Cert.PublicKey) {
 		t.Fatalf("public key mismatch after round trip")
 	}
 	// A decoded certificate still verifies.

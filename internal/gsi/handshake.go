@@ -24,10 +24,19 @@ type Peer struct {
 }
 
 const (
-	nonceLen     = 32
-	roleClient   = byte(0x01)
-	roleServer   = byte(0x02)
-	maxHandshake = 1 << 20 // sanity cap on handshake message size
+	nonceLen   = 32
+	roleClient = byte(0x01)
+	roleServer = byte(0x02)
+
+	// maxHandshake caps a message length an unauthenticated peer claims,
+	// checked before anything is allocated for it. The largest honest
+	// message is a chain: an 8-byte count, then per certificate a 4-byte
+	// length and 158 fixed bytes (serial 8, times 16, flags 2, four name
+	// lengths 16, the 44-byte PKIX Ed25519 key and the 64-byte signature
+	// with their lengths 116) plus the four names. maxChainLen certificates
+	// are 8 + 8·162 = 1,304 fixed bytes, which leaves 15,080 of 16 KiB for
+	// 32 names: 471 bytes each.
+	maxHandshake = 16 << 10
 )
 
 // ErrHandshake is wrapped around any mutual-authentication failure.

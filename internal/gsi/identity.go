@@ -5,11 +5,12 @@
 // authorization maps. Section 4.1 of the paper: "Every client request to a
 // GDMP server is authenticated and authorized by a security service."
 //
-// The package uses only the Go standard library (crypto/rsa, crypto/sha256)
-// and defines its own compact certificate encoding; it is deliberately not
-// X.509, but it preserves the GSI control flow: CA-rooted trust, delegation
-// via proxy certificates whose subject extends the issuer's subject, and a
-// challenge-response handshake binding both parties to the session.
+// The package uses only the Go standard library (crypto/ed25519 for every
+// key and signature) and defines its own compact certificate encoding; it
+// is deliberately not X.509, but it preserves the GSI control flow:
+// CA-rooted trust, delegation via proxy certificates whose subject extends
+// the issuer's subject, and a challenge-response handshake binding both
+// parties to the session.
 package gsi
 
 import (

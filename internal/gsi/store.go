@@ -1,6 +1,8 @@
 package gsi
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"crypto/x509"
 	"encoding/pem"
 	"errors"
@@ -11,7 +13,7 @@ import (
 // PEM block types used on disk.
 const (
 	pemCertType = "GDMP CERTIFICATE"
-	pemKeyType  = "RSA PRIVATE KEY"
+	pemKeyType  = "PRIVATE KEY" // PKCS#8
 )
 
 // SaveCertificate writes a certificate to path in PEM form (world-readable:
@@ -35,7 +37,11 @@ func LoadCertificate(path string) (*Certificate, error) {
 	if block == nil || block.Type != pemCertType {
 		return nil, fmt.Errorf("gsi: %s does not contain a %s block", path, pemCertType)
 	}
-	return UnmarshalCertificate(block.Bytes)
+	cert, err := UnmarshalCertificate(block.Bytes)
+	if err != nil {
+		return nil, staleFile(path, err)
+	}
+	return cert, nil
 }
 
 // SaveCredential writes a credential's certificate chain and private key to
@@ -53,7 +59,10 @@ func SaveCredential(cred *Credential, path string) error {
 		}
 		out = append(out, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: der})...)
 	}
-	keyDER := x509.MarshalPKCS1PrivateKey(cred.Key)
+	keyDER, err := x509.MarshalPKCS8PrivateKey(cred.Key)
+	if err != nil {
+		return fmt.Errorf("gsi: marshal private key: %w", err)
+	}
 	out = append(out, pem.EncodeToMemory(&pem.Block{Type: pemKeyType, Bytes: keyDER})...)
 	return os.WriteFile(path, out, 0o600)
 }
@@ -76,15 +85,19 @@ func LoadCredential(path string) (*Credential, error) {
 		case pemCertType:
 			cert, err := UnmarshalCertificate(block.Bytes)
 			if err != nil {
-				return nil, err
+				return nil, staleFile(path, err)
 			}
 			certs = append(certs, cert)
 		case pemKeyType:
-			key, err := x509.ParsePKCS1PrivateKey(block.Bytes)
+			key, err := x509.ParsePKCS8PrivateKey(block.Bytes)
 			if err != nil {
-				return nil, fmt.Errorf("gsi: parse private key: %w", err)
+				return nil, fmt.Errorf("gsi: parse private key in %s: %w", path, err)
 			}
-			cred.Key = key
+			edKey, ok := key.(ed25519.PrivateKey)
+			if !ok {
+				return nil, fmt.Errorf("gsi: private key in %s is %T, not Ed25519", path, key)
+			}
+			cred.Key = edKey
 		default:
 			return nil, fmt.Errorf("gsi: unexpected PEM block %q in %s", block.Type, path)
 		}
@@ -98,10 +111,19 @@ func LoadCredential(path string) (*Credential, error) {
 	cred.Cert = certs[0]
 	cred.Chain = certs[1:]
 	// The key must match the leaf certificate.
-	if cred.Cert.PublicKey.N.Cmp(cred.Key.PublicKey.N) != 0 {
+	if !bytes.Equal(cred.Cert.PublicKey, cred.Key.Public().(ed25519.PublicKey)) {
 		return nil, fmt.Errorf("gsi: key in %s does not match leaf certificate", path)
 	}
 	return cred, nil
+}
+
+// staleFile names the file when a certificate in it is not Ed25519: it was
+// made before the switch from RSA, and nothing reads it any more.
+func staleFile(path string, err error) error {
+	if errors.Is(err, errNotEd25519) {
+		return fmt.Errorf("gsi: %s predates Ed25519 credentials; re-issue it with gridca: %w", path, err)
+	}
+	return err
 }
 
 // LoadGridmapFile reads the authorization gridmap at path (see

@@ -7,17 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"gdmp/internal/gsi"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/objrep"
 	"gdmp/internal/testbed"
 	"gdmp/internal/workload"
 )
-
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
 
 // objGrid builds a grid with a producer holding a generated dataset and a
 // consumer with an empty federation.

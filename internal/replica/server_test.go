@@ -12,11 +12,6 @@ import (
 	"gdmp/internal/rpc"
 )
 
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
-
 var (
 	srvCAOnce sync.Once
 	srvCA     *gsi.CA

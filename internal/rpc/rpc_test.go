@@ -15,11 +15,6 @@ import (
 	"gdmp/internal/gsi"
 )
 
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
-
 // --- codec ---------------------------------------------------------------
 
 func TestCodecRoundTrip(t *testing.T) {

@@ -8,13 +8,7 @@ import (
 	"time"
 
 	"gdmp/internal/core"
-	"gdmp/internal/gsi"
 )
-
-func TestMain(m *testing.M) {
-	gsi.KeyBits = 1024
-	m.Run()
-}
 
 func TestGridLifecycle(t *testing.T) {
 	g, err := NewGrid(t.TempDir())
