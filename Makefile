@@ -36,14 +36,17 @@ check: fmt vet build race
 
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
 # of bytes a GridFTP peer controls, of the certificate chain an
-# unauthenticated GSI peer sends first, and of the parity sidecar header a
-# rotting disk controls). The seed corpora already run under
+# unauthenticated GSI peer sends first, of the Request Manager frame and
+# status reply an authenticated peer sends, and of the parity sidecar
+# header a rotting disk controls). The seed corpora already run under
 # plain `go test`; a crasher found here lands in the package's
 # testdata/fuzz/ and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
@@ -143,9 +146,8 @@ partition:
 # wait must hold their floors, zero requests may execute past their
 # wire-propagated deadline, brownout must shed background work and lift
 # after the storm, draining must refuse queued work while in-flight work
-# finishes, an injected ENOSPC must release its pool reservation without
-# orphans or quarantine, and mixed-version wire interop is proven both
-# directions. Race detector on. The seed is logged by every test; replay
+# finishes, and an injected ENOSPC must release its pool reservation
+# without orphans or quarantine. Race detector on. The seed is logged by every test; replay
 # a run with `make overload OVERLOAD_SEED=7`.
 OVERLOAD_SEED ?= 20260809
 overload:

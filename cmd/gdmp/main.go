@@ -275,13 +275,8 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		corrupt := d.Uint64()
 		missing := d.Uint64()
 		repairs := d.Uint64()
-		// Parity counters trail the reply; an older daemon does not send
-		// them.
-		var rebuilt, fallbacks uint64
-		if d.Remaining() > 0 {
-			rebuilt = d.Uint64()
-			fallbacks = d.Uint64()
-		}
+		rebuilt := d.Uint64()
+		fallbacks := d.Uint64()
 		if err := d.Finish(); err != nil {
 			return err
 		}

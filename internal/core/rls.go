@@ -207,9 +207,8 @@ type LRCAnswer struct {
 	CRC      string
 	State    string
 	DataAddr string // GridFTP endpoint serving the bytes
-	// DigestGen is the responder's digest generation, a trailing wire
-	// field (zero from older sites): how stale the RLI hint that led
-	// here was.
+	// DigestGen is the responder's digest generation: how stale the RLI
+	// hint that led here was.
 	DigestGen uint64
 }
 
@@ -231,9 +230,7 @@ func (s *Site) LRCQuery(ctx context.Context, addr, lfn string) (LRCAnswer, error
 		ans.State = d.String()
 		ans.DataAddr = d.String()
 	}
-	if d.Remaining() > 0 {
-		ans.DigestGen = d.Uint64()
-	}
+	ans.DigestGen = d.Uint64()
 	return ans, d.Finish()
 }
 
@@ -254,7 +251,6 @@ func (s *Site) registerRLSHandlers() {
 			resp.String(string(fi.State))
 			resp.String(s.DataAddr())
 		}
-		// Trailing generation field: older callers stop reading before it.
 		resp.Uint64(s.digestGen.Load())
 		return nil
 	})

@@ -636,8 +636,6 @@ func (s *Site) registerScrubHandlers() {
 		resp.Uint64(uint64(rep.Corrupt))
 		resp.Uint64(uint64(rep.Missing))
 		resp.Uint64(uint64(rep.Repairs))
-		// Appended after the parity layer shipped; older clients stop
-		// reading before these and still decode the reply.
 		resp.Uint64(uint64(rep.Rebuilt))
 		resp.Uint64(uint64(rep.Fallbacks))
 		return nil

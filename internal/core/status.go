@@ -109,7 +109,7 @@ type SiteStatus struct {
 	RepairBytesRepulled int64
 
 	// RLS summary: the site's digest-push soft state and RLI fallback
-	// activity (all zero from a daemon predating the RLS split).
+	// activity.
 	DigestGen          int64 // current digest generation of this site's LRC
 	DigestPushes       int64 // pushes the RLI accepted
 	DigestLFNs         int64 // LFNs condensed into the last pushed digest
@@ -118,13 +118,12 @@ type SiteStatus struct {
 	RLSLocateP99Micros int64 // p99 RLS locate latency, microseconds
 
 	// HealthPeers is the per-peer scoreboard: breaker state and EWMA link
-	// quality for every peer this site has pulled from or dialed (empty
-	// from a daemon predating circuit breakers).
+	// quality for every peer this site has pulled from or dialed.
 	HealthPeers []PeerHealthStatus
 
-	// Overload-protection summary (all zero from a daemon predating
-	// admission control). The load signal is reported in milli-units
-	// (0-1000) so it crosses the wire as an integer.
+	// Overload-protection summary (all zero without admission control).
+	// The load signal is reported in milli-units (0-1000) so it crosses
+	// the wire as an integer.
 	BrownoutActive    bool
 	BrownoutLoadMilli int64
 	AdmissionAdmitted int64
@@ -250,9 +249,8 @@ func DecodeSiteStatus(d *rpc.Decoder) (SiteStatus, error) {
 	return st, d.Finish()
 }
 
-// encodeSiteStatus writes the status payload. Field order is the wire
-// contract: new fields only ever append, so older peers that stop reading
-// early still decode the prefix they know.
+// encodeSiteStatus writes the status payload; field order is the wire
+// layout decodeSiteStatus reads.
 func encodeSiteStatus(e *rpc.Encoder, st SiteStatus) {
 	e.String(st.Name)
 	e.Uint64(uint64(st.LocalFiles))
@@ -311,76 +309,62 @@ func encodeSiteStatus(e *rpc.Encoder, st SiteStatus) {
 	e.Int64(st.BrownoutDeferred)
 }
 
-// decodeSiteStatus reads the status payload, tolerating truncation at
-// each trailing-field generation: the Journal field and the pool-cache
-// block were both appended after the original payload shipped, so a
-// status from an older daemon decodes to zero values for what it never
-// sent (mixed-version grids during rolling upgrades).
+// decodeSiteStatus reads the status payload. A short payload leaves an
+// error in d for the caller's Finish to return.
 func decodeSiteStatus(d *rpc.Decoder) SiteStatus {
 	st := SiteStatus{
-		Name:             d.String(),
-		LocalFiles:       int(d.Uint64()),
-		Subscribers:      int(d.Uint64()),
-		TransfersOK:      int(d.Uint64()),
-		TransfersFailed:  int(d.Uint64()),
-		BytesReplicated:  d.Int64(),
-		PendingTransfers: int(d.Uint64()),
-		RestoredFiles:    int(d.Uint64()),
-		RequeuedPulls:    int(d.Uint64()),
-		QuarantinedFiles: int(d.Uint64()),
-		RequeuedNotices:  int(d.Uint64()),
+		Name:                d.String(),
+		LocalFiles:          int(d.Uint64()),
+		Subscribers:         int(d.Uint64()),
+		TransfersOK:         int(d.Uint64()),
+		TransfersFailed:     int(d.Uint64()),
+		BytesReplicated:     d.Int64(),
+		PendingTransfers:    int(d.Uint64()),
+		RestoredFiles:       int(d.Uint64()),
+		RequeuedPulls:       int(d.Uint64()),
+		QuarantinedFiles:    int(d.Uint64()),
+		RequeuedNotices:     int(d.Uint64()),
+		Journal:             d.String(),
+		PoolUsed:            d.Int64(),
+		PoolCapacity:        d.Int64(),
+		PoolHits:            d.Int64(),
+		PoolMisses:          d.Int64(),
+		PoolEvictions:       d.Int64(),
+		ParitySidecars:      d.Int64(),
+		ParityRebuilds:      d.Int64(),
+		ParityFallbacks:     d.Int64(),
+		RepairBytesLocal:    d.Int64(),
+		RepairBytesRepulled: d.Int64(),
+		DigestGen:           d.Int64(),
+		DigestPushes:        d.Int64(),
+		DigestLFNs:          d.Int64(),
+		RLIQueries:          d.Int64(),
+		RLIFalsePositives:   d.Int64(),
+		RLSLocateP99Micros:  d.Int64(),
 	}
-	if d.Remaining() > 0 {
-		st.Journal = d.String()
-	}
-	if d.Remaining() > 0 {
-		st.PoolUsed = d.Int64()
-		st.PoolCapacity = d.Int64()
-		st.PoolHits = d.Int64()
-		st.PoolMisses = d.Int64()
-		st.PoolEvictions = d.Int64()
-	}
-	if d.Remaining() > 0 {
-		st.ParitySidecars = d.Int64()
-		st.ParityRebuilds = d.Int64()
-		st.ParityFallbacks = d.Int64()
-		st.RepairBytesLocal = d.Int64()
-		st.RepairBytesRepulled = d.Int64()
-	}
-	if d.Remaining() > 0 {
-		st.DigestGen = d.Int64()
-		st.DigestPushes = d.Int64()
-		st.DigestLFNs = d.Int64()
-		st.RLIQueries = d.Int64()
-		st.RLIFalsePositives = d.Int64()
-		st.RLSLocateP99Micros = d.Int64()
-	}
-	if d.Remaining() > 0 {
-		n := int(d.Uint64())
-		for i := 0; i < n && d.Remaining() > 0; i++ {
-			p := PeerHealthStatus{
-				Peer:          d.String(),
-				Breaker:       d.String(),
-				ConsecFails:   d.Int64(),
-				BandwidthKbps: d.Int64(),
-				LatencyMicros: d.Int64(),
-			}
-			if ns := d.Int64(); ns != 0 {
-				p.LastTransition = time.Unix(0, ns)
-			}
-			st.HealthPeers = append(st.HealthPeers, p)
+	// Rows are appended only as they decode, so a claimed count with
+	// nothing behind it allocates nothing.
+	for n := d.Uint64(); n > 0 && d.Err() == nil; n-- {
+		p := PeerHealthStatus{
+			Peer:          d.String(),
+			Breaker:       d.String(),
+			ConsecFails:   d.Int64(),
+			BandwidthKbps: d.Int64(),
+			LatencyMicros: d.Int64(),
 		}
+		if ns := d.Int64(); ns != 0 {
+			p.LastTransition = time.Unix(0, ns)
+		}
+		st.HealthPeers = append(st.HealthPeers, p)
 	}
-	if d.Remaining() > 0 {
-		st.BrownoutActive = d.Uint8() != 0
-		st.BrownoutLoadMilli = d.Int64()
-		st.AdmissionAdmitted = d.Int64()
-		st.AdmissionRejected = d.Int64()
-		st.AdmissionExpired = d.Int64()
-		st.AdmissionShed = d.Int64()
-		st.BrownoutEntered = d.Int64()
-		st.BrownoutDeferred = d.Int64()
-	}
+	st.BrownoutActive = d.Uint8() != 0
+	st.BrownoutLoadMilli = d.Int64()
+	st.AdmissionAdmitted = d.Int64()
+	st.AdmissionRejected = d.Int64()
+	st.AdmissionExpired = d.Int64()
+	st.AdmissionShed = d.Int64()
+	st.BrownoutEntered = d.Int64()
+	st.BrownoutDeferred = d.Int64()
 	return st
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -8,12 +9,10 @@ import (
 	"gdmp/internal/rpc"
 )
 
-// brownoutBlockLen is the trailing overload-protection generation: one
-// Uint8 flag plus seven fixed-width Int64s.
-const brownoutBlockLen = 1 + 7*8
-
-func TestSiteStatusWireRoundTrip(t *testing.T) {
-	want := SiteStatus{
+// fullStatus sets every field of the status payload, two health rows
+// included.
+func fullStatus() SiteStatus {
+	return SiteStatus{
 		Name:             "cern.ch",
 		LocalFiles:       12,
 		Subscribers:      3,
@@ -65,6 +64,10 @@ func TestSiteStatusWireRoundTrip(t *testing.T) {
 		BrownoutEntered:   2,
 		BrownoutDeferred:  14,
 	}
+}
+
+func TestSiteStatusWireRoundTrip(t *testing.T) {
+	want := fullStatus()
 	var e rpc.Encoder
 	encodeSiteStatus(&e, want)
 	d := rpc.NewDecoder(e.Bytes())
@@ -77,234 +80,63 @@ func TestSiteStatusWireRoundTrip(t *testing.T) {
 	}
 }
 
-// A status payload from an older daemon stops before the trailing field
-// generations; the decoder must fill zero values, not fail — the grid
-// upgrades one site at a time.
-func TestSiteStatusDecodeOlderGenerations(t *testing.T) {
-	full := SiteStatus{
-		Name: "fnal.gov", LocalFiles: 2, TransfersOK: 9, BytesReplicated: 512,
-		Journal: "ok", PoolUsed: 10, PoolCapacity: 100, PoolHits: 1,
-	}
-
-	// Generation 2: Journal present, pool block absent.
+// The payload has one layout: every cut of it is an error, never a status
+// with zeros where the missing fields were, and a claimed peer count with
+// nothing behind it allocates nothing for the rows it claims.
+func TestSiteStatusDecodeRejectsTruncation(t *testing.T) {
 	var e rpc.Encoder
-	e.String(full.Name)
-	e.Uint64(uint64(full.LocalFiles))
-	e.Uint64(uint64(full.Subscribers))
-	e.Uint64(uint64(full.TransfersOK))
-	e.Uint64(uint64(full.TransfersFailed))
-	e.Int64(full.BytesReplicated)
-	e.Uint64(uint64(full.PendingTransfers))
-	e.Uint64(uint64(full.RestoredFiles))
-	e.Uint64(uint64(full.RequeuedPulls))
-	e.Uint64(uint64(full.QuarantinedFiles))
-	e.Uint64(uint64(full.RequeuedNotices))
-	gen1 := append([]byte(nil), e.Bytes()...) // generation 1 ends here
-	e.String(full.Journal)
-
-	d := rpc.NewDecoder(e.Bytes())
-	got := decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode generation 2: %v", err)
-	}
-	if got.Journal != "ok" || got.PoolCapacity != 0 || got.PoolUsed != 0 {
-		t.Fatalf("generation 2 decode = %+v", got)
+	encodeSiteStatus(&e, fullStatus())
+	full := e.Bytes()
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := DecodeSiteStatus(rpc.NewDecoder(full[:cut])); err == nil {
+			t.Fatalf("payload cut to %d of %d bytes decoded without error", cut, len(full))
+		}
 	}
 
-	// Generation 1: neither Journal nor the pool block.
-	d = rpc.NewDecoder(gen1)
-	got = decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode generation 1: %v", err)
+	// Everything before the health block, then a count of 2^63 and EOF.
+	e = rpc.Encoder{}
+	encodeSiteStatus(&e, SiteStatus{Name: "x"})
+	hostile := e.Bytes()[:e.Len()-8-(1+7*8)] // drop the count and the brownout block
+	hostile = binary.BigEndian.AppendUint64(hostile, 1<<63)
+	var err error
+	allocs := testing.AllocsPerRun(10, func() {
+		_, err = DecodeSiteStatus(rpc.NewDecoder(hostile))
+	})
+	if err == nil {
+		t.Fatal("a peer count of 2^63 with no rows decoded without error")
 	}
-	if got.Name != "fnal.gov" || got.TransfersOK != 9 || got.Journal != "" || got.PoolCapacity != 0 {
-		t.Fatalf("generation 1 decode = %+v", got)
-	}
-
-	// Generation 3: pool block present, parity block absent.
-	e.Int64(full.PoolUsed)
-	e.Int64(full.PoolCapacity)
-	e.Int64(full.PoolHits)
-	e.Int64(0)
-	e.Int64(0)
-	d = rpc.NewDecoder(e.Bytes())
-	got = decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode generation 3: %v", err)
-	}
-	if got.PoolCapacity != 100 || got.ParitySidecars != 0 || got.RepairBytesRepulled != 0 {
-		t.Fatalf("generation 3 decode = %+v", got)
+	if allocs > 64 {
+		t.Fatalf("a peer count of 2^63 with no rows cost %v allocations", allocs)
 	}
 }
 
-// The pool block strictly appends to the payload: everything before it is
-// byte-identical whether the block carries zeros or data, which is what
-// lets an older peer stop reading early (field order is the wire ABI).
-func TestEncodePoolBlockStrictlyAppends(t *testing.T) {
-	zero := SiteStatus{Name: "x", Journal: "ok"}
-	data := zero
-	data.PoolUsed, data.PoolCapacity = 1, 2
-	data.PoolHits, data.PoolMisses, data.PoolEvictions = 3, 4, 5
-
-	var ez, ed rpc.Encoder
-	encodeSiteStatus(&ez, zero)
-	encodeSiteStatus(&ed, data)
-	bz, bd := ez.Bytes(), ed.Bytes()
-	if len(bd) < len(bz) {
-		t.Fatalf("payload with pool data (%d bytes) shorter than zeros (%d)", len(bd), len(bz))
+// FuzzDecodeSiteStatus feeds the status decoder bytes a peer site
+// controls. Seeds are the full payload and each of its truncations;
+// `make fuzz-smoke` mutates them.
+func FuzzDecodeSiteStatus(f *testing.F) {
+	var e rpc.Encoder
+	encodeSiteStatus(&e, fullStatus())
+	for cut := 0; cut <= e.Len(); cut++ {
+		f.Add(e.Bytes()[:cut])
 	}
-	// The block is five fixed-width Int64s, followed only by the (here
-	// all-zero) five-Int64 parity block, six-Int64 RLS block, the empty
-	// health block's count word, and the brownout block; everything
-	// before it must be byte-identical across the two payloads.
-	n := len(bz) - 17*8 - brownoutBlockLen
-	if string(bz[:n]) != string(bd[:n]) {
-		t.Fatal("pool block changed bytes before its own position")
-	}
-	if string(bz[len(bz)-12*8-brownoutBlockLen:]) != string(bd[len(bd)-12*8-brownoutBlockLen:]) {
-		t.Fatal("pool block changed bytes after its own position")
-	}
-}
-
-// Same contract for the parity block: payloads with and without parity
-// data are byte-identical up to the block itself (only the six-Int64 RLS
-// block follows it).
-func TestEncodeParityBlockStrictlyAppends(t *testing.T) {
-	zero := SiteStatus{Name: "x", Journal: "ok", PoolCapacity: 9}
-	data := zero
-	data.ParitySidecars, data.ParityRebuilds, data.ParityFallbacks = 1, 2, 3
-	data.RepairBytesLocal, data.RepairBytesRepulled = 4, 5
-
-	var ez, ed rpc.Encoder
-	encodeSiteStatus(&ez, zero)
-	encodeSiteStatus(&ed, data)
-	bz, bd := ez.Bytes(), ed.Bytes()
-	if len(bz) != len(bd) {
-		t.Fatalf("payload lengths differ: %d vs %d", len(bz), len(bd))
-	}
-	n := len(bz) - 12*8 - brownoutBlockLen
-	if string(bz[:n]) != string(bd[:n]) {
-		t.Fatal("parity block changed bytes before its own position")
-	}
-	if string(bz[len(bz)-7*8-brownoutBlockLen:]) != string(bd[len(bd)-7*8-brownoutBlockLen:]) {
-		t.Fatal("parity block changed bytes after its own position")
-	}
-}
-
-// Same contract for the RLS block: payloads with and without RLS data are
-// byte-identical up to the block itself (only the health block's count
-// word follows it).
-func TestEncodeRLSBlockStrictlyAppends(t *testing.T) {
-	zero := SiteStatus{Name: "x", Journal: "ok", PoolCapacity: 9, ParitySidecars: 7}
-	data := zero
-	data.DigestGen, data.DigestPushes, data.DigestLFNs = 1, 2, 3
-	data.RLIQueries, data.RLIFalsePositives, data.RLSLocateP99Micros = 4, 5, 6
-
-	var ez, ed rpc.Encoder
-	encodeSiteStatus(&ez, zero)
-	encodeSiteStatus(&ed, data)
-	bz, bd := ez.Bytes(), ed.Bytes()
-	if len(bz) != len(bd) {
-		t.Fatalf("payload lengths differ: %d vs %d", len(bz), len(bd))
-	}
-	n := len(bz) - 7*8 - brownoutBlockLen
-	if string(bz[:n]) != string(bd[:n]) {
-		t.Fatal("RLS block changed bytes before its own position")
-	}
-}
-
-// Same contract for the health block, the newest trailing generation: it
-// strictly appends, and a payload that stops before it (an older daemon)
-// decodes with no peer rows rather than failing.
-func TestEncodeHealthBlockStrictlyAppendsAndOlderDecodes(t *testing.T) {
-	zero := SiteStatus{Name: "x", Journal: "ok", PoolCapacity: 9, DigestGen: 4}
-	data := zero
-	data.HealthPeers = []PeerHealthStatus{
-		{Peer: "127.0.0.1:2811", Breaker: "half_open", ConsecFails: 2,
-			BandwidthKbps: 300, LatencyMicros: 40,
-			LastTransition: time.Unix(0, 1723200000000000000)},
-	}
-
-	var ez, ed rpc.Encoder
-	encodeSiteStatus(&ez, zero)
-	encodeSiteStatus(&ed, data)
-	bz, bd := ez.Bytes(), ed.Bytes()
-	// Everything before the count word is byte-identical; the payload with
-	// a peer row is strictly longer.
-	n := len(bz) - 8 - brownoutBlockLen
-	if len(bd) <= len(bz) {
-		t.Fatalf("payload with a peer row (%d bytes) not longer than without (%d)", len(bd), len(bz))
-	}
-	if string(bz[:n]) != string(bd[:n]) {
-		t.Fatal("health block changed bytes before its own position")
-	}
-
-	// An older daemon's payload ends at the RLS block: chop the health
-	// block off entirely and decode.
-	d := rpc.NewDecoder(bz[:n])
-	got := decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode pre-health generation: %v", err)
-	}
-	if got.HealthPeers != nil || got.DigestGen != 4 || got.PoolCapacity != 9 {
-		t.Fatalf("pre-health generation decode = %+v", got)
-	}
-
-	// And the full payload round-trips the peer row.
-	d = rpc.NewDecoder(bd)
-	got = decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode health generation: %v", err)
-	}
-	if !reflect.DeepEqual(got.HealthPeers, data.HealthPeers) {
-		t.Fatalf("health row round trip:\n got %+v\nwant %+v", got.HealthPeers, data.HealthPeers)
-	}
-}
-
-// Same contract for the brownout block, the newest trailing generation:
-// it strictly appends, and a payload that stops before it (a daemon
-// predating admission control) decodes with zero overload counters.
-func TestEncodeBrownoutBlockStrictlyAppendsAndOlderDecodes(t *testing.T) {
-	zero := SiteStatus{Name: "x", Journal: "ok", PoolCapacity: 9, DigestGen: 4}
-	data := zero
-	data.BrownoutActive = true
-	data.BrownoutLoadMilli = 900
-	data.AdmissionAdmitted, data.AdmissionRejected = 100, 7
-	data.AdmissionExpired, data.AdmissionShed = 2, 3
-	data.BrownoutEntered, data.BrownoutDeferred = 1, 6
-
-	var ez, ed rpc.Encoder
-	encodeSiteStatus(&ez, zero)
-	encodeSiteStatus(&ed, data)
-	bz, bd := ez.Bytes(), ed.Bytes()
-	if len(bz) != len(bd) {
-		t.Fatalf("payload lengths differ: %d vs %d", len(bz), len(bd))
-	}
-	n := len(bz) - brownoutBlockLen
-	if string(bz[:n]) != string(bd[:n]) {
-		t.Fatal("brownout block changed bytes before its own position")
-	}
-
-	// An older daemon's payload ends before the brownout block.
-	d := rpc.NewDecoder(bd[:n])
-	got := decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode pre-brownout generation: %v", err)
-	}
-	if got.BrownoutActive || got.AdmissionAdmitted != 0 || got.BrownoutDeferred != 0 {
-		t.Fatalf("pre-brownout generation decode = %+v", got)
-	}
-	if got.DigestGen != 4 || got.PoolCapacity != 9 {
-		t.Fatalf("pre-brownout generation lost earlier fields: %+v", got)
-	}
-
-	// And the full payload round-trips every overload counter.
-	d = rpc.NewDecoder(bd)
-	got = decodeSiteStatus(d)
-	if err := d.Finish(); err != nil {
-		t.Fatalf("decode brownout generation: %v", err)
-	}
-	if !reflect.DeepEqual(got, data) {
-		t.Fatalf("brownout round trip:\n got %+v\nwant %+v", got, data)
-	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var st SiteStatus
+		var err error
+		// Strings and health rows cost memory only for bytes actually
+		// present (a row is an 80-byte struct read from at least 40 payload
+		// bytes, and append growth can multiply that); nothing is
+		// allocated for what a length or count merely claims.
+		if got := allocatedBy(func() { st, err = DecodeSiteStatus(rpc.NewDecoder(payload)) }); got >= 64<<10+16*uint64(len(payload)) {
+			t.Fatalf("decoding a %d-byte payload allocated %d bytes", len(payload), got)
+		}
+		if err != nil {
+			return
+		}
+		var again rpc.Encoder
+		encodeSiteStatus(&again, st)
+		st2, err := DecodeSiteStatus(rpc.NewDecoder(again.Bytes()))
+		if err != nil || !reflect.DeepEqual(st2, st) {
+			t.Fatalf("decode(encode(%+v)) = %+v, %v", st, st2, err)
+		}
+	})
 }

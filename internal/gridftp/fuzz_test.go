@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,15 +77,26 @@ func FuzzReadReply(f *testing.F) {
 		"150 opening 99999999999999999999 streams\r\n",
 		"112 500 1000\n",
 		"22\r\n", "2x6 text\r\n", "226-no space\r\n", "", "\r\n",
+		"226 " + strings.Repeat("x", maxLineLen-6) + "\r\n", // the longest line accepted
+		strings.Repeat("x", maxLineLen+1),
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		ctl := newControlConn(struct {
-			io.Reader
-			io.Writer
-		}{strings.NewReader(in), io.Discard})
-		code, text, err := ctl.readReply()
+		var code int
+		var text string
+		var err error
+		// Bounded by maxLineLen, not by the input: the session's two
+		// buffers, the line and an error quoting its start.
+		if got := allocated(func() {
+			ctl := newControlConn(struct {
+				io.Reader
+				io.Writer
+			}{strings.NewReader(in), io.Discard})
+			code, text, err = ctl.readReply()
+		}); got >= 64<<10 {
+			t.Fatalf("reading a reply from %d bytes allocated %d bytes", len(in), got)
+		}
 		if err != nil {
 			return
 		}
@@ -95,4 +107,13 @@ func FuzzReadReply(f *testing.F) {
 			t.Fatalf("parse150(%q) = %d streams", text, streams)
 		}
 	})
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -31,13 +31,13 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Default transfer parameters.
@@ -176,7 +176,7 @@ type controlConn struct {
 }
 
 func newControlConn(rw io.ReadWriter) *controlConn {
-	return &controlConn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	return &controlConn{r: bufio.NewReaderSize(rw, maxLineLen), w: bufio.NewWriter(rw)}
 }
 
 // sendLine writes one CRLF-terminated line and flushes.
@@ -195,13 +195,26 @@ func (c *controlConn) reply(code int, format string, args ...interface{}) error 
 	return c.sendLine("%03d %s", code, fmt.Sprintf(format, args...))
 }
 
-// readLine reads one line, stripping the terminator.
+// maxLineLen bounds one control line, so a peer that never sends '\n'
+// cannot grow a buffer without limit. The longest line a command needs is
+// a ranged one, "CKSM <off> <len> <path>": a 4-byte verb, two decimal
+// int64s of at most 20 bytes each, a PATH_MAX (4096-byte) path, three
+// spaces and CRLF: 4+2*20+4096+3+2 = 4145 bytes. It is the size of the
+// line reader's buffer. (An error reply quoting a path within a few dozen
+// bytes of PATH_MAX can be longer; its reader sees ErrProtocol instead.)
+const maxLineLen = 4 + 2*20 + 4096 + 3 + 2
+
+// readLine reads one line, stripping the terminator. A line longer than
+// maxLineLen is ErrProtocol, on which the server ends the session.
 func (c *controlConn) readLine() (string, error) {
-	line, err := c.r.ReadString('\n')
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return "", fmt.Errorf("%w: control line longer than %d bytes", ErrProtocol, maxLineLen)
+	}
 	if err != nil {
 		return "", err
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return string(bytes.TrimRight(line, "\r\n")), nil
 }
 
 // readReply parses a "NNN text" response.
@@ -211,11 +224,11 @@ func (c *controlConn) readReply() (code int, text string, err error) {
 		return 0, "", err
 	}
 	if len(line) < 4 || line[3] != ' ' {
-		return 0, "", fmt.Errorf("%w: malformed reply %q", ErrProtocol, line)
+		return 0, "", fmt.Errorf("%w: malformed reply %.80q", ErrProtocol, line)
 	}
 	for i := 0; i < 3; i++ {
 		if line[i] < '0' || line[i] > '9' {
-			return 0, "", fmt.Errorf("%w: malformed reply %q", ErrProtocol, line)
+			return 0, "", fmt.Errorf("%w: malformed reply %.80q", ErrProtocol, line)
 		}
 		code = code*10 + int(line[i]-'0')
 	}

@@ -95,6 +95,36 @@ func TestServerRejectsGarbageCommands(t *testing.T) {
 	expectCode(t, r, "221")
 }
 
+// TestControlLineBounded: a peer that never sends '\n' gets a protocol
+// error after maxLineLen bytes, not a buffer grown to whatever it sends —
+// on the client's reply reader and on the server, which ends the session.
+func TestControlLineBounded(t *testing.T) {
+	flood := strings.Repeat("x", 1<<20)
+	var err error
+	got := allocated(func() {
+		_, _, err = newControlConn(struct {
+			io.Reader
+			io.Writer
+		}{strings.NewReader(flood), io.Discard}).readReply()
+	})
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("1 MiB without a newline: err = %v, want ErrProtocol", err)
+	}
+	if got >= 64<<10 {
+		t.Fatalf("1 MiB without a newline allocated %d bytes", got)
+	}
+
+	addr, _ := startServer(t, nil)
+	conn, r := rawSession(t, addr)
+	go io.WriteString(conn, flood) // fails once the server hangs up
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	line, err := r.ReadString('\n')
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("server kept the session after 1 MiB without a newline: %q, %v", line, err)
+	}
+}
+
 // TestDataChannelTokenRequired: a data connection without the right pairing
 // token never receives file data.
 func TestDataChannelTokenRequired(t *testing.T) {

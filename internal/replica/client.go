@@ -220,8 +220,7 @@ func (c *Client) Collections(ctx context.Context) ([]string, error) {
 // Returns the server's outcome (PushNew/PushRefresh/PushStale) and the
 // generation the RLI now indexes for the site — on a stale rejection the
 // newer indexed one, which the pusher adopts so its next push supersedes
-// it (a restarted site's generation counter starts over at zero). The
-// generation rides a trailing wire field older servers omit.
+// it (a restarted site's generation counter starts over at zero).
 func (c *Client) PushDigest(ctx context.Context, site, addr string, gen uint64, filter *Bloom, ttl time.Duration) (string, uint64, error) {
 	var e rpc.Encoder
 	e.String(site)
@@ -234,17 +233,13 @@ func (c *Client) PushDigest(ctx context.Context, site, addr string, gen uint64, 
 		return "", 0, err
 	}
 	outcome := d.String()
-	idxGen := gen
-	if d.Remaining() > 0 {
-		idxGen = d.Uint64()
-	}
+	idxGen := d.Uint64()
 	return outcome, idxGen, d.Finish()
 }
 
 // Which asks the RLI which sites might hold the LFN (false positives
-// possible; confirm with an LRC point query). The per-site digest
-// generations ride a trailing block older servers omit, so Gen is zero
-// when talking to one.
+// possible; confirm with an LRC point query), each with its digest
+// generation.
 func (c *Client) Which(ctx context.Context, lfn string) ([]Site, error) {
 	var e rpc.Encoder
 	e.String(lfn)
@@ -264,10 +259,8 @@ func (c *Client) Which(ctx context.Context, lfn string) ([]Site, error) {
 			return nil, err
 		}
 	}
-	if d.Remaining() > 0 {
-		for i := range out {
-			out[i].Gen = d.Uint64()
-		}
+	for i := range out {
+		out[i].Gen = d.Uint64()
 	}
 	return out, d.Finish()
 }

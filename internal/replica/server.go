@@ -289,8 +289,8 @@ func (s *Server) register() {
 		}
 		outcome, idxGen := s.rli.Update(site, addr, gen, filter, time.Duration(ttlMs)*time.Millisecond)
 		resp.String(outcome)
-		// Trailing indexed generation: a stale-rejected pusher adopts it so
-		// its next push supersedes the stale entry (restart convergence).
+		// A stale-rejected pusher adopts the indexed generation so its next
+		// push supersedes the stale entry (restart convergence).
 		resp.Uint64(idxGen)
 		return nil
 	})
@@ -305,8 +305,6 @@ func (s *Server) register() {
 			resp.String(st.Name)
 			resp.String(st.Addr)
 		}
-		// Trailing generation block: appended after the v1 payload so
-		// older decoders ignore it and newer ones guard with Remaining().
 		for _, st := range sites {
 			resp.Uint64(st.Gen)
 		}

@@ -11,13 +11,6 @@ import (
 	"gdmp/internal/gsi"
 )
 
-// wire generations a client can latch onto after probing the server.
-const (
-	wiregenUnknown = -1 // not probed yet
-	wiregenLegacy  = 0  // generation-0 frames only (pre-metadata server)
-	wiregenMeta    = 1  // generation-1: metadata envelope + typed overload
-)
-
 // Client is a Request Manager client: one authenticated connection to a
 // server, over which calls are issued sequentially. Client is safe for
 // concurrent use; concurrent calls are serialized on the connection,
@@ -28,7 +21,6 @@ type Client struct {
 	peer    *gsi.Peer
 	timeout time.Duration
 	closed  bool
-	wiregen int // wiregenUnknown until the capability probe resolves
 }
 
 // DialOption customizes Dial.
@@ -37,7 +29,6 @@ type DialOption func(*dialConfig)
 type dialConfig struct {
 	timeout time.Duration
 	dialer  func(network, addr string) (net.Conn, error)
-	legacy  bool
 }
 
 // WithTimeout sets a per-call deadline (and the dial timeout).
@@ -51,19 +42,12 @@ func WithDialer(d func(network, addr string) (net.Conn, error)) DialOption {
 	return func(c *dialConfig) { c.dialer = d }
 }
 
-// WithLegacyWire pins the client to generation-0 request frames and skips
-// the capability probe, emulating a pre-deadline-propagation build.
-// Rolling-upgrade tests use it to prove mixed-version interop.
-func WithLegacyWire() DialOption {
-	return func(c *dialConfig) { c.legacy = true }
-}
-
 // attemptKey carries the caller's retry attempt number in a context.
 type attemptKey struct{}
 
 // WithAttempt tags ctx with the caller's retry attempt number (0 = first
-// try). Generation-1 request frames carry it, letting overloaded servers
-// shed the hottest retriers first.
+// try). Every request frame carries it, letting overloaded servers shed
+// the hottest retriers first.
 func WithAttempt(ctx context.Context, attempt int) context.Context {
 	return context.WithValue(ctx, attemptKey{}, attempt)
 }
@@ -112,9 +96,6 @@ func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots [
 	if err != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, ctx.Err())
 	}
-	if cl != nil && cfg.legacy {
-		cl.wiregen = wiregenLegacy
-	}
 	return cl, err
 }
 
@@ -129,7 +110,7 @@ func NewClient(conn net.Conn, cred *gsi.Credential, roots []*gsi.Certificate, ti
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	return &Client{conn: conn, peer: peer, timeout: timeout, wiregen: wiregenUnknown}, nil
+	return &Client{conn: conn, peer: peer, timeout: timeout}, nil
 }
 
 // ServerIdentity returns the authenticated identity of the server.
@@ -143,11 +124,9 @@ func (c *Client) Call(method string, args *Encoder) (*Decoder, error) {
 
 // CallContext is Call bound to a context: cancellation closes the
 // connection, unblocking the exchange immediately; a context deadline
-// earlier than the client's own timeout wins. On the first call of a
-// connection the client probes the server's wire generation; against a
-// generation-1 server every call then carries the remaining deadline
-// budget and retry attempt (see WithAttempt), and a typed
-// *admission.Overloaded is returned when the server sheds the call.
+// earlier than the client's own timeout wins. Every call carries the
+// remaining deadline budget and retry attempt (see WithAttempt), and a
+// typed *admission.Overloaded is returned when the server sheds the call.
 func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) (*Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -163,102 +142,22 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
 	defer stop()
 
-	if c.wiregen == wiregenUnknown {
-		if err := c.probeLocked(ctx); err != nil {
-			return nil, err
-		}
-	}
-
-	var req Encoder
-	req.String(method)
+	req := request{method: method, attempt: attemptOf(ctx)}
 	if args != nil {
-		req.Bytes32(args.Bytes())
-	} else {
-		req.Bytes32(nil)
+		req.args = args.Bytes()
 	}
-	if c.wiregen >= wiregenMeta {
-		// Generation-1 strict-append block: the metadata envelope. The
-		// deadline crosses the wire as a remaining budget, not an instant,
-		// so clock skew between sites cannot corrupt it.
-		var budget time.Duration
-		if d, ok := ctx.Deadline(); ok {
-			if budget = time.Until(d); budget <= 0 {
-				budget = time.Microsecond // already dead; let the server shed it
-			}
-		}
-		var env Encoder
-		env.Uint8(wiregenMeta)
-		env.Uint64(uint64(budget / time.Microsecond))
-		env.Uint32(attemptOf(ctx))
-		req.Bytes32(env.Bytes())
-	}
-
-	d, err := c.exchangeLocked(ctx, method, req.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	switch status := d.Uint8(); status {
-	case statusOK:
-		return d, nil
-	case statusError:
-		msg := d.String()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		return nil, &RemoteError{Method: method, Msg: msg}
-	case statusOverloaded:
-		class := d.String()
-		reason := d.String()
-		after := time.Duration(d.Uint64()) * time.Microsecond
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		return nil, &admission.Overloaded{Class: class, Reason: reason, After: after}
-	default:
-		return nil, fmt.Errorf("%w: unknown status %d", ErrCorrupt, status)
-	}
-}
-
-// probeLocked resolves the server's wire generation with one rpc.caps
-// exchange. A generation-aware server answers the probe before handler
-// lookup; a pre-generation server answers "unknown method" as an ordinary
-// error frame and the connection stays usable, so the client latches
-// generation 0 and keeps talking the old format.
-func (c *Client) probeLocked(ctx context.Context) error {
-	var req Encoder
-	req.String(MethodCaps)
-	req.Bytes32(nil)
-	d, err := c.exchangeLocked(ctx, MethodCaps, req.Bytes())
-	if err != nil {
-		return err
-	}
-	switch status := d.Uint8(); status {
-	case statusOK:
-		if gen := d.Uint32(); d.Err() == nil && gen >= wiregenMeta {
-			c.wiregen = wiregenMeta
-		} else {
-			c.wiregen = wiregenLegacy
-		}
-	case statusError:
-		_ = d.String() // drain the "unknown method" message
-		c.wiregen = wiregenLegacy
-	default:
-		c.closeLocked()
-		return fmt.Errorf("%w: unknown status %d", ErrCorrupt, status)
-	}
-	return nil
-}
-
-// exchangeLocked performs one framed request/response exchange under the
-// connection deadline, mapping transport failures onto the context error
-// when the context caused them.
-func (c *Client) exchangeLocked(ctx context.Context, method string, frame []byte) (*Decoder, error) {
-	deadline := time.Time{}
+	// The connection deadline is the earlier of the client's timeout and
+	// the context's; the latter also crosses the wire, as a budget.
+	var deadline time.Time
 	if c.timeout > 0 {
 		deadline = time.Now().Add(c.timeout)
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
+	if d, ok := ctx.Deadline(); ok {
+		// An already dead call still carries a budget, for the server to shed.
+		req.budget = uint64(max(time.Until(d), time.Microsecond) / time.Microsecond)
+		if deadline.IsZero() || d.Before(deadline) {
+			deadline = d
+		}
 	}
 	c.conn.SetDeadline(deadline)
 	fail := func(stage string, err error) (*Decoder, error) {
@@ -275,14 +174,34 @@ func (c *Client) exchangeLocked(ctx context.Context, method string, frame []byte
 		}
 		return nil, fmt.Errorf("rpc: %s %s: %w", stage, method, err)
 	}
-	if err := WriteFrame(c.conn, frame); err != nil {
+	if err := WriteFrame(c.conn, req.encode()); err != nil {
 		return fail("send", err)
 	}
 	resp, err := ReadFrame(c.conn)
 	if err != nil {
 		return fail("receive", err)
 	}
-	return NewDecoder(resp), nil
+	d := NewDecoder(resp)
+	switch status := d.Uint8(); status {
+	case statusOK:
+		return d, nil
+	case statusError:
+		msg := d.String()
+		if err := d.Finish(); err != nil {
+			return nil, err
+		}
+		return nil, &RemoteError{Method: method, Msg: msg}
+	case statusOverloaded:
+		class := d.String()
+		reason := d.String()
+		after := time.Duration(d.Uint64()) * time.Microsecond
+		if err := d.Finish(); err != nil {
+			return nil, err
+		}
+		return nil, &admission.Overloaded{Class: class, Reason: reason, After: after}
+	default:
+		return nil, fmt.Errorf("%w: unknown status %d", ErrCorrupt, status)
+	}
 }
 
 // Close terminates the connection.

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Maximum sizes enforced while decoding untrusted input.
@@ -109,9 +110,6 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
 // Err returns the first decode error encountered, if any.
 func (d *Decoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.b) }
 
 // Finish verifies the message was fully consumed without errors.
 func (d *Decoder) Finish() error {
@@ -245,19 +243,27 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame from r.
+// ReadFrame reads one length-prefixed frame from r. The buffer grows only
+// as bytes arrive, at most doubling what has already been read, so a peer
+// that claims a large frame and sends little commits little memory.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrameLen {
 		return nil, fmt.Errorf("rpc: frame too large (%d bytes)", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf := make([]byte, min(n, 64<<10))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, buf[read:]); err != nil {
+			return nil, err
+		}
+		if read = len(buf); read == n {
+			return buf, nil
+		}
+		more := min(n-read, read)
+		buf = slices.Grow(buf, more)[:read+more]
 	}
-	return buf, nil
 }

@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -14,7 +13,7 @@ import (
 	"gdmp/internal/obs"
 )
 
-// --- wire generations ----------------------------------------------------
+// --- call metadata --------------------------------------------------------
 
 func TestWireMetadataReachesHandler(t *testing.T) {
 	acl := gsi.NewACL()
@@ -39,132 +38,6 @@ func TestWireMetadataReachesHandler(t *testing.T) {
 	budget := <-gotDeadline
 	if budget <= 0 || budget > 3*time.Second {
 		t.Fatalf("handler deadline budget = %v, want (0, 3s]", budget)
-	}
-}
-
-func TestLegacyClientAgainstNewServer(t *testing.T) {
-	acl := gsi.NewACL()
-	acl.AllowAll("meta")
-	gotDeadline := make(chan bool, 1)
-	addr := startServer(t, acl, func(s *Server) {
-		s.Handle("meta", func(ctx context.Context, _ *gsi.Peer, args *Decoder, resp *Encoder) error {
-			_, ok := ctx.Deadline()
-			gotDeadline <- ok
-			resp.String("ok")
-			return nil
-		})
-	})
-	cred, err := ca(t).Issue("legacy", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()},
-		WithTimeout(5*time.Second), WithLegacyWire())
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cl.Close()
-	// Even with a context deadline, a generation-0 frame carries none.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	d, err := cl.CallContext(ctx, "meta", nil)
-	if err != nil {
-		t.Fatalf("call: %v", err)
-	}
-	if got := d.String(); got != "ok" {
-		t.Fatalf("reply = %q", got)
-	}
-	if <-gotDeadline {
-		t.Fatal("legacy frame must not propagate a deadline")
-	}
-}
-
-// startLegacyServer emulates a pre-generation build: strict generation-0
-// request decoding (any trailing bytes kill the connection) and no
-// rpc.caps handler — the probe gets an ordinary "unknown method" error.
-func startLegacyServer(t *testing.T) string {
-	t.Helper()
-	cred, err := ca(t).Issue("gdmp/legacy-server", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := []*gsi.Certificate{ca(t).Certificate()}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				if _, err := gsi.Handshake(conn, cred, roots, false); err != nil {
-					return
-				}
-				for {
-					frame, err := ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					d := NewDecoder(frame)
-					method := d.String()
-					payload := d.Bytes32()
-					if err := d.Finish(); err != nil {
-						return // generation-0 decode is strict
-					}
-					var out Encoder
-					switch method {
-					case "echo":
-						pd := NewDecoder(payload)
-						out.Uint8(statusOK)
-						out.String(pd.String())
-					default:
-						out.Uint8(statusError)
-						out.String(fmt.Sprintf("unknown method %q", method))
-					}
-					if err := WriteFrame(conn, out.Bytes()); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func TestNewClientAgainstLegacyServer(t *testing.T) {
-	addr := startLegacyServer(t)
-	cred, err := ca(t).Issue("modern", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(5*time.Second))
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cl.Close()
-	// The probe must downgrade gracefully and the connection stay usable
-	// across multiple calls — even with a deadline on the context, which a
-	// generation-0 frame cannot carry.
-	for i := 0; i < 3; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		var args Encoder
-		args.String(fmt.Sprintf("ping-%d", i))
-		d, err := cl.CallContext(WithAttempt(ctx, i), "echo", &args)
-		cancel()
-		if err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if got := d.String(); got != fmt.Sprintf("ping-%d", i) {
-			t.Fatalf("call %d reply = %q", i, got)
-		}
-	}
-	if cl.wiregen != wiregenLegacy {
-		t.Fatalf("wiregen = %d, want %d (legacy)", cl.wiregen, wiregenLegacy)
 	}
 }
 

@@ -3,9 +3,11 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -131,17 +133,20 @@ func TestDecoderHugeLengthRejected(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("the payload")
-	if err := WriteFrame(&buf, payload); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("frame round trip = %q", got)
+	// Sizes on both sides of ReadFrame's first 64 KiB read and its growth.
+	for _, n := range []int{0, 11, 64 << 10, 200<<10 + 3} {
+		var buf bytes.Buffer
+		payload := bytes.Repeat([]byte("the payload "), n/12+1)[:n]
+		if err := WriteFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("%d bytes: %v", n, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%d bytes: frame round trip differs", n)
+		}
 	}
 }
 
@@ -154,6 +159,30 @@ func TestFrameTooLarge(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
+}
+
+// A header claiming the largest legal frame, followed by 10 bytes and EOF,
+// must fail without reserving the claimed 128 MiB.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrameLen)
+	in := append(hdr[:], make([]byte, 10)...)
+	var err error
+	if got := allocated(func() { _, err = ReadFrame(bytes.NewReader(in)) }); got >= 1<<20 {
+		t.Fatalf("short frame allocated %d bytes", got)
+	}
+	if err == nil {
+		t.Fatal("short frame accepted")
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // --- client/server -------------------------------------------------------

@@ -57,30 +57,34 @@ const (
 	statusOverloaded = uint8(2) // admission rejection: reason + retry-after
 )
 
-// MethodCaps is the wire-capability probe. A generation-aware client
-// issues it once per connection before its first metadata-bearing call;
-// the server answers it before handler lookup and ACL checks, so every
-// server of this generation supports it with no registration. A
-// pre-generation server answers "unknown method" as an ordinary error
-// frame and the connection stays usable, which tells the client to stay
-// on generation-0 frames.
-const MethodCaps = "rpc.caps"
-
-// WireGeneration is the newest request-frame generation this build
-// speaks. Generation 1 appends a length-prefixed metadata envelope
-// (deadline budget + retry attempt) after the request payload; the
-// envelope itself is strict-append so future fields ride inside it.
-const WireGeneration = 1
-
-// CallMeta is the per-call metadata carried by generation-1 request
-// frames.
-type CallMeta struct {
-	// Deadline is the caller's remaining deadline budget at send time
-	// (a duration, not an instant, so clock skew between sites cannot
+// request is one call as it crosses the wire, in the frame's field order.
+// It is the only request layout: there are no versions to negotiate,
+// because the sites of a grid upgrade together.
+type request struct {
+	method string
+	args   []byte // the method's encoded arguments
+	// budget is the caller's remaining deadline in microseconds at send
+	// time (a duration, not an instant, so clock skew between sites cannot
 	// corrupt it); zero means no deadline.
-	Deadline time.Duration
-	// Attempt is the caller's retry attempt number (0 = first try).
-	Attempt uint32
+	budget  uint64
+	attempt uint32 // the caller's retry attempt (0 = first try)
+}
+
+func (r request) encode() []byte {
+	e := Encoder{buf: make([]byte, 0, 4+len(r.method)+4+len(r.args)+8+4)}
+	e.String(r.method)
+	e.Bytes32(r.args)
+	e.Uint64(r.budget)
+	e.Uint32(r.attempt)
+	return e.Bytes()
+}
+
+// decodeRequest reads one request frame; a frame with a field missing or
+// bytes left over is corrupt.
+func decodeRequest(frame []byte) (request, error) {
+	d := NewDecoder(frame)
+	r := request{method: d.String(), args: d.Bytes32(), budget: d.Uint64(), attempt: d.Uint32()}
+	return r, d.Finish()
 }
 
 // RemoteError is an error reported by a server-side handler and transported
@@ -280,10 +284,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	// capable flips once the peer has issued the capability probe, proving
-	// it decodes generation-1 responses (the typed overloaded status).
-	// Pre-generation peers keep receiving plain error frames.
-	capable := false
 	for {
 		if s.TimeoutD > 0 {
 			conn.SetDeadline(time.Now().Add(s.TimeoutD))
@@ -294,46 +294,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // connection closed or timed out
 		}
-		d := NewDecoder(frame)
-		method := d.String()
-		payload := d.Bytes32()
-		var meta CallMeta
-		if d.Remaining() > 0 {
-			// Generation-1 strict-append block: a length-prefixed metadata
-			// envelope. The envelope is decoded by known prefix; fields a
-			// future generation appends inside it are ignored.
-			md := NewDecoder(d.Bytes32())
-			if ver := md.Uint8(); ver >= 1 {
-				meta.Deadline = time.Duration(md.Uint64()) * time.Microsecond
-				meta.Attempt = md.Uint32()
-			}
-			if md.Err() != nil {
-				s.logger.Printf("rpc: corrupt call metadata from %s: %v", peer.Base, md.Err())
-				return
-			}
-		}
-		if err := d.Finish(); err != nil {
+		req, err := decodeRequest(frame)
+		if err != nil {
 			s.logger.Printf("rpc: corrupt request from %s: %v", peer.Base, err)
 			return
 		}
-		var resp []byte
-		if method == MethodCaps {
-			capable = true
-			var out Encoder
-			out.Uint8(statusOK)
-			out.Uint32(WireGeneration)
-			resp = out.Bytes()
-			s.met.requests.WithLabelValues(method, "ok").Inc()
-		} else {
-			resp = s.dispatch(s.baseCtx, peer, method, payload, meta, capable)
-		}
-		if err := WriteFrame(conn, resp); err != nil {
+		if err := WriteFrame(conn, s.dispatch(s.baseCtx, peer, req)); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, method string, payload []byte, meta CallMeta, capable bool) []byte {
+func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, req request) []byte {
+	method := req.method
 	s.met.inFlight.Inc()
 	defer s.met.inFlight.Dec()
 	defer s.met.latency.WithLabelValues(method).Time()()
@@ -346,23 +319,15 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, method string, pa
 		out.String(fmt.Sprintf(format, args...))
 		return out.Bytes()
 	}
-	// overload reports an admission rejection. Peers that proved they speak
-	// generation 1 get the typed frame (class, reason, retry-after);
-	// everyone else gets a plain error frame, so old clients keep working.
-	overload := func(err error) []byte {
+	// overload reports an admission rejection as the typed frame: class,
+	// reason, retry-after.
+	overload := func(ov *admission.Overloaded) []byte {
 		s.met.requests.WithLabelValues(method, "overloaded").Inc()
-		var ov *admission.Overloaded
-		if capable && errors.As(err, &ov) {
-			out.Reset()
-			out.Uint8(statusOverloaded)
-			out.String(ov.Class)
-			out.String(ov.Reason)
-			out.Uint64(uint64(ov.After / time.Microsecond))
-			return out.Bytes()
-		}
 		out.Reset()
-		out.Uint8(statusError)
-		out.String(err.Error())
+		out.Uint8(statusOverloaded)
+		out.String(ov.Class)
+		out.String(ov.Reason)
+		out.Uint64(uint64(ov.After / time.Microsecond))
 		return out.Bytes()
 	}
 
@@ -382,17 +347,23 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, method string, pa
 	// The wire carries the remaining budget as a duration; anchor it to
 	// this server's clock at receipt so cross-site clock skew is harmless.
 	var absDeadline time.Time
-	if meta.Deadline > 0 {
-		absDeadline = time.Now().Add(meta.Deadline)
+	if budget := time.Duration(req.budget) * time.Microsecond; budget > 0 {
+		absDeadline = time.Now().Add(budget)
 	}
 	if s.admit != nil {
 		class := admission.Control
 		if s.classify != nil {
 			class = s.classify(method)
 		}
-		release, err := s.admit.Admit(ctx, class, admission.Request{Deadline: absDeadline, Attempt: meta.Attempt})
+		release, err := s.admit.Admit(ctx, class, admission.Request{Deadline: absDeadline, Attempt: req.attempt})
 		if err != nil {
-			return overload(err)
+			var ov *admission.Overloaded
+			if !errors.As(err, &ov) {
+				// Admit's only other answer: the server closed while the
+				// request was queued.
+				ov = &admission.Overloaded{Class: class.String(), Reason: "draining"}
+			}
+			return overload(ov)
 		}
 		defer release()
 	}
@@ -409,7 +380,7 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, method string, pa
 	}
 
 	out.Uint8(statusOK)
-	args := NewDecoder(payload)
+	args := NewDecoder(req.args)
 	if err := h(hctx, peer, args, &out); err != nil {
 		return fail("error", "%v", err)
 	}

@@ -6,8 +6,7 @@
 // backoff, brownout sheds background work and lifts when the storm ends,
 // draining refuses queued work while in-flight work finishes, and an
 // injected ENOSPC on the staging path releases every reservation without
-// orphaning a .part or quarantining a healthy replica. Mixed-version
-// wire interop is proven in both directions.
+// orphaning a .part or quarantining a healthy replica.
 //
 // The run logs its seed; set OVERLOAD_SEED to replay one.
 package gdmp_test
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"gdmp/internal/admission"
-	"gdmp/internal/core"
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
@@ -335,122 +333,6 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	waitUntil(t, 5*time.Second, "scrub passes resume", func() bool { return scrubPasses() > passesAfter })
 	if st := site.Status(); st.BrownoutEntered < 1 {
 		t.Errorf("BrownoutEntered = %d, want >= 1", st.BrownoutEntered)
-	}
-}
-
-// TestOverloadMixedVersionWire proves both rolling-upgrade directions of
-// the generation-1 wire extension end to end: a legacy (generation-0)
-// client against a current site, and a current client against an
-// emulated pre-metadata server that decodes request frames strictly.
-func TestOverloadMixedVersionWire(t *testing.T) {
-	// Old client, new server: the pinned-legacy client frames carry no
-	// metadata envelope and the site must answer normally.
-	g, err := testbed.NewGrid(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	site, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cred, err := g.CA.Issue("legacy-client", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCl, err := rpc.Dial(site.Addr(), cred, g.Roots,
-		rpc.WithTimeout(5*time.Second), rpc.WithLegacyWire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldCl.Close()
-	for i := 0; i < 3; i++ {
-		d, err := oldCl.Call(core.MethodPing, nil)
-		if err != nil {
-			t.Fatalf("legacy client ping %d: %v", i, err)
-		}
-		if got := d.String(); got != "cern.ch" {
-			t.Fatalf("legacy client ping %d reply = %q, want cern.ch", i, got)
-		}
-	}
-
-	// New client, old server: a generation-0 server that rejects any
-	// trailing request bytes and has no rpc.caps handler. The client's
-	// probe must downgrade gracefully and the connection stay usable.
-	ca, err := gsi.NewCA("Legacy Grid CA", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := []*gsi.Certificate{ca.Certificate()}
-	srvCred, err := ca.Issue("gdmp/legacy-server", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				if _, err := gsi.Handshake(conn, srvCred, roots, false); err != nil {
-					return
-				}
-				for {
-					frame, err := rpc.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					d := rpc.NewDecoder(frame)
-					method := d.String()
-					payload := d.Bytes32()
-					if err := d.Finish(); err != nil {
-						return // generation-0 decode is strict
-					}
-					var out rpc.Encoder
-					switch method {
-					case "echo":
-						pd := rpc.NewDecoder(payload)
-						out.Uint8(0) // status OK
-						out.String(pd.String())
-					default:
-						out.Uint8(1) // status error
-						out.String(fmt.Sprintf("unknown method %q", method))
-					}
-					if err := rpc.WriteFrame(conn, out.Bytes()); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	newCred, err := ca.Issue("modern-client", time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newCl, err := rpc.Dial(ln.Addr().String(), newCred, roots, rpc.WithTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newCl.Close()
-	for i := 0; i < 3; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		var args rpc.Encoder
-		args.String(fmt.Sprintf("ping-%d", i))
-		d, err := newCl.CallContext(rpc.WithAttempt(ctx, i), "echo", &args)
-		cancel()
-		if err != nil {
-			t.Fatalf("modern client call %d against legacy server: %v", i, err)
-		}
-		if got := d.String(); got != fmt.Sprintf("ping-%d", i) {
-			t.Fatalf("call %d reply = %q", i, got)
-		}
 	}
 }
 

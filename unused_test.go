@@ -29,8 +29,8 @@ var keptUnused = []struct{ why, names string }{
 		health.StateOf health.ConsecutiveFailures mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
 		replica.PushCount rpc.ServerIdentity scrub.Pending xfer.QueueDepth xfer.Draining`},
-	{"knobs only tests turn: fixed clocks, legacy wire, per-test registries, reference policies",
-		`gridftp.WithBlockSize replica.SetClock replica.NewCatalogWithMetrics replica.MatchAll rpc.WithLegacyWire
+	{"knobs only tests turn: fixed clocks, per-test registries, reference policies",
+		`gridftp.WithBlockSize replica.SetClock replica.NewCatalogWithMetrics replica.MatchAll
 		rpc.Call retry.Permanent mss.LRU parity.DefaultK parity.DefaultM`},
 	{"fault injection and the in-process grid exist for the harnesses",
 		`faults.* testbed.*`},
