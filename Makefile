@@ -35,15 +35,16 @@ check: fmt vet build race
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
-# of bytes a GridFTP peer controls, of the certificate chain an
-# unauthenticated GSI peer sends first, of the Request Manager frame and
-# status reply an authenticated peer sends, and of the parity sidecar
-# header a rotting disk controls). The seed corpora already run under
+# of bytes a GridFTP peer controls on either end, of the certificate
+# chain an unauthenticated GSI peer sends first, of the Request Manager
+# frame and status reply an authenticated peer sends, and of the parity
+# sidecar header a rotting disk controls). The seed corpora already run under
 # plain `go test`; a crasher found here lands in the package's
 # testdata/fuzz/ and fails every later run until fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
+	$(GO) test -run '^$$' -fuzz '^FuzzTransferArgs$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core

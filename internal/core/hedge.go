@@ -67,11 +67,11 @@ type legResult struct {
 
 // fetchHedged runs one fetch attempt with stall hedging. The primary leg
 // runs under a watchdog armed with the source's stall deadline; if the
-// byte stream goes quiet, a backup replica is warmed up (stage request +
-// control-channel dial + size probe) while the primary gets one grace
-// window to recover. If it does not, the primary is canceled, waited out —
-// there is never a second writer on the .part file — and the backup
-// resumes the verified prefix cross-source.
+// byte stream goes quiet, a backup replica is readied (stage request +
+// reachability check) while the primary gets one grace window to recover.
+// If it does not, the primary is canceled, waited out — there is never a
+// second writer on the .part file — and the backup resumes the verified
+// prefix cross-source.
 func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced bool) error {
 	s := p.s
 	legCtx, cancelLeg := context.WithCancelCause(ctx)
@@ -171,9 +171,9 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 	}
 }
 
-// hedgePrep warms up the hedge source while the stalled primary gets its
-// grace window: the stage request and control-channel dial happen now, so
-// a takeover starts with the expensive handshakes already paid.
+// hedgePrep readies the hedge source during the stalled primary's grace
+// window: the source stages the file, and a reachability check — a session
+// that answers SIZE, closed again; a takeover dials its own — vouches for it.
 func (p *pull) hedgePrep(ctx context.Context, backup PFN) error {
 	if err := p.stageAt(ctx, backup); err != nil {
 		return err
@@ -190,9 +190,9 @@ func (p *pull) hedgePrep(ctx context.Context, backup PFN) error {
 // hedgeTakeover runs the backup leg after the primary has been canceled
 // and drained. ReliableGetFile resumes the primary's CRC-verified .part
 // prefix against the new source (re-verifying it via the source's range
-// checksum first), so on the happy path zero already-verified bytes cross
-// the wire again. The wasted-bytes ledger charges whatever the loser moved
-// that the winner could not reuse.
+// checksum on the takeover's session first), so on the happy path zero
+// already-verified bytes cross the wire again. The wasted-bytes ledger
+// charges whatever the loser moved that the winner could not reuse.
 func (p *pull) hedgeTakeover(ctx context.Context, backup PFN, primaryStats gridftp.TransferStats, progress func(int64)) error {
 	s := p.s
 	stats, err := p.runLeg(ctx, backup, false, progress)

@@ -348,8 +348,8 @@ func (p *pull) replicateFrom(ctx context.Context, src PFN, progress func(int64))
 
 // ftpConnect builds the dial closure for one source's GridFTP endpoint:
 // session options, per-source buffer tuning, and a scoreboard latency
-// sample per successful dial. Both the transfer legs and the hedge warm-up
-// path use it, so a hedge probe pays the same handshake a takeover will.
+// sample per successful dial. The transfer legs (one session per attempt)
+// and the hedge's reachability check both use it.
 func (s *Site) ftpConnect(src PFN) func(ctx context.Context) (*gridftp.Client, error) {
 	return func(ctx context.Context) (*gridftp.Client, error) {
 		opts := []gridftp.ClientOption{

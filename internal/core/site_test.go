@@ -224,6 +224,25 @@ func TestPullReplication(t *testing.T) {
 	}
 }
 
+// TestPullPathWithSpace: a file whose path holds a space publishes, so it
+// must pull too. Every GridFTP verb takes the rest of its line as the path;
+// ERET, CKSM and STOR used to split it into words and refuse the command.
+func TestPullPathWithSpace(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+	data := testbed.MakeData(100_000, 4)
+	pf := publish(t, g, cern, "run 1/f.db", data, core.PublishOptions{LFN: "lfn://cern.ch/run1-f"})
+
+	if err := anl.Get(pf.LFN); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(anl.DataDir(), "run 1", "f.db"))
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("replica of %q: %v", "run 1/f.db", err)
+	}
+}
+
 func TestSubscribeNotifyProcessPending(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})

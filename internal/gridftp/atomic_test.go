@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,57 @@ func TestGetFileStagesAndRenames(t *testing.T) {
 	}
 	if _, err := os.Stat(dest + PartSuffix); !os.IsNotExist(err) {
 		t.Fatalf("staging file survived success: %v", err)
+	}
+}
+
+// TestReliableGetFileOneSessionPerAttempt pins the one-session contract:
+// an attempt's SIZE, prefix judgement, ERET and landing CKSM share the
+// session it dials, so a clean download dials once, and a refused dial
+// neither costs the staged prefix nor a second judgement.
+func TestReliableGetFileOneSessionPerAttempt(t *testing.T) {
+	addr, root := startServer(t, nil)
+	_, want := makeFile(t, root, "big.db", 2_000_000, 17)
+	for _, tc := range []struct {
+		name                      string
+		staged                    int
+		refused                   int
+		connects                  int
+		resumed, discarded, moved int64
+	}{
+		{"fresh download", 0, 0, 1, 0, 0, 2_000_000},
+		{"verified half-file resumed", 1_000_000, 0, 1, 1_000_000, 0, 1_000_000},
+		{"first dial refused, prefix kept", 1_000_000, 1, 2, 1_000_000, 0, 1_000_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dest := filepath.Join(t.TempDir(), "big.db")
+			if tc.staged > 0 {
+				if err := os.WriteFile(dest+PartSuffix, want[:tc.staged], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dial := connector(t, addr, obs.NewRegistry(), nil)
+			connects := 0
+			connect := func(ctx context.Context) (*Client, error) {
+				if connects++; connects <= tc.refused {
+					return nil, errors.New("connection refused (injected)")
+				}
+				return dial(ctx)
+			}
+			stats, err := ReliableGetFile(context.Background(), connect, "big.db", dest, fastPolicy(3))
+			if err != nil {
+				t.Fatalf("ReliableGetFile: %v", err)
+			}
+			if got, _ := os.ReadFile(dest); !bytes.Equal(got, want) {
+				t.Fatal("content mismatch")
+			}
+			if connects != tc.connects {
+				t.Errorf("connects = %d, want %d", connects, tc.connects)
+			}
+			if stats.ResumedBytes != tc.resumed || stats.DiscardedBytes != tc.discarded || stats.Bytes != tc.moved {
+				t.Errorf("resumed/discarded/moved = %d/%d/%d, want %d/%d/%d", stats.ResumedBytes,
+					stats.DiscardedBytes, stats.Bytes, tc.resumed, tc.discarded, tc.moved)
+			}
+		})
 	}
 }
 

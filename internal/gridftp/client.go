@@ -348,8 +348,13 @@ func (c *Client) sizeLocked(path string) (int64, error) {
 func (c *Client) Checksum(path string) (uint32, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.checksumCmd("CKSM %s", path)
+	return c.checksumCmd(wholeCKSM, path)
 }
+
+// wholeCKSM asks for a whole file's CRC. The leading '/', which the
+// server's path resolution absorbs, keeps a path whose first two words are
+// numbers from reading as the ranged form "<off> <len> <path>".
+const wholeCKSM = "CKSM /%s"
 
 // ChecksumRange returns the CRC-32 of a byte range of a remote file.
 func (c *Client) ChecksumRange(path string, off, length int64) (uint32, error) {
@@ -812,79 +817,26 @@ func transferRetryable(err error) bool {
 	return !permanentReply(err) && retry.DefaultRetryable(err)
 }
 
-// ReliableGet retrieves a file with restart-on-failure semantics: after an
-// interrupted attempt, only the missing byte ranges are re-requested from a
-// fresh session after the policy's backoff. connect must return a new
-// authenticated client bound to the context it is given; path and dst are
-// as in Get. Canceling ctx severs the active session's connections and
-// stops further attempts, so an in-flight transfer aborts within one retry
-// interval. The returned stats aggregate all attempts.
-func ReliableGet(ctx context.Context, connect func(context.Context) (*Client, error), path string, dst io.WriterAt, pol retry.Policy) (TransferStats, error) {
-	var rs RangeSet
-	return reliableGet(ctx, connect, path, dst, &rs, pol)
-}
-
-// reliableGet is ReliableGet with a caller-seeded restart map: ranges
-// already in rs are treated as on disk and never re-requested, which is
-// how a resumed download continues from a verified partial file instead
-// of byte 0.
-func reliableGet(ctx context.Context, connect func(context.Context) (*Client, error), path string, dst io.WriterAt, rs *RangeSet, pol retry.Policy) (TransferStats, error) {
-	var agg TransferStats
-	var size int64 = -1
-	if pol.Op == "" {
-		pol.Op = "gridftp.get"
-	}
-	if pol.Retryable == nil {
-		pol.Retryable = transferRetryable
-	}
-	err := pol.Do(ctx, func(attempt int) error {
-		agg.Attempts = attempt
-		cl, err := connect(ctx)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		if attempt > 1 {
-			cl.rec.Restart()
-		}
-		if size < 0 {
-			sz, err := cl.Size(path)
-			if err != nil {
-				return err
-			}
-			size = sz
-		}
-		for _, missing := range rs.Missing(size) {
-			cl.mu.Lock()
-			st, err := cl.getRangeLocked(path, missing, dst, rs)
-			cl.mu.Unlock()
-			agg.merge(st)
-			if err != nil {
-				return err
-			}
-		}
-		if !rs.Complete(size) {
-			return fmt.Errorf("%w: incomplete (%s)", ErrTransferFailed, rs.String())
-		}
-		return nil
-	})
-	if err != nil {
-		return agg, fmt.Errorf("gridftp: reliable get of %s: %w", path, err)
-	}
-	return agg, nil
-}
-
-// ReliableGetFile is ReliableGet into a local file plus end-to-end CRC
-// verification, the full Data Mover contract of Section 4.3 — made
-// crash-safe and resumable:
+// ReliableGetFile is the Data Mover contract of Section 4.3 — a secure,
+// restartable transfer verified end to end by CRC — made crash-safe and
+// resumable. Each attempt runs on the one session connect dials for it
+// (connect must return a new authenticated client bound to the context it
+// is given):
 //
-//   - the payload lands at localPath+PartSuffix and is renamed into
-//     place only after the end-to-end CRC passes, so the destination
-//     never holds a truncated or unverified file;
-//   - a failed or interrupted transfer leaves the staging file behind,
-//     and a later call resumes from its length after verifying the
-//     prefix CRC against the server (CKSM of [0, len)); a mismatched or
-//     oversized prefix falls back to a full restart from byte 0.
+//   - SIZE, and on the first session that answers it, one judgement of
+//     any prefix an earlier call left staged (see trustPrefix);
+//   - ERET of exactly the byte ranges not yet on disk: the restart map
+//     outlives a failed attempt, so the next one re-requests only the gaps;
+//   - the landing CKSM (landStaged): the payload lands at
+//     localPath+PartSuffix and is renamed into place only after the CRC
+//     matches, so the destination never holds a truncated or unverified
+//     file.
+//
+// A failed attempt's session is closed before the policy's backoff, and
+// canceling ctx severs the active session's connections and stops further
+// attempts. A failed call keeps the staging file for a later call to
+// resume (ENOSPC aside); a landing mismatch removes it and returns
+// ErrChecksum, not retried here. The returned stats aggregate all attempts.
 func ReliableGetFile(ctx context.Context, connect func(context.Context) (*Client, error), remotePath, localPath string, pol retry.Policy) (TransferStats, error) {
 	return ReliableGetFileOpts(ctx, connect, remotePath, localPath, pol, GetFileOptions{})
 }
@@ -893,9 +845,10 @@ func ReliableGetFile(ctx context.Context, connect func(context.Context) (*Client
 type GetFileOptions struct {
 	// Progress, when non-nil, is called as payload lands with the
 	// cumulative number of bytes present in the staging file (a verified
-	// resumed prefix counts). Calls arrive from transfer goroutines; the
-	// callback must be cheap and safe for concurrent use. Hedged pulls
-	// use it as the liveness signal their stall watchdog watches.
+	// resumed prefix counts, reported before the first new byte lands).
+	// Calls arrive from transfer goroutines; the callback must be cheap
+	// and safe for concurrent use. Hedged pulls use it as the liveness
+	// signal their stall watchdog watches.
 	Progress func(total int64)
 
 	// WrapWriter, when non-nil, wraps the staging-file writer before any
@@ -926,79 +879,117 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 	if err != nil {
 		return TransferStats{}, err
 	}
-	var rs RangeSet
-	var resumed, discarded int64
-	if info, serr := f.Stat(); serr == nil && info.Size() > 0 {
-		resumed, discarded = resumePartial(ctx, connect, remotePath, f, info.Size(), &rs)
+	var staged int64 // left by an earlier call; judged with the first SIZE
+	if info, err := f.Stat(); err == nil {
+		staged = info.Size()
 	}
 	dst := io.WriterAt(f)
 	if opt.WrapWriter != nil {
 		dst = opt.WrapWriter(dst)
 	}
+	var pw *progressWriterAt
 	if opt.Progress != nil {
-		pw := &progressWriterAt{dst: dst, fn: opt.Progress}
-		pw.total.Store(resumed)
-		if resumed > 0 {
-			opt.Progress(resumed)
-		}
+		pw = &progressWriterAt{dst: dst, fn: opt.Progress}
 		dst = pw
 	}
-	stats, err := reliableGet(ctx, connect, remotePath, dst, &rs, pol)
-	stats.ResumedBytes = resumed
-	stats.DiscardedBytes = discarded
-	// Verification runs on a session of its own, dialed only once the
-	// transfer has succeeded.
-	var cl *Client
-	if err == nil {
-		if cl, err = connect(ctx); err == nil {
-			defer cl.Close()
+	if pol.Op == "" {
+		pol.Op = "gridftp.get"
+	}
+	if pol.Retryable == nil {
+		pol.Retryable = transferRetryable
+	}
+	var stats TransferStats
+	var rs RangeSet // restart map: the bytes on disk that are trusted
+	size := int64(-1)
+	fetch := func(c *Client) error {
+		if size < 0 {
+			sz, err := c.Size(remotePath)
+			if err != nil {
+				return err
+			}
+			size = sz
+			if staged > 0 && c.trustPrefix(remotePath, f, staged, size) {
+				rs.Add(0, staged)
+				stats.ResumedBytes = staged
+				if pw != nil {
+					pw.total.Store(staged)
+					opt.Progress(staged)
+				}
+			} else if staged > 0 {
+				// Best-effort: ERET rewrites [0, size) regardless, and a
+				// longer leftover fails the landing CKSM.
+				f.Truncate(0)
+				stats.DiscardedBytes = staged
+			}
 		}
+		for _, missing := range rs.Missing(size) {
+			c.mu.Lock()
+			st, err := c.getRangeLocked(remotePath, missing, dst, &rs)
+			c.mu.Unlock()
+			stats.merge(st)
+			if err != nil {
+				return err
+			}
+		}
+		if !rs.Complete(size) {
+			return fmt.Errorf("%w: incomplete (%s)", ErrTransferFailed, rs.String())
+		}
+		return nil
+	}
+	var cl *Client // the session that moved the last byte verifies the file
+	err = pol.Do(ctx, func(attempt int) error {
+		stats.Attempts = attempt
+		c, err := connect(ctx)
+		if err != nil {
+			return err
+		}
+		if attempt > 1 {
+			c.rec.Restart()
+		}
+		if err := fetch(c); err != nil {
+			c.Close()
+			return err
+		}
+		cl = c
+		return nil
+	})
+	if err != nil {
+		err = fmt.Errorf("gridftp: reliable get of %s: %w", remotePath, err)
+	} else {
+		defer cl.Close()
 	}
 	stats.CRC32, err = landStaged(f, err, cl, remotePath, localPath, true)
 	return stats, err
 }
 
-// resumePartial decides whether an existing staging file can seed a
-// resumed download. The prefix is trusted only when the server's range
-// checksum of [0, have) matches the local bytes; any doubt — remote
-// shrank, CKSM unsupported, checksum mismatch, read error — truncates
-// back to a full restart. Because connect targets whatever source the
-// caller is currently using, this is also the cross-source handshake: a
-// prefix downloaded from one replica is re-verified against the new
-// source before a single byte is appended, and a disagreeing source
-// costs the prefix (never the transfer, and never a quarantine — the
-// staging file is simply restarted from zero). Best-effort: a failure
-// here never fails the transfer, it only costs the resume. Returns how
-// many prefix bytes were kept and how many were thrown away.
-func resumePartial(ctx context.Context, connect func(context.Context) (*Client, error), remotePath string, f *os.File, have int64, rs *RangeSet) (resumed, discarded int64) {
-	restart := func() {
-		f.Truncate(0)
+// trustPrefix judges the first have bytes of the staging file f against
+// this session's source, whose copy is size bytes long: they are trusted
+// only when the source's range checksum of [0, have) matches them. Any
+// doubt — the remote shrank, the ranged CKSM was refused, a local read
+// failed, the checksums differ — is a no, and the caller restarts from
+// byte 0. Because the session is whichever source the caller uses now,
+// this is also the cross-source handshake: a prefix fetched from one
+// replica is re-verified against the next before a byte is appended, and a
+// disagreeing source costs the prefix (never the transfer, and never a
+// quarantine). Only a checksum mismatch counts as a rejected resume.
+func (c *Client) trustPrefix(path string, f *os.File, have, size int64) bool {
+	if have > size {
+		return false
 	}
-	cl, err := connect(ctx)
+	want, err := c.ChecksumRange(path, 0, have)
 	if err != nil {
-		restart()
-		return 0, have
-	}
-	defer cl.Close()
-	size, err := cl.Size(remotePath)
-	if err != nil || have > size {
-		restart()
-		return 0, have
-	}
-	want, err := cl.ChecksumRange(remotePath, 0, have)
-	if err != nil {
-		restart()
-		return 0, have
+		return false
 	}
 	got, err := crcOf(io.NewSectionReader(f, 0, have))
-	if err != nil || got != want {
-		cl.rec.ResumeRejected()
-		restart()
-		return 0, have
+	if err != nil {
+		return false
 	}
-	rs.Add(0, have)
-	cl.rec.Resumed(have)
-	return have, 0
+	if got != want {
+		c.rec.ResumeRejected()
+		return false
+	}
+	c.rec.Resumed(have)
+	return true
 }
 
 // AutoTune performs the paper's "automatic negotiation of TCP buffer/window
@@ -1163,11 +1154,11 @@ func thirdPartyLocked(src, dst *Client, srcPath, dstPath string) (TransferStats,
 		return stats, fmt.Errorf("%w: destination: %d %s", ErrTransferFailed, dstCode, dstText)
 	}
 	// End-to-end integrity: both sides must agree on the CRC.
-	srcCRC, err := src.checksumCmd("CKSM %s", srcPath)
+	srcCRC, err := src.checksumCmd(wholeCKSM, srcPath)
 	if err != nil {
 		return stats, err
 	}
-	dstCRC, err := dst.checksumCmd("CKSM %s", dstPath)
+	dstCRC, err := dst.checksumCmd(wholeCKSM, dstPath)
 	if err != nil {
 		return stats, err
 	}

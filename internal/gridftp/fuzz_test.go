@@ -10,9 +10,10 @@ import (
 	"testing"
 )
 
-// The two parsers of bytes a GridFTP peer controls: the extended-block
-// receiver on the data channels and the reply reader on the control
-// channel. Seeds run under plain `go test`; `make fuzz-smoke` mutates them.
+// The parsers of bytes a GridFTP peer controls: the extended-block
+// receiver on the data channels, the reply reader on the client's control
+// channel and the argument parser on the server's. Seeds run under plain
+// `go test`; `make fuzz-smoke` mutates them.
 
 // byteConn is a data connection whose peer has already sent everything.
 type byteConn struct {
@@ -105,6 +106,37 @@ func FuzzReadReply(f *testing.F) {
 		}
 		if streams, err := parse150(text); err == nil && (streams < 1 || streams > MaxParallelism) {
 			t.Fatalf("parse150(%q) = %d streams", text, streams)
+		}
+	})
+}
+
+func FuzzTransferArgs(f *testing.F) {
+	for _, s := range []string{
+		"0 10 run 1/f.db", "5 x.db", "10", "-1 10 f.db", "+3 4 f", "0 0 ",
+		"99999999999999999999 1 f", " 1 2 f", "1  2 f", "",
+	} {
+		f.Add(s, int64(7), int64(1<<40), "run 1/f.db")
+	}
+	f.Fuzz(func(t *testing.T, args string, off, length int64, path string) {
+		// A hostile line: whatever it parses to holds no negative field, at a
+		// bounded cost.
+		var o, l int64
+		var p string
+		var ok bool
+		if got := allocated(func() { p, ok = transferArgs(args, &o, &l) }); got >= 64<<10 {
+			t.Fatalf("parsing %d bytes allocated %d bytes", len(args), got)
+		}
+		if ok && (o < 0 || l < 0 || len(p) > len(args)) {
+			t.Fatalf("transferArgs(%q) = %d %d %q", args, o, l, p)
+		}
+		// A line the client writes: any path sendLine lets through comes back
+		// verbatim, spaces and all, with its range.
+		if off < 0 || length < 0 || strings.ContainsAny(path, "\r\n") {
+			return
+		}
+		line := fmt.Sprintf("%d %d %s", off, length, path)
+		if p, ok = transferArgs(line, &o, &l); !ok || o != off || l != length || p != path {
+			t.Fatalf("transferArgs(%q) = %d %d %q %v, want %d %d %q", line, o, l, p, ok, off, length, path)
 		}
 	})
 }

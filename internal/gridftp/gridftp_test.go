@@ -227,6 +227,33 @@ func TestPartialTransfer(t *testing.T) {
 	}
 }
 
+// TestPathsWithSpaces: every verb takes its path verbatim, spaces and all,
+// including one whose first two words are numbers, which the whole-file
+// CKSM must not read as "<off> <len> <path>".
+func TestPathsWithSpaces(t *testing.T) {
+	addr, root := startServer(t, nil)
+	cl := dial(t, addr)
+	for _, name := range []string{"run 1/f.db", "2001 7 run.db"} {
+		data := []byte("payload of " + name)
+		if _, err := cl.Put(name, bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatalf("Put(%q): %v", name, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(root, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("stored %q: %q, %v", name, got, err)
+		}
+		if sum, err := cl.Checksum(name); err != nil || sum != crc32.ChecksumIEEE(data) {
+			t.Fatalf("Checksum(%q) = %08x, %v", name, sum, err)
+		}
+		if sum, err := cl.ChecksumRange(name, 3, 4); err != nil || sum != crc32.ChecksumIEEE(data[3:7]) {
+			t.Fatalf("ChecksumRange(%q) = %08x, %v", name, sum, err)
+		}
+		local := filepath.Join(t.TempDir(), "out.db")
+		if _, err := cl.GetFile(name, local); err != nil {
+			t.Fatalf("GetFile(%q): %v", name, err)
+		}
+	}
+}
+
 func TestRangeBeyondEOFRejected(t *testing.T) {
 	addr, root := startServer(t, nil)
 	makeFile(t, root, "f.db", 1000, 5)
@@ -495,8 +522,8 @@ func TestReliableGetExhaustsAttempts(t *testing.T) {
 		return Dial(addr, cred(t, "user/"+t.Name()), roots(t),
 			WithDialFunc(fd.dial), WithParallelism(1))
 	}
-	dst := newSparseBuffer(2_000_000)
-	_, err := ReliableGet(context.Background(), connect, "big.db", dst, fastPolicy(2))
+	local := filepath.Join(t.TempDir(), "out.db")
+	_, err := ReliableGetFile(context.Background(), connect, "big.db", local, fastPolicy(2))
 	if err == nil {
 		t.Fatal("expected failure after exhausting attempts")
 	}
@@ -689,7 +716,7 @@ func (b *sparseBuffer) WriteAt(p []byte, off int64) (int, error) {
 
 // TestReliableGetAbortsOnContextCancel proves the acceptance contract of
 // the context threading: canceling the context mid-transfer severs the
-// session's data connections, so ReliableGet returns within one retry
+// session's data connections, so ReliableGetFile returns within one retry
 // interval instead of finishing the download or sleeping out the backoff
 // schedule.
 func TestReliableGetAbortsOnContextCancel(t *testing.T) {
@@ -708,9 +735,9 @@ func TestReliableGetAbortsOnContextCancel(t *testing.T) {
 	pol.MaxDelay = 200 * time.Millisecond
 
 	done := make(chan error, 1)
-	dst := newSparseBuffer(4_000_000)
+	local := filepath.Join(t.TempDir(), "out.db")
 	go func() {
-		_, err := ReliableGet(ctx, connect, "big.db", dst, pol)
+		_, err := ReliableGetFile(ctx, connect, "big.db", local, pol)
 		done <- err
 	}()
 	time.Sleep(300 * time.Millisecond) // well into the data transfer

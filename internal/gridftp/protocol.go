@@ -13,7 +13,7 @@
 //   - automatic negotiation of TCP buffer/window sizes (SBUF);
 //   - reliable and restartable transfers: extended-block offsets double as
 //     restart markers, so an interrupted transfer resumes with exactly the
-//     missing byte ranges (see ReliableGet and RangeSet);
+//     missing byte ranges (see ReliableGetFile and RangeSet);
 //   - integrated instrumentation: the server emits 112 performance markers
 //     on the control channel during transfers, and the client aggregates
 //     per-stream statistics.
@@ -170,24 +170,31 @@ func newToken() (string, error) {
 
 // control-channel line helpers ---------------------------------------------
 
+// controlConn is one end of a control channel. Its writers are serialized
+// by the session that owns it (the client's command mutex, the server's
+// ctlMu), so the line buffer is reused.
 type controlConn struct {
-	r *bufio.Reader
-	w *bufio.Writer
+	r    *bufio.Reader
+	w    io.Writer
+	line []byte
 }
 
 func newControlConn(rw io.ReadWriter) *controlConn {
-	return &controlConn{r: bufio.NewReaderSize(rw, maxLineLen), w: bufio.NewWriter(rw)}
+	return &controlConn{r: bufio.NewReaderSize(rw, maxLineLen), w: rw}
 }
 
-// sendLine writes one CRLF-terminated line and flushes.
+// sendLine writes one CRLF-terminated line in a single write. A line that
+// itself holds a CR or LF is refused with ErrProtocol before a byte is
+// written: its arguments would end the command early and smuggle a second
+// one (a path "x\r\nDELE y" deleting y), and every verb passes here.
 func (c *controlConn) sendLine(format string, args ...interface{}) error {
-	if _, err := fmt.Fprintf(c.w, format, args...); err != nil {
-		return err
+	c.line = fmt.Appendf(c.line[:0], format, args...)
+	if bytes.ContainsAny(c.line, "\r\n") {
+		return fmt.Errorf("%w: CR or LF inside control line %.80q", ErrProtocol, c.line)
 	}
-	if _, err := c.w.WriteString("\r\n"); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	c.line = append(c.line, '\r', '\n')
+	_, err := c.w.Write(c.line)
+	return err
 }
 
 // reply writes a "NNN text" response line.

@@ -112,22 +112,3 @@ func (s *RangeSet) String() string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// ParseRangeSet parses the String form back into a set.
-func ParseRangeSet(s string) (*RangeSet, error) {
-	rs := &RangeSet{}
-	if strings.TrimSpace(s) == "" {
-		return rs, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		var start, end int64
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d-%d", &start, &end); err != nil {
-			return nil, fmt.Errorf("gridftp: bad range %q: %w", part, err)
-		}
-		if start < 0 || end < start {
-			return nil, fmt.Errorf("gridftp: bad range %q", part)
-		}
-		rs.Add(start, end)
-	}
-	return rs, nil
-}

@@ -65,30 +65,6 @@ func TestRangeSetIgnoresDegenerate(t *testing.T) {
 	}
 }
 
-func TestRangeSetStringRoundTrip(t *testing.T) {
-	var rs RangeSet
-	rs.Add(0, 100)
-	rs.Add(200, 300)
-	rs.Add(1000, 1001)
-	parsed, err := ParseRangeSet(rs.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.String() != rs.String() {
-		t.Fatalf("round trip: %q -> %q", rs.String(), parsed.String())
-	}
-	empty, err := ParseRangeSet("")
-	if err != nil || empty.Covered() != 0 {
-		t.Fatalf("empty parse: %v %v", empty, err)
-	}
-	if _, err := ParseRangeSet("garbage"); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ParseRangeSet("5-2"); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
-
 // TestRangeSetPropertyCoverage: adding random ranges always yields a set
 // whose covered bytes plus missing bytes equals the total, with disjoint
 // sorted ranges.

@@ -125,6 +125,37 @@ func TestControlLineBounded(t *testing.T) {
 	}
 }
 
+// TestControlLineRefusesCRLF: paths reach the client from catalog PFNs any
+// site can register, so one holding CR or LF must not end its command and
+// smuggle a second one under the client's identity. The line is refused
+// before a byte is written: the server never answers it, the victim file
+// survives, and the session stays in step for the next command.
+func TestControlLineRefusesCRLF(t *testing.T) {
+	addr, root := startServer(t, nil)
+	makeFile(t, root, "victim.db", 100, 80)
+	cl := dial(t, addr)
+	for _, send := range []func() error{
+		func() error { _, err := cl.Size("nothere.db\r\nDELE victim.db"); return err },
+		func() error { _, err := cl.Checksum("nothere.db\nDELE victim.db"); return err },
+		func() error { return cl.Delete("nothere.db\rDELE victim.db") },
+	} {
+		err := send()
+		var re *ReplyError
+		if !errors.Is(err, ErrProtocol) || errors.As(err, &re) {
+			t.Fatalf("command with CR/LF in its path: err = %v, want an unsent line's ErrProtocol", err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "victim.db")); err != nil {
+		t.Fatalf("victim.db after injection attempts: %v", err)
+	}
+	if err := cl.Noop(); err != nil {
+		t.Fatalf("session out of step after refused lines: %v", err)
+	}
+	if size, err := cl.Size("victim.db"); err != nil || size != 100 {
+		t.Fatalf("Size(victim.db) = %d, %v", size, err)
+	}
+}
+
 // TestDataChannelTokenRequired: a data connection without the right pairing
 // token never receives file data.
 func TestDataChannelTokenRequired(t *testing.T) {

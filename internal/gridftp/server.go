@@ -289,6 +289,23 @@ func (se *session) authorize(op gsi.Operation) bool {
 	return se.srv.cfg.ACL != nil && se.srv.cfg.ACL.Authorized(se.peer.Base, op)
 }
 
+// transferArgs parses the arguments of a verb that takes decimal fields
+// before its path ("<off> <len> <path>", "<len> <path>"): each field is a
+// non-negative int64 ended by one space, stored through the matching
+// pointer, and the path is the rest of the line, verbatim, so it may hold
+// spaces. ok is false when a field is missing or malformed.
+func transferArgs(args string, fields ...*int64) (path string, ok bool) {
+	for _, field := range fields {
+		word, rest, found := strings.Cut(args, " ")
+		n, err := strconv.ParseInt(word, 10, 64)
+		if !found || err != nil || n < 0 {
+			return "", false
+		}
+		*field, args = n, rest
+	}
+	return args, true
+}
+
 // resolve maps a client path into the served root, rejecting escapes.
 func (se *session) resolve(p string) (string, error) {
 	clean := path.Clean("/" + strings.TrimSpace(p))
@@ -419,20 +436,13 @@ func (se *session) cmdCKSM(args string) error {
 	if !se.authorize(OpRead) {
 		return se.reply(codeDenied, "not authorized for read")
 	}
-	fields := strings.Fields(args)
-	if len(fields) != 1 && len(fields) != 3 {
-		return se.reply(codeBadArgs, "CKSM wants <path> or <off> <len> <path>")
-	}
-	var off, length int64 = 0, -1
-	pathArg := fields[0]
-	if len(fields) == 3 {
-		var err1, err2 error
-		off, err1 = strconv.ParseInt(fields[0], 10, 64)
-		length, err2 = strconv.ParseInt(fields[1], 10, 64)
-		pathArg = fields[2]
-		if err1 != nil || err2 != nil || off < 0 || length < 0 {
-			return se.reply(codeBadArgs, "bad range")
-		}
+	// "<off> <len> <path>" asks for a range; anything else names the whole
+	// file. The client sends the whole-file form with a leading '/', so a
+	// path whose first two words are numbers never reads as a range.
+	var off, length int64
+	pathArg, ranged := transferArgs(args, &off, &length)
+	if !ranged {
+		pathArg, length = args, -1
 	}
 	p, err := se.resolve(pathArg)
 	if err != nil {
@@ -538,16 +548,12 @@ func (se *session) cmdRETR(args string) error {
 }
 
 func (se *session) cmdERET(args string) error {
-	fields := strings.Fields(args)
-	if len(fields) != 3 {
+	var off, length int64
+	pathArg, ok := transferArgs(args, &off, &length)
+	if !ok {
 		return se.reply(codeBadArgs, "ERET wants <off> <len> <path>")
 	}
-	off, err1 := strconv.ParseInt(fields[0], 10, 64)
-	length, err2 := strconv.ParseInt(fields[1], 10, 64)
-	if err1 != nil || err2 != nil || off < 0 || length < 0 {
-		return se.reply(codeBadArgs, "bad range")
-	}
-	p, err := se.resolve(fields[2])
+	p, err := se.resolve(pathArg)
 	if err != nil {
 		return se.reply(codeBadArgs, "bad path: %v", err)
 	}
@@ -710,15 +716,12 @@ func (se *session) cmdSTOR(args string, extended bool) error {
 	if !se.authorize(OpWrite) {
 		return se.reply(codeDenied, "not authorized for write")
 	}
-	fields := strings.Fields(args)
-	if len(fields) != 2 {
+	var length int64
+	pathArg, ok := transferArgs(args, &length)
+	if !ok {
 		return se.reply(codeBadArgs, "wants <len> <path>")
 	}
-	length, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil || length < 0 {
-		return se.reply(codeBadArgs, "bad length")
-	}
-	p, err := se.resolve(fields[1])
+	p, err := se.resolve(pathArg)
 	if err != nil {
 		return se.reply(codeBadArgs, "bad path: %v", err)
 	}

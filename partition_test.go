@@ -92,24 +92,28 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 	}
 
 	// The consumer's injector: control channels and the secondary run
-	// clean; dials to the primary's GridFTP endpoint are tallied (the
-	// shed-load proof); and while the partition is up, the first
-	// passive-mode data connection black-holes its reads after 160 KiB —
-	// enough wire bytes for two complete 64 KiB extended blocks to land
-	// in the .part, so the takeover has a verified prefix to resume.
+	// clean; dials to both GridFTP endpoints are tallied (the primary's are
+	// the shed-load proof, the secondary's the hedge's session count); and
+	// while the partition is up, the first passive-mode data connection
+	// black-holes its reads after 160 KiB — enough wire bytes for two
+	// complete 64 KiB extended blocks to land in the .part, so the
+	// takeover has a verified prefix to resume.
 	// Writes are untouched — the partition is asymmetric.
 	var partitionOn atomic.Bool
 	var mu sync.Mutex
-	dataConns, p1Dials := 0, 0
+	dataConns, p1Dials, p2Dials := 0, 0, 0
 	consReg := obs.NewRegistry()
 	consFaults := faults.New(seed, func(c faults.ConnInfo) faults.Plan {
 		mu.Lock()
 		defer mu.Unlock()
 		switch c.Addr {
-		case g.CatalogAddr, p1Ctl, p2Ctl, p2FTP:
+		case g.CatalogAddr, p1Ctl, p2Ctl:
 			return faults.Plan{}
 		case p1FTP:
 			p1Dials++
+			return faults.Plan{}
+		case p2FTP:
+			p2Dials++
 			return faults.Plan{}
 		}
 		// Any other address is a passive-mode data connection.
@@ -166,10 +170,16 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 	breakerOpenedAt := time.Now()
 
 	mu.Lock()
-	dialsAfterFirst := p1Dials
+	dialsAfterFirst, hedgeDials := p1Dials, p2Dials
 	mu.Unlock()
 	if dialsAfterFirst != 1 {
 		t.Fatalf("primary FTP dials after first pull = %d, want 1", dialsAfterFirst)
+	}
+	// The hedge dials its target twice: the warm-up's reachability check,
+	// then the takeover's one session, which judges the prefix, moves the
+	// rest and verifies the landed file.
+	if hedgeDials != 2 {
+		t.Fatalf("secondary FTP dials during the hedged pull = %d, want 2 (prep + takeover)", hedgeDials)
 	}
 	if n := consFaults.Injected(faults.KindPartition); n != 1 {
 		t.Fatalf("injected partitions = %d, want 1", n)
@@ -225,11 +235,10 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 	mu.Lock()
 	dialsAfterProbe := p1Dials
 	mu.Unlock()
-	// A successful pull dials its source twice: once for the transfer and
-	// once for the end-to-end checksum verify of the landed file. The
-	// phase-1 stalled leg made exactly one (its verify never ran).
-	if dialsAfterProbe != dialsAfterFirst+2 {
-		t.Fatalf("probe phase dialed primary %d times, want exactly 2 (transfer + verify)",
+	// A successful pull dials its source once: the transfer and the
+	// end-to-end checksum of the landed file share that session.
+	if dialsAfterProbe != dialsAfterFirst+1 {
+		t.Fatalf("probe phase dialed primary %d times, want exactly 1 (transfer + verify on one session)",
 			dialsAfterProbe-dialsAfterFirst)
 	}
 

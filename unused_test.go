@@ -17,7 +17,7 @@ import (
 // that non-test code never mentions and that stay on purpose.
 var keptUnused = []struct{ why, names string }{
 	{"features of the paper that only their tests and EXPERIMENTS.md exercise",
-		`gridftp.StripedGet gridftp.PutRegion gridftp.ReliableGet gridftp.SetParallelism gridftp.Mkdir
+		`gridftp.StripedGet gridftp.PutRegion gridftp.SetParallelism gridftp.Mkdir
 		core.GetCollection core.GetWithAssociated core.PublishAll core.RebuildLocalCatalog core.DeleteLogical
 		core.RegisterFileType core.UnsubscribeFrom core.ProcessPending core.Pending core.Ping core.Locate
 		objectstore.Navigate objectstore.AssociationClosure objectstore.FindObjects objectstore.Detach
@@ -25,7 +25,7 @@ var keptUnused = []struct{ why, names string }{
 	{"state the seeded harnesses and package tests assert on",
 		`admission.Draining admission.Browned admission.ClassStats admission.Queued admission.InFlight admission.Settled
 		core.RemoteMetrics core.RemoteStatus core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
-		core.TransferHistory gridftp.Ranges gridftp.Covered gridftp.ParseRangeSet gsi.Entries gsi.Revoke
+		core.TransferHistory gridftp.Ranges gridftp.Covered gsi.Entries gsi.Revoke
 		health.StateOf health.ConsecutiveFailures mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
 		replica.PushCount rpc.ServerIdentity scrub.Pending xfer.QueueDepth xfer.Draining`},
