@@ -23,7 +23,7 @@ import (
 // collection downloads with the worker pool's concurrency rather than one
 // file at a time.
 func (s *Site) GetCollection(collection string) ([]string, error) {
-	members, err := s.rc.client.ListCollection(s.ctx, collection)
+	members, err := s.rc.listCollection(s.ctx, collection)
 	if err != nil {
 		return nil, err
 	}

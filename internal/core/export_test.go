@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"gdmp/internal/scrub"
 )
@@ -42,9 +43,30 @@ func (s *Site) RewriteSidecar(lfn string) bool {
 	return s.SidecarJournaled(lfn)
 }
 
-// PeriodicScrubPass is the pass the scrub daemon runs on its interval.
+// PeriodicScrubPass is the pass startLoops runs on the scrub interval.
 func (s *Site) PeriodicScrubPass(ctx context.Context) (scrub.Report, error) {
 	return s.scrubPass(ctx, true)
+}
+
+// Repair queues a repair pull of lfn, as a scrub or anti-entropy finding
+// does.
+func (s *Site) Repair(lfn string) bool { return s.repair(lfn) }
+
+// HoldPullWorker occupies one pull worker until release is called or the
+// site closes, so on a one-worker site every pull submitted meanwhile
+// stays queued.
+func (s *Site) HoldPullWorker() (release func()) {
+	held, stop := make(chan struct{}), make(chan struct{})
+	s.sched.Submit("test/hold", 1, func(ctx context.Context) error {
+		close(held)
+		select {
+		case <-stop:
+		case <-ctx.Done():
+		}
+		return nil
+	})
+	<-held
+	return sync.OnceFunc(func() { close(stop) })
 }
 
 // ShedBackground makes admission refuse all background work from now on,

@@ -9,7 +9,6 @@ package core
 // budget or for sidecars that are themselves unusable.
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"os"
@@ -148,26 +147,6 @@ func (s *Site) parityRebuild(fi FileInfo, localPath string, sc *parity.Sidecar) 
 	s.logger.Printf("gdmp[%s]: parity: rebuilt %s in place (%d damaged blocks, %d bytes) from its sidecar",
 		s.cfg.Name, fi.LFN, len(rebuilt), repaired)
 	return nil
-}
-
-// reconstructLocal is the Repairer's reconstruct-first hook: before a
-// queued repair spends WAN bytes, re-verify the replica under the scrub
-// lock — scrubOne rebuilds it in place from parity when it can. It
-// reports whether the file is healthy now; false falls through to the
-// re-pull. Files already withdrawn (damage beyond the parity budget, or
-// missing bytes) have no local catalog entry and fall through immediately.
-func (s *Site) reconstructLocal(ctx context.Context, lfn string) (bool, error) {
-	if !s.parityParams().Enabled() {
-		return false, nil
-	}
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
-	fi, ok := s.local.get(lfn)
-	if !ok {
-		return false, nil
-	}
-	verdict, _ := s.scrubOne(ctx, fi)
-	return verdict == scrubOK || verdict == scrubRepaired, nil
 }
 
 // registeredSidecars lists the LFNs the sidecar registry holds.

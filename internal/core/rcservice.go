@@ -17,40 +17,29 @@ import (
 // adding search filters, sanity checks on input parameters, and automatic
 // creation of required entries (Section 4.2).
 type rcService struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	client *replica.Client
-	// dial re-establishes the catalog connection after the server side
-	// restarted (the rpc client latches closed on I/O failure). Nil
-	// disables reconnection (embedded catalogs that die with the process).
-	dial func() (*replica.Client, error)
+	// dial opens a new catalog session; once closed is set (the site is
+	// shutting down) cl no longer redials.
+	dial   func(context.Context) (*replica.Client, error)
+	closed bool
 }
 
-func (rc *rcService) cl() *replica.Client {
-	rc.mu.RLock()
-	defer rc.mu.RUnlock()
-	return rc.client
-}
-
-// reconnect swaps in a freshly dialed client. Callers holding the old
-// client fail their in-flight call and retry at their own layer; the
-// soft-state digest pusher is the main consumer (an RLI restart must be
-// a non-event, not a permanently dark site).
-func (rc *rcService) reconnect() error {
-	if rc.dial == nil {
-		return fmt.Errorf("core: replica catalog reconnect not available")
-	}
-	cl, err := rc.dial()
-	if err != nil {
-		return err
-	}
+// cl returns the catalog client, first redialing one that has latched
+// closed (the catalog restarted, the connection broke, or a caller's
+// context was canceled mid-call): a lost session costs the calls that were
+// in flight when it broke, and no more. Every catalog call comes through
+// here. A failed redial leaves the latched client, so that call fails and
+// the next one dials again.
+func (rc *rcService) cl(ctx context.Context) *replica.Client {
 	rc.mu.Lock()
-	old := rc.client
-	rc.client = cl
-	rc.mu.Unlock()
-	if old != nil {
-		old.Close()
+	defer rc.mu.Unlock()
+	if rc.client.Closed() && !rc.closed {
+		if cl, err := rc.dial(ctx); err == nil {
+			rc.client = cl
+		}
 	}
-	return nil
+	return rc.client
 }
 
 // sanity checks applied to every name that enters the catalog.
@@ -84,20 +73,20 @@ func (rc *rcService) publishFile(ctx context.Context, lfn string, attrs map[stri
 	if err := checkCatalogName("logical file", lfn); err != nil {
 		return err
 	}
-	if err := rc.cl().Register(ctx, lfn, attrs); err != nil {
+	if err := rc.cl(ctx).Register(ctx, lfn, attrs); err != nil {
 		if isExists(err) {
 			return fmt.Errorf("core: logical file name %q already taken (the catalog enforces a global namespace): %w", lfn, err)
 		}
 		return err
 	}
-	if err := rc.cl().AddReplica(ctx, lfn, pfn.String()); err != nil {
+	if err := rc.cl(ctx).AddReplica(ctx, lfn, pfn.String()); err != nil {
 		return err
 	}
 	if collection != "" {
 		if err := rc.ensureCollection(ctx, collection); err != nil {
 			return err
 		}
-		if err := rc.cl().AddToCollection(ctx, collection, lfn); err != nil {
+		if err := rc.cl(ctx).AddToCollection(ctx, collection, lfn); err != nil {
 			return err
 		}
 	}
@@ -106,7 +95,7 @@ func (rc *rcService) publishFile(ctx context.Context, lfn string, attrs map[stri
 
 // addReplica records an additional physical location for an existing file.
 func (rc *rcService) addReplica(ctx context.Context, lfn string, pfn PFN) error {
-	err := rc.cl().AddReplica(ctx, lfn, pfn.String())
+	err := rc.cl(ctx).AddReplica(ctx, lfn, pfn.String())
 	if err != nil && isExists(err) {
 		return nil // idempotent: replica already recorded
 	}
@@ -115,7 +104,7 @@ func (rc *rcService) addReplica(ctx context.Context, lfn string, pfn PFN) error 
 
 // removeReplica drops one physical location.
 func (rc *rcService) removeReplica(ctx context.Context, lfn string, pfn PFN) error {
-	return rc.cl().RemoveReplica(ctx, lfn, pfn.String())
+	return rc.cl(ctx).RemoveReplica(ctx, lfn, pfn.String())
 }
 
 // ensureCollection creates the collection if it does not exist yet —
@@ -124,7 +113,7 @@ func (rc *rcService) ensureCollection(ctx context.Context, name string) error {
 	if err := checkCatalogName("collection", name); err != nil {
 		return err
 	}
-	err := rc.cl().CreateCollection(ctx, name)
+	err := rc.cl(ctx).CreateCollection(ctx, name)
 	if err != nil && isExists(err) {
 		return nil
 	}
@@ -133,7 +122,7 @@ func (rc *rcService) ensureCollection(ctx context.Context, name string) error {
 
 // locations returns the parsed physical locations of a logical file.
 func (rc *rcService) locations(ctx context.Context, lfn string) ([]PFN, error) {
-	raw, err := rc.cl().Locations(ctx, lfn)
+	raw, err := rc.cl(ctx).Locations(ctx, lfn)
 	if err != nil {
 		return nil, err
 	}
@@ -151,34 +140,44 @@ func (rc *rcService) locations(ctx context.Context, lfn string) ([]PFN, error) {
 
 // lookup fetches a file entry's attributes.
 func (rc *rcService) lookup(ctx context.Context, lfn string) (*replica.LogicalFile, error) {
-	return rc.cl().Lookup(ctx, lfn)
+	return rc.cl(ctx).Lookup(ctx, lfn)
 }
 
 // listCollection returns the member LFNs of a collection.
 func (rc *rcService) listCollection(ctx context.Context, name string) ([]string, error) {
-	return rc.cl().ListCollection(ctx, name)
+	return rc.cl(ctx).ListCollection(ctx, name)
 }
 
 // setAttrs merges attributes into an entry.
 func (rc *rcService) setAttrs(ctx context.Context, lfn string, attrs map[string]string) error {
-	return rc.cl().SetAttrs(ctx, lfn, attrs)
+	return rc.cl(ctx).SetAttrs(ctx, lfn, attrs)
 }
 
 // query runs a filter search, "to obtain the exact information that they
 // require" (Section 4.2).
 func (rc *rcService) query(ctx context.Context, filter string) ([]*replica.LogicalFile, error) {
-	return rc.cl().Query(ctx, filter)
+	return rc.cl(ctx).Query(ctx, filter)
 }
 
 // pushDigest forwards a site's bloom digest to the RLI tier co-hosted
 // with the catalog server.
 func (rc *rcService) pushDigest(ctx context.Context, site, addr string, gen uint64, b *replica.Bloom, ttl time.Duration) (string, uint64, error) {
-	return rc.cl().PushDigest(ctx, site, addr, gen, b, ttl)
+	return rc.cl(ctx).PushDigest(ctx, site, addr, gen, b, ttl)
 }
 
 // which asks the RLI which sites' LRCs might hold the LFN.
 func (rc *rcService) which(ctx context.Context, lfn string) ([]replica.Site, error) {
-	return rc.cl().Which(ctx, lfn)
+	return rc.cl(ctx).Which(ctx, lfn)
 }
 
-func (rc *rcService) close() error { return rc.cl().Close() }
+// deleteFile removes a logical file entry with all its locations.
+func (rc *rcService) deleteFile(ctx context.Context, lfn string) error {
+	return rc.cl(ctx).Delete(ctx, lfn)
+}
+
+func (rc *rcService) close() error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.closed = true
+	return rc.client.Close()
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -70,14 +69,6 @@ func (s *Site) initRLS() {
 	s.rlsMet = newRLSSiteMetrics(s.metrics)
 }
 
-// isRemoteErr reports whether the catalog answered at all — a
-// *rpc.RemoteError means the server processed the call and rejected it,
-// so redialing cannot help; anything else is a transport failure.
-func isRemoteErr(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re)
-}
-
 // digestTTL is the soft-state lifetime pushed with each digest: the
 // configured one, else 3x the push interval so one missed push never
 // ages the site out of the index.
@@ -91,30 +82,7 @@ func (s *Site) digestTTL() time.Duration {
 	return replica.DefaultRLITTL
 }
 
-// startDigestLoop launches the periodic digest pusher (no-op unless
-// DigestInterval is set). The first push happens immediately, so a site
-// is RLI-routable as soon as it is up.
-func (s *Site) startDigestLoop() {
-	if s.cfg.DigestInterval <= 0 {
-		return
-	}
-	s.rlsWG.Add(1)
-	go func() {
-		defer s.rlsWG.Done()
-		s.pushDigestLogged()
-		t := time.NewTicker(s.cfg.DigestInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.ctx.Done():
-				return
-			case <-t.C:
-				s.pushDigestLogged()
-			}
-		}
-	}()
-}
-
+// pushDigestLogged is the periodic digest push (see startLoops).
 func (s *Site) pushDigestLogged() {
 	if !s.admit.Allow("digest") {
 		// Brownout: skip this round; the soft-state TTL absorbs a missed
@@ -166,15 +134,6 @@ func (s *Site) PushDigest(ctx context.Context) (outcome string, err error) {
 	}
 
 	outcome, idxGen, err := s.rc.pushDigest(ctx, s.cfg.Name, s.Addr(), gen, b, s.digestTTL())
-	if err != nil && !isRemoteErr(err) && ctx.Err() == nil {
-		// Transport failure, not a server answer: the catalog/RLI side
-		// likely restarted and the persistent client latched closed. An
-		// index restart must be a non-event for soft state — redial and
-		// push again so the site re-registers within one interval.
-		if rerr := s.rc.reconnect(); rerr == nil {
-			outcome, idxGen, err = s.rc.pushDigest(ctx, s.cfg.Name, s.Addr(), gen, b, s.digestTTL())
-		}
-	}
 	if err != nil {
 		s.rlsMet.pushes.WithLabelValues("error").Inc()
 		return "", err

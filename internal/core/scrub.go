@@ -1,13 +1,13 @@
 package core
 
-// Self-healing: the site-specific verbs behind internal/scrub's three
-// loops. The scrubber walks the local catalog re-checksumming bytes, the
+// Self-healing: the site-specific verbs behind internal/scrub's machinery.
+// The scrubber walks the local catalog re-checksumming bytes, the
 // anti-entropy pass swaps digests with producers and subscribers, and
-// both feed the repair driver, which re-replicates through the ordinary
-// pull pipeline. The split mirrors internal/retry and internal/xfer:
-// package scrub owns pacing, diffing, queueing, and metrics; this file
-// owns what "verify", "quarantine", and "re-replicate" mean against a
-// live catalog and scheduler.
+// both hand what they withdrew or found missing to repair, which is one
+// scheduler pull through the ordinary pipeline. Package scrub owns
+// pacing, diffing and metrics; this file owns what "verify",
+// "quarantine" and "re-replicate" mean against a live catalog and
+// scheduler, and startLoops runs the passes on their intervals.
 
 import (
 	"context"
@@ -38,79 +38,152 @@ const (
 	MethodHasFile = "gdmp.hasfile"
 )
 
-// initScrub builds the self-healing runtime: metrics, rate limiter, and
-// the repair driver. Called from NewSite before the servers start (the
-// digest/fsck handlers need it); the background daemon starts later, once
-// recovery has resumed. The producer set and the pass cursor they work
-// from are tables of s.persist, already replayed.
+// initScrub builds the self-healing runtime: metrics and the rate
+// limiter. Called from NewSite before the servers start (the digest/fsck
+// handlers need it); the periodic passes start later, once recovery has
+// resumed. The producer set and the pass cursor they work from are tables
+// of s.persist, already replayed.
 func (s *Site) initScrub() {
 	s.scrubMet = scrub.NewMetrics(s.metrics)
 	s.scrubLim = scrub.NewLimiter(s.cfg.ScrubRateBytes)
-	s.repairer = scrub.NewRepairer(s.ctx, scrub.RepairConfig{
-		Do:          s.repairFile,
-		Reconstruct: s.reconstructLocal,
-		Policy:      s.retryPolicy("scrub.repair"),
-		Metrics:     s.scrubMet,
-		Logger:      s.logger,
-	})
+	s.repairs = make(map[string]chan struct{})
 }
 
-// startScrubDaemon launches the background loops per the site config.
-// Separate from initScrub so recovered pulls are already queued before
-// the first pass can run.
-func (s *Site) startScrubDaemon() {
-	if s.cfg.ScrubInterval <= 0 && s.cfg.AntiEntropyInterval <= 0 {
+// startLoops starts the site's periodic work, each on its own interval
+// (zero = off): the scrub pass, the anti-entropy round and the RLI digest
+// push. It runs after recovery, so recovered pulls are queued before the
+// first pass can look for gaps. Periodic passes yield to brownout and the
+// next tick tries again, so integrity work is deferred, never lost; an
+// operator's Fsck or an explicit pass is not gated.
+func (s *Site) startLoops() {
+	s.every(s.cfg.ScrubInterval, func() {
+		rep, err := s.scrubPass(s.ctx, true)
+		switch {
+		case s.ctx.Err() != nil:
+		case err != nil:
+			s.logger.Printf("gdmp[%s]: scrub pass: %v", s.cfg.Name, err)
+		case rep.Corrupt+rep.Missing > 0:
+			s.logger.Printf("gdmp[%s]: scrub pass scanned %d files (%d bytes): %d corrupt, %d missing, %d repairs queued",
+				s.cfg.Name, rep.Scanned, rep.Bytes, rep.Corrupt, rep.Missing, rep.Repairs)
+		}
+	})
+	s.every(s.cfg.AntiEntropyInterval, func() {
+		if !s.admit.Allow("antientropy") {
+			return
+		}
+		rep, err := s.AntiEntropyPass(s.ctx)
+		switch {
+		case s.ctx.Err() != nil:
+		case err != nil:
+			s.logger.Printf("gdmp[%s]: anti-entropy: %v", s.cfg.Name, err)
+		case rep.Missing+rep.Stale+rep.Dangling > 0:
+			s.logger.Printf("gdmp[%s]: anti-entropy round over %d peers (%d failed): %d missing, %d stale, %d dangling, %d repairs queued",
+				s.cfg.Name, rep.Peers, rep.Failed, rep.Missing, rep.Stale, rep.Dangling, rep.Repairs)
+		}
+	})
+	if s.cfg.DigestInterval > 0 {
+		// The first push goes out at once, so the site is RLI-routable as
+		// soon as it is up.
+		s.loops.Add(1)
+		go func() {
+			defer s.loops.Done()
+			s.pushDigestLogged()
+		}()
+	}
+	s.every(s.cfg.DigestInterval, s.pushDigestLogged)
+}
+
+// every runs pass on each tick of interval until the site closes; a zero
+// interval runs nothing. The first pass comes a full interval after the
+// start, so a restarting site finishes recovery before it re-reads its
+// disk. teardown waits for the pass in flight.
+func (s *Site) every(interval time.Duration, pass func()) {
+	if interval <= 0 {
 		return
 	}
-	s.scrubDmn = scrub.NewDaemon(s.ctx, scrub.DaemonConfig{
-		ScrubEvery:       s.cfg.ScrubInterval,
-		AntiEntropyEvery: s.cfg.AntiEntropyInterval,
-	}, siteScrubOps{s}, s.logger)
+	s.loops.Add(1)
+	go func() {
+		defer s.loops.Done()
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				pass()
+			case <-s.ctx.Done():
+				return
+			}
+		}
+	}()
 }
 
-// siteScrubOps adapts the Site to scrub.Ops without exporting the passes
-// twice.
-type siteScrubOps struct{ s *Site }
+// repair re-replicates a replica the site withdrew or never got: one
+// scheduler pull at below-normal priority, so repairs never starve
+// notification-driven pulls, journaled as a pull intent from the moment
+// it is queued. It reports whether lfn was newly queued; a repair already
+// outstanding coalesces. The pull's own failover across sources is the
+// only retry: a repair that fails is dropped and counted, and since the
+// file stays withdrawn the next scrub or anti-entropy round finds it
+// again. Shutdown is not a verdict — the journaled intent requeues the
+// pull at the next start.
+func (s *Site) repair(lfn string) bool {
+	s.repairMu.Lock()
+	if _, ok := s.repairs[lfn]; ok {
+		s.repairMu.Unlock()
+		return false
+	}
+	done := make(chan struct{})
+	s.repairs[lfn] = done
+	s.scrubMet.RepairDepth.Set(int64(len(s.repairs)))
+	s.repairMu.Unlock()
 
-// The daemon's periodic passes yield to brownout: under overload the
-// next interval tries again, so integrity work is deferred, never lost.
-// On-demand passes and Fsck are not gated — an operator asking for a scan
-// gets one.
-
-func (o siteScrubOps) ScrubPass(ctx context.Context) (scrub.Report, error) {
-	return o.s.scrubPass(ctx, true)
+	s.scrubMet.RepairAttempts.Inc()
+	tk := s.submitGet(lfn, -1)
+	s.notifyWG.Add(1)
+	go func() {
+		defer s.notifyWG.Done()
+		switch err := tk.Wait(s.ctx); {
+		case s.ctx.Err() != nil:
+		case err != nil:
+			s.scrubMet.RepairFailure.Inc()
+			s.logger.Printf("gdmp[%s]: repair %s failed: %v", s.cfg.Name, lfn, err)
+		default:
+			s.scrubMet.RepairSuccess.Inc()
+			// Degraded-mode accounting: these bytes crossed the WAN again
+			// because local reconstruction was impossible (or parity is off).
+			if fi, ok := s.local.get(lfn); ok {
+				s.scrubMet.RepairBytesRepulled.Add(fi.Size)
+			}
+		}
+		s.repairMu.Lock()
+		delete(s.repairs, lfn)
+		s.scrubMet.RepairDepth.Set(int64(len(s.repairs)))
+		s.repairMu.Unlock()
+		close(done)
+	}()
+	return true
 }
 
-func (o siteScrubOps) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error) {
-	if !o.s.admit.Allow("antientropy") {
-		return scrub.ExchangeReport{}, nil
-	}
-	return o.s.AntiEntropyPass(ctx)
-}
-
-// repairFile is the Repairer's work function: one scheduler-admitted pull
-// through the full replication pipeline (selection, failover, CRC
-// verification, catalog insertion). Below-normal priority, so repairs
-// never starve notification-driven pulls.
-func (s *Site) repairFile(ctx context.Context, lfn string) error {
-	if s.HasFile(lfn) {
-		return nil
-	}
-	if err := s.submitGet(lfn, -1).Wait(ctx); err != nil {
-		return err
-	}
-	// Degraded-mode accounting: these bytes crossed the WAN again because
-	// local reconstruction was impossible (or parity is off).
-	if fi, ok := s.local.get(lfn); ok {
-		s.scrubMet.RepairBytesRepulled.Add(fi.Size)
-	}
-	return nil
-}
-
-// RepairQuiesce blocks until the repair queue is drained and the worker
-// idle (test barrier).
+// RepairQuiesce blocks until no repair is outstanding or ctx is done
+// (test barrier: "the round finished").
 func (s *Site) RepairQuiesce(ctx context.Context) error {
-	return s.repairer.Quiesce(ctx)
+	for {
+		var next chan struct{}
+		s.repairMu.Lock()
+		for _, done := range s.repairs {
+			next = done
+			break
+		}
+		s.repairMu.Unlock()
+		if next == nil {
+			return nil
+		}
+		select {
+		case <-next:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // --- local scrubber ---------------------------------------------------------
@@ -178,13 +251,13 @@ func (s *Site) scrubPass(ctx context.Context, periodic bool) (scrub.Report, erro
 				// unusable.
 				rep.Fallbacks++
 			}
-			if s.repairer.Add(fi.LFN) {
+			if s.repair(fi.LFN) {
 				rep.Repairs++
 			}
 		case scrubMissing:
 			rep.Missing++
 			s.scrubMet.ScrubMissing.Inc()
-			if s.repairer.Add(fi.LFN) {
+			if s.repair(fi.LFN) {
 				rep.Repairs++
 			}
 		case scrubAborted:
@@ -513,7 +586,7 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 				}) {
 					rep.Dangling++
 				}
-				if s.repairer.Add(lfn) {
+				if s.repair(lfn) {
 					rep.Repairs++
 				}
 			}
@@ -529,7 +602,7 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 			s.scrubMu.Lock()
 			if fi, ok := s.local.get(e.LFN); ok {
 				if verdict, _ := s.scrubOne(ctx, fi); verdict == scrubCorrupt || verdict == scrubMissing {
-					if s.repairer.Add(fi.LFN) {
+					if s.repair(fi.LFN) {
 						rep.Repairs++
 					}
 				}

@@ -353,21 +353,23 @@ type Site struct {
 	met     *siteMetrics
 
 	// Self-healing runtime (internal/scrub): metrics, the scan rate
-	// limiter, the repair driver, and the background daemon. scrubMu
-	// serializes passes.
+	// limiter, and the outstanding repairs by LFN, each channel closed
+	// when its pull ends. scrubMu serializes passes.
 	scrubMet *scrub.Metrics
 	scrubLim *scrub.Limiter
-	repairer *scrub.Repairer
-	scrubDmn *scrub.Daemon
+	repairMu sync.Mutex
+	repairs  map[string]chan struct{}
 	scrubMu  sync.Mutex
 
+	// loops joins the periodic passes (startLoops).
+	loops sync.WaitGroup
+
 	// RLS runtime (rls.go): the digest pusher's generation counter and
-	// change-detection hash, plus its loop's join handle.
+	// change-detection hash.
 	rlsMet         *rlsSiteMetrics
 	digestGen      atomic.Uint64
 	digestMu       sync.Mutex
 	lastDigestHash uint64
-	rlsWG          sync.WaitGroup
 
 	// health is the per-peer scoreboard and circuit-breaker bank gating
 	// the pull path; hedgeMet counts hedged-pull outcomes (hedge.go).
@@ -445,10 +447,10 @@ func NewSite(cfg Config) (*Site, error) {
 		met:        newSiteMetrics(cfg.Metrics),
 		tunedBuf:   make(map[string]int),
 	}
-	dialRC := func() (*replica.Client, error) {
-		return replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
+	dialRC := func(ctx context.Context) (*replica.Client, error) {
+		return replica.DialContext(ctx, cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
 	}
-	rcClient, err := dialRC()
+	rcClient, err := dialRC(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("core: connect replica catalog: %w", err)
 	}
@@ -549,11 +551,10 @@ func NewSite(cfg Config) (*Site, error) {
 		// context, requeued pulls need the servers' addresses.
 		s.resumeRecovered()
 	}
-	// Startup retention sweep, then the background loops — after recovery,
+	// Startup retention sweep, then the periodic passes — after recovery,
 	// so the first pass sees a settled catalog.
 	s.sweepQuarantine()
-	s.startScrubDaemon()
-	s.startDigestLoop()
+	s.startLoops()
 	return s, nil
 }
 
@@ -599,15 +600,9 @@ func (s *Site) Close() error {
 // with graceful false), so parts not yet created are skipped.
 func (s *Site) teardown(graceful bool) error {
 	s.cancel()
-	// The self-healing loops first: the daemon's in-flight pass and
-	// the repairer's in-flight pull both unblock on the canceled site
-	// context, and nothing may queue new work into a closing scheduler.
-	if s.scrubDmn != nil {
-		s.scrubDmn.Close()
-	}
-	if s.repairer != nil {
-		s.repairer.Close()
-	}
+	// The periodic passes first: a pass in flight unblocks on the canceled
+	// site context, and none may queue new work into a closing scheduler.
+	s.loops.Wait()
 	// Stop the pull pipeline: running transfers are canceled, queued
 	// jobs fail with context.Canceled, and the workers drain.
 	s.sched.Close()
@@ -619,7 +614,6 @@ func (s *Site) teardown(graceful bool) error {
 		errs = append(errs, s.gdmpSrv.Close())
 	}
 	s.notifyWG.Wait()
-	s.rlsWG.Wait()
 	if s.ftpSrv != nil {
 		errs = append(errs, s.ftpSrv.Close())
 	}

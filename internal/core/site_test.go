@@ -56,8 +56,8 @@ func publish(t *testing.T, g *testbed.Grid, site *core.Site, rel string, data []
 }
 
 // TestFailedStartLeaksNothing: a site whose control port is taken fails
-// to start after its repairer, scheduler, catalog session and GridFTP
-// server are already up; every one of them must be torn down again.
+// to start after its scheduler, catalog session and GridFTP server are
+// already up; every one of them must be torn down again.
 func TestFailedStartLeaksNothing(t *testing.T) {
 	g := newGrid(t)
 	taken, err := net.Listen("tcp", "127.0.0.1:0")

@@ -40,6 +40,10 @@ func DialTimeout(addr string, cred *gsi.Credential, roots []*gsi.Certificate, d 
 // Close releases the connection.
 func (c *Client) Close() error { return c.rc.Close() }
 
+// Closed reports whether the connection has latched closed (see
+// rpc.Client.Closed): every later call fails, and only a new Dial helps.
+func (c *Client) Closed() bool { return c.rc.Closed() }
+
 // Register creates a logical file entry with attributes.
 func (c *Client) Register(ctx context.Context, name string, attrs map[string]string) error {
 	var e rpc.Encoder

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gdmp/internal/admission"
@@ -20,7 +21,7 @@ type Client struct {
 	conn    net.Conn
 	peer    *gsi.Peer
 	timeout time.Duration
-	closed  bool
+	closed  atomic.Bool // set under mu; read without it by Closed
 }
 
 // DialOption customizes Dial.
@@ -130,7 +131,7 @@ func (c *Client) Call(method string, args *Encoder) (*Decoder, error) {
 func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) (*Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
 	if err := ctx.Err(); err != nil {
@@ -212,9 +213,14 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) closeLocked() error {
-	if c.closed {
+	if c.closed.Load() {
 		return nil
 	}
-	c.closed = true
+	c.closed.Store(true)
 	return c.conn.Close()
 }
+
+// Closed reports whether the client has latched closed — by Close, or by
+// an exchange that failed or was canceled mid-call — so that every later
+// call fails. It does not wait for a call in flight.
+func (c *Client) Closed() bool { return c.closed.Load() }

@@ -2,9 +2,9 @@ package scrub
 
 import "gdmp/internal/obs"
 
-// Metric family prefixes. Three families because the three loops fail
-// independently: a site can scrub cleanly while its anti-entropy peer is
-// down, and repairs can back up while the scanner is idle.
+// Metric family prefixes, one per thing that fails on its own: a site can
+// scrub cleanly while its anti-entropy peer is down, and repairs can back
+// up while the scanner is idle.
 const (
 	ScrubMetricsPrefix       = "gdmp_scrub"
 	AntiEntropyMetricsPrefix = "gdmp_antientropy"
@@ -36,7 +36,7 @@ type Metrics struct {
 	AEPeers  *obs.CounterVec // {outcome}
 	AEDiffs  *obs.CounterVec // {kind}
 
-	// Repair driver.
+	// Repairs: one scheduler pull per withdrawn or missing replica.
 	RepairAttempts *obs.Counter
 	RepairSuccess  *obs.Counter
 	RepairFailure  *obs.Counter
@@ -81,13 +81,13 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		AEDiffs: r.CounterVec(AntiEntropyMetricsPrefix+"_diff_total",
 			"Digest differences found against peers, by kind (missing/stale/dangling).", "kind"),
 		RepairAttempts: r.Counter(RepairMetricsPrefix+"_attempts_total",
-			"Re-replication attempts by the repair driver (retries included)."),
+			"Repairs started: re-replication pulls queued for withdrawn or missing replicas."),
 		RepairSuccess: r.Counter(RepairMetricsPrefix+"_success_total",
 			"Replicas successfully re-replicated and verified."),
 		RepairFailure: r.Counter(RepairMetricsPrefix+"_failure_total",
-			"Repairs abandoned after exhausting their retry budget."),
+			"Repair pulls that failed on every source (the next pass finds the file again)."),
 		RepairDepth: r.Gauge(RepairMetricsPrefix+"_queue_depth",
-			"Logical files queued for re-replication."),
+			"Repair pulls outstanding (queued or running)."),
 		ParitySidecars: r.Counter(ParityMetricsPrefix+"_sidecars_total",
 			"Parity sidecars generated for published or landed replicas."),
 		ParityRebuilds: r.Counter(ParityMetricsPrefix+"_rebuilds_total",

@@ -4,8 +4,7 @@
 // end-to-end CRC to make each transfer safe (Section 4.3) but says
 // nothing about what keeps a replica correct afterwards; the EU DataGrid
 // follow-up work reports catalog/disk divergence and lost notifications
-// as the dominant operational failure. This package supplies the three
-// cooperating loops that close that gap:
+// as the dominant operational failure. Two passes find that divergence:
 //
 //   - a local scrubber that re-reads every cataloged replica at a
 //     rate-limited pace (Limiter) and recomputes its CRC against the
@@ -14,16 +13,17 @@
 //   - an anti-entropy exchange in which peers periodically swap a compact
 //     digest of (LFN, size, CRC) and diff it (Compare), so a consumer
 //     discovers files it missed (lost notification, crash window) and a
-//     producer discovers dangling catalog locations;
-//   - a repair driver (Repairer) that re-replicates any withdrawn or
-//     missing replica from a surviving location, with retry/backoff.
+//     producer discovers dangling catalog locations.
 //
-// The package owns the generic machinery — pacing, digest diffing, the
-// repair queue, the background Daemon, and the gdmp_scrub_* /
-// gdmp_antientropy_* / gdmp_repair_* instrumentation. The site-specific
-// verbs (what "verify", "quarantine", and "re-replicate" mean against a
-// live catalog and scheduler) are supplied by internal/core, exactly as
-// internal/retry and internal/xfer split policy from mechanism.
+// What either pass withdraws or finds missing is repaired by the GDMP
+// path the paper already has for a site that lost files: an ordinary
+// scheduler pull, reconciled against the replica catalog.
+//
+// This package owns the generic machinery — pacing, checksumming, digest
+// diffing, and the gdmp_scrub_* / gdmp_antientropy_* / gdmp_repair_* /
+// gdmp_parity_* instrumentation. internal/core supplies what "verify",
+// "quarantine" and "re-replicate" mean against a live catalog and
+// scheduler, and runs the passes on their intervals.
 package scrub
 
 import "sort"

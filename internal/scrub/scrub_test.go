@@ -9,9 +9,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"gdmp/internal/obs"
-	"gdmp/internal/retry"
 )
 
 func entryNames(es []Entry) []string {
@@ -151,218 +148,4 @@ func TestBlockCRC32File(t *testing.T) {
 	if err != nil || sum2 != sum || blocks2 != nil {
 		t.Fatalf("blockSize=0: sum=%08x blocks=%v err=%v", sum2, blocks2, err)
 	}
-}
-
-func fastPolicy(attempts int) retry.Policy {
-	return retry.Policy{
-		Attempts:  attempts,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  2 * time.Millisecond,
-		Jitter:    0.01,
-	}
-}
-
-func newTestRepairer(t *testing.T, attempts int, do RepairFunc) (*Repairer, *Metrics) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	m := NewMetrics(obs.NewRegistry())
-	r := NewRepairer(ctx, RepairConfig{Do: do, Policy: fastPolicy(attempts), Metrics: m})
-	t.Cleanup(func() { cancel(); r.Close() })
-	return r, m
-}
-
-func TestRepairerSuccessAndDedup(t *testing.T) {
-	started := make(chan string, 16)
-	release := make(chan struct{})
-	r, m := newTestRepairer(t, 3, func(ctx context.Context, lfn string) error {
-		started <- lfn
-		<-release
-		return nil
-	})
-	if !r.Add("f1") {
-		t.Fatal("first Add(f1) = false")
-	}
-	<-started // f1 in flight
-	if r.Add("f1") {
-		t.Fatal("Add of in-flight f1 = true, want coalesced")
-	}
-	if !r.Add("f2") || r.Add("f2") {
-		t.Fatal("f2 queue/dedup behaved wrong")
-	}
-	close(release)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := r.Quiesce(ctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	<-started // f2 ran too
-	if got := m.RepairSuccess.Value(); got != 2 {
-		t.Fatalf("repair_success = %d, want 2", got)
-	}
-	if got := m.RepairFailure.Value(); got != 0 {
-		t.Fatalf("repair_failure = %d, want 0", got)
-	}
-	// A completed file can be queued again.
-	if !r.Add("f1") {
-		t.Fatal("re-Add of completed f1 = false")
-	}
-	if err := r.Quiesce(ctx); err != nil {
-		t.Fatalf("Quiesce 2: %v", err)
-	}
-}
-
-func TestRepairerRetryThenAbandon(t *testing.T) {
-	calls := 0
-	done := make(chan struct{})
-	r, m := newTestRepairer(t, 3, func(ctx context.Context, lfn string) error {
-		calls++
-		if calls == 3 {
-			defer close(done)
-		}
-		return errors.New("still broken")
-	})
-	r.Add("bad")
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("repair attempts never exhausted")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := r.Quiesce(ctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("attempts = %d, want 3", calls)
-	}
-	if got := m.RepairAttempts.Value(); got != 3 {
-		t.Fatalf("repair_attempts = %d, want 3", got)
-	}
-	if got := m.RepairFailure.Value(); got != 1 {
-		t.Fatalf("repair_failure = %d, want 1", got)
-	}
-	// Abandonment clears the dedup entry: the next round may re-queue.
-	if !r.Add("bad") {
-		t.Fatal("re-Add of abandoned file = false")
-	}
-}
-
-// TestRepairerReconstructFirst: a successful local reconstruction repairs
-// the file without ever invoking the WAN pull; a declined reconstruction
-// (no sidecar, too damaged) falls through to Do on the same attempt.
-func TestRepairerReconstructFirst(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m := NewMetrics(obs.NewRegistry())
-	var pulls, rebuilds int
-	r := NewRepairer(ctx, RepairConfig{
-		Do: func(ctx context.Context, lfn string) error {
-			pulls++
-			return nil
-		},
-		Reconstruct: func(ctx context.Context, lfn string) (bool, error) {
-			rebuilds++
-			return lfn == "local.fix", nil
-		},
-		Policy:  fastPolicy(3),
-		Metrics: m,
-	})
-	t.Cleanup(func() { cancel(); r.Close() })
-
-	qctx, qcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer qcancel()
-	r.Add("local.fix")
-	if err := r.Quiesce(qctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	if pulls != 0 || rebuilds != 1 {
-		t.Fatalf("after reconstructable repair: pulls=%d rebuilds=%d, want 0/1", pulls, rebuilds)
-	}
-	r.Add("wan.only")
-	if err := r.Quiesce(qctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	if pulls != 1 || rebuilds != 2 {
-		t.Fatalf("after fallback repair: pulls=%d rebuilds=%d, want 1/2", pulls, rebuilds)
-	}
-	if got := m.RepairSuccess.Value(); got != 2 {
-		t.Fatalf("repair_success = %d, want 2", got)
-	}
-	if got := m.RepairAttempts.Value(); got != 2 {
-		t.Fatalf("repair_attempts = %d, want 2", got)
-	}
-}
-
-func TestRepairerShutdownNotAVerdict(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	m := NewMetrics(obs.NewRegistry())
-	started := make(chan struct{})
-	r := NewRepairer(ctx, RepairConfig{
-		Do: func(c context.Context, lfn string) error {
-			close(started)
-			<-c.Done()
-			return c.Err()
-		},
-		Policy:  fastPolicy(5),
-		Metrics: m,
-	})
-	r.Add("f")
-	<-started
-	cancel()
-	r.Close()
-	if got := m.RepairFailure.Value(); got != 0 {
-		t.Fatalf("repair_failure after shutdown = %d, want 0", got)
-	}
-	if got := m.RepairSuccess.Value(); got != 0 {
-		t.Fatalf("repair_success after shutdown = %d, want 0", got)
-	}
-}
-
-type fakeOps struct {
-	scrubs chan struct{}
-	aes    chan struct{}
-}
-
-func (f *fakeOps) ScrubPass(ctx context.Context) (Report, error) {
-	select {
-	case f.scrubs <- struct{}{}:
-	default:
-	}
-	return Report{}, nil
-}
-
-func (f *fakeOps) AntiEntropyPass(ctx context.Context) (ExchangeReport, error) {
-	select {
-	case f.aes <- struct{}{}:
-	default:
-	}
-	return ExchangeReport{}, nil
-}
-
-func TestDaemonTicksAndStops(t *testing.T) {
-	ops := &fakeOps{scrubs: make(chan struct{}, 1), aes: make(chan struct{}, 1)}
-	d := NewDaemon(context.Background(), DaemonConfig{
-		ScrubEvery:       5 * time.Millisecond,
-		AntiEntropyEvery: 5 * time.Millisecond,
-	}, ops, nil)
-	waitTick := func(ch chan struct{}, what string) {
-		select {
-		case <-ch:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s never ticked", what)
-		}
-	}
-	waitTick(ops.scrubs, "scrub")
-	waitTick(ops.aes, "anti-entropy")
-	d.Close()
-}
-
-func TestDaemonDisabledLoops(t *testing.T) {
-	ops := &fakeOps{scrubs: make(chan struct{}, 1), aes: make(chan struct{}, 1)}
-	d := NewDaemon(context.Background(), DaemonConfig{}, ops, nil)
-	select {
-	case <-ops.scrubs:
-		t.Fatal("disabled scrub loop ticked")
-	case <-time.After(30 * time.Millisecond):
-	}
-	d.Close()
 }

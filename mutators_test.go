@@ -1,8 +1,10 @@
 // The single-owner checks of `make check`, read off the source of non-test
 // internal/core: its durable tables have one writer (the journal record's
 // transition), nothing reaches the journal while it holds a table's lock,
-// and other sites' Request Managers are reached through one function. A
-// second writer, or a second dialer, is a copy that will drift.
+// other sites' Request Managers are reached through one function, every
+// pull enters the scheduler through one function, and periodic work runs on
+// one loop runner. A second writer, or a second dialer, is a copy that will
+// drift.
 package gdmp_test
 
 import (
@@ -53,6 +55,11 @@ var soleCallers = map[string][]string{
 	// second retry level under it would square the attempts).
 	".dialGDMP":       {"call"},
 	"rpc.DialContext": {"dialGDMP", "requestStage"},
+	// Every pull — notice, Get, Recover, repair — is journaled as an intent
+	// and admitted to the scheduler by one function.
+	"sched.Submit": {"submitGet"},
+	// Periodic work runs on one loop runner.
+	"time.NewTicker": {"every"},
 }
 
 // TestSoleCallers fails when a call listed in soleCallers is made from any

@@ -67,6 +67,48 @@ func (b *rcBreaker) unblock() {
 	b.mu.Unlock()
 }
 
+// TestCatalogSessionRedials: once the site's catalog connection is severed
+// (a replicad restart, a broken link), the next catalog call after the
+// catalog is reachable again redials — with the digest pusher off, which
+// used to be the only thing that ever reconnected.
+func TestCatalogSessionRedials(t *testing.T) {
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	breaker := &rcBreaker{rcAddr: g.CatalogAddr}
+	site, err := g.AddSite("cern.ch", testbed.SiteOptions{DialFunc: breaker.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishData(t, g, site, "redial/a.db", testbed.MakeData(2_000, 1))
+
+	breaker.block()
+	if _, err := site.Query("(size>=1)"); err == nil {
+		t.Fatal("query over a severed catalog session succeeded")
+	}
+	breaker.unblock()
+
+	// Several callers find the latched session at once: each gets an
+	// answer, whoever redials.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := site.Query("(size>=1)"); err != nil || len(got) != 1 {
+				t.Errorf("query after the catalog came back = %d files, %v; want 1", len(got), err)
+			}
+		}()
+	}
+	wg.Wait()
+	b := publishData(t, g, site, "redial/b.db", testbed.MakeData(3_000, 2))
+	if !locationAt(t, g, b.LFN, site.DataAddr()) {
+		t.Fatal("publish after the catalog came back registered no location")
+	}
+}
+
 func TestCrashRestartPoolEvictionWithdrawal(t *testing.T) {
 	seed := crashSeed(t)
 	g, err := testbed.NewGrid(crashDir(t))

@@ -28,7 +28,7 @@ var keptUnused = []struct{ why, names string }{
 		core.TransferHistory gridftp.Ranges gridftp.Covered gsi.Entries gsi.Revoke
 		health.StateOf health.ConsecutiveFailures mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
-		replica.PushCount rpc.ServerIdentity scrub.Pending xfer.QueueDepth xfer.Draining`},
+		replica.PushCount rpc.ServerIdentity xfer.QueueDepth xfer.Draining`},
 	{"knobs only tests turn: fixed clocks, per-test registries, reference policies",
 		`gridftp.WithBlockSize replica.SetClock replica.NewCatalogWithMetrics replica.MatchAll
 		rpc.Call retry.Permanent mss.LRU parity.DefaultK parity.DefaultM`},
