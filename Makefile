@@ -38,7 +38,8 @@ check: fmt vet build race
 # of bytes a GridFTP peer controls on either end, of the certificate
 # chain an unauthenticated GSI peer sends first, of the Request Manager
 # frame and status reply an authenticated peer sends, and of the parity
-# sidecar header a rotting disk controls). The seed corpora already run under
+# sidecar header and the replica catalog's WAL and snapshot records a
+# rotting disk controls). The seed corpora already run under
 # plain `go test`; a crasher found here lands in the package's
 # testdata/fuzz/ and fails every later run until fixed.
 fuzz-smoke:
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s ./internal/replica
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR
@@ -91,15 +93,15 @@ bench-catalog:
 
 # RLS suite: the sharded-catalog + bloom-digest Replica Location Service
 # tests — shard rebalance and concurrency properties, RLI soft-state
-# semantics, journaled-store recovery, and the grid-level read-your-writes,
-# RLI-fallback, false-positive, and crash-convergence scenarios. Race
-# detector on. The seed is logged by every property test; replay a run
-# with `make catalog RLS_SEED=7`.
+# semantics, journaled-store recovery and snapshots, refused appends, and
+# the grid-level read-your-writes, RLI-fallback, false-positive, and
+# crash-convergence scenarios. Race detector on. The seed is logged by
+# every property test; replay a run with `make catalog RLS_SEED=7`.
 RLS_SEED ?= 20260809
 catalog:
 	@echo "rls seed: $(RLS_SEED)"
 	RLS_SEED=$(RLS_SEED) $(GO) test -race -v \
-		-run 'TestRLS|TestRLI|TestShard|TestStore|TestBloom|TestReadEntry|TestConcurrentShardedMutation' \
+		-run 'TestRLS|TestRLI|TestShard|TestStore|TestSnapshot|TestCatalogRefusedAppendChangesNothing|TestBloom|TestReadEntry|TestConcurrentShardedMutation' \
 		./internal/replica .
 
 # Fault-injection suite: scripted fault schedules through internal/faults,

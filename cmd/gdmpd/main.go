@@ -59,9 +59,9 @@
 // With -rc-serve, the daemon additionally hosts an embedded replica
 // catalog server on the given address — a one-process Grid for small
 // deployments. With -state-dir, the embedded catalog is journaled under
-// <state-dir>/rc (every mutation write-ahead logged before the ack,
-// compacted into per-shard snapshots once the log has grown enough and on
-// shutdown). Without -state-dir it is memory only. -rc-shards sets its LFN
+// <state-dir>/rc (every mutation write-ahead logged before it applies,
+// compacted into the journal's snapshot once the log has grown enough and
+// on shutdown). Without -state-dir it is memory only. -rc-shards sets its LFN
 // shard count.
 //
 // With -digest-interval, the site joins the Replica Location Index: every

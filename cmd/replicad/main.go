@@ -18,9 +18,9 @@
 //	         [-gridmap gridmap]
 //
 // With -state-dir, the catalog is journaled: every mutation is appended to
-// a write-ahead log before it is acknowledged, and compaction freezes the
-// state into per-shard snapshot generations once the log has grown enough
-// and on shutdown. Without it the catalog lives in memory only. Without
+// a write-ahead log before it applies, and compaction freezes the catalog
+// into the journal's snapshot once the log has grown enough and on
+// shutdown. Without it the catalog lives in memory only. Without
 // -gridmap, every authenticated identity may use the catalog.
 package main
 

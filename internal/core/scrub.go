@@ -31,11 +31,6 @@ const (
 
 	// MethodFsck runs a full scrub pass on demand and returns its report.
 	MethodFsck = "gdmp.fsck"
-
-	// MethodHasFile point-queries whether a site currently holds an LFN
-	// in its local catalog. Anti-entropy uses it to re-verify a digest
-	// difference against live state before withdrawing a location.
-	MethodHasFile = "gdmp.hasfile"
 )
 
 // initScrub builds the self-healing runtime: metrics and the rate
@@ -488,19 +483,6 @@ func (s *Site) digestFrom(ctx context.Context, addr string) (name, dataAddr stri
 	return name, dataAddr, entries, nil
 }
 
-// peerHasFile asks a peer whether it holds lfn right now, the live
-// point-query behind every anti-entropy withdrawal.
-func (s *Site) peerHasFile(ctx context.Context, addr, lfn string) (bool, error) {
-	var e rpc.Encoder
-	e.String(lfn)
-	d, err := s.call(ctx, addr, MethodHasFile, &e)
-	if err != nil {
-		return false, err
-	}
-	has := d.Bool()
-	return has, d.Finish()
-}
-
 // antiEntropyPeer describes one digest-exchange partner.
 type antiEntropyPeer struct {
 	addr     string
@@ -613,19 +595,19 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 		// dangling: a consumer routed there would fail its pull. The
 		// digest may predate a pull that has since landed there, so the
 		// peer is point-queried right before the withdrawal and the
-		// location left alone unless it confirms the file is absent — a
-		// skipped withdrawal waits one round, a wrong one orphans a valid
+		// location left alone unless its LRC confirms the file is absent —
+		// a skipped withdrawal waits one round, a wrong one orphans a valid
 		// replica.
 		for _, e := range diff.Extra {
 			lfn := e.LFN
 			if s.dropDanglingLocation(ctx, lfn, peerData, func() bool {
-				has, err := s.peerHasFile(ctx, peer.addr, lfn)
+				ans, err := s.LRCQuery(ctx, peer.addr, lfn)
 				if err != nil {
 					s.logger.Printf("gdmp[%s]: anti-entropy: re-verify %s at %s: %v",
 						s.cfg.Name, lfn, peer.addr, err)
 					return false
 				}
-				return !has
+				return !ans.Has
 			}) {
 				rep.Dangling++
 			}
@@ -686,14 +668,6 @@ func (s *Site) registerScrubHandlers() {
 			resp.Int64(e.Size)
 			resp.String(e.CRC32)
 		}
-		return nil
-	})
-	s.gdmpSrv.Handle(MethodHasFile, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		lfn := args.String()
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		resp.Bool(s.HasFile(lfn))
 		return nil
 	})
 	s.gdmpSrv.Handle(MethodFsck, func(ctx context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {

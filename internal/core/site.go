@@ -73,8 +73,7 @@ const (
 var Methods = []string{
 	MethodPing, MethodSubscribe, MethodUnsubscribe,
 	MethodNotify, MethodCatalog, MethodStage, MethodStatus,
-	MethodMetrics, MethodDigest, MethodFsck, MethodHasFile,
-	MethodLRCQuery,
+	MethodMetrics, MethodDigest, MethodFsck, MethodLRCQuery,
 }
 
 // AllowSiteUseAll grants every authenticated identity the full GDMP and

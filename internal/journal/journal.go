@@ -359,13 +359,16 @@ func (j *Journal) Compact(snapshot []byte) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, len(snapshotHeader)+16+len(snapshot))
-	copy(buf, snapshotHeader)
-	binary.BigEndian.PutUint64(buf[len(snapshotHeader):], newGen)
-	binary.BigEndian.PutUint32(buf[len(snapshotHeader)+8:], uint32(len(snapshot)))
-	binary.BigEndian.PutUint32(buf[len(snapshotHeader)+12:], crc32.ChecksumIEEE(snapshot))
-	copy(buf[len(snapshotHeader)+16:], snapshot)
-	if _, err := f.Write(buf); err != nil {
+	// The header, then the payload as given: a snapshot can be large, so
+	// it is not copied into a second buffer.
+	hdr := binary.BigEndian.AppendUint64([]byte(snapshotHeader), newGen)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(snapshot)))
+	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(snapshot))
+	_, err = f.Write(hdr)
+	if err == nil {
+		_, err = f.Write(snapshot)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -32,6 +32,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -185,13 +186,7 @@ func (c *Catalog) register(name string, attrs map[string]string, serial uint64) 
 	if _, ok := sh.files[name]; ok {
 		return fmt.Errorf("%w: logical file %q", ErrExists, name)
 	}
-	cp := make(map[string]string, len(attrs))
-	for k, v := range attrs {
-		cp[k] = v
-	}
-	sh.files[name] = &LogicalFile{Name: name, Attrs: cp}
-	sh.locations[name] = make(map[string]bool)
-	return c.mutated(Mutation{Op: MutRegister, LFN: name, Attrs: cp, Serial: serial})
+	return c.commit(Mutation{Op: MutRegister, LFN: name, Attrs: maps.Clone(attrs), Serial: serial})
 }
 
 // GenerateLFN reserves and registers an automatically generated unique
@@ -261,14 +256,10 @@ func (c *Catalog) SetAttrs(name string, attrs map[string]string) (err error) {
 	c.rls.update(i)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	f, ok := sh.files[name]
-	if !ok {
+	if _, ok := sh.files[name]; !ok {
 		return fmt.Errorf("%w: logical file %q", ErrNotFound, name)
 	}
-	for k, v := range attrs {
-		f.Attrs[k] = v
-	}
-	return c.mutated(Mutation{Op: MutSetAttrs, LFN: name, Attrs: attrs})
+	return c.commit(Mutation{Op: MutSetAttrs, LFN: name, Attrs: attrs})
 }
 
 // Delete removes a logical file entry, its replica locations, and its
@@ -277,24 +268,16 @@ func (c *Catalog) Delete(name string) (err error) {
 	defer c.met.record(opDelete, time.Now(), &err)
 	sh, i := c.shardFor(name)
 	c.rls.update(i)
+	// The change reaches the collections too. Lock order: a shard lock,
+	// then collMu (Compact takes them in the same order).
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	c.collMu.Lock()
+	defer c.collMu.Unlock()
 	if _, ok := sh.files[name]; !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: logical file %q", ErrNotFound, name)
 	}
-	delete(sh.files, name)
-	delete(sh.locations, name)
-	err = c.mutated(Mutation{Op: MutDelete, LFN: name})
-	sh.mu.Unlock()
-	// Collection membership cleanup happens outside the shard lock (shard
-	// locks and collMu are never held together; see AddToCollection). The
-	// delete mutation record implies it on replay.
-	c.collMu.Lock()
-	for _, set := range c.collections {
-		delete(set, name)
-	}
-	c.collMu.Unlock()
-	return err
+	return c.commit(Mutation{Op: MutDelete, LFN: name})
 }
 
 // Files returns all logical file names, sorted.
@@ -353,8 +336,7 @@ func (c *Catalog) AddReplica(lfn, pfn string) (err error) {
 	if locs[pfn] {
 		return fmt.Errorf("%w: replica %q of %q", ErrExists, pfn, lfn)
 	}
-	locs[pfn] = true
-	return c.mutated(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
+	return c.commit(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
 }
 
 // RemoveReplica deletes one physical location of a logical file.
@@ -371,8 +353,7 @@ func (c *Catalog) RemoveReplica(lfn, pfn string) (err error) {
 	if !locs[pfn] {
 		return fmt.Errorf("%w: %q of %q", ErrNoSuchReplica, pfn, lfn)
 	}
-	delete(locs, pfn)
-	return c.mutated(Mutation{Op: MutRemoveReplica, LFN: lfn, PFN: pfn})
+	return c.commit(Mutation{Op: MutRemoveReplica, LFN: lfn, PFN: pfn})
 }
 
 // Locations returns all physical locations of a logical file, sorted — the
@@ -409,8 +390,7 @@ func (c *Catalog) CreateCollection(name string) (err error) {
 	if _, ok := c.collections[name]; ok {
 		return fmt.Errorf("%w: collection %q", ErrExists, name)
 	}
-	c.collections[name] = make(map[string]bool)
-	return c.mutated(Mutation{Op: MutCreateColl, Coll: name})
+	return c.commit(Mutation{Op: MutCreateColl, Coll: name})
 }
 
 // DeleteCollection removes a collection. It must be empty unless force is
@@ -426,34 +406,26 @@ func (c *Catalog) DeleteCollection(name string, force bool) (err error) {
 	if len(set) > 0 && !force {
 		return fmt.Errorf("%w: %q has %d members", ErrNotEmpty, name, len(set))
 	}
-	delete(c.collections, name)
-	return c.mutated(Mutation{Op: MutDeleteColl, Coll: name, Force: force})
+	return c.commit(Mutation{Op: MutDeleteColl, Coll: name, Force: force})
 }
 
 // AddToCollection inserts a registered logical file into a collection.
 func (c *Catalog) AddToCollection(coll, lfn string) (err error) {
 	defer c.met.record(opAddToColl, time.Now(), &err)
-	// Existence check takes the shard read lock only, before collMu; shard
-	// locks and collMu are never held together (see Delete).
-	if !c.exists(lfn) {
-		return fmt.Errorf("%w: logical file %q", ErrNotFound, lfn)
-	}
-	c.collMu.Lock()
-	defer c.collMu.Unlock()
-	set, ok := c.collections[coll]
-	if !ok {
-		return fmt.Errorf("%w: collection %q", ErrNotFound, coll)
-	}
-	set[lfn] = true
-	return c.mutated(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
-}
-
-func (c *Catalog) exists(lfn string) bool {
+	// The file's shard stays locked until the member is in, so a Delete
+	// cannot run between the check and the change. Lock order as Delete.
 	sh, _ := c.shardFor(lfn)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, ok := sh.files[lfn]
-	return ok
+	c.collMu.Lock()
+	defer c.collMu.Unlock()
+	if _, ok := sh.files[lfn]; !ok {
+		return fmt.Errorf("%w: logical file %q", ErrNotFound, lfn)
+	}
+	if _, ok := c.collections[coll]; !ok {
+		return fmt.Errorf("%w: collection %q", ErrNotFound, coll)
+	}
+	return c.commit(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
 }
 
 // RemoveFromCollection removes a logical file from a collection.
@@ -468,8 +440,7 @@ func (c *Catalog) RemoveFromCollection(coll, lfn string) (err error) {
 	if !set[lfn] {
 		return fmt.Errorf("%w: %q not in collection %q", ErrNotFound, lfn, coll)
 	}
-	delete(set, lfn)
-	return c.mutated(Mutation{Op: MutRemoveFromColl, Coll: coll, LFN: lfn})
+	return c.commit(Mutation{Op: MutRemoveFromColl, Coll: coll, LFN: lfn})
 }
 
 // ListCollection returns the sorted members of a collection.

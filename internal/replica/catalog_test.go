@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"gdmp/internal/journal"
 	"gdmp/internal/obs"
 )
 
@@ -243,8 +245,73 @@ func TestConcurrentCatalogAccess(t *testing.T) {
 	}
 }
 
+// dumpCatalog renders every file (attributes, locations) and collection
+// (members) in name order.
+func dumpCatalog(c *Catalog) string {
+	var b strings.Builder
+	for _, n := range c.Files() {
+		f, _ := c.Lookup(n)
+		locs, _ := c.Locations(n)
+		fmt.Fprintf(&b, "file %q %q %q\n", n, f.Attrs, locs)
+	}
+	for _, n := range c.Collections() {
+		members, _ := c.ListCollection(n)
+		fmt.Fprintf(&b, "coll %q %q\n", n, members)
+	}
+	return b.String()
+}
+
+// TestCatalogRefusedAppendChangesNothing: a mutation whose journal append
+// is refused returns the refusal and leaves the catalog as it was, so the
+// same call succeeds once the journal takes it.
+func TestCatalogRefusedAppendChangesNothing(t *testing.T) {
+	refused := errors.New("append refused")
+	for _, tc := range []struct {
+		name string
+		op   func(c *Catalog) error
+	}{
+		{"register", func(c *Catalog) error { return c.Register("lfn://new", map[string]string{AttrSize: "1"}) }},
+		{"generate", func(c *Catalog) error { _, err := c.GenerateLFN("cern.ch", "auto", nil); return err }},
+		{"set attrs", func(c *Catalog) error { return c.SetAttrs("lfn://a", map[string]string{AttrSize: "2"}) }},
+		{"delete", func(c *Catalog) error { return c.Delete("lfn://a") }},
+		{"add replica", func(c *Catalog) error { return c.AddReplica("lfn://a", "pfn://a2") }},
+		{"remove replica", func(c *Catalog) error { return c.RemoveReplica("lfn://a", "pfn://a1") }},
+		{"create collection", func(c *Catalog) error { return c.CreateCollection("new") }},
+		{"delete collection", func(c *Catalog) error { return c.DeleteCollection("runs", true) }},
+		{"add to collection", func(c *Catalog) error { return c.AddToCollection("runs", "lfn://b") }},
+		{"remove from collection", func(c *Catalog) error { return c.RemoveFromCollection("runs", "lfn://a") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(Options{Shards: 4, Registry: obs.NewRegistry()})
+			mustRegister(t, c, "lfn://a", map[string]string{AttrSize: "1"})
+			mustRegister(t, c, "lfn://b", nil)
+			if err := c.AddReplica("lfn://a", "pfn://a1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CreateCollection("runs"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddToCollection("runs", "lfn://a"); err != nil {
+				t.Fatal(err)
+			}
+			before := dumpCatalog(c)
+			c.OnMutate(func(Mutation) error { return refused })
+			if err := tc.op(c); !errors.Is(err, refused) {
+				t.Fatalf("refused append returned %v", err)
+			}
+			if after := dumpCatalog(c); after != before {
+				t.Fatalf("a refused append changed the catalog:\n%s\nwas:\n%s", after, before)
+			}
+			c.OnMutate(nil)
+			if err := tc.op(c); err != nil {
+				t.Fatalf("retry after the refusal: %v", err)
+			}
+		})
+	}
+}
+
 // The snapshot tests drive the one persistence path there is: a journaled
-// Store compacts the catalog into a shard-snapshot directory and a reopen
+// Store compacts the catalog into the journal's snapshot and a reopen
 // reads it back (see reopenFromSnapshot).
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -292,27 +359,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// snapshotFiles returns the contents of the store's live snapshot
-// directory by file name.
-func snapshotFiles(t *testing.T, storeDir string) map[string]string {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(storeDir, "shards.*", "*"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no snapshot files under %s (%v)", storeDir, err)
-	}
-	files := make(map[string]string, len(paths))
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[filepath.Base(p)] = string(b)
-	}
-	return files
+// snapshotPath is the store's journal snapshot file.
+func snapshotPath(storeDir string) string {
+	return filepath.Join(storeDir, storeWALDir, "snapshot")
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	build := func() map[string]string {
+	build := func() string {
 		dir := t.TempDir()
 		c, st := openTestStore(t, dir, 4)
 		for i := 0; i < 20; i++ {
@@ -326,64 +379,71 @@ func TestSnapshotDeterministic(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return snapshotFiles(t, dir)
-	}
-	a, b := build(), build()
-	if len(a) != 5 { // meta + 4 shard files
-		t.Fatalf("snapshot holds %d files, want 5", len(a))
-	}
-	for name, content := range a {
-		if b[name] != content {
-			t.Fatalf("snapshot file %s not deterministic", name)
+		b, err := os.ReadFile(snapshotPath(dir))
+		if err != nil {
+			t.Fatal(err)
 		}
+		return string(b)
+	}
+	if build() != build() {
+		t.Fatal("snapshot not deterministic")
+	}
+}
+
+// recompact replaces the store's journal snapshot with payload, framed
+// and checksummed as the journal writes every snapshot.
+func recompact(t *testing.T, dir string, payload func(old []byte) []byte) {
+	t.Helper()
+	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{NoSync: true, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Compact(payload(rec.Snapshot)); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
-	const meta, shard = metaFileName, "shard-0000.snap"
-	const removed = "\x00removed" // content standing for "delete the file"
-	cases := []struct{ name, file, content string }{
-		{"empty", shard, ""},
-		{"bad header", shard, "not-a-snapshot\n"},
-		{"shard header on meta", meta, shardHeader + "\n"},
-		{"attr first", shard, shardHeader + "\nattr \"k\" \"v\"\n"},
-		{"member first", meta, metaHeader + "\nmember \"x\"\n"},
-		{"unknown verb", shard, shardHeader + "\nfrobnicate \"x\"\n"},
-		{"bad quoting", shard, shardHeader + "\nfile notquoted\n"},
-		{"dangling member", meta, metaHeader + "\ncoll \"c\"\nmember \"nofile\"\n"},
-		{"duplicate file", shard, shardHeader + "\nfile \"a\"\nfile \"a\"\n"},
-		{"bad serial", meta, metaHeader + "\nserial notanumber\n"},
-		{"file in meta", meta, metaHeader + "\nfile \"a\"\n"},
-		{"coll in shard", shard, shardHeader + "\ncoll \"c\"\n"},
-		{"meta missing", meta, removed},
-	}
-	for _, tc := range cases {
-		dir := t.TempDir()
-		c, st := openTestStore(t, dir, 1)
-		mustRegister(t, c, "lfn://cern.ch/a", nil)
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		gens, _ := filepath.Glob(filepath.Join(dir, "shards.*"))
-		if len(gens) != 1 {
-			t.Fatalf("%s: %d snapshot generations", tc.name, len(gens))
-		}
-		path := filepath.Join(gens[0], tc.file)
-		var err error
-		if tc.content == removed {
-			err = os.Remove(path)
-		} else {
-			err = os.WriteFile(path, []byte(tc.content), 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := OpenStore(dir, New(Options{Shards: 1, Registry: obs.NewRegistry()}),
-			StoreOptions{Registry: obs.NewRegistry(), NoSync: true})
-		if err == nil {
-			st2.Close()
-			t.Errorf("%s: corruption accepted", tc.name)
-		}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+	}{
+		{"flipped snapshot byte", func(t *testing.T, dir string) {
+			b, err := os.ReadFile(snapshotPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)-1] ^= 0x01
+			if err := os.WriteFile(snapshotPath(dir), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"truncated snapshot payload", func(t *testing.T, dir string) {
+			recompact(t, dir, func(old []byte) []byte { return old[:len(old)-1] })
+		}},
+		{"parent-format store", func(t *testing.T, dir string) {
+			recompact(t, dir, func([]byte) []byte { return []byte("rls-shards 1") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, st := openTestStore(t, dir, 1)
+			mustRegister(t, c, "lfn://cern.ch/a", nil)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			st2, err := OpenStore(dir, New(Options{Shards: 1, Registry: obs.NewRegistry()}),
+				StoreOptions{Registry: obs.NewRegistry(), NoSync: true})
+			if err == nil {
+				st2.Close()
+				t.Fatal("corruption accepted")
+			}
+			if !strings.Contains(err.Error(), dir) {
+				t.Fatalf("error %q does not name the store directory", err)
+			}
+		})
 	}
 }
 

@@ -55,14 +55,14 @@ func AllowCatalogUseAll(acl *gsi.ACL) {
 	}
 }
 
-// encodeAttrs / decodeAttrs move attribute maps across the wire.
+// encodeAttrs / decodeAttrs move attribute maps across the wire, into
+// the WAL and into catalog snapshots. Pairs go in key order, so a
+// snapshot's bytes depend only on the catalog's contents.
 func encodeAttrs(e *rpc.Encoder, attrs map[string]string) {
 	e.Uint32(uint32(len(attrs)))
-	// Deterministic order is unnecessary on the wire but harmless; maps
-	// iterate randomly and both sides treat the pairs as a set.
-	for k, v := range attrs {
+	for _, k := range sortedKeys(attrs) {
 		e.String(k)
-		e.String(v)
+		e.String(attrs[k])
 	}
 }
 

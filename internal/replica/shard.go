@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sync"
 )
@@ -33,9 +34,9 @@ func newCatShard() *catShard {
 }
 
 // shardIndex hashes an LFN onto a shard (FNV-1a; nShards is a power of
-// two). The same function redistributes entries when per-shard snapshots
-// are reloaded under a different shard count (see LoadShards), so a
-// shard-count change is a rebalance, not a migration.
+// two). A reopened store applies every record through it under the new
+// catalog's shard count, so a shard-count change is a rebalance, not a
+// migration.
 func shardIndex(lfn string, nShards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(lfn))
@@ -60,10 +61,11 @@ const (
 	MutRemoveFromColl = "remove_from_collection"
 )
 
-// Mutation describes one committed catalog state change, in the order it
-// took effect on its shard. The mutation hook (Catalog.OnMutate) sees
-// every one; the journaled Store appends them to a WAL so a crash
-// replays the shard ops on top of the last per-shard snapshot set.
+// Mutation describes one catalog state change. A mutating Catalog method
+// checks its precondition, hands the Mutation to the hook
+// (Catalog.OnMutate) and, once the hook accepts it, makes the change
+// through apply. The journaled Store's hook appends it to a WAL; a reopen
+// applies the snapshot's records and then the WAL's through the same apply.
 type Mutation struct {
 	Op    string
 	LFN   string
@@ -76,23 +78,84 @@ type Mutation struct {
 	Attrs  map[string]string
 }
 
-// OnMutate installs the mutation hook, called after each state change
-// commits to its shard (while the shard or collection lock is still
-// held, so hook invocations for one shard are ordered exactly as the
-// mutations were applied). A non-nil error from the hook propagates to
-// the caller of the mutating operation: the mutation is in memory but
-// was not acknowledged as durable, the same journal-before-ack contract
-// internal/core uses for site state. A nil hook (the default) disables
-// journaling.
+// OnMutate installs the mutation hook, called before each state change
+// applies, while the locks that change needs are held, so hook
+// invocations for one shard are ordered exactly as the changes apply. A
+// non-nil error from the hook is returned to the caller of the mutating
+// operation and the change is not made: the same journal-before-apply
+// contract internal/core uses for site state. A nil hook (the default)
+// disables journaling.
 func (c *Catalog) OnMutate(fn func(Mutation) error) {
 	c.onMutate = fn
 }
 
-// mutated runs the hook. Call with the mutated shard's lock (collMu for a
-// collection op) held.
-func (c *Catalog) mutated(m Mutation) error {
-	if c.onMutate == nil {
-		return nil
+// commit hands m to the hook and applies it once the hook has accepted
+// it, so a refused append changes nothing. Call with the locks apply
+// needs held.
+func (c *Catalog) commit(m Mutation) error {
+	if c.onMutate != nil {
+		if err := c.onMutate(m); err != nil {
+			return err
+		}
 	}
-	return c.onMutate(m)
+	return c.apply(m)
+}
+
+// apply makes one mutation's change: the only writer of the file,
+// location and collection tables. commit calls it with the locks of the
+// tables it changes held; a reopening store calls it for every snapshot
+// and WAL record, in order, before anyone else can see the catalog.
+// Records are facts about changes whose preconditions already held, so
+// "already exists" and "not found" are absorbed, not failed. A member is
+// added only while its file exists, so neither a snapshot nor a replay
+// can hold a member without a file.
+func (c *Catalog) apply(m Mutation) error {
+	sh := c.shards[shardIndex(m.LFN, len(c.shards))]
+	switch m.Op {
+	case MutRegister:
+		if m.Serial > c.serial.Load() {
+			c.serial.Store(m.Serial)
+		}
+		if _, ok := sh.files[m.LFN]; !ok {
+			attrs := m.Attrs
+			if attrs == nil {
+				attrs = make(map[string]string)
+			}
+			sh.files[m.LFN] = &LogicalFile{Name: m.LFN, Attrs: attrs}
+			sh.locations[m.LFN] = make(map[string]bool)
+		}
+	case MutSetAttrs:
+		if f, ok := sh.files[m.LFN]; ok {
+			for k, v := range m.Attrs {
+				f.Attrs[k] = v
+			}
+		}
+	case MutDelete:
+		delete(sh.files, m.LFN)
+		delete(sh.locations, m.LFN)
+		for _, set := range c.collections {
+			delete(set, m.LFN)
+		}
+	case MutAddReplica:
+		if locs, ok := sh.locations[m.LFN]; ok {
+			locs[m.PFN] = true
+		}
+	case MutRemoveReplica:
+		delete(sh.locations[m.LFN], m.PFN)
+	case MutCreateColl:
+		if _, ok := c.collections[m.Coll]; !ok {
+			c.collections[m.Coll] = make(map[string]bool)
+		}
+	case MutDeleteColl:
+		delete(c.collections, m.Coll)
+	case MutAddToColl:
+		if set, ok := c.collections[m.Coll]; ok && sh.files[m.LFN] != nil {
+			set[m.LFN] = true
+		}
+	case MutRemoveFromColl:
+		delete(c.collections[m.Coll], m.LFN)
+	default:
+		return fmt.Errorf("replica: unknown mutation op %q", m.Op)
+	}
+	return nil
 }

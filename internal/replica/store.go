@@ -1,11 +1,10 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
+	"sort"
 	"sync"
 
 	"gdmp/internal/journal"
@@ -13,24 +12,22 @@ import (
 	"gdmp/internal/rpc"
 )
 
-// Store makes a Catalog durable: every committed mutation (shard op) is
-// appended to a write-ahead log via the catalog's mutation hook, and
-// Compact freezes the state into a per-shard snapshot generation
-// (shards.<gen>/, see snapshot.go) before truncating the WAL. Open
-// recovers by loading the generation the journal's snapshot marker names
-// and replaying the WAL records on top — the same journal-before-ack
-// durability contract internal/core uses for site state.
+// Store makes a Catalog durable: every mutation is appended to a
+// write-ahead log through the catalog's hook before it applies, and
+// Compact hands the quiesced catalog to the journal as its snapshot (see
+// encodeSnapshot) before the WAL is truncated. OpenStore recovers by
+// applying the snapshot's records and then the WAL's through the
+// catalog's one apply — the same journal-before-apply contract
+// internal/core uses for site state.
 type Store struct {
-	c   *Catalog
-	dir string
+	c *Catalog
 
-	// mu guards the journal (whose methods are not concurrency-safe) and
-	// the generation counter. Lock order: shard locks / collMu first,
-	// then mu — append runs under the mutating shard's lock, and Compact
-	// takes every shard lock before mu.
-	mu  sync.Mutex
-	j   *journal.Journal
-	gen uint64
+	// mu guards the journal, whose methods are not concurrency-safe. Lock
+	// order: shard locks, then collMu, then mu — append runs under the
+	// mutating operation's locks, and Compact takes every shard lock and
+	// collMu before mu.
+	mu sync.Mutex
+	j  *journal.Journal
 }
 
 // StoreOptions tunes a Store.
@@ -46,13 +43,9 @@ const storeWALDir = "wal"
 // compactRecords is the WAL record count past which MaybeCompact compacts.
 const compactRecords = 8192
 
-func shardsDirName(gen uint64) string { return fmt.Sprintf("shards.%d", gen) }
-
 // OpenStore opens (creating if needed) the journaled store in dir and
-// recovers the catalog from it: the per-shard snapshot generation named
-// by the journal marker, plus a replay of every WAL record after it.
-// On return the catalog's mutation hook is installed; the caller must not
-// replace it.
+// recovers the empty catalog c from it. On return the catalog's mutation
+// hook is installed; the caller must not replace it.
 func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
 	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{
 		NoSync:   opts.NoSync,
@@ -61,65 +54,23 @@ func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{c: c, dir: dir, j: j}
-	if rec.Snapshot != nil {
-		gen, err := parseShardsMarker(rec.Snapshot)
-		if err != nil {
-			j.Close()
-			return nil, err
-		}
-		if err := c.LoadShards(filepath.Join(dir, shardsDirName(gen))); err != nil {
-			j.Close()
-			return nil, fmt.Errorf("replica: load shard snapshots gen %d: %w", gen, err)
-		}
-		st.gen = gen
+	if err := c.restore(rec); err != nil {
+		j.Close()
+		return nil, fmt.Errorf("replica: store %s: %w", dir, err)
 	}
-	for i, p := range rec.Records {
-		m, err := decodeMutation(p)
-		if err != nil {
-			j.Close()
-			return nil, fmt.Errorf("replica: store WAL record %d: %w", i, err)
-		}
-		st.replay(m)
-	}
-	st.sweepStale()
+	st := &Store{c: c, j: j}
 	c.OnMutate(st.append)
 	return st, nil
 }
 
-func parseShardsMarker(p []byte) (uint64, error) {
-	s := strings.TrimSpace(string(p))
-	rest, ok := strings.CutPrefix(s, "rls-shards ")
-	if !ok {
-		return 0, fmt.Errorf("replica: bad store snapshot marker %q", s)
-	}
-	return strconv.ParseUint(rest, 10, 64)
-}
-
-// sweepStale removes shard-snapshot generations other than the live one
-// (left behind by a crash inside Compact, before or after the marker
-// moved).
-func (s *Store) sweepStale() {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
-	live := shardsDirName(s.gen)
-	for _, e := range ents {
-		name := e.Name()
-		if name == live || !strings.HasPrefix(name, "shards.") {
-			continue
-		}
-		os.RemoveAll(filepath.Join(s.dir, name))
-	}
-}
-
-// append is the catalog mutation hook: called with the mutated shard's
-// lock (or collMu) held, so WAL order matches apply order per shard.
+// append is the catalog mutation hook: called with the mutating
+// operation's locks held, so WAL order matches apply order per shard.
 func (s *Store) append(m Mutation) error {
+	var e rpc.Encoder
+	encodeMutation(&e, m)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.j.Append(encodeMutation(m))
+	return s.j.Append(e.Bytes())
 }
 
 // Records reports WAL records since the last compaction.
@@ -136,11 +87,11 @@ func (s *Store) Failed() error {
 	return s.j.Failed()
 }
 
-// Compact freezes the catalog into a fresh per-shard snapshot generation
-// and truncates the WAL. It quiesces the catalog (every shard lock plus
-// the collection lock) for the duration of the snapshot write, so no
-// mutation can land in the WAL being truncated without also being in the
-// snapshot; callers run it from a maintenance loop, not the hot path.
+// Compact makes the catalog the journal's snapshot and truncates the WAL.
+// It quiesces the catalog (every shard lock plus the collection lock)
+// while the snapshot is encoded and written, so no mutation can land in
+// the WAL being truncated without also being in the snapshot; callers run
+// it from a maintenance loop, not the hot path.
 func (s *Store) Compact() error {
 	for _, sh := range s.c.shards {
 		sh.mu.Lock()
@@ -150,21 +101,7 @@ func (s *Store) Compact() error {
 	defer s.c.collMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	gen := s.gen + 1
-	dir := filepath.Join(s.dir, shardsDirName(gen))
-	if err := s.c.writeShards(dir); err != nil {
-		os.RemoveAll(dir)
-		return err
-	}
-	if err := s.j.Compact([]byte(fmt.Sprintf("rls-shards %d", gen))); err != nil {
-		os.RemoveAll(dir)
-		return err
-	}
-	old := s.gen
-	s.gen = gen
-	os.RemoveAll(filepath.Join(s.dir, shardsDirName(old)))
-	return nil
+	return s.j.Compact(s.c.encodeSnapshot())
 }
 
 // MaybeCompact compacts when the WAL has grown past compactRecords;
@@ -191,72 +128,110 @@ func (s *Store) Close() error {
 	return cerr
 }
 
-// replay applies a recovered WAL record. Replay is tolerant: records are
-// facts about mutations that already succeeded, so "already exists" /
-// "not found" conditions (snapshot written after the record's shard was
-// mutated further) are absorbed rather than failed.
-func (s *Store) replay(m Mutation) {
-	c := s.c
-	switch m.Op {
-	case MutRegister:
-		if m.Serial > c.serial.Load() {
-			c.serial.Store(m.Serial)
-		}
-		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
-		if _, ok := sh.files[m.LFN]; !ok {
-			attrs := m.Attrs
-			if attrs == nil {
-				attrs = make(map[string]string)
+// snapshotMagic opens a catalog snapshot. A store written before the
+// journal's snapshot held the catalog has an "rls-shards <gen>" marker
+// there instead, and is refused.
+const snapshotMagic = "gdmp-replica-catalog v1"
+
+// encodeSnapshot writes the quiesced catalog (the caller holds every
+// shard lock and collMu) as the LFN serial and a counted run of the WAL
+// records that rebuild it. A first pass sizes the buffer, so a large
+// catalog is encoded into one allocation rather than a series of
+// ever-larger copies.
+func (c *Catalog) encodeSnapshot() []byte {
+	var n, size int
+	var rec rpc.Encoder
+	c.snapshotRecords(func(m Mutation) {
+		rec.Reset()
+		encodeMutation(&rec, m)
+		n, size = n+1, size+rec.Len()
+	})
+	var e rpc.Encoder
+	e.Grow(4 + len(snapshotMagic) + 8 + 4 + size)
+	e.String(snapshotMagic)
+	e.Uint64(c.serial.Load())
+	e.Uint32(uint32(n))
+	c.snapshotRecords(func(m Mutation) { encodeMutation(&e, m) })
+	return e.Bytes()
+}
+
+// snapshotRecords calls fn with each record that rebuilds the quiesced
+// catalog: each file's register and add_replica records, shard by shard,
+// then each collection's create and add_to_collection records, every list
+// sorted so the snapshot's bytes depend only on the contents.
+func (c *Catalog) snapshotRecords(fn func(Mutation)) {
+	for _, sh := range c.shards {
+		for _, lfn := range sortedKeys(sh.files) {
+			fn(Mutation{Op: MutRegister, LFN: lfn, Attrs: sh.files[lfn].Attrs})
+			for _, pfn := range sortedKeys(sh.locations[lfn]) {
+				fn(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
 			}
-			sh.files[m.LFN] = &LogicalFile{Name: m.LFN, Attrs: attrs}
-			sh.locations[m.LFN] = make(map[string]bool)
 		}
-	case MutSetAttrs:
-		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
-		if f, ok := sh.files[m.LFN]; ok {
-			for k, v := range m.Attrs {
-				f.Attrs[k] = v
-			}
-		}
-	case MutDelete:
-		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
-		delete(sh.files, m.LFN)
-		delete(sh.locations, m.LFN)
-		for _, set := range c.collections {
-			delete(set, m.LFN)
-		}
-	case MutAddReplica:
-		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
-		if locs, ok := sh.locations[m.LFN]; ok {
-			locs[m.PFN] = true
-		}
-	case MutRemoveReplica:
-		sh := c.shards[shardIndex(m.LFN, len(c.shards))]
-		if locs, ok := sh.locations[m.LFN]; ok {
-			delete(locs, m.PFN)
-		}
-	case MutCreateColl:
-		if _, ok := c.collections[m.Coll]; !ok {
-			c.collections[m.Coll] = make(map[string]bool)
-		}
-	case MutDeleteColl:
-		delete(c.collections, m.Coll)
-	case MutAddToColl:
-		if set, ok := c.collections[m.Coll]; ok {
-			set[m.LFN] = true
-		}
-	case MutRemoveFromColl:
-		if set, ok := c.collections[m.Coll]; ok {
-			delete(set, m.LFN)
+	}
+	for _, coll := range sortedKeys(c.collections) {
+		fn(Mutation{Op: MutCreateColl, Coll: coll})
+		for _, lfn := range sortedKeys(c.collections[coll]) {
+			fn(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
 		}
 	}
 }
 
-// Mutation records ride the WAL in the RPC wire encoding.
+// restore rebuilds the empty catalog from what the journal recovered: the
+// snapshot's serial and records, then the WAL's records, each record
+// through decodeMutation and apply, so every entry lands on the shard its
+// hash names under this catalog's shard count.
+func (c *Catalog) restore(rec journal.Recovery) error {
+	if rec.Snapshot != nil {
+		d := rpc.NewDecoder(rec.Snapshot)
+		if d.String() != snapshotMagic {
+			return errors.New(`the journal snapshot is not a catalog in this build's format; see README "Upgrading the catalog store"`)
+		}
+		c.serial.Store(d.Uint64())
+		for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
+			m, err := decodeMutation(d)
+			if err == nil {
+				err = c.apply(m)
+			}
+			if err != nil {
+				return fmt.Errorf("snapshot: %w", err)
+			}
+		}
+		if err := d.Finish(); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+	}
+	for i, p := range rec.Records {
+		d := rpc.NewDecoder(p)
+		m, err := decodeMutation(d)
+		if err == nil {
+			err = d.Finish()
+		}
+		if err == nil {
+			err = c.apply(m)
+		}
+		if err != nil {
+			return fmt.Errorf("WAL record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Mutation records ride the WAL, one per journal record, and the
+// snapshot, back to back, in the RPC wire encoding.
 const mutationRecordV1 = 1
 
-func encodeMutation(m Mutation) []byte {
-	var e rpc.Encoder
+// encodeMutation appends one mutation record to e.
+func encodeMutation(e *rpc.Encoder, m Mutation) {
 	e.Uint8(mutationRecordV1)
 	e.String(m.Op)
 	e.String(m.LFN)
@@ -264,13 +239,12 @@ func encodeMutation(m Mutation) []byte {
 	e.String(m.Coll)
 	e.Bool(m.Force)
 	e.Uint64(m.Serial)
-	encodeAttrs(&e, m.Attrs)
-	return e.Bytes()
+	encodeAttrs(e, m.Attrs)
 }
 
-func decodeMutation(p []byte) (Mutation, error) {
-	d := rpc.NewDecoder(p)
-	if v := d.Uint8(); v != mutationRecordV1 {
+// decodeMutation reads one mutation record from d.
+func decodeMutation(d *rpc.Decoder) (Mutation, error) {
+	if v := d.Uint8(); v != mutationRecordV1 && d.Err() == nil {
 		return Mutation{}, fmt.Errorf("unknown mutation record version %d", v)
 	}
 	m := Mutation{
@@ -282,5 +256,5 @@ func decodeMutation(p []byte) (Mutation, error) {
 		Serial: d.Uint64(),
 		Attrs:  decodeAttrs(d),
 	}
-	return m, d.Finish()
+	return m, d.Err()
 }

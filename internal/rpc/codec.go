@@ -47,6 +47,10 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// Grow makes room for n more bytes, so a message whose size is known
+// ahead is encoded without reallocating.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
+
 // Uint8 appends a single byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
 

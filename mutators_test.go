@@ -1,10 +1,10 @@
 // The single-owner checks of `make check`, read off the source of non-test
-// internal/core: its durable tables have one writer (the journal record's
-// transition), nothing reaches the journal while it holds a table's lock,
-// other sites' Request Managers are reached through one function, every
-// pull enters the scheduler through one function, and periodic work runs on
-// one loop runner. A second writer, or a second dialer, is a copy that will
-// drift.
+// internal/core and internal/replica: the durable tables of each have one
+// writer (the journal record's transition), nothing in core reaches the
+// journal while it holds a table's lock, other sites' Request Managers are
+// reached through one function, every pull enters the scheduler through one
+// function, and periodic work runs on one loop runner. A second writer, or
+// a second dialer, is a copy that will drift.
 package gdmp_test
 
 import (
@@ -18,11 +18,11 @@ import (
 	"testing"
 )
 
-// coreFuncs parses non-test internal/core and returns its top-level
-// functions and methods.
-func coreFuncs(t *testing.T) (*token.FileSet, []*ast.FuncDecl) {
+// pkgFuncs parses the non-test files of the package in dir and returns its
+// top-level functions and methods.
+func pkgFuncs(t *testing.T, dir string) (*token.FileSet, []*ast.FuncDecl) {
 	t.Helper()
-	files, err := filepath.Glob("internal/core/*.go")
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ var soleCallers = map[string][]string{
 // other function, and when a listed call is no longer made at all (the
 // entry is stale: the pinned name was renamed or removed).
 func TestSoleCallers(t *testing.T) {
-	fset, funcs := coreFuncs(t)
+	fset, funcs := pkgFuncs(t, "internal/core")
 	seen := map[string]bool{}
 	for _, fn := range funcs {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -98,54 +98,63 @@ func TestSoleCallers(t *testing.T) {
 	}
 }
 
-// The durable tables of persistState (persist.go), by field name: the maps,
-// and the durable fields that are not maps. Each exists once and changes
-// only in the functions of tableWriters.
-var (
-	tableFields  = []string{"byLFN", "byPath", "subs", "pulls", "producers", "parity", "scrubCursor", "queue", "suspect"}
-	tableWriters = []string{"apply", "decode"} // a record's transition; the snapshot load into empty tables
-)
+// durableTables lists, per package, the durable tables by field name and
+// the only functions that may change them. Core's are persistState's
+// (persist.go): the maps, and the durable fields that are not maps; its
+// writers are a record's transition and the snapshot load into empty
+// tables. The replica catalog's are the shards' file and location tables
+// and the collections, changed only by the mutation's transition, which a
+// store's snapshot and WAL records also replay through.
+var durableTables = []struct {
+	dir             string
+	fields, writers []string
+}{
+	{"internal/core", []string{"byLFN", "byPath", "subs", "pulls", "producers", "parity", "scrubCursor", "queue", "suspect"}, []string{"apply", "decode"}},
+	{"internal/replica", []string{"files", "locations", "collections"}, []string{"apply"}},
+}
 
-// TestTablesHaveOneWriter fails when a function of non-test internal/core
-// other than a record's transition (and the snapshot decoder) assigns to a
-// durable table — the field, an element of it, or through delete/clear.
+// TestTablesHaveOneWriter fails when a function of a package in
+// durableTables other than its writers assigns to a durable table — the
+// field, an element of it, or through delete/clear.
 func TestTablesHaveOneWriter(t *testing.T) {
-	fset, funcs := coreFuncs(t)
-	written := map[string]bool{}
-	for _, fn := range funcs {
-		note := func(target ast.Expr) {
-			if ix, ok := target.(*ast.IndexExpr); ok {
-				target = ix.X
+	for _, pkg := range durableTables {
+		fset, funcs := pkgFuncs(t, pkg.dir)
+		written := map[string]bool{}
+		for _, fn := range funcs {
+			note := func(target ast.Expr) {
+				if ix, ok := target.(*ast.IndexExpr); ok {
+					target = ix.X
+				}
+				_, field := lastTwoSelectors(target)
+				if !slices.Contains(pkg.fields, field) {
+					return
+				}
+				written[field] = true
+				if !slices.Contains(pkg.writers, fn.Name.Name) {
+					t.Errorf("%s: %s writes the durable table field %s; only %s may — request the change as a journal record",
+						fset.Position(target.Pos()), fn.Name.Name, field, strings.Join(pkg.writers, ", "))
+				}
 			}
-			_, field := lastTwoSelectors(target)
-			if !slices.Contains(tableFields, field) {
-				return
-			}
-			written[field] = true
-			if !slices.Contains(tableWriters, fn.Name.Name) {
-				t.Errorf("%s: %s writes the durable table field %s; only %s may — request the change as a journal record",
-					fset.Position(target.Pos()), fn.Name.Name, field, strings.Join(tableWriters, ", "))
-			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						note(lhs)
+					}
+				case *ast.IncDecStmt:
+					note(n.X)
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
+						note(n.Args[0])
+					}
+				}
+				return true
+			})
 		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					note(lhs)
-				}
-			case *ast.IncDecStmt:
-				note(n.X)
-			case *ast.CallExpr:
-				if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) > 0 {
-					note(n.Args[0])
-				}
+		for _, field := range pkg.fields {
+			if !written[field] {
+				t.Errorf("durableTables lists %s, which nothing in %s writes: update the list", field, pkg.dir)
 			}
-			return true
-		})
-	}
-	for _, field := range tableFields {
-		if !written[field] {
-			t.Errorf("tableFields lists %s, which nothing in internal/core writes: update the list", field)
 		}
 	}
 }
@@ -161,7 +170,7 @@ var tableLocks = []string{"subMu", "tabMu", "mu"}
 // sitePersistence.record between a table lock's Lock and its Unlock (a
 // deferred Unlock holds to the end of the function).
 func TestNoAppendUnderTableLock(t *testing.T) {
-	fset, funcs := coreFuncs(t)
+	fset, funcs := pkgFuncs(t, "internal/core")
 	// reaches: the functions from which record is reachable, by bare name.
 	calls := map[string][]string{}
 	for _, fn := range funcs {
