@@ -31,17 +31,24 @@ fmt:
 # bench/ is a module of its own (root `go test ./...` cannot see it) that
 # imports this module's packages, so the gate builds and tests it too: a
 # refactor that breaks the benchmark fails here, not in the pipeline.
+# The arm64 cross-build compiles what no amd64 build does: the portable
+# GF(2^8) kernel dispatch in internal/parity/gf_other.go.
 check: fmt vet build race
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+	GOARCH=arm64 $(GO) vet ./internal/parity
+	GOARCH=arm64 $(GO) build ./...
 
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
 # of bytes a GridFTP peer controls on either end, of the certificate
 # chain an unauthenticated GSI peer sends first, of the Request Manager
-# frame and status reply an authenticated peer sends, and of the parity
-# sidecar header and the replica catalog's WAL and snapshot records a
-# rotting disk controls). The seed corpora already run under
-# plain `go test`; a crasher found here lands in the package's
-# testdata/fuzz/ and fails every later run until fixed.
+# frame and status reply an authenticated peer sends, of the catalog query
+# filter and the bloom digest a catalog client or site sends, and of the
+# parity sidecar header and the replica catalog's WAL and snapshot records a
+# rotting disk controls), plus a differential target that holds the SIMD
+# GF(2^8) kernel to the portable one and to the field's definition. The
+# seed corpora already run under plain `go test`; a crasher found here
+# lands in the package's testdata/fuzz/ and fails every later run until
+# fixed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
@@ -50,7 +57,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
+	$(GO) test -run '^$$' -fuzz '^FuzzMulSlice$$' -fuzztime 10s ./internal/parity
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s ./internal/replica
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFilter$$' -fuzztime 10s ./internal/replica
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBloom$$' -fuzztime 10s ./internal/replica
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR

@@ -1,4 +1,4 @@
-// Package parity implements the erasure-coded local-repair layer: a pure-Go
+// Package parity implements the erasure-coded local-repair layer: a
 // systematic Reed-Solomon codec over GF(2^8) plus the checksummed parity
 // sidecar written next to every published or pool-landed file. The scrubber
 // uses a sidecar to rebuild up to m damaged blocks from the k surviving data
@@ -12,15 +12,17 @@ import "encoding/binary"
 // GF(2^8) arithmetic with the AES-adjacent primitive polynomial x^8 + x^4 +
 // x^3 + x^2 + 1 (0x11d), the polynomial every RS storage codec uses. Every
 // multiplication reads gfMulTable, the full 256 × 256 product table
-// (64 KiB): one load, no branch on the data.
+// (64 KiB): one load, no branch on the data. It is a variable initializer,
+// not an init function, so every init in the package (the SIMD kernel's
+// tables among them) runs after it.
 
 const gfPoly = 0x11d
 
-var gfMulTable [256][256]byte
+var gfMulTable = mulTable()
 
-func init() {
-	for a := range gfMulTable {
-		row := &gfMulTable[a]
+func mulTable() (t [256][256]byte) {
+	for a := range t {
+		row := &t[a]
 		for b := 1; b < 256; b++ {
 			// a·b = (a·⌊b/2⌋)·x, plus a when b is odd: one doubling of an
 			// earlier entry, reduced by the polynomial when it overflows.
@@ -34,6 +36,7 @@ func init() {
 			row[b] = byte(d)
 		}
 	}
+	return t
 }
 
 func gfMul(a, b byte) byte { return gfMulTable[a][b] }
@@ -47,11 +50,12 @@ func gfInv(a byte) byte {
 	panic("parity: division by zero in GF(2^8)")
 }
 
-// gfMulSlice accumulates c*in into out (out[i] ^= c*in[i]) — the inner loop
-// of both encoding and reconstruction. Eight products are looked up in c's
-// row of the table, assembled into one word and XORed into out with a single
-// load and store.
-func gfMulSlice(c byte, in, out []byte) {
+// gfMulSliceGeneric accumulates c*in into out (out[i] ^= c*in[i]) — the
+// portable form of gfMulSlice, the inner loop of both encoding and
+// reconstruction, and the oracle the SIMD kernel is tested against. Eight
+// products are looked up in c's row of the table, assembled into one word
+// and XORed into out with a single load and store.
+func gfMulSliceGeneric(c byte, in, out []byte) {
 	if c == 0 {
 		return
 	}

@@ -181,6 +181,7 @@ func allocated(fn func()) uint64 {
 // encode and one file-to-file rebuild of m damaged blocks allocate does not
 // depend on the file's size, and is far below it.
 func TestFixedMemory(t *testing.T) {
+	const bigFileMiB = 32
 	// One P, so the slab the warm-up call returned to the pool is the one
 	// the measured call finds (sync.Pool caches per P).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -317,34 +317,91 @@ func refMul(a, b byte) byte {
 	return byte(p)
 }
 
-// TestMulSliceMatchesField: the word-at-a-time kernel computes, for every
-// coefficient and every length around its 8-byte stride, what the definition
-// of the field does byte by byte; and the table's inverses are inverses.
+// mulKernels are the multiply-accumulate kernels this machine can run: the
+// portable one everywhere, and a SIMD one where gf_<arch>_test.go finds the
+// CPU has it.
+var mulKernels = []mulKernel{{"generic", gfMulSliceGeneric}}
+
+type mulKernel struct {
+	name string
+	fn   func(c byte, in, out []byte)
+}
+
+// checkMulSlice runs every kernel on in and on out[outOff:outOff+len(in)],
+// and fails unless each adds exactly row[in[i]] (row is c's products by the
+// field's definition) to that window of out and leaves the rest of out,
+// through its capacity, as it was.
+func checkMulSlice(t *testing.T, c byte, row *[256]byte, in, out []byte, outOff int) {
+	t.Helper()
+	want := append([]byte(nil), out...)
+	for i, v := range in {
+		want[outOff+i] ^= row[v]
+	}
+	for _, k := range mulKernels {
+		got := append([]byte(nil), out...)
+		k.fn(c, in, got[outOff:outOff+len(in)])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s kernel, c=%d n=%d out offset %d: disagrees with the field", k.name, c, len(in), outOff)
+		}
+	}
+}
+
+func refRow(c byte) *[256]byte {
+	var row [256]byte
+	for x := range row {
+		row[x] = refMul(c, byte(x))
+	}
+	return &row
+}
+
+// TestMulSliceMatchesField: every kernel computes, for every coefficient,
+// every length around the 8-byte word and the 32-byte SIMD step, and input
+// and output windows at every offset from a 32-byte boundary, what the
+// definition of the field does byte by byte; and the table's inverses are
+// inverses.
 func TestMulSliceMatchesField(t *testing.T) {
 	for a := 1; a < 256; a++ {
 		if refMul(byte(a), gfInv(byte(a))) != 1 {
 			t.Fatalf("gfInv(%d) is not its inverse", a)
 		}
 	}
-	rng := rand.New(rand.NewSource(3))
-	in := make([]byte, 256+19)
-	for i := range in {
-		in[i] = byte(i) // every field element, then a ragged tail
+	for _, k := range mulKernels {
+		t.Logf("kernel %s", k.name)
 	}
+	rng := rand.New(rand.NewSource(3))
+	src := make([]byte, 31+chunkSize)
+	for i := range src {
+		src[i] = byte(i) // every field element in every 256 bytes
+	}
+	lengths := []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 8*32 + 7, chunkSize}
 	for c := 0; c < 256; c++ {
-		for _, n := range []int{0, 1, 7, 8, 9, len(in)} {
-			out := make([]byte, n)
+		row := refRow(byte(c))
+		for li, n := range lengths {
+			inOff, outOff := (c+li)%32, (7*c+3*li)%32
+			out := make([]byte, outOff+n+32)
 			rng.Read(out)
-			want := append([]byte(nil), out...)
-			for i, v := range in[:n] {
-				want[i] ^= refMul(byte(c), v)
-			}
-			gfMulSlice(byte(c), in[:n], out)
-			if !bytes.Equal(out, want) {
-				t.Fatalf("c=%d n=%d: kernel disagrees with the field", c, n)
-			}
+			checkMulSlice(t, byte(c), row, src[inOff:inOff+n], out, outOff)
 		}
 	}
+}
+
+// FuzzMulSlice: every kernel agrees with the field on a random coefficient,
+// random bytes and random offsets of the input and output windows.
+func FuzzMulSlice(f *testing.F) {
+	f.Add(byte(2), uint8(0), uint8(0), bytes.Repeat([]byte{0xff}, 100))
+	f.Add(byte(0x8e), uint8(1), uint8(31), []byte("the quick brown fox jumps over the lazy dog"))
+	f.Fuzz(func(t *testing.T, c byte, inOff, outOff uint8, data []byte) {
+		inOff, outOff = inOff%32, outOff%32
+		if int(inOff) > len(data) {
+			return
+		}
+		in := data[inOff:]
+		out := make([]byte, int(outOff)+len(in)+32)
+		for i := range out {
+			out[i] = byte(i) ^ c
+		}
+		checkMulSlice(t, c, refRow(c), in, out, int(outOff))
+	})
 }
 
 func BenchmarkMulSlice(b *testing.B) {

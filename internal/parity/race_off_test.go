@@ -2,7 +2,4 @@
 
 package parity_test
 
-const (
-	bigFileMiB = 32
-	allocSlack = 128 << 10
-)
+const allocSlack = 128 << 10

@@ -1,8 +1,11 @@
 package replica
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -77,6 +80,41 @@ func TestBloomUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("case %d: UnmarshalBloom accepted garbage", i)
 		}
 	}
+}
+
+// FuzzUnmarshalBloom: the digest a site pushes is total on hostile bytes. A
+// filter is allocated only for words the payload carries, never for the bit
+// count it claims; one that decodes answers Test without panicking and
+// marshals back to the same bytes.
+func FuzzUnmarshalBloom(f *testing.F) {
+	b := NewBloom(100, 0.01)
+	for i := 0; i < 100; i++ {
+		b.Add(fmt.Sprintf("lfn://cern.ch/run%d.db", i))
+	}
+	for _, p := range [][]byte{b.Marshal(), NewBloom(0, 0.01).Marshal()} {
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+	}
+	claim := NewBloom(0, 0.01).Marshal()
+	binary.BigEndian.PutUint64(claim[8:], bloomMaxBits) // 128 MiB claimed, 8 bytes sent
+	f.Add(claim)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := UnmarshalBloom(p)
+		runtime.ReadMemStats(&after)
+		// 64 KiB of floor for what the fuzzing engine allocates meanwhile.
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10+2*uint64(len(p)) {
+			t.Fatalf("decoding a %d-byte digest allocated %d bytes", len(p), n)
+		}
+		if err != nil {
+			return
+		}
+		got.Test("lfn://cern.ch/run7.db")
+		if !bytes.Equal(got.Marshal(), p) {
+			t.Fatal("accepted digest does not marshal back to its bytes")
+		}
+	})
 }
 
 func TestBloomEmpty(t *testing.T) {

@@ -174,10 +174,15 @@ func wildcardMatch(pattern, value string) bool {
 	return true
 }
 
+// maxFilterDepth bounds the nesting of "&", "|" and "!": the parser recurses
+// once per level, and a query arrives from a peer in a frame of up to
+// 128 MiB, enough "(!" to exhaust any goroutine stack.
+const maxFilterDepth = 100
+
 // ParseFilter compiles a filter expression.
 func ParseFilter(s string) (Filter, error) {
 	p := &filterParser{in: s}
-	f, err := p.parse()
+	f, err := p.parse(1)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +221,11 @@ func (p *filterParser) peek() byte {
 	return p.in[p.pos]
 }
 
-func (p *filterParser) parse() (Filter, error) {
+// parse reads one parenthesised filter at the given nesting depth.
+func (p *filterParser) parse(depth int) (Filter, error) {
+	if depth > maxFilterDepth {
+		return nil, fmt.Errorf("%w: nested deeper than %d at %d", ErrBadFilter, maxFilterDepth, p.pos)
+	}
 	if err := p.expect('('); err != nil {
 		return nil, err
 	}
@@ -225,14 +234,14 @@ func (p *filterParser) parse() (Filter, error) {
 	switch p.peek() {
 	case '&':
 		p.pos++
-		f, err = p.parseList(func(subs []Filter) Filter { return &andFilter{subs} })
+		f, err = p.parseList(depth, func(subs []Filter) Filter { return &andFilter{subs} })
 	case '|':
 		p.pos++
-		f, err = p.parseList(func(subs []Filter) Filter { return &orFilter{subs} })
+		f, err = p.parseList(depth, func(subs []Filter) Filter { return &orFilter{subs} })
 	case '!':
 		p.pos++
 		var sub Filter
-		sub, err = p.parse()
+		sub, err = p.parse(depth + 1)
 		if err == nil {
 			f = &notFilter{sub}
 		}
@@ -248,10 +257,10 @@ func (p *filterParser) parse() (Filter, error) {
 	return f, nil
 }
 
-func (p *filterParser) parseList(build func([]Filter) Filter) (Filter, error) {
+func (p *filterParser) parseList(depth int, build func([]Filter) Filter) (Filter, error) {
 	var subs []Filter
 	for p.peek() == '(' {
-		sub, err := p.parse()
+		sub, err := p.parse(depth + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -269,7 +278,9 @@ func (p *filterParser) parseItem() (Filter, error) {
 	for p.pos < len(p.in) && p.in[p.pos] != '=' && p.in[p.pos] != '>' && p.in[p.pos] != '<' && p.in[p.pos] != ')' && p.in[p.pos] != '(' {
 		p.pos++
 	}
-	attr := strings.TrimSpace(p.in[start:p.pos])
+	// Trimmed of the blanks skipSpace skips and nothing else, so the text
+	// String renders from attr parses back to it.
+	attr := strings.Trim(p.in[start:p.pos], " \t")
 	if attr == "" {
 		return nil, fmt.Errorf("%w: missing attribute at %d in %q", ErrBadFilter, start, p.in)
 	}

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,6 +135,7 @@ func TestFilterParseErrors(t *testing.T) {
 		"(owner=alice))",  // trailing
 		"((owner=alice))", // bare nesting
 		"(=value)",        // missing attribute
+		negations(maxFilterDepth),
 	}
 	for _, expr := range bad {
 		if _, err := ParseFilter(expr); !errors.Is(err, ErrBadFilter) {
@@ -151,6 +154,8 @@ func TestFilterStringRoundTrip(t *testing.T) {
 		"(|(a=1)(b=2)(c=3))",
 		"(!(a=1))",
 		"(&(|(a=1)(b=2))(!(c=3)))",
+		negations(maxFilterDepth - 1),
+		"(\n&=b)", // an attribute that reads as "&" once a newline is trimmed
 	}
 	for _, expr := range exprs {
 		f1, err := ParseFilter(expr)
@@ -165,6 +170,44 @@ func TestFilterStringRoundTrip(t *testing.T) {
 			t.Errorf("String round trip: %q -> %q", f1.String(), f2.String())
 		}
 	}
+}
+
+// negations is (a=1) under n "!"s: a filter nested n+1 deep.
+func negations(n int) string {
+	return strings.Repeat("(!", n) + "(a=1)" + strings.Repeat(")", n)
+}
+
+// FuzzParseFilter: the parser of the query a catalog client sends is total
+// on hostile text. It never panics, its memory grows with the text alone,
+// and a filter it accepts renders to text that parses back to the same
+// filter.
+func FuzzParseFilter(f *testing.F) {
+	for _, s := range []string{
+		"(owner=alice)", "(size>=100)", "(size<=100)", "(type=*)", "(type=obj*xyz*base)",
+		"( & (a=1) (a=1) )", "(&(|(a=1)(b=2))(!(c=3)))", "((a=1))", "(&)", "(a=1))",
+		negations(maxFilterDepth),
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		flt, err := ParseFilter(s)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10+64*uint64(len(s)) {
+			t.Fatalf("parsing %d bytes allocated %d", len(s), got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrBadFilter) {
+				t.Fatalf("ParseFilter(%q) = %v, want ErrBadFilter", s, err)
+			}
+			return
+		}
+		again, err := ParseFilter(flt.String())
+		if err != nil || again.String() != flt.String() {
+			t.Fatalf("ParseFilter(%q) renders %q, which parses to %v, %v", s, flt.String(), again, err)
+		}
+	})
 }
 
 func TestFilterWhitespaceTolerated(t *testing.T) {
