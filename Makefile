@@ -42,9 +42,10 @@ check: fmt vet build race
 # of bytes a GridFTP peer controls on either end, of the certificate
 # chain an unauthenticated GSI peer sends first, of the Request Manager
 # frame and status reply an authenticated peer sends, of the catalog query
-# filter and the bloom digest a catalog client or site sends, and of the
-# parity sidecar header and the replica catalog's WAL and snapshot records a
-# rotting disk controls), plus a differential target that holds the SIMD
+# filter and the bloom digest a catalog client or site sends, and of what a
+# rotting disk controls: the parity sidecar header, the journal's snapshot
+# file, and the site's and the replica catalog's journal records, WAL and
+# snapshot alike), plus a differential target that holds the SIMD
 # GF(2^8) kernel to the portable one and to the field's definition. The
 # seed corpora already run under plain `go test`; a crasher found here
 # lands in the package's testdata/fuzz/ and fails every later run until
@@ -56,6 +57,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSiteRecord$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
 	$(GO) test -run '^$$' -fuzz '^FuzzMulSlice$$' -fuzztime 10s ./internal/parity
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s ./internal/replica
@@ -130,8 +133,9 @@ chaos:
 # corrupt. The seed is logged by every test; replay a run with
 # `make crash CRASH_SEED=7`. State directories of failed tests survive
 # under $(CRASH_ARTIFACT_DIR) for inspection. The unit-level durability
-# tests (record semantics, torn tails, byte-compatibility with the parent's
-# journals) run with the suite, three times over.
+# tests (record semantics, torn tails, byte-compatibility with the pinned
+# journals, and the journal package's own: a crash at each step of a
+# compaction, corrupt snapshots) run with the suite, three times over.
 CRASH_SEED ?= 20260805
 CRASH_ARTIFACT_DIR ?= crash-artifacts
 crash:
@@ -139,6 +143,7 @@ crash:
 	CRASH_SEED=$(CRASH_SEED) CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR) \
 		$(GO) test -race -v -run 'TestCrashRestart' .
 	$(GO) test -race -count=3 -run 'TestPersist|TestJournalBytesMatchParent' ./internal/core
+	$(GO) test -race -count=3 ./internal/journal
 
 # Partition chaos suite: a seeded asymmetric partition wedges the
 # primary replica source mid-stream; every pull must still complete from

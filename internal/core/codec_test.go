@@ -1,9 +1,13 @@
 package core
 
 import (
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"gdmp/internal/journal"
+	"gdmp/internal/obs"
 	"gdmp/internal/rpc"
 )
 
@@ -64,4 +68,56 @@ func TestDecodeFileInfosHostileInput(t *testing.T) {
 	if got := decodeFileInfos(d); len(got) != 2 || got[1] != fi || d.Finish() != nil {
 		t.Fatalf("round trip = %+v, %v", got, d.Err())
 	}
+}
+
+// FuzzSiteRecord feeds hostile bytes to persistState.apply, the one decoder
+// of the site's journal: every WAL record and, since a snapshot is the run
+// of records that rebuilds the tables, every snapshot record too. It must
+// never panic, nor allocate for what a length or count claims rather than
+// for the bytes present; and a record it accepts leaves tables whose
+// snapshot replays to the same tables. Seeds are the WAL of the golden
+// crash sequence (all fifteen tags) and the snapshot of the golden
+// graceful one, each record also cut short by a byte; `make fuzz-smoke`
+// mutates them.
+func FuzzSiteRecord(f *testing.F) {
+	dir := f.TempDir()
+	p := testPersist(f, dir)
+	goldenCrashSequence(p)
+	p.close(false)
+	j, rec, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{Registry: obs.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	seeds := rec.Records
+	q := testPersist(f, "")
+	goldenGracefulSequence(q)
+	q.st.records(func(r []byte) bool {
+		seeds = append(seeds, append([]byte(nil), r...))
+		return true
+	})
+	for _, r := range seeds {
+		f.Add(r)
+		f.Add(r[:len(r)-1])
+	}
+	f.Fuzz(func(t *testing.T, r []byte) {
+		p := testPersist(t, "")
+		var err error
+		if cost := allocatedBy(func() { err = p.st.apply(r) }); cost >= 64<<10+16*uint64(len(r)) {
+			t.Fatalf("applying a %d-byte record allocated %d bytes", len(r), cost)
+		}
+		if err != nil {
+			return
+		}
+		replay := testPersist(t, "")
+		p.st.records(func(r []byte) bool {
+			if err := replay.st.apply(r); err != nil {
+				t.Fatalf("snapshot record %x: %v", r, err)
+			}
+			return true
+		})
+		if !reflect.DeepEqual(replay.tables(), p.tables()) {
+			t.Fatalf("tables after %x:\n%+v\nsnapshot replays to\n%+v", r, p.tables(), replay.tables())
+		}
+	})
 }

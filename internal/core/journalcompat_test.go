@@ -47,28 +47,40 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.parityDrop(b.LFN) // already gone, no record
 }
 
-// goldenGracefulSequence leaves every table with exactly one
-// entry, so the snapshot a graceful close writes has one possible encoding.
+// goldenGracefulSequence leaves at least two entries in every table, and
+// a suspect subscriber that still has a notice queued, so the snapshot a
+// graceful close writes shows the order of its records.
 func goldenGracefulSequence(p *sitePersistence) {
 	a := FileInfo{LFN: "lfn://cern.ch/run1/a.db", Path: "run1/a.db", Size: 10, CRC32: "0000000a", FileType: "flat", State: StateDisk}
+	b := FileInfo{LFN: "lfn://cern.ch/run1/b.db", Path: "run1/b.db", Size: 20, CRC32: "0000000b", FileType: "objectivity", State: StateTape}
+	p.putFile(b)
 	p.putFile(a)
+	p.subscribe("fnal.gov", "127.0.0.1:2000")
 	p.subscribe("anl.gov", "127.0.0.1:1000")
-	p.notifyQueue("anl.gov", []FileInfo{a, a})
+	p.notifyQueue("anl.gov", []FileInfo{a, b})
+	p.notifyQueue("fnal.gov", []FileInfo{a})
+	p.notifyDrop(p.st.subs["fnal.gov"])
+	p.notifyQueue("fnal.gov", []FileInfo{b})
+	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p3"})
 	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p2", Path: "y/p2.db", Size: 7})
+	p.producerAdd("127.0.0.1:4000")
 	p.producerAdd("127.0.0.1:3000")
 	p.scrubCursor(a.LFN)
+	p.paritySet(b.LFN, "feedface")
 	p.paritySet(a.LFN, "deadbeef")
 }
 
-// TestJournalBytesMatchParent pins the on-disk format across the commit
-// that put every hook behind sitePersistence.record, and the one that made
-// the journal's state machine the site's only tables. The state directories
-// under testdata/parent-journal were written by the two sequences above at
-// the parent of that commit (9fd26eb): a crash image (WAL only, all fifteen
-// record tags) and a graceful close (snapshot version 3). Running the same
-// sequences here must produce the same files byte for byte — so a journal
-// written on either side replays on the other — and opening the parent's
-// directories must reconstruct the tables the sequences leave behind.
+// TestJournalBytesMatchParent pins the on-disk format. The state
+// directories under testdata/parent-journal were written by the two
+// sequences above: a crash image (WAL only, all fifteen record tags),
+// written at 9fd26eb, the parent of the commit that put every hook behind
+// sitePersistence.record; and a graceful close (a snapshot), re-pinned by
+// the child of 6eec715, the flag day on which a snapshot became the run of
+// records that rebuilds the tables (an older build's snapshot is refused:
+// TestPersistRefusesOlderSnapshot). Running the same sequences here must
+// produce the same files byte for byte — so a journal written on either
+// side replays on the other — and opening the pinned directories must
+// reconstruct the tables the sequences leave behind.
 func TestJournalBytesMatchParent(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

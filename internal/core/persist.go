@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,13 +67,14 @@ type subscriberState struct {
 
 // persistState is the site's durable tables — exactly the state a restart
 // must reconstruct — and the journal's state machine: records are
-// transitions on it, a snapshot is its encoding. Each table exists once.
-// It is read under its table lock and written by apply alone, which runs
-// under the journal lock (sitePersistence.mu) and takes the table lock
-// inside it. So the lock order is journal lock outermost, table lock
-// innermost; nothing appends (fsyncs) while it holds a table lock, no read
-// path takes the journal lock, and whoever holds the journal lock may read
-// the durable fields without a table lock (the predicates, encode).
+// transitions on it, and a snapshot is the records that rebuild it. Each
+// table exists once. It is read under its table lock and written by apply
+// alone, which runs under the journal lock (sitePersistence.mu) and takes
+// the table lock inside it. So the lock order is journal lock outermost,
+// table lock innermost; nothing appends (fsyncs) while it holds a table
+// lock, no read path takes the journal lock, and whoever holds the journal
+// lock may read the durable fields without a table lock (the predicates,
+// records).
 type persistState struct {
 	// files is the local file catalog, under its own lock.
 	files *localCatalog
@@ -136,16 +138,10 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: open journal: %w", err)
 	}
-	if rec.Snapshot != nil {
-		if err := p.st.decode(rec.Snapshot); err != nil {
-			j.Close()
-			return nil, 0, fmt.Errorf("core: decode journal snapshot: %w", err)
-		}
-	}
 	for _, r := range rec.Records {
 		if err := p.st.apply(r); err != nil {
-			// The record passed its WAL checksum, so a decode failure is a
-			// version skew or a bug, not disk corruption; surface it.
+			// The record passed its frame's checksum, so a decode failure is
+			// a version skew or a bug, not disk corruption; surface it.
 			j.Close()
 			return nil, 0, fmt.Errorf("core: replay journal record: %w", err)
 		}
@@ -160,9 +156,9 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 // closed: nothing was written or applied.
 var errPersistClosed = errors.New("core: site closed: change not recorded")
 
-// record is the one way a table changes: the tag and the fields make the
-// record, which is appended and then applied, compacting when the WAL has
-// grown past the threshold. alreadySo, when set, makes the hook
+// record is the one way a table changes: rec writes the record — its tag,
+// then its fields — which is appended and then applied, compacting when the
+// WAL has grown past the threshold. alreadySo, when set, makes the hook
 // idempotent: it runs against the tables under the same lock hold as the
 // append, so a record they already reflect is not written twice and no
 // concurrent record can slip in between the check and the commit. record
@@ -173,10 +169,9 @@ var errPersistClosed = errors.New("core: site closed: change not recorded")
 // mutating operation fails instead of silently losing durability. Once
 // the persistence is closed (Close, or Kill severing the journal while
 // handlers still run) every change is refused the same way.
-func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, fields func(*rpc.Encoder)) error {
+func (p *sitePersistence) record(alreadySo func(*persistState) bool, rec recWriter) error {
 	var e rpc.Encoder
-	e.Uint8(tag)
-	fields(&e)
+	rec(&e)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -197,7 +192,7 @@ func (p *sitePersistence) record(tag uint8, alreadySo func(*persistState) bool, 
 		p.logger.Printf("gdmp: journal record rejected by its own transition: %v", err)
 	}
 	if p.j != nil && p.j.Records() >= compactThreshold {
-		if err := p.j.Compact(p.st.encode()); err != nil {
+		if err := p.j.Compact(p.st.records); err != nil {
 			p.logger.Printf("gdmp: journal compaction failed: %v", err)
 		}
 	}
@@ -219,7 +214,7 @@ func (p *sitePersistence) close(graceful bool) {
 		return
 	}
 	if graceful {
-		if err := p.j.Compact(p.st.encode()); err != nil {
+		if err := p.j.Compact(p.st.records); err != nil {
 			p.logger.Printf("gdmp: final journal compaction failed: %v", err)
 		}
 	}
@@ -229,36 +224,27 @@ func (p *sitePersistence) close(graceful bool) {
 // --- the transitions a site may request: one hook per record tag ------------
 
 func (p *sitePersistence) putFile(fi FileInfo) error {
-	return p.record(recPutFile, nil, func(e *rpc.Encoder) { encodeFileInfo(e, fi) })
+	return p.record(nil, putFileRecord(fi))
 }
 
 func (p *sitePersistence) removeFile(lfn string) error {
-	return p.record(recRemoveFile, nil, func(e *rpc.Encoder) { e.String(lfn) })
+	return p.record(nil, stringsRecord(recRemoveFile, lfn))
 }
 
 func (p *sitePersistence) setState(lfn string, st FileState) error {
-	return p.record(recSetState, nil, func(e *rpc.Encoder) {
-		e.String(lfn)
-		e.String(string(st))
-	})
+	return p.record(nil, stringsRecord(recSetState, lfn, string(st)))
 }
 
 func (p *sitePersistence) subscribe(name, addr string) error {
-	return p.record(recSubscribe, nil, func(e *rpc.Encoder) {
-		e.String(name)
-		e.String(addr)
-	})
+	return p.record(nil, subscribeRecord(name, addr))
 }
 
 func (p *sitePersistence) unsubscribe(name string) error {
-	return p.record(recUnsubscribe, nil, func(e *rpc.Encoder) { e.String(name) })
+	return p.record(nil, stringsRecord(recUnsubscribe, name))
 }
 
 func (p *sitePersistence) notifyQueue(name string, files []FileInfo) error {
-	return p.record(recNotifyQueue, nil, func(e *rpc.Encoder) {
-		e.String(name)
-		encodeFileInfos(e, files)
-	})
+	return p.record(nil, notifyQueueRecord(name, files))
 }
 
 // replaced reports whether sub is no longer the subscriber registered
@@ -271,43 +257,43 @@ func replaced(sub *subscriberState) func(*persistState) bool {
 }
 
 func (p *sitePersistence) notifyAck(sub *subscriberState, n int) error {
-	return p.record(recNotifyAck, replaced(sub), func(e *rpc.Encoder) {
+	return p.record(replaced(sub), func(e *rpc.Encoder) {
+		e.Uint8(recNotifyAck)
 		e.String(sub.name)
 		e.Uint32(uint32(n))
 	})
 }
 
 func (p *sitePersistence) notifyDrop(sub *subscriberState) error {
-	return p.record(recNotifyDrop, replaced(sub), func(e *rpc.Encoder) { e.String(sub.name) })
+	return p.record(replaced(sub), notifyDropRecord(sub.name))
 }
 
 // pullQueued records an unfinished pull. It is idempotent by LFN and
 // never downgrades: a record that already carries the file's path is not
 // replaced by a bare-LFN admission for the same file.
 func (p *sitePersistence) pullQueued(fi FileInfo) error {
-	return p.record(recPullQueued, func(st *persistState) bool {
+	return p.record(func(st *persistState) bool {
 		existing, ok := st.pulls[fi.LFN]
 		return ok && (existing.Path != "" || fi.Path == "")
-	}, func(e *rpc.Encoder) { encodeFileInfo(e, fi) })
+	}, pullQueuedRecord(fi))
 }
 
 func (p *sitePersistence) pullDone(lfn string) error {
-	return p.record(recPullDone, func(st *persistState) bool {
+	return p.record(func(st *persistState) bool {
 		_, queued := st.pulls[lfn]
 		return !queued
-	}, func(e *rpc.Encoder) { e.String(lfn) })
+	}, stringsRecord(recPullDone, lfn))
 }
 
 // producerAdd records that this site subscribed to a producer at addr.
 func (p *sitePersistence) producerAdd(addr string) error {
-	return p.record(recProducerAdd, func(st *persistState) bool { return st.producers[addr] },
-		func(e *rpc.Encoder) { e.String(addr) })
+	return p.record(func(st *persistState) bool { return st.producers[addr] }, producerAddRecord(addr))
 }
 
 // producerRemove records an unsubscription from the producer at addr.
 func (p *sitePersistence) producerRemove(addr string) error {
-	return p.record(recProducerRemove, func(st *persistState) bool { return !st.producers[addr] },
-		func(e *rpc.Encoder) { e.String(addr) })
+	return p.record(func(st *persistState) bool { return !st.producers[addr] },
+		stringsRecord(recProducerRemove, addr))
 }
 
 // scrubCursor journals scrub-pass progress: lfn is the last catalog entry
@@ -316,27 +302,113 @@ func (p *sitePersistence) producerRemove(addr string) error {
 // re-verification, but the caller still surfaces the error so a latched
 // journal is noticed.
 func (p *sitePersistence) scrubCursor(lfn string) error {
-	return p.record(recScrubCursor, func(st *persistState) bool { return st.scrubCursor == lfn },
-		func(e *rpc.Encoder) { e.String(lfn) })
+	return p.record(func(st *persistState) bool { return st.scrubCursor == lfn }, scrubCursorRecord(lfn))
 }
 
 // paritySet records that lfn has a parity sidecar whose file bytes hash
 // to crcHex; a regenerated sidecar just overwrites the entry.
 func (p *sitePersistence) paritySet(lfn, crcHex string) error {
-	return p.record(recParitySet, func(st *persistState) bool { return st.parity[lfn] == crcHex },
-		func(e *rpc.Encoder) {
-			e.String(lfn)
-			e.String(crcHex)
-		})
+	return p.record(func(st *persistState) bool { return st.parity[lfn] == crcHex },
+		paritySetRecord(lfn, crcHex))
 }
 
 // parityDrop forgets lfn's parity sidecar (file withdrawn, sidecar
 // invalid, or sidecar evicted with its file).
 func (p *sitePersistence) parityDrop(lfn string) error {
-	return p.record(recParityDrop, func(st *persistState) bool {
+	return p.record(func(st *persistState) bool {
 		_, has := st.parity[lfn]
 		return !has
-	}, func(e *rpc.Encoder) { e.String(lfn) })
+	}, stringsRecord(recParityDrop, lfn))
+}
+
+// --- the records: the snapshot's eight tags have one encoder each, shared
+// by the hooks above and records below --------------------------------------
+
+// A recWriter writes one record: its tag, then its fields.
+type recWriter func(*rpc.Encoder)
+
+// stringsRecord writes a record whose fields are strings, as most are.
+func stringsRecord(tag uint8, fields ...string) recWriter {
+	return func(e *rpc.Encoder) {
+		e.Uint8(tag)
+		for _, f := range fields {
+			e.String(f)
+		}
+	}
+}
+
+// fileRecord writes a record whose one field is a file's entry.
+func fileRecord(tag uint8, fi FileInfo) recWriter {
+	return func(e *rpc.Encoder) {
+		e.Uint8(tag)
+		encodeFileInfo(e, fi)
+	}
+}
+
+func notifyQueueRecord(name string, files []FileInfo) recWriter {
+	return func(e *rpc.Encoder) {
+		e.Uint8(recNotifyQueue)
+		e.String(name)
+		encodeFileInfos(e, files)
+	}
+}
+
+func putFileRecord(fi FileInfo) recWriter         { return fileRecord(recPutFile, fi) }
+func subscribeRecord(name, addr string) recWriter { return stringsRecord(recSubscribe, name, addr) }
+func notifyDropRecord(name string) recWriter      { return stringsRecord(recNotifyDrop, name) }
+func pullQueuedRecord(fi FileInfo) recWriter      { return fileRecord(recPullQueued, fi) }
+func producerAddRecord(addr string) recWriter     { return stringsRecord(recProducerAdd, addr) }
+func scrubCursorRecord(lfn string) recWriter      { return stringsRecord(recScrubCursor, lfn) }
+func paritySetRecord(lfn, crc string) recWriter   { return stringsRecord(recParitySet, lfn, crc) }
+
+// records pushes the run of records that rebuilds the tables from empty —
+// the journal's snapshot — each table in sorted key order, so equal tables
+// make equal snapshot bytes. A subscriber is its subscribe record, then a
+// drop if it is suspect, then its undelivered notices. The caller holds
+// the journal lock; one buffer is reused from record to record.
+func (st *persistState) records(yield func([]byte) bool) {
+	var e rpc.Encoder
+	more := true
+	emit := func(rec recWriter) {
+		e.Reset()
+		rec(&e)
+		more = more && yield(e.Bytes())
+	}
+	for _, lfn := range sortedKeys(st.files.byLFN) {
+		emit(putFileRecord(st.files.byLFN[lfn]))
+	}
+	for _, name := range sortedKeys(st.subs) {
+		sub := st.subs[name]
+		emit(subscribeRecord(name, sub.addr))
+		if sub.suspect {
+			emit(notifyDropRecord(name))
+		}
+		if len(sub.queue) > 0 {
+			emit(notifyQueueRecord(name, sub.queue))
+		}
+	}
+	for _, lfn := range sortedKeys(st.pulls) {
+		emit(pullQueuedRecord(st.pulls[lfn]))
+	}
+	for _, addr := range sortedKeys(st.producers) {
+		emit(producerAddRecord(addr))
+	}
+	if st.scrubCursor != "" {
+		emit(scrubCursorRecord(st.scrubCursor))
+	}
+	for _, lfn := range sortedKeys(st.parity) {
+		emit(paritySetRecord(lfn, st.parity[lfn]))
+	}
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // incompletePulls lists the unfinished pulls.
@@ -383,9 +455,9 @@ func encodeFileInfos(e *rpc.Encoder, files []FileInfo) {
 
 func decodeFileInfos(d *rpc.Decoder) []FileInfo {
 	n := d.Uint32()
-	// n is peer-supplied: cap the preallocation so a short body claiming
-	// 2^32-1 entries cannot ask for gigabytes; append grows past the cap.
-	out := make([]FileInfo, 0, min(n, 4096))
+	// n is untrusted (a peer's, or the disk's): it sizes no more than a
+	// token preallocation, and append grows with the entries present.
+	out := make([]FileInfo, 0, min(n, 16))
 	for i := uint32(0); i < n; i++ {
 		fi := decodeFileInfo(d)
 		if d.Err() != nil {
@@ -409,11 +481,10 @@ func (st *persistState) tableLock(tag uint8) sync.Locker {
 	}
 }
 
-// apply runs one record against the tables, the only writer they have
-// (decode fills them once, before anyone can look). record calls it after
-// a successful append and replay calls it for every recovered record in
-// append order, so a running site and a restarted one share one
-// transition function. The caller holds the journal lock (at replay, the
+// apply runs one record against the tables, the only writer they have.
+// record calls it after a successful append and replay calls it for every
+// recovered record — the snapshot's, then the WAL's — in order, so a
+// running site and a restarted one share one transition function. The caller holds the journal lock (at replay, the
 // only reference); apply takes the lock of the table it changes.
 func (st *persistState) apply(rec []byte) error {
 	d := rpc.NewDecoder(rec)
@@ -520,86 +591,6 @@ func (st *persistState) apply(rec []byte) error {
 		return fmt.Errorf("unknown record tag %d", tag)
 	}
 	return d.Err()
-}
-
-// snapshotVersion guards the snapshot payload layout. Version 2 appends
-// the producer set and the scrub cursor; version 3 appends the parity
-// sidecar registry. Older snapshots still decode, with the newer fields
-// empty.
-const snapshotVersion = 3
-
-// encode serializes the tables for a journal snapshot; the caller holds
-// the journal lock.
-func (st *persistState) encode() []byte {
-	var e rpc.Encoder
-	e.Uint8(snapshotVersion)
-	e.Uint32(uint32(len(st.files.byLFN)))
-	for _, fi := range st.files.byLFN {
-		encodeFileInfo(&e, fi)
-	}
-	e.Uint32(uint32(len(st.subs)))
-	for name, sub := range st.subs {
-		e.String(name)
-		e.String(sub.addr)
-		e.Bool(sub.suspect)
-		encodeFileInfos(&e, sub.queue)
-	}
-	e.Uint32(uint32(len(st.pulls)))
-	for _, fi := range st.pulls {
-		encodeFileInfo(&e, fi)
-	}
-	e.Uint32(uint32(len(st.producers)))
-	for addr := range st.producers {
-		e.String(addr)
-	}
-	e.String(st.scrubCursor)
-	e.Uint32(uint32(len(st.parity)))
-	for lfn, crc := range st.parity {
-		e.String(lfn)
-		e.String(crc)
-	}
-	return e.Bytes()
-}
-
-// decode loads a snapshot payload into the (empty, not yet shared) tables.
-func (st *persistState) decode(b []byte) error {
-	d := rpc.NewDecoder(b)
-	v := d.Uint8()
-	if (v < 1 || v > snapshotVersion) && d.Err() == nil {
-		return fmt.Errorf("unsupported snapshot version %d", v)
-	}
-	for _, fi := range decodeFileInfos(d) {
-		st.files.byLFN[fi.LFN] = fi
-		st.files.byPath[fi.Path] = fi.LFN
-	}
-	for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-		sub := &subscriberState{name: d.String(), addr: d.String(), suspect: d.Bool()}
-		sub.queue = decodeFileInfos(d)
-		if d.Err() == nil {
-			st.subs[sub.name] = sub
-		}
-	}
-	for _, fi := range decodeFileInfos(d) {
-		st.pulls[fi.LFN] = fi
-	}
-	if v >= 2 {
-		for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-			if addr := d.String(); d.Err() == nil {
-				st.producers[addr] = true
-			}
-		}
-		st.scrubCursor = d.String()
-	}
-	if v >= 3 {
-		for i, n := uint32(0), d.Uint32(); i < n && d.Err() == nil; i++ {
-			lfn := d.String()
-			crc := d.String()
-			if d.Err() == nil {
-				st.parity[lfn] = crc
-			}
-		}
-	}
-	return d.Finish()
 }
 
 // --- restart recovery --------------------------------------------------------

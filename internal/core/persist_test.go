@@ -1,17 +1,20 @@
 package core
 
 import (
+	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gdmp/internal/obs"
 )
 
-func testPersist(t *testing.T, dir string) *sitePersistence {
+func testPersist(t testing.TB, dir string) *sitePersistence {
 	t.Helper()
 	p, torn, err := openPersistence(dir, obs.NewRegistry(), log.New(io.Discard, "", 0))
 	if err != nil {
@@ -344,5 +347,121 @@ func TestPersistProducersAndScrubCursor(t *testing.T) {
 	r.scrubCursor("")
 	if got := r.st.scrubCursor; got != "" {
 		t.Fatalf("cleared scrub cursor = %q", got)
+	}
+}
+
+// TestPersistSnapshotReplaysTables: after any sequence of hooks, a graceful
+// close (the snapshot: the records that rebuild the tables) and a reopen
+// give exactly the tables the sequence left, and a crash image (the WAL
+// alone) gives the same. The sequences are seeded 0..59, and at least one
+// must leave a suspect subscriber that still has notices queued, the case
+// the snapshot's record order exists for.
+func TestPersistSnapshotReplaysTables(t *testing.T) {
+	lfns := []string{"lfn://a", "lfn://b", "lfn://c", "lfn://d"}
+	names := []string{"anl.gov", "fnal.gov"}
+	suspectWithQueue := false
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		file := func() FileInfo {
+			lfn := lfns[rng.Intn(len(lfns))]
+			// A path is its file's own, so byPath has one possible content.
+			return FileInfo{LFN: lfn, Path: fmt.Sprintf("%s/v%d", lfn, rng.Intn(2)), Size: rng.Int63n(100),
+				CRC32: fmt.Sprintf("%08x", rng.Uint32()), FileType: "flat", State: []FileState{StateDisk, StateTape}[rng.Intn(2)]}
+		}
+		var tables [2]durableTables
+		for i, graceful := range []bool{true, false} {
+			dir := t.TempDir()
+			p := testPersist(t, dir)
+			rng.Seed(seed)
+			for n := 0; n < 40; n++ {
+				name := names[rng.Intn(len(names))]
+				addr := fmt.Sprintf("127.0.0.1:%d", 1000+rng.Intn(2))
+				switch rng.Intn(15) {
+				case 0, 1:
+					p.putFile(file())
+				case 2:
+					p.removeFile(file().LFN)
+				case 3:
+					p.setState(file().LFN, file().State)
+				case 4:
+					p.subscribe(name, addr)
+				case 5:
+					p.unsubscribe(name)
+				case 6, 7:
+					p.notifyQueue(name, []FileInfo{file(), file()})
+				case 8:
+					if sub := p.st.subs[name]; sub != nil {
+						p.notifyAck(sub, rng.Intn(3))
+					}
+				case 9:
+					if sub := p.st.subs[name]; sub != nil {
+						p.notifyDrop(sub)
+					}
+				case 10:
+					fi := file()
+					if rng.Intn(2) == 0 {
+						fi = FileInfo{LFN: fi.LFN}
+					}
+					p.pullQueued(fi)
+				case 11:
+					p.pullDone(file().LFN)
+				case 12:
+					if rng.Intn(2) == 0 {
+						p.producerAdd(addr)
+					} else {
+						p.producerRemove(addr)
+					}
+				case 13:
+					p.scrubCursor([]string{"", file().LFN}[rng.Intn(2)])
+				case 14:
+					if fi := file(); rng.Intn(2) == 0 {
+						p.paritySet(fi.LFN, fi.CRC32)
+					} else {
+						p.parityDrop(fi.LFN)
+					}
+				}
+			}
+			tables[i] = p.tables()
+			p.close(graceful)
+			q := testPersist(t, dir)
+			if got := q.tables(); !reflect.DeepEqual(got, tables[i]) {
+				t.Fatalf("seed %d, graceful close %v: reopened to\n%+v\nwant\n%+v", seed, graceful, got, tables[i])
+			}
+			q.close(false)
+		}
+		if !reflect.DeepEqual(tables[0], tables[1]) {
+			t.Fatalf("seed %d: one sequence left two different tables", seed)
+		}
+		for _, sub := range tables[0].subs {
+			suspectWithQueue = suspectWithQueue || sub.suspect && len(sub.queue) > 0
+		}
+	}
+	if !suspectWithQueue {
+		t.Fatal("no sequence left a suspect subscriber with queued notices")
+	}
+}
+
+// TestPersistRefusesOlderSnapshot: testdata/v2-snapshot is a state
+// directory an older build closed gracefully, so its journal holds that
+// build's snapshot (version 3 of the site's own table dump, behind the
+// journal's v2 header). It is refused with an error that names the
+// directory, not replayed as an empty site.
+func TestPersistRefusesOlderSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"snapshot", "wal.1"} {
+		b, err := os.ReadFile(filepath.Join("testdata", "v2-snapshot", "journal", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "journal", name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, err := openPersistence(dir, obs.NewRegistry(), log.New(io.Discard, "", 0))
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("opening an older build's snapshot = %v; want a refusal naming %s", err, dir)
 	}
 }

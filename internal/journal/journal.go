@@ -8,34 +8,41 @@
 //
 // Layout under the journal directory:
 //
-//	snapshot    — the latest compacted snapshot (replaced atomically),
-//	              stamped with its generation number
+//	snapshot    — the records that rebuild the state (replaced atomically)
 //	wal.<gen>   — records appended since the generation-<gen> snapshot
 //	wal.torn    — quarantined bytes from the last torn tail, for forensics
 //
-// Every record is framed as
+// Every record, in either file, is framed as
 //
 //	u32 payload length | u32 IEEE CRC-32 of payload | payload
 //
-// and Append only returns after the bytes are written and fsync'd, so a
-// caller that journals a mutation before acknowledging it can never ack
-// state the disk does not hold. On Open the write-ahead log is replayed;
-// a torn or corrupt tail record — the signature of a crash mid-append —
-// is cut off at the last intact record, preserved in wal.torn, and the
-// log truncated so subsequent appends continue from a clean boundary.
+// and a snapshot is such frames behind a header,
 //
-// Snapshots use the same length+CRC framing behind a header line, are
-// written to a temporary file, fsync'd, and renamed into place, so a
-// crash during compaction leaves either the old snapshot or the new one,
-// never a hybrid. Each compaction advances the generation and starts a
-// fresh wal.<gen>; Open replays only the WAL whose generation matches the
-// snapshot it loaded and deletes the rest, so a crash between the
-// snapshot rename and the old log's removal can never double-apply
-// records the snapshot already contains (records may therefore be deltas,
-// not just state replacements).
+//	"gdmp-journal-snapshot v3\n" | u64 generation | u32 record count | frames
+//
+// so a caller has one decoder, its record's, and Open hands it the
+// snapshot's records and then the WAL's as one run. Append only returns
+// after the bytes are written and fsync'd, so a caller that journals a
+// mutation before acknowledging it can never ack state the disk does not
+// hold. A torn or corrupt WAL tail — the signature of a crash mid-append —
+// is cut off at the last intact record, preserved in wal.torn, and the log
+// truncated so appends continue from a clean boundary.
+//
+// Compact streams a snapshot to a temporary file, fsyncs it, and renames
+// it into place, so a crash during compaction leaves either the old
+// snapshot or the new one, never a hybrid; a damaged snapshot (a bad
+// frame, or fewer records than its header counts) is ErrCorruptSnapshot.
+// Each compaction advances the generation and starts a fresh wal.<gen>;
+// Open replays only the WAL whose generation matches the snapshot it
+// loaded and deletes the rest, so a crash between the snapshot rename and
+// the old log's removal can never double-apply records the snapshot
+// already contains (records may therefore be deltas, not just state
+// replacements).
 package journal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -64,19 +71,23 @@ func walFileName(gen uint64) string {
 	return fmt.Sprintf("%s%d", walPrefix, gen)
 }
 
-// snapshotHeader guards against loading a foreign file as a snapshot.
-// v2 added the generation stamp that ties a snapshot to its WAL.
-const snapshotHeader = "gdmp-journal-snapshot v2\n"
+// snapshotHeader guards against loading a foreign file as a snapshot. An
+// older build's snapshot (v2: one payload in the caller's layout) is
+// refused.
+const (
+	snapshotHeader = snapshotMagic + "v3\n"
+	snapshotMagic  = "gdmp-journal-snapshot "
+)
 
-// MaxRecord bounds a single record (and the snapshot payload is bounded
-// by the same framing arithmetic); anything larger is rejected at Append
-// and treated as corruption at replay.
+// MaxRecord bounds a single record; anything larger is rejected at Append
+// and Compact and treated as corruption at replay.
 const MaxRecord = 64 << 20
 
-// ErrCorruptSnapshot reports a snapshot that fails its checksum or
-// framing. Unlike a torn WAL tail — which is expected after a crash and
-// recovered from silently — a broken snapshot means the atomic-rename
-// contract was violated (disk fault, manual edit) and needs an operator.
+// ErrCorruptSnapshot reports a snapshot that fails a frame's checksum, its
+// framing or its record count. Unlike a torn WAL tail — which is expected
+// after a crash and recovered from silently — a broken snapshot means the
+// atomic-rename contract was violated (disk fault, manual edit) and needs
+// an operator.
 var ErrCorruptSnapshot = errors.New("journal: corrupt snapshot")
 
 // Options tunes a Journal.
@@ -91,12 +102,9 @@ type Options struct {
 
 // Recovery is what Open reconstructed from disk.
 type Recovery struct {
-	// Snapshot is the latest compacted snapshot payload, nil when the
-	// journal had none.
-	Snapshot []byte
-
-	// Records are the intact WAL records appended after the snapshot, in
-	// append order.
+	// Records are the latest snapshot's records, then the intact WAL
+	// records appended after it, in append order: replaying them in turn
+	// rebuilds the state.
 	Records [][]byte
 
 	// TornBytes is how many trailing bytes were cut from the WAL because
@@ -159,12 +167,19 @@ func Open(dir string, opts Options) (*Journal, Recovery, error) {
 	}
 	j := &Journal{dir: dir, opts: opts, met: metricsFor(opts.Registry)}
 
-	var rec Recovery
-	snap, gen, err := readSnapshot(filepath.Join(dir, snapshotName))
-	if err != nil {
-		return nil, Recovery{}, err
+	snapPath := filepath.Join(dir, snapshotName)
+	var snap [][]byte
+	var gen uint64
+	b, err := os.ReadFile(snapPath)
+	switch {
+	case err == nil:
+		snap, gen, err = parseSnapshot(b)
+	case os.IsNotExist(err):
+		err = nil
 	}
-	rec.Snapshot = snap
+	if err != nil {
+		return nil, Recovery{}, fmt.Errorf("%s: %w", snapPath, err)
+	}
 	j.gen = gen
 
 	// Sweep leftovers of an interrupted compaction: a stale previous-
@@ -180,69 +195,66 @@ func Open(dir string, opts Options) (*Journal, Recovery, error) {
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	records, good, torn, err := scanWAL(f)
+	records, good, torn, err := recoverWAL(f, filepath.Join(dir, tornName))
 	if err != nil {
 		f.Close()
 		return nil, Recovery{}, err
 	}
-	if len(torn) > 0 {
-		// Preserve the tail for forensics, then cut the log back to the
-		// last intact record so appends resume from a clean boundary.
-		if err := os.WriteFile(filepath.Join(dir, tornName), torn, 0o644); err != nil {
-			f.Close()
-			return nil, Recovery{}, err
-		}
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, Recovery{}, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, Recovery{}, err
-		}
-		rec.TornBytes = int64(len(torn))
+	if torn > 0 {
 		j.met.tornTails.Inc()
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, Recovery{}, err
-	}
-	rec.Records = records
 	j.wal = f
-	j.size = good
+	j.size = int64(good)
 	j.recs = len(records)
 	j.met.walBytes.Set(j.size)
 	j.met.walRecords.Set(int64(j.recs))
-	return j, rec, nil
+	return j, Recovery{Records: append(snap, records...), TornBytes: int64(torn)}, nil
 }
 
-// readSnapshot loads and verifies the snapshot file, returning its
-// payload and generation; a missing snapshot returns (nil, 0, nil).
-func readSnapshot(path string) ([]byte, uint64, error) {
-	b, err := os.ReadFile(path)
+// recoverWAL reads f's intact records and leaves f positioned after the
+// last of them, good bytes in; a torn tail after that is preserved at
+// tornPath and cut off.
+func recoverWAL(f *os.File, tornPath string) (records [][]byte, good, torn int, err error) {
+	b, err := io.ReadAll(f)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
+		return nil, 0, 0, err
+	}
+	records, good = readFrames(b)
+	if torn = len(b) - good; torn > 0 {
+		if err = os.WriteFile(tornPath, b[good:], 0o644); err == nil {
+			err = f.Truncate(int64(good))
 		}
-		return nil, 0, err
+		if err == nil {
+			err = f.Sync()
+		}
 	}
-	h := []byte(snapshotHeader)
-	if len(b) < len(h)+16 || string(b[:len(h)]) != snapshotHeader {
-		return nil, 0, fmt.Errorf("%w: bad header in %s", ErrCorruptSnapshot, path)
+	if err == nil {
+		_, err = f.Seek(int64(good), io.SeekStart)
 	}
-	b = b[len(h):]
-	gen := binary.BigEndian.Uint64(b[0:8])
-	n := binary.BigEndian.Uint32(b[8:12])
-	sum := binary.BigEndian.Uint32(b[12:16])
-	if uint64(n) != uint64(len(b)-16) {
-		return nil, 0, fmt.Errorf("%w: length %d of %d payload bytes in %s",
-			ErrCorruptSnapshot, n, len(b)-16, path)
+	return records, good, torn, err
+}
+
+// errOlderSnapshot refuses a snapshot in a layout an older build wrote.
+var errOlderSnapshot = errors.New(`journal: snapshot written by an older build, which this build does not read; see README "Upgrading state directories"`)
+
+// parseSnapshot splits a snapshot file into its records and generation.
+func parseSnapshot(b []byte) ([][]byte, uint64, error) {
+	body, ok := bytes.CutPrefix(b, []byte(snapshotHeader))
+	switch {
+	case !ok && bytes.HasPrefix(b, []byte(snapshotMagic)):
+		return nil, 0, errOlderSnapshot
+	case !ok || len(body) < 12:
+		return nil, 0, fmt.Errorf("%w: bad header", ErrCorruptSnapshot)
 	}
-	payload := b[16:]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch in %s", ErrCorruptSnapshot, path)
+	gen, count := binary.BigEndian.Uint64(body), binary.BigEndian.Uint32(body[8:])
+	records, n := readFrames(body[12:])
+	if n != len(body)-12 {
+		return nil, 0, fmt.Errorf("%w: record %d is cut short or fails its checksum", ErrCorruptSnapshot, len(records))
 	}
-	return payload, gen, nil
+	if uint64(len(records)) != uint64(count) {
+		return nil, 0, fmt.Errorf("%w: %d of %d records", ErrCorruptSnapshot, len(records), count)
+	}
+	return records, gen, nil
 }
 
 // removeForeignWALs deletes every wal.<n> whose generation differs from
@@ -264,34 +276,35 @@ func removeForeignWALs(dir string, gen uint64) {
 	}
 }
 
-// scanWAL reads intact records and returns them, the offset of the first
-// byte past the last intact record, and any torn tail bytes after it.
-func scanWAL(f *os.File) (records [][]byte, good int64, torn []byte, err error) {
-	b, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	off := 0
-	for {
-		if len(b)-off < 8 {
-			break // short header: torn
+// readFrames returns the payloads of the intact frames at the start of b,
+// aliasing b, and how many bytes those frames span. It stops at the first
+// frame that is cut short, claims more than MaxRecord, or fails its
+// checksum: the WAL cuts what follows off as a torn tail, a snapshot is
+// corrupt.
+func readFrames(b []byte) (records [][]byte, n int) {
+	for len(b)-n >= 8 {
+		size := binary.BigEndian.Uint32(b[n:])
+		sum := binary.BigEndian.Uint32(b[n+4:])
+		if size > MaxRecord || len(b)-n-8 < int(size) {
+			break
 		}
-		n := binary.BigEndian.Uint32(b[off : off+4])
-		sum := binary.BigEndian.Uint32(b[off+4 : off+8])
-		if n > MaxRecord || len(b)-off-8 < int(n) {
-			break // impossible or short payload: torn
-		}
-		payload := b[off+8 : off+8+int(n)]
+		end := n + 8 + int(size)
+		payload := b[n+8 : end : end]
 		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt record: everything from here is suspect
+			break
 		}
-		records = append(records, append([]byte(nil), payload...))
-		off += 8 + int(n)
+		records = append(records, payload)
+		n = end
 	}
-	if off < len(b) {
-		torn = append([]byte(nil), b[off:]...)
-	}
-	return records, int64(off), torn, nil
+	return records, n
+}
+
+// appendFrame appends payload's frame to dst: the one frame writer, for a
+// WAL append and a snapshot record alike.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // Append frames, writes, and fsyncs one record. It returns only after the
@@ -307,10 +320,7 @@ func (j *Journal) Append(payload []byte) error {
 	if len(payload) > MaxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds %d", len(payload), MaxRecord)
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[8:], payload)
+	buf := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	if _, err := j.wal.Write(buf); err != nil {
 		j.fail = fmt.Errorf("journal: append: %w", err)
 		j.met.failed.Set(1)
@@ -342,43 +352,23 @@ func (j *Journal) Records() int { return j.recs }
 // status RPCs so operators learn a site is running without durability.
 func (j *Journal) Failed() error { return j.fail }
 
-// Compact atomically replaces the snapshot with the given payload,
-// advances the generation, and retires the old write-ahead log for a
-// fresh empty one. A crash at any point leaves either the old snapshot
-// with its own WAL intact, or the new snapshot with an empty (or absent)
-// wal.<gen+1>; Open never replays a WAL from a different generation than
-// the snapshot it loaded, so records are free to be deltas.
-func (j *Journal) Compact(snapshot []byte) error {
+// Compact atomically replaces the snapshot with the records that rebuild
+// the caller's state, advances the generation, and retires the old
+// write-ahead log for a fresh empty one. records has iter.Seq[[]byte]'s
+// shape (the module's go line predates package iter) and may reuse one
+// buffer: each record is written out before the next is asked for. A crash
+// at any point leaves either the old snapshot with its own WAL intact, or
+// the new snapshot with an empty (or absent) wal.<gen+1>; Open never
+// replays a WAL from a different generation than the snapshot it loaded,
+// so records are free to be deltas.
+func (j *Journal) Compact(records func(yield func([]byte) bool)) error {
 	if j.fail != nil {
 		return j.fail
 	}
 	newGen := j.gen + 1
 	path := filepath.Join(j.dir, snapshotName)
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	// The header, then the payload as given: a snapshot can be large, so
-	// it is not copied into a second buffer.
-	hdr := binary.BigEndian.AppendUint64([]byte(snapshotHeader), newGen)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(snapshot)))
-	hdr = binary.BigEndian.AppendUint32(hdr, crc32.ChecksumIEEE(snapshot))
-	_, err = f.Write(hdr)
-	if err == nil {
-		_, err = f.Write(snapshot)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeSnapshot(tmp, newGen, records); err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -418,6 +408,47 @@ func (j *Journal) Compact(snapshot []byte) error {
 	j.met.walBytes.Set(0)
 	j.met.walRecords.Set(0)
 	return nil
+}
+
+// writeSnapshot streams the header and the framed records into a new file
+// at path and fsyncs it. The record count is known only once the last
+// record is out, so it goes into the header last.
+func writeSnapshot(path string, gen uint64, records func(yield func([]byte) bool)) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	hdr := binary.BigEndian.AppendUint64([]byte(snapshotHeader), gen)
+	w.Write(binary.BigEndian.AppendUint32(hdr, 0)) // a write error sticks, for Flush
+	var count uint32
+	var frame []byte
+	records(func(rec []byte) bool {
+		if err != nil {
+			return false
+		}
+		if len(rec) > MaxRecord {
+			err = fmt.Errorf("journal: snapshot record of %d bytes exceeds %d", len(rec), MaxRecord)
+			return false
+		}
+		frame = appendFrame(frame[:0], rec)
+		_, err = w.Write(frame)
+		count++
+		return err == nil
+	})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		_, err = f.WriteAt(binary.BigEndian.AppendUint32(nil, count), int64(len(hdr)))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close closes the write-ahead log file.

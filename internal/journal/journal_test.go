@@ -2,15 +2,20 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"gdmp/internal/obs"
 )
 
-func openT(t *testing.T, dir string) (*Journal, Recovery) {
+func openT(t testing.TB, dir string) (*Journal, Recovery) {
 	t.Helper()
 	j, rec, err := Open(dir, Options{Registry: obs.NewRegistry()})
 	if err != nil {
@@ -19,10 +24,30 @@ func openT(t *testing.T, dir string) (*Journal, Recovery) {
 	return j, rec
 }
 
+// seq pushes records one at a time, the way Compact takes them.
+func seq(records ...string) func(yield func([]byte) bool) {
+	return func(yield func([]byte) bool) {
+		for _, r := range records {
+			if !yield([]byte(r)) {
+				return
+			}
+		}
+	}
+}
+
+// replayed renders recovered records for comparison.
+func replayed(rec Recovery) []string {
+	out := make([]string, len(rec.Records))
+	for i, r := range rec.Records {
+		out[i] = string(r)
+	}
+	return out
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j, rec := openT(t, dir)
-	if rec.Snapshot != nil || len(rec.Records) != 0 {
+	if len(rec.Records) != 0 {
 		t.Fatalf("fresh journal recovered state: %+v", rec)
 	}
 	var want [][]byte
@@ -72,7 +97,7 @@ func TestCompactReplacesSnapshotAndTruncatesWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Compact([]byte("state-at-10")); err != nil {
+	if err := j.Compact(seq("state-a", "", "state-b")); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	if j.Records() != 0 {
@@ -85,11 +110,23 @@ func TestCompactReplacesSnapshotAndTruncatesWAL(t *testing.T) {
 
 	j2, rec := openT(t, dir)
 	defer j2.Close()
-	if string(rec.Snapshot) != "state-at-10" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
+	// The snapshot's records come first, then the WAL's.
+	if got, want := replayed(rec), []string{"state-a", "", "state-b", "post-compact"}; !slices.Equal(got, want) {
+		t.Fatalf("records after compaction = %q, want %q", got, want)
 	}
-	if len(rec.Records) != 1 || string(rec.Records[0]) != "post-compact" {
-		t.Fatalf("records after compaction = %q", rec.Records)
+	if j2.Records() != 1 {
+		t.Fatalf("Records() = %d; it counts the WAL's records only", j2.Records())
+	}
+
+	// A compaction to no records at all leaves an empty state.
+	if err := j2.Compact(seq()); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, rec := openT(t, dir)
+	defer j3.Close()
+	if len(rec.Records) != 0 {
+		t.Fatalf("empty snapshot replayed %q", replayed(rec))
 	}
 }
 
@@ -203,28 +240,95 @@ func TestCorruptMiddleRecordQuarantinesSuffix(t *testing.T) {
 	}
 }
 
-func TestCorruptSnapshotIsFatal(t *testing.T) {
+// snapshotFile compacts three records into a fresh journal and returns
+// the directory and the snapshot's bytes.
+func snapshotFile(t testing.TB) (string, []byte) {
+	t.Helper()
 	dir := t.TempDir()
 	j, _ := openT(t, dir)
 	if err := j.Append([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact([]byte("snap")); err != nil {
+	if err := j.Compact(seq("snap-1", "snap-2", "snap-3")); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	path := filepath.Join(dir, snapshotName)
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-1] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	return dir, b
+}
+
+// TestCorruptSnapshotIsFatal: a snapshot is replaced atomically, so any
+// damage — a flipped byte, a frame cut short, whole records missing from
+// the end (a cut at a frame boundary, which every frame's own checksum
+// passes) — is refused rather than replayed as a smaller state.
+func TestCorruptSnapshotIsFatal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		damage func(b []byte) []byte
+	}{
+		{"flipped payload byte", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }},
+		{"cut mid-frame", func(b []byte) []byte { return b[:len(b)-2] }},
+		{"cut at a frame boundary", func(b []byte) []byte { return b[:len(b)-(8+len("snap-3"))] }},
+		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
+		{"bad header", func(b []byte) []byte { return append([]byte("not-a-snapshot\n"), b...) }},
+		{"header only", func(b []byte) []byte { return b[:len(snapshotHeader)] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, b := snapshotFile(t)
+			if err := os.WriteFile(filepath.Join(dir, snapshotName), tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Open(dir, Options{Registry: obs.NewRegistry()})
+			if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("Open = %v; want ErrCorruptSnapshot naming %s", err, dir)
+			}
+		})
+	}
+}
+
+// TestOlderSnapshotRefused: a snapshot an older build wrote (v2, one
+// checksummed payload in the caller's own layout) is refused with an
+// error that names the directory, not misread as records.
+func TestOlderSnapshotRefused(t *testing.T) {
+	dir, _ := snapshotFile(t)
+	payload := []byte("some state")
+	b := binary.BigEndian.AppendUint64([]byte("gdmp-journal-snapshot v2\n"), 1)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), append(b, payload...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{Registry: obs.NewRegistry()}); err == nil {
-		t.Fatal("corrupt snapshot opened without error")
+	_, _, err := Open(dir, Options{Registry: obs.NewRegistry()})
+	if !errors.Is(err, errOlderSnapshot) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open = %v; want the older-build refusal naming %s", err, dir)
 	}
+}
+
+// FuzzSnapshot: any snapshot file parses to records or an error, never a
+// panic, and records are returned only when their frames, and the count
+// the header claims, account for every byte.
+func FuzzSnapshot(f *testing.F) {
+	_, b := snapshotFile(f)
+	f.Add(b)
+	f.Add(b[:len(b)-1])
+	f.Add(b[:len(snapshotHeader)+12])
+	f.Add([]byte("gdmp-journal-snapshot v2\n"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		records, _, err := parseSnapshot(b)
+		if err != nil {
+			return
+		}
+		n := len(snapshotHeader) + 12
+		for _, r := range records {
+			n += 8 + len(r)
+		}
+		if n != len(b) || binary.BigEndian.Uint32(b[len(snapshotHeader)+8:]) != uint32(len(records)) {
+			t.Fatalf("accepted %d records spanning %d of %d bytes", len(records), n, len(b))
+		}
+	})
 }
 
 // TestStaleWALNotReplayedAcrossGenerations reconstructs the disk image of
@@ -245,7 +349,7 @@ func TestStaleWALNotReplayedAcrossGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Compact([]byte("state-with-deltas-applied")); err != nil {
+	if err := j.Compact(seq("state-with-deltas-applied")); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	j.Close()
@@ -256,11 +360,8 @@ func TestStaleWALNotReplayedAcrossGenerations(t *testing.T) {
 
 	j2, rec := openT(t, dir)
 	defer j2.Close()
-	if string(rec.Snapshot) != "state-with-deltas-applied" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 0 {
-		t.Fatalf("stale prior-generation WAL replayed %d records: %q", len(rec.Records), rec.Records)
+	if got := replayed(rec); !slices.Equal(got, []string{"state-with-deltas-applied"}) {
+		t.Fatalf("replayed %q; want the snapshot's one record, none of the stale WAL's", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, walFileName(0))); !os.IsNotExist(err) {
 		t.Fatalf("stale wal.0 not swept: %v", err)
@@ -307,7 +408,7 @@ func TestAppendFailureLatches(t *testing.T) {
 	if err := j.Append([]byte("still-lost")); err == nil {
 		t.Fatal("append after a failed append succeeded")
 	}
-	if err := j.Compact([]byte("snap")); err == nil {
+	if err := j.Compact(seq("snap")); err == nil {
 		t.Fatal("compaction on a failed journal succeeded")
 	}
 }

@@ -300,6 +300,35 @@ func TestCRCCombineProperty(t *testing.T) {
 	}
 }
 
+// TestX2nModPWraps: squaring the last x^(2^n) gives the first, x^(2^32) =
+// x, which is what lets crcCombine index the table modulo 32 for lengths
+// of 2^29 bytes and more.
+func TestX2nModPWraps(t *testing.T) {
+	for n := range x2nModP {
+		if sq := multModP(x2nModP[n], x2nModP[n]); sq != x2nModP[(n+1)%32] {
+			t.Fatalf("x^(2^%d) squared = %#x, want table entry %d = %#x", n, sq, (n+1)%32, x2nModP[(n+1)%32])
+		}
+	}
+}
+
+// crcSink keeps BenchmarkCRCCombine's result live.
+var crcSink uint32
+
+// BenchmarkCRCCombine times one combine at a small and a large block: the
+// cost is per set bit of the length, not per byte.
+func BenchmarkCRCCombine(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		n    int64
+	}{{"512B", 512}, {"1MiB", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				crcSink = crcCombine(crcSink, 0x9abcdef0, bc.n)
+			}
+		})
+	}
+}
+
 // refMul multiplies in GF(2^8) from the definition, with no table: the
 // carry-less product of the two polynomials, then its remainder mod 0x11d.
 func refMul(a, b byte) byte {

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +14,7 @@ import (
 
 	"gdmp/internal/journal"
 	"gdmp/internal/obs"
+	"gdmp/internal/rpc"
 )
 
 func newTestCatalog(t *testing.T) *Catalog {
@@ -390,16 +393,36 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// recompact replaces the store's journal snapshot with payload, framed
-// and checksummed as the journal writes every snapshot.
-func recompact(t *testing.T, dir string, payload func(old []byte) []byte) {
+// recompact replaces the store's journal snapshot with the records edit
+// makes of the current ones, framed and counted as the journal writes
+// every snapshot.
+func recompact(t *testing.T, dir string, edit func(old [][]byte) [][]byte) {
 	t.Helper()
 	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{NoSync: true, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Compact(payload(rec.Snapshot)); err != nil {
+	records := edit(rec.Records)
+	if err := j.Compact(func(yield func([]byte) bool) {
+		for _, r := range records {
+			if !yield(r) {
+				return
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteSnapshot replaces the store's snapshot file with edit's bytes.
+func rewriteSnapshot(t *testing.T, dir string, edit func(b []byte) []byte) {
+	t.Helper()
+	b, err := os.ReadFile(snapshotPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapshotPath(dir), edit(b), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -408,28 +431,48 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, dir string)
+		says   string
 	}{
 		{"flipped snapshot byte", func(t *testing.T, dir string) {
-			b, err := os.ReadFile(snapshotPath(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			b[len(b)-1] ^= 0x01
-			if err := os.WriteFile(snapshotPath(dir), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+			rewriteSnapshot(t, dir, func(b []byte) []byte {
+				b[len(b)-1] ^= 0x01
+				return b
+			})
+		}, "checksum"},
+		{"snapshot cut at a frame boundary", func(t *testing.T, dir string) {
+			// The last record is an add_replica of "pfn"; its frame is 8
+			// bytes of header and the record itself.
+			var e rpc.Encoder
+			encodeMutation(&e, Mutation{Op: MutAddReplica, LFN: "lfn://cern.ch/a", PFN: "pfn"})
+			rewriteSnapshot(t, dir, func(b []byte) []byte { return b[:len(b)-8-e.Len()] })
+		}, "2 of 3 records"},
 		{"truncated snapshot payload", func(t *testing.T, dir string) {
-			recompact(t, dir, func(old []byte) []byte { return old[:len(old)-1] })
-		}},
+			recompact(t, dir, func(old [][]byte) [][]byte {
+				last := old[len(old)-1]
+				return append(old[:len(old)-1], last[:len(last)-1])
+			})
+		}, "truncated"},
 		{"parent-format store", func(t *testing.T, dir string) {
-			recompact(t, dir, func([]byte) []byte { return []byte("rls-shards 1") })
-		}},
+			recompact(t, dir, func([][]byte) [][]byte { return [][]byte{[]byte("rls-shards 1")} })
+		}, "unknown mutation record version"},
+		{"older-build snapshot", func(t *testing.T, dir string) {
+			// The layout every snapshot had before it became a run of
+			// records: a v2 header, the generation, and one checksummed
+			// payload (here the catalog format of that build).
+			payload := append([]byte{0, 0, 0, 23}, "gdmp-replica-catalog v1"...)
+			b := binary.BigEndian.AppendUint64([]byte("gdmp-journal-snapshot v2\n"), 1)
+			b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+			b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+			rewriteSnapshot(t, dir, func([]byte) []byte { return append(b, payload...) })
+		}, "older build"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			c, st := openTestStore(t, dir, 1)
 			mustRegister(t, c, "lfn://cern.ch/a", nil)
+			if err := c.AddReplica("lfn://cern.ch/a", "pfn"); err != nil {
+				t.Fatal(err)
+			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -440,8 +483,8 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 				st2.Close()
 				t.Fatal("corruption accepted")
 			}
-			if !strings.Contains(err.Error(), dir) {
-				t.Fatalf("error %q does not name the store directory", err)
+			if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), tc.says) {
+				t.Fatalf("error %q does not name the store directory and say %q", err, tc.says)
 			}
 		})
 	}

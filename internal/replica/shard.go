@@ -116,7 +116,9 @@ func (c *Catalog) apply(m Mutation) error {
 		if m.Serial > c.serial.Load() {
 			c.serial.Store(m.Serial)
 		}
-		if _, ok := sh.files[m.LFN]; !ok {
+		// A nameless register, the snapshot's first record, carries only
+		// the serial: no file may be named "".
+		if _, ok := sh.files[m.LFN]; !ok && m.LFN != "" {
 			attrs := m.Attrs
 			if attrs == nil {
 				attrs = make(map[string]string)

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -14,10 +13,10 @@ import (
 
 // Store makes a Catalog durable: every mutation is appended to a
 // write-ahead log through the catalog's hook before it applies, and
-// Compact hands the quiesced catalog to the journal as its snapshot (see
-// encodeSnapshot) before the WAL is truncated. OpenStore recovers by
-// applying the snapshot's records and then the WAL's through the
-// catalog's one apply — the same journal-before-apply contract
+// Compact hands the journal the records that rebuild the quiesced catalog
+// (see snapshotRecords) as its snapshot before the WAL is truncated.
+// OpenStore recovers by applying the snapshot's records and then the WAL's
+// through the catalog's one apply — the same journal-before-apply contract
 // internal/core uses for site state.
 type Store struct {
 	c *Catalog
@@ -52,11 +51,24 @@ func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
 		Registry: opts.Registry,
 	})
 	if err != nil {
-		return nil, err
-	}
-	if err := c.restore(rec); err != nil {
-		j.Close()
 		return nil, fmt.Errorf("replica: store %s: %w", dir, err)
+	}
+	// The snapshot's records, then the WAL's, each through decodeMutation
+	// and apply, so every entry lands on the shard its hash names under this
+	// catalog's shard count.
+	for i, r := range rec.Records {
+		d := rpc.NewDecoder(r)
+		m, err := decodeMutation(d)
+		if err == nil {
+			err = d.Finish()
+		}
+		if err == nil {
+			err = c.apply(m)
+		}
+		if err != nil {
+			j.Close()
+			return nil, fmt.Errorf("replica: store %s: journal record %d: %w", dir, i, err)
+		}
 	}
 	st := &Store{c: c, j: j}
 	c.OnMutate(st.append)
@@ -87,11 +99,11 @@ func (s *Store) Failed() error {
 	return s.j.Failed()
 }
 
-// Compact makes the catalog the journal's snapshot and truncates the WAL.
-// It quiesces the catalog (every shard lock plus the collection lock)
-// while the snapshot is encoded and written, so no mutation can land in
-// the WAL being truncated without also being in the snapshot; callers run
-// it from a maintenance loop, not the hot path.
+// Compact makes the catalog's records the journal's snapshot and truncates
+// the WAL. It quiesces the catalog (every shard lock plus the collection
+// lock) while the snapshot is encoded and written, so no mutation can land
+// in the WAL being truncated without also being in the snapshot; callers
+// run it from a maintenance loop, not the hot path.
 func (s *Store) Compact() error {
 	for _, sh := range s.c.shards {
 		sh.mu.Lock()
@@ -101,7 +113,7 @@ func (s *Store) Compact() error {
 	defer s.c.collMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.j.Compact(s.c.encodeSnapshot())
+	return s.j.Compact(s.c.snapshotRecords)
 }
 
 // MaybeCompact compacts when the WAL has grown past compactRecords;
@@ -128,92 +140,36 @@ func (s *Store) Close() error {
 	return cerr
 }
 
-// snapshotMagic opens a catalog snapshot. A store written before the
-// journal's snapshot held the catalog has an "rls-shards <gen>" marker
-// there instead, and is refused.
-const snapshotMagic = "gdmp-replica-catalog v1"
-
-// encodeSnapshot writes the quiesced catalog (the caller holds every
-// shard lock and collMu) as the LFN serial and a counted run of the WAL
-// records that rebuild it. A first pass sizes the buffer, so a large
-// catalog is encoded into one allocation rather than a series of
-// ever-larger copies.
-func (c *Catalog) encodeSnapshot() []byte {
-	var n, size int
-	var rec rpc.Encoder
-	c.snapshotRecords(func(m Mutation) {
-		rec.Reset()
-		encodeMutation(&rec, m)
-		n, size = n+1, size+rec.Len()
-	})
+// snapshotRecords pushes the encoded records that rebuild the quiesced
+// catalog (the caller holds every shard lock and collMu): a register
+// carrying only the LFN serial, which no file may be named, so generated
+// names stay unique even when no file is left; then each file's register
+// and add_replica records, shard by shard; then each collection's create
+// and add_to_collection records. Every list is sorted, so the snapshot's
+// bytes depend only on the contents. One buffer is reused throughout.
+func (c *Catalog) snapshotRecords(yield func([]byte) bool) {
 	var e rpc.Encoder
-	e.Grow(4 + len(snapshotMagic) + 8 + 4 + size)
-	e.String(snapshotMagic)
-	e.Uint64(c.serial.Load())
-	e.Uint32(uint32(n))
-	c.snapshotRecords(func(m Mutation) { encodeMutation(&e, m) })
-	return e.Bytes()
-}
-
-// snapshotRecords calls fn with each record that rebuilds the quiesced
-// catalog: each file's register and add_replica records, shard by shard,
-// then each collection's create and add_to_collection records, every list
-// sorted so the snapshot's bytes depend only on the contents.
-func (c *Catalog) snapshotRecords(fn func(Mutation)) {
+	more := true
+	emit := func(m Mutation) {
+		e.Reset()
+		encodeMutation(&e, m)
+		more = more && yield(e.Bytes())
+	}
+	emit(Mutation{Op: MutRegister, Serial: c.serial.Load()})
 	for _, sh := range c.shards {
 		for _, lfn := range sortedKeys(sh.files) {
-			fn(Mutation{Op: MutRegister, LFN: lfn, Attrs: sh.files[lfn].Attrs})
+			emit(Mutation{Op: MutRegister, LFN: lfn, Attrs: sh.files[lfn].Attrs})
 			for _, pfn := range sortedKeys(sh.locations[lfn]) {
-				fn(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
+				emit(Mutation{Op: MutAddReplica, LFN: lfn, PFN: pfn})
 			}
 		}
 	}
 	for _, coll := range sortedKeys(c.collections) {
-		fn(Mutation{Op: MutCreateColl, Coll: coll})
+		emit(Mutation{Op: MutCreateColl, Coll: coll})
 		for _, lfn := range sortedKeys(c.collections[coll]) {
-			fn(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
+			emit(Mutation{Op: MutAddToColl, Coll: coll, LFN: lfn})
 		}
 	}
-}
-
-// restore rebuilds the empty catalog from what the journal recovered: the
-// snapshot's serial and records, then the WAL's records, each record
-// through decodeMutation and apply, so every entry lands on the shard its
-// hash names under this catalog's shard count.
-func (c *Catalog) restore(rec journal.Recovery) error {
-	if rec.Snapshot != nil {
-		d := rpc.NewDecoder(rec.Snapshot)
-		if d.String() != snapshotMagic {
-			return errors.New(`the journal snapshot is not a catalog in this build's format; see README "Upgrading the catalog store"`)
-		}
-		c.serial.Store(d.Uint64())
-		for n := d.Uint32(); n > 0 && d.Err() == nil; n-- {
-			m, err := decodeMutation(d)
-			if err == nil {
-				err = c.apply(m)
-			}
-			if err != nil {
-				return fmt.Errorf("snapshot: %w", err)
-			}
-		}
-		if err := d.Finish(); err != nil {
-			return fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	for i, p := range rec.Records {
-		d := rpc.NewDecoder(p)
-		m, err := decodeMutation(d)
-		if err == nil {
-			err = d.Finish()
-		}
-		if err == nil {
-			err = c.apply(m)
-		}
-		if err != nil {
-			return fmt.Errorf("WAL record %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // sortedKeys returns m's keys in order.
@@ -226,8 +182,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Mutation records ride the WAL, one per journal record, and the
-// snapshot, back to back, in the RPC wire encoding.
+// Mutation records are the journal's records, in the WAL and the snapshot
+// alike, in the RPC wire encoding.
 const mutationRecordV1 = 1
 
 // encodeMutation appends one mutation record to e.

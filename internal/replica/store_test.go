@@ -335,3 +335,33 @@ func TestStoreSerialSurvivesRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreSerialSurvivesEmptyCompaction: once every generated file is
+// deleted, no register record in the snapshot names the serial's last
+// value, yet a reopened catalog must not mint a name it already gave out.
+func TestStoreSerialSurvivesEmptyCompaction(t *testing.T) {
+	dir := t.TempDir()
+	c, st := openTestStore(t, dir, 4)
+	var last string
+	for i := 0; i < 3; i++ {
+		lfn, err := c.GenerateLFN("cern.ch", "events.db", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Delete(lfn); err != nil {
+			t.Fatal(err)
+		}
+		last = lfn
+	}
+	c2 := reopenFromSnapshot(t, dir, st, 4)
+	if n := len(c2.Files()); n != 0 {
+		t.Fatalf("reopened catalog holds %d files, want none", n)
+	}
+	lfn, err := c2.GenerateLFN("cern.ch", "events.db", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "lfn://cern.ch/events.db.000004"; lfn != want {
+		t.Fatalf("GenerateLFN after compacting an empty catalog = %q (the last one was %q); want %q", lfn, last, want)
+	}
+}

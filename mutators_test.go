@@ -101,15 +101,15 @@ func TestSoleCallers(t *testing.T) {
 // durableTables lists, per package, the durable tables by field name and
 // the only functions that may change them. Core's are persistState's
 // (persist.go): the maps, and the durable fields that are not maps; its
-// writers are a record's transition and the snapshot load into empty
-// tables. The replica catalog's are the shards' file and location tables
-// and the collections, changed only by the mutation's transition, which a
-// store's snapshot and WAL records also replay through.
+// one writer is a record's transition, which the journal's snapshot and WAL
+// records replay through. The replica catalog's are the shards' file and
+// location tables and the collections, changed likewise only by the
+// mutation's transition.
 var durableTables = []struct {
 	dir             string
 	fields, writers []string
 }{
-	{"internal/core", []string{"byLFN", "byPath", "subs", "pulls", "producers", "parity", "scrubCursor", "queue", "suspect"}, []string{"apply", "decode"}},
+	{"internal/core", []string{"byLFN", "byPath", "subs", "pulls", "producers", "parity", "scrubCursor", "queue", "suspect"}, []string{"apply"}},
 	{"internal/replica", []string{"files", "locations", "collections"}, []string{"apply"}},
 }
 
