@@ -41,9 +41,9 @@ check: fmt vet build race
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
 # of bytes a GridFTP peer controls on either end, of the certificate
 # chain an unauthenticated GSI peer sends first, of the Request Manager
-# frame and status reply an authenticated peer sends, of the catalog query
-# filter and the bloom digest a catalog client or site sends, and of what a
-# rotting disk controls: the parity sidecar header, the journal's snapshot
+# frame and the status and fsck replies an authenticated peer sends, of the
+# catalog query filter and the bloom digest a catalog client or site sends,
+# and of what a rotting disk controls: the parity sidecar header, the journal's snapshot
 # file, and the site's and the replica catalog's journal records, WAL and
 # snapshot alike), plus a differential target that holds the SIMD
 # GF(2^8) kernel to the portable one and to the field's definition. The
@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzFsckReply$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteRecord$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
@@ -119,12 +120,17 @@ catalog:
 
 # Fault-injection suite: scripted fault schedules through internal/faults,
 # race detector on. The seed is logged by every test; override it to
-# replay a run, e.g. `make chaos CHAOS_SEED=7`.
+# replay a run, e.g. `make chaos CHAOS_SEED=7`. The write side's own tests
+# (publish, batch, subscribers, notify, pending, rebuild, recover) run with
+# it, three times over, as the durability tests do under `make crash`.
 CHAOS_SEED ?= 20260805
 chaos:
 	@echo "chaos seed: $(CHAOS_SEED)"
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -v \
 		-run 'TestChaos|TestRecoverWithMidTransferFailure|TestProcessPendingRequeuesRemainder' .
+	$(GO) test -race -count=3 \
+		-run 'TestPublish|TestSubscribe|TestDrain|TestNotify|TestCloseDuringNotifyStorm|TestAutoReplicate|TestFanOut|TestPending|TestRebuild|TestFailureRecovery|TestStageOfDiskFile' \
+		./internal/core
 
 # Crash/restart chaos suite: sites die SIGKILL-style at randomized points
 # (journal severed, no graceful teardown) and restart on the same state

@@ -409,8 +409,8 @@ func TestRecoverWithMidTransferFailure(t *testing.T) {
 
 // TestProcessPendingRequeuesRemainder pins ProcessPending's
 // partial-failure contract under the concurrent scheduler: every pending
-// file is attempted, the ones that fail (and only those) return to the
-// queue, and the count reflects the files that actually arrived. An older
+// file is attempted, the ones that fail (and only those) stay pending, and
+// the count reflects the files that actually arrived. An older
 // sequential bug dropped the unattempted tail on the first failure; the
 // concurrent version must lose no notice either.
 func TestProcessPendingRequeuesRemainder(t *testing.T) {

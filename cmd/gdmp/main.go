@@ -270,20 +270,14 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if err != nil {
 			return err
 		}
-		scanned := d.Uint64()
-		bytes := d.Int64()
-		corrupt := d.Uint64()
-		missing := d.Uint64()
-		repairs := d.Uint64()
-		rebuilt := d.Uint64()
-		fallbacks := d.Uint64()
-		if err := d.Finish(); err != nil {
+		rep, err := core.DecodeFsckReply(d)
+		if err != nil {
 			return err
 		}
 		fmt.Printf("fsck %s: %d files scanned (%d bytes), %d corrupt, %d missing, %d repairs queued\n",
-			args[1], scanned, bytes, corrupt, missing, repairs)
-		if rebuilt+fallbacks > 0 {
-			fmt.Printf("parity: %d rebuilt in place, %d fell back to re-pull\n", rebuilt, fallbacks)
+			args[1], rep.Scanned, rep.Bytes, rep.Corrupt, rep.Missing, rep.Repairs)
+		if rep.Rebuilt+rep.Fallbacks > 0 {
+			fmt.Printf("parity: %d rebuilt in place, %d fell back to re-pull\n", rep.Rebuilt, rep.Fallbacks)
 		}
 		return nil
 

@@ -179,7 +179,7 @@ func TestCrashRestartChaosLoop(t *testing.T) {
 		partPath := destPath + gridftp.PartSuffix
 		if midCut {
 			// The reset fails the only transfer attempt; the failed pull
-			// returns to the pending queue with its partial staged.
+			// stays pending, its intent journaled and its partial staged.
 			waitUntil(t, 15*time.Second, "failed pull staging a partial", func() bool {
 				if _, err := os.Stat(partPath); err != nil {
 					return false

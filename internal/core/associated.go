@@ -27,25 +27,11 @@ func (s *Site) GetCollection(collection string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Only files missing before the call count as fetched by it.
-	missing := make([]FileInfo, 0, len(members))
-	for _, lfn := range members {
-		if !s.HasFile(lfn) {
-			missing = append(missing, FileInfo{LFN: lfn})
-		}
+	files := make([]FileInfo, len(members))
+	for i, lfn := range members {
+		files[i] = FileInfo{LFN: lfn}
 	}
-	_, failed, err := s.pullAll(missing, 0, "collection "+collection)
-	failedSet := make(map[string]bool, len(failed))
-	for _, fi := range failed {
-		failedSet[fi.LFN] = true
-	}
-	var fetched []string
-	for _, fi := range missing {
-		if !failedSet[fi.LFN] {
-			fetched = append(fetched, fi.LFN)
-		}
-	}
-	return fetched, err
+	return s.pullAll(files, 0, "collection "+collection)
 }
 
 // GetWithAssociated replicates a logical file and, for object database

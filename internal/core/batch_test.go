@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/obs"
+	"gdmp/internal/parity"
 	"gdmp/internal/testbed"
 )
 
@@ -146,5 +148,60 @@ func TestRebuildLocalCatalogAfterRestart(t *testing.T) {
 	restored, err = fresh.RebuildLocalCatalog()
 	if err != nil || restored != 2 {
 		t.Fatalf("rebuild after loss = %d, %v", restored, err)
+	}
+}
+
+// TestRebuildLocalCatalogLandsLikeAPublish: a restored entry enters the
+// site through land, like a publish. A disk-resident original is back in
+// the pool, pinned against eviction, with a journaled parity sidecar; a
+// tape-resident one is at tape residency, outside the pool, without one.
+func TestRebuildLocalCatalogLandsLikeAPublish(t *testing.T) {
+	g := newGrid(t)
+	const capacity = 1 << 20
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{
+		WithMSS: true, MSSCapacity: capacity, ParityK: parity.DefaultK, ParityM: parity.DefaultM,
+		Metrics: obs.NewRegistry(),
+	})
+	disk := publish(t, g, cern, "run/disk.db", testbed.MakeData(100_000, 1), core.PublishOptions{})
+	tape := publish(t, g, cern, "run/tape.db", testbed.MakeData(100_000, 2), core.PublishOptions{})
+	if err := cern.ArchiveLocal(tape.LFN); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(cern.DataDir(), "run", "tape.db")); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without a state directory the reborn site, and its pool, start empty.
+	reborn, err := g.RestartSite("cern.ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := reborn.RebuildLocalCatalog(); err != nil || n != 2 {
+		t.Fatalf("RebuildLocalCatalog = %d, %v; want 2", n, err)
+	}
+	pool := reborn.Pool()
+	if !pool.OnDisk(disk.PFN.Path) || !reborn.SidecarJournaled(disk.LFN) {
+		t.Fatalf("restored disk file: in pool %v, sidecar journaled %v; want both",
+			pool.OnDisk(disk.PFN.Path), reborn.SidecarJournaled(disk.LFN))
+	}
+	// Pinned: a reservation that needs one byte more than is free finds
+	// nothing it may evict.
+	if release, err := pool.Reserve(pool.Free() + 1); err == nil {
+		release()
+		t.Error("a reservation evicted the restored original")
+	}
+	if !pool.OnDisk(disk.PFN.Path) || !reborn.HasFile(disk.LFN) {
+		t.Fatal("the restored original left the pool")
+	}
+
+	var state core.FileState
+	for _, fi := range reborn.LocalFiles() {
+		if fi.LFN == tape.LFN {
+			state = fi.State
+		}
+	}
+	if state != core.StateTape || pool.OnDisk(tape.PFN.Path) || reborn.SidecarJournaled(tape.LFN) {
+		t.Fatalf("restored tape file: state %q, in pool %v, sidecar journaled %v; want tape, false, false",
+			state, pool.OnDisk(tape.PFN.Path), reborn.SidecarJournaled(tape.LFN))
 	}
 }

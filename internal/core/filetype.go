@@ -63,7 +63,11 @@ func (r *typeRegistry) register(ft FileType) error {
 	return nil
 }
 
+// lookup returns the plug-in registered under name; no name is flat.
 func (r *typeRegistry) lookup(name string) (FileType, error) {
+	if name == "" {
+		return FlatType{}, nil
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	ft, ok := r.types[name]

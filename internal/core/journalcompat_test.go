@@ -20,6 +20,7 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.putFile(a)
 	p.putFile(b)
 	p.setState(b.LFN, StateDisk)
+	p.setState(b.LFN, StateDisk) // unchanged, no record
 	p.putFile(FileInfo{LFN: "lfn://cern.ch/dead", Path: "dead.db"})
 	p.removeFile("lfn://cern.ch/dead")
 	p.subscribe("anl.gov", "127.0.0.1:1000")

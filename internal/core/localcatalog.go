@@ -160,13 +160,14 @@ func (c *localCatalog) len() int {
 // pool also counts the landed bytes would double-charge capacity and
 // trigger spurious evictions. A nil reservation marks a producer original,
 // pinned instead: cache pressure from pulled replicas must not push
-// locally produced data out of the pool before it is archived.
+// locally produced data out of the pool before it is archived. Every entry
+// enters here; a tape-resident one has no disk bytes to pool or protect.
 func (s *Site) land(fi FileInfo, reservation func()) error {
 	if err := s.persist.putFile(fi); err != nil {
 		return fmt.Errorf("core: journal %s: %w", fi.LFN, err)
 	}
 	defer s.local.reveal(fi.LFN)
-	if s.storage != nil {
+	if s.storage != nil && fi.State == StateDisk {
 		if reservation != nil {
 			reservation()
 		}

@@ -231,8 +231,13 @@ func (p *sitePersistence) removeFile(lfn string) error {
 	return p.record(nil, stringsRecord(recRemoveFile, lfn))
 }
 
-func (p *sitePersistence) setState(lfn string, st FileState) error {
-	return p.record(nil, stringsRecord(recSetState, lfn, string(st)))
+// setState records a residency change; none for an absent entry or an
+// unchanged state, such as the stage every served pull asks for.
+func (p *sitePersistence) setState(lfn string, state FileState) error {
+	return p.record(func(st *persistState) bool {
+		fi, ok := st.files.byLFN[lfn]
+		return !ok || fi.State == state
+	}, stringsRecord(recSetState, lfn, string(state)))
 }
 
 func (p *sitePersistence) subscribe(name, addr string) error {
@@ -411,13 +416,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// incompletePulls lists the unfinished pulls.
+// incompletePulls lists the unfinished pulls in LFN order.
 func (st *persistState) incompletePulls() []FileInfo {
 	st.tabMu.Lock()
 	defer st.tabMu.Unlock()
 	out := make([]FileInfo, 0, len(st.pulls))
-	for _, fi := range st.pulls {
-		out = append(out, fi)
+	for _, lfn := range sortedKeys(st.pulls) {
+		out = append(out, st.pulls[lfn])
 	}
 	return out
 }
@@ -608,7 +613,7 @@ type RecoveryStats struct {
 	NoticesRequeued int
 
 	// PullsRequeued is how many unfinished pulls were resubmitted (or
-	// returned to the pending queue when AutoReplicate is off).
+	// left pending when AutoReplicate is off).
 	PullsRequeued int
 
 	// PartsResumed is how many .part staging files matched an unfinished
@@ -753,8 +758,7 @@ func (s *Site) quarantine(path string) bool {
 
 // resumeRecovered kicks the deferred halves of recovery once the site is
 // fully up: redelivery drains for restored notification queues, and the
-// unfinished pulls back into the scheduler (AutoReplicate) or the pending
-// queue.
+// unfinished pulls taken on again (takeOn).
 func (s *Site) resumeRecovered() {
 	s.startDrains()
 	pulls := s.persist.st.incompletePulls()
@@ -762,6 +766,6 @@ func (s *Site) resumeRecovered() {
 	recordRecoveryMetrics(s.metrics, s.recovery)
 	if len(pulls) > 0 {
 		s.logger.Printf("gdmp[%s]: recovery: requeueing %d unfinished pulls", s.cfg.Name, len(pulls))
-		s.takeOn(pulls, "recovered pull")
+		s.takeOn(pulls)
 	}
 }

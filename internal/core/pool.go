@@ -8,6 +8,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"os"
 	"path"
 	"time"
 
@@ -134,4 +137,46 @@ func (s *Site) prefetchCollection(dir string) {
 		s.submitGet(lfn, -1) // fire and forget; the scheduler dedups by LFN
 		s.poolMet.Prefetches.Inc()
 	}
+}
+
+// stageLocal ensures a published file is present in the disk pool, staging
+// from the MSS when necessary; ctx interrupts the simulated tape waits.
+func (s *Site) stageLocal(ctx context.Context, lfn string) error {
+	fi, ok := s.local.get(lfn)
+	if !ok {
+		return fmt.Errorf("core: %q not published at %s", lfn, s.cfg.Name)
+	}
+	localPath, err := s.resolveLocal(fi.Path)
+	if err != nil {
+		return err
+	}
+	if _, err := os.Stat(localPath); err == nil {
+		return s.persist.setState(lfn, StateDisk)
+	}
+	if s.storage == nil {
+		return fmt.Errorf("core: %q missing on disk and no MSS configured", lfn)
+	}
+	s.notePoolDemand(fi.Path)
+	if _, err := s.storage.StageContext(ctx, fi.Path); err != nil {
+		return err
+	}
+	// The transfer itself re-reads from disk; unpin right away and rely on
+	// the pool's recency to keep the file until the transfer completes.
+	s.storage.Release(fi.Path)
+	return s.persist.setState(lfn, StateDisk)
+}
+
+// ArchiveLocal pushes a published file's bytes to tape and (optionally)
+// lets the pool evict the disk copy later; the catalog still lists the disk
+// location, and a stage request restores it on demand (Section 4.4's
+// default-disk-location convention).
+func (s *Site) ArchiveLocal(lfn string) error {
+	fi, ok := s.local.get(lfn)
+	if !ok {
+		return fmt.Errorf("core: %q not published at %s", lfn, s.cfg.Name)
+	}
+	if s.storage == nil {
+		return errors.New("core: no MSS configured")
+	}
+	return s.storage.Archive(fi.Path)
 }

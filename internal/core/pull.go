@@ -62,7 +62,9 @@ func (s *Site) GetCtx(ctx context.Context, lfn string) error {
 		}
 		return nil
 	}
-	return s.submitGet(lfn, 0).Wait(ctx)
+	err := s.submitGet(lfn, 0).Wait(ctx)
+	s.pending("") // a pull abandoned while queued never ran its job
+	return err
 }
 
 // submitGet admits one LFN pull to the scheduler; the LFN is the dedup
@@ -76,18 +78,24 @@ func (s *Site) submitGet(lfn string, priority int) *xfer.Ticket {
 	if err := s.persist.pullQueued(FileInfo{LFN: lfn}); err != nil {
 		s.logger.Printf("gdmp[%s]: journal pull admission %s: %v", s.cfg.Name, lfn, err)
 	}
-	return s.sched.Submit(lfn, priority, func(jobCtx context.Context) error {
+	tk := s.sched.Submit(lfn, priority, func(jobCtx context.Context) error {
 		if s.HasFile(lfn) {
 			s.journalPullDone(lfn)
 			return nil
 		}
 		err := s.replicate(jobCtx, lfn)
 		s.met.replications.WithLabelValues(outcomeOf(err)).Inc()
-		if err == nil {
-			s.journalPullDone(lfn)
+		if err != nil {
+			// The intent stays journaled: pending once this job ends.
+			s.logger.Printf("gdmp[%s]: pull %s: %v", s.cfg.Name, lfn, err)
+			s.pending(lfn)
+			return err
 		}
-		return err
+		s.journalPullDone(lfn)
+		return nil
 	})
+	s.pending("")
+	return tk
 }
 
 // journalPullDone retires a pull's journal record. Best-effort: a record
@@ -105,8 +113,10 @@ type pull struct {
 	lfn string
 
 	// locate: the catalog entry (RLI-confirmed holders' control addresses
-	// merged into its attrs) and every remote replica, in catalog order.
+	// merged into its attrs), the replication plug-in it names, and every
+	// remote replica, in catalog order.
 	entry   *replica.LogicalFile
+	ft      FileType
 	sources []PFN
 
 	// reserve: where the file lands, and the pool reservation covering it
@@ -126,11 +136,7 @@ func (s *Site) replicate(ctx context.Context, lfn string) error {
 	if err := p.locate(ctx); err != nil {
 		return err
 	}
-	ft, err := s.types.lookup(p.fileType())
-	if err != nil {
-		return err
-	}
-	if err := ft.PreProcess(s, lfn); err != nil {
+	if err := p.ft.PreProcess(s, lfn); err != nil {
 		return fmt.Errorf("core: pre-process %s: %w", lfn, err)
 	}
 	if err := p.reserve(); err != nil {
@@ -140,19 +146,22 @@ func (s *Site) replicate(ctx context.Context, lfn string) error {
 	if err := p.fetch(ctx); err != nil {
 		return fmt.Errorf("core: transfer %s: %w", lfn, err)
 	}
-	if err := ft.PostProcess(s, lfn, p.localPath); err != nil {
+	if err := p.ft.PostProcess(s, lfn, p.localPath); err != nil {
 		return fmt.Errorf("core: post-process %s: %w", lfn, err)
 	}
 	return p.commit(ctx)
 }
 
-// locate resolves the catalog entry and the remote replicas to pull from.
+// locate resolves the catalog entry, its plug-in and the replicas to pull from.
 func (p *pull) locate(ctx context.Context) error {
 	entry, err := p.s.rc.lookup(ctx, p.lfn)
 	if err != nil {
 		return fmt.Errorf("core: lookup %s: %w", p.lfn, err)
 	}
 	p.entry = entry
+	if p.ft, err = p.s.types.lookup(entry.Attrs[replica.AttrFileType]); err != nil {
+		return err
+	}
 	p.sources, _, err = p.s.remoteSources(ctx, p.lfn, entry)
 	if err != nil {
 		return err
@@ -161,14 +170,6 @@ func (p *pull) locate(ctx context.Context) error {
 		return fmt.Errorf("core: no remote replica of %s", p.lfn)
 	}
 	return nil
-}
-
-// fileType is the replication plug-in the entry names (default "flat").
-func (p *pull) fileType() string {
-	if ft := p.entry.Attrs[replica.AttrFileType]; ft != "" {
-		return ft
-	}
-	return FlatType{}.Name()
 }
 
 // rank is the pull path's only ordering. The sources start in catalog
@@ -469,7 +470,7 @@ func (p *pull) commit(ctx context.Context) error {
 	myPFN := s.pfnFor(p.rel)
 	fi := FileInfo{
 		LFN: p.lfn, Path: myPFN.Path, Size: info.Size(),
-		CRC32: p.entry.Attrs[replica.AttrCRC], FileType: p.fileType(), State: StateDisk,
+		CRC32: p.entry.Attrs[replica.AttrCRC], FileType: p.ft.Name(), State: StateDisk,
 	}
 	if err := s.land(fi, p.release); err != nil {
 		return err

@@ -678,15 +678,36 @@ func (s *Site) registerScrubHandlers() {
 		if err != nil {
 			return err
 		}
-		resp.Uint64(uint64(rep.Scanned))
-		resp.Int64(rep.Bytes)
-		resp.Uint64(uint64(rep.Corrupt))
-		resp.Uint64(uint64(rep.Missing))
-		resp.Uint64(uint64(rep.Repairs))
-		resp.Uint64(uint64(rep.Rebuilt))
-		resp.Uint64(uint64(rep.Fallbacks))
+		encodeFsckReply(resp, rep)
 		return nil
 	})
+}
+
+// encodeFsckReply writes a scrub report as the gdmp.fsck reply; field
+// order is the wire layout DecodeFsckReply reads.
+func encodeFsckReply(e *rpc.Encoder, rep scrub.Report) {
+	e.Uint64(uint64(rep.Scanned))
+	e.Int64(rep.Bytes)
+	e.Uint64(uint64(rep.Corrupt))
+	e.Uint64(uint64(rep.Missing))
+	e.Uint64(uint64(rep.Repairs))
+	e.Uint64(uint64(rep.Rebuilt))
+	e.Uint64(uint64(rep.Fallbacks))
+}
+
+// DecodeFsckReply reads one complete gdmp.fsck reply: the one decoder of
+// its layout, shared with the gdmp CLI.
+func DecodeFsckReply(d *rpc.Decoder) (scrub.Report, error) {
+	rep := scrub.Report{
+		Scanned:   int(d.Uint64()),
+		Bytes:     d.Int64(),
+		Corrupt:   int(d.Uint64()),
+		Missing:   int(d.Uint64()),
+		Repairs:   int(d.Uint64()),
+		Rebuilt:   int(d.Uint64()),
+		Fallbacks: int(d.Uint64()),
+	}
+	return rep, d.Finish()
 }
 
 // quarantineDir returns <StateDir>/quarantine.

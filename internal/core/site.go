@@ -10,7 +10,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -295,14 +294,6 @@ type Config struct {
 	StageWriter func(io.WriterAt) io.WriterAt
 }
 
-// PublishedFile reports one file made visible to the Grid.
-type PublishedFile struct {
-	LFN  string
-	PFN  PFN
-	Size int64
-	CRC  string
-}
-
 // Site is a running GDMP node: GDMP server, GridFTP server, local catalog,
 // data mover, and storage manager, per Figure 4.
 type Site struct {
@@ -335,9 +326,6 @@ type Site struct {
 	// drains so shutdown does not wait out a backoff schedule.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	pendMu  sync.Mutex
-	pending []FileInfo // notified but not yet replicated
 
 	// sched owns the pull pipeline: bounded workers, FIFO+priority
 	// admission, in-flight LFN dedup, and per-source caps.
@@ -605,9 +593,10 @@ func (s *Site) teardown(graceful bool) error {
 	// Stop the pull pipeline: running transfers are canceled, queued
 	// jobs fail with context.Canceled, and the workers drain.
 	s.sched.Close()
-	// The control server next: its notify and stage handlers start
-	// notifyWG goroutines, so every handler must have returned before that
-	// group is waited on (an Add racing the Wait is WaitGroup misuse).
+	// The control server next: its stage and fsck handlers start notifyWG
+	// goroutines (a prefetch, a repair's waiter), so every handler must have
+	// returned before that group is waited on (an Add racing the Wait is
+	// WaitGroup misuse).
 	var errs []error
 	if s.gdmpSrv != nil {
 		errs = append(errs, s.gdmpSrv.Close())
@@ -675,282 +664,6 @@ func (s *Site) pfnFor(rel string) PFN {
 	return PFN{Addr: s.DataAddr(), Path: strings.TrimPrefix(path.Clean("/"+rel), "/")}
 }
 
-// --- publish ----------------------------------------------------------------
-
-// PublishOptions tunes Publish.
-type PublishOptions struct {
-	// LFN overrides the generated logical file name.
-	LFN string
-
-	// FileType selects the replication plug-in (default "flat").
-	FileType string
-
-	// Collection, when set, groups the file in the replica catalog.
-	Collection string
-}
-
-// Publish makes a locally produced file visible to the Grid (Section 4.2):
-// it is added to the replica catalog with its meta-information, and all
-// subscribers are notified of its existence.
-func (s *Site) Publish(relPath string, opts PublishOptions) (PublishedFile, error) {
-	return s.publishCore(relPath, opts, true)
-}
-
-// publishCore registers a file and optionally notifies subscribers
-// (PublishAll sends one batched notification afterwards instead).
-func (s *Site) publishCore(relPath string, opts PublishOptions, notify bool) (pf PublishedFile, err error) {
-	defer s.met.publishTime.Time()()
-	defer func() { s.met.publishes.WithLabelValues(outcomeOf(err)).Inc() }()
-	localPath, err := s.resolveLocal(relPath)
-	if err != nil {
-		return PublishedFile{}, err
-	}
-	info, err := os.Stat(localPath)
-	if err != nil {
-		return PublishedFile{}, fmt.Errorf("core: publish %s: %w", relPath, err)
-	}
-	if info.IsDir() {
-		return PublishedFile{}, fmt.Errorf("core: publish %s: is a directory", relPath)
-	}
-	crc, err := gridftp.CRC32File(localPath)
-	if err != nil {
-		return PublishedFile{}, err
-	}
-	crcHex := fmt.Sprintf("%08x", crc)
-
-	ftName := opts.FileType
-	if ftName == "" {
-		ftName = FlatType{}.Name()
-	}
-	ft, err := s.types.lookup(ftName)
-	if err != nil {
-		return PublishedFile{}, err
-	}
-	var typeAttrs map[string]string
-	if ap, ok := ft.(AttrProvider); ok {
-		typeAttrs, err = ap.PublishAttrs(localPath)
-		if err != nil {
-			return PublishedFile{}, err
-		}
-	}
-
-	lfn := opts.LFN
-	if lfn == "" {
-		lfn = "lfn://" + s.cfg.Name + "/" + strings.TrimPrefix(path.Clean("/"+relPath), "/")
-	}
-	pfn := s.pfnFor(relPath)
-	attrs := map[string]string{
-		replica.AttrSize:         strconv.FormatInt(info.Size(), 10),
-		replica.AttrModified:     replica.Timestamp(info.ModTime()),
-		replica.AttrCRC:          crcHex,
-		replica.AttrFileType:     ftName,
-		replica.AttrOwner:        s.cfg.Cred.Identity().String(),
-		attrPath:                 pfn.Path,
-		attrSite:                 s.cfg.Name,
-		ctlAttrPrefix + pfn.Addr: s.Addr(),
-	}
-	for k, v := range typeAttrs {
-		attrs[k] = v
-	}
-	if err := s.rc.publishFile(s.ctx, lfn, attrs, pfn, opts.Collection); err != nil {
-		return PublishedFile{}, err
-	}
-
-	fi := FileInfo{
-		LFN: lfn, Path: pfn.Path, Size: info.Size(),
-		CRC32: crcHex, FileType: ftName, State: StateDisk,
-	}
-	if err := s.land(fi, nil); err != nil {
-		return PublishedFile{}, err
-	}
-
-	if notify {
-		if err := s.notifySubscribers([]FileInfo{fi}); err != nil {
-			return PublishedFile{}, err
-		}
-	}
-	return PublishedFile{LFN: lfn, PFN: pfn, Size: info.Size(), CRC: crcHex}, nil
-}
-
-// notifySubscribers queues the publication notice for every healthy
-// subscriber and kicks each subscriber's drain goroutine. Delivery is
-// asynchronous and retried with backoff; a subscriber that keeps failing
-// turns suspect and reconciles later via the catalog transfer (Recover).
-// A notice is journaled before Publish returns: an acknowledged
-// publication's notices survive a crash and redeliver after restart, and
-// a journal failure is returned, so Publish fails rather than acks a
-// notice that would not.
-func (s *Site) notifySubscribers(files []FileInfo) error {
-	tbl := &s.persist.st
-	tbl.subMu.Lock()
-	names := make([]string, 0, len(tbl.subs))
-	for name, st := range tbl.subs {
-		if st.suspect {
-			s.met.notifySkipped.Inc()
-			continue
-		}
-		names = append(names, name)
-	}
-	tbl.subMu.Unlock()
-	var errs []error
-	for _, name := range names {
-		if err := s.persist.notifyQueue(name, files); err != nil {
-			errs = append(errs, fmt.Errorf("core: journal notice for %s: %w", name, err))
-		}
-	}
-	s.startDrains()
-	return errors.Join(errs...)
-}
-
-// startDrains starts a delivery goroutine for every subscriber that has
-// notices queued, is not suspect and has none running yet.
-func (s *Site) startDrains() {
-	tbl := &s.persist.st
-	tbl.subMu.Lock()
-	for _, st := range tbl.subs {
-		if len(st.queue) > 0 && !st.suspect && !st.draining {
-			st.draining = true
-			s.notifyWG.Add(1)
-			go s.drainSubscriber(st)
-		}
-	}
-	tbl.subMu.Unlock()
-	s.updateNotifyGauges()
-}
-
-// updateNotifyGauges refreshes the subscriber-count, queue-depth and
-// suspect gauges from the table.
-func (s *Site) updateNotifyGauges() {
-	tbl := &s.persist.st
-	tbl.subMu.Lock()
-	defer tbl.subMu.Unlock()
-	var depth, suspect int64
-	for _, st := range tbl.subs {
-		depth += int64(len(st.queue))
-		if st.suspect {
-			suspect++
-		}
-	}
-	s.met.subscribers.Set(int64(len(tbl.subs)))
-	s.met.notifyQueueDepth.Set(depth)
-	s.met.suspectSubscribers.Set(suspect)
-}
-
-// drainSubscriber delivers one subscriber's queued notices in order,
-// backing off between consecutive failures. After NotifyFailureThreshold
-// consecutive failures the subscriber is marked suspect and its queue
-// dropped: GDMP's recovery path for a site that missed notifications is the
-// producer-catalog reconciliation (Recover), not an unbounded queue. The
-// goroutine stops, acknowledging nothing, once st is no longer the
-// registered subscriber of its name (unsubscribed, perhaps subscribed
-// again since): the queue under that name is not the one it was sending.
-func (s *Site) drainSubscriber(st *subscriberState) {
-	defer s.notifyWG.Done()
-	tbl := &s.persist.st
-	pol := s.cfg.Retry
-	for {
-		tbl.subMu.Lock()
-		if len(st.queue) == 0 || st.suspect || s.ctx.Err() != nil || tbl.subs[st.name] != st {
-			// Ended under the lock hold of the look at the queue, so a
-			// notice queued after it starts a new drain.
-			st.draining = false
-			tbl.subMu.Unlock()
-			s.updateNotifyGauges()
-			return
-		}
-		batch, addr := st.queue, st.addr
-		tbl.subMu.Unlock()
-
-		err := s.sendNotify(addr, batch)
-		s.met.notifySent.WithLabelValues(outcomeOf(err)).Inc()
-		failures := 0
-		if err != nil {
-			tbl.subMu.Lock()
-			st.failures++
-			failures = st.failures
-			tbl.subMu.Unlock()
-		}
-		var jerr error
-		switch {
-		case err == nil:
-			jerr = s.persist.notifyAck(st, len(batch))
-		case failures >= s.cfg.NotifyFailureThreshold:
-			jerr = s.persist.notifyDrop(st)
-			s.logger.Printf("gdmp[%s]: subscriber %s (%s) suspect after %d failures: %v",
-				s.cfg.Name, st.name, addr, failures, err)
-		default:
-			s.met.notifyRedeliveries.Inc()
-			s.logger.Printf("gdmp[%s]: notify %s (%s) failed (%d/%d), retrying: %v",
-				s.cfg.Name, st.name, addr, failures, s.cfg.NotifyFailureThreshold, err)
-			retry.Sleep(s.ctx, pol.Delay(failures))
-		}
-		if jerr != nil {
-			// The journal is latched and the queue stands as it was: what
-			// is on it redelivers after a restart (consumers dedup by LFN).
-			s.logger.Printf("gdmp[%s]: journal delivery state of %s: %v", s.cfg.Name, st.name, jerr)
-			tbl.subMu.Lock()
-			st.draining = false
-			tbl.subMu.Unlock()
-			return
-		}
-		s.updateNotifyGauges()
-	}
-}
-
-// SuspectSubscribers lists subscribers currently marked suspect.
-func (s *Site) SuspectSubscribers() []string {
-	tbl := &s.persist.st
-	tbl.subMu.Lock()
-	defer tbl.subMu.Unlock()
-	var out []string
-	for name, st := range tbl.subs {
-		if st.suspect {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// --- subscribe ----------------------------------------------------------------
-
-// SubscribeTo registers this site as a consumer of another site's
-// publications (Section 4.1's first client service).
-func (s *Site) SubscribeTo(remoteAddr string) error {
-	var e rpc.Encoder
-	e.String(s.cfg.Name)
-	e.String(s.Addr())
-	if _, err := s.call(s.ctx, remoteAddr, MethodSubscribe, &e); err != nil {
-		return err
-	}
-	// The producer is now an anti-entropy peer: its digest tells us about
-	// files whose notifications we miss.
-	s.addProducer(remoteAddr)
-	return nil
-}
-
-// UnsubscribeFrom removes this site from a producer's subscriber list.
-func (s *Site) UnsubscribeFrom(remoteAddr string) error {
-	var e rpc.Encoder
-	e.String(s.cfg.Name)
-	if _, err := s.call(s.ctx, remoteAddr, MethodUnsubscribe, &e); err != nil {
-		return err
-	}
-	s.removeProducer(remoteAddr)
-	return nil
-}
-
-// Subscribers lists the currently subscribed consumer sites.
-func (s *Site) Subscribers() []string {
-	tbl := &s.persist.st
-	tbl.subMu.Lock()
-	defer tbl.subMu.Unlock()
-	out := make([]string, 0, len(tbl.subs))
-	for name := range tbl.subs {
-		out = append(out, name)
-	}
-	return out
-}
-
 // retryPolicy labels the site's base policy for one operation and points
 // its instrumentation at the site registry.
 func (s *Site) retryPolicy(op string) retry.Policy {
@@ -980,20 +693,6 @@ func transientRPC(err error) bool {
 	return retry.DefaultRetryable(err)
 }
 
-// --- remote catalog / ping -----------------------------------------------------
-
-// RemoteCatalog fetches another site's local file catalog — GDMP's failure
-// recovery path: a site that missed notifications reconciles against the
-// producer's catalog.
-func (s *Site) RemoteCatalog(remoteAddr string) ([]FileInfo, error) {
-	d, err := s.call(s.ctx, remoteAddr, MethodCatalog, nil)
-	if err != nil {
-		return nil, err
-	}
-	files := decodeFileInfos(d)
-	return files, d.Finish()
-}
-
 // Ping checks liveness and returns the remote site's name.
 func (s *Site) Ping(remoteAddr string) (string, error) {
 	d, err := s.call(s.ctx, remoteAddr, MethodPing, nil)
@@ -1002,22 +701,6 @@ func (s *Site) Ping(remoteAddr string) (string, error) {
 	}
 	name := d.String()
 	return name, d.Finish()
-}
-
-// Recover pulls every file the remote site has that we lack, using its
-// catalog instead of notifications (failure recovery after downtime).
-// Every missing file is attempted even when some fail — a single dead
-// source must not stop the whole reconciliation — and the failures come
-// back joined, alongside the true count of files that did arrive.
-func (s *Site) Recover(remoteAddr string) (fetched int, err error) {
-	files, err := s.RemoteCatalog(remoteAddr)
-	if err != nil {
-		return 0, err
-	}
-	// Recovery is bulk reconciliation; it runs below notification-driven
-	// pulls so it cannot starve them.
-	fetched, _, err = s.pullAll(files, -1, "recover")
-	return fetched, err
 }
 
 // call is the site's one control-plane exchange with another site's
@@ -1060,125 +743,6 @@ func (s *Site) rpcDialOpts() []rpc.DialOption {
 	return opts
 }
 
-// --- notifications (consumer side) ---------------------------------------------
-
-// Pending lists notifications received but not yet replicated.
-func (s *Site) Pending() []FileInfo {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	return append([]FileInfo(nil), s.pending...)
-}
-
-// ProcessPending replicates every pending notification through the pull
-// scheduler, as one concurrent batch, and returns how many files were
-// fetched: every missing file is submitted up front, so the workers
-// overlap transfers across sources. Each file is attempted even when
-// others fail; the failed ones go back on the pending queue for a later
-// pass, and their errors come back joined.
-func (s *Site) ProcessPending() (int, error) {
-	s.pendMu.Lock()
-	work := s.pending
-	s.pending = nil
-	s.met.pendingDepth.Set(0)
-	s.pendMu.Unlock()
-	n, failed, err := s.pullAll(work, 0, "pending")
-	if len(failed) > 0 {
-		// Requeue only what actually failed; the rest either arrived or
-		// was already here.
-		s.addPending(failed...)
-	}
-	return n, err
-}
-
-// pullAll fans a batch of files out to the scheduler and waits for all of
-// them. It returns how many were fetched, the files whose pulls failed,
-// and the failures joined into one error. Already-present files count as
-// neither fetched nor failed.
-func (s *Site) pullAll(files []FileInfo, priority int, op string) (int, []FileInfo, error) {
-	type pull struct {
-		fi FileInfo
-		tk *xfer.Ticket
-	}
-	// Submit everything before waiting on anything: the batch is a
-	// fan-out, and admission order is preserved by the FIFO queue.
-	pulls := make([]pull, 0, len(files))
-	for _, fi := range files {
-		if s.HasFile(fi.LFN) {
-			// Already here: any journaled pull intent for it is satisfied.
-			s.journalPullDone(fi.LFN)
-			continue
-		}
-		pulls = append(pulls, pull{fi, s.submitGet(fi.LFN, priority)})
-	}
-	fetched := 0
-	var failed []FileInfo
-	var errs []error
-	for _, p := range pulls {
-		if err := p.tk.Wait(s.ctx); err != nil {
-			failed = append(failed, p.fi)
-			errs = append(errs, fmt.Errorf("core: %s %s: %w", op, p.fi.LFN, err))
-			continue
-		}
-		fetched++
-	}
-	return fetched, failed, errors.Join(errs...)
-}
-
-// addPending queues a notification for a later pull and tracks the queue
-// depth gauge.
-func (s *Site) addPending(files ...FileInfo) {
-	s.pendMu.Lock()
-	s.pending = append(s.pending, files...)
-	s.met.pendingDepth.Set(int64(len(s.pending)))
-	s.pendMu.Unlock()
-}
-
-// WaitForFile blocks until the LFN is replicated locally or the timeout
-// expires (used with AutoReplicate). It waits on the local catalog's
-// arrival notification rather than polling.
-func (s *Site) WaitForFile(lfn string, timeout time.Duration) error {
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-s.local.await(lfn):
-		return nil
-	case <-t.C:
-		return fmt.Errorf("core: %s did not arrive within %v", lfn, timeout)
-	}
-}
-
-// sendNotify delivers a notification to one subscriber.
-func (s *Site) sendNotify(addr string, files []FileInfo) error {
-	var e rpc.Encoder
-	e.String(s.cfg.Name)
-	encodeFileInfos(&e, files)
-	_, err := s.call(s.ctx, addr, MethodNotify, &e)
-	return err
-}
-
-// takeOn is what the site does with pulls it has come to own (accepted
-// notices, intents recovered from the journal): with AutoReplicate each is
-// admitted to the scheduler at once — its workers bound concurrency, and
-// duplicates coalesce by LFN — and only the ones that fail join the
-// pending queue; without, they all wait there for ProcessPending.
-func (s *Site) takeOn(files []FileInfo, why string) {
-	if !s.cfg.AutoReplicate {
-		s.addPending(files...)
-		return
-	}
-	for _, fi := range files {
-		tk := s.submitGet(fi.LFN, 0)
-		s.notifyWG.Add(1)
-		go func() {
-			defer s.notifyWG.Done()
-			if err := tk.Wait(s.ctx); err != nil {
-				s.logger.Printf("gdmp[%s]: %s %s: %v", s.cfg.Name, why, fi.LFN, err)
-				s.addPending(fi)
-			}
-		}()
-	}
-}
-
 // --- server handlers -------------------------------------------------------------
 
 func (s *Site) registerHandlers() {
@@ -1189,73 +753,7 @@ func (s *Site) registerHandlers() {
 		resp.String(s.cfg.Name)
 		return nil
 	})
-	s.gdmpSrv.Handle(MethodSubscribe, func(ctx context.Context, peer *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		name := args.String()
-		addr := args.String()
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		if name == "" || addr == "" {
-			return errors.New("subscribe wants site name and address")
-		}
-		// Journaled before the RPC acks: a subscription that the consumer
-		// believes registered survives a producer crash. A journal failure
-		// fails the RPC, and registers nothing, so the consumer retries
-		// instead of trusting an ack the disk does not back.
-		if err := s.persist.subscribe(name, addr); err != nil {
-			return fmt.Errorf("core: journal subscribe %s: %w", name, err)
-		}
-		s.updateNotifyGauges()
-		s.logger.Printf("gdmp[%s]: %s subscribed as %s (%s)", s.cfg.Name, peer.Base, name, addr)
-		return nil
-	})
-	s.gdmpSrv.Handle(MethodUnsubscribe, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		name := args.String()
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		if err := s.persist.unsubscribe(name); err != nil {
-			return fmt.Errorf("core: journal unsubscribe %s: %w", name, err)
-		}
-		s.updateNotifyGauges()
-		return nil
-	})
-	s.gdmpSrv.Handle(MethodNotify, func(ctx context.Context, peer *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		from := args.String()
-		files := decodeFileInfos(args)
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		s.met.notifyRecv.Inc()
-		s.logger.Printf("gdmp[%s]: notified by %s of %d files", s.cfg.Name, from, len(files))
-		fresh := files[:0:0]
-		for _, fi := range files {
-			if !s.HasFile(fi.LFN) {
-				fresh = append(fresh, fi)
-			}
-		}
-		if len(fresh) == 0 {
-			return nil
-		}
-		// Journal every accepted notice before this handler returns: once
-		// the producer sees the ack and dequeues, this site owns the pull,
-		// so it must survive a crash here. A journal failure fails the RPC
-		// and the producer keeps the notice queued for redelivery.
-		for _, fi := range fresh {
-			if err := s.persist.pullQueued(fi); err != nil {
-				return fmt.Errorf("core: journal notice %s: %w", fi.LFN, err)
-			}
-		}
-		s.takeOn(fresh, "auto-replicate")
-		return nil
-	})
-	s.gdmpSrv.Handle(MethodCatalog, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		encodeFileInfos(resp, s.local.list())
-		return nil
-	})
+	s.registerPublishHandlers()
 	s.gdmpSrv.Handle(MethodStage, func(ctx context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
 		lfn := args.String()
 		if err := args.Finish(); err != nil {
@@ -1269,46 +767,4 @@ func (s *Site) registerHandlers() {
 	s.registerRLSHandlers()
 	s.registerStatusHandler()
 	s.registerMetricsHandler()
-}
-
-// stageLocal ensures a published file is present in the disk pool, staging
-// from the MSS when necessary; ctx interrupts the simulated tape waits.
-func (s *Site) stageLocal(ctx context.Context, lfn string) error {
-	fi, ok := s.local.get(lfn)
-	if !ok {
-		return fmt.Errorf("core: %q not published at %s", lfn, s.cfg.Name)
-	}
-	localPath, err := s.resolveLocal(fi.Path)
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stat(localPath); err == nil {
-		return s.persist.setState(lfn, StateDisk)
-	}
-	if s.storage == nil {
-		return fmt.Errorf("core: %q missing on disk and no MSS configured", lfn)
-	}
-	s.notePoolDemand(fi.Path)
-	if _, err := s.storage.StageContext(ctx, fi.Path); err != nil {
-		return err
-	}
-	// The transfer itself re-reads from disk; unpin right away and rely on
-	// the pool's recency to keep the file until the transfer completes.
-	s.storage.Release(fi.Path)
-	return s.persist.setState(lfn, StateDisk)
-}
-
-// ArchiveLocal pushes a published file's bytes to tape and (optionally)
-// lets the pool evict the disk copy later; the catalog still lists the disk
-// location, and a stage request restores it on demand (Section 4.4's
-// default-disk-location convention).
-func (s *Site) ArchiveLocal(lfn string) error {
-	fi, ok := s.local.get(lfn)
-	if !ok {
-		return fmt.Errorf("core: %q not published at %s", lfn, s.cfg.Name)
-	}
-	if s.storage == nil {
-		return errors.New("core: no MSS configured")
-	}
-	return s.storage.Archive(fi.Path)
 }

@@ -82,11 +82,10 @@ func TestFailedStartLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestCloseDuringNotifyStorm: every notification of a fresh LFN starts a
-// waiter on the site's background WaitGroup, whose count keeps touching
-// zero as those waiters finish. Close must have stopped dispatching
-// handlers before it waits on that group; under -race a handler's Add
-// racing the Wait is reported.
+// TestCloseDuringNotifyStorm: every notification of a fresh LFN journals
+// an intent and submits a pull that fails, while Close tears the site
+// down. Close must have stopped dispatching handlers before it closes
+// what they use; under -race a handler racing the teardown is reported.
 func TestCloseDuringNotifyStorm(t *testing.T) {
 	g := newGrid(t)
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{AutoReplicate: true})
@@ -106,7 +105,7 @@ func TestCloseDuringNotifyStorm(t *testing.T) {
 			defer cl.Close()
 			for i := 0; ; i++ {
 				// One FileInfo nobody holds: the pull fails at locate and
-				// its waiter parks the notice as pending.
+				// its intent stays pending.
 				var e rpc.Encoder
 				e.String("storm")
 				e.Uint32(1)

@@ -155,20 +155,14 @@ func (s *Site) Status() SiteStatus {
 	s.xferLog.mu.Lock()
 	ok, failed, bytes := s.xferLog.ok, s.xferLog.failed, s.xferLog.bytes
 	s.xferLog.mu.Unlock()
-	s.persist.st.subMu.Lock()
-	subs := len(s.persist.st.subs)
-	s.persist.st.subMu.Unlock()
-	s.pendMu.Lock()
-	pending := len(s.pending)
-	s.pendMu.Unlock()
 	st := SiteStatus{
 		Name:             s.cfg.Name,
 		LocalFiles:       s.local.len(),
-		Subscribers:      subs,
+		Subscribers:      len(s.Subscribers()),
 		TransfersOK:      ok,
 		TransfersFailed:  failed,
 		BytesReplicated:  bytes,
-		PendingTransfers: pending,
+		PendingTransfers: len(s.Pending()),
 		RestoredFiles:    s.recovery.FilesRestored,
 		RequeuedPulls:    s.recovery.PullsRequeued,
 		QuarantinedFiles: s.recovery.Quarantined,

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
 
 	"gdmp/internal/rpc"
+	"gdmp/internal/scrub"
 )
 
 // fullStatus sets every field of the status payload, two health rows
@@ -137,6 +139,35 @@ func FuzzDecodeSiteStatus(f *testing.F) {
 		st2, err := DecodeSiteStatus(rpc.NewDecoder(again.Bytes()))
 		if err != nil || !reflect.DeepEqual(st2, st) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", st, st2, err)
+		}
+	})
+}
+
+// FuzzFsckReply feeds the gdmp.fsck reply decoder bytes a peer site
+// controls: the CLI's `gdmp fsck` and the handler share its one layout.
+// It must never panic nor allocate for what the bytes claim, and a reply
+// it accepts re-encodes to the same bytes. Seeds are a full report, each of
+// its truncations, and the report with a trailing byte.
+func FuzzFsckReply(f *testing.F) {
+	var e rpc.Encoder
+	encodeFsckReply(&e, scrub.Report{Scanned: 12, Bytes: 1 << 33, Corrupt: 3, Missing: 1, Repairs: 4, Rebuilt: 2, Fallbacks: 1})
+	for cut := 0; cut <= e.Len(); cut++ {
+		f.Add(e.Bytes()[:cut])
+	}
+	f.Add(append(e.Bytes(), 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var rep scrub.Report
+		var err error
+		if got := allocatedBy(func() { rep, err = DecodeFsckReply(rpc.NewDecoder(payload)) }); got >= 64<<10 {
+			t.Fatalf("decoding a %d-byte reply allocated %d bytes", len(payload), got)
+		}
+		if err != nil {
+			return
+		}
+		var again rpc.Encoder
+		encodeFsckReply(&again, rep)
+		if !bytes.Equal(again.Bytes(), payload) {
+			t.Fatalf("decode → encode of %x gave %x", payload, again.Bytes())
 		}
 	})
 }

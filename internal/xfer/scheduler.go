@@ -438,6 +438,16 @@ func (s *Scheduler) AcquireSource(ctx context.Context, source string) (release f
 	}, nil
 }
 
+// Holds reports whether a job under key is queued or running: the
+// in-flight index Submit coalesces on. A running job that every waiter
+// abandoned is no longer held, since its key is free for a fresh job.
+func (s *Scheduler) Holds(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.inflight[key]
+	return ok
+}
+
 // QueueDepth reports jobs admitted but not yet running.
 func (s *Scheduler) QueueDepth() int {
 	s.mu.Lock()

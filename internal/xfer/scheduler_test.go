@@ -483,3 +483,48 @@ func waitQueueDrainTo(t *testing.T, s *Scheduler, depth int) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestHoldsReadsTheInFlightIndex: a key is held while its job is queued or
+// running, not once the job has ended, and not once every waiter has
+// abandoned it mid-run (its key is free for a fresh job).
+func TestHoldsReadsTheInFlightIndex(t *testing.T) {
+	s := New(Config{Workers: 1, Registry: obs.NewRegistry()})
+	defer s.Close()
+
+	started, exit := make(chan struct{}), make(chan struct{})
+	running := s.Submit("run", 0, func(ctx context.Context) error {
+		close(started)
+		<-exit
+		return nil
+	})
+	<-started
+	queued := s.Submit("queue", 0, func(context.Context) error { return nil })
+	if !s.Holds("run") || !s.Holds("queue") || s.Holds("other") {
+		t.Fatalf("holds run %v, queue %v, other %v; want true, true, false",
+			s.Holds("run"), s.Holds("queue"), s.Holds("other"))
+	}
+	close(exit)
+	for _, tk := range []*Ticket{running, queued} {
+		if err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Holds("run") || s.Holds("queue") {
+		t.Fatal("an ended job is still held")
+	}
+
+	started, exit = make(chan struct{}), make(chan struct{})
+	defer close(exit)
+	abandoned := s.Submit("run", 0, func(ctx context.Context) error {
+		close(started)
+		<-exit
+		return ctx.Err()
+	})
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	abandoned.Wait(ctx)
+	if s.Holds("run") {
+		t.Fatal("a job every waiter abandoned is still held")
+	}
+}

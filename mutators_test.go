@@ -2,9 +2,11 @@
 // internal/core and internal/replica: the durable tables of each have one
 // writer (the journal record's transition), nothing in core reaches the
 // journal while it holds a table's lock, other sites' Request Managers are
-// reached through one function, every pull enters the scheduler through one
-// function, and periodic work runs on one loop runner. A second writer, or
-// a second dialer, is a copy that will drift.
+// reached through one function, every replica enters the local catalog
+// through one function and every publication is enqueued by one, every
+// pull enters the scheduler through one function, and periodic work runs
+// on one loop runner. A second writer, or a second dialer, is a copy that
+// will drift.
 package gdmp_test
 
 import (
@@ -50,6 +52,11 @@ func pkgFuncs(t *testing.T, dir string) (*token.FileSet, []*ast.FuncDecl) {
 // any receiver), to the only top-level functions of non-test internal/core
 // that may make it.
 var soleCallers = map[string][]string{
+	// Every replica enters a site through land: publish, a pull's commit
+	// and RebuildLocalCatalog alike.
+	"persist.putFile": {"land"},
+	// Every publication is enqueued by the one publish path.
+	".notifySubscribers": {"publish"},
 	// Control-plane calls: one dialer, one caller of it. requestStage keeps
 	// its own dial (DESIGN 5l: it retries dial and call as a unit, and a
 	// second retry level under it would square the attempts).

@@ -19,7 +19,7 @@ var keptUnused = []struct{ why, names string }{
 	{"features of the paper that only their tests and EXPERIMENTS.md exercise",
 		`gridftp.StripedGet gridftp.PutRegion gridftp.SetParallelism gridftp.Mkdir
 		core.GetCollection core.GetWithAssociated core.PublishAll core.RebuildLocalCatalog core.DeleteLogical
-		core.RegisterFileType core.UnsubscribeFrom core.ProcessPending core.Pending core.Ping core.Locate
+		core.RegisterFileType core.UnsubscribeFrom core.ProcessPending core.Ping core.Locate
 		objectstore.Navigate objectstore.AssociationClosure objectstore.FindObjects objectstore.Detach
 		objrep.ReplicateFromSites mss.PutTape`},
 	{"state the seeded harnesses and package tests assert on",
