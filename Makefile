@@ -132,13 +132,19 @@ chaos:
 		-run 'TestPublish|TestSubscribe|TestDrain|TestNotify|TestCloseDuringNotifyStorm|TestAutoReplicate|TestFanOut|TestPending|TestRebuild|TestFailureRecovery|TestStageOfDiskFile' \
 		./internal/core
 
-# Crash/restart chaos suite: sites die SIGKILL-style at randomized points
-# (journal severed, no graceful teardown) and restart on the same state
-# and data directories; recovery must lose no notification, requeue every
-# unfinished pull, resume partial downloads, and quarantine anything
-# corrupt. The seed is logged by every test; replay a run with
-# `make crash CRASH_SEED=7`. State directories of failed tests survive
-# under $(CRASH_ARTIFACT_DIR) for inspection. The unit-level durability
+# Crash/restart chaos suite: sites die at randomized points (journal
+# severed, no graceful teardown) and restart on the same state and data
+# directories; recovery must lose no notification, requeue every unfinished
+# pull, resume partial downloads, and quarantine anything corrupt. It runs
+# in two modes under the same seed. The process mode models SIGKILL: the
+# page cache survives and reaches the disk, fsync'd or not. The power mode
+# (CRASH_MODE=power) models a power cut: before each restart the killed
+# site's directories are rolled back to what its fsyncs and directory
+# fsyncs made durable, POSIX-minimal (testbed.Recorder), so a missing flush
+# fails it. The seed and mode are logged by every test; replay a run with
+# `make crash CRASH_SEED=7`, or one mode with `CRASH_MODE=power go test -run
+# TestCrashRestart .`. State directories of failed tests survive under
+# $(CRASH_ARTIFACT_DIR)/<mode> for inspection. The unit-level durability
 # tests (record semantics, torn tails, byte-compatibility with the pinned
 # journals, and the journal package's own: a crash at each step of a
 # compaction, corrupt snapshots) run with the suite, three times over.
@@ -146,8 +152,10 @@ CRASH_SEED ?= 20260805
 CRASH_ARTIFACT_DIR ?= crash-artifacts
 crash:
 	@echo "crash seed: $(CRASH_SEED)"
-	CRASH_SEED=$(CRASH_SEED) CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR) \
+	CRASH_SEED=$(CRASH_SEED) CRASH_MODE=process CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR)/process \
 		$(GO) test -race -v -run 'TestCrashRestart' .
+	CRASH_SEED=$(CRASH_SEED) CRASH_MODE=power CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR)/power \
+		$(GO) test -race -v -run 'TestCrashRestart|TestPowerCut|TestDurableFlushCounts' .
 	$(GO) test -race -count=3 -run 'TestPersist|TestJournalBytesMatchParent' ./internal/core
 	$(GO) test -race -count=3 ./internal/journal
 

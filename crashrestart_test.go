@@ -1,7 +1,10 @@
 // Crash/restart chaos tests: sites are killed abruptly (journal severed,
-// no graceful teardown — the in-process equivalent of SIGKILL) at
-// randomized points of the publish/notify/pull pipeline and restarted on
-// the same state and data directories. Durability contract under test:
+// no graceful teardown) at randomized points of the publish/notify/pull
+// pipeline and restarted on the same state and data directories. With
+// CRASH_MODE unset or "process" a kill is SIGKILL's in-process equivalent,
+// which leaves the page cache to reach the disk; with CRASH_MODE=power it
+// is a power cut, which first rolls the site's directories back to what was
+// fsync'd (testbed.Grid.PowerCut). Durability contract under test:
 //
 //   - no published notification is lost — every file reaches every
 //     subscriber across any number of consumer or producer crashes;
@@ -9,9 +12,11 @@
 //   - no partial or corrupt file survives recovery unquarantined;
 //   - an interrupted transfer resumes from its verified partial instead
 //     of starting over, visible in gdmp_gridftp_client_resumes_total /
-//     _resumed_bytes_total and the gdmp_recovery_* gauges.
+//     _resumed_bytes_total and the gdmp_recovery_* gauges (a power cut
+//     may roll a partial, never fsync'd, back to nothing).
 //
-// Every test logs its seed; set CRASH_SEED to replay a run.
+// Every test logs its seed and mode; set CRASH_SEED and CRASH_MODE to
+// replay a run.
 package gdmp_test
 
 import (
@@ -28,6 +33,7 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/durable"
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/obs"
@@ -46,8 +52,36 @@ func crashSeed(t *testing.T) int64 {
 		}
 		seed = v
 	}
-	t.Logf("crash seed: %d (set CRASH_SEED to replay)", seed)
+	t.Logf("crash seed: %d, mode: %s (set CRASH_SEED and CRASH_MODE to replay)", seed, crashMode(t))
 	return seed
+}
+
+// crashMode returns CRASH_MODE: "process" (the default) or "power".
+func crashMode(t *testing.T) string {
+	t.Helper()
+	switch m := os.Getenv("CRASH_MODE"); m {
+	case "", "process":
+		return "process"
+	case "power":
+		return m
+	default:
+		t.Fatalf("CRASH_MODE %q: want process or power", m)
+		return ""
+	}
+}
+
+// powerCuts reports whether the run cuts the power; the sites it kills
+// must then record their syncs (testbed.SiteOptions.RecordSyncs).
+func powerCuts(t *testing.T) bool { return crashMode(t) == "power" }
+
+// crash kills the named site the way the run's mode says.
+func crash(t *testing.T, g *testbed.Grid, name string) {
+	t.Helper()
+	if !powerCuts(t) {
+		g.Site(name).Kill()
+	} else if err := g.PowerCut(name); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // crashDir returns the grid's base directory. Normally a test temp dir;
@@ -143,6 +177,7 @@ func TestCrashRestartChaosLoop(t *testing.T) {
 	// by an in-process restart before the kill lands.
 	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
 		Durable:          true,
+		RecordSyncs:      powerCuts(t),
 		AutoReplicate:    true,
 		Metrics:          consReg,
 		Faults:           consFaults,
@@ -197,7 +232,9 @@ func TestCrashRestartChaosLoop(t *testing.T) {
 			time.Sleep(time.Duration(rng.Int63n(int64(25 * time.Millisecond))))
 		}
 
-		cons.Kill()
+		// The partial is statted after the crash: a power cut may have
+		// rolled it back to nothing.
+		crash(t, g, "anl.gov")
 		var partSize int64
 		if st, err := os.Stat(partPath); err == nil {
 			partSize = st.Size()
@@ -247,8 +284,10 @@ func TestCrashRestartChaosLoop(t *testing.T) {
 
 	// Exact resume accounting: every partial statted at a kill was resumed
 	// from its full length — transfers demonstrably continued from a
-	// non-zero offset instead of restarting.
-	if wantResumes < iterations/3 {
+	// non-zero offset instead of restarting. A process kill leaves every
+	// partial in place; a power cut keeps only what was synced, which a
+	// failed transfer never is.
+	if wantResumes < iterations/3 && !powerCuts(t) {
 		t.Fatalf("only %d kills left a partial; the schedule did not exercise resumption", wantResumes)
 	}
 	text := consReg.Text()
@@ -289,6 +328,7 @@ func TestCrashRestartProducerNotificationDurability(t *testing.T) {
 
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
 		Durable:                true,
+		RecordSyncs:            powerCuts(t),
 		Metrics:                prodReg,
 		Faults:                 prodFaults,
 		Retry:                  fastRetry(1),
@@ -321,8 +361,9 @@ func TestCrashRestartProducerNotificationDurability(t *testing.T) {
 		return metricValue(prodReg.Text(), "gdmp_site_notify_queue_depth") == 3
 	})
 
-	// SIGKILL-equivalent crash with the queue loaded, then restart on the
-	// same directories and addresses.
+	// A crash with the queue loaded, then restart on the same directories
+	// and addresses.
+	crash(t, g, "cern.ch")
 	prod, err = g.RestartSite("cern.ch")
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +420,7 @@ func TestCrashRestartQuarantine(t *testing.T) {
 	defer g.Close()
 
 	reg := obs.NewRegistry()
-	site, err := g.AddSite("cern.ch", testbed.SiteOptions{Durable: true, Metrics: reg})
+	site, err := g.AddSite("cern.ch", testbed.SiteOptions{Durable: true, RecordSyncs: powerCuts(t), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,18 +428,28 @@ func TestCrashRestartQuarantine(t *testing.T) {
 	truncated := publishData(t, g, site, "q/trunc.db", testbed.MakeData(50_000, 2))
 	missing := publishData(t, g, site, "q/gone.db", testbed.MakeData(50_000, 3))
 
-	// Damage behind the journal's back.
-	if err := os.Truncate(filepath.Join(site.DataDir(), "q", "trunc.db"), 10_000); err != nil {
-		t.Fatal(err)
+	// Damage behind the journal's back, made durable as the harness's
+	// inputs are: under a power cut only the recovery is under test.
+	qdir := filepath.Join(site.DataDir(), "q")
+	f, err := os.OpenFile(filepath.Join(qdir, "trunc.db"), os.O_WRONLY, 0)
+	if err == nil {
+		err = f.Truncate(10_000)
 	}
-	if err := os.Remove(filepath.Join(site.DataDir(), "q", "gone.db")); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = durable.Sync(f)
+		f.Close()
 	}
-	orphan := filepath.Join(site.DataDir(), "q", "stray.db"+gridftp.PartSuffix)
-	if err := os.WriteFile(orphan, testbed.MakeData(12_345, 4), 0o644); err != nil {
+	if err == nil {
+		err = os.Remove(filepath.Join(qdir, "gone.db"))
+	}
+	if err == nil {
+		_, err = g.WriteSiteFile("cern.ch", "q/stray.db"+gridftp.PartSuffix, testbed.MakeData(12_345, 4))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 
+	crash(t, g, "cern.ch")
 	site, err = g.RestartSite("cern.ch")
 	if err != nil {
 		t.Fatal(err)
@@ -422,8 +473,7 @@ func TestCrashRestartQuarantine(t *testing.T) {
 	if parts := partFiles(t, site.DataDir()); len(parts) != 0 {
 		t.Errorf("orphaned staging files left in the pool: %v", parts)
 	}
-	qdir := filepath.Join(filepath.Dir(site.DataDir()), "state", "quarantine")
-	entries, err := os.ReadDir(qdir)
+	entries, err := os.ReadDir(filepath.Join(filepath.Dir(site.DataDir()), "state", "quarantine"))
 	if err != nil || len(entries) != 2 {
 		t.Fatalf("quarantine dir = %v entries, %v; want 2", len(entries), err)
 	}

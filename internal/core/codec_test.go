@@ -84,12 +84,15 @@ func FuzzSiteRecord(f *testing.F) {
 	p := testPersist(f, dir)
 	goldenCrashSequence(p)
 	p.close(false)
-	j, rec, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{Registry: obs.NewRegistry()})
+	var seeds [][]byte
+	j, _, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{Registry: obs.NewRegistry(), Replay: func(r []byte) error {
+		seeds = append(seeds, append([]byte(nil), r...))
+		return nil
+	}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	j.Close()
-	seeds := rec.Records
 	q := testPersist(f, "")
 	goldenGracefulSequence(q)
 	q.st.records(func(r []byte) bool {

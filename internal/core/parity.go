@@ -27,7 +27,9 @@ func (s *Site) parityParams() parity.Params {
 // for a freshly published or landed replica. The ordering is crash-safe:
 // sidecar bytes first (atomic .part→rename), journal record second — a
 // crash between the two leaves an unjournaled sidecar that recovery
-// verifies and re-adopts, never a journaled promise without bytes.
+// verifies and re-adopts. The rename is not synced, so after a power cut
+// the record may outlive the bytes it names; loadSidecar drops it and
+// scrub regenerates the sidecar.
 // Failures are logged, not fatal: a replica without a sidecar simply
 // falls back to WAN repair, exactly as before this layer existed.
 func (s *Site) writeParitySidecar(fi FileInfo) {

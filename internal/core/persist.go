@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/journal"
 	"gdmp/internal/obs"
@@ -99,11 +100,11 @@ type persistState struct {
 
 	// parity maps LFN → hex CRC32 of that file's parity sidecar;
 	// loadSidecar checks a sidecar against it before trusting it for a
-	// rebuild. A sidecar is journaled only after its bytes are durably
-	// renamed into place, so after a crash the registry and the disk can
-	// disagree in exactly one direction: a sidecar file with no record
-	// (crashed before commit — readopted or swept at recovery), never a
-	// record with unverifiable bytes.
+	// rebuild. A sidecar is journaled only after its bytes are renamed
+	// into place, so a process crash leaves at most a sidecar file with no
+	// record (readopted or swept at recovery). The rename is not synced:
+	// after a power cut the record can outlive the file or name an older
+	// one, and loadSidecar drops it for scrub to regenerate the sidecar.
 	parity map[string]string
 }
 
@@ -134,17 +135,16 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 	if stateDir == "" {
 		return p, 0, nil
 	}
-	j, rec, err := journal.Open(filepath.Join(stateDir, "journal"), journal.Options{Registry: reg})
+	j, rec, err := journal.Open(filepath.Join(stateDir, "journal"), journal.Options{Registry: reg, Replay: func(r []byte) error {
+		// The record passed its frame's checksum, so a decode failure is a
+		// version skew or a bug, not disk corruption; surface it.
+		if err := p.st.apply(r); err != nil {
+			return fmt.Errorf("core: replay journal record: %w", err)
+		}
+		return nil
+	}})
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: open journal: %w", err)
-	}
-	for _, r := range rec.Records {
-		if err := p.st.apply(r); err != nil {
-			// The record passed its frame's checksum, so a decode failure is
-			// a version skew or a bug, not disk corruption; surface it.
-			j.Close()
-			return nil, 0, fmt.Errorf("core: replay journal record: %w", err)
-		}
 	}
 	// Replayed entries finished landing in an earlier life.
 	clear(p.st.files.landing)
@@ -749,7 +749,7 @@ func (s *Site) quarantine(path string) bool {
 		}
 		dst = filepath.Join(qdir, fmt.Sprintf("%s.%d", filepath.Base(path), i))
 	}
-	if err := os.Rename(path, dst); err != nil {
+	if err := durable.Rename(path, dst); err != nil {
 		s.logger.Printf("gdmp[%s]: quarantine %s: %v", s.cfg.Name, path, err)
 		return false
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gdmp/internal/admission"
+	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/health"
 	"gdmp/internal/replica"
@@ -230,7 +231,7 @@ func (p *pull) reserve() error {
 	if p.localPath, err = s.resolveLocal(p.rel); err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p.localPath), 0o755); err != nil {
+	if err := durable.MkdirAll(filepath.Dir(p.localPath)); err != nil {
 		return err
 	}
 	p.release = func() {}

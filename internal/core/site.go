@@ -7,7 +7,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"os"
 	"path"
 	"path/filepath"
 	"strings"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"gdmp/internal/admission"
+	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
 	"gdmp/internal/health"
@@ -395,7 +395,7 @@ func NewSite(cfg Config) (*Site, error) {
 	if cfg.ReplicaCatalog == "" {
 		return nil, errors.New("core: site ReplicaCatalog address must be set")
 	}
-	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+	if err := durable.MkdirAll(cfg.DataDir); err != nil {
 		return nil, err
 	}
 	if cfg.Parallelism <= 0 {
@@ -616,9 +616,10 @@ func (s *Site) teardown(graceful bool) error {
 }
 
 // Kill tears the site down abruptly, skipping every graceful step: the
-// journal is severed first — no final compaction, no further appends — so
-// the disk holds exactly what was fsync'd at the moment of death, the
-// same image a SIGKILL or power loss would leave. Crash tests restart a
+// journal is severed first — no final compaction, no further appends. It
+// models a process kill (SIGKILL): what was written stays in the page
+// cache and reaches the disk, fsync'd or not. A power cut, which keeps only
+// what was fsync'd, is the test grid's PowerCut. Crash tests restart a
 // site on the same StateDir/DataDir afterwards.
 func (s *Site) Kill() {
 	s.persist.close(false)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+
+	"gdmp/internal/durable"
 )
 
 // KindBitRot labels silent on-disk corruption injected by FlipBytes.
@@ -56,7 +58,7 @@ func FlipBytes(path string, seed int64, n int) ([]int64, error) {
 			return offsets, err
 		}
 	}
-	if err := f.Sync(); err != nil {
+	if err := durable.Sync(f); err != nil {
 		return offsets, err
 	}
 	return offsets, nil
@@ -126,7 +128,7 @@ func FlipBlocks(path string, seed int64, blockSize int64, n int) ([]int, error) 
 			return damaged, err
 		}
 	}
-	if err := f.Sync(); err != nil {
+	if err := durable.Sync(f); err != nil {
 		return damaged, err
 	}
 	return damaged, nil

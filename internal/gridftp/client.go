@@ -16,6 +16,7 @@ import (
 	"syscall"
 	"time"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/gsi"
 	"gdmp/internal/netprobe"
 	"gdmp/internal/obs"
@@ -699,7 +700,7 @@ func (c *Client) PutFile(localPath, remotePath string) (TransferStats, error) {
 // path. A transfer only renames the staging file into place after the
 // end-to-end CRC passes, so the final path never holds a truncated or
 // unverified file; site recovery quarantines orphaned *.part files.
-const PartSuffix = ".part"
+const PartSuffix = durable.PartSuffix
 
 // GetFile downloads a remote file to a local path, verifying the CRC-32
 // end to end (Section 4.3's integrity check beyond TCP checksums). It is
@@ -720,18 +721,18 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 
 // landStaged is the landing tail every file download ends with: fsync and
 // close the staging file f, verify it end to end on session cl, rename it
-// to localPath and fsync the directory. err is the download's outcome so
-// far; cl may be nil when it is not. A resumable download keeps the staging
-// file of a failed transfer as its restart marker (recovery quarantines it
-// if orphaned), with two exceptions: after ENOSPC the partial file is
-// worthless as a marker (resuming onto a full disk fails the same way) and
-// holding it only deepens the space crisis, and staged bytes that failed
-// verification are dropped so the next attempt starts clean instead of
-// resuming corruption.
+// to localPath and fsync the directory (a failure of either fsync fails the
+// download). err is the download's outcome so far; cl may be nil when it is
+// not. A resumable download keeps the staging file of a failed transfer as
+// its restart marker (recovery quarantines it if orphaned), with two
+// exceptions: after ENOSPC the partial file is worthless as a marker
+// (resuming onto a full disk fails the same way) and holding it only
+// deepens the space crisis, and staged bytes that failed verification are
+// dropped so the next attempt starts clean instead of resuming corruption.
 func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string, resumable bool) (uint32, error) {
 	part := f.Name()
 	if err == nil {
-		err = f.Sync()
+		err = durable.Sync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -747,19 +748,13 @@ func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string,
 		os.Remove(part)
 		return 0, err
 	}
-	if err := os.Rename(part, localPath); err != nil {
+	if err := durable.Rename(part, localPath); err != nil {
 		if !resumable {
 			os.Remove(part)
 		}
 		return 0, err
 	}
-	// Make the rename durable; best-effort (some filesystems refuse
-	// directory fsync).
-	if d, err := os.Open(filepath.Dir(localPath)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return crc, nil
+	return crc, durable.SyncDir(filepath.Dir(localPath))
 }
 
 // verifyLocal compares the server CRC with a locally computed one and

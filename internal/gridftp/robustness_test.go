@@ -409,6 +409,26 @@ func TestServerRejectsBlocksOutsideStoreWindow(t *testing.T) {
 	}
 }
 
+// TestInterruptedStoreLeavesOldFile: a STOR whose data ends short of its
+// length fails and leaves the destination as it was — its previous content,
+// or no file at all — with no torn bytes and no staging file behind.
+func TestInterruptedStoreLeavesOldFile(t *testing.T) {
+	addr, root := startServer(t, nil)
+	_, orig := makeFile(t, root, "old.db", 10, 71)
+	for name, want := range map[string][]byte{"old.db": orig, "new.db": nil} {
+		if v := storeRaw(t, addr, "STOR 10 "+name, 0, 5); !strings.HasPrefix(v, "426") {
+			t.Fatalf("STOR of 5 of 10 bytes to %s: %q, want 426", name, strings.TrimSpace(v))
+		}
+		got, err := os.ReadFile(filepath.Join(root, name))
+		if want == nil && !os.IsNotExist(err) || want != nil && !bytes.Equal(got, want) {
+			t.Errorf("%s after an interrupted STOR: %d bytes (%v), want %d", name, len(got), err, len(want))
+		}
+		if _, err := os.Stat(filepath.Join(root, name+PartSuffix)); !os.IsNotExist(err) {
+			t.Errorf("%s: staging file left behind (%v)", name, err)
+		}
+	}
+}
+
 // TestUnauthenticatedControlRejected: a client that skips the GSI handshake
 // gets nothing.
 func TestUnauthenticatedControlRejected(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/gsi"
 	"gdmp/internal/obs"
 )
@@ -637,11 +638,10 @@ func (se *session) tuneConn(c net.Conn) {
 
 // transfer runs the data phase of one verb and accounts for it: announce
 // the streams, open the data connections, run move over them with the 112
-// marker emitter as its block observer, then reply with the verdict. move
-// returns the bytes each stream moved; verdict turns a clean move into the
-// final reply (anything but 226 counts as a failed transfer).
+// marker emitter as its block observer, then reply 226 with done, or 426
+// with move's error. move returns the bytes each stream moved.
 func (se *session) transfer(verb, direction string, length int64,
-	move func([]net.Conn, blockFunc) ([]int64, error), verdict func(moved int64) (int, string)) error {
+	move func([]net.Conn, blockFunc) ([]int64, error), done string) error {
 	met := se.srv.met
 	start := time.Now()
 	n := se.parallelism
@@ -677,13 +677,9 @@ func (se *session) transfer(verb, direction string, length int64,
 		moved += b
 	}
 	met.bytes.WithLabelValues(direction).Add(moved)
-	code, text := codeInterrupt, fmt.Sprintf("transfer aborted: %v", err)
+	code, text, outcome := codeInterrupt, fmt.Sprintf("transfer aborted: %v", err), "error"
 	if err == nil {
-		code, text = verdict(moved)
-	}
-	outcome := "error"
-	if code == codeComplete {
-		outcome = "ok"
+		code, text, outcome = codeComplete, done, "ok"
 		met.streams.Observe(float64(n))
 		met.transferTime.ObserveDuration(time.Since(start))
 	}
@@ -704,14 +700,13 @@ func (se *session) sendFile(verb, p string, off, length int64) error {
 	defer f.Close()
 	return se.transfer(verb, "sent", length, func(conns []net.Conn, mark blockFunc) ([]int64, error) {
 		return sendBlocks(conns, f, Range{off, off + length}.split(len(conns)), se.srv.cfg.BlockSize, mark)
-	}, func(int64) (int, string) {
-		return codeComplete, fmt.Sprintf("transfer complete %d bytes", length)
-	})
+	}, fmt.Sprintf("transfer complete %d bytes", length))
 }
 
-// cmdSTOR receives a file. STOR truncates/creates and accepts blocks inside
-// [0, length); ESTO writes into an existing (or new) file at any block
-// offset, enabling partial restores and restartable puts.
+// cmdSTOR receives a file. STOR replaces it atomically, accepting blocks
+// inside [0, length): an interrupted put leaves the old file or none. ESTO
+// writes into an existing (or new) file in place at any block offset,
+// enabling partial restores and restartable puts. 226 means durable.
 func (se *session) cmdSTOR(args string, extended bool) error {
 	if !se.authorize(OpWrite) {
 		return se.reply(codeDenied, "not authorized for write")
@@ -725,27 +720,41 @@ func (se *session) cmdSTOR(args string, extended bool) error {
 	if err != nil {
 		return se.reply(codeBadArgs, "bad path: %v", err)
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	if err := durable.MkdirAll(filepath.Dir(p)); err != nil {
 		return se.reply(codeLocalErr, "mkdir: %v", err)
 	}
-	verb, flags, window := "STOR", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, Range{0, length}
+	var moved []int64
+	receive := func(conns []net.Conn, mark blockFunc, f *os.File, window Range) (err error) {
+		moved, err = recvBlocks(conns, f, window, mark)
+		var got int64
+		for _, b := range moved {
+			got += b
+		}
+		if err == nil && got != length {
+			err = fmt.Errorf("expected %d bytes, received %d", length, got)
+		}
+		return err
+	}
+	verb, move := "STOR", func(conns []net.Conn, mark blockFunc) ([]int64, error) {
+		err := durable.WriteAtomic(p, func(f *os.File) error { return receive(conns, mark, f, Range{0, length}) })
+		if err == nil {
+			err = durable.SyncDir(filepath.Dir(p))
+		}
+		return moved, err
+	}
 	if extended {
-		verb, flags, window = "ESTO", os.O_WRONLY|os.O_CREATE, Range{0, math.MaxInt64}
-	}
-	f, err := os.OpenFile(p, flags, 0o644)
-	if err != nil {
-		return se.reply(codeLocalErr, "open: %v", err)
-	}
-	defer f.Close()
-	return se.transfer(verb, "received", length, func(conns []net.Conn, mark blockFunc) ([]int64, error) {
-		return recvBlocks(conns, f, window, mark)
-	}, func(got int64) (int, string) {
-		if got != length {
-			return codeInterrupt, fmt.Sprintf("expected %d bytes, received %d", length, got)
+		f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE, 0o644)
+		if err != nil {
+			return se.reply(codeLocalErr, "open: %v", err)
 		}
-		if err := f.Sync(); err != nil {
-			return codeLocalErr, fmt.Sprintf("sync: %v", err)
+		defer f.Close()
+		verb, move = "ESTO", func(conns []net.Conn, mark blockFunc) ([]int64, error) {
+			err := receive(conns, mark, f, Range{0, math.MaxInt64})
+			if err == nil {
+				err = durable.Sync(f)
+			}
+			return moved, err
 		}
-		return codeComplete, fmt.Sprintf("stored %d bytes", length)
-	})
+	}
+	return se.transfer(verb, "received", length, move, fmt.Sprintf("stored %d bytes", length))
 }

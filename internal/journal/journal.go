@@ -20,7 +20,7 @@
 //
 //	"gdmp-journal-snapshot v3\n" | u64 generation | u32 record count | frames
 //
-// so a caller has one decoder, its record's, and Open hands it the
+// so a caller has one decoder, its record's, and Open streams it the
 // snapshot's records and then the WAL's as one run. Append only returns
 // after the bytes are written and fsync'd, so a caller that journals a
 // mutation before acknowledging it can never ack state the disk does not
@@ -28,8 +28,8 @@
 // is cut off at the last intact record, preserved in wal.torn, and the log
 // truncated so appends continue from a clean boundary.
 //
-// Compact streams a snapshot to a temporary file, fsyncs it, and renames
-// it into place, so a crash during compaction leaves either the old
+// Compact streams a snapshot through durable.WriteAtomic, so a crash or a
+// power cut during compaction leaves either the old
 // snapshot or the new one, never a hybrid; a damaged snapshot (a bad
 // frame, or fewer records than its header counts) is ErrCorruptSnapshot.
 // Each compaction advances the generation and starts a fresh wal.<gen>;
@@ -53,6 +53,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/obs"
 )
 
@@ -90,7 +91,7 @@ const MaxRecord = 64 << 20
 // an operator.
 var ErrCorruptSnapshot = errors.New("journal: corrupt snapshot")
 
-// Options tunes a Journal.
+// Options configures Open.
 type Options struct {
 	// NoSync skips the fsync after every append. Throughput harnesses
 	// may set it; durable deployments must not.
@@ -98,15 +99,16 @@ type Options struct {
 
 	// Registry receives the gdmp_journal_* metrics (obs.Default when nil).
 	Registry *obs.Registry
+
+	// Replay, when set, is handed the records that rebuild the state, in
+	// append order: the snapshot's, then the intact WAL's after it. It
+	// copies what it keeps (the slice is reused); when Open fails, even past
+	// a corrupt snapshot's first records, the caller discards what it built.
+	Replay func(rec []byte) error
 }
 
-// Recovery is what Open reconstructed from disk.
+// Recovery is what Open repaired on disk.
 type Recovery struct {
-	// Records are the latest snapshot's records, then the intact WAL
-	// records appended after it, in append order: replaying them in turn
-	// rebuilds the state.
-	Records [][]byte
-
 	// TornBytes is how many trailing bytes were cut from the WAL because
 	// they did not form an intact record (crash mid-append). They are
 	// preserved in wal.torn.
@@ -160,23 +162,15 @@ type Journal struct {
 	met  *metrics
 }
 
-// Open opens (creating if needed) the journal in dir and replays it.
+// Open opens (creating if needed) the journal in dir and replays it
+// through opts.Replay.
 func Open(dir string, opts Options) (*Journal, Recovery, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := durable.MkdirAll(dir); err != nil {
 		return nil, Recovery{}, err
 	}
 	j := &Journal{dir: dir, opts: opts, met: metricsFor(opts.Registry)}
-
 	snapPath := filepath.Join(dir, snapshotName)
-	var snap [][]byte
-	var gen uint64
-	b, err := os.ReadFile(snapPath)
-	switch {
-	case err == nil:
-		snap, gen, err = parseSnapshot(b)
-	case os.IsNotExist(err):
-		err = nil
-	}
+	gen, err := replaySnapshot(snapPath, opts.Replay)
 	if err != nil {
 		return nil, Recovery{}, fmt.Errorf("%s: %w", snapPath, err)
 	}
@@ -184,18 +178,22 @@ func Open(dir string, opts Options) (*Journal, Recovery, error) {
 
 	// Sweep leftovers of an interrupted compaction: a stale previous-
 	// generation WAL (crash after the snapshot rename but before the old
-	// log's removal) or an orphaned next-generation WAL and snapshot temp
+	// log's removal) or an orphaned next-generation WAL and staged snapshot
 	// (crash before the rename). Replaying a foreign-generation WAL onto
 	// this snapshot would re-apply records the snapshot already contains.
 	removeForeignWALs(dir, gen)
-	os.Remove(filepath.Join(dir, snapshotName+".tmp"))
+	os.Remove(snapPath + durable.PartSuffix)
 
-	walPath := filepath.Join(dir, walFileName(gen))
-	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, walFileName(gen)), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	records, good, torn, err := recoverWAL(f, filepath.Join(dir, tornName))
+	records, good, torn, err := recoverWAL(f, filepath.Join(dir, tornName), opts.Replay)
+	if err == nil {
+		// The WAL may be new, and its name must be durable before a record
+		// lands in it; the sweep's removals become durable too.
+		err = durable.SyncDir(dir)
+	}
 	if err != nil {
 		f.Close()
 		return nil, Recovery{}, err
@@ -204,32 +202,37 @@ func Open(dir string, opts Options) (*Journal, Recovery, error) {
 		j.met.tornTails.Inc()
 	}
 	j.wal = f
-	j.size = int64(good)
-	j.recs = len(records)
+	j.size = good
+	j.recs = records
 	j.met.walBytes.Set(j.size)
 	j.met.walRecords.Set(int64(j.recs))
-	return j, Recovery{Records: append(snap, records...), TornBytes: int64(torn)}, nil
+	return j, Recovery{TornBytes: torn}, nil
 }
 
-// recoverWAL reads f's intact records and leaves f positioned after the
+// recoverWAL replays f's intact records and leaves f positioned after the
 // last of them, good bytes in; a torn tail after that is preserved at
 // tornPath and cut off.
-func recoverWAL(f *os.File, tornPath string) (records [][]byte, good, torn int, err error) {
-	b, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, 0, err
+func recoverWAL(f *os.File, tornPath string, replay func([]byte) error) (records int, good, torn int64, err error) {
+	records, good, err = readFrames(bufio.NewReaderSize(f, 64<<10), replay)
+	var st os.FileInfo
+	if err == nil || err == errTorn {
+		st, err = f.Stat()
 	}
-	records, good = readFrames(b)
-	if torn = len(b) - good; torn > 0 {
-		if err = os.WriteFile(tornPath, b[good:], 0o644); err == nil {
-			err = f.Truncate(int64(good))
+	if err == nil && st.Size() > good {
+		torn = st.Size() - good
+		var tail []byte
+		if tail, err = io.ReadAll(io.NewSectionReader(f, good, torn)); err == nil {
+			err = os.WriteFile(tornPath, tail, 0o644)
 		}
 		if err == nil {
-			err = f.Sync()
+			err = f.Truncate(good)
+		}
+		if err == nil {
+			err = durable.Sync(f)
 		}
 	}
 	if err == nil {
-		_, err = f.Seek(int64(good), io.SeekStart)
+		_, err = f.Seek(good, io.SeekStart)
 	}
 	return records, good, torn, err
 }
@@ -237,24 +240,46 @@ func recoverWAL(f *os.File, tornPath string) (records [][]byte, good, torn int, 
 // errOlderSnapshot refuses a snapshot in a layout an older build wrote.
 var errOlderSnapshot = errors.New(`journal: snapshot written by an older build, which this build does not read; see README "Upgrading state directories"`)
 
-// parseSnapshot splits a snapshot file into its records and generation.
-func parseSnapshot(b []byte) ([][]byte, uint64, error) {
-	body, ok := bytes.CutPrefix(b, []byte(snapshotHeader))
-	switch {
-	case !ok && bytes.HasPrefix(b, []byte(snapshotMagic)):
-		return nil, 0, errOlderSnapshot
-	case !ok || len(body) < 12:
-		return nil, 0, fmt.Errorf("%w: bad header", ErrCorruptSnapshot)
+// replaySnapshot hands the records of the snapshot at path to replay and
+// returns its generation; without a snapshot that is 0, with no records.
+func replaySnapshot(path string, replay func([]byte) error) (uint64, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	} else if err != nil {
+		return 0, err
 	}
+	defer f.Close()
+	return readSnapshot(bufio.NewReaderSize(f, 64<<10), replay)
+}
+
+// readSnapshot streams a snapshot's records to replay and returns its
+// generation. The snapshot is corrupt unless its frames run to the end and
+// number as many as its header counts.
+func readSnapshot(r io.Reader, replay func([]byte) error) (uint64, error) {
+	var hdr [len(snapshotHeader) + 12]byte
+	n, err := io.ReadFull(r, hdr[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, err
+	}
+	switch ok := bytes.HasPrefix(hdr[:n], []byte(snapshotHeader)); {
+	case !ok && bytes.HasPrefix(hdr[:n], []byte(snapshotMagic)):
+		return 0, errOlderSnapshot
+	case !ok || n < len(hdr):
+		return 0, fmt.Errorf("%w: bad header", ErrCorruptSnapshot)
+	}
+	body := hdr[len(snapshotHeader):]
 	gen, count := binary.BigEndian.Uint64(body), binary.BigEndian.Uint32(body[8:])
-	records, n := readFrames(body[12:])
-	if n != len(body)-12 {
-		return nil, 0, fmt.Errorf("%w: record %d is cut short or fails its checksum", ErrCorruptSnapshot, len(records))
+	records, _, err := readFrames(r, replay)
+	switch {
+	case err == errTorn:
+		return 0, fmt.Errorf("%w: record %d is cut short or fails its checksum", ErrCorruptSnapshot, records)
+	case err != nil:
+		return 0, err
+	case uint64(records) != uint64(count):
+		return 0, fmt.Errorf("%w: %d of %d records", ErrCorruptSnapshot, records, count)
 	}
-	if uint64(len(records)) != uint64(count) {
-		return nil, 0, fmt.Errorf("%w: %d of %d records", ErrCorruptSnapshot, len(records), count)
-	}
-	return records, gen, nil
+	return gen, nil
 }
 
 // removeForeignWALs deletes every wal.<n> whose generation differs from
@@ -276,27 +301,43 @@ func removeForeignWALs(dir string, gen uint64) {
 	}
 }
 
-// readFrames returns the payloads of the intact frames at the start of b,
-// aliasing b, and how many bytes those frames span. It stops at the first
-// frame that is cut short, claims more than MaxRecord, or fails its
-// checksum: the WAL cuts what follows off as a torn tail, a snapshot is
-// corrupt.
-func readFrames(b []byte) (records [][]byte, n int) {
-	for len(b)-n >= 8 {
-		size := binary.BigEndian.Uint32(b[n:])
-		sum := binary.BigEndian.Uint32(b[n+4:])
-		if size > MaxRecord || len(b)-n-8 < int(size) {
-			break
+// errTorn ends readFrames at a frame that is cut short, claims more than
+// MaxRecord, or fails its checksum: the WAL cuts what follows off as a torn
+// tail, a snapshot is corrupt.
+var errTorn = errors.New("journal: torn frame")
+
+// readFrames hands the payload of each intact frame at the start of r to
+// fn, if any, and returns how many frames and bytes that was; it ends at
+// EOF or with errTorn. The payload buffer is reused, so fn copies what it
+// keeps, and grows only as bytes arrive, never to a length a frame claims.
+func readFrames(r io.Reader, fn func([]byte) error) (records int, n int64, err error) {
+	var hdr [8]byte
+	var payload bytes.Buffer
+	for {
+		_, err = io.ReadFull(r, hdr[:])
+		size, sum := binary.BigEndian.Uint32(hdr[:]), binary.BigEndian.Uint32(hdr[4:])
+		switch {
+		case err == io.EOF:
+			return records, n, nil
+		case err != nil:
+		case size > MaxRecord:
+			err = errTorn
+		default:
+			payload.Reset()
+			_, err = io.CopyN(&payload, r, int64(size))
 		}
-		end := n + 8 + int(size)
-		payload := b[n+8 : end : end]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
+		if err == io.EOF || err == io.ErrUnexpectedEOF || err == nil && crc32.ChecksumIEEE(payload.Bytes()) != sum {
+			err = errTorn
 		}
-		records = append(records, payload)
-		n = end
+		if err == nil && fn != nil {
+			err = fn(payload.Bytes())
+		}
+		if err != nil {
+			return records, n, err
+		}
+		records++
+		n += 8 + int64(size)
 	}
-	return records, n
 }
 
 // appendFrame appends payload's frame to dst: the one frame writer, for a
@@ -322,15 +363,11 @@ func (j *Journal) Append(payload []byte) error {
 	}
 	buf := appendFrame(make([]byte, 0, 8+len(payload)), payload)
 	if _, err := j.wal.Write(buf); err != nil {
-		j.fail = fmt.Errorf("journal: append: %w", err)
-		j.met.failed.Set(1)
-		return j.fail
+		return j.latch("append", err)
 	}
 	if !j.opts.NoSync {
-		if err := j.wal.Sync(); err != nil {
-			j.fail = fmt.Errorf("journal: fsync: %w", err)
-			j.met.failed.Set(1)
-			return j.fail
+		if err := durable.Sync(j.wal); err != nil {
+			return j.latch("fsync", err)
 		}
 	}
 	j.size += int64(len(buf))
@@ -340,6 +377,13 @@ func (j *Journal) Append(payload []byte) error {
 	j.met.walBytes.Set(j.size)
 	j.met.walRecords.Set(int64(j.recs))
 	return nil
+}
+
+// latch fails the journal for good: every later write returns the error.
+func (j *Journal) latch(op string, err error) error {
+	j.fail = fmt.Errorf("journal: %s: %w", op, err)
+	j.met.failed.Set(1)
+	return j.fail
 }
 
 // Records reports how many records the WAL holds since the last
@@ -360,64 +404,56 @@ func (j *Journal) Failed() error { return j.fail }
 // at any point leaves either the old snapshot with its own WAL intact, or
 // the new snapshot with an empty (or absent) wal.<gen+1>; Open never
 // replays a WAL from a different generation than the snapshot it loaded,
-// so records are free to be deltas.
+// so records are free to be deltas. A directory fsync failing after the
+// rename latches the journal failed, as a failed append does.
 func (j *Journal) Compact(records func(yield func([]byte) bool)) error {
 	if j.fail != nil {
 		return j.fail
 	}
 	newGen := j.gen + 1
-	path := filepath.Join(j.dir, snapshotName)
-	tmp := path + ".tmp"
-	if err := writeSnapshot(tmp, newGen, records); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// The new generation's (empty) WAL exists durably before the rename:
-	// whichever side of the rename a crash lands on, the WAL matching the
-	// surviving snapshot holds no foreign records.
+	// The new generation's (empty) WAL exists durably before the snapshot
+	// naming it: whichever side of the rename a crash lands on, the WAL
+	// matching the surviving snapshot holds no foreign records.
 	newWALPath := filepath.Join(j.dir, walFileName(newGen))
 	nw, err := os.OpenFile(newWALPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		os.Remove(tmp)
 		return err
 	}
-	if err := nw.Sync(); err != nil {
+	if err = durable.Sync(nw); err == nil {
+		err = durable.SyncDir(j.dir)
+	}
+	if err == nil {
+		err = durable.WriteAtomic(filepath.Join(j.dir, snapshotName), func(f *os.File) error {
+			return writeSnapshot(f, newGen, records)
+		})
+	}
+	if err != nil {
 		nw.Close()
 		os.Remove(newWALPath)
-		os.Remove(tmp)
 		return err
 	}
-	syncDir(j.dir)
-	if err := os.Rename(tmp, path); err != nil {
-		nw.Close()
-		os.Remove(newWALPath)
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(j.dir)
-	// The new snapshot is durable; retire the old generation's log.
 	oldWAL, oldGen := j.wal, j.gen
-	j.wal = nw
-	j.gen = newGen
-	j.size = 0
-	j.recs = 0
+	j.wal, j.gen, j.size, j.recs = nw, newGen, 0, 0
 	oldWAL.Close()
-	os.Remove(filepath.Join(j.dir, walFileName(oldGen)))
-	syncDir(j.dir)
 	j.met.compactions.Inc()
 	j.met.walBytes.Set(0)
 	j.met.walRecords.Set(0)
+	// The old generation's log goes only once the new snapshot's name is
+	// durable.
+	if err = durable.SyncDir(j.dir); err == nil {
+		os.Remove(filepath.Join(j.dir, walFileName(oldGen)))
+		err = durable.SyncDir(j.dir)
+	}
+	if err != nil {
+		return j.latch("compact", err)
+	}
 	return nil
 }
 
-// writeSnapshot streams the header and the framed records into a new file
-// at path and fsyncs it. The record count is known only once the last
-// record is out, so it goes into the header last.
-func writeSnapshot(path string, gen uint64, records func(yield func([]byte) bool)) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+// writeSnapshot streams the header and the framed records into f. The
+// record count is known only once the last record is out, so it goes into
+// the header last.
+func writeSnapshot(f *os.File, gen uint64, records func(yield func([]byte) bool)) (err error) {
 	w := bufio.NewWriterSize(f, 64<<10)
 	hdr := binary.BigEndian.AppendUint64([]byte(snapshotHeader), gen)
 	w.Write(binary.BigEndian.AppendUint32(hdr, 0)) // a write error sticks, for Flush
@@ -442,12 +478,6 @@ func writeSnapshot(path string, gen uint64, records func(yield func([]byte) bool
 	if err == nil {
 		_, err = f.WriteAt(binary.BigEndian.AppendUint32(nil, count), int64(len(hdr)))
 	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }
 
@@ -459,13 +489,4 @@ func (j *Journal) Close() error {
 	err := j.wal.Close()
 	j.wal = nil
 	return err
-}
-
-// syncDir fsyncs a directory so a rename within it is durable;
-// best-effort (some filesystems refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }

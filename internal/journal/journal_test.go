@@ -15,12 +15,23 @@ import (
 	"gdmp/internal/obs"
 )
 
-func openT(t testing.TB, dir string) (*Journal, Recovery) {
+// recovered is what Open replayed and repaired.
+type recovered struct {
+	Records   [][]byte
+	TornBytes int64
+}
+
+func openT(t testing.TB, dir string) (*Journal, recovered) {
 	t.Helper()
-	j, rec, err := Open(dir, Options{Registry: obs.NewRegistry()})
+	var rec recovered
+	j, r, err := Open(dir, Options{Registry: obs.NewRegistry(), Replay: func(b []byte) error {
+		rec.Records = append(rec.Records, bytes.Clone(b))
+		return nil
+	}})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	rec.TornBytes = r.TornBytes
 	return j, rec
 }
 
@@ -36,7 +47,7 @@ func seq(records ...string) func(yield func([]byte) bool) {
 }
 
 // replayed renders recovered records for comparison.
-func replayed(rec Recovery) []string {
+func replayed(rec recovered) []string {
 	out := make([]string, len(rec.Records))
 	for i, r := range rec.Records {
 		out[i] = string(r)
@@ -317,7 +328,11 @@ func FuzzSnapshot(f *testing.F) {
 	f.Add(b[:len(snapshotHeader)+12])
 	f.Add([]byte("gdmp-journal-snapshot v2\n"))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		records, _, err := parseSnapshot(b)
+		var records [][]byte
+		_, err := readSnapshot(bytes.NewReader(b), func(r []byte) error {
+			records = append(records, bytes.Clone(r))
+			return nil
+		})
 		if err != nil {
 			return
 		}

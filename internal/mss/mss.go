@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/obs"
 )
 
@@ -139,6 +140,10 @@ type poolEntry struct {
 type MSS struct {
 	cfg Config
 
+	// copyMu runs one copy at a time: concurrent stages of one file would
+	// share its staging name.
+	copyMu sync.Mutex
+
 	mu       sync.Mutex
 	entries  map[string]*poolEntry
 	lruList  *list.List // front = most recently used
@@ -159,7 +164,7 @@ func New(cfg Config) (*MSS, error) {
 		return nil, errors.New("mss: TapeDir and PoolDir must be set")
 	}
 	for _, dir := range []string{cfg.TapeDir, cfg.PoolDir} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := durable.MkdirAll(dir); err != nil {
 			return nil, fmt.Errorf("mss: create %s: %w", dir, err)
 		}
 	}
@@ -395,7 +400,7 @@ func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 		release()
 		return "", err
 	}
-	if err := copyFile(src, dst); err != nil {
+	if err := m.copyFile(src, dst); err != nil {
 		release()
 		return "", fmt.Errorf("mss: stage %s: %w", name, err)
 	}
@@ -491,13 +496,10 @@ func (m *MSS) Archive(name string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return err
-	}
 	if m.cfg.MountLatency > 0 {
 		time.Sleep(m.cfg.MountLatency)
 	}
-	return copyFile(src, dst)
+	return m.copyFile(src, dst)
 }
 
 // Reserve sets aside size bytes of pool capacity, evicting unpinned files
@@ -589,7 +591,12 @@ func (m *MSS) detachLocked(dataName string) []evicted {
 	return out
 }
 
-// notifyEvicted runs the eviction callback for each victim, outside m.mu.
+// notifyEvicted runs the eviction callback for each victim, outside m.mu,
+// once the victim's removal is durable: the callback journals it, and a
+// journaled removal must not outlive a power cut that brings the bytes
+// back unaccounted. A failed directory fsync cannot undo the removal, so
+// the callback runs regardless; the cost is bytes a power cut may leave
+// behind, never a catalog entry without them.
 func (m *MSS) notifyEvicted(victims []evicted) {
 	if len(victims) == 0 {
 		return
@@ -601,6 +608,9 @@ func (m *MSS) notifyEvicted(victims []evicted) {
 		return
 	}
 	for _, v := range victims {
+		if p, err := safeJoin(m.cfg.PoolDir, v.name); err == nil {
+			_ = durable.SyncDir(filepath.Dir(p))
+		}
 		fn(v.name, v.size)
 	}
 }
@@ -689,25 +699,29 @@ func (m *MSS) PoolContents() []string {
 	return out
 }
 
-func copyFile(src, dst string) error {
+// copyFile copies src to dst durably, dst's directory created if need be:
+// pool eviction may leave a tape copy as a file's only copy, and a staged
+// copy is served as the file.
+func (m *MSS) copyFile(src, dst string) error {
+	m.copyMu.Lock()
+	defer m.copyMu.Unlock()
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+	dir := filepath.Dir(dst)
+	if err := durable.MkdirAll(dir); err != nil {
 		return err
 	}
-	out, err := os.Create(dst)
+	err = durable.WriteAtomic(dst, func(out *os.File) error {
+		_, err := io.Copy(out, in)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
-	}
-	return out.Close()
+	return durable.SyncDir(dir)
 }
 
 var _ StorageManager = (*MSS)(nil)

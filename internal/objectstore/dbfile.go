@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"gdmp/internal/durable"
 )
 
 // Database file layout (all integers big-endian):
@@ -121,7 +123,7 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := durable.Sync(w.f); err != nil {
 		w.f.Close()
 		return err
 	}

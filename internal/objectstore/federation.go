@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"gdmp/internal/durable"
 )
 
 // Federation is the site-local object database catalog, the analogue of an
@@ -271,7 +273,9 @@ func (fed *Federation) Close() error {
 }
 
 // Save writes the federation catalog (dbid -> path) to a file, relative
-// paths resolved against the catalog's directory on load.
+// paths resolved against the catalog's directory on load. The file is
+// replaced atomically and durably: a crash or power cut leaves the old
+// catalog or the new one.
 func (fed *Federation) Save(path string) error {
 	fed.mu.RLock()
 	ids := make([]uint32, 0, len(fed.dbs))
@@ -285,11 +289,14 @@ func (fed *Federation) Save(path string) error {
 		fmt.Fprintf(&b, "%d %s\n", id, strconv.Quote(fed.dbs[id]))
 	}
 	fed.mu.RUnlock()
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(b.String()), 0o644); err != nil {
+	err := durable.WriteAtomic(path, func(f *os.File) error {
+		_, err := f.WriteString(b.String())
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return durable.SyncDir(filepath.Dir(path))
 }
 
 // LoadFederation reads a federation catalog and attaches every listed

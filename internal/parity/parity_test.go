@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"gdmp/internal/durable"
 )
 
 // damage flips one bit somewhere inside each of the chosen data blocks.
@@ -185,7 +187,7 @@ func TestSidecarFileRoundTrip(t *testing.T) {
 	if err != nil || !bytes.Equal(fixed, orig) || len(rebuilt) != 2 {
 		t.Fatalf("rebuild from a loaded sidecar: %v (rebuilt %v)", err, rebuilt)
 	}
-	if _, err := os.Stat(path + partSuffix); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + durable.PartSuffix); !os.IsNotExist(err) {
 		t.Fatalf("staging file left behind: %v", err)
 	}
 }

@@ -10,16 +10,12 @@ import (
 	"os"
 	"slices"
 	"strings"
+
+	"gdmp/internal/durable"
 )
 
 // Suffix is appended to a data file's path to name its parity sidecar.
 const Suffix = ".gdmppar"
-
-// partSuffix stages an in-progress sidecar write; it matches the gridftp
-// transfer staging suffix on purpose, so the journal-recovery sweep that
-// already quarantines orphaned ".part" debris covers crashed sidecar writes
-// too.
-const partSuffix = ".part"
 
 // sidecarMagic opens every sidecar file; the trailing byte is the format
 // version.
@@ -178,7 +174,10 @@ func ProtectFile(dataPath string, k, m int, wantCRC string) (crcHex string, err 
 		return "", err
 	}
 	defer src.Close()
-	err = stage(SidecarPath(dataPath), func(f *os.File) error {
+	// No directory fsync makes the rename durable, on purpose: the journaled
+	// CRC is checked at load, so a rename lost to a power cut costs one
+	// regeneration by scrub, never a wrong repair.
+	err = durable.WriteAtomic(SidecarPath(dataPath), func(f *os.File) error {
 		sc, err := encode(src, size, k, m, f, headerLen(k, m))
 		if err != nil {
 			return err
@@ -238,7 +237,7 @@ func (sc *Sidecar) header() []byte {
 // fsync, rename) and returns the hex CRC of the sidecar file itself.
 func (sc *Sidecar) WriteFile(path string) (string, error) {
 	var sum uint32
-	err := stage(path, func(f *os.File) error {
+	err := durable.WriteAtomic(path, func(f *os.File) error {
 		for _, p := range append([][]byte{sc.header()}, sc.Parity...) {
 			sum = crc32.Update(sum, crc32.IEEETable, p)
 			if _, err := f.Write(p); err != nil {
@@ -358,7 +357,8 @@ func (sc *Sidecar) RebuildFile(dataPath string) (rebuilt []int, err error) {
 		return nil, err
 	}
 	defer src.Close()
-	err = stage(dataPath, func(f *os.File) error {
+	// No directory fsync either: scrub holds a replica to its catalog CRC.
+	err = durable.WriteAtomic(dataPath, func(f *os.File) error {
 		rebuilt, err = sc.rebuild(src, size, f)
 		return err
 	})

@@ -3,7 +3,6 @@ package parity
 import (
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -88,33 +87,6 @@ func (b *block) emit(p []byte, pos int64) error {
 type memory []byte
 
 func (m memory) WriteAt(p []byte, off int64) (int, error) { return copy(m[off:], p), nil }
-
-// stage fills path+".part", then fsync → close → rename: the atomic write
-// every sidecar and every rebuilt replica goes through. Any failure removes
-// the staging file and leaves path as it was.
-func stage(path string, fill func(*os.File) error) (err error) {
-	tmp := path + partSuffix
-	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close() // a second Close after a failed one is harmless
-			os.Remove(tmp)
-		}
-	}()
-	if err = fill(f); err != nil {
-		return err
-	}
-	if err = f.Sync(); err != nil {
-		return err
-	}
-	if err = f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 // crcCombine returns the IEEE CRC of a‖b given crc(a), crc(b) and len(b) —
 // zlib's crc32_combine, which hash/crc32 does not export. It lets the stripe

@@ -398,12 +398,16 @@ func TestSnapshotDeterministic(t *testing.T) {
 // every snapshot.
 func recompact(t *testing.T, dir string, edit func(old [][]byte) [][]byte) {
 	t.Helper()
-	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{NoSync: true, Registry: obs.NewRegistry()})
+	var old [][]byte
+	j, _, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{NoSync: true, Registry: obs.NewRegistry(), Replay: func(r []byte) error {
+		old = append(old, append([]byte(nil), r...))
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	records := edit(rec.Records)
+	records := edit(old)
 	if err := j.Compact(func(yield func([]byte) bool) {
 		for _, r := range records {
 			if !yield(r) {

@@ -46,29 +46,31 @@ const compactRecords = 8192
 // recovers the empty catalog c from it. On return the catalog's mutation
 // hook is installed; the caller must not replace it.
 func OpenStore(dir string, c *Catalog, opts StoreOptions) (*Store, error) {
-	j, rec, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{
-		NoSync:   opts.NoSync,
-		Registry: opts.Registry,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replica: store %s: %w", dir, err)
-	}
 	// The snapshot's records, then the WAL's, each through decodeMutation
 	// and apply, so every entry lands on the shard its hash names under this
 	// catalog's shard count.
-	for i, r := range rec.Records {
-		d := rpc.NewDecoder(r)
-		m, err := decodeMutation(d)
-		if err == nil {
-			err = d.Finish()
-		}
-		if err == nil {
-			err = c.apply(m)
-		}
-		if err != nil {
-			j.Close()
-			return nil, fmt.Errorf("replica: store %s: journal record %d: %w", dir, i, err)
-		}
+	var n int
+	j, _, err := journal.Open(filepath.Join(dir, storeWALDir), journal.Options{
+		NoSync:   opts.NoSync,
+		Registry: opts.Registry,
+		Replay: func(r []byte) error {
+			d := rpc.NewDecoder(r)
+			m, err := decodeMutation(d)
+			if err == nil {
+				err = d.Finish()
+			}
+			if err == nil {
+				err = c.apply(m)
+			}
+			if err != nil {
+				return fmt.Errorf("journal record %d: %w", n, err)
+			}
+			n++
+			return nil
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replica: store %s: %w", dir, err)
 	}
 	st := &Store{c: c, j: j}
 	c.OnMutate(st.append)

@@ -17,6 +17,7 @@ import (
 
 	"gdmp/internal/admission"
 	"gdmp/internal/core"
+	"gdmp/internal/durable"
 	"gdmp/internal/faults"
 	"gdmp/internal/gsi"
 	"gdmp/internal/health"
@@ -39,8 +40,9 @@ type Grid struct {
 
 	Sites map[string]*core.Site
 
-	baseDir  string
-	siteOpts map[string]SiteOptions
+	baseDir   string
+	siteOpts  map[string]SiteOptions
+	recorders map[string]*Recorder
 }
 
 // SiteOptions configures one site added to the grid.
@@ -116,6 +118,11 @@ type SiteOptions struct {
 	// dir), enabling the crash-safe journal. Combined with Kill and
 	// RestartSite this is the crash/restart test surface.
 	Durable bool
+
+	// RecordSyncs records every fsync, rename and directory fsync under
+	// the site's directories from its first start on (Grid.Recorder), so
+	// PowerCut can roll the site back to what they made durable.
+	RecordSyncs bool
 
 	// ScrubInterval and AntiEntropyInterval enable the site's background
 	// self-healing loops (zero disables each); ScrubRateBytes paces the
@@ -211,6 +218,7 @@ func NewGrid(baseDir string) (*Grid, error) {
 		Sites:       make(map[string]*core.Site),
 		baseDir:     baseDir,
 		siteOpts:    make(map[string]SiteOptions),
+		recorders:   make(map[string]*Recorder),
 	}, nil
 }
 
@@ -227,6 +235,13 @@ func (g *Grid) AddSite(name string, opts SiteOptions) (*core.Site, error) {
 	dataDir := filepath.Join(siteDir, "pool")
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return nil, err
+	}
+	if opts.RecordSyncs && g.recorders[name] == nil {
+		rec, err := Record(siteDir)
+		if err != nil {
+			return nil, err
+		}
+		g.recorders[name] = rec
 	}
 
 	dialFunc := opts.DialFunc
@@ -328,29 +343,55 @@ func (g *Grid) RestartSite(name string) (*core.Site, error) {
 	return g.AddSite(name, opts)
 }
 
+// PowerCut kills a site the way a power cut does: Kill, then the site's
+// directory is rolled back to what its recorded fsyncs made durable
+// (Recorder.Cut). The site must have been added with RecordSyncs;
+// RestartSite brings it back on the rolled-back image.
+func (g *Grid) PowerCut(name string) error {
+	site, rec := g.Sites[name], g.recorders[name]
+	if site == nil || rec == nil {
+		return fmt.Errorf("testbed: site %q is not recording its syncs", name)
+	}
+	site.Kill()
+	return rec.Cut()
+}
+
+// Recorder returns the recorder of a site added with RecordSyncs.
+func (g *Grid) Recorder(name string) *Recorder { return g.recorders[name] }
+
 // Close shuts down every site and the catalog server.
 func (g *Grid) Close() {
 	for _, s := range g.Sites {
 		s.Close()
+	}
+	for _, rec := range g.recorders {
+		rec.Stop()
 	}
 	g.CatalogSrv.Close()
 }
 
 // WriteSiteFile drops bytes into a site's data directory so they can be
 // published (simulating detector output landing at a production site).
+// They are written durably: a harness's inputs survive a power cut, so
+// only the program is under test.
 func (g *Grid) WriteSiteFile(siteName, relPath string, data []byte) (string, error) {
 	site, ok := g.Sites[siteName]
 	if !ok {
 		return "", fmt.Errorf("testbed: unknown site %q", siteName)
 	}
 	full := filepath.Join(site.DataDir(), filepath.FromSlash(relPath))
-	if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+	dir := filepath.Dir(full)
+	if err := durable.MkdirAll(dir); err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(full, data, 0o644); err != nil {
+	err := durable.WriteAtomic(full, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+	if err != nil {
 		return "", err
 	}
-	return full, nil
+	return full, durable.SyncDir(dir)
 }
 
 // MakeData builds deterministic pseudo-random content.

@@ -5,7 +5,8 @@
 // reached through one function, every replica enters the local catalog
 // through one function and every publication is enqueued by one, every
 // pull enters the scheduler through one function, and periodic work runs
-// on one loop runner. A second writer, or a second dialer, is a copy that
+// on one loop runner; and under internal/ and cmd/, only internal/durable
+// fsyncs or renames. A second writer, or a second dialer, is a copy that
 // will drift.
 package gdmp_test
 
@@ -13,6 +14,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -101,6 +103,42 @@ func TestSoleCallers(t *testing.T) {
 	for callee := range soleCallers {
 		if !seen[callee] {
 			t.Errorf("soleCallers pins %s, which internal/core no longer calls: update the entry", callee)
+		}
+	}
+}
+
+// TestDurableHasOneOwner fails when a non-test file under internal/ or
+// cmd/, outside internal/durable, calls os.Rename or a Sync method with no
+// arguments — (*os.File).Sync, of a file or of a directory opened to sync
+// it. What survives a power cut is decided in internal/durable alone, and
+// only calls through it are seen by the power-cut harness.
+func TestDurableHasOneOwner(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+				filepath.Dir(path) == filepath.Join("internal", "durable") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				owner, method := lastTwoSelectors(call.Fun)
+				if owner == "os" && method == "Rename" || method == "Sync" && len(call.Args) == 0 {
+					t.Errorf("%s: %s.%s outside internal/durable; use durable.Rename, Sync or SyncDir", fset.Position(call.Pos()), owner, method)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -132,6 +132,7 @@ func TestCrashRestartPoolEvictionWithdrawal(t *testing.T) {
 	breaker := &rcBreaker{rcAddr: g.CatalogAddr}
 	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
 		Durable:     true,
+		RecordSyncs: powerCuts(t),
 		WithMSS:     true,
 		MSSCapacity: 10_000,
 		DialFunc:    breaker.dial,
@@ -183,8 +184,8 @@ func TestCrashRestartPoolEvictionWithdrawal(t *testing.T) {
 		t.Fatal("test premise broken: RC withdrawal went through despite the severed catalog")
 	}
 
-	// SIGKILL in the crash window, then restart on the same directories.
-	cons.Kill()
+	// A crash in the window, then restart on the same directories.
+	crash(t, g, "anl.gov")
 	breaker.unblock()
 	cons, err = g.RestartSite("anl.gov")
 	if err != nil {

@@ -17,7 +17,7 @@ import (
 // that non-test code never mentions and that stay on purpose.
 var keptUnused = []struct{ why, names string }{
 	{"features of the paper that only their tests and EXPERIMENTS.md exercise",
-		`gridftp.StripedGet gridftp.PutRegion gridftp.SetParallelism gridftp.Mkdir
+		`gridftp.StripedGet gridftp.PutRegion gridftp.SetParallelism
 		core.GetCollection core.GetWithAssociated core.PublishAll core.RebuildLocalCatalog core.DeleteLogical
 		core.RegisterFileType core.UnsubscribeFrom core.ProcessPending core.Ping core.Locate
 		objectstore.Navigate objectstore.AssociationClosure objectstore.FindObjects objectstore.Detach
