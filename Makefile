@@ -40,7 +40,7 @@ check: fmt vet build race
 
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
 # of bytes a GridFTP peer controls on either end, of the certificate
-# chain an unauthenticated GSI peer sends first, of the Request Manager
+# chain an unauthenticated peer presents in its TLS handshake, of the Request Manager
 # frame and the status and fsck replies an authenticated peer sends, of the
 # catalog query filter and the bloom digest a catalog client or site sends,
 # and of what a rotting disk controls: the parity sidecar header, the journal's snapshot
@@ -54,7 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecvBlocks$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzReadReply$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzTransferArgs$$' -fuzztime 10s ./internal/gridftp
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalChain$$' -fuzztime 10s ./internal/gsi
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFsckReply$$' -fuzztime 10s ./internal/core

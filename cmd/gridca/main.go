@@ -151,7 +151,7 @@ func cmdShow(args []string) error {
 			role = "proxy"
 		}
 		fmt.Printf("%d: %-8s %s (issuer %s, serial %d, expires %s)\n",
-			i, role, cert.Subject, cert.Issuer, cert.Serial,
+			i, role, cert.Subject, cert.Issuer, cert.SerialNumber,
 			cert.NotAfter.Format(time.RFC3339))
 	}
 	return nil

@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
+
+	"gdmp/internal/replica"
 )
 
 // FileState describes where a local file currently is.
@@ -224,7 +227,7 @@ func (s *Site) withdraw(ctx context.Context, fi FileInfo, fate bytesFate, centra
 	if !central {
 		return nil
 	}
-	if err := s.rc.removeReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !isNotFound(err) {
+	if err := s.rc.removeReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !errors.Is(err, replica.ErrNotFound) {
 		return fmt.Errorf("core: withdraw %s from replica catalog: %w", fi.LFN, err)
 	}
 	return nil

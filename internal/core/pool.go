@@ -16,6 +16,7 @@ import (
 
 	"gdmp/internal/mss"
 	"gdmp/internal/obs"
+	"gdmp/internal/replica"
 )
 
 // Pool returns the site's storage manager (nil without an MSS) — the
@@ -125,7 +126,7 @@ func (s *Site) prefetchCollection(dir string) {
 	}
 	lfns, err := s.rc.listCollection(ctx, dir)
 	if err != nil {
-		if !isNotFound(err) {
+		if !errors.Is(err, replica.ErrNotFound) {
 			s.logger.Printf("gdmp[%s]: prefetch list collection %s: %v", s.cfg.Name, dir, err)
 		}
 		return

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gdmp/internal/replica"
-	"gdmp/internal/rpc"
 )
 
 // rcService is GDMP's Replica Catalog service: the paper's "higher-level
@@ -53,18 +52,6 @@ func checkCatalogName(kind, name string) error {
 	return nil
 }
 
-// isExists reports whether a remote error is the catalog's already-exists.
-func isExists(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "already exists")
-}
-
-// isNotFound reports whether a remote error is the catalog's not-found.
-func isNotFound(err error) bool {
-	var re *rpc.RemoteError
-	return errors.As(err, &re) && strings.Contains(re.Msg, "not found")
-}
-
 // publishFile registers a logical file (verifying global uniqueness) with
 // its metadata and first physical location, creating the collection if
 // needed — one GDMP publish step (Section 4.2: files and their
@@ -74,7 +61,7 @@ func (rc *rcService) publishFile(ctx context.Context, lfn string, attrs map[stri
 		return err
 	}
 	if err := rc.cl(ctx).Register(ctx, lfn, attrs); err != nil {
-		if isExists(err) {
+		if errors.Is(err, replica.ErrExists) {
 			return fmt.Errorf("core: logical file name %q already taken (the catalog enforces a global namespace): %w", lfn, err)
 		}
 		return err
@@ -96,7 +83,7 @@ func (rc *rcService) publishFile(ctx context.Context, lfn string, attrs map[stri
 // addReplica records an additional physical location for an existing file.
 func (rc *rcService) addReplica(ctx context.Context, lfn string, pfn PFN) error {
 	err := rc.cl(ctx).AddReplica(ctx, lfn, pfn.String())
-	if err != nil && isExists(err) {
+	if err != nil && errors.Is(err, replica.ErrExists) {
 		return nil // idempotent: replica already recorded
 	}
 	return err
@@ -114,7 +101,7 @@ func (rc *rcService) ensureCollection(ctx context.Context, name string) error {
 		return err
 	}
 	err := rc.cl(ctx).CreateCollection(ctx, name)
-	if err != nil && isExists(err) {
+	if err != nil && errors.Is(err, replica.ErrExists) {
 		return nil
 	}
 	return err

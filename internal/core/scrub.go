@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 
 	"gdmp/internal/gsi"
 	"gdmp/internal/parity"
+	"gdmp/internal/replica"
 	"gdmp/internal/rpc"
 	"gdmp/internal/scrub"
 )
@@ -265,7 +267,7 @@ func (s *Site) scrubPass(ctx context.Context, periodic bool) (scrub.Report, erro
 			// addReplica is idempotent, so this is a no-op in the steady
 			// state, but it converges back any location a peer's
 			// anti-entropy round withdrew on a stale digest.
-			if err := s.rc.addReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !isNotFound(err) {
+			if err := s.rc.addReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !errors.Is(err, replica.ErrNotFound) {
 				s.logger.Printf("gdmp[%s]: scrub: re-assert location of %s: %v", s.cfg.Name, fi.LFN, err)
 			}
 		}
@@ -625,7 +627,7 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 func (s *Site) dropDanglingLocation(ctx context.Context, lfn, dataAddr string, confirm func() bool) bool {
 	locs, err := s.rc.locations(ctx, lfn)
 	if err != nil {
-		if !isNotFound(err) {
+		if !errors.Is(err, replica.ErrNotFound) {
 			s.logger.Printf("gdmp[%s]: anti-entropy: locations of %s: %v", s.cfg.Name, lfn, err)
 		}
 		return false
@@ -637,7 +639,7 @@ func (s *Site) dropDanglingLocation(ctx context.Context, lfn, dataAddr string, c
 		if confirm != nil && !confirm() {
 			return false
 		}
-		if err := s.rc.removeReplica(ctx, lfn, p); err != nil && !isNotFound(err) {
+		if err := s.rc.removeReplica(ctx, lfn, p); err != nil && !errors.Is(err, replica.ErrNotFound) {
 			s.logger.Printf("gdmp[%s]: anti-entropy: withdraw dangling %s at %s: %v",
 				s.cfg.Name, lfn, dataAddr, err)
 			return false

@@ -114,8 +114,8 @@ func WithMetrics(r *obs.Registry) ClientOption {
 // Client is a GridFTP control-channel session, the programmatic equivalent
 // of globus_ftp_client / globus_url_copy.
 type Client struct {
-	conn net.Conn
-	ctl  *controlConn
+	conn net.Conn     // raw control connection: deadlines, and Close severs it
+	ctl  *controlConn // over the protected session on conn
 	addr string
 
 	parallelism int
@@ -219,12 +219,13 @@ func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots [
 		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(c.timeout))
-	if _, err := gsi.Handshake(conn, cred, roots, true); err != nil {
+	peer, err := gsi.Handshake(conn, cred, roots, true)
+	if err != nil {
 		return fail(err)
 	}
 	conn.SetDeadline(time.Time{})
 	c.conn = conn
-	c.ctl = newControlConn(conn)
+	c.ctl = newControlConn(peer.Conn)
 	c.armDeadline()
 	code, text, err := c.ctl.readReply()
 	c.clearDeadline()

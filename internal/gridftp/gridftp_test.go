@@ -547,17 +547,18 @@ func TestControlDeadlineOnHungServer(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		if _, err := gsi.Handshake(c, srvCred, rts, false); err != nil {
+		peer, err := gsi.Handshake(c, srvCred, rts, false)
+		if err != nil {
 			return
 		}
-		io.WriteString(c, "220 ready\r\n")
-		br := bufio.NewReader(c)
+		io.WriteString(peer.Conn, "220 ready\r\n")
+		br := bufio.NewReader(peer.Conn)
 		// Answer the OPTS PARALLEL session setup, then go silent: keep
 		// reading so the TCP window stays open but never reply again.
 		if _, err := br.ReadString('\n'); err != nil {
 			return
 		}
-		io.WriteString(c, "200 ok\r\n")
+		io.WriteString(peer.Conn, "200 ok\r\n")
 		io.Copy(io.Discard, br)
 	}()
 

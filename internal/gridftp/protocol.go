@@ -3,7 +3,8 @@
 // the feature list the paper enumerates:
 //
 //   - GSI public-key security on the control channel (every session is
-//     mutually authenticated before any command runs);
+//     mutually authenticated before any command runs, and its lines then
+//     travel inside the TLS session the handshake set up);
 //   - parallel data transfer: one host pair, multiple TCP streams;
 //   - striped data transfer: the client fetches disjoint ranges of a
 //     replicated file from several servers at once (see StripedGet);
@@ -159,7 +160,9 @@ func readBlock(r io.Reader, buf []byte) (flags byte, offset int64, payload []byt
 }
 
 // newToken mints a random pairing token binding data connections to their
-// control session.
+// control session. The data connections themselves are clear (GridFTP's
+// PROT C); the token is secret because it crosses only the protected
+// control channel.
 func newToken() (string, error) {
 	b := make([]byte, tokenLen)
 	if _, err := rand.Read(b); err != nil {

@@ -29,15 +29,16 @@ func rawSession(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := gsi.Handshake(conn, cred(t, "raw/"+t.Name()), roots(t), true); err != nil {
+	peer, err := gsi.Handshake(conn, cred(t, "raw/"+t.Name()), roots(t), true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(conn)
+	r := bufio.NewReader(peer.Conn)
 	line, err := r.ReadString('\n')
 	if err != nil || !strings.HasPrefix(line, "220") {
 		t.Fatalf("banner = %q, %v", line, err)
 	}
-	return conn, r
+	return peer.Conn, r
 }
 
 func sendLine(t *testing.T, conn net.Conn, line string) {
@@ -286,10 +287,11 @@ func strayServer(t *testing.T, off int64, n int) string {
 			return
 		}
 		defer c.Close()
-		if _, err := gsi.Handshake(c, srvCred, rts, false); err != nil {
+		peer, err := gsi.Handshake(c, srvCred, rts, false)
+		if err != nil {
 			return
 		}
-		ctl := newControlConn(c)
+		ctl := newControlConn(peer.Conn)
 		ctl.reply(220, "ready")
 		var data net.Listener
 		for {
@@ -465,10 +467,11 @@ func listingServer(t *testing.T, count string, lines ...string) string {
 			return
 		}
 		defer c.Close()
-		if _, err := gsi.Handshake(c, srvCred, rts, false); err != nil {
+		peer, err := gsi.Handshake(c, srvCred, rts, false)
+		if err != nil {
 			return
 		}
-		ctl := newControlConn(c)
+		ctl := newControlConn(peer.Conn)
 		ctl.reply(220, "ready")
 		for {
 			line, err := ctl.readLine()
@@ -479,7 +482,7 @@ func listingServer(t *testing.T, count string, lines ...string) string {
 			case "NLST":
 				ctl.reply(codeOpening, "%s", count)
 				for _, l := range lines {
-					fmt.Fprintf(c, "%s\r\n", l)
+					fmt.Fprintf(peer.Conn, "%s\r\n", l)
 				}
 				ctl.reply(codeComplete, "listing complete")
 			case "QUIT":

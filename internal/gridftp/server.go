@@ -200,8 +200,8 @@ func (s *Server) Close() error {
 // session holds per-control-connection state.
 type session struct {
 	srv  *Server
-	ctl  *controlConn
-	conn net.Conn
+	ctl  *controlConn // over peer.Conn, the protected session
+	conn net.Conn     // the raw control connection
 	peer *gsi.Peer
 
 	parallelism int
@@ -250,7 +250,7 @@ func (s *Server) serveControl(conn net.Conn) {
 
 	sess := &session{
 		srv:         s,
-		ctl:         newControlConn(conn),
+		ctl:         newControlConn(peer.Conn),
 		conn:        conn,
 		peer:        peer,
 		parallelism: DefaultParallelism,

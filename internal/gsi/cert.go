@@ -5,9 +5,11 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/x509"
-	"encoding/binary"
+	"crypto/x509/pkix"
+	"encoding/asn1"
 	"errors"
 	"fmt"
+	"math/big"
 	"sync"
 	"time"
 )
@@ -27,100 +29,107 @@ var (
 // maxChainLen bounds chain verification work (root + user + proxies).
 const maxChainLen = 8
 
-// Certificate binds an identity to an Ed25519 public key, signed by an issuer.
-// The encoding is a fixed, deterministic binary layout (see marshalTBS) so
-// that signatures are stable across processes.
+// oidProxyCertInfo is RFC 3820's proxyCertInfo extension, which marks a
+// proxy certificate as Globus marks it.
+var oidProxyCertInfo = asn1.ObjectIdentifier{1, 3, 6, 1, 5, 5, 7, 1, 14}
+
+// proxyCertInfo is the extension's DER value: ProxyCertInfo with no path
+// length limit and the policy id-ppl-inheritAll (1.3.6.1.5.5.7.21.1), under
+// which a proxy holds every right of its signer.
+var proxyCertInfo = []byte{0x30, 0x0c, 0x30, 0x0a, 0x06, 0x08, 0x2b, 6, 1, 5, 5, 7, 21, 1}
+
+// errNotEd25519 marks a certificate whose key is not Ed25519: this package
+// neither makes nor accepts any other kind.
+var errNotEd25519 = errors.New("gsi: certificate key is not Ed25519")
+
+// Certificate is an X.509 certificate with an Ed25519 key, together with
+// the GSI fields derived from it. Every field of the embedded certificate
+// is promoted except Subject and Issuer, which the identities shadow.
 type Certificate struct {
-	Serial    uint64
-	Subject   Identity
-	Issuer    Identity
-	NotBefore time.Time
-	NotAfter  time.Time
-	IsCA      bool
-	IsProxy   bool
+	*x509.Certificate
 
-	// PublicKey is the subject's Ed25519 public key.
-	PublicKey ed25519.PublicKey
-
-	// Signature is an Ed25519 signature over marshalTBS, made with the
-	// issuer's private key.
-	Signature []byte
+	Subject Identity
+	Issuer  Identity
+	IsProxy bool // it carries the proxyCertInfo extension
 }
 
-// marshalTBS serializes the to-be-signed portion deterministically.
-func (c *Certificate) marshalTBS() ([]byte, error) {
-	pub, err := x509.MarshalPKIXPublicKey(c.PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("gsi: marshal public key: %w", err)
+// newCertificate derives the GSI fields of a parsed certificate.
+func newCertificate(x *x509.Certificate) (*Certificate, error) {
+	if _, ok := x.PublicKey.(ed25519.PublicKey); !ok {
+		return nil, fmt.Errorf("%w (it is %T)", errNotEd25519, x.PublicKey)
 	}
-	var buf bytes.Buffer
-	put := func(v interface{}) {
-		switch x := v.(type) {
-		case uint64:
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], x)
-			buf.Write(b[:])
-		case string:
-			var b [4]byte
-			binary.BigEndian.PutUint32(b[:], uint32(len(x)))
-			buf.Write(b[:])
-			buf.WriteString(x)
-		case []byte:
-			var b [4]byte
-			binary.BigEndian.PutUint32(b[:], uint32(len(x)))
-			buf.Write(b[:])
-			buf.Write(x)
-		case bool:
-			if x {
-				buf.WriteByte(1)
-			} else {
-				buf.WriteByte(0)
-			}
-		}
+	c := &Certificate{Certificate: x, Subject: identityOf(x.Subject), Issuer: identityOf(x.Issuer)}
+	for _, ext := range x.Extensions {
+		c.IsProxy = c.IsProxy || ext.Id.Equal(oidProxyCertInfo)
 	}
-	put(c.Serial)
-	put(c.Subject.Organization)
-	put(c.Subject.CommonName)
-	put(c.Issuer.Organization)
-	put(c.Issuer.CommonName)
-	put(uint64(c.NotBefore.Unix()))
-	put(uint64(c.NotAfter.Unix()))
-	put(c.IsCA)
-	put(c.IsProxy)
-	put(pub)
-	return buf.Bytes(), nil
+	return c, nil
 }
 
-// sign attaches a signature made by the issuer key.
-func (c *Certificate) sign(issuerKey ed25519.PrivateKey) error {
-	tbs, err := c.marshalTBS()
+// parseCertificate decodes one DER certificate.
+func parseCertificate(der []byte) (*Certificate, error) {
+	x, err := x509.ParseCertificate(der)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.Signature = ed25519.Sign(issuerKey, tbs)
-	return nil
+	return newCertificate(x)
 }
 
-// checkSignature verifies the certificate against the issuer's public key.
-// A key of the wrong length is a bad signature, not a panic in
-// ed25519.Verify.
-func (c *Certificate) checkSignature(issuerPub ed25519.PublicKey) error {
-	if len(issuerPub) != ed25519.PublicKeySize {
-		return ErrBadSignature
+func identityOf(n pkix.Name) Identity {
+	id := Identity{CommonName: n.CommonName}
+	if len(n.Organization) > 0 {
+		id.Organization = n.Organization[0]
 	}
-	tbs, err := c.marshalTBS()
+	return id
+}
+
+// template returns the fields every certificate here shares.
+func template(serial *big.Int, subject Identity, notAfter time.Time) *x509.Certificate {
+	return &x509.Certificate{
+		SerialNumber: serial,
+		Subject:      pkix.Name{Organization: []string{subject.Organization}, CommonName: subject.CommonName},
+		NotBefore:    time.Now().Add(-time.Minute),
+		NotAfter:     notAfter,
+		KeyUsage:     x509.KeyUsageDigitalSignature,
+	}
+}
+
+// create makes the certificate tmpl describes for a fresh key, signed by
+// signer under parent, the issuer's certificate; with a nil parent it is
+// self-signed by the fresh key. It returns the certificate and the key.
+func create(tmpl *x509.Certificate, parent *Certificate, signer ed25519.PrivateKey) (*Certificate, ed25519.PrivateKey, error) {
+	pub, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("gsi: generate key: %w", err)
 	}
-	if !ed25519.Verify(issuerPub, tbs, c.Signature) {
-		return ErrBadSignature
+	issuer := tmpl
+	if parent != nil {
+		issuer = parent.Certificate
+	} else {
+		signer = key
 	}
-	return nil
+	der, err := x509.CreateCertificate(rand.Reader, tmpl, issuer, pub, signer)
+	if err != nil {
+		return nil, nil, fmt.Errorf("gsi: create certificate: %w", err)
+	}
+	cert, err := parseCertificate(der)
+	return cert, key, err
 }
 
 // ValidAt reports whether the validity window covers the given instant.
 func (c *Certificate) ValidAt(t time.Time) bool {
 	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
+}
+
+// signedBy checks the certificate's signature under the issuer's key. It
+// is not x509's CheckSignatureFrom, which refuses an issuer that is not a
+// CA, and a proxy's issuer is not. A key of the wrong length is a bad
+// signature, not a panic in ed25519.Verify.
+func (c *Certificate) signedBy(issuer *Certificate) error {
+	if pub, ok := issuer.PublicKey.(ed25519.PublicKey); !ok || len(pub) != ed25519.PublicKeySize ||
+		issuer.CheckSignature(c.SignatureAlgorithm, c.RawTBSCertificate, c.Signature) != nil {
+		return ErrBadSignature
+	}
+	return nil
 }
 
 // CA is a certificate authority: a self-signed root that can issue identity
@@ -143,22 +152,10 @@ func NewCA(organization string, validity time.Duration) (*CA, error) {
 	if organization == "" {
 		return nil, errors.New("gsi: CA organization must be non-empty")
 	}
-	pub, key, err := ed25519.GenerateKey(rand.Reader)
+	tmpl := template(big.NewInt(1), Identity{Organization: organization, CommonName: "CA"}, time.Now().Add(validity))
+	tmpl.IsCA, tmpl.BasicConstraintsValid, tmpl.KeyUsage = true, true, x509.KeyUsageCertSign
+	cert, key, err := create(tmpl, nil, nil)
 	if err != nil {
-		return nil, fmt.Errorf("gsi: generate CA key: %w", err)
-	}
-	now := time.Now()
-	id := Identity{Organization: organization, CommonName: "CA"}
-	cert := &Certificate{
-		Serial:    1,
-		Subject:   id,
-		Issuer:    id,
-		NotBefore: now.Add(-time.Minute),
-		NotAfter:  now.Add(validity),
-		IsCA:      true,
-		PublicKey: pub,
-	}
-	if err := cert.sign(key); err != nil {
 		return nil, err
 	}
 	return &CA{cert: cert, key: key, next: 2}, nil
@@ -197,24 +194,13 @@ func (ca *CA) Issue(commonName string, validity time.Duration) (*Credential, err
 	if commonName == "" {
 		return nil, errors.New("gsi: common name must be non-empty")
 	}
-	pub, key, err := ed25519.GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("gsi: generate subject key: %w", err)
-	}
 	ca.mu.Lock()
-	serial := ca.next
+	serial := new(big.Int).SetUint64(ca.next)
 	ca.next++
 	ca.mu.Unlock()
-	now := time.Now()
-	cert := &Certificate{
-		Serial:    serial,
-		Subject:   Identity{Organization: ca.cert.Subject.Organization, CommonName: commonName},
-		Issuer:    ca.cert.Subject,
-		NotBefore: now.Add(-time.Minute),
-		NotAfter:  now.Add(validity),
-		PublicKey: pub,
-	}
-	if err := cert.sign(ca.key); err != nil {
+	subject := Identity{Organization: ca.cert.Subject.Organization, CommonName: commonName}
+	cert, key, err := create(template(serial, subject, time.Now().Add(validity)), ca.cert, ca.key)
+	if err != nil {
 		return nil, err
 	}
 	return &Credential{
@@ -236,8 +222,7 @@ func VerifyChain(chain []*Certificate, roots []*Certificate, now time.Time) (Ide
 	if len(chain) > maxChainLen {
 		return Identity{}, ErrChainTooLong
 	}
-	for i := 0; i < len(chain); i++ {
-		cert := chain[i]
+	for i, cert := range chain {
 		if !cert.ValidAt(now) {
 			return Identity{}, fmt.Errorf("%w: %s", ErrExpired, cert.Subject)
 		}
@@ -265,7 +250,7 @@ func VerifyChain(chain []*Certificate, roots []*Certificate, now time.Time) (Ide
 		} else if !issuer.IsCA {
 			return Identity{}, ErrNotCA
 		}
-		if err := cert.checkSignature(issuer.PublicKey); err != nil {
+		if err := cert.signedBy(issuer); err != nil {
 			return Identity{}, err
 		}
 	}
@@ -273,22 +258,16 @@ func VerifyChain(chain []*Certificate, roots []*Certificate, now time.Time) (Ide
 }
 
 // anchor checks that cert is one of the trusted roots or directly signed by
-// one of them. Being a root means being it in every field: a match on
+// one of them. Being a root means being it byte for byte: a match on
 // subject and signature alone would anchor the public root with a peer's
 // own key put in it, under which the peer could sign any identity.
 func anchor(cert *Certificate, roots []*Certificate) error {
-	enc, err := MarshalCertificate(cert)
-	if err != nil {
-		return err
-	}
 	for _, root := range roots {
-		if rootEnc, err := MarshalCertificate(root); err == nil && bytes.Equal(enc, rootEnc) {
+		if bytes.Equal(cert.Raw, root.Raw) {
 			return nil
 		}
-		if cert.Issuer == root.Subject && root.IsCA {
-			if err := cert.checkSignature(root.PublicKey); err == nil {
-				return nil
-			}
+		if cert.Issuer == root.Subject && root.IsCA && cert.signedBy(root) == nil {
+			return nil
 		}
 	}
 	return ErrUntrusted

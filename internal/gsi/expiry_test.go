@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"net"
 	"testing"
 	"time"
 )
@@ -18,7 +17,7 @@ func TestHandshakeRejectsExpiredCredential(t *testing.T) {
 	server := issue(t, "expiry-server")
 	time.Sleep(120 * time.Millisecond) // let it expire
 
-	c, s := net.Pipe()
+	c, s := tcpPair(t)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Handshake(s, server, roots, false)
@@ -47,7 +46,7 @@ func TestHandshakeRejectsExpiredProxy(t *testing.T) {
 	server := issue(t, "proxy-expiry-server")
 	time.Sleep(120 * time.Millisecond)
 
-	c, s := net.Pipe()
+	c, s := tcpPair(t)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Handshake(s, server, roots, false)
@@ -60,7 +59,7 @@ func TestHandshakeRejectsExpiredProxy(t *testing.T) {
 		t.Fatal("server accepted an expired proxy")
 	}
 	// The long-lived identity itself still works.
-	c2, s2 := net.Pipe()
+	c2, s2 := tcpPair(t)
 	done2 := make(chan error, 1)
 	go func() {
 		_, err := Handshake(s2, server, roots, false)

@@ -1,127 +1,130 @@
-package gsi
+package gsi_test
 
 import (
-	"crypto"
-	"crypto/rand"
-	"crypto/rsa"
-	"crypto/sha256"
-	"crypto/x509"
-	"encoding/pem"
 	"errors"
+	"io"
+	"log"
 	"net"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"gdmp/internal/gridftp"
+	"gdmp/internal/gsi"
+	"gdmp/internal/rpc"
 )
 
-// legacyRSACredential returns a user certificate, its root and the user's
-// key encoded exactly as this package wrote them before it switched to
-// Ed25519: RSA PKIX keys, each certificate signed RSASSA-PKCS1-v1.5 over
-// the SHA-256 of its to-be-signed bytes, which are its wire encoding
-// without the trailing signature.
-func legacyRSACredential(t *testing.T) (leaf, root []byte, key *rsa.PrivateKey) {
-	t.Helper()
-	caKey, err := rsa.GenerateKey(rand.Reader, 1024)
+// upgradeNote is the README section every flag-day refusal names.
+const upgradeNote = `README "Upgrading to TLS"`
+
+// logLines is a log destination a test reads from another goroutine.
+type logLines chan string
+
+func (l logLines) Write(p []byte) (int, error) {
+	select {
+	case l <- string(p):
+	default:
+	}
+	return len(p), nil
+}
+
+// TestPreTLSRefusals pins the refusals of the flag day that moved GSI onto
+// X.509 and TLS, against what the last build before it wrote, kept under
+// testdata/pre-tls: gridca's ca.pem and an issued credential, and a
+// client's first handshake message (a 4-byte length, then its chain).
+//   - Loading either file fails with an error naming the file and the
+//     upgrade note.
+//   - An rpc server and a GridFTP server that read the old message refuse
+//     it with ErrHandshake naming the note.
+//   - A client whose server hangs up on its ClientHello, as an old server
+//     does after reading a length it finds too large, gets the same.
+func TestPreTLSRefusals(t *testing.T) {
+	_, caErr := gsi.LoadCertificate("testdata/pre-tls/ca.pem")
+	_, credErr := gsi.LoadCredential("testdata/pre-tls/site1.pem")
+	for path, err := range map[string]error{"testdata/pre-tls/ca.pem": caErr, "testdata/pre-tls/site1.pem": credErr} {
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), upgradeNote) {
+			t.Errorf("loading %s: %v; want an error naming the file and %s", path, err, upgradeNote)
+		}
+	}
+
+	hello, err := os.ReadFile("testdata/pre-tls/hello.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err = rsa.GenerateKey(rand.Reader, 1024)
+	ca, err := gsi.NewCA("DataGrid", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	now := time.Now()
-	encode := func(serial uint64, subject, issuer Identity, isCA bool, pub *rsa.PublicKey, signer *rsa.PrivateKey) []byte {
-		der, err := x509.MarshalPKIXPublicKey(pub)
+	cred, err := ca.Issue("gdmp/flagday", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []*gsi.Certificate{ca.Certificate()}
+	logs := make(logLines, 16)
+	rpcSrv := rpc.NewServer(cred, roots, nil)
+	rpcSrv.SetLogger(log.New(logs, "", 0))
+	ftpSrv, err := gridftp.NewServer(gridftp.ServerConfig{Root: t.TempDir(), Cred: cred, TrustRoots: roots, Logger: log.New(logs, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, srv := range map[string]interface {
+		Serve(net.Listener) error
+		Close() error
+	}{"rpc": rpcSrv, "gridftp": ftpSrv} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var w certWriter
-		w.u64(serial)
-		w.str(subject.Organization)
-		w.str(subject.CommonName)
-		w.str(issuer.Organization)
-		w.str(issuer.CommonName)
-		w.u64(uint64(now.Add(-time.Minute).Unix()))
-		w.u64(uint64(now.Add(time.Hour).Unix()))
-		w.bool(isCA)
-		w.bool(false)
-		w.bytes(der)
-		h := sha256.Sum256(w.buf.Bytes())
-		sig, err := rsa.SignPKCS1v15(rand.Reader, signer, crypto.SHA256, h[:])
+		go srv.Serve(ln)
+		defer srv.Close()
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.bytes(sig)
-		return w.buf.Bytes()
-	}
-	caID := Identity{Organization: "DataGrid", CommonName: "CA"}
-	root = encode(1, caID, caID, true, &caKey.PublicKey, caKey)
-	leaf = encode(2, Identity{Organization: "DataGrid", CommonName: "legacy"}, caID, false, &key.PublicKey, caKey)
-	return leaf, root, key
-}
-
-// TestLoadRSACredentialNamesFileAndGridca: a credential or CA file written
-// before the switch is refused with an error that names the file and says
-// to re-issue it with gridca.
-func TestLoadRSACredentialNamesFileAndGridca(t *testing.T) {
-	leaf, root, key := legacyRSACredential(t)
-	dir := t.TempDir()
-	credPath := filepath.Join(dir, "legacy.pem")
-	var file []byte
-	file = append(file, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: leaf})...)
-	file = append(file, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: root})...)
-	file = append(file, pem.EncodeToMemory(&pem.Block{Type: "RSA PRIVATE KEY", Bytes: x509.MarshalPKCS1PrivateKey(key)})...)
-	if err := os.WriteFile(credPath, file, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	caPath := filepath.Join(dir, "ca.pem")
-	if err := os.WriteFile(caPath, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: root}), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, credErr := LoadCredential(credPath)
-	_, caErr := LoadCertificate(caPath)
-	for path, err := range map[string]error{credPath: credErr, caPath: caErr} {
-		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "re-issue it with gridca") {
-			t.Errorf("loading RSA-era %s: %v; want an error naming the file and gridca", filepath.Base(path), err)
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		conn.Write(hello)
+		io.Copy(io.Discard, conn) // until the server hangs up
+		conn.Close()
+		select {
+		case line := <-logs:
+			if !strings.Contains(line, gsi.ErrHandshake.Error()) || !strings.Contains(line, upgradeNote) {
+				t.Errorf("%s server on a pre-TLS hello logged %q; want ErrHandshake naming %s", name, line, upgradeNote)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s server logged nothing on a pre-TLS hello", name)
 		}
 	}
-}
 
-// TestHandshakeRefusesRSAChain: a peer on either side that presents an
-// RSA-keyed chain fails the handshake with ErrHandshake.
-func TestHandshakeRefusesRSAChain(t *testing.T) {
-	leaf, root, _ := legacyRSACredential(t)
-	var w certWriter
-	w.u64(2)
-	w.bytes(leaf)
-	w.bytes(root)
-	rsaChain := w.buf.Bytes()
-	nonce := make([]byte, nonceLen)
-	roots := []*Certificate{testCA(t).Certificate()}
-	me := issue(t, "flagday-peer")
-
-	for _, asClient := range []bool{false, true} {
-		c, s := net.Pipe()
-		// The legacy peer sends its hello (and, as server, a proof) and
-		// reads whatever it is sent until the connection drops.
-		go func() {
-			defer s.Close()
-			if asClient {
-				readMsg(s)
-				readMsg(s)
+	old, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	go func() {
+		for {
+			c, err := old.Accept()
+			if err != nil {
+				return
 			}
-			writeMsg(s, rsaChain)
-			writeMsg(s, nonce)
-			if asClient {
-				writeMsg(s, make([]byte, 128))
-			}
-		}()
-		_, err := Handshake(c, me, roots, asClient)
-		c.Close()
-		if !errors.Is(err, ErrHandshake) {
-			t.Errorf("asClient=%v: handshake with an RSA peer: %v; want ErrHandshake", asClient, err)
+			var length [4]byte
+			io.ReadFull(c, length[:])
+			c.Close()
+		}
+	}()
+	dials := map[string]func() error{
+		"rpc": func() error {
+			_, err := rpc.Dial(old.Addr().String(), cred, roots, rpc.WithTimeout(10*time.Second))
+			return err
+		},
+		"gridftp": func() error {
+			_, err := gridftp.Dial(old.Addr().String(), cred, roots, gridftp.WithTimeout(10*time.Second))
+			return err
+		},
+	}
+	for name, dial := range dials {
+		if err := dial(); !errors.Is(err, gsi.ErrHandshake) || !strings.Contains(err.Error(), upgradeNote) {
+			t.Errorf("%s client against a pre-TLS server: %v; want ErrHandshake naming %s", name, err, upgradeNote)
 		}
 	}
 }

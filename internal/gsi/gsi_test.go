@@ -1,7 +1,10 @@
 package gsi
 
 import (
+	"bytes"
+	"crypto/x509/pkix"
 	"errors"
+	"math/big"
 	"net"
 	"strings"
 	"sync"
@@ -161,9 +164,12 @@ func TestVerifyChainRejectsTamperedCert(t *testing.T) {
 	ca := testCA(t)
 	cred := issue(t, "bob")
 	chain := cred.FullChain()
-	forged := *chain[0]
-	forged.Subject.CommonName = "admin" // privilege escalation attempt
-	_, err := VerifyChain([]*Certificate{&forged, chain[1]}, []*Certificate{ca.Certificate()}, time.Now())
+	// Privilege escalation attempt: the same certificate naming "adm".
+	forged, err := parseCertificate(bytes.Replace(chain[0].Raw, []byte("bob"), []byte("adm"), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = VerifyChain([]*Certificate{forged, chain[1]}, []*Certificate{ca.Certificate()}, time.Now())
 	if !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("expected ErrBadSignature, got %v", err)
 	}
@@ -222,20 +228,27 @@ func TestProxyCannotOutliveSigner(t *testing.T) {
 	}
 }
 
-func TestProxyNamingRuleEnforced(t *testing.T) {
-	ca := testCA(t)
-	user := issue(t, "erin")
-	proxy, err := user.Delegate(time.Minute)
+// mint issues a certificate for subject under signer's certificate and
+// key, marked as a proxy or not: what a credential holder can forge.
+func mint(t *testing.T, subject Identity, isProxy bool, signer *Credential) *Certificate {
+	t.Helper()
+	tmpl := template(big.NewInt(7), subject, signer.Cert.NotAfter)
+	if isProxy {
+		tmpl.ExtraExtensions = []pkix.Extension{{Id: oidProxyCertInfo, Critical: true, Value: proxyCertInfo}}
+	}
+	cert, _, err := create(tmpl, signer.Cert, signer.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-sign a proxy whose subject does not extend the issuer.
-	forged := *proxy.Cert
-	forged.Subject.CommonName = "root/proxy"
-	if err := (&forged).sign(user.Key); err != nil {
-		t.Fatal(err)
-	}
-	chain := append([]*Certificate{&forged}, user.FullChain()...)
+	return cert
+}
+
+func TestProxyNamingRuleEnforced(t *testing.T) {
+	ca := testCA(t)
+	user := issue(t, "erin")
+	// A proxy whose subject does not extend the issuer.
+	forged := mint(t, Identity{Organization: "DataGrid", CommonName: "root/proxy"}, true, user)
+	chain := append([]*Certificate{forged}, user.FullChain()...)
 	if _, err := VerifyChain(chain, []*Certificate{ca.Certificate()}, time.Now()); !errors.Is(err, ErrBadProxyName) {
 		t.Fatalf("expected ErrBadProxyName, got %v", err)
 	}
@@ -245,102 +258,47 @@ func TestNonCALeafCannotIssue(t *testing.T) {
 	ca := testCA(t)
 	user := issue(t, "frank")
 	// frank signs a *non-proxy* certificate for another name.
-	impostor := issue(t, "temp")
-	forged := *impostor.Cert
-	forged.Subject.CommonName = "gdmp/fake-site"
-	forged.Issuer = user.Cert.Subject
-	forged.IsProxy = false
-	if err := (&forged).sign(user.Key); err != nil {
-		t.Fatal(err)
-	}
-	chain := append([]*Certificate{&forged}, user.FullChain()...)
+	forged := mint(t, Identity{Organization: "DataGrid", CommonName: "gdmp/fake-site"}, false, user)
+	chain := append([]*Certificate{forged}, user.FullChain()...)
 	if _, err := VerifyChain(chain, []*Certificate{ca.Certificate()}, time.Now()); !errors.Is(err, ErrNotCA) {
 		t.Fatalf("expected ErrNotCA, got %v", err)
 	}
 }
 
-func TestCertificateMarshalRoundTrip(t *testing.T) {
-	cred := issue(t, "grace")
-	enc, err := MarshalCertificate(cred.Cert)
+// tcpPair returns the two ends of a loopback TCP connection, both closed
+// at the end of the test and both bounded by a deadline. A TLS peer that
+// refuses writes its alert while the other side may still be writing its
+// flight; net.Pipe, which buffers nothing, would deadlock there.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := UnmarshalCertificate(enc)
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	client, err = net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Subject != cred.Cert.Subject || dec.Issuer != cred.Cert.Issuer ||
-		dec.Serial != cred.Cert.Serial || dec.IsCA != cred.Cert.IsCA ||
-		dec.IsProxy != cred.Cert.IsProxy {
-		t.Fatalf("round trip mismatch: %+v vs %+v", dec, cred.Cert)
+	server = <-accepted
+	if server == nil {
+		t.Fatal("accept failed")
 	}
-	if !dec.PublicKey.Equal(cred.Cert.PublicKey) {
-		t.Fatalf("public key mismatch after round trip")
+	for _, c := range []net.Conn{client, server} {
+		c.SetDeadline(time.Now().Add(10 * time.Second))
+		t.Cleanup(func() { c.Close() })
 	}
-	// A decoded certificate still verifies.
-	if err := dec.checkSignature(testCA(t).Certificate().PublicKey); err != nil {
-		t.Fatalf("decoded certificate signature invalid: %v", err)
-	}
-}
-
-func TestCertificateUnmarshalErrors(t *testing.T) {
-	cred := issue(t, "henry")
-	enc, err := MarshalCertificate(cred.Cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalCertificate(enc[:len(enc)/2]); err == nil {
-		t.Error("truncated certificate accepted")
-	}
-	if _, err := UnmarshalCertificate(append(append([]byte(nil), enc...), 0xFF)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-	if _, err := UnmarshalCertificate(nil); err == nil {
-		t.Error("empty certificate accepted")
-	}
-}
-
-func TestChainMarshalRoundTrip(t *testing.T) {
-	cred := issue(t, "iris")
-	proxy, err := cred.Delegate(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := MarshalChain(proxy.FullChain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := UnmarshalChain(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != 3 {
-		t.Fatalf("chain length = %d, want 3", len(dec))
-	}
-	if _, err := VerifyChain(dec, []*Certificate{testCA(t).Certificate()}, time.Now()); err != nil {
-		t.Fatalf("decoded chain does not verify: %v", err)
-	}
-}
-
-func TestSignVerifyData(t *testing.T) {
-	cred := issue(t, "judy")
-	msg := []byte("publish lfn=run42.db size=1048576")
-	sig, err := cred.SignData(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyData(cred.Cert, msg, sig); err != nil {
-		t.Fatalf("VerifyData: %v", err)
-	}
-	msg[0] ^= 0xFF
-	if err := VerifyData(cred.Cert, msg, sig); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("tampered data accepted: %v", err)
-	}
+	return client, server
 }
 
 func runHandshake(t *testing.T, client, server *Credential, clientRoots, serverRoots []*Certificate) (cp, sp *Peer, cerr, serr error) {
 	t.Helper()
-	c, s := net.Pipe()
+	c, s := tcpPair(t)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -1,11 +1,13 @@
 package gsi
 
 import (
-	"crypto/rand"
-	"encoding/binary"
+	"crypto/tls"
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"syscall"
 	"time"
 )
 
@@ -21,199 +23,90 @@ type Peer struct {
 
 	// Chain is the verified certificate chain the peer presented.
 	Chain []*Certificate
+
+	// Conn is the protected session: every byte exchanged with the peer
+	// after the handshake goes through it. Closing the raw connection
+	// under it is the way to sever a wedged session.
+	Conn net.Conn
 }
-
-const (
-	nonceLen   = 32
-	roleClient = byte(0x01)
-	roleServer = byte(0x02)
-
-	// maxHandshake caps a message length an unauthenticated peer claims,
-	// checked before anything is allocated for it. The largest honest
-	// message is a chain: an 8-byte count, then per certificate a 4-byte
-	// length and 158 fixed bytes (serial 8, times 16, flags 2, four name
-	// lengths 16, the 44-byte PKIX Ed25519 key and the 64-byte signature
-	// with their lengths 116) plus the four names. maxChainLen certificates
-	// are 8 + 8·162 = 1,304 fixed bytes, which leaves 15,080 of 16 KiB for
-	// 32 names: 471 bytes each.
-	maxHandshake = 16 << 10
-)
 
 // ErrHandshake is wrapped around any mutual-authentication failure.
 var ErrHandshake = errors.New("gsi: handshake failed")
 
-// writeMsg frames a handshake message as 4-byte big-endian length plus
-// payload. The handshake runs before the RPC layer is established, so it
-// carries its own minimal framing.
-func writeMsg(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+// upgradeNote names the README section on peers and credential files from
+// before the switch to TLS.
+const upgradeNote = `see README "Upgrading to TLS"`
+
+// Handshake runs a mutually authenticated TLS 1.3 handshake over conn and
+// returns the verified peer, whose Conn carries the session from then on.
+// Each side presents cred's chain and verifies the other's with
+// VerifyChain against roots; asClient selects the TLS role.
+//
+// TLS 1.3 lets the client finish before the server has judged the
+// client's chain, so a client the server refuses learns it at its first
+// read. Session resumption is off: a server with tickets writes one after
+// it reads the client's certificate, and the grid runs many identities in
+// one process, where a client session cache would have to be per identity.
+func Handshake(conn net.Conn, cred *Credential, roots []*Certificate, asClient bool) (*Peer, error) {
+	if cred == nil {
+		return nil, fmt.Errorf("%w: nil credential", ErrHandshake)
 	}
-	_, err := w.Write(payload)
-	return err
+	var peer *Peer
+	cfg := &tls.Config{
+		MinVersion:   tls.VersionTLS13,
+		Certificates: []tls.Certificate{cred.tlsCertificate()},
+		ClientAuth:   tls.RequireAnyClientCert,
+		// The GSI chain rules are VerifyConnection's; the client skips
+		// the standard library's verification only to reach it.
+		InsecureSkipVerify:     true,
+		SessionTicketsDisabled: true,
+		VerifyConnection: func(cs tls.ConnectionState) (err error) {
+			peer, err = verifyPeer(cs.PeerCertificates, roots, time.Now())
+			return err
+		},
+	}
+	var tc *tls.Conn
+	if asClient {
+		tc = tls.Client(conn, cfg)
+	} else {
+		tc = tls.Server(conn, cfg)
+	}
+	if err := tc.Handshake(); err != nil {
+		if preTLSPeer(err) {
+			return nil, fmt.Errorf("%w: %w (a peer from before TLS fails so: %s)", ErrHandshake, err, upgradeNote)
+		}
+		return nil, fmt.Errorf("%w: %w", ErrHandshake, err)
+	}
+	peer.Conn = tc
+	return peer, nil
 }
 
-func readMsg(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// verifyPeer checks the chain a peer presented, leaf first: every key
+// Ed25519 and the chain valid under the GSI rules.
+func verifyPeer(certs []*x509.Certificate, roots []*Certificate, now time.Time) (*Peer, error) {
+	if len(certs) > maxChainLen {
+		return nil, ErrChainTooLong
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxHandshake {
-		return nil, fmt.Errorf("%w: oversized message (%d bytes)", ErrHandshake, n)
+	chain := make([]*Certificate, len(certs))
+	for i, x := range certs {
+		c, err := newCertificate(x)
+		if err != nil {
+			return nil, err
+		}
+		chain[i] = c
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// transcript builds the byte string each side signs: both nonces and the
-// signer's role, preventing replay and reflection attacks.
-func transcript(role byte, clientNonce, serverNonce []byte) []byte {
-	out := make([]byte, 0, 1+2*nonceLen)
-	out = append(out, role)
-	out = append(out, clientNonce...)
-	out = append(out, serverNonce...)
-	return out
-}
-
-// decodeAndVerifyChain parses a peer chain and validates it against roots.
-func decodeAndVerifyChain(chainBytes []byte, roots []*Certificate) (*Peer, error) {
-	chain, err := UnmarshalChain(chainBytes)
+	id, err := VerifyChain(chain, roots, now)
 	if err != nil {
-		return nil, fmt.Errorf("%w: decode peer chain: %v", ErrHandshake, err)
-	}
-	id, err := VerifyChain(chain, roots, time.Now())
-	if err != nil {
-		return nil, fmt.Errorf("%w: verify peer chain: %v", ErrHandshake, err)
+		return nil, err
 	}
 	return &Peer{Identity: id, Base: id.Base(), Chain: chain}, nil
 }
 
-// Handshake performs mutual authentication over rw. Both sides exchange
-// certificate chains and fresh nonces, then prove possession of their
-// private keys by signing the joint transcript. asClient selects the
-// message order and role byte. On success it returns the verified peer.
-//
-// The protocol (client view):
-//
-//	-> chain_c, nonce_c
-//	<- chain_s, nonce_s, sign_s(0x02 || nonce_c || nonce_s)
-//	-> sign_c(0x01 || nonce_c || nonce_s)
-//
-// Each side verifies the peer's chain as soon as it arrives and aborts the
-// connection on failure, so an unauthenticated peer never advances the
-// protocol.
-func Handshake(rw io.ReadWriter, cred *Credential, roots []*Certificate, asClient bool) (*Peer, error) {
-	if cred == nil {
-		return nil, fmt.Errorf("%w: nil credential", ErrHandshake)
-	}
-	myChain, err := MarshalChain(cred.FullChain())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	myNonce := make([]byte, nonceLen)
-	if _, err := rand.Read(myNonce); err != nil {
-		return nil, fmt.Errorf("%w: nonce: %v", ErrHandshake, err)
-	}
-
-	if asClient {
-		return clientHandshake(rw, cred, roots, myChain, myNonce)
-	}
-	return serverHandshake(rw, cred, roots, myChain, myNonce)
-}
-
-func clientHandshake(rw io.ReadWriter, cred *Credential, roots []*Certificate, myChain, clientNonce []byte) (*Peer, error) {
-	// -> client hello
-	if err := writeMsg(rw, myChain); err != nil {
-		return nil, fmt.Errorf("%w: send chain: %v", ErrHandshake, err)
-	}
-	if err := writeMsg(rw, clientNonce); err != nil {
-		return nil, fmt.Errorf("%w: send nonce: %v", ErrHandshake, err)
-	}
-
-	// <- server hello + proof
-	peerChainBytes, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read server chain: %v", ErrHandshake, err)
-	}
-	serverNonce, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read server nonce: %v", ErrHandshake, err)
-	}
-	if len(serverNonce) != nonceLen {
-		return nil, fmt.Errorf("%w: bad server nonce length %d", ErrHandshake, len(serverNonce))
-	}
-	peerSig, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read server proof: %v", ErrHandshake, err)
-	}
-
-	peer, err := decodeAndVerifyChain(peerChainBytes, roots)
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyData(peer.Chain[0], transcript(roleServer, clientNonce, serverNonce), peerSig); err != nil {
-		return nil, fmt.Errorf("%w: server proof invalid", ErrHandshake)
-	}
-
-	// -> client proof
-	proof, err := cred.SignData(transcript(roleClient, clientNonce, serverNonce))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if err := writeMsg(rw, proof); err != nil {
-		return nil, fmt.Errorf("%w: send proof: %v", ErrHandshake, err)
-	}
-	return peer, nil
-}
-
-func serverHandshake(rw io.ReadWriter, cred *Credential, roots []*Certificate, myChain, serverNonce []byte) (*Peer, error) {
-	// <- client hello
-	peerChainBytes, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read client chain: %v", ErrHandshake, err)
-	}
-	clientNonce, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read client nonce: %v", ErrHandshake, err)
-	}
-	if len(clientNonce) != nonceLen {
-		return nil, fmt.Errorf("%w: bad client nonce length %d", ErrHandshake, len(clientNonce))
-	}
-
-	// Reject untrusted clients before revealing anything further.
-	peer, err := decodeAndVerifyChain(peerChainBytes, roots)
-	if err != nil {
-		return nil, err
-	}
-
-	// -> server hello + proof
-	proof, err := cred.SignData(transcript(roleServer, clientNonce, serverNonce))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	if err := writeMsg(rw, myChain); err != nil {
-		return nil, fmt.Errorf("%w: send chain: %v", ErrHandshake, err)
-	}
-	if err := writeMsg(rw, serverNonce); err != nil {
-		return nil, fmt.Errorf("%w: send nonce: %v", ErrHandshake, err)
-	}
-	if err := writeMsg(rw, proof); err != nil {
-		return nil, fmt.Errorf("%w: send proof: %v", ErrHandshake, err)
-	}
-
-	// <- client proof
-	peerSig, err := readMsg(rw)
-	if err != nil {
-		return nil, fmt.Errorf("%w: read client proof: %v", ErrHandshake, err)
-	}
-	if err := VerifyData(peer.Chain[0], transcript(roleClient, clientNonce, serverNonce), peerSig); err != nil {
-		return nil, fmt.Errorf("%w: client proof invalid", ErrHandshake)
-	}
-	return peer, nil
+// preTLSPeer reports whether a handshake failed the way a peer from before
+// TLS makes it fail: its first record is not TLS (the old handshake opened
+// with a 4-byte length), or it hung up on the ClientHello.
+func preTLSPeer(err error) bool {
+	var rh tls.RecordHeaderError
+	return errors.As(err, &rh) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET)
 }

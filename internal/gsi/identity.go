@@ -1,16 +1,17 @@
-// Package gsi is a from-scratch stand-in for the Grid Security
-// Infrastructure (GSI) the paper relies on [FKT98]: public-key credentials
-// issued by a certificate authority, proxy credentials for single sign-on,
-// mutual authentication of every client/server interaction, and simple
+// Package gsi is the Grid Security Infrastructure (GSI) the paper relies
+// on [FKT98], as a profile of the Go standard library's TLS 1.3:
+// public-key credentials issued by a certificate authority, proxy
+// credentials for single sign-on, mutual authentication of every
+// client/server interaction, a protected session after it, and simple
 // authorization maps. Section 4.1 of the paper: "Every client request to a
 // GDMP server is authenticated and authorized by a security service."
 //
-// The package uses only the Go standard library (crypto/ed25519 for every
-// key and signature) and defines its own compact certificate encoding; it
-// is deliberately not X.509, but it preserves the GSI control flow:
-// CA-rooted trust, delegation via proxy certificates whose subject extends
-// the issuer's subject, and a challenge-response handshake binding both
-// parties to the session.
+// Certificates are X.509 with Ed25519 keys (crypto/x509), and the session
+// is crypto/tls 1.3 with both sides' chains required. What this package
+// adds is what is specific to GSI: identities as "/O=Org/CN=Name" names,
+// delegation via RFC 3820 proxy certificates whose subject extends the
+// issuer's subject and which are signed by the issuer's own key, the chain
+// rules that verify them back to a CA, and the gridmap ACL.
 package gsi
 
 import (

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/x509"
 	"encoding/pem"
@@ -12,19 +11,18 @@ import (
 
 // PEM block types used on disk.
 const (
-	pemCertType = "GDMP CERTIFICATE"
+	pemCertType = "CERTIFICATE"
 	pemKeyType  = "PRIVATE KEY" // PKCS#8
+
+	// preTLSCertType is the block this package wrote its own certificate
+	// encoding in before it switched to X.509 and TLS.
+	preTLSCertType = "GDMP CERTIFICATE"
 )
 
 // SaveCertificate writes a certificate to path in PEM form (world-readable:
 // certificates are public).
 func SaveCertificate(cert *Certificate, path string) error {
-	der, err := MarshalCertificate(cert)
-	if err != nil {
-		return err
-	}
-	block := pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: der})
-	return os.WriteFile(path, block, 0o644)
+	return os.WriteFile(path, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: cert.Raw}), 0o644)
 }
 
 // LoadCertificate reads a PEM certificate written by SaveCertificate.
@@ -35,11 +33,11 @@ func LoadCertificate(path string) (*Certificate, error) {
 	}
 	block, _ := pem.Decode(data)
 	if block == nil || block.Type != pemCertType {
-		return nil, fmt.Errorf("gsi: %s does not contain a %s block", path, pemCertType)
+		return nil, notCertificate(path, block)
 	}
-	cert, err := UnmarshalCertificate(block.Bytes)
+	cert, err := parseCertificate(block.Bytes)
 	if err != nil {
-		return nil, staleFile(path, err)
+		return nil, fmt.Errorf("gsi: %s: %w", path, err)
 	}
 	return cert, nil
 }
@@ -53,11 +51,7 @@ func SaveCredential(cred *Credential, path string) error {
 	}
 	var out []byte
 	for _, cert := range cred.FullChain() {
-		der, err := MarshalCertificate(cert)
-		if err != nil {
-			return err
-		}
-		out = append(out, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: der})...)
+		out = append(out, pem.EncodeToMemory(&pem.Block{Type: pemCertType, Bytes: cert.Raw})...)
 	}
 	keyDER, err := x509.MarshalPKCS8PrivateKey(cred.Key)
 	if err != nil {
@@ -83,9 +77,9 @@ func LoadCredential(path string) (*Credential, error) {
 		}
 		switch block.Type {
 		case pemCertType:
-			cert, err := UnmarshalCertificate(block.Bytes)
+			cert, err := parseCertificate(block.Bytes)
 			if err != nil {
-				return nil, staleFile(path, err)
+				return nil, fmt.Errorf("gsi: %s: %w", path, err)
 			}
 			certs = append(certs, cert)
 		case pemKeyType:
@@ -99,7 +93,7 @@ func LoadCredential(path string) (*Credential, error) {
 			}
 			cred.Key = edKey
 		default:
-			return nil, fmt.Errorf("gsi: unexpected PEM block %q in %s", block.Type, path)
+			return nil, notCertificate(path, block)
 		}
 	}
 	if len(certs) == 0 {
@@ -111,19 +105,23 @@ func LoadCredential(path string) (*Credential, error) {
 	cred.Cert = certs[0]
 	cred.Chain = certs[1:]
 	// The key must match the leaf certificate.
-	if !bytes.Equal(cred.Cert.PublicKey, cred.Key.Public().(ed25519.PublicKey)) {
+	if !cred.Key.Public().(ed25519.PublicKey).Equal(cred.Cert.PublicKey) {
 		return nil, fmt.Errorf("gsi: key in %s does not match leaf certificate", path)
 	}
 	return cred, nil
 }
 
-// staleFile names the file when a certificate in it is not Ed25519: it was
-// made before the switch from RSA, and nothing reads it any more.
-func staleFile(path string, err error) error {
-	if errors.Is(err, errNotEd25519) {
-		return fmt.Errorf("gsi: %s predates Ed25519 credentials; re-issue it with gridca: %w", path, err)
+// notCertificate is the error for a PEM block (or none) where a
+// certificate was expected. A block from before TLS gets the upgrade note:
+// nothing reads that encoding any more.
+func notCertificate(path string, block *pem.Block) error {
+	switch {
+	case block == nil:
+		return fmt.Errorf("gsi: %s does not contain a %s block", path, pemCertType)
+	case block.Type == preTLSCertType:
+		return fmt.Errorf("gsi: %s holds a %s from before TLS; re-issue it with gridca (%s)", path, preTLSCertType, upgradeNote)
 	}
-	return err
+	return fmt.Errorf("gsi: unexpected PEM block %q in %s", block.Type, path)
 }
 
 // LoadGridmapFile reads the authorization gridmap at path (see

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -58,7 +57,7 @@ func TestSaveLoadCredential(t *testing.T) {
 	}
 	// The loaded credential can actually authenticate.
 	server := issue(t, "store-server")
-	c, s := net.Pipe()
+	c, s := tcpPair(t)
 	done := make(chan error, 1)
 	go func() {
 		_, err := Handshake(s, server, []*Certificate{testCA(t).Certificate()}, false)

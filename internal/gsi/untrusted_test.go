@@ -2,10 +2,13 @@ package gsi
 
 import (
 	"bytes"
+	"crypto/ecdsa"
 	"crypto/ed25519"
-	"crypto/rand"
-	"encoding/binary"
+	"crypto/elliptic"
+	"crypto/x509"
+	"crypto/x509/pkix"
 	"errors"
+	"math/big"
 	"runtime"
 	"testing"
 	"time"
@@ -23,40 +26,13 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestReadMsgRefusesOversizedLength: a claimed length one over the cap is
-// refused from the header alone, with no byte of the body read and no
-// buffer for it allocated; a message exactly at the cap is read.
-func TestReadMsgRefusesOversizedLength(t *testing.T) {
-	framed := func(n uint32) *bytes.Reader {
-		b := make([]byte, 4+n)
-		binary.BigEndian.PutUint32(b, n)
-		return bytes.NewReader(b)
-	}
-	if msg, err := readMsg(framed(maxHandshake)); err != nil || len(msg) != maxHandshake {
-		t.Fatalf("message at the cap: %d bytes, %v", len(msg), err)
-	}
-	over := framed(maxHandshake + 1)
-	var err error
-	n := allocated(func() { _, err = readMsg(over) })
-	if !errors.Is(err, ErrHandshake) {
-		t.Fatalf("length cap+1: got %v, want ErrHandshake", err)
-	}
-	if over.Len() != maxHandshake+1 {
-		t.Fatalf("read %d body bytes of a refused message", maxHandshake+1-over.Len())
-	}
-	if n > 1<<10 {
-		t.Fatalf("refusing a cap+1 length allocated %d bytes", n)
-	}
-	// The arithmetic behind the cap: a certificate is 158 bytes plus its
-	// four names.
-	root, _ := fixedChains(t)
-	enc, err := MarshalCertificate(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := 2*len("DataGrid") + 2*len("CA"); len(enc) != 158+names {
-		t.Fatalf("certificate encodes to %d bytes, want 158 + %d of names", len(enc), names)
-	}
+// withKey returns a copy of cert carrying pub in place of its key.
+func withKey(cert *Certificate, pub ed25519.PublicKey) *Certificate {
+	x := *cert.Certificate
+	x.PublicKey = pub
+	out := *cert
+	out.Certificate = &x
+	return &out
 }
 
 // TestShortKeyRefusedWithoutPanic: ed25519.Verify panics on a public key of
@@ -69,49 +45,58 @@ func TestShortKeyRefusedWithoutPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := *user.Cert
-	short.PublicKey = short.PublicKey[:ed25519.PublicKeySize-1]
-	if err := VerifyData(&short, []byte("transcript"), make([]byte, ed25519.SignatureSize)); !errors.Is(err, ErrBadSignature) {
-		t.Fatalf("VerifyData with a 31-byte key: %v", err)
-	}
+	short := withKey(user.Cert, user.Cert.PublicKey.(ed25519.PublicKey)[:ed25519.PublicKeySize-1])
 	roots := []*Certificate{ca.Certificate()}
-	if _, err := VerifyChain([]*Certificate{proxy.Cert, &short, ca.Certificate()}, roots, time.Now()); !errors.Is(err, ErrBadSignature) {
+	if _, err := VerifyChain([]*Certificate{proxy.Cert, short, ca.Certificate()}, roots, time.Now()); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("proxy under a 31-byte issuer key: %v", err)
 	}
-	shortRoot := *ca.Certificate()
-	shortRoot.PublicKey = shortRoot.PublicKey[:ed25519.PublicKeySize-1]
-	if _, err := VerifyChain([]*Certificate{user.Cert}, []*Certificate{&shortRoot}, time.Now()); !errors.Is(err, ErrUntrusted) {
+	shortRoot := withKey(ca.Certificate(), ca.Certificate().PublicKey.(ed25519.PublicKey)[:ed25519.PublicKeySize-1])
+	if _, err := VerifyChain([]*Certificate{user.Cert}, []*Certificate{shortRoot}, time.Now()); !errors.Is(err, ErrUntrusted) {
 		t.Fatalf("leaf under a 31-byte root key: %v", err)
 	}
 }
 
 // TestVerifyChainRejectsRootWithSwappedKey: the top of a chain is anchored
-// by being a trusted root only if it is that root in every field. A root
-// matched on subject and signature alone lets a peer present the public
-// root with its own key in it and sign any identity under that.
+// by being a trusted root only if it is that root byte for byte. A root
+// matched on its name alone lets a peer present the public root's subject
+// over its own key and sign any identity under that.
 func TestVerifyChainRejectsRootWithSwappedKey(t *testing.T) {
 	ca := testCA(t)
-	pub, key, err := ed25519.GenerateKey(rand.Reader)
+	tmpl := template(big.NewInt(1), ca.Certificate().Subject, ca.Certificate().NotAfter)
+	tmpl.IsCA, tmpl.BasicConstraintsValid, tmpl.KeyUsage = true, true, x509.KeyUsageCertSign
+	forgedRoot, key, err := create(tmpl, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedRoot := *ca.Certificate()
-	forgedRoot.PublicKey = pub
-	now := time.Now()
-	leaf := &Certificate{
-		Serial:    7,
-		Subject:   Identity{Organization: "DataGrid", CommonName: "gdmp/site1"},
-		Issuer:    forgedRoot.Subject,
-		NotBefore: now.Add(-time.Minute),
-		NotAfter:  now.Add(time.Hour),
-		PublicKey: pub,
-	}
-	if err := leaf.sign(key); err != nil {
+	leaf, _, err := create(template(big.NewInt(7), Identity{Organization: "DataGrid", CommonName: "gdmp/site1"}, time.Now().Add(time.Hour)), forgedRoot, key)
+	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := VerifyChain([]*Certificate{leaf, &forgedRoot}, []*Certificate{ca.Certificate()}, now)
+	id, err := VerifyChain([]*Certificate{leaf, forgedRoot}, []*Certificate{ca.Certificate()}, time.Now())
 	if !errors.Is(err, ErrUntrusted) {
 		t.Fatalf("chain under a root with a swapped key: identity %v, error %v; want ErrUntrusted", id, err)
+	}
+}
+
+// TestNonEd25519KeyRefused: a certificate the trusted CA signed over a
+// key that is not Ed25519 is refused wherever a chain comes in, so a peer
+// presenting one fails the handshake. The key is P-256's base point, a
+// valid public key that costs no key generation.
+func TestNonEd25519KeyRefused(t *testing.T) {
+	ca := testCA(t)
+	p256 := elliptic.P256().Params()
+	pub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: p256.Gx, Y: p256.Gy}
+	tmpl := template(big.NewInt(9), Identity{Organization: "DataGrid", CommonName: "gdmp/p256"}, time.Now().Add(time.Hour))
+	der, err := x509.CreateCertificate(nil, tmpl, ca.Certificate().Certificate, pub, ca.key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := x509.ParseCertificate(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifyPeer([]*x509.Certificate{leaf, ca.Certificate().Certificate}, []*Certificate{ca.Certificate()}, time.Now()); !errors.Is(err, errNotEd25519) {
+		t.Fatalf("chain with a P-256 leaf: %v; want errNotEd25519", err)
 	}
 }
 
@@ -119,77 +104,86 @@ func TestVerifyChainRejectsRootWithSwappedKey(t *testing.T) {
 // validity window.
 var fixedNow = time.Unix(2e9, 0)
 
-// fixedChains returns a root and a 1-, 2- and 3-level (proxy) chain under
-// it, built from fixed keys and times, so that every fuzz worker process
-// trusts the same root as the process that added the seeds.
-func fixedChains(tb testing.TB) (*Certificate, [][]*Certificate) {
+// fixedChains returns a root and three chains under it, each as
+// concatenated DER: an identity and a proxy chain as the handshake sends
+// them, without the root, and the proxy chain with it. They are built from
+// fixed keys and times so that every fuzz worker process trusts the same
+// root as the process that added the seeds (Ed25519 signatures are
+// deterministic).
+func fixedChains(tb testing.TB) (*Certificate, [][]byte) {
 	tb.Helper()
 	key := func(seed byte) ed25519.PrivateKey {
 		return ed25519.NewKeyFromSeed(bytes.Repeat([]byte{seed}, ed25519.SeedSize))
 	}
-	caKey, userKey, proxyKey := key(1), key(2), key(3)
-	mint := func(serial uint64, subject, issuer Identity, isCA, isProxy bool, subjectKey, issuerKey ed25519.PrivateKey) *Certificate {
-		c := &Certificate{
-			Serial: serial, Subject: subject, Issuer: issuer,
-			NotBefore: time.Unix(1e9, 0), NotAfter: time.Unix(3e9, 0),
-			IsCA: isCA, IsProxy: isProxy,
-			PublicKey: subjectKey.Public().(ed25519.PublicKey),
+	mint := func(tmpl *x509.Certificate, issuer *x509.Certificate, subjectKey, issuerKey ed25519.PrivateKey) *Certificate {
+		tmpl.NotBefore, tmpl.NotAfter = time.Unix(1e9, 0), time.Unix(3e9, 0)
+		if issuer == nil {
+			issuer = tmpl
 		}
-		if err := c.sign(issuerKey); err != nil {
+		der, err := x509.CreateCertificate(nil, tmpl, issuer, subjectKey.Public(), issuerKey)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		c, err := parseCertificate(der)
+		if err != nil {
 			tb.Fatal(err)
 		}
 		return c
 	}
-	caID := Identity{Organization: "DataGrid", CommonName: "CA"}
-	userID := Identity{Organization: "DataGrid", CommonName: "alice"}
-	root := mint(1, caID, caID, true, false, caKey, caKey)
-	user := mint(2, userID, caID, false, false, userKey, caKey)
-	proxy := mint(2, Identity{Organization: "DataGrid", CommonName: "alice/proxy"}, userID, false, true, proxyKey, userKey)
-	return root, [][]*Certificate{{root}, {user, root}, {proxy, user, root}}
+	caKey, userKey, proxyKey := key(1), key(2), key(3)
+	rootTmpl := template(big.NewInt(1), Identity{Organization: "DataGrid", CommonName: "CA"}, time.Time{})
+	rootTmpl.IsCA, rootTmpl.BasicConstraintsValid, rootTmpl.KeyUsage = true, true, x509.KeyUsageCertSign
+	root := mint(rootTmpl, nil, caKey, caKey)
+	user := mint(template(big.NewInt(2), Identity{Organization: "DataGrid", CommonName: "alice"}, time.Time{}), root.Certificate, userKey, caKey)
+	proxyTmpl := template(big.NewInt(2), Identity{Organization: "DataGrid", CommonName: "alice/proxy"}, time.Time{})
+	proxyTmpl.ExtraExtensions = []pkix.Extension{{Id: oidProxyCertInfo, Critical: true, Value: proxyCertInfo}}
+	proxy := mint(proxyTmpl, user.Certificate, proxyKey, userKey)
+	join := func(certs ...*Certificate) []byte {
+		var out []byte
+		for _, c := range certs {
+			out = append(out, c.Raw...)
+		}
+		return out
+	}
+	return root, [][]byte{join(user), join(proxy, user), join(proxy, user, root)}
 }
 
-// FuzzUnmarshalChain feeds a handshake's chain message to the decoder and
-// the verifier. Neither may panic or allocate 64 KiB for one input, and a
-// chain they accept must carry only genuine signatures: each certificate's
-// under the next one's key, the top's under the root's (the root is
-// self-signed, so that covers a chain ending at the root itself). The
-// check calls ed25519.Verify directly, not VerifyChain's code.
-func FuzzUnmarshalChain(f *testing.F) {
+// FuzzVerifyChain feeds the certificates a TLS peer presents, DER cut from
+// the fuzz bytes, into the check the handshake's VerifyConnection makes.
+// It may not panic, nor allocate more than the parse of the bytes present
+// does, and a chain it accepts must be anchored and carry only genuine
+// signatures: each certificate's under the next one's key, the top's under
+// the root's (the root is self-signed, so that covers a chain ending at
+// the root itself). The check calls ed25519.Verify directly, not
+// VerifyChain's code.
+func FuzzVerifyChain(f *testing.F) {
 	root, chains := fixedChains(f)
 	for _, chain := range chains {
-		enc, err := MarshalChain(chain)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-		f.Add(enc[:len(enc)-1])
+		f.Add(chain)
+		f.Add(chain[:len(chain)-1])
 	}
 	roots := []*Certificate{root}
+	rootKey := root.PublicKey.(ed25519.PublicKey)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > maxHandshake {
-			return // readMsg refuses it before the decoder sees it
-		}
-		var chain []*Certificate
-		var err error
+		var peer *Peer
+		err := errors.New("unparsed")
 		if n := allocated(func() {
-			if chain, err = UnmarshalChain(data); err == nil {
-				_, err = VerifyChain(chain, roots, fixedNow)
+			if certs, perr := x509.ParseCertificates(data); perr == nil {
+				peer, err = verifyPeer(certs, roots, fixedNow)
 			}
-		}); n >= 64<<10 {
+		}); n >= 64<<10+64*uint64(len(data)) {
 			t.Fatalf("%d bytes allocated for a %d-byte input", n, len(data))
 		}
 		if err != nil {
 			return
 		}
-		for i, c := range chain {
-			signer := root
-			if i+1 < len(chain) {
-				signer = chain[i+1]
+		for i, c := range peer.Chain {
+			signer := rootKey
+			if i+1 < len(peer.Chain) {
+				signer = peer.Chain[i+1].PublicKey.(ed25519.PublicKey)
 			}
-			tbs, err := c.marshalTBS()
-			if err != nil || len(signer.PublicKey) != ed25519.PublicKeySize ||
-				!ed25519.Verify(signer.PublicKey, tbs, c.Signature) {
-				t.Fatalf("accepted a chain whose certificate %d (%s) is not genuinely signed by %s", i, c.Subject, signer.Subject)
+			if !ed25519.Verify(signer, c.RawTBSCertificate, c.Signature) {
+				t.Fatalf("accepted a chain whose certificate %d (%s) is not genuinely signed", i, c.Subject)
 			}
 		}
 	})

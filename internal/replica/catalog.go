@@ -54,14 +54,27 @@ const (
 	AttrFileType = "filetype"
 )
 
-// Errors returned by catalog operations.
+// Errors returned by catalog operations. ErrExists and ErrNotFound cross
+// the wire as codes (see kindError), so errors.Is holds for them at a
+// remote client too.
 var (
-	ErrExists        = errors.New("replica: entry already exists")
-	ErrNotFound      = errors.New("replica: entry not found")
+	ErrExists        = &kindError{"replica: entry already exists", 1}
+	ErrNotFound      = &kindError{"replica: entry not found", 2}
 	ErrBadName       = errors.New("replica: invalid name")
 	ErrNotEmpty      = errors.New("replica: collection not empty")
 	ErrNoSuchReplica = errors.New("replica: no such replica")
 )
+
+// kindError is a kind of catalog error that a caller must tell apart
+// from the rest. The server's error reply carries its code (rpc reads
+// RPCCode), and Client.call maps the code back to the kind.
+type kindError struct {
+	msg  string
+	code uint32
+}
+
+func (e *kindError) Error() string   { return e.msg }
+func (e *kindError) RPCCode() uint32 { return e.code }
 
 // LogicalFile is one logical file entry: a globally unique name plus
 // attribute-value metadata.

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"gdmp/internal/gsi"
@@ -44,12 +45,38 @@ func (c *Client) Close() error { return c.rc.Close() }
 // rpc.Client.Closed): every later call fails, and only a new Dial helps.
 func (c *Client) Closed() bool { return c.rc.Closed() }
 
+// call is every catalog call. A remote error whose code names a kind of
+// catalog error matches that kind under errors.Is and is still the
+// *rpc.RemoteError under errors.As.
+func (c *Client) call(ctx context.Context, method string, args *rpc.Encoder) (*rpc.Decoder, error) {
+	d, err := c.rc.CallContext(ctx, method, args)
+	var re *rpc.RemoteError
+	if errors.As(err, &re) {
+		for _, kind := range []*kindError{ErrExists, ErrNotFound} {
+			if re.Code == kind.code {
+				return nil, &remoteKind{re, kind}
+			}
+		}
+	}
+	return d, err
+}
+
+// remoteKind is a catalog error that crossed the wire: it reads as the
+// server's message and matches both the remote error and its kind.
+type remoteKind struct {
+	*rpc.RemoteError
+	kind *kindError
+}
+
+func (e *remoteKind) Unwrap() error        { return e.RemoteError }
+func (e *remoteKind) Is(target error) bool { return target == e.kind }
+
 // Register creates a logical file entry with attributes.
 func (c *Client) Register(ctx context.Context, name string, attrs map[string]string) error {
 	var e rpc.Encoder
 	e.String(name)
 	encodeAttrs(&e, attrs)
-	_, err := c.rc.CallContext(ctx, MethodRegister, &e)
+	_, err := c.call(ctx, MethodRegister, &e)
 	return err
 }
 
@@ -59,7 +86,7 @@ func (c *Client) GenerateLFN(ctx context.Context, site, base string, attrs map[s
 	e.String(site)
 	e.String(base)
 	encodeAttrs(&e, attrs)
-	d, err := c.rc.CallContext(ctx, MethodGenerate, &e)
+	d, err := c.call(ctx, MethodGenerate, &e)
 	if err != nil {
 		return "", err
 	}
@@ -71,7 +98,7 @@ func (c *Client) GenerateLFN(ctx context.Context, site, base string, attrs map[s
 func (c *Client) Lookup(ctx context.Context, name string) (*LogicalFile, error) {
 	var e rpc.Encoder
 	e.String(name)
-	d, err := c.rc.CallContext(ctx, MethodLookup, &e)
+	d, err := c.call(ctx, MethodLookup, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +114,7 @@ func (c *Client) SetAttrs(ctx context.Context, name string, attrs map[string]str
 	var e rpc.Encoder
 	e.String(name)
 	encodeAttrs(&e, attrs)
-	_, err := c.rc.CallContext(ctx, MethodSetAttrs, &e)
+	_, err := c.call(ctx, MethodSetAttrs, &e)
 	return err
 }
 
@@ -95,13 +122,13 @@ func (c *Client) SetAttrs(ctx context.Context, name string, attrs map[string]str
 func (c *Client) Delete(ctx context.Context, name string) error {
 	var e rpc.Encoder
 	e.String(name)
-	_, err := c.rc.CallContext(ctx, MethodDelete, &e)
+	_, err := c.call(ctx, MethodDelete, &e)
 	return err
 }
 
 // Files lists all logical file names.
 func (c *Client) Files(ctx context.Context) ([]string, error) {
-	d, err := c.rc.CallContext(ctx, MethodFiles, nil)
+	d, err := c.call(ctx, MethodFiles, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +140,7 @@ func (c *Client) Files(ctx context.Context) ([]string, error) {
 func (c *Client) Query(ctx context.Context, filter string) ([]*LogicalFile, error) {
 	var e rpc.Encoder
 	e.String(filter)
-	d, err := c.rc.CallContext(ctx, MethodQuery, &e)
+	d, err := c.call(ctx, MethodQuery, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +162,7 @@ func (c *Client) AddReplica(ctx context.Context, lfn, pfn string) error {
 	var e rpc.Encoder
 	e.String(lfn)
 	e.String(pfn)
-	_, err := c.rc.CallContext(ctx, MethodAddReplica, &e)
+	_, err := c.call(ctx, MethodAddReplica, &e)
 	return err
 }
 
@@ -144,7 +171,7 @@ func (c *Client) RemoveReplica(ctx context.Context, lfn, pfn string) error {
 	var e rpc.Encoder
 	e.String(lfn)
 	e.String(pfn)
-	_, err := c.rc.CallContext(ctx, MethodRemoveReplica, &e)
+	_, err := c.call(ctx, MethodRemoveReplica, &e)
 	return err
 }
 
@@ -152,7 +179,7 @@ func (c *Client) RemoveReplica(ctx context.Context, lfn, pfn string) error {
 func (c *Client) Locations(ctx context.Context, lfn string) ([]string, error) {
 	var e rpc.Encoder
 	e.String(lfn)
-	d, err := c.rc.CallContext(ctx, MethodLocations, &e)
+	d, err := c.call(ctx, MethodLocations, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +191,7 @@ func (c *Client) Locations(ctx context.Context, lfn string) ([]string, error) {
 func (c *Client) CreateCollection(ctx context.Context, name string) error {
 	var e rpc.Encoder
 	e.String(name)
-	_, err := c.rc.CallContext(ctx, MethodCreateCollection, &e)
+	_, err := c.call(ctx, MethodCreateCollection, &e)
 	return err
 }
 
@@ -173,7 +200,7 @@ func (c *Client) DeleteCollection(ctx context.Context, name string, force bool) 
 	var e rpc.Encoder
 	e.String(name)
 	e.Bool(force)
-	_, err := c.rc.CallContext(ctx, MethodDeleteCollection, &e)
+	_, err := c.call(ctx, MethodDeleteCollection, &e)
 	return err
 }
 
@@ -182,7 +209,7 @@ func (c *Client) AddToCollection(ctx context.Context, coll, lfn string) error {
 	var e rpc.Encoder
 	e.String(coll)
 	e.String(lfn)
-	_, err := c.rc.CallContext(ctx, MethodAddToCollection, &e)
+	_, err := c.call(ctx, MethodAddToCollection, &e)
 	return err
 }
 
@@ -191,7 +218,7 @@ func (c *Client) RemoveFromCollection(ctx context.Context, coll, lfn string) err
 	var e rpc.Encoder
 	e.String(coll)
 	e.String(lfn)
-	_, err := c.rc.CallContext(ctx, MethodRemoveFromColl, &e)
+	_, err := c.call(ctx, MethodRemoveFromColl, &e)
 	return err
 }
 
@@ -199,7 +226,7 @@ func (c *Client) RemoveFromCollection(ctx context.Context, coll, lfn string) err
 func (c *Client) ListCollection(ctx context.Context, name string) ([]string, error) {
 	var e rpc.Encoder
 	e.String(name)
-	d, err := c.rc.CallContext(ctx, MethodListCollection, &e)
+	d, err := c.call(ctx, MethodListCollection, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +236,7 @@ func (c *Client) ListCollection(ctx context.Context, name string) ([]string, err
 
 // Collections lists all collection names.
 func (c *Client) Collections(ctx context.Context) ([]string, error) {
-	d, err := c.rc.CallContext(ctx, MethodCollections, nil)
+	d, err := c.call(ctx, MethodCollections, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +259,7 @@ func (c *Client) PushDigest(ctx context.Context, site, addr string, gen uint64, 
 	e.Uint64(gen)
 	e.Bytes32(filter.Marshal())
 	e.Int64(ttl.Milliseconds())
-	d, err := c.rc.CallContext(ctx, MethodRLIPush, &e)
+	d, err := c.call(ctx, MethodRLIPush, &e)
 	if err != nil {
 		return "", 0, err
 	}
@@ -247,7 +274,7 @@ func (c *Client) PushDigest(ctx context.Context, site, addr string, gen uint64, 
 func (c *Client) Which(ctx context.Context, lfn string) ([]Site, error) {
 	var e rpc.Encoder
 	e.String(lfn)
-	d, err := c.rc.CallContext(ctx, MethodRLIWhich, &e)
+	d, err := c.call(ctx, MethodRLIWhich, &e)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +298,7 @@ func (c *Client) Which(ctx context.Context, lfn string) ([]Site, error) {
 
 // RLISites lists the live RLI entries.
 func (c *Client) RLISites(ctx context.Context) ([]SiteStatus, error) {
-	d, err := c.rc.CallContext(ctx, MethodRLISites, nil)
+	d, err := c.call(ctx, MethodRLISites, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +326,7 @@ func (c *Client) RLISites(ctx context.Context) ([]SiteStatus, error) {
 
 // Stats returns catalog entry counts.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	d, err := c.rc.CallContext(ctx, MethodStats, nil)
+	d, err := c.call(ctx, MethodStats, nil)
 	if err != nil {
 		return Stats{}, err
 	}

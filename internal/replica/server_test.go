@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -106,6 +107,29 @@ func TestClientErrorsAreRemoteErrors(t *testing.T) {
 	}
 	if !strings.Contains(re.Msg, "not found") {
 		t.Fatalf("remote message = %q", re.Msg)
+	}
+}
+
+// TestCatalogErrorsCrossTheWire: the catalog's not-found and
+// already-exists reach the client as codes, so errors.Is holds for the
+// sentinels whatever the message says, and an error of neither kind
+// matches neither.
+func TestCatalogErrorsCrossTheWire(t *testing.T) {
+	cl, _ := startCatalog(t)
+	ctx := context.Background()
+	if err := cl.AddReplica(ctx, "lfn://missing", "pfn"); !errors.Is(err, ErrNotFound) || errors.Is(err, ErrExists) {
+		t.Fatalf("AddReplica of a missing file: %v; want ErrNotFound", err)
+	}
+	if err := cl.Register(ctx, "lfn://twice", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Register(ctx, "lfn://twice", nil); !errors.Is(err, ErrExists) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Register: %v; want ErrExists", err)
+	}
+	_, err := cl.Query(ctx, "((")
+	var re *rpc.RemoteError
+	if !errors.As(err, &re) || re.Code != 0 || errors.Is(err, ErrExists) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("malformed query: %v; want an uncoded RemoteError", err)
 	}
 }
 

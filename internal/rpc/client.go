@@ -12,12 +12,15 @@ import (
 	"gdmp/internal/gsi"
 )
 
-// Client is a Request Manager client: one authenticated connection to a
-// server, over which calls are issued sequentially. Client is safe for
-// concurrent use; concurrent calls are serialized on the connection,
+// Client is a Request Manager client: one authenticated, protected session
+// with a server, over which calls are issued sequentially. Client is safe
+// for concurrent use; concurrent calls are serialized on the connection,
 // mirroring the simple request/response protocol of GDMP's Request Manager.
 type Client struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// conn is the raw connection: deadlines and closing, which is how a
+	// cancellation severs the session, go to it. Frames go through
+	// peer.Conn, the protected session over it.
 	conn    net.Conn
 	peer    *gsi.Peer
 	timeout time.Duration
@@ -175,10 +178,10 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 		}
 		return nil, fmt.Errorf("rpc: %s %s: %w", stage, method, err)
 	}
-	if err := WriteFrame(c.conn, req.encode()); err != nil {
+	if err := WriteFrame(c.peer.Conn, req.encode()); err != nil {
 		return fail("send", err)
 	}
-	resp, err := ReadFrame(c.conn)
+	resp, err := ReadFrame(c.peer.Conn)
 	if err != nil {
 		return fail("receive", err)
 	}
@@ -187,11 +190,12 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 	case statusOK:
 		return d, nil
 	case statusError:
+		code := d.Uint32()
 		msg := d.String()
 		if err := d.Finish(); err != nil {
 			return nil, err
 		}
-		return nil, &RemoteError{Method: method, Msg: msg}
+		return nil, &RemoteError{Method: method, Code: code, Msg: msg}
 	case statusOverloaded:
 		class := d.String()
 		reason := d.String()

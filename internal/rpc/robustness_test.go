@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -111,15 +112,16 @@ func TestCorruptFrameDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := gsi.Handshake(conn, cred, []*gsi.Certificate{ca(t).Certificate()}, true); err != nil {
+	peer, err := gsi.Handshake(conn, cred, []*gsi.Certificate{ca(t).Certificate()}, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// A frame whose inner structure is garbage.
-	if err := WriteFrame(conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	if err := WriteFrame(peer.Conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := ReadFrame(conn); err == nil {
+	if _, err := ReadFrame(peer.Conn); err == nil {
 		t.Fatal("server answered a corrupt frame instead of hanging up")
 	}
 	// The server still serves new connections.
@@ -129,4 +131,63 @@ func TestCorruptFrameDisconnects(t *testing.T) {
 		t.Fatalf("server wedged after corrupt frame: %v", err)
 	}
 	cl.Close()
+}
+
+// TestTruncatedErrorReplyRefused: an error reply cut anywhere after its
+// status byte, inside the 4-byte code or the message, is a corrupt reply
+// to the caller, not a panic and not a RemoteError; the whole reply is a
+// RemoteError carrying the code.
+func TestTruncatedErrorReplyRefused(t *testing.T) {
+	var whole Encoder
+	whole.Uint8(statusError)
+	whole.Uint32(2)
+	whole.String("replica: entry not found")
+	reply := whole.Bytes()
+
+	srvCred, err := ca(t).Issue("gdmp/truncating", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []*gsi.Certificate{ca(t).Certificate()}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	replies := make(chan []byte)
+	go func() {
+		for frame := range replies {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if peer, err := gsi.Handshake(conn, srvCred, roots, false); err == nil {
+				if _, err := ReadFrame(peer.Conn); err == nil {
+					WriteFrame(peer.Conn, frame)
+				}
+			}
+			conn.Close()
+		}
+	}()
+	defer close(replies)
+	cred, err := ca(t).Issue("reader", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut <= len(reply); cut++ {
+		replies <- reply[:cut]
+		cl, err := Dial(ln.Addr().String(), cred, roots, WithTimeout(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cl.Call("rc.lookup", nil)
+		cl.Close()
+		var re *RemoteError
+		if cut < len(reply) && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("error reply cut to %d of %d bytes: %v; want ErrCorrupt", cut, len(reply), err)
+		}
+		if cut == len(reply) && (!errors.As(err, &re) || re.Code != 2) {
+			t.Errorf("whole error reply: %v; want a RemoteError with code 2", err)
+		}
+	}
 }

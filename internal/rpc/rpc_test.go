@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -430,6 +431,44 @@ func TestDialRejectsWrongTrust(t *testing.T) {
 	_, err = Dial(addr, cred, []*gsi.Certificate{evil.Certificate()}, WithTimeout(2*time.Second))
 	if err == nil {
 		t.Fatal("handshake with mismatched trust roots should fail")
+	}
+}
+
+// TestRefusedClientLearnsAtFirstCall pins where a client the server
+// refuses finds out: TLS 1.3 lets the client finish its handshake before
+// the server has judged the client's chain, so Dial succeeds and the first
+// call fails, and nothing is dispatched.
+func TestRefusedClientLearnsAtFirstCall(t *testing.T) {
+	acl := gsi.NewACL()
+	acl.AllowAll("echo")
+	var dispatched atomic.Int32
+	addr := startServer(t, acl, func(s *Server) {
+		s.Handle("echo", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error {
+			dispatched.Add(1)
+			return nil
+		})
+	})
+	evil, err := gsi.NewCA("EvilGrid", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred, err := evil.Issue("mallory", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The client trusts the server's CA; the server does not trust EvilGrid.
+	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second))
+	if err != nil {
+		t.Fatalf("Dial: %v; want success, the refusal arriving at the first read", err)
+	}
+	defer cl.Close()
+	_, err = cl.Call("echo", nil)
+	var re *RemoteError
+	if err == nil || errors.As(err, &re) {
+		t.Fatalf("first call of a refused client: %v; want a transport error", err)
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Fatalf("a refused client's call was dispatched %d times", n)
 	}
 }
 

@@ -91,7 +91,11 @@ func decodeRequest(frame []byte) (request, error) {
 // back to the caller.
 type RemoteError struct {
 	Method string
-	Msg    string
+	// Code names the kind of failure, for a caller that must tell kinds
+	// apart: the RPCCode method of the handler's error, if it has one,
+	// and zero if not.
+	Code uint32
+	Msg  string
 }
 
 func (e *RemoteError) Error() string {
@@ -283,6 +287,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.logger.Printf("rpc: handshake with %v failed: %v", conn.RemoteAddr(), err)
 		return
 	}
+	// Deadlines and Close go to the raw conn (Close severs the session
+	// without waiting on a wedged peer); frames go through the session.
 
 	for {
 		if s.TimeoutD > 0 {
@@ -290,7 +296,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		} else {
 			conn.SetDeadline(time.Time{})
 		}
-		frame, err := ReadFrame(conn)
+		frame, err := ReadFrame(peer.Conn)
 		if err != nil {
 			return // connection closed or timed out
 		}
@@ -299,7 +305,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.logger.Printf("rpc: corrupt request from %s: %v", peer.Base, err)
 			return
 		}
-		if err := WriteFrame(conn, s.dispatch(s.baseCtx, peer, req)); err != nil {
+		if err := WriteFrame(peer.Conn, s.dispatch(s.baseCtx, peer, req)); err != nil {
 			return
 		}
 	}
@@ -312,10 +318,11 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, req request) []by
 	defer s.met.latency.WithLabelValues(method).Time()()
 
 	var out Encoder
-	fail := func(status, format string, args ...interface{}) []byte {
+	fail := func(status string, code uint32, format string, args ...interface{}) []byte {
 		s.met.requests.WithLabelValues(method, status).Inc()
 		out.Reset()
 		out.Uint8(statusError)
+		out.Uint32(code)
 		out.String(fmt.Sprintf(format, args...))
 		return out.Bytes()
 	}
@@ -335,12 +342,12 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, req request) []by
 	h, ok := s.handlers[method]
 	s.mu.RUnlock()
 	if !ok {
-		return fail("unknown", "unknown method %q", method)
+		return fail("unknown", 0, "unknown method %q", method)
 	}
 	if s.acl != nil {
 		if err := s.acl.Check(peer.Base, gsi.Operation(method)); err != nil {
 			s.met.authFails.Inc()
-			return fail("unauthorized", "unauthorized: %v", err)
+			return fail("unauthorized", 0, "unauthorized: %v", err)
 		}
 	}
 
@@ -382,7 +389,12 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, req request) []by
 	out.Uint8(statusOK)
 	args := NewDecoder(req.args)
 	if err := h(hctx, peer, args, &out); err != nil {
-		return fail("error", "%v", err)
+		var code uint32
+		var coded interface{ RPCCode() uint32 }
+		if errors.As(err, &coded) {
+			code = coded.RPCCode()
+		}
+		return fail("error", code, "%v", err)
 	}
 	s.met.requests.WithLabelValues(method, "ok").Inc()
 	return out.Bytes()

@@ -6,8 +6,9 @@
 // through one function and every publication is enqueued by one, every
 // pull enters the scheduler through one function, and periodic work runs
 // on one loop runner; and under internal/ and cmd/, only internal/durable
-// fsyncs or renames. A second writer, or a second dialer, is a copy that
-// will drift.
+// fsyncs or renames, and only internal/gsi speaks TLS or mints a
+// certificate. A second writer, or a second dialer, is a copy that will
+// drift.
 package gdmp_test
 
 import (
@@ -132,6 +133,44 @@ func TestDurableHasOneOwner(t *testing.T) {
 				owner, method := lastTwoSelectors(call.Fun)
 				if owner == "os" && method == "Rename" || method == "Sync" && len(call.Args) == 0 {
 					t.Errorf("%s: %s.%s outside internal/durable; use durable.Rename, Sync or SyncDir", fset.Position(call.Pos()), owner, method)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSessionSecurityHasOneOwner fails when a non-test file under internal/
+// or cmd/ outside internal/gsi imports crypto/tls or makes a certificate
+// with x509.CreateCertificate: sessions are secured, and credentials
+// minted, by the GSI profile alone, so its chain rules cannot be skipped
+// by a second TLS configuration.
+func TestSessionSecurityHasOneOwner(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+				filepath.Dir(path) == filepath.Join("internal", "gsi") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, imp := range file.Imports {
+				if imp.Path.Value == `"crypto/tls"` {
+					t.Errorf("%s: imports crypto/tls outside internal/gsi; secure the session with gsi.Handshake", fset.Position(imp.Pos()))
+				}
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if owner, method := lastTwoSelectors(call.Fun); owner == "x509" && method == "CreateCertificate" {
+						t.Errorf("%s: x509.CreateCertificate outside internal/gsi; mint credentials with gsi.CA", fset.Position(call.Pos()))
+					}
 				}
 				return true
 			})

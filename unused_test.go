@@ -38,7 +38,7 @@ var keptUnused = []struct{ why, names string }{
 		`netsim.FanOut netsim.SimulateStriped netsim.DefaultHost
 		workload.SampleZipf workload.FileName workload.TopShare workload.PerSite workload.GenerateTrace`},
 	{"methods the standard library calls through its interfaces",
-		`gridftp.Unwrap retry.Unwrap xfer.Less xfer.Swap`},
+		`gridftp.Unwrap replica.Unwrap retry.Unwrap xfer.Less xfer.Swap`},
 	{"ignored since keys are Ed25519; assigned only by bench/bench_test.go, which goes with it in the next PR that may edit bench/",
 		`gsi.KeyBits`},
 }
