@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test check loc vet fmt race fuzz-smoke bench bench-e2e bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
+.PHONY: all build test check loc vet fmt race soak-load fuzz-smoke bench bench-e2e bench-pull bench-catalog chaos crash scrub parity cache catalog partition overload
 
 all: build
 
@@ -21,6 +21,16 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# The production soak under load: eight soak runs under the race detector
+# beside the race suites of the busiest packages (never cached, so the load
+# is real), both at once; fails if either does. Not part of `check` (it
+# doubles the race suite's time): run it before trusting a change to the
+# pull path on a loaded box.
+soak-load:
+	$(GO) test -race -count=8 -run TestProductionSoak . & soak=$$!; \
+	$(GO) test -race -count=1 ./internal/core ./internal/gridftp ./internal/replica; race=$$?; \
+	wait $$soak && [ $$race -eq 0 ]
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -68,7 +78,7 @@ fuzz-smoke:
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR
-# quotes (ROADMAP item 4). Informational; never fails.
+# quotes (ROADMAP item 13). Informational; never fails.
 loc:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
 		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test.go) | wc -l)" "$$d"; \

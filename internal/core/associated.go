@@ -23,7 +23,7 @@ import (
 // collection downloads with the worker pool's concurrency rather than one
 // file at a time.
 func (s *Site) GetCollection(collection string) ([]string, error) {
-	members, err := s.rc.listCollection(s.ctx, collection)
+	members, err := s.rc.ListCollection(s.ctx, collection)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +57,7 @@ func (s *Site) GetWithAssociated(lfn string) ([]string, error) {
 		}
 		visitedLFN[cur] = true
 
-		entry, err := s.rc.lookup(ctx, cur)
+		entry, err := s.rc.Lookup(ctx, cur)
 		if err != nil {
 			return fetched, err
 		}
@@ -93,7 +93,7 @@ func (s *Site) GetWithAssociated(lfn string) ([]string, error) {
 // lfnForDBID resolves an object database id to its logical file via the
 // catalog — the Grid-level half of the object-to-file mapping of Figure 1.
 func (s *Site) lfnForDBID(ctx context.Context, dbid string) (string, error) {
-	matches, err := s.rc.query(ctx, "("+AttrDBID+"="+dbid+")")
+	matches, err := s.rc.Query(ctx, "("+AttrDBID+"="+dbid+")")
 	if err != nil {
 		return "", err
 	}

@@ -63,5 +63,5 @@ func (s *Site) DeleteLogical(lfn string) error {
 			return err
 		}
 	}
-	return s.rc.deleteFile(s.ctx, lfn)
+	return s.rc.Delete(s.ctx, lfn)
 }

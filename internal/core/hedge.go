@@ -16,6 +16,15 @@ import (
 // deadline is hedged — a second replica is warmed up in the background and,
 // if the first source stays wedged, takes over the CRC-verified .part
 // prefix instead of restarting from zero.
+//
+// The stall clock starts when the source accepts the transfer (its 150
+// reply): from then on bytes are due, so a source that opens its data
+// streams and sends nothing is cut as surely as one that dies mid-stream.
+// Before it the leg is setting up — the dial, the security handshake, the
+// GridFTP session — and every one of those exchanges is bounded by the
+// session's own timeout (ftpConnect's), not by a deadline learned from
+// earlier legs' byte streams: a loaded host that is slow to shake hands is
+// not a stalled source.
 
 // HedgeMetricsPrefix namespaces the hedged-pull counters.
 const HedgeMetricsPrefix = "gdmp_xfer_hedge"
@@ -77,12 +86,10 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 	legCtx, cancelLeg := context.WithCancelCause(ctx)
 	defer cancelLeg(nil)
 
-	// The stall clock starts at leg start and advances on every byte the
-	// transfer lands, so a source that dies mid-stream is caught as surely
-	// as one that never answers.
+	// The stall clock starts when the source accepts the transfer (zero
+	// until then) and advances on every byte the transfer lands.
 	var lastProgress atomic.Int64
-	lastProgress.Store(time.Now().UnixNano())
-	progress := func(int64) { lastProgress.Store(time.Now().UnixNano()) }
+	alive := func() { lastProgress.Store(time.Now().UnixNano()) }
 
 	deadline := s.hedgeDeadline(primary.Addr)
 	// The watchdog cancels a wedged leg with the stall as the cause, which
@@ -93,7 +100,7 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 
 	resCh := make(chan legResult, 1)
 	go func() {
-		stats, err := p.runLeg(legCtx, primary, forced, progress)
+		stats, err := p.runLeg(legCtx, primary, forced, alive)
 		resCh <- legResult{stats, err}
 	}()
 
@@ -127,9 +134,14 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 			if perr := <-prepCh; perr != nil {
 				return errors.Join(res.err, perr)
 			}
-			return p.hedgeTakeover(ctx, *backup, res.stats, progress)
+			return p.hedgeTakeover(ctx, *backup, res.stats, alive)
 		case <-timerC:
-			idle := time.Since(time.Unix(0, lastProgress.Load()))
+			last := lastProgress.Load()
+			if last == 0 {
+				timer.Reset(deadline) // still setting up: not the watchdog's
+				continue
+			}
+			idle := time.Since(time.Unix(0, last))
 			if idle < deadline {
 				timer.Reset(deadline - idle)
 				continue
@@ -162,7 +174,7 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 			if perr != nil {
 				return errors.Join(res.err, perr)
 			}
-			return p.hedgeTakeover(ctx, *backup, res.stats, progress)
+			return p.hedgeTakeover(ctx, *backup, res.stats, alive)
 		case <-ctx.Done():
 			cancelLeg(nil)
 			<-resCh
@@ -193,9 +205,9 @@ func (p *pull) hedgePrep(ctx context.Context, backup PFN) error {
 // checksum on the takeover's session first), so on the happy path zero
 // already-verified bytes cross the wire again. The wasted-bytes ledger
 // charges whatever the loser moved that the winner could not reuse.
-func (p *pull) hedgeTakeover(ctx context.Context, backup PFN, primaryStats gridftp.TransferStats, progress func(int64)) error {
+func (p *pull) hedgeTakeover(ctx context.Context, backup PFN, primaryStats gridftp.TransferStats, alive func()) error {
 	s := p.s
-	stats, err := p.runLeg(ctx, backup, false, progress)
+	stats, err := p.runLeg(ctx, backup, false, alive)
 	if err != nil {
 		return err
 	}

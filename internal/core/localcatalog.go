@@ -227,7 +227,7 @@ func (s *Site) withdraw(ctx context.Context, fi FileInfo, fate bytesFate, centra
 	if !central {
 		return nil
 	}
-	if err := s.rc.removeReplica(ctx, fi.LFN, s.pfnFor(fi.Path)); err != nil && !errors.Is(err, replica.ErrNotFound) {
+	if err := s.rc.RemoveReplica(ctx, fi.LFN, s.pfnFor(fi.Path).String()); err != nil && !errors.Is(err, replica.ErrNotFound) {
 		return fmt.Errorf("core: withdraw %s from replica catalog: %w", fi.LFN, err)
 	}
 	return nil

@@ -124,7 +124,7 @@ func (s *Site) prefetchCollection(dir string) {
 		}
 		s.poolMet.Prefetches.Inc()
 	}
-	lfns, err := s.rc.listCollection(ctx, dir)
+	lfns, err := s.rc.ListCollection(ctx, dir)
 	if err != nil {
 		if !errors.Is(err, replica.ErrNotFound) {
 			s.logger.Printf("gdmp[%s]: prefetch list collection %s: %v", s.cfg.Name, dir, err)

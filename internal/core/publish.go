@@ -180,7 +180,7 @@ func (s *Site) publishFile(relPath string, opts PublishOptions) (FileInfo, error
 // recovery story: a crashed site loses no published state, because the
 // replica catalog is the durable record.
 func (s *Site) RebuildLocalCatalog() (int, error) {
-	entries, err := s.rc.query(s.ctx, "("+attrSite+"="+s.cfg.Name+")")
+	entries, err := s.rc.Query(s.ctx, "("+attrSite+"="+s.cfg.Name+")")
 	if err != nil {
 		return 0, err
 	}

@@ -155,7 +155,7 @@ func (s *Site) replicate(ctx context.Context, lfn string) error {
 
 // locate resolves the catalog entry, its plug-in and the replicas to pull from.
 func (p *pull) locate(ctx context.Context) error {
-	entry, err := p.s.rc.lookup(ctx, p.lfn)
+	entry, err := p.s.rc.Lookup(ctx, p.lfn)
 	if err != nil {
 		return fmt.Errorf("core: lookup %s: %w", p.lfn, err)
 	}
@@ -255,9 +255,10 @@ func (p *pull) reserve() error {
 // the hedge target.
 func (p *pull) fetch(ctx context.Context) error {
 	pol := p.s.retryPolicy("core.replicate")
-	if pol.Attempts < len(p.sources) {
-		pol.Attempts = len(p.sources) // visit every replica at least once
+	if pol.Attempts <= 0 {
+		pol.Attempts = retry.DefaultPolicy().Attempts
 	}
+	pol.Attempts = max(pol.Attempts, len(p.sources)) // visit every replica at least once
 	start := time.Now()
 	err := pol.Do(ctx, func(attempt int) error {
 		avail, forced := p.rank()
@@ -283,7 +284,7 @@ func (p *pull) fetch(ctx context.Context) error {
 // (the stall watchdog's) fails with that cause, not the cancellation. The
 // stats are returned even on failure — the hedge watchdog's wasted-bytes
 // ledger needs the partial byte counts.
-func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, progress func(int64)) (gridftp.TransferStats, error) {
+func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (gridftp.TransferStats, error) {
 	s := p.s
 	begin := s.health.Begin
 	if forced {
@@ -302,7 +303,7 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, progress func(i
 	release, err := s.sched.AcquireSource(ctx, src.Addr)
 	ran := err == nil
 	if ran {
-		stats, err = p.replicateFrom(ctx, src, progress)
+		stats, err = p.replicateFrom(ctx, src, alive)
 		release()
 	}
 	if cause := context.Cause(ctx); err != nil && cause != nil && cause != ctx.Err() {
@@ -329,10 +330,10 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, progress func(i
 
 // replicateFrom moves the bytes for one leg: stage request, the Data
 // Mover's secure, restartable, CRC-verified GridFTP retrieval (Section
-// 4.3), and verification against the catalog. progress, when set, fires
-// with the cumulative byte count as data lands — the stall watchdog
-// listens to it.
-func (p *pull) replicateFrom(ctx context.Context, src PFN, progress func(int64)) (gridftp.TransferStats, error) {
+// 4.3), and verification against the catalog. alive fires when the source
+// accepts a transfer and again as data lands — the stall watchdog listens
+// to it.
+func (p *pull) replicateFrom(ctx context.Context, src PFN, alive func()) (gridftp.TransferStats, error) {
 	s := p.s
 	if err := p.stageAt(ctx, src); err != nil {
 		return gridftp.TransferStats{}, err
@@ -341,7 +342,7 @@ func (p *pull) replicateFrom(ctx context.Context, src PFN, progress func(int64))
 	pol.Attempts = s.cfg.TransferAttempts
 	pol.Retryable = nil // transfer failures are all retryable
 	stats, err := gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, p.localPath, pol,
-		gridftp.GetFileOptions{Progress: progress, WrapWriter: s.cfg.StageWriter})
+		gridftp.GetFileOptions{Progress: func(int64) { alive() }, Opening: alive, WrapWriter: s.cfg.StageWriter})
 	if err != nil {
 		return stats, err
 	}
@@ -483,5 +484,5 @@ func (p *pull) commit(ctx context.Context) error {
 	if err := s.rc.addReplica(ctx, p.lfn, myPFN); err != nil {
 		return err
 	}
-	return s.rc.setAttrs(ctx, p.lfn, map[string]string{ctlAttrPrefix + myPFN.Addr: s.Addr()})
+	return s.rc.SetAttrs(ctx, p.lfn, map[string]string{ctlAttrPrefix + myPFN.Addr: s.Addr()})
 }

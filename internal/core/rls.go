@@ -133,7 +133,7 @@ func (s *Site) PushDigest(ctx context.Context) (outcome string, err error) {
 		b.Add(lfn)
 	}
 
-	outcome, idxGen, err := s.rc.pushDigest(ctx, s.cfg.Name, s.Addr(), gen, b, s.digestTTL())
+	outcome, idxGen, err := s.rc.PushDigest(ctx, s.cfg.Name, s.Addr(), gen, b, s.digestTTL())
 	if err != nil {
 		s.rlsMet.pushes.WithLabelValues("error").Inc()
 		return "", err
@@ -223,7 +223,7 @@ func (s *Site) registerRLSHandlers() {
 // is skipped; its files come from its LRC directly.
 func (s *Site) rliSources(ctx context.Context, entry *replica.LogicalFile, lfn string) []PFN {
 	s.rlsMet.rliWhich.Inc()
-	cands, err := s.rc.which(ctx, lfn)
+	cands, err := s.rc.Which(ctx, lfn)
 	if err != nil {
 		s.logger.Printf("gdmp[%s]: rli which %s: %v", s.cfg.Name, lfn, err)
 		return nil

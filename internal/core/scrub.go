@@ -639,7 +639,7 @@ func (s *Site) dropDanglingLocation(ctx context.Context, lfn, dataAddr string, c
 		if confirm != nil && !confirm() {
 			return false
 		}
-		if err := s.rc.removeReplica(ctx, lfn, p); err != nil && !errors.Is(err, replica.ErrNotFound) {
+		if err := s.rc.RemoveReplica(ctx, lfn, p.String()); err != nil && !errors.Is(err, replica.ErrNotFound) {
 			s.logger.Printf("gdmp[%s]: anti-entropy: withdraw dangling %s at %s: %v",
 				s.cfg.Name, lfn, dataAddr, err)
 			return false

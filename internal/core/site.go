@@ -306,7 +306,7 @@ type Site struct {
 	gdmpLn net.Listener
 	ftpLn  net.Listener
 
-	rc *rcService
+	rc rcService
 
 	// persist holds the site's durable tables (local file catalog,
 	// subscribers and their notice queues, unfinished pulls, producers,
@@ -434,14 +434,11 @@ func NewSite(cfg Config) (*Site, error) {
 		met:        newSiteMetrics(cfg.Metrics),
 		tunedBuf:   make(map[string]int),
 	}
-	dialRC := func(ctx context.Context) (*replica.Client, error) {
-		return replica.DialContext(ctx, cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
-	}
-	rcClient, err := dialRC(context.Background())
+	rcClient, err := replica.Dial(cfg.ReplicaCatalog, cfg.Cred, cfg.TrustRoots, s.rpcDialOpts()...)
 	if err != nil {
 		return nil, fmt.Errorf("core: connect replica catalog: %w", err)
 	}
-	s.rc = &rcService{client: rcClient, dial: dialRC}
+	s.rc = rcService{rcClient}
 	hcfg := cfg.Health
 	hcfg.Registry = cfg.Metrics
 	s.health = health.New(hcfg)
@@ -571,7 +568,7 @@ func (s *Site) HasFile(lfn string) bool { return s.local.has(lfn) }
 
 // Query searches the central replica catalog with an LDAP-style filter.
 func (s *Site) Query(filter string) ([]*replica.LogicalFile, error) {
-	return s.rc.query(s.ctx, filter)
+	return s.rc.Query(s.ctx, filter)
 }
 
 // Close shuts the site down. With a StateDir, the final state is folded
@@ -605,7 +602,7 @@ func (s *Site) teardown(graceful bool) error {
 	if s.ftpSrv != nil {
 		errs = append(errs, s.ftpSrv.Close())
 	}
-	errs = append(errs, s.rc.close())
+	errs = append(errs, s.rc.Close())
 	if s.federation != nil {
 		s.federation.Close()
 	}

@@ -684,6 +684,89 @@ func TestStalledLegIsRecordedAsStall(t *testing.T) {
 	}
 }
 
+// TestSilentSourceIsCutAsStall: the stall clock runs from the source's
+// 150 reply, so a source that accepts the transfer, pairs its data stream
+// and then delivers not one byte down it is cut at the stall deadline and
+// retried, not waited on for ever.
+func TestSilentSourceIsCutAsStall(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	pf := publish(t, g, cern, "runs/silent.db", testbed.MakeData(300_000, 52), core.PublishOptions{})
+
+	// The first passive-mode data connection never yields a byte.
+	known := map[string]bool{g.CatalogAddr: true, cern.Addr(): true, cern.DataAddr(): true}
+	var mu sync.Mutex
+	dataConns := 0
+	dial := func(network, addr string) (net.Conn, error) {
+		c, err := net.Dial(network, addr)
+		if err != nil || known[addr] {
+			return c, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if dataConns++; dataConns == 1 {
+			return &silentConn{Conn: c, closed: make(chan struct{})}, nil
+		}
+		return c, nil
+	}
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+		DialFunc: dial, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond,
+		Retry: retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
+	})
+	if err := anl.Get(pf.LFN); err != nil {
+		t.Fatalf("pull did not recover from the silent source: %v", err)
+	}
+	hist := anl.TransferHistory()
+	if len(hist) != 2 || !hist[0].Failed || !strings.Contains(hist[0].Error, "stalled") || hist[1].Failed {
+		t.Fatalf("history = %+v, want one stalled leg then one good one", hist)
+	}
+}
+
+// silentConn is a connection whose reads block until it is closed.
+type silentConn struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *silentConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *silentConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestSlowSetUpIsNotAStall: the stall clock starts at the source's 150
+// reply. A single-source pull whose GridFTP dial takes longer than the stall
+// deadline is setting up, not stalled: it lands with no failed leg, under
+// the default retry policy.
+func TestSlowSetUpIsNotAStall(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	pf := publish(t, g, cern, "runs/slow-dial.db", testbed.MakeData(100_000, 51), core.PublishOptions{})
+
+	inj := faults.New(1, func(c faults.ConnInfo) faults.Plan {
+		if c.Addr == cern.DataAddr() {
+			return faults.Plan{DialDelay: 500 * time.Millisecond}
+		}
+		return faults.Plan{}
+	})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Faults: inj, HedgeDeadline: 200 * time.Millisecond})
+	if err := anl.Get(pf.LFN); err != nil {
+		t.Fatalf("pull with a slow dial: %v", err)
+	}
+	hist := anl.TransferHistory()
+	if len(hist) != 1 || hist[0].Failed {
+		t.Fatalf("history = %+v, want one good leg", hist)
+	}
+	if st := anl.Status(); st.TransfersFailed != 0 || st.TransfersOK != 1 {
+		t.Fatalf("status = %+v, want 0 failed + 1 ok", st)
+	}
+}
+
 // TestLandingSurvivesConcurrentEviction pins the landing order: a pool too
 // small for two concurrent pulls evicts one file while the other is still
 // landing, possibly the very file that is mid-landing. Whatever the pool

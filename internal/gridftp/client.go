@@ -524,7 +524,7 @@ func (c *Client) Get(path string, dst io.WriterAt) (TransferStats, error) {
 	if err != nil {
 		return TransferStats{}, err
 	}
-	return c.getRangeLocked(path, Range{0, size}, dst, nil)
+	return c.getRangeLocked(path, Range{0, size}, dst, nil, nil)
 }
 
 // GetRange retrieves [r.Start, r.End) of a remote file (partial file
@@ -532,7 +532,7 @@ func (c *Client) Get(path string, dst io.WriterAt) (TransferStats, error) {
 func (c *Client) GetRange(path string, r Range, dst io.WriterAt) (TransferStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.getRangeLocked(path, r, dst, nil)
+	return c.getRangeLocked(path, r, dst, nil, nil)
 }
 
 // recorded runs one transfer under the client's transfer instrumentation.
@@ -549,7 +549,8 @@ func (c *Client) recorded(direction string, body func() (TransferStats, error)) 
 // dataCommand is the control-channel dialogue every data transfer shares:
 // PASV, the transfer command, as many data connections as its 150 reply
 // announces, move over them, then the 112 markers and the final verdict.
-func (c *Client) dataCommand(move func([]net.Conn) ([]int64, error), format string, args ...interface{}) (TransferStats, error) {
+// opening, when non-nil, is called on the 150 reply.
+func (c *Client) dataCommand(opening func(), move func([]net.Conn) ([]int64, error), format string, args ...interface{}) (TransferStats, error) {
 	start := time.Now()
 	verb, _, _ := strings.Cut(format, " ")
 	pi, err := c.enterPassive()
@@ -566,6 +567,9 @@ func (c *Client) dataCommand(move func([]net.Conn) ([]int64, error), format stri
 	streams, err := parse150(text)
 	if err != nil {
 		return TransferStats{}, err
+	}
+	if opening != nil {
+		opening()
 	}
 	conns, err := c.openDataConns(pi, streams)
 	if err != nil {
@@ -601,14 +605,14 @@ func (c *Client) dataCommand(move func([]net.Conn) ([]int64, error), format stri
 // getRangeLocked performs one ERET transfer, recording it in the client's
 // transfer instrumentation. Received ranges are recorded into track (when
 // non-nil) as blocks land, so an interrupted transfer leaves an accurate
-// restart map behind.
-func (c *Client) getRangeLocked(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
+// restart map behind. opening (when non-nil) hears the source's 150 reply.
+func (c *Client) getRangeLocked(path string, r Range, dst io.WriterAt, track *RangeSet, opening func()) (TransferStats, error) {
 	return c.recorded("get", func() (TransferStats, error) {
-		return c.getRangeBody(path, r, dst, track)
+		return c.getRangeBody(path, r, dst, track, opening)
 	})
 }
 
-func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *RangeSet) (TransferStats, error) {
+func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *RangeSet, opening func()) (TransferStats, error) {
 	if r.Len() < 0 {
 		return TransferStats{}, fmt.Errorf("gridftp: negative range %+v", r)
 	}
@@ -621,7 +625,7 @@ func (c *Client) getRangeBody(path string, r Range, dst io.WriterAt, track *Rang
 			mu.Unlock()
 		}
 	}
-	stats, err := c.dataCommand(func(conns []net.Conn) ([]int64, error) {
+	stats, err := c.dataCommand(opening, func(conns []net.Conn) ([]int64, error) {
 		return recvBlocks(conns, dst, r, onBlock)
 	}, "ERET %d %d %s", r.Start, r.Len(), path)
 	if err == nil && stats.Bytes != r.Len() {
@@ -678,7 +682,7 @@ func (c *Client) putRanges(verb, path string, src io.ReaderAt, ranges []Range, t
 }
 
 func (c *Client) putRangesLocked(verb, path string, src io.ReaderAt, ranges []Range, total int64) (TransferStats, error) {
-	return c.dataCommand(func(conns []net.Conn) ([]int64, error) {
+	return c.dataCommand(nil, func(conns []net.Conn) ([]int64, error) {
 		return sendBlocks(conns, src, ranges, c.blockSize, nil)
 	}, verb+" %d %s", total, path)
 }
@@ -847,6 +851,12 @@ type GetFileOptions struct {
 	// signal their stall watchdog watches.
 	Progress func(total int64)
 
+	// Opening, when non-nil, is called each time the source accepts a
+	// ranged transfer (its 150 reply), before the data streams are
+	// dialed: from then on bytes are due. Hedged pulls start their stall
+	// clock there.
+	Opening func()
+
 	// WrapWriter, when non-nil, wraps the staging-file writer before any
 	// payload lands. Fault-injection harnesses use it to emulate storage
 	// failures (e.g. faults.Injector.NoSpaceWriter) without touching the
@@ -920,7 +930,7 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 		}
 		for _, missing := range rs.Missing(size) {
 			c.mu.Lock()
-			st, err := c.getRangeLocked(remotePath, missing, dst, &rs)
+			st, err := c.getRangeLocked(remotePath, missing, dst, &rs, opt.Opening)
 			c.mu.Unlock()
 			stats.merge(st)
 			if err != nil {

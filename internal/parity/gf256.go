@@ -3,7 +3,7 @@
 // sidecar written next to every published or pool-landed file. The scrubber
 // uses a sidecar to rebuild up to m damaged blocks from the k surviving data
 // blocks and m parity blocks without contacting any peer — the par2cron
-// pattern from ROADMAP item 4 — and falls back to a WAN re-pull only when
+// pattern SNIPPETS.md excerpts — and falls back to a WAN re-pull only when
 // damage exceeds the parity budget or the sidecar itself is corrupt.
 package parity
 

@@ -38,12 +38,8 @@ func DialTimeout(addr string, cred *gsi.Credential, roots []*gsi.Certificate, d 
 	return Dial(addr, cred, roots, rpc.WithTimeout(d))
 }
 
-// Close releases the connection.
+// Close releases the client's sessions.
 func (c *Client) Close() error { return c.rc.Close() }
-
-// Closed reports whether the connection has latched closed (see
-// rpc.Client.Closed): every later call fails, and only a new Dial helps.
-func (c *Client) Closed() bool { return c.rc.Closed() }
 
 // call is every catalog call. A remote error whose code names a kind of
 // catalog error matches that kind under errors.Is and is still the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gdmp/internal/admission"
@@ -14,17 +13,26 @@ import (
 
 // Client is a Request Manager client: one authenticated, protected session
 // with a server, over which calls are issued sequentially. Client is safe
-// for concurrent use; concurrent calls are serialized on the connection,
+// for concurrent use; concurrent calls are serialized on the session,
 // mirroring the simple request/response protocol of GDMP's Request Manager.
+// A call that fails — canceled by its own context, timed out, or broken by
+// the peer — closes the session, and the next call dials a fresh one: a
+// lost session costs the call that was on it, and no more.
 type Client struct {
+	addr  string
+	cred  *gsi.Credential
+	roots []*gsi.Certificate
+	cfg   dialConfig
+	id    gsi.Identity // the server, as the first session authenticated it
+
 	mu sync.Mutex
-	// conn is the raw connection: deadlines and closing, which is how a
-	// cancellation severs the session, go to it. Frames go through
-	// peer.Conn, the protected session over it.
-	conn    net.Conn
-	peer    *gsi.Peer
-	timeout time.Duration
-	closed  atomic.Bool // set under mu; read without it by Closed
+	// conn is the session's raw connection, nil after a failure until the
+	// next call redials: deadlines and closing, which is how a cancellation
+	// severs the session, go to it. Frames go through peer.Conn, the
+	// protected session over it.
+	conn   net.Conn
+	peer   *gsi.Peer
+	closed bool
 }
 
 // DialOption customizes Dial.
@@ -70,55 +78,66 @@ func Dial(addr string, cred *gsi.Credential, roots []*gsi.Certificate, opts ...D
 }
 
 // DialContext is Dial bound to a context: cancellation or expiry of ctx
-// aborts the dial and the security handshake. The returned client itself is
-// not bound to ctx; pass a context to CallContext per call.
+// aborts the dial and the security handshake of the first session, which
+// is dialed here so that a wrong address or wrong trust roots fail now.
+// The returned client itself is not bound to ctx; pass a context to
+// CallContext per call.
 func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots []*gsi.Certificate, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{
-		timeout: 30 * time.Second,
-	}
+	c := &Client{addr: addr, cred: cred, roots: roots, cfg: dialConfig{timeout: 30 * time.Second}}
 	for _, o := range opts {
-		o(&cfg)
+		o(&c.cfg)
 	}
-	if cfg.dialer == nil {
-		var d net.Dialer
-		cfg.dialer = func(network, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, network, addr)
-		}
+	if err := c.dial(ctx); err != nil {
+		return nil, err
+	}
+	c.id = c.peer.Identity
+	return c, nil
+}
+
+// dial opens and authenticates the client's session, ctx bounding both
+// steps. The caller holds mu, or is DialContext.
+func (c *Client) dial(ctx context.Context) error {
+	dialer := c.cfg.dialer
+	if dialer == nil {
+		dialer = func(network, addr string) (net.Conn, error) { return new(net.Dialer).DialContext(ctx, network, addr) }
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
+		return fmt.Errorf("rpc: dial %s: %w", c.addr, err)
 	}
-	conn, err := cfg.dialer("tcp", addr)
+	conn, err := dialer("tcp", c.addr)
 	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
+		return fmt.Errorf("rpc: dial %s: %w", c.addr, err)
 	}
 	// A canceled context must interrupt the handshake, not just the dial:
 	// closing the connection unblocks any in-flight read or write.
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	cl, err := NewClient(conn, cred, roots, cfg.timeout)
-	stop()
-	if err != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("rpc: dial %s: %w", addr, ctx.Err())
+	if c.cfg.timeout > 0 {
+		conn.SetDeadline(time.Now().Add(c.cfg.timeout))
 	}
-	return cl, err
-}
-
-// NewClient performs the security handshake over an established connection.
-func NewClient(conn net.Conn, cred *gsi.Credential, roots []*gsi.Certificate, timeout time.Duration) (*Client, error) {
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
+	peer, err := gsi.Handshake(conn, c.cred, c.roots, true)
+	if !stop() && err == nil {
+		err = net.ErrClosed // ctx ended as the handshake did, closing conn
 	}
-	peer, err := gsi.Handshake(conn, cred, roots, true)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		if ctx.Err() != nil {
+			return fmt.Errorf("rpc: dial %s: %w", c.addr, ctx.Err())
+		}
+		return err
 	}
 	conn.SetDeadline(time.Time{})
-	return &Client{conn: conn, peer: peer, timeout: timeout}, nil
+	c.conn, c.peer = conn, peer
+	return nil
+}
+
+// drop closes the session after a failed call; the next call redials.
+func (c *Client) drop() {
+	c.conn.Close()
+	c.conn, c.peer = nil, nil
 }
 
 // ServerIdentity returns the authenticated identity of the server.
-func (c *Client) ServerIdentity() gsi.Identity { return c.peer.Identity }
+func (c *Client) ServerIdentity() gsi.Identity { return c.id }
 
 // Call invokes method with the encoded args and returns a decoder over the
 // response payload. A *RemoteError is returned when the handler failed.
@@ -127,24 +146,34 @@ func (c *Client) Call(method string, args *Encoder) (*Decoder, error) {
 }
 
 // CallContext is Call bound to a context: cancellation closes the
-// connection, unblocking the exchange immediately; a context deadline
+// session, unblocking the exchange immediately; a context deadline
 // earlier than the client's own timeout wins. Every call carries the
 // remaining deadline budget and retry attempt (see WithAttempt), and a
 // typed *admission.Overloaded is returned when the server sheds the call.
 func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) (*Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed.Load() {
+	if c.closed {
 		return nil, fmt.Errorf("rpc: client closed")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("rpc: call %s: %w", method, err)
 	}
+	if c.conn == nil {
+		if err := c.dial(ctx); err != nil {
+			return nil, err
+		}
+	}
 	// The connection is closed out-of-band on cancellation (net.Conn.Close
 	// is safe concurrently with reads and writes), so a canceled context
 	// interrupts an exchange already in flight.
-	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
-	defer stop()
+	conn := c.conn
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer func() {
+		if !stop() && c.conn == conn {
+			c.drop() // ctx ended as the exchange did, closing conn
+		}
+	}()
 
 	req := request{method: method, attempt: attemptOf(ctx)}
 	if args != nil {
@@ -153,8 +182,8 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 	// The connection deadline is the earlier of the client's timeout and
 	// the context's; the latter also crosses the wire, as a budget.
 	var deadline time.Time
-	if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
+	if c.cfg.timeout > 0 {
+		deadline = time.Now().Add(c.cfg.timeout)
 	}
 	if d, ok := ctx.Deadline(); ok {
 		// An already dead call still carries a budget, for the server to shed.
@@ -163,9 +192,9 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 			deadline = d
 		}
 	}
-	c.conn.SetDeadline(deadline)
+	conn.SetDeadline(deadline)
 	fail := func(stage string, err error) (*Decoder, error) {
-		c.closeLocked()
+		c.drop()
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
 		} else if nerr, ok := err.(net.Error); ok && nerr.Timeout() {
@@ -209,22 +238,16 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 	}
 }
 
-// Close terminates the connection.
+// Close closes the session, waiting out a call in flight. Later calls fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.closeLocked()
-}
-
-func (c *Client) closeLocked() error {
-	if c.closed.Load() {
+	if c.closed {
 		return nil
 	}
-	c.closed.Store(true)
-	return c.conn.Close()
+	c.closed = true
+	if c.conn != nil {
+		c.drop()
+	}
+	return nil
 }
-
-// Closed reports whether the client has latched closed — by Close, or by
-// an exchange that failed or was canceled mid-call — so that every later
-// call fails. It does not wait for a call in flight.
-func (c *Client) Closed() bool { return c.closed.Load() }

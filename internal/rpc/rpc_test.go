@@ -543,6 +543,53 @@ func TestCallContextCancellationUnblocksCall(t *testing.T) {
 	}
 }
 
+// TestCanceledCallSparesItsNeighbour: a call canceled by its own context
+// closes only its own session. The call queued behind it on the same
+// client, and any call after it, dial a fresh session and succeed.
+func TestCanceledCallSparesItsNeighbour(t *testing.T) {
+	acl := gsi.NewACL()
+	acl.AllowAll("slow", "echo")
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	addr := startServer(t, acl, func(s *Server) {
+		s.Handle("slow", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error {
+			close(entered)
+			<-release
+			return nil
+		})
+		s.Handle("echo", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error { return nil })
+	})
+	defer close(release)
+	cl := dialAs(t, addr, "heidi")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := cl.CallContext(ctx, "slow", nil)
+		aDone <- err
+	}()
+	<-entered
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Call("echo", nil)
+		bDone <- err
+	}()
+	// Let B queue behind A on the client's session. B must succeed
+	// whether or not it is queued yet when A is canceled.
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled call: %v, want context.Canceled", err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatalf("neighbour of a canceled call: %v", err)
+	}
+	if _, err := cl.Call("echo", nil); err != nil {
+		t.Fatalf("call after the cancellation: %v", err)
+	}
+}
+
 func TestCallContextDeadlineExceeded(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("slow")

@@ -310,8 +310,11 @@ func TestMetricsAccounting(t *testing.T) {
 	s := New(Config{Workers: 2, Registry: reg})
 	defer s.Close()
 
-	a := s.Submit("a", 0, func(ctx context.Context) error { return nil })
+	// Job a runs until the duplicate is in, so the dedup cannot miss it.
+	gate := make(chan struct{})
+	a := s.Submit("a", 0, func(ctx context.Context) error { <-gate; return nil })
 	b := s.Submit("a", 0, func(ctx context.Context) error { return nil }) // dedup
+	close(gate)
 	_ = a.Wait(context.Background())
 	_ = b.Wait(context.Background())
 
