@@ -51,7 +51,8 @@ check: fmt vet build race
 # Fuzz smoke: ten seconds of mutation per native fuzz target (the parsers
 # of bytes a GridFTP peer controls on either end, of the certificate
 # chain an unauthenticated peer presents in its TLS handshake, of the Request Manager
-# frame and the status and fsck replies an authenticated peer sends, of the
+# frame and the fsck reply an authenticated peer sends, of the metrics
+# exposition `gdmp status` reads back from a site, of the
 # catalog query filter and the bloom digest a catalog client or site sends,
 # and of what a rotting disk controls: the parity sidecar header, the journal's snapshot
 # file, and the site's and the replica catalog's journal records, WAL and
@@ -66,9 +67,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTransferArgs$$' -fuzztime 10s ./internal/gridftp
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyChain$$' -fuzztime 10s ./internal/gsi
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestFrame$$' -fuzztime 10s ./internal/rpc
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFsckReply$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteRecord$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSiteStatus$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime 10s ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSidecar$$' -fuzztime 10s ./internal/parity
 	$(GO) test -run '^$$' -fuzz '^FuzzMulSlice$$' -fuzztime 10s ./internal/parity
@@ -106,11 +107,11 @@ BENCH_PULL_OUT ?= BENCH_pull.json
 bench-pull:
 	BENCH_PULL_OUT=$(BENCH_PULL_OUT) $(GO) test -run TestPullSchedulerBenchmark -v .
 
-# Catalog RLS benchmark: loads 1M LFNs into the sharded LRC, sustains a
-# lookup storm (>=10k/sec floor), compares lookup throughput under
-# journaled write load against the single-mutex baseline (sharded must
-# win), and asserts the bloom digest's false-positive rate stays under
-# its bound. Results land in $(BENCH_CATALOG_OUT).
+# Catalog RLS benchmark: loads 1M LFNs into the sharded central catalog,
+# sustains a lookup storm (>=10k/sec floor), compares lookup throughput
+# under journaled write load against the single-mutex baseline (sharded
+# must win), and asserts the bloom digest's false-positive rate stays
+# under its bound. Results land in $(BENCH_CATALOG_OUT).
 BENCH_CATALOG_OUT ?= BENCH_catalog.json
 bench-catalog:
 	BENCH_CATALOG_OUT=$(BENCH_CATALOG_OUT) $(GO) test -run TestCatalogBenchmark -v .

@@ -6,7 +6,7 @@
 //	gdmp -cred user.pem -ca ca.pem <subcommand> [args]
 //
 //	ping        <site-ctl-addr>                  check a site is alive
-//	status      <site-ctl-addr>                  transfer counters of a site
+//	status      <site-ctl-addr>                  a site's metrics, formatted
 //	stats       <site-ctl-addr>                  full metrics dump of a site
 //	catalog     <site-ctl-addr>                  dump a site's file catalog
 //	fsck        <site-ctl-addr>                  full on-demand integrity scrub
@@ -190,75 +190,17 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		return nil
 
 	case "status":
+		// status <site-ctl-addr>: the site's metrics (the text `stats`
+		// prints), formatted; name and metrics come over one client.
 		if len(args) != 2 {
 			return fmt.Errorf("usage: status <site-ctl-addr>")
 		}
-		d, err := call(args[1], core.MethodStatus, nil)
+		cl, err := rpc.DialContext(ctx, args[1], cred, roots, rpc.WithTimeout(30*time.Second))
 		if err != nil {
 			return err
 		}
-		st, err := core.DecodeSiteStatus(d)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("site %s: %d local files, %d subscribers\n", st.Name, st.LocalFiles, st.Subscribers)
-		fmt.Printf("transfers: %d ok, %d failed, %d bytes replicated, %d pending\n",
-			st.TransfersOK, st.TransfersFailed, st.BytesReplicated, st.PendingTransfers)
-		if st.RestoredFiles+st.RequeuedPulls+st.QuarantinedFiles+st.RequeuedNotices > 0 {
-			fmt.Printf("last restart: %d files restored, %d pulls requeued, %d notices requeued, %d quarantined\n",
-				st.RestoredFiles, st.RequeuedPulls, st.RequeuedNotices, st.QuarantinedFiles)
-		}
-		if st.Journal != "" {
-			fmt.Printf("journal: %s\n", st.Journal)
-		}
-		if st.PoolCapacity > 0 {
-			rate := 0.0
-			if st.PoolHits+st.PoolMisses > 0 {
-				rate = float64(st.PoolHits) / float64(st.PoolHits+st.PoolMisses)
-			}
-			fmt.Printf("pool: %d/%d bytes, %.1f%% hit rate (%d hits, %d misses), %d evictions\n",
-				st.PoolUsed, st.PoolCapacity, 100*rate, st.PoolHits, st.PoolMisses, st.PoolEvictions)
-		}
-		if st.ParitySidecars+st.ParityRebuilds+st.ParityFallbacks+st.RepairBytesLocal+st.RepairBytesRepulled > 0 {
-			fmt.Printf("parity: %d sidecars, %d local rebuilds (%d bytes), %d fallbacks, %d bytes re-pulled\n",
-				st.ParitySidecars, st.ParityRebuilds, st.RepairBytesLocal, st.ParityFallbacks, st.RepairBytesRepulled)
-		}
-		if st.DigestGen+st.DigestPushes+st.RLIQueries > 0 {
-			fmt.Printf("rls: digest gen %d (%d LFNs, %d pushes), %d RLI queries (%d false positives), locate p99 %dus\n",
-				st.DigestGen, st.DigestLFNs, st.DigestPushes, st.RLIQueries, st.RLIFalsePositives, st.RLSLocateP99Micros)
-		}
-		if len(st.HealthPeers) > 0 {
-			fmt.Printf("peer health:\n")
-			for _, p := range st.HealthPeers {
-				line := fmt.Sprintf("  %s: breaker %s", p.Peer, p.Breaker)
-				if p.ConsecFails > 0 {
-					line += fmt.Sprintf(", %d consecutive failures", p.ConsecFails)
-				}
-				if p.BandwidthKbps > 0 {
-					line += fmt.Sprintf(", %.1f Mbps", float64(p.BandwidthKbps)/1000)
-				}
-				if p.LatencyMicros > 0 {
-					line += fmt.Sprintf(", rtt %dus", p.LatencyMicros)
-				}
-				if !p.LastTransition.IsZero() {
-					line += ", since " + p.LastTransition.Format(time.RFC3339)
-				}
-				fmt.Println(line)
-			}
-		}
-		if st.AdmissionAdmitted+st.AdmissionRejected > 0 || st.BrownoutActive {
-			mode := "normal"
-			if st.BrownoutActive {
-				mode = "brownout"
-			}
-			fmt.Printf("admission: %s (load %.1f%%), %d admitted, %d rejected (%d expired, %d shed)\n",
-				mode, float64(st.BrownoutLoadMilli)/10, st.AdmissionAdmitted, st.AdmissionRejected, st.AdmissionExpired, st.AdmissionShed)
-			if st.BrownoutEntered > 0 {
-				fmt.Printf("brownout: entered %d times, %d background work units deferred\n",
-					st.BrownoutEntered, st.BrownoutDeferred)
-			}
-		}
-		return nil
+		defer cl.Close()
+		return printStatus(ctx, os.Stdout, cl)
 
 	case "fsck":
 		// fsck <site-ctl-addr>: run a full scrub pass on the site and

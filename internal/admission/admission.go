@@ -213,19 +213,6 @@ func (c Counters) settled() uint64 {
 	return c.Admitted + c.Rejected + c.Expired + c.Shed + c.Drained + c.Canceled
 }
 
-// Snapshot is the aggregate overload-protection state, exported on the
-// status wire.
-type Snapshot struct {
-	BrownoutActive   bool
-	Load             float64 // current load signal in [0,1]
-	Admitted         int64
-	Rejected         int64 // Rejected + Expired + Shed + Drained across classes
-	Expired          int64
-	Shed             int64
-	BrownoutEntered  int64 // brownout activations since start
-	BrownoutDeferred int64 // background work units deferred by brownout
-}
-
 type waiter struct {
 	ready    chan error // buffered 1; nil = admitted
 	deadline time.Time
@@ -291,8 +278,6 @@ type Controller struct {
 	draining bool
 	brown    bool
 	load     float64
-	entered  int64
-	deferred int64
 	classes  [numClasses]*classState
 }
 
@@ -540,7 +525,6 @@ func (c *Controller) updateLoadLocked(now time.Time) {
 	c.met.brownLoad.Set(int64(load * 1000))
 	if !c.brown && load >= c.cfg.BrownoutEnter {
 		c.brown = true
-		c.entered++
 		c.met.brownEntered.Inc()
 		c.met.brownActive.Set(1)
 	} else if c.brown && load <= c.cfg.BrownoutExit {
@@ -561,7 +545,6 @@ func (c *Controller) Allow(work string) bool {
 	}
 	c.updateLoadLocked(c.now())
 	if c.brown {
-		c.deferred++
 		c.met.brownDeferred.WithLabelValues(work).Inc()
 		return false
 	}
@@ -645,24 +628,4 @@ func (c *Controller) Settled() bool {
 		}
 	}
 	return true
-}
-
-// Snap returns the aggregate overload-protection state for the status
-// wire.
-func (c *Controller) Snap() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.updateLoadLocked(c.now())
-	var s Snapshot
-	s.BrownoutActive = c.brown
-	s.Load = c.load
-	for _, cs := range c.classes {
-		s.Admitted += int64(cs.counts.Admitted)
-		s.Rejected += int64(cs.counts.Rejected + cs.counts.Expired + cs.counts.Shed + cs.counts.Drained)
-		s.Expired += int64(cs.counts.Expired)
-		s.Shed += int64(cs.counts.Shed)
-	}
-	s.BrownoutEntered = c.entered
-	s.BrownoutDeferred = c.deferred
-	return s
 }

@@ -246,11 +246,13 @@ func TestDrainRejectsQueuedAndNew(t *testing.T) {
 func TestBrownoutHysteresisAndDecay(t *testing.T) {
 	clock := time.Now()
 	now := func() time.Time { return clock }
+	reg := obs.NewRegistry()
 	c := newTestController(t, Config{
 		ControlSlots: 1, ControlQueue: 4,
 		BrownoutEnter: 0.5, BrownoutExit: 0.2,
 		DecayHalfLife: 100 * time.Millisecond,
 		Now:           now,
+		Registry:      reg,
 	})
 	// Force a high admission-wait EWMA directly through the internals the
 	// public API drives: admit, queue a waiter, advance the clock, grant.
@@ -275,8 +277,11 @@ func TestBrownoutHysteresisAndDecay(t *testing.T) {
 	if c.Allow("scrub") {
 		t.Fatalf("Allow during brownout must defer")
 	}
-	if s := c.Snap(); !s.BrownoutActive || s.BrownoutEntered != 1 || s.BrownoutDeferred != 1 {
-		t.Fatalf("snapshot = %+v", s)
+	active := reg.Gauge("gdmp_brownout_active", "").Value()
+	entered := reg.Counter("gdmp_brownout_entered_total", "").Value()
+	deferred := reg.CounterVec("gdmp_brownout_deferred_total", "", "work").WithLabelValues("scrub").Value()
+	if active != 1 || entered != 1 || deferred != 1 {
+		t.Fatalf("brownout active %d, entered %d, deferred %d; want 1, 1, 1", active, entered, deferred)
 	}
 	// With no further grants the wait component decays; brownout exits.
 	clock = clock.Add(2 * time.Second)
@@ -285,6 +290,9 @@ func TestBrownoutHysteresisAndDecay(t *testing.T) {
 	}
 	if !c.Allow("scrub") {
 		t.Fatalf("Allow after brownout exit must pass")
+	}
+	if active := reg.Gauge("gdmp_brownout_active", "").Value(); active != 0 {
+		t.Fatalf("gdmp_brownout_active = %d after the exit, want 0", active)
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Site) RewriteSidecar(lfn string) bool {
 
 // PeriodicScrubPass is the pass startLoops runs on the scrub interval.
 func (s *Site) PeriodicScrubPass(ctx context.Context) (scrub.Report, error) {
-	return s.scrubPass(ctx, true)
+	return s.scrubPass(ctx, true, false)
 }
 
 // Repair queues a repair pull of lfn, as a scrub or anti-entropy finding

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"gdmp/internal/obs"
 	"gdmp/internal/replica"
 )
 
@@ -50,21 +51,25 @@ type FileInfo struct {
 // remote site's file catalog for failure recovery"). It is one of the
 // durable tables of persistState: byLFN and its byPath index change only in
 // persistState.apply (recPutFile, recRemoveFile, recSetState); waiters and
-// landing are this life's bookkeeping about them.
+// landing are this life's bookkeeping about them; size is the
+// gdmp_site_local_files gauge apply keeps at len(byLFN), replay included.
 type localCatalog struct {
 	mu      sync.RWMutex
 	byLFN   map[string]FileInfo
 	byPath  map[string]string        // site-relative path -> LFN
 	waiters map[string]chan struct{} // lfn -> closed when the entry appears
 	landing map[string]bool          // new entries not yet revealed
+	size    *obs.Gauge
 }
 
-func newLocalCatalog() *localCatalog {
+func newLocalCatalog(size *obs.Gauge) *localCatalog {
+	size.Set(0)
 	return &localCatalog{
 		byLFN:   make(map[string]FileInfo),
 		byPath:  make(map[string]string),
 		waiters: make(map[string]chan struct{}),
 		landing: make(map[string]bool),
+		size:    size,
 	}
 }
 

@@ -30,6 +30,8 @@ type siteMetrics struct {
 	pendingDepth       *obs.Gauge
 	subscribers        *obs.Gauge
 	replications       *obs.CounterVec // {outcome}
+	transfers          *obs.CounterVec // {outcome}; one per transfer leg run
+	transferBytes      *obs.Counter
 	stageRequests      *obs.CounterVec // {outcome}
 }
 
@@ -57,6 +59,10 @@ func newSiteMetrics(r *obs.Registry) *siteMetrics {
 			"Consumer sites currently subscribed."),
 		replications: r.CounterVec(SiteMetricsPrefix+"_replications_total",
 			"Replication (Get) pipeline runs, by outcome.", "outcome"),
+		transfers: r.CounterVec(SiteMetricsPrefix+"_transfers_total",
+			"Transfer legs run against a source, by outcome; a pull that fails over runs several.", "outcome"),
+		transferBytes: r.Counter(SiteMetricsPrefix+"_transfer_bytes_total",
+			"Bytes replicated by transfer legs that succeeded."),
 		stageRequests: r.CounterVec(SiteMetricsPrefix+"_stage_requests_total",
 			"Staging requests served for remote consumers, by outcome.", "outcome"),
 	}

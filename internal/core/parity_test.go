@@ -7,6 +7,7 @@ import (
 
 	"gdmp/internal/core"
 	"gdmp/internal/faults"
+	"gdmp/internal/obs"
 	"gdmp/internal/parity"
 	"gdmp/internal/testbed"
 )
@@ -19,7 +20,9 @@ import (
 func TestNoSidecarForRottedBytes(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Durable: true, ParityK: parity.DefaultK, ParityM: parity.DefaultM})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Durable: true, ParityK: parity.DefaultK, ParityM: parity.DefaultM, Metrics: reg})
+	sidecars := func() int64 { return reg.Counter("gdmp_parity_sidecars_total", "").Value() }
 	data := testbed.MakeData(100_000, 7)
 	pf := publish(t, g, cern, "rot.db", data, core.PublishOptions{})
 	if err := anl.Get(pf.LFN); err != nil {
@@ -27,7 +30,7 @@ func TestNoSidecarForRottedBytes(t *testing.T) {
 	}
 	replica := filepath.Join(anl.DataDir(), "rot.db")
 	sidecar := parity.SidecarPath(replica)
-	if _, err := os.Stat(sidecar); err != nil || !anl.SidecarJournaled(pf.LFN) || anl.Status().ParitySidecars != 1 {
+	if _, err := os.Stat(sidecar); err != nil || !anl.SidecarJournaled(pf.LFN) || sidecars() != 1 {
 		t.Fatalf("landing left no journaled sidecar: %v", err)
 	}
 
@@ -42,14 +45,14 @@ func TestNoSidecarForRottedBytes(t *testing.T) {
 			t.Fatalf("%s exists after a refused encode (%v)", p, err)
 		}
 	}
-	if anl.SidecarJournaled(pf.LFN) || anl.Status().ParitySidecars != 1 {
-		t.Fatalf("refused encode was journaled or counted (gdmp_parity_sidecars_total %d)", anl.Status().ParitySidecars)
+	if anl.SidecarJournaled(pf.LFN) || sidecars() != 1 {
+		t.Fatalf("refused encode was journaled or counted (gdmp_parity_sidecars_total %d)", sidecars())
 	}
 
 	if err := os.WriteFile(replica, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !anl.RewriteSidecar(pf.LFN) || !anl.SidecarJournaled(pf.LFN) || anl.Status().ParitySidecars != 2 {
+	if !anl.RewriteSidecar(pf.LFN) || !anl.SidecarJournaled(pf.LFN) || sidecars() != 2 {
 		t.Fatal("healthy bytes were refused a sidecar")
 	}
 	if _, err := os.Stat(sidecar); err != nil {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
@@ -117,7 +116,6 @@ type sitePersistence struct {
 	j      *journal.Journal
 	st     persistState
 	closed bool
-	failed atomic.Bool // j.Failed() != nil, for readers that must not wait for j
 	logger *log.Logger
 }
 
@@ -126,7 +124,8 @@ type sitePersistence struct {
 // bytes quarantined at open.
 func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p *sitePersistence, tornBytes int64, err error) {
 	p = &sitePersistence{logger: logger, st: persistState{
-		files:     newLocalCatalog(),
+		files: newLocalCatalog(reg.Gauge(SiteMetricsPrefix+"_local_files",
+			"Entries in the site's local file catalog.")),
 		subs:      make(map[string]*subscriberState),
 		pulls:     make(map[string]FileInfo),
 		producers: make(map[string]bool),
@@ -182,7 +181,6 @@ func (p *sitePersistence) record(alreadySo func(*persistState) bool, rec recWrit
 	}
 	if p.j != nil {
 		if err := p.j.Append(e.Bytes()); err != nil {
-			p.failed.Store(p.j.Failed() != nil)
 			return err
 		}
 	}
@@ -515,6 +513,7 @@ func (st *persistState) apply(rec []byte) error {
 			// find it — but has and await report it only after reveal.
 			c.landing[fi.LFN] = true
 		}
+		c.size.Set(int64(len(c.byLFN)))
 	case recRemoveFile:
 		lfn := d.String()
 		if fi, ok := c.byLFN[lfn]; ok && c.byPath[fi.Path] == lfn {
@@ -522,6 +521,7 @@ func (st *persistState) apply(rec []byte) error {
 		}
 		delete(c.byLFN, lfn)
 		delete(c.landing, lfn)
+		c.size.Set(int64(len(c.byLFN)))
 	case recSetState:
 		lfn := d.String()
 		state := FileState(d.String())

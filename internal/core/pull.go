@@ -319,9 +319,11 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (
 			rec.Failed = true
 			rec.Error = err.Error()
 		} else {
+			s.met.transferBytes.Add(rec.Bytes)
 			s.logger.Printf("gdmp[%s]: replicated %s from %s (%d bytes, %d attempts, %.2f Mbps)",
 				s.cfg.Name, p.lfn, src.Addr, rec.Bytes, rec.Attempts, rec.RateMbps)
 		}
+		s.met.transfers.WithLabelValues(outcomeOf(err)).Inc()
 		s.xferLog.add(rec)
 	}
 	end(stats.Bytes, stats.Elapsed, err)

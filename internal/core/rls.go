@@ -145,6 +145,7 @@ func (s *Site) PushDigest(ctx context.Context) (outcome string, err error) {
 		// refresh, so the next push supersedes the stale entry instead of
 		// being rejected until it ages out.
 		s.digestGen.Store(idxGen)
+		s.rlsMet.gen.Set(int64(idxGen))
 		s.lastDigestHash = 0
 		return outcome, nil
 	}
@@ -298,10 +299,4 @@ func (s *Site) Locate(ctx context.Context, lfn string) (pfns []PFN, source strin
 		return nil, "", fmt.Errorf("core: locate %s: %w", lfn, err)
 	}
 	return nil, "", fmt.Errorf("core: no known replica of %s", lfn)
-}
-
-// LocateP99Micros reports the 99th-percentile RLS locate latency in
-// microseconds (status surface for the lookup-latency histogram).
-func (s *Site) LocateP99Micros() int64 {
-	return int64(s.rlsMet.locateSec.Quantile(0.99) * 1e6)
 }

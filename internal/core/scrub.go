@@ -54,7 +54,7 @@ func (s *Site) initScrub() {
 // operator's Fsck or an explicit pass is not gated.
 func (s *Site) startLoops() {
 	s.every(s.cfg.ScrubInterval, func() {
-		rep, err := s.scrubPass(s.ctx, true)
+		rep, err := s.scrubPass(s.ctx, true, false)
 		switch {
 		case s.ctx.Err() != nil:
 		case err != nil:
@@ -201,21 +201,26 @@ func (s *Site) setScrubCursor(lfn string) {
 // a crash mid-pass resumes where it stopped instead of re-reading the
 // verified prefix. One pass runs at a time.
 func (s *Site) ScrubPass(ctx context.Context) (scrub.Report, error) {
-	return s.scrubPass(ctx, false)
+	return s.scrubPass(ctx, false, false)
 }
 
 // scrubPass is ScrubPass; a periodic one asks admission before every file
 // and again before it counts itself complete, so a brownout sheds the pass
 // in flight, not only the ones that have yet to start (with a byte-rate
 // limit a pass can outlast many brownouts). A pass that yields keeps its
-// cursor, and a later tick resumes it.
-func (s *Site) scrubPass(ctx context.Context, periodic bool) (scrub.Report, error) {
+// cursor, and a later tick resumes it. fromStart abandons any journaled
+// cursor under the same hold of scrubMu as the scan, so no other pass can
+// leave one behind in between.
+func (s *Site) scrubPass(ctx context.Context, periodic, fromStart bool) (scrub.Report, error) {
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
 	start := time.Now()
 	shed := func() bool { return periodic && !s.admit.Allow("scrub") }
 
 	var rep scrub.Report
+	if fromStart {
+		s.setScrubCursor("")
+	}
 	s.persist.st.tabMu.Lock()
 	cursor := s.persist.st.scrubCursor
 	s.persist.st.tabMu.Unlock()
@@ -288,12 +293,7 @@ func (s *Site) scrubPass(ctx context.Context, periodic bool) (scrub.Report, erro
 // subcommand: it abandons any journaled mid-pass cursor and scrubs the
 // whole catalog from the start.
 func (s *Site) Fsck(ctx context.Context) (scrub.Report, error) {
-	s.scrubMu.Lock()
-	s.setScrubCursor("")
-	s.scrubMu.Unlock()
-	rep, err := s.ScrubPass(ctx)
-	rep.Resumed = false
-	return rep, err
+	return s.scrubPass(ctx, false, true)
 }
 
 type scrubVerdict int

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +35,49 @@ func TestPeriodicScrubPassIsShed(t *testing.T) {
 	}
 	if rep, err := cern.ScrubPass(ctx); err != nil || rep.Scanned != 2 || passes() != 2 {
 		t.Fatalf("on-demand pass = %+v, %v, %d passes counted; want 2 files scanned, 2 passes", rep, err, passes())
+	}
+}
+
+// TestFsckScansEveryEntry: an operator's fsck scans the whole catalog
+// however the periodic passes beside it end. Background passes are cut
+// short mid-scan over and over — a pass whose context ends leaves its
+// journaled cursor behind exactly as one that brownout sheds does — and
+// every Fsck must still start from the first entry, not resume from a
+// cursor some pass left in between.
+func TestFsckScansEveryEntry(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	const files = 12
+	for i := 0; i < files; i++ {
+		publish(t, g, cern, fmt.Sprintf("fsck/f%02d.db", i), testbed.MakeData(4_000, int64(i)), core.PublishOptions{})
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%8)*250*time.Microsecond)
+			cern.PeriodicScrubPass(ctx)
+			cancel()
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 20; i++ {
+		rep, err := cern.Fsck(context.Background())
+		if err != nil || rep.Scanned != files || rep.Resumed {
+			t.Fatalf("fsck %d = %+v, %v; want all %d entries scanned from the start", i, rep, err, files)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ const (
 // Methods lists the GDMP server's RPC surface.
 var Methods = []string{
 	MethodPing, MethodSubscribe, MethodUnsubscribe,
-	MethodNotify, MethodCatalog, MethodStage, MethodStatus,
+	MethodNotify, MethodCatalog, MethodStage,
 	MethodMetrics, MethodDigest, MethodFsck, MethodLRCQuery,
 }
 
@@ -763,6 +763,5 @@ func (s *Site) registerHandlers() {
 	})
 	s.registerScrubHandlers()
 	s.registerRLSHandlers()
-	s.registerStatusHandler()
 	s.registerMetricsHandler()
 }

@@ -18,6 +18,7 @@ import (
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/objectstore"
+	"gdmp/internal/obs"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
@@ -41,6 +42,12 @@ func addSite(t *testing.T, g *testbed.Grid, name string, opts testbed.SiteOption
 		t.Fatalf("AddSite(%s): %v", name, err)
 	}
 	return s
+}
+
+// transfers reads gdmp_site_transfers_total{outcome} (outcome "ok" or
+// "error") from a site's registry: the transfer legs it ran.
+func transfers(reg *obs.Registry, outcome string) int64 {
+	return reg.CounterVec(core.SiteMetricsPrefix+"_transfers_total", "", "outcome").WithLabelValues(outcome).Value()
 }
 
 func publish(t *testing.T, g *testbed.Grid, site *core.Site, rel string, data []byte, opts core.PublishOptions) core.PublishedFile {
@@ -588,7 +595,9 @@ func TestCatalogCRCDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The drifted producer is tried first.
+			reg := obs.NewRegistry()
 			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+				Metrics: reg,
 				Select: func(_ string, cands []core.PFN) core.PFN {
 					for _, c := range cands {
 						if c.Addr == cern.DataAddr() {
@@ -600,11 +609,12 @@ func TestCatalogCRCDrift(t *testing.T) {
 			})
 			err := anl.Get(pf.LFN)
 
-			st := anl.Status()
+			failed, ok := transfers(reg, "error"), transfers(reg, "ok")
+			replicated := reg.Counter(core.SiteMetricsPrefix+"_transfer_bytes_total", "").Value()
 			hist := anl.TransferHistory()
-			if st.TransfersFailed < 1 || len(hist) == 0 || !hist[0].Failed ||
+			if failed < 1 || len(hist) == 0 || !hist[0].Failed ||
 				hist[0].Source != cern.DataAddr() || !strings.Contains(hist[0].Error, "checksum") {
-				t.Fatalf("drifted leg not recorded as failed: status %+v, history %+v", st, hist)
+				t.Fatalf("drifted leg not recorded as failed: %d failed legs counted, history %+v", failed, hist)
 			}
 			dest := filepath.Join(anl.DataDir(), "runs", "drift.db")
 			if _, serr := os.Stat(dest + gridftp.PartSuffix); !os.IsNotExist(serr) {
@@ -626,8 +636,8 @@ func TestCatalogCRCDrift(t *testing.T) {
 				if got, _ := os.ReadFile(dest); !bytes.Equal(got, data) {
 					t.Fatal("landed bytes are not the published ones")
 				}
-				if st.TransfersOK != 1 || st.TransfersFailed != 1 || st.BytesReplicated != int64(len(data)) || !registered {
-					t.Fatalf("status %+v, registered %v", st, registered)
+				if ok != 1 || failed != 1 || replicated != int64(len(data)) || !registered {
+					t.Fatalf("transfer legs %d ok + %d failed, %d bytes replicated, registered %v", ok, failed, replicated, registered)
 				}
 				return
 			}
@@ -637,8 +647,8 @@ func TestCatalogCRCDrift(t *testing.T) {
 			if _, serr := os.Stat(dest); !os.IsNotExist(serr) {
 				t.Fatalf("drifted bytes left at destination: %v", serr)
 			}
-			if st.TransfersOK != 0 || st.BytesReplicated != 0 || anl.HasFile(pf.LFN) || registered {
-				t.Fatalf("status %+v, has %v, registered %v", st, anl.HasFile(pf.LFN), registered)
+			if ok != 0 || replicated != 0 || anl.HasFile(pf.LFN) || registered {
+				t.Fatalf("transfer legs %d ok, %d bytes replicated, has %v, registered %v", ok, replicated, anl.HasFile(pf.LFN), registered)
 			}
 		})
 	}
@@ -668,8 +678,9 @@ func TestStalledLegIsRecordedAsStall(t *testing.T) {
 		}
 		return faults.Plan{}
 	})
+	reg := obs.NewRegistry()
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
-		Faults: inj, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond,
+		Faults: inj, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond, Metrics: reg,
 		Retry: retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err := anl.Get(pf.LFN); err != nil {
@@ -679,8 +690,8 @@ func TestStalledLegIsRecordedAsStall(t *testing.T) {
 	if len(hist) != 2 || !hist[0].Failed || !strings.Contains(hist[0].Error, "stalled") || hist[1].Failed {
 		t.Fatalf("history = %+v, want one stalled leg then one good one", hist)
 	}
-	if st := anl.Status(); st.TransfersFailed != 1 || st.TransfersOK != 1 {
-		t.Fatalf("status = %+v, want 1 failed + 1 ok", st)
+	if failed, ok := transfers(reg, "error"), transfers(reg, "ok"); failed != 1 || ok != 1 {
+		t.Fatalf("transfer legs counted: %d failed + %d ok, want 1 failed + 1 ok", failed, ok)
 	}
 }
 
@@ -754,7 +765,8 @@ func TestSlowSetUpIsNotAStall(t *testing.T) {
 		}
 		return faults.Plan{}
 	})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Faults: inj, HedgeDeadline: 200 * time.Millisecond})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Faults: inj, HedgeDeadline: 200 * time.Millisecond, Metrics: reg})
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatalf("pull with a slow dial: %v", err)
 	}
@@ -762,8 +774,8 @@ func TestSlowSetUpIsNotAStall(t *testing.T) {
 	if len(hist) != 1 || hist[0].Failed {
 		t.Fatalf("history = %+v, want one good leg", hist)
 	}
-	if st := anl.Status(); st.TransfersFailed != 0 || st.TransfersOK != 1 {
-		t.Fatalf("status = %+v, want 0 failed + 1 ok", st)
+	if failed, ok := transfers(reg, "error"), transfers(reg, "ok"); failed != 0 || ok != 1 {
+		t.Fatalf("transfer legs counted: %d failed + %d ok, want 0 failed + 1 ok", failed, ok)
 	}
 }
 
@@ -812,7 +824,8 @@ func TestLandingSurvivesConcurrentEviction(t *testing.T) {
 func TestFailedLandingIsNotRevealed(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Durable: true})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Durable: true, Metrics: reg})
 	pf := publish(t, g, cern, "unjournaled.db", testbed.MakeData(10_000, 24), core.PublishOptions{})
 
 	anl.SeverJournal()
@@ -830,8 +843,8 @@ func TestFailedLandingIsNotRevealed(t *testing.T) {
 	if locs, _ := g.Catalog.Locations(pf.LFN); len(locs) != 1 {
 		t.Fatalf("locations = %v, want the producer only", locs)
 	}
-	if st := anl.Status(); st.Journal != "failed" {
-		t.Fatalf("status journal = %q, want failed", st.Journal)
+	if failed := reg.Gauge("gdmp_journal_failed", "").Value(); failed != 1 {
+		t.Fatalf("gdmp_journal_failed = %d, want 1", failed)
 	}
 }
 

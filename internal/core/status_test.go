@@ -1,20 +1,26 @@
 package core_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/obs"
 	"gdmp/internal/testbed"
 )
 
+// TestTransferHistoryAndStatus: every transfer leg lands in the history
+// and in the site's metrics, and the metrics read the same over the
+// Request Manager (what `gdmp status` renders) as in process.
 func TestTransferHistoryAndStatus(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Metrics: reg})
 
 	pf1 := publish(t, g, cern, "h1.db", testbed.MakeData(100_000, 90), core.PublishOptions{})
 	pf2 := publish(t, g, cern, "h2.db", testbed.MakeData(50_000, 91), core.PublishOptions{})
@@ -47,33 +53,49 @@ func TestTransferHistoryAndStatus(t *testing.T) {
 		t.Fatalf("history bytes = %d", bytes)
 	}
 
-	st := anl.Status()
-	if st.Name != "anl.gov" || st.LocalFiles != 2 || st.TransfersOK != 2 ||
-		st.TransfersFailed != 0 || st.BytesReplicated != 150_000 {
-		t.Fatalf("Status = %+v", st)
+	admitted := reg.CounterVec("gdmp_admission_admitted_total", "", "class").WithLabelValues("control")
+	want := map[string]int64{
+		core.SiteMetricsPrefix + "_local_files":                      2,
+		core.SiteMetricsPrefix + `_transfers_total{outcome="ok"}`:    2,
+		core.SiteMetricsPrefix + `_transfers_total{outcome="error"}`: -1, // no failed leg: series absent
+		core.SiteMetricsPrefix + "_transfer_bytes_total":             150_000,
+		// The metrics RPC itself passes admission control, so the remote
+		// text counts exactly one more admitted request than now.
+		`gdmp_admission_admitted_total{class="control"}`: admitted.Value() + 1,
+	}
+	if got := reg.Gauge(core.SiteMetricsPrefix+"_local_files", "").Value(); got != 2 {
+		t.Fatalf("local files gauge = %d, want 2", got)
 	}
 
-	// Status is reachable over the Request Manager.
-	remote, err := cern.RemoteStatus(anl.Addr())
+	remote, err := cern.RemoteMetrics(anl.Addr())
 	if err != nil {
-		t.Fatalf("RemoteStatus: %v", err)
+		t.Fatalf("RemoteMetrics: %v", err)
 	}
-	// The status RPC itself passes admission control, so the remote
-	// snapshot counts exactly one more admitted request than the local
-	// snapshot taken before the call.
-	if remote.AdmissionAdmitted != st.AdmissionAdmitted+1 {
-		t.Fatalf("remote AdmissionAdmitted = %d, want %d", remote.AdmissionAdmitted, st.AdmissionAdmitted+1)
+	for series, v := range want {
+		if got := seriesValue(remote, series); got != v {
+			t.Errorf("remote %s = %d, want %d", series, got, v)
+		}
 	}
-	remote.AdmissionAdmitted = st.AdmissionAdmitted
-	if !reflect.DeepEqual(remote, st) {
-		t.Fatalf("remote status %+v != local %+v", remote, st)
+}
+
+// seriesValue reads one series from exposition text, -1 when it is absent.
+func seriesValue(text, series string) int64 {
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			var v int64
+			if _, err := fmt.Sscan(rest, &v); err == nil {
+				return v
+			}
+		}
 	}
+	return -1
 }
 
 func TestFailedTransferRecorded(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Metrics: reg})
 	pf := publish(t, g, cern, "doomed.db", testbed.MakeData(10_000, 92), core.PublishOptions{})
 	// The bytes vanish at the source (no MSS to restore them), so the
 	// transfer itself fails after the catalog lookup succeeded.
@@ -90,16 +112,16 @@ func TestFailedTransferRecorded(t *testing.T) {
 	if hist[0].Attempts != 0 && hist[0].Attempts < 1 {
 		t.Fatalf("record = %+v", hist[0])
 	}
-	st := anl.Status()
-	if st.TransfersFailed != 1 || st.TransfersOK != 0 {
-		t.Fatalf("Status = %+v", st)
+	if failed, ok := transfers(reg, "error"), transfers(reg, "ok"); failed != 1 || ok != 0 {
+		t.Fatalf("transfer legs counted: %d failed + %d ok, want 1 failed", failed, ok)
 	}
 }
 
 func TestAutoTunedDataMover(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{AutoTuneBuffers: true})
+	reg := obs.NewRegistry()
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{AutoTuneBuffers: true, Metrics: reg})
 	pf1 := publish(t, g, cern, "t1.db", testbed.MakeData(700_000, 110), core.PublishOptions{})
 	pf2 := publish(t, g, cern, "t2.db", testbed.MakeData(700_000, 111), core.PublishOptions{})
 	// First fetch triggers the negotiation; the second uses the cached
@@ -110,8 +132,8 @@ func TestAutoTunedDataMover(t *testing.T) {
 	if err := anl.Get(pf2.LFN); err != nil {
 		t.Fatalf("second auto-tuned get: %v", err)
 	}
-	if st := anl.Status(); st.TransfersOK != 2 {
-		t.Fatalf("Status = %+v", st)
+	if ok := transfers(reg, "ok"); ok != 2 {
+		t.Fatalf("transfer legs counted ok = %d, want 2", ok)
 	}
 }
 

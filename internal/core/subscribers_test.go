@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/obs"
 	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
 )
@@ -33,7 +34,8 @@ func subscribeAs(via, producer *core.Site, name, addr string) error {
 // retries.
 func TestSubscribeFailsWithItsJournalRecord(t *testing.T) {
 	g := newGrid(t)
-	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{Durable: true})
+	reg := obs.NewRegistry()
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{Durable: true, Metrics: reg})
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
 	if err := anl.SubscribeTo(cern.Addr()); err != nil {
 		t.Fatal(err)
@@ -53,8 +55,9 @@ func TestSubscribeFailsWithItsJournalRecord(t *testing.T) {
 	if got := cern.Subscribers(); !slices.Equal(got, want) {
 		t.Errorf("after the refused unsubscribe: subscribers = %v, want %v", got, want)
 	}
-	if st := cern.Status(); st.Subscribers != 1 || st.Journal != "failed" {
-		t.Errorf("status = %d subscribers, journal %q; want 1, failed", st.Subscribers, st.Journal)
+	subs := reg.Gauge(core.SiteMetricsPrefix+"_subscribers", "").Value()
+	if failed := reg.Gauge("gdmp_journal_failed", "").Value(); subs != 1 || failed != 1 {
+		t.Errorf("gdmp_site_subscribers = %d, gdmp_journal_failed = %d; want 1, 1", subs, failed)
 	}
 }
 

@@ -33,7 +33,6 @@ package health
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -158,6 +157,7 @@ func (c Config) withDefaults() Config {
 type metrics struct {
 	state       *obs.GaugeVec   // {peer}: 0 closed, 1 half-open, 2 open
 	transitions *obs.CounterVec // {peer, to}
+	lastChange  *obs.GaugeVec   // {peer}: unix seconds of the last transition
 	consecFails *obs.GaugeVec   // {peer}
 	bandwidth   *obs.GaugeVec   // {peer}: EWMA bandwidth, Kbit/s
 	latency     *obs.GaugeVec   // {peer}: EWMA dial latency, microseconds
@@ -173,6 +173,8 @@ func metricsFor(r *obs.Registry) *metrics {
 			"Circuit-breaker state by peer: 0 closed, 1 half-open, 2 open.", "peer"),
 		transitions: r.CounterVec(MetricsPrefix+"_transitions_total",
 			"Circuit-breaker transitions, by peer and target state.", "peer", "to"),
+		lastChange: r.GaugeVec(MetricsPrefix+"_last_transition_seconds",
+			"Unix time of a peer's last circuit-breaker transition (or of its first sighting).", "peer"),
 		consecFails: r.GaugeVec(MetricsPrefix+"_consecutive_failures",
 			"Consecutive failed legs against a peer since its last success.", "peer"),
 		bandwidth: r.GaugeVec(MetricsPrefix+"_ewma_bandwidth_kbps",
@@ -205,8 +207,6 @@ type peer struct {
 	// EWMA of transfer bandwidth (bytes/second); bwOK gates ranking.
 	bw   float64
 	bwOK bool
-
-	lastTransition time.Time
 
 	// Open-state bookkeeping: when the next reopen probe may run, and
 	// the current decorrelated delay it was derived from.
@@ -253,9 +253,10 @@ func New(cfg Config) *Board {
 func (b *Board) peerLocked(addr string) *peer {
 	p, ok := b.peers[addr]
 	if !ok {
-		p = &peer{addr: addr, lastTransition: b.cfg.Now()}
+		p = &peer{addr: addr}
 		b.peers[addr] = p
 		b.met.state.WithLabelValues(addr).Set(0)
+		b.met.lastChange.WithLabelValues(addr).Set(b.cfg.Now().Unix())
 	}
 	return p
 }
@@ -266,8 +267,8 @@ func (b *Board) transitionLocked(p *peer, to State) {
 		return
 	}
 	p.state = to
-	p.lastTransition = b.cfg.Now()
 	b.met.state.WithLabelValues(p.addr).Set(int64(to))
+	b.met.lastChange.WithLabelValues(p.addr).Set(b.cfg.Now().Unix())
 	b.met.transitions.WithLabelValues(p.addr, to.String()).Inc()
 }
 
@@ -599,39 +600,4 @@ func (b *Board) ConsecutiveFailures(addr string) int {
 		return p.consecFails
 	}
 	return 0
-}
-
-// PeerHealth is one peer's scoreboard snapshot, as surfaced on the
-// status wire.
-type PeerHealth struct {
-	Peer          string
-	State         string
-	ConsecFails   int64
-	BandwidthKbps int64 // EWMA transfer bandwidth, Kbit/s
-	LatencyMicros int64 // EWMA dial latency, microseconds
-
-	// LastTransition is when the breaker last changed state.
-	LastTransition time.Time
-}
-
-// Snapshot returns every observed peer, sorted by address.
-func (b *Board) Snapshot() []PeerHealth {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]PeerHealth, 0, len(b.peers))
-	for _, p := range b.peers {
-		out = append(out, PeerHealth{
-			Peer:          p.addr,
-			State:         p.state.String(),
-			ConsecFails:   int64(p.consecFails),
-			BandwidthKbps: int64(p.bw * 8 / 1000),
-			LatencyMicros: int64(p.latMean * 1e6),
-			// Round(0) strips the monotonic reading: the snapshot crosses
-			// the status wire as wall-clock nanoseconds, and a local copy
-			// must compare equal to its own round trip.
-			LastTransition: p.lastTransition.Round(0),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
 }

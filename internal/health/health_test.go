@@ -2,6 +2,7 @@ package health
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -314,13 +315,18 @@ func TestStallDeadlineDerivation(t *testing.T) {
 	}
 }
 
+// TestSnapshotSortedWithScoreboardFields: the registry's exposition is the
+// scoreboard's snapshot — one row per peer, sorted by address, carrying
+// breaker state, failure streak, EWMA bandwidth and latency, and the time
+// of the last transition.
 func TestSnapshotSortedWithScoreboardFields(t *testing.T) {
 	ck := newClock()
+	reg := obs.NewRegistry()
 	b := New(Config{
 		FailureThreshold: 1,
 		ReopenBase:       time.Second,
 		Seed:             1,
-		Registry:         obs.NewRegistry(),
+		Registry:         reg,
 		Now:              ck.Now,
 	})
 	// 2 MiB over 1s = 16.777 Mbit/s ≈ 16777 Kbit/s.
@@ -329,27 +335,25 @@ func TestSnapshotSortedWithScoreboardFields(t *testing.T) {
 	ck.Advance(time.Minute)
 	fail(t, b, "a-peer")
 
-	snap := b.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("snapshot has %d peers, want 2", len(snap))
+	text := reg.Text()
+	if a, bb := strings.Index(text, `gdmp_health_state{peer="a-peer"}`), strings.Index(text, `gdmp_health_state{peer="b-peer"}`); a < 0 || bb < a {
+		t.Fatalf("state rows missing or not sorted by peer:\n%s", text)
 	}
-	if snap[0].Peer != "a-peer" || snap[1].Peer != "b-peer" {
-		t.Fatalf("snapshot not sorted by peer: %+v", snap)
-	}
-	a, bb := snap[0], snap[1]
-	if a.State != "open" || a.ConsecFails != 1 {
-		t.Fatalf("a-peer = %+v, want open with 1 failure", a)
-	}
-	if !a.LastTransition.Equal(ck.Now()) {
-		t.Fatalf("a-peer last transition = %v, want %v", a.LastTransition, ck.Now())
-	}
-	if bb.State != "closed" || bb.BandwidthKbps != 16777 || bb.LatencyMicros != 2000 {
-		t.Fatalf("b-peer = %+v, want closed with 16777 Kbps / 2000 µs", bb)
+	for _, row := range []string{
+		`gdmp_health_state{peer="a-peer"} 2`,
+		`gdmp_health_consecutive_failures{peer="a-peer"} 1`,
+		fmt.Sprintf(`gdmp_health_last_transition_seconds{peer="a-peer"} %d`, ck.Now().Unix()),
+		`gdmp_health_state{peer="b-peer"} 0`,
+		`gdmp_health_ewma_bandwidth_kbps{peer="b-peer"} 16777`,
+		`gdmp_health_ewma_latency_micros{peer="b-peer"} 2000`,
+		fmt.Sprintf(`gdmp_health_last_transition_seconds{peer="b-peer"} %d`, ck.Now().Add(-time.Minute).Unix()),
+	} {
+		if !strings.Contains(text, row+"\n") {
+			t.Errorf("exposition lacks %q", row)
+		}
 	}
 }
 
-// TestHealthMetricsGolden pins the full gdmp_health_* exposition for a
-// deterministic scoreboard history.
 func TestHealthMetricsGolden(t *testing.T) {
 	ck := newClock()
 	reg := obs.NewRegistry()
@@ -395,6 +399,10 @@ func TestHealthMetricsGolden(t *testing.T) {
 		`# HELP gdmp_health_ewma_latency_micros EWMA dial latency observed against a peer, microseconds.`,
 		`# TYPE gdmp_health_ewma_latency_micros gauge`,
 		`gdmp_health_ewma_latency_micros{peer="site-a"} 5000`,
+		`# HELP gdmp_health_last_transition_seconds Unix time of a peer's last circuit-breaker transition (or of its first sighting).`,
+		`# TYPE gdmp_health_last_transition_seconds gauge`,
+		`gdmp_health_last_transition_seconds{peer="site-a"} 1700000000`,
+		`gdmp_health_last_transition_seconds{peer="site-b"} 1700000001`,
 		`# HELP gdmp_health_overloads_total Typed overload rejections recorded against a peer.`,
 		`# TYPE gdmp_health_overloads_total counter`,
 		`# HELP gdmp_health_probes_total Reopen probe legs admitted through an open breaker, by outcome.`,
@@ -420,7 +428,8 @@ func TestHealthMetricsGolden(t *testing.T) {
 }
 
 func TestBoardConcurrencySmoke(t *testing.T) {
-	b := New(Config{Seed: 1, Registry: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	b := New(Config{Seed: 1, Registry: reg})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -444,8 +453,8 @@ func TestBoardConcurrencySmoke(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := len(b.Snapshot()); got != 3 {
-		t.Fatalf("snapshot peers = %d, want 3", got)
+	if got := strings.Count(reg.Text(), "gdmp_health_state{"); got != 3 {
+		t.Fatalf("state rows = %d, want 3", got)
 	}
 }
 

@@ -206,6 +206,7 @@ func Open(dir string, opts Options) (*Journal, Recovery, error) {
 	j.recs = records
 	j.met.walBytes.Set(j.size)
 	j.met.walRecords.Set(int64(j.recs))
+	j.met.failed.Set(0) // an earlier journal's latch in this registry is not ours
 	return j, Recovery{TornBytes: torn}, nil
 }
 
@@ -392,8 +393,8 @@ func (j *Journal) latch(op string, err error) error {
 func (j *Journal) Records() int { return j.recs }
 
 // Failed reports the latched append/fsync failure, if any. Once latched
-// the journal refuses every further write; callers surface this through
-// status RPCs so operators learn a site is running without durability.
+// the journal refuses every further write; the gdmp_journal_failed gauge
+// tells operators a site is running without durability.
 func (j *Journal) Failed() error { return j.fail }
 
 // Compact atomically replaces the snapshot with the records that rebuild

@@ -119,3 +119,33 @@ func TestExpositionParses(t *testing.T) {
 		}
 	}
 }
+
+// TestParseTextReadsWriteText: ParseText reads back every series, label
+// and help line WriteText writes, escapes included.
+func TestParseTextReadsWriteText(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("a_depth", "Queue depth.").Set(-2)
+	r.CounterVec("m_ops_total", "", "op", "status").WithLabelValues(`we"ird\`, "error").Add(7)
+	r.Histogram("m_latency_seconds", "Latency.", []float64{0.5}).Observe(0.25)
+
+	s, err := ParseText(r.Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Help["a_depth"] != "Queue depth." || !s.Typed["m_ops_total"] || s.Help["m_ops_total"] != "" {
+		t.Fatalf("help %v, typed %v", s.Help, s.Typed)
+	}
+	if got := s.Series["a_depth"]; len(got) != 1 || got[0].Value != -2 || got[0].Labels != nil {
+		t.Fatalf("a_depth = %+v", got)
+	}
+	ops := s.Series["m_ops_total"]
+	if len(ops) != 1 || ops[0].Value != 7 || ops[0].Labels["op"] != `we"ird\` || ops[0].Labels["status"] != "error" {
+		t.Fatalf("m_ops_total = %+v", ops)
+	}
+	if b := s.Series["m_latency_seconds_bucket"]; len(b) != 2 || b[1].Labels["le"] != "+Inf" || b[1].Value != 1 {
+		t.Fatalf("buckets = %+v", b)
+	}
+	if _, err := ParseText("m_ops_total{op=\"x\" 1"); err == nil {
+		t.Fatal("an unclosed label set parsed")
+	}
+}

@@ -45,12 +45,23 @@ func NewPoolMetrics(r *Registry) *PoolMetrics {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution from the bucket counts, interpolating linearly inside the
-// bucket the rank falls in. An estimate landing in the +Inf bucket
-// reports the highest finite bound (the histogram cannot resolve beyond
-// it), and an empty histogram reports 0.
+// distribution from the bucket counts (see BucketQuantile).
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	bounds, counts := h.Snapshot()
+	return BucketQuantile(bounds, counts, q)
+}
+
+// BucketQuantile estimates the q-quantile (0 < q <= 1) of a histogram
+// given as bucket upper bounds and per-bucket counts — Snapshot's shape,
+// or the _bucket series of its exposition made non-cumulative —
+// interpolating linearly inside the bucket the rank falls in. An estimate
+// landing in the +Inf bucket reports the highest finite bound (the
+// histogram cannot resolve beyond it), and an empty histogram reports 0.
+func BucketQuantile(bounds []float64, counts []int64, q float64) float64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
 	if total == 0 {
 		return 0
 	}
@@ -62,16 +73,16 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	rank := q * float64(total)
 	cum, lower := 0.0, 0.0
-	for i, upper := range h.bounds {
-		c := float64(h.counts[i].Load())
+	for i, upper := range bounds {
+		if math.IsInf(upper, 1) {
+			break
+		}
+		c := float64(counts[i])
 		if c > 0 && cum+c >= rank {
 			return lower + (upper-lower)*(rank-cum)/c
 		}
 		cum += c
 		lower = upper
-	}
-	if math.IsInf(lower, 1) || len(h.bounds) == 0 {
-		return 0
 	}
 	return lower
 }

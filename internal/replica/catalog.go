@@ -20,13 +20,14 @@
 // Queries accept LDAP-style search filters (see filter.go), standing in for
 // the LDAP backend of the Globus implementation.
 //
-// The GDMP paper deploys a single central catalog per Grid. That shape
-// remains available (see server.go), but the package has since been split
-// RLS-style after the EU DataGrid retrospectives: the Catalog is an
-// LFN-sharded Local Replica Catalog (LRC) — hash-partitioned shards, each
-// with its own lock and journal hook — and rli.go adds the Replica
-// Location Index (RLI) tier that aggregates soft-state site membership
-// from periodically pushed bloom-filter digests (bloom.go).
+// The GDMP paper deploys a single central catalog per Grid, and the
+// Catalog is that central catalog (see server.go): an LFN-sharded table —
+// hash-partitioned shards, each with its own lock and journal hook. The
+// RLS split of the EU DataGrid retrospectives sits around it. Each site's
+// Local Replica Catalog (LRC) is that site's own local catalog
+// (internal/core, rls.go), and the catalog server also hosts the Replica
+// Location Index (RLI, rli.go) that aggregates soft-state site membership
+// from the bloom-filter digests the LRCs push (bloom.go).
 package replica
 
 import (
@@ -105,9 +106,10 @@ func (f *LogicalFile) Size() (int64, bool) {
 	return n, true
 }
 
-// Catalog is an in-memory Local Replica Catalog: the file table is
-// hash-partitioned across shards (see shard.go), each guarded by its own
-// RWMutex, so operations on different LFNs proceed in parallel.
+// Catalog is the in-memory central replica catalog, served beside the
+// RLI it hosts: the file table is hash-partitioned across shards (see
+// shard.go), each guarded by its own RWMutex, so operations on different
+// LFNs proceed in parallel.
 // Collections group LFNs across shards and keep a separate lock. Safe
 // for concurrent use.
 type Catalog struct {

@@ -8,10 +8,10 @@ import (
 
 // The catalog's file table is hash-partitioned into shards, each with
 // its own lock, so lookups and replica updates for different LFNs never
-// serialize on one mutex. This is the LRC half of the RLS split: every
-// site's Local Replica Catalog is a sharded Catalog, and the historical
-// central catalog becomes just one LRC among peers (see rli.go for the
-// index tier).
+// serialize on one mutex. The sharded table is the central catalog's;
+// the sites' Local Replica Catalogs are their own local catalogs
+// (internal/core), indexed by the RLI this catalog's server hosts (see
+// rli.go).
 
 // DefaultShards is the shard count used by NewCatalog. It must be a
 // power of two so the shard pick is a mask, not a modulo.

@@ -15,7 +15,7 @@ func FuzzRequestFrame(f *testing.F) {
 	args.Uint64(1 << 20)
 	for _, req := range []request{
 		{method: "gdmp.ping"},
-		{method: "gdmp.status", budget: 2_500_000},
+		{method: "gdmp.metrics", budget: 2_500_000},
 		{method: "rc.lookup", args: args.Bytes(), budget: 30_000_000, attempt: 3},
 	} {
 		frame := req.encode()

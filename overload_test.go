@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"gdmp/internal/admission"
+	"gdmp/internal/core"
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
@@ -253,6 +254,19 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	const rel = "overload/hot.db"
 	publishData(t, g, site, rel, testbed.MakeData(4<<20, 7))
 	scrubPasses := func() int64 { return reg.Counter("gdmp_scrub_passes_total", "").Value() }
+	// The brownout state as the site's metrics carry it; admission moves
+	// these on every Admit and Allow (the scrub loop's ticks included).
+	type brownoutState struct {
+		active            bool
+		entered, deferred int64
+	}
+	brownout := func() brownoutState {
+		return brownoutState{
+			active:   reg.Gauge("gdmp_brownout_active", "").Value() != 0,
+			entered:  reg.Counter("gdmp_brownout_entered_total", "").Value(),
+			deferred: reg.CounterVec("gdmp_brownout_deferred_total", "", "work").WithLabelValues("scrub").Value(),
+		}
+	}
 	waitUntil(t, 5*time.Second, "scrub daemon running", func() bool { return scrubPasses() > 0 })
 
 	// The storm: 12 closed-loop GridFTP readers against one bulk slot.
@@ -287,7 +301,7 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 		}(i, cred)
 	}
 
-	waitUntil(t, 10*time.Second, "brownout entry", func() bool { return site.Status().BrownoutActive })
+	waitUntil(t, 10*time.Second, "brownout entry", func() bool { return brownout().active })
 	// Several scrub intervals under the storm. No pass completes while a
 	// brownout holds — a periodic pass asks admission again before it counts
 	// itself, so even one in flight at the entry is shed — but the brownout
@@ -299,15 +313,15 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	// That is the controller working. So every stretch between two looks in
 	// which the brownout did hold (active at both, BrownoutEntered unmoved)
 	// is judged, and there must be such stretches.
-	prev := site.Status()
-	deferredBefore := prev.BrownoutDeferred
+	prev := brownout()
+	deferredBefore := prev.deferred
 	passesBefore := scrubPasses() // read after prev, so inside the stretch
 	held := 0
 	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
 		time.Sleep(5 * time.Millisecond)
 		passes := scrubPasses() // read before st, so inside the stretch
-		st := site.Status()
-		if prev.BrownoutActive && st.BrownoutActive && st.BrownoutEntered == prev.BrownoutEntered {
+		st := brownout()
+		if prev.active && st.active && st.entered == prev.entered {
 			held++
 			if passes != passesBefore {
 				t.Errorf("scrub passes advanced %d -> %d while the brownout held, want deferred", passesBefore, passes)
@@ -318,21 +332,27 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	if held == 0 {
 		t.Error("the brownout never held between two looks while the storm ran")
 	}
-	st := site.Status()
-	if st.BrownoutDeferred <= deferredBefore {
-		t.Errorf("brownout deferred count did not advance (%d -> %d)", deferredBefore, st.BrownoutDeferred)
+	if st := brownout(); st.deferred <= deferredBefore {
+		t.Errorf("brownout deferred count did not advance (%d -> %d)", deferredBefore, st.deferred)
 	}
-	if st.AdmissionRejected == 0 {
+	rejected := reg.CounterVec("gdmp_admission_rejected_total", "", "class", "reason")
+	var rejections int64
+	for _, class := range []string{"control", "bulk", "background"} {
+		for _, reason := range []string{"deadline", "queue_full", "expired", "shed", "draining"} {
+			rejections += rejected.WithLabelValues(class, reason).Value()
+		}
+	}
+	if rejections == 0 {
 		t.Error("storm produced zero admission rejections")
 	}
 
 	close(stop)
 	wg.Wait()
-	waitUntil(t, 10*time.Second, "brownout exit", func() bool { return !site.Status().BrownoutActive })
+	waitUntil(t, 10*time.Second, "brownout exit", func() bool { return !brownout().active })
 	passesAfter := scrubPasses()
 	waitUntil(t, 5*time.Second, "scrub passes resume", func() bool { return scrubPasses() > passesAfter })
-	if st := site.Status(); st.BrownoutEntered < 1 {
-		t.Errorf("BrownoutEntered = %d, want >= 1", st.BrownoutEntered)
+	if st := brownout(); st.entered < 1 {
+		t.Errorf("gdmp_brownout_entered_total = %d, want >= 1", st.entered)
 	}
 }
 
@@ -387,12 +407,11 @@ func TestOverloadNoSpaceReleasesReservation(t *testing.T) {
 	if got := consReg.Gauge("gdmp_pool_reserved_bytes", "").Value(); got != 0 {
 		t.Errorf("pool reservation leaked: %d bytes still reserved", got)
 	}
-	st := cons.Status()
-	if st.PoolUsed != 0 {
-		t.Errorf("pool used = %d bytes after a failed pull, want 0", st.PoolUsed)
+	if used := consReg.Gauge("gdmp_pool_occupancy_bytes", "").Value(); used != 0 {
+		t.Errorf("pool used = %d bytes after a failed pull, want 0", used)
 	}
-	if st.QuarantinedFiles != 0 {
-		t.Errorf("quarantined %d files after an ENOSPC pull failure, want 0", st.QuarantinedFiles)
+	if n := consReg.Gauge(core.RecoveryMetricsPrefix+"_quarantined", "").Value(); n != 0 {
+		t.Errorf("quarantined %d files after an ENOSPC pull failure, want 0", n)
 	}
 	var orphans []string
 	err = filepath.WalkDir(cons.DataDir(), func(path string, d fs.DirEntry, err error) error {

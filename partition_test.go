@@ -273,25 +273,17 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 		}
 	}
 
-	// The scoreboard crosses the status wire: the healed primary shows a
-	// closed breaker, and the secondary shows the bandwidth EWMA that
-	// made it the ranked hedge target.
-	var sawP1, sawP2 bool
-	for _, ph := range cons.Status().HealthPeers {
-		switch ph.Peer {
-		case p1FTP:
-			sawP1 = true
-			if ph.Breaker != "closed" || ph.ConsecFails != 0 || ph.LastTransition.IsZero() {
-				t.Errorf("primary status row = %+v, want closed/0 fails/transition stamped", ph)
-			}
-		case p2FTP:
-			sawP2 = true
-			if ph.Breaker != "closed" || ph.BandwidthKbps <= 0 {
-				t.Errorf("secondary status row = %+v, want closed with bandwidth", ph)
-			}
-		}
+	// The scoreboard rows `gdmp status` renders: the healed primary shows
+	// a closed breaker with its transition stamped, and the secondary
+	// shows the bandwidth EWMA that made it the ranked hedge target.
+	series := func(family, peer string) float64 {
+		return metricValue(text, fmt.Sprintf(`%s{peer=%q}`, family, peer))
 	}
-	if !sawP1 || !sawP2 {
-		t.Errorf("status health block missing peers: p1=%v p2=%v", sawP1, sawP2)
+	if st, fails, since := series("gdmp_health_state", p1FTP), series("gdmp_health_consecutive_failures", p1FTP),
+		series("gdmp_health_last_transition_seconds", p1FTP); st != 0 || fails != 0 || since <= 0 {
+		t.Errorf("primary row: state %v, %v consecutive failures, last transition %v; want closed/0 fails/transition stamped", st, fails, since)
+	}
+	if st, kbps := series("gdmp_health_state", p2FTP), series("gdmp_health_ewma_bandwidth_kbps", p2FTP); st != 0 || kbps <= 0 {
+		t.Errorf("secondary row: state %v, %v Kbps; want closed with bandwidth", st, kbps)
 	}
 }

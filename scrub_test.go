@@ -170,8 +170,9 @@ func TestSelfHealScrubAndAntiEntropy(t *testing.T) {
 		t.Fatalf("producer anti-entropy after healing = %+v, want all clear", aeProd)
 	}
 
-	if st := cons.Status(); st.Journal != "ok" {
-		t.Fatalf("consumer journal health = %q, want ok", st.Journal)
+	// 0 = ok (-1 would mean no journal at all).
+	if failed := metricValue(consReg.Text(), "gdmp_journal_failed"); failed != 0 {
+		t.Fatalf("consumer gdmp_journal_failed = %v, want 0", failed)
 	}
 
 	// Exact accounting: every finding counted once, nothing else.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"gdmp/internal/core"
+	"gdmp/internal/obs"
 	"gdmp/internal/testbed"
 )
 
@@ -36,10 +37,13 @@ func TestProductionSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	consumers := make([]*core.Site, 4)
+	regs := make([]*obs.Registry, len(consumers))
 	for i := range consumers {
+		regs[i] = obs.NewRegistry()
 		consumers[i], err = g.AddSite(fmt.Sprintf("site%d.org", i), testbed.SiteOptions{
 			AutoReplicate: true,
 			Parallelism:   2,
+			Metrics:       regs[i],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,13 +125,13 @@ func TestProductionSoak(t *testing.T) {
 	if err != nil || len(members) != len(all) {
 		t.Fatalf("collection has %d members, %v", len(members), err)
 	}
-	for _, c := range consumers {
-		st := c.Status()
-		if st.TransfersFailed != 0 {
-			t.Fatalf("%s: %d failed transfers", c.Name(), st.TransfersFailed)
+	for i, c := range consumers {
+		legs := regs[i].CounterVec(core.SiteMetricsPrefix+"_transfers_total", "", "outcome")
+		if failed := legs.WithLabelValues("error").Value(); failed != 0 {
+			t.Fatalf("%s: %d failed transfers", c.Name(), failed)
 		}
-		if st.TransfersOK != len(all) {
-			t.Fatalf("%s: %d ok transfers, want %d", c.Name(), st.TransfersOK, len(all))
+		if ok := legs.WithLabelValues("ok").Value(); ok != int64(len(all)) {
+			t.Fatalf("%s: %d ok transfers, want %d", c.Name(), ok, len(all))
 		}
 	}
 

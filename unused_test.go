@@ -24,9 +24,9 @@ var keptUnused = []struct{ why, names string }{
 		objrep.ReplicateFromSites mss.PutTape`},
 	{"state the seeded harnesses and package tests assert on",
 		`admission.Draining admission.Browned admission.ClassStats admission.Queued admission.InFlight admission.Settled
-		core.RemoteMetrics core.RemoteStatus core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
+		core.RemoteMetrics core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
 		core.TransferHistory gridftp.Ranges gridftp.Covered gsi.Entries gsi.Revoke
-		health.StateOf health.ConsecutiveFailures mss.Free mss.PoolContents obs.Resumes obs.Transfers
+		health.StateOf health.ConsecutiveFailures mss.Used mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
 		replica.PushCount rpc.ServerIdentity xfer.QueueDepth xfer.Draining`},
 	{"knobs only tests turn: fixed clocks, per-test registries, reference policies",
