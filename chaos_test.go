@@ -437,8 +437,8 @@ func TestProcessPendingRequeuesRemainder(t *testing.T) {
 
 	d1 := testbed.MakeData(40_000, 6)
 	f1 := publishData(t, g, prod, "pp/f1.db", d1)
-	// Sabotage f1 at the source: the stage request will fail, and with it
-	// the first replication.
+	// Sabotage f1 at the source: the pull's SIZE finds it missing, the
+	// source cannot stage it back, and the first replication fails.
 	if err := os.Remove(filepath.Join(prod.DataDir(), "pp", "f1.db")); err != nil {
 		t.Fatal(err)
 	}

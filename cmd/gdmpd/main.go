@@ -9,7 +9,6 @@
 //	      -cred certs/cern.pem -ca certs/ca.pem \
 //	      [-listen :38000] [-ftp-listen :2811] [-metrics :9090] \
 //	      [-state-dir /var/lib/gdmp] [-drain-timeout 30s] \
-//	      [-rc-serve :39000 -rc-shards 64] \
 //	      [-tape /tape -pool-capacity 1073741824] \
 //	      [-prefetch 3] [-federation] \
 //	      [-auto] [-parallel 4] [-tcp-buffer 1048576] [-gridmap gridmap] \
@@ -56,14 +55,6 @@
 // WAN re-pull only when the damage exceeds the parity budget or the
 // sidecar itself is unusable.
 //
-// With -rc-serve, the daemon additionally hosts an embedded replica
-// catalog server on the given address — a one-process Grid for small
-// deployments. With -state-dir, the embedded catalog is journaled under
-// <state-dir>/rc (every mutation write-ahead logged before it applies,
-// compacted into the journal's snapshot once the log has grown enough and
-// on shutdown). Without -state-dir it is memory only. -rc-shards sets its LFN
-// shard count.
-//
 // With -digest-interval, the site joins the Replica Location Index: every
 // interval it condenses its local catalog into a bloom digest and pushes
 // it to the RLI co-hosted with the catalog server, where it lives as soft
@@ -82,7 +73,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -94,19 +84,17 @@ import (
 	"gdmp/internal/objectstore"
 	"gdmp/internal/objrep"
 	"gdmp/internal/obs"
-	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/xfer"
 )
 
-// settings is what the command line decides: the site's core.Config, the
-// tape store's mss.Config and the embedded catalog's replica.HostConfig,
-// bound to their flags directly, plus the daemon-only values (files to
-// load, the metrics listener, shutdown grace) that no Config field holds.
+// settings is what the command line decides: the site's core.Config and
+// the tape store's mss.Config, bound to their flags directly, plus the
+// daemon-only values (files to load, the metrics listener, shutdown grace)
+// that no Config field holds.
 type settings struct {
 	site core.Config
 	tape mss.Config
-	rc   replica.HostConfig // hosted when rc.Listen is set
 
 	credPath, caPath, gridmap string
 	metricsAddr               string
@@ -121,7 +109,7 @@ func registerFlags(fs *flag.FlagSet, s *settings) {
 	c := &s.site
 	fs.StringVar(&c.Name, "name", "", "site name, e.g. cern.ch (required)")
 	fs.StringVar(&c.DataDir, "data", "", "disk pool directory (required)")
-	fs.StringVar(&c.ReplicaCatalog, "rc", "", "replica catalog address (required unless -rc-serve)")
+	fs.StringVar(&c.ReplicaCatalog, "rc", "", "replica catalog address (required)")
 	fs.StringVar(&s.credPath, "cred", "", "site credential file (required)")
 	fs.StringVar(&s.caPath, "ca", "", "trust anchor certificate (required)")
 	fs.StringVar(&c.GDMPListen, "listen", ":38000", "GDMP control address")
@@ -153,8 +141,6 @@ func registerFlags(fs *flag.FlagSet, s *settings) {
 	fs.IntVar(&c.ParityK, "parity-k", 0, "parity sidecar data blocks per file (0 = parity off)")
 	fs.IntVar(&c.ParityM, "parity-m", 0, "parity blocks per file; scrub heals up to this many damaged blocks locally")
 	fs.DurationVar(&s.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM lets in-flight transfers finish")
-	fs.StringVar(&s.rc.Listen, "rc-serve", "", "also run an embedded replica catalog server on this address")
-	fs.IntVar(&s.rc.Shards, "rc-shards", replica.DefaultShards, "embedded catalog shard count (with -rc-serve; rounded up to a power of two)")
 	fs.DurationVar(&c.DigestInterval, "digest-interval", 0, "RLI digest push period; a digest lives three periods (0 = off)")
 	fs.Float64Var(&c.DigestFPRate, "digest-fp", core.DefaultDigestFPRate, "bloom digest false-positive rate")
 	fs.DurationVar(&c.HedgeDeadline, "hedge-deadline", core.DefaultHedgeDeadline, "cold-start stall deadline before a pull hedges to a second replica (negative = off)")
@@ -198,11 +184,8 @@ func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 
 func run(s settings) error {
 	cfg := s.site
-	if cfg.Name == "" || cfg.DataDir == "" || s.credPath == "" || s.caPath == "" {
-		return fmt.Errorf("-name, -data, -cred and -ca are required")
-	}
-	if cfg.ReplicaCatalog == "" && s.rc.Listen == "" {
-		return fmt.Errorf("-rc is required (or run the catalog here with -rc-serve)")
+	if cfg.Name == "" || cfg.DataDir == "" || cfg.ReplicaCatalog == "" || s.credPath == "" || s.caPath == "" {
+		return fmt.Errorf("-name, -data, -rc, -cred and -ca are required")
 	}
 	cred, err := gsi.LoadCredential(s.credPath)
 	if err != nil {
@@ -215,9 +198,6 @@ func run(s settings) error {
 	acl := gsi.NewACL()
 	core.AllowSiteUseAll(acl)
 	objrep.AllowServiceUseAll(acl)
-	if s.rc.Listen != "" {
-		replica.AllowCatalogUseAll(acl)
-	}
 	if s.gridmap != "" {
 		if acl, err = gsi.LoadGridmapFile(s.gridmap); err != nil {
 			return err
@@ -225,28 +205,6 @@ func run(s settings) error {
 	}
 	cfg.Cred, cfg.TrustRoots, cfg.ACL = cred, []*gsi.Certificate{anchor}, acl
 	cfg.Logger = log.Default()
-
-	// The embedded replica catalog (if any) must be up before the site
-	// dials it, and is closed — compacting its store — after the site on
-	// every way out.
-	if s.rc.Listen != "" {
-		s.rc.Cred, s.rc.TrustRoots, s.rc.ACL, s.rc.Logger = cred, cfg.TrustRoots, acl, cfg.Logger
-		if cfg.StateDir != "" {
-			s.rc.StateDir = filepath.Join(cfg.StateDir, "rc")
-		}
-		host, err := replica.StartHost(s.rc)
-		if err != nil {
-			return fmt.Errorf("embedded replica catalog: %w", err)
-		}
-		defer func() {
-			if err := host.Close(); err != nil {
-				log.Printf("embedded replica catalog: %v", err)
-			}
-		}()
-		if cfg.ReplicaCatalog == "" {
-			cfg.ReplicaCatalog = host.Addr().String()
-		}
-	}
 
 	if s.tape.TapeDir != "" {
 		s.tape.PoolDir = cfg.DataDir

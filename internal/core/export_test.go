@@ -4,19 +4,19 @@ import (
 	"context"
 	"sync"
 
+	"gdmp/internal/admission"
 	"gdmp/internal/scrub"
 )
 
 // LocateForPull runs the pull pipeline's locate stage alone, for the
 // external test package (which can build a testbed grid; this one cannot
-// import testbed without a cycle). It returns the stage's outputs: the
-// remote sources and the entry attrs the later stages read.
-func (s *Site) LocateForPull(ctx context.Context, lfn string) ([]PFN, map[string]string, error) {
+// import testbed without a cycle). It returns the remote sources it found.
+func (s *Site) LocateForPull(ctx context.Context, lfn string) ([]PFN, error) {
 	p := &pull{s: s, lfn: lfn}
 	if err := p.locate(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return p.sources, p.entry.Attrs, nil
+	return p.sources, nil
 }
 
 // SeverJournal closes the site's journal underneath it, so every later
@@ -68,6 +68,16 @@ func (s *Site) HoldPullWorker() (release func()) {
 	<-held
 	return sync.OnceFunc(func() { close(stop) })
 }
+
+// HoldBulk takes one bulk admission slot, as a served transfer does,
+// waiting in the bulk queue while every slot is held.
+func (s *Site) HoldBulk() (release func(), err error) {
+	return s.admit.Admit(s.ctx, admission.Bulk, admission.Request{})
+}
+
+// PeerUsable reports whether the site's scoreboard would rank addr as a
+// pull source now.
+func (s *Site) PeerUsable(addr string) bool { return s.health.Usable(addr) }
 
 // ShedBackground makes admission refuse all background work from now on,
 // as it does in a brownout.

@@ -76,8 +76,8 @@ type legResult struct {
 
 // fetchHedged runs one fetch attempt with stall hedging. The primary leg
 // runs under a watchdog armed with the source's stall deadline; if the
-// byte stream goes quiet, a backup replica is readied (stage request +
-// reachability check) while the primary gets one grace window to recover.
+// byte stream goes quiet, a backup replica is readied (a reachability
+// check) while the primary gets one grace window to recover.
 // If it does not, the primary is canceled, waited out — there is never a
 // second writer on the .part file — and the backup resumes the verified
 // prefix cross-source.
@@ -184,12 +184,10 @@ func (p *pull) fetchHedged(ctx context.Context, primary PFN, backup *PFN, forced
 }
 
 // hedgePrep readies the hedge source during the stalled primary's grace
-// window: the source stages the file, and a reachability check — a session
-// that answers SIZE, closed again; a takeover dials its own — vouches for it.
+// window: a reachability check — a session that answers SIZE, which also
+// stages a tape-resident file, closed again; a takeover dials its own —
+// vouches for it.
 func (p *pull) hedgePrep(ctx context.Context, backup PFN) error {
-	if err := p.stageAt(ctx, backup); err != nil {
-		return err
-	}
 	cl, err := p.s.ftpConnect(backup)(ctx)
 	if err != nil {
 		return err

@@ -73,9 +73,9 @@ func TestPendingKeepsFailedGet(t *testing.T) {
 	}
 }
 
-// TestStageOfDiskFileJournalsNothing: every served pull asks the producer
-// to stage the file first; for a file already on disk that changes
-// nothing, so it must cost the producer no journal append (an fsync).
+// TestStageOfDiskFileJournalsNothing: a served pull of a file already on
+// disk never enters staging, and it must cost the producer no journal
+// append (an fsync).
 func TestStageOfDiskFileJournalsNothing(t *testing.T) {
 	g := newGrid(t)
 	reg := obs.NewRegistry()
@@ -89,8 +89,8 @@ func TestStageOfDiskFileJournalsNothing(t *testing.T) {
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatal(err)
 	}
-	if n := staged.Value(); n != 1 {
-		t.Fatalf("producer served %d stage requests, want 1", n)
+	if n := staged.Value(); n != 0 {
+		t.Fatalf("producer served %d stage requests, want 0", n)
 	}
 	if n := appends.Value() - before; n != 0 {
 		t.Errorf("serving the pull appended %d journal records at the producer, want 0", n)

@@ -14,6 +14,7 @@ import (
 	"path"
 	"time"
 
+	"gdmp/internal/admission"
 	"gdmp/internal/mss"
 	"gdmp/internal/obs"
 	"gdmp/internal/replica"
@@ -165,6 +166,28 @@ func (s *Site) stageLocal(ctx context.Context, lfn string) error {
 	// the pool's recency to keep the file until the transfer completes.
 	s.storage.Release(fi.Path)
 	return s.persist.setState(lfn, StateDisk)
+}
+
+// stageServed is the GridFTP server's Stage hook: a data verb found a
+// served path missing, so the published file behind it is staged from
+// tape before the disk-to-disk transfer (Section 4.4), on the data mover's
+// own session. A tape stage takes one bulk admission, as a gdmp.stage
+// request does; the server calls the hook before a transfer's own
+// admission, so the two are never held at once.
+func (s *Site) stageServed(rel string) (err error) {
+	defer func() { s.met.stageRequests.WithLabelValues(outcomeOf(err)).Inc() }()
+	fi, ok := s.local.getByPath(rel)
+	if !ok {
+		return fmt.Errorf("core: %q not published at %s", rel, s.cfg.Name)
+	}
+	if s.storage != nil {
+		release, err := s.admit.Admit(s.ctx, admission.Bulk, admission.Request{})
+		if err != nil {
+			return err
+		}
+		defer release()
+	}
+	return s.stageLocal(s.ctx, fi.LFN)
 }
 
 // ArchiveLocal pushes a published file's bytes to tape and (optionally)

@@ -141,14 +141,13 @@ func (s *Site) publishFile(relPath string, opts PublishOptions) (FileInfo, error
 	}
 
 	attrs := map[string]string{
-		replica.AttrSize:         strconv.FormatInt(fi.Size, 10),
-		replica.AttrModified:     replica.Timestamp(info.ModTime()),
-		replica.AttrCRC:          fi.CRC32,
-		replica.AttrFileType:     fi.FileType,
-		replica.AttrOwner:        s.cfg.Cred.Identity().String(),
-		attrPath:                 pfn.Path,
-		attrSite:                 s.cfg.Name,
-		ctlAttrPrefix + pfn.Addr: s.Addr(),
+		replica.AttrSize:     strconv.FormatInt(fi.Size, 10),
+		replica.AttrModified: replica.Timestamp(info.ModTime()),
+		replica.AttrCRC:      fi.CRC32,
+		replica.AttrFileType: fi.FileType,
+		replica.AttrOwner:    s.cfg.Cred.Identity().String(),
+		attrPath:             pfn.Path,
+		attrSite:             s.cfg.Name,
 	}
 	if ap, ok := ft.(AttrProvider); ok {
 		typeAttrs, err := ap.PublishAttrs(localPath)

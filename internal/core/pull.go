@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
-	"gdmp/internal/admission"
 	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/health"
 	"gdmp/internal/replica"
 	"gdmp/internal/retry"
-	"gdmp/internal/rpc"
 	"gdmp/internal/xfer"
 )
 
@@ -113,9 +112,8 @@ type pull struct {
 	s   *Site
 	lfn string
 
-	// locate: the catalog entry (RLI-confirmed holders' control addresses
-	// merged into its attrs), the replication plug-in it names, and every
-	// remote replica, in catalog order.
+	// locate: the catalog entry, the replication plug-in it names, and
+	// every remote replica, in catalog order.
 	entry   *replica.LogicalFile
 	ft      FileType
 	sources []PFN
@@ -163,7 +161,7 @@ func (p *pull) locate(ctx context.Context) error {
 	if p.ft, err = p.s.types.lookup(entry.Attrs[replica.AttrFileType]); err != nil {
 		return err
 	}
-	p.sources, _, err = p.s.remoteSources(ctx, p.lfn, entry)
+	p.sources, _, err = p.s.remoteSources(ctx, p.lfn)
 	if err != nil {
 		return err
 	}
@@ -248,11 +246,12 @@ func (p *pull) reserve() error {
 	return nil
 }
 
-// fetch is the transfer step (staged at the source if needed). Attempts
-// rotate through the replica locations, so a dead or corrupt source fails
-// over to the next one under the same backoff policy. Each attempt
-// re-ranks by live health; the healthiest other usable peer stands by as
-// the hedge target.
+// fetch is the transfer step. Attempts rotate through the replica
+// locations, so a dead or corrupt source fails over to the next one under
+// the same backoff policy. Each attempt re-ranks by live health; the
+// healthiest other usable peer stands by as the hedge target. A source
+// that refused the file (runLeg drops it) is not asked again, and once
+// every source has refused, the pull stops.
 func (p *pull) fetch(ctx context.Context) error {
 	pol := p.s.retryPolicy("core.replicate")
 	if pol.Attempts <= 0 {
@@ -270,7 +269,11 @@ func (p *pull) fetch(ctx context.Context) error {
 				break
 			}
 		}
-		return p.fetchHedged(ctx, src, backup, forced)
+		err := p.fetchHedged(ctx, src, backup, forced)
+		if len(p.sources) == 0 {
+			return retry.Permanent(err)
+		}
+		return err
 	})
 	p.fetchElapsed = time.Since(start)
 	return err
@@ -309,6 +312,19 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (
 	if cause := context.Cause(ctx); err != nil && cause != nil && cause != ctx.Err() {
 		err = cause
 	}
+	var re *gridftp.ReplyError
+	switch {
+	case !errors.As(err, &re):
+	case re.Code == 450:
+		// The source's admission refused the transfer (busy, retry later):
+		// hold it out of rank for the reopen delay, so queued work stops
+		// hammering it.
+		s.health.ObserveOverload(src.Addr, 0)
+	case re.Code >= 500:
+		// A permanent refusal (the file is not there and could not be
+		// staged, or access is denied): asking again cannot help.
+		p.sources = slices.DeleteFunc(p.sources, func(c PFN) bool { return c.Addr == src.Addr })
+	}
 	if ran {
 		rec := TransferRecord{
 			LFN: p.lfn, Source: src.Addr, Bytes: stats.Bytes,
@@ -330,16 +346,14 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (
 	return stats, err
 }
 
-// replicateFrom moves the bytes for one leg: stage request, the Data
-// Mover's secure, restartable, CRC-verified GridFTP retrieval (Section
-// 4.3), and verification against the catalog. alive fires when the source
+// replicateFrom moves the bytes for one leg: the Data Mover's secure,
+// restartable, CRC-verified GridFTP retrieval (Section 4.3), whose first
+// SIZE has the source stage a tape-resident file onto disk (Section 4.4),
+// and verification against the catalog. alive fires when the source
 // accepts a transfer and again as data lands — the stall watchdog listens
 // to it.
 func (p *pull) replicateFrom(ctx context.Context, src PFN, alive func()) (gridftp.TransferStats, error) {
 	s := p.s
-	if err := p.stageAt(ctx, src); err != nil {
-		return gridftp.TransferStats{}, err
-	}
 	pol := s.retryPolicy("gridftp.get")
 	pol.Attempts = s.cfg.TransferAttempts
 	pol.Retryable = nil // transfer failures are all retryable
@@ -404,45 +418,6 @@ func (s *Site) bufferFor(addr string) int {
 	return s.tunedBuf[addr]
 }
 
-// stageAt has src's site bring the file onto disk before a disk-to-disk
-// transfer, when the entry knows that site's control address.
-func (p *pull) stageAt(ctx context.Context, src PFN) error {
-	ctl := p.entry.Attrs[ctlAttrPrefix+src.Addr]
-	if ctl == "" {
-		return nil
-	}
-	if err := p.s.requestStage(ctx, ctl, p.lfn); err != nil {
-		return fmt.Errorf("core: stage %s at %s: %w", p.lfn, src.Addr, err)
-	}
-	return nil
-}
-
-// requestStage asks the source site's GDMP server to bring the file onto
-// disk before the disk-to-disk transfer (Section 4.4). The whole exchange
-// retries as a unit: staging is idempotent at the source, and the dial
-// already succeeded once so a fresh session is cheap.
-func (s *Site) requestStage(ctx context.Context, ctlAddr, lfn string) error {
-	pol := s.retryPolicy("core.stage")
-	return pol.Do(ctx, func(attempt int) error {
-		cl, err := rpc.DialContext(ctx, ctlAddr, s.cfg.Cred, s.cfg.TrustRoots, s.rpcDialOpts()...)
-		if err != nil {
-			return err
-		}
-		defer cl.Close()
-		var e rpc.Encoder
-		e.String(lfn)
-		// The wire carries the retry attempt so an overloaded source can
-		// shed the hottest retriers first.
-		_, err = cl.CallContext(rpc.WithAttempt(ctx, attempt), MethodStage, &e)
-		if errors.Is(err, admission.ErrOverloaded) {
-			// Cool the peer on the scoreboard for the retry-after it
-			// suggested, so queued work stops hammering it.
-			s.health.ObserveOverload(ctlAddr, retry.RetryAfterOf(err))
-		}
-		return err
-	})
-}
-
 // verify holds the landed bytes to the catalog's published CRC, not only
 // to the source's current content (which the transfer already checked end
 // to end): it is the guard against catalog/file drift. The transfer's own
@@ -483,8 +458,5 @@ func (p *pull) commit(ctx context.Context) error {
 		s.storage.NoteAccess(false, p.fetchElapsed)
 		s.notePoolDemand(p.rel)
 	}
-	if err := s.rc.addReplica(ctx, p.lfn, myPFN); err != nil {
-		return err
-	}
-	return s.rc.SetAttrs(ctx, p.lfn, map[string]string{ctlAttrPrefix + myPFN.Addr: s.Addr()})
+	return s.rc.addReplica(ctx, p.lfn, myPFN)
 }

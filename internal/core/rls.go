@@ -218,11 +218,9 @@ func (s *Site) registerRLSHandlers() {
 
 // rliSources resolves an LFN through the RLI tier: ask which LRCs might
 // hold it, confirm each candidate with an LRC point query (dropping
-// false positives — they cost an extra query, never a wrong answer),
-// and record the control address of each confirmed holder in the entry's
-// attrs so the transfer path can request staging. The owning site itself
-// is skipped; its files come from its LRC directly.
-func (s *Site) rliSources(ctx context.Context, entry *replica.LogicalFile, lfn string) []PFN {
+// false positives — they cost an extra query, never a wrong answer).
+// The owning site itself is skipped; its files come from its LRC directly.
+func (s *Site) rliSources(ctx context.Context, lfn string) []PFN {
 	s.rlsMet.rliWhich.Inc()
 	cands, err := s.rc.Which(ctx, lfn)
 	if err != nil {
@@ -245,9 +243,6 @@ func (s *Site) rliSources(ctx context.Context, entry *replica.LogicalFile, lfn s
 			s.rlsMet.falsePos.Inc()
 			continue
 		}
-		if entry != nil && entry.Attrs != nil {
-			entry.Attrs[ctlAttrPrefix+ans.DataAddr] = c.Addr
-		}
 		out = append(out, PFN{Addr: ans.DataAddr, Path: ans.Path})
 	}
 	return out
@@ -259,7 +254,7 @@ func (s *Site) rliSources(ctx context.Context, entry *replica.LogicalFile, lfn s
 // is empty (withdrawal race, partial registration, foreign publisher) the
 // RLI tier does ("rli", see rliSources). With no source at all the location
 // table's error, if any, is returned.
-func (s *Site) remoteSources(ctx context.Context, lfn string, entry *replica.LogicalFile) (pfns []PFN, tier string, err error) {
+func (s *Site) remoteSources(ctx context.Context, lfn string) (pfns []PFN, tier string, err error) {
 	locs, err := s.rc.locations(ctx, lfn)
 	for _, p := range locs {
 		if p.Addr != s.DataAddr() {
@@ -269,7 +264,7 @@ func (s *Site) remoteSources(ctx context.Context, lfn string, entry *replica.Log
 	if len(pfns) > 0 {
 		return pfns, "catalog", nil
 	}
-	if pfns = s.rliSources(ctx, entry, lfn); len(pfns) > 0 {
+	if pfns = s.rliSources(ctx, lfn); len(pfns) > 0 {
 		return pfns, "rli", nil
 	}
 	return nil, "", err
@@ -289,7 +284,7 @@ func (s *Site) Locate(ctx context.Context, lfn string) (pfns []PFN, source strin
 		s.rlsMet.locates.WithLabelValues("lrc").Inc()
 		return []PFN{{Addr: s.DataAddr(), Path: fi.Path}}, "lrc", nil
 	}
-	pfns, source, err = s.remoteSources(ctx, lfn, nil)
+	pfns, source, err = s.remoteSources(ctx, lfn)
 	if len(pfns) > 0 {
 		s.rlsMet.locates.WithLabelValues(source).Inc()
 		return pfns, source, nil

@@ -40,11 +40,6 @@ const (
 	// attrSite is the producing site's name.
 	attrSite = "site"
 
-	// ctlAttrPrefix maps a replica's GridFTP endpoint to the GDMP control
-	// endpoint of the site holding it, so consumers can issue staging
-	// requests before the disk-to-disk transfer (Section 4.4).
-	ctlAttrPrefix = "ctl."
-
 	// AttrDBID is the object-database id of an "objectivity" file,
 	// recorded at publish time (see ObjectivityType.PublishAttrs).
 	AttrDBID = "dbid"
@@ -175,9 +170,9 @@ type Config struct {
 	TransferAttempts int
 
 	// Retry is the base backoff policy for the site's network paths
-	// (Request Manager dials, stage requests, replica pulls, notification
-	// redelivery). Zero fields take the retry package defaults; the policy
-	// is labeled per operation before use.
+	// (Request Manager dials, replica pulls, notification redelivery).
+	// Zero fields take the retry package defaults; the policy is labeled
+	// per operation before use.
 	Retry retry.Policy
 
 	// NotifyFailureThreshold is how many consecutive redelivery failures
@@ -490,10 +485,11 @@ func NewSite(cfg Config) (*Site, error) {
 		Logger:     cfg.Logger,
 		Metrics:    cfg.Metrics,
 		Admit: func(string) (func(), error) {
-			// Data-moving verbs share the bulk class with stage RPCs, so
+			// Data-moving verbs share the bulk class with tape stages, so
 			// one admission budget bounds all disk-to-disk movement.
 			return s.admit.Admit(s.ctx, admission.Bulk, admission.Request{})
 		},
+		Stage: s.stageServed,
 	})
 	if err != nil {
 		return fail(err)
@@ -590,18 +586,19 @@ func (s *Site) teardown(graceful bool) error {
 	// Stop the pull pipeline: running transfers are canceled, queued
 	// jobs fail with context.Canceled, and the workers drain.
 	s.sched.Close()
-	// The control server next: its stage and fsck handlers start notifyWG
-	// goroutines (a prefetch, a repair's waiter), so every handler must have
-	// returned before that group is waited on (an Add racing the Wait is
-	// WaitGroup misuse).
+	// Both servers next: the control server's stage and fsck handlers and
+	// the GridFTP server's stage hook start notifyWG goroutines (a
+	// prefetch, a repair's waiter), so every handler must have returned
+	// before that group is waited on (an Add racing the Wait is WaitGroup
+	// misuse).
 	var errs []error
 	if s.gdmpSrv != nil {
 		errs = append(errs, s.gdmpSrv.Close())
 	}
-	s.notifyWG.Wait()
 	if s.ftpSrv != nil {
 		errs = append(errs, s.ftpSrv.Close())
 	}
+	s.notifyWG.Wait()
 	errs = append(errs, s.rc.Close())
 	if s.federation != nil {
 		s.federation.Close()
@@ -705,7 +702,7 @@ func (s *Site) Ping(remoteAddr string) (string, error) {
 // Request Manager: a session dialed with this site's credential and
 // transport settings (dialGDMP: retried, scored on the health board), one
 // request, the session closed. The reply is the caller's to decode and
-// Finish. requestStage alone stays outside it (DESIGN 5l).
+// Finish.
 func (s *Site) call(ctx context.Context, addr, method string, args *rpc.Encoder) (*rpc.Decoder, error) {
 	cl, err := s.dialGDMP(ctx, addr)
 	if err != nil {

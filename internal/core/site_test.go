@@ -14,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"gdmp/internal/admission"
 	"gdmp/internal/core"
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
+	"gdmp/internal/health"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/obs"
 	"gdmp/internal/retry"
@@ -450,7 +452,8 @@ func TestObjectivityRequiresFederation(t *testing.T) {
 
 func TestMSSStagingOnDemand(t *testing.T) {
 	g := newGrid(t)
-	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{WithMSS: true, MountLatency: 10 * time.Millisecond})
+	reg := obs.NewRegistry()
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{WithMSS: true, MountLatency: 10 * time.Millisecond, Metrics: reg})
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
 
 	data := testbed.MakeData(120_000, 20)
@@ -466,7 +469,7 @@ func TestMSSStagingOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The consumer's Get triggers a stage request at the source before the
+	// The consumer's Get has the source stage the file before the
 	// disk-to-disk transfer.
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatalf("Get with staging: %v", err)
@@ -478,6 +481,106 @@ func TestMSSStagingOnDemand(t *testing.T) {
 	// The source's pool copy is back (stage side effect).
 	if _, err := os.Stat(poolPath); err != nil {
 		t.Fatal("source pool copy not restored by staging")
+	}
+	// The stage request rode the GridFTP session: the source served it
+	// once, and its Request Manager never heard a gdmp.stage call.
+	staged := reg.CounterVec(core.SiteMetricsPrefix+"_stage_requests_total", "", "outcome")
+	if ok, failed := staged.WithLabelValues("ok").Value(), staged.WithLabelValues("error").Value(); ok != 1 || failed != 0 {
+		t.Errorf("source stage requests ok=%d error=%d, want 1 and 0", ok, failed)
+	}
+	for _, line := range strings.Split(reg.Text(), "\n") {
+		if strings.HasPrefix(line, rpc.ServerMetricsPrefix+`_requests_total{method="gdmp.stage",`) && !strings.HasSuffix(line, " 0") {
+			t.Errorf("source Request Manager served a stage call: %s", line)
+		}
+	}
+}
+
+// TestOverloadCoolsDataAddress: a pull whose source refuses the transfer
+// for want of a bulk slot (a 450 on its data verb) holds that source's
+// data address, the key ranking reads, out of rotation.
+func TestOverloadCoolsDataAddress(t *testing.T) {
+	g := newGrid(t)
+	cernReg, reg := obs.NewRegistry(), obs.NewRegistry()
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{
+		Metrics:   cernReg,
+		Admission: admission.Config{BulkSlots: 1, BulkQueue: 1},
+	})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+		Metrics:          reg,
+		Retry:            retry.Policy{Attempts: 1},
+		TransferAttempts: 1,
+		Health:           health.Config{ReopenBase: time.Minute},
+	})
+	pf := publish(t, g, cern, "busy.db", testbed.MakeData(20_000, 22), core.PublishOptions{})
+
+	// Fill the source's bulk admission: its one slot held, its one queue
+	// place taken.
+	release, err := cern.HoldBulk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan func(), 1)
+	go func() {
+		r, err := cern.HoldBulk()
+		if err != nil {
+			r = func() {}
+		}
+		queued <- r
+	}()
+	depth := cernReg.GaugeVec("gdmp_admission_queue_depth", "", "class").WithLabelValues("bulk")
+	waitFor(t, func() bool { return depth.Value() == 1 }, "the source's bulk queue to fill")
+
+	if err := anl.Get(pf.LFN); err == nil {
+		t.Fatal("pull from a source with full bulk admission succeeded")
+	}
+	release()
+	(<-queued)()
+
+	overloads := reg.CounterVec(health.MetricsPrefix+"_overloads_total", "", "peer")
+	if n := overloads.WithLabelValues(cern.DataAddr()).Value(); n != 1 {
+		t.Errorf("overloads recorded against the source's data address = %d, want 1", n)
+	}
+	if anl.PeerUsable(cern.DataAddr()) {
+		t.Error("an overloaded source's data address is still usable")
+	}
+}
+
+// TestRefusingSourceFailsOver: a source that answers the pull's SIZE with
+// a 550 (the file is gone and it cannot stage it back) fails its leg at
+// once, is not asked again, and the pull lands from the next replica.
+func TestRefusingSourceFailsOver(t *testing.T) {
+	g := newGrid(t)
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+	fnal := addSite(t, g, "fnal.gov", testbed.SiteOptions{})
+	data := testbed.MakeData(30_000, 23)
+	pf := publish(t, g, cern, "gone.db", data, core.PublishOptions{})
+	if err := fnal.Get(pf.LFN); err != nil {
+		t.Fatal(err)
+	}
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
+		Select: func(_ string, cands []core.PFN) core.PFN {
+			for _, c := range cands {
+				if c.Addr == cern.DataAddr() {
+					return c
+				}
+			}
+			return cands[0]
+		},
+	})
+	if err := os.Remove(filepath.Join(cern.DataDir(), "gone.db")); err != nil {
+		t.Fatal(err)
+	}
+	if err := anl.Get(pf.LFN); err != nil {
+		t.Fatalf("Get past a refusing first-ranked source: %v", err)
+	}
+	hist := anl.TransferHistory()
+	if len(hist) != 2 || hist[0].Source != cern.DataAddr() || !hist[0].Failed ||
+		hist[1].Source != fnal.DataAddr() || hist[1].Failed {
+		t.Fatalf("history = %+v, want one failed leg at cern then one at fnal", hist)
+	}
+	got, _ := os.ReadFile(filepath.Join(anl.DataDir(), "gone.db"))
+	if !bytes.Equal(got, data) {
+		t.Fatal("content mismatch after failover")
 	}
 }
 
@@ -513,23 +616,22 @@ func TestLocateStage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		doctor func(g *testbed.Grid, cern, anl *core.Site, pf core.PublishedFile) error
-		viaRLI bool
 	}{
 		{"own endpoint in the location table is never a source",
 			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
 				return g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path)
-			}, false},
+			}},
 		{"empty location table falls back to the RLI",
 			func(g *testbed.Grid, _, _ *core.Site, pf core.PublishedFile) error {
 				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
-			}, true},
+			}},
 		{"only the own endpoint listed still falls back to the RLI",
 			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
 				if err := g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path); err != nil {
 					return err
 				}
 				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
-			}, true},
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newGrid(t)
@@ -539,29 +641,16 @@ func TestLocateStage(t *testing.T) {
 			if _, err := cern.PushDigest(ctx); err != nil {
 				t.Fatal(err)
 			}
-			// Forget the producer's control address, as a partial
-			// registration would: only an RLI confirmation can restore it.
-			ctlKey := "ctl." + cern.DataAddr()
-			if err := g.Catalog.SetAttrs(pf.LFN, map[string]string{ctlKey: ""}); err != nil {
-				t.Fatal(err)
-			}
 			if err := tc.doctor(g, cern, anl, pf); err != nil {
 				t.Fatal(err)
 			}
 
-			sources, attrs, err := anl.LocateForPull(ctx, pf.LFN)
+			sources, err := anl.LocateForPull(ctx, pf.LFN)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(sources) != 1 || sources[0] != pf.PFN {
 				t.Fatalf("sources = %v, want only %v", sources, pf.PFN)
-			}
-			wantCtl := ""
-			if tc.viaRLI {
-				wantCtl = cern.Addr()
-			}
-			if attrs[ctlKey] != wantCtl {
-				t.Fatalf("entry ctl address = %q, want %q", attrs[ctlKey], wantCtl)
 			}
 		})
 	}

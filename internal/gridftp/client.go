@@ -562,7 +562,9 @@ func (c *Client) dataCommand(opening func(), move func([]net.Conn) ([]int64, err
 		return TransferStats{}, err
 	}
 	if code != codeOpening {
-		return TransferStats{}, fmt.Errorf("%w: %s: %d %s", ErrTransferFailed, verb, code, text)
+		// The refusal keeps its code: a 5yz is permanent, and a 450 tells
+		// the caller the server's admission turned the transfer away.
+		return TransferStats{}, fmt.Errorf("%w: %w", ErrTransferFailed, &ReplyError{Verb: verb, Code: code, Text: text})
 	}
 	streams, err := parse150(text)
 	if err != nil {

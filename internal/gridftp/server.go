@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"math"
 	"net"
@@ -100,6 +101,13 @@ type ServerConfig struct {
 	// loaded to take the transfer now. Rejections get a transient 450
 	// reply, so clients back off and retry rather than failing the pull.
 	Admit func(verb string) (release func(), err error)
+
+	// Stage, when non-nil, brings a missing file onto disk (a tape stage):
+	// when SIZE, CKSM, RETR or ERET finds nothing at its path, the server
+	// calls Stage with the root-relative path and then looks once more. It
+	// runs before the data verbs' Admit, so a stage never holds a transfer
+	// slot. An error gets a 550 reply.
+	Stage func(path string) error
 }
 
 // Server is a GridFTP server instance.
@@ -316,7 +324,47 @@ func (se *session) resolve(p string) (string, error) {
 	return filepath.Join(se.srv.cfg.Root, filepath.FromSlash(clean)), nil
 }
 
+// stage runs the Stage hook for a read verb whose file is missing. An
+// unauthorized session, a malformed argument and a file on disk skip it:
+// the verb itself answers those.
+func (se *session) stage(verb, args string) error {
+	if se.srv.cfg.Stage == nil || !se.authorize(OpRead) {
+		return nil
+	}
+	var off, length int64
+	switch verb {
+	case "ERET":
+		p, ok := transferArgs(args, &off, &length)
+		if !ok {
+			return nil
+		}
+		args = p
+	case "CKSM":
+		if p, ranged := transferArgs(args, &off, &length); ranged {
+			args = p
+		}
+	}
+	p, err := se.resolve(args)
+	if err != nil {
+		return nil
+	}
+	if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	rel, err := filepath.Rel(se.srv.cfg.Root, p)
+	if err != nil {
+		return nil
+	}
+	return se.srv.cfg.Stage(filepath.ToSlash(rel))
+}
+
 func (se *session) dispatch(verb, args string) error {
+	switch verb {
+	case "SIZE", "CKSM", "RETR", "ERET":
+		if err := se.stage(verb, args); err != nil {
+			return se.reply(codeNoFile, "stage failed: %v", err)
+		}
+	}
 	switch verb {
 	case "RETR", "ERET", "STOR", "ESTO":
 		if se.srv.cfg.Admit != nil {

@@ -472,8 +472,8 @@ func (b *Board) ObserveLatency(addr string, rtt time.Duration) {
 	b.met.latency.WithLabelValues(addr).Set(int64(p.latMean * 1e6))
 }
 
-// Observe records a standalone control-plane operation (an rpc dial, a
-// stage request) against a peer: latency feeds the EWMA, and the outcome
+// Observe records a standalone control-plane operation (an rpc dial)
+// against a peer: latency feeds the EWMA, and the outcome
 // feeds the breaker like a leg of its own.
 func (b *Board) Observe(addr string, rtt time.Duration, err error) {
 	if err == nil && rtt > 0 {

@@ -1,6 +1,6 @@
 // Package retry is the repository's unified retry/backoff layer: one
 // policy type shared by every network path (GridFTP transfers, Request
-// Manager dials, stage requests, replica pulls, notification redelivery),
+// Manager dials, replica pulls, notification redelivery),
 // so that partial failures — the dominant failure mode reported for the EU
 // DataGrid testbed — are absorbed the same way everywhere.
 //

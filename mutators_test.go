@@ -60,11 +60,9 @@ var soleCallers = map[string][]string{
 	"persist.putFile": {"land"},
 	// Every publication is enqueued by the one publish path.
 	".notifySubscribers": {"publish"},
-	// Control-plane calls: one dialer, one caller of it. requestStage keeps
-	// its own dial (DESIGN 5l: it retries dial and call as a unit, and a
-	// second retry level under it would square the attempts).
+	// Control-plane calls: one dialer, one caller of it.
 	".dialGDMP":       {"call"},
-	"rpc.DialContext": {"dialGDMP", "requestStage"},
+	"rpc.DialContext": {"dialGDMP"},
 	// Every pull — notice, Get, Recover, repair — is journaled as an intent
 	// and admitted to the scheduler by one function.
 	"sched.Submit": {"submitGet"},

@@ -29,9 +29,9 @@ var keptUnused = []struct{ why, names string }{
 		health.StateOf health.ConsecutiveFailures mss.Used mss.Free mss.PoolContents obs.Resumes obs.Transfers
 		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
 		replica.PushCount rpc.ServerIdentity xfer.QueueDepth xfer.Draining`},
-	{"knobs only tests turn: fixed clocks, per-test registries, reference policies",
+	{"knobs only tests turn: fixed clocks, per-test registries, reference policies, the wire's retry attempt (the overload harness's storm)",
 		`gridftp.WithBlockSize replica.SetClock replica.NewCatalogWithMetrics replica.MatchAll
-		rpc.Call retry.Permanent mss.LRU parity.DefaultK parity.DefaultM`},
+		rpc.Call rpc.WithAttempt mss.LRU parity.DefaultK parity.DefaultM`},
 	{"fault injection and the in-process grid exist for the harnesses",
 		`faults.* testbed.*`},
 	{"models and generators only the figure and cache benchmarks (bench_test.go, ablation_test.go, cachesoak_test.go) drive",
