@@ -67,10 +67,10 @@ func catBenchLFN(i int) string {
 }
 
 // loadCatalog registers the full corpus into a fresh catalog with the
-// given shard count.
-func loadCatalog(t *testing.T, shards int) (*replica.Catalog, time.Duration) {
+// given shard count, recording into reg.
+func loadCatalog(t *testing.T, shards int, reg *obs.Registry) (*replica.Catalog, time.Duration) {
 	t.Helper()
-	c := replica.New(replica.Options{Shards: shards, Registry: obs.NewRegistry()})
+	c := replica.New(replica.Options{Shards: shards, Registry: reg})
 	attrs := map[string]string{replica.AttrSize: "1048576"}
 	start := time.Now()
 	for i := 0; i < catBenchLFNs; i++ {
@@ -139,7 +139,8 @@ func TestCatalogBenchmark(t *testing.T) {
 	workers := runtime.GOMAXPROCS(0)
 
 	// Phase 1: load the corpus into the sharded catalog.
-	sharded, loadDur := loadCatalog(t, replica.DefaultShards)
+	shardedReg := obs.NewRegistry()
+	sharded, loadDur := loadCatalog(t, replica.DefaultShards, shardedReg)
 	t.Logf("loaded %d LFNs into %d shards in %v", catBenchLFNs, sharded.ShardCount(), loadDur)
 	if st := sharded.Stats(); st.Files != catBenchLFNs {
 		t.Fatalf("catalog holds %d files, want %d", st.Files, catBenchLFNs)
@@ -164,12 +165,12 @@ func TestCatalogBenchmark(t *testing.T) {
 	}
 	wg.Wait()
 	lookupsPerSec := float64(perWorker*workers) / time.Since(start).Seconds()
-	p99us := sharded.LookupQuantile(0.99) * 1e6
+	p99us := bucketQuantile(shardedReg.Histogram(replica.RLSMetricsPrefix+"_lookup_seconds", "", nil), 0.99) * 1e6
 	t.Logf("%.0f lookups/sec across %d workers (p99 %.1fus)", lookupsPerSec, workers, p99us)
 
 	// Phase 3: lookups under journaled write load, sharded vs single mutex.
 	shardedOps := contendedLookups(t, sharded)
-	single, _ := loadCatalog(t, 1)
+	single, _ := loadCatalog(t, 1, obs.NewRegistry())
 	singleOps := contendedLookups(t, single)
 	speedup := shardedOps / singleOps
 	t.Logf("contended lookups: sharded %.0f/sec, single-mutex %.0f/sec, speedup %.2fx",

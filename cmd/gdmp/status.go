@@ -162,7 +162,6 @@ func renderStatus(w io.Writer, site string, m *exposition) {
 	// Every refusal but a caller's own cancellation.
 	rejected := m.sum("gdmp_admission_rejected_total") - m.sum("gdmp_admission_rejected_total", "reason", "canceled")
 	expired := m.sum("gdmp_admission_rejected_total", "reason", "expired")
-	shed := m.sum("gdmp_admission_rejected_total", "reason", "shed")
 	entered := m.sum("gdmp_brownout_entered_total")
 	deferred := m.sum("gdmp_brownout_deferred_total")
 
@@ -225,8 +224,8 @@ func renderStatus(w io.Writer, site string, m *exposition) {
 		if brownout {
 			mode = "brownout"
 		}
-		fmt.Fprintf(w, "admission: %s (load %.1f%%), %d admitted, %d rejected (%d expired, %d shed)\n",
-			mode, float64(loadMilli)/10, admitted, rejected, expired, shed)
+		fmt.Fprintf(w, "admission: %s (load %.1f%%), %d admitted, %d rejected (%d expired)\n",
+			mode, float64(loadMilli)/10, admitted, rejected, expired)
 		if entered > 0 {
 			fmt.Fprintf(w, "brownout: entered %d times, %d background work units deferred\n", entered, deferred)
 		}

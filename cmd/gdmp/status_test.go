@@ -31,7 +31,7 @@ func dialSite(t *testing.T, g *testbed.Grid, site *core.Site) *rpc.Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := rpc.Dial(site.Addr(), cred, g.Roots, rpc.WithTimeout(10*time.Second))
+	cl, err := rpc.DialContext(context.Background(), site.Addr(), cred, g.Roots, rpc.WithTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func dialSite(t *testing.T, g *testbed.Grid, site *core.Site) *rpc.Client {
 // scrape fetches a site's exposition the way `gdmp status` does.
 func scrape(t *testing.T, cl *rpc.Client) *exposition {
 	t.Helper()
-	d, err := cl.Call(core.MethodMetrics, nil)
+	d, err := cl.CallContext(context.Background(), core.MethodMetrics, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStatusAfterRestart(t *testing.T) {
 	var e rpc.Encoder
 	e.String("fnal.gov")
 	e.String("127.0.0.1:1")
-	if _, err := dialSite(t, g, cern).Call(core.MethodSubscribe, &e); err != nil {
+	if _, err := dialSite(t, g, cern).CallContext(context.Background(), core.MethodSubscribe, &e); err != nil {
 		t.Fatal(err)
 	}
 	publish(t, g, cern, "runs/a.db", 10_000)

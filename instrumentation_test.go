@@ -4,6 +4,7 @@
 package gdmp_test
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"gdmp/internal/gsi"
 	"gdmp/internal/obs"
 	"gdmp/internal/replica"
+	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
 )
 
@@ -95,15 +97,14 @@ func TestTransferAccountingExact(t *testing.T) {
 		t.Fatalf("TransferStats.Bytes = %d, want %d", stats.Bytes, size)
 	}
 
-	// The recorder rebinds to the same collectors through the registry.
-	rec := obs.NewTransferRecorder(reg, gridftp.ClientMetricsPrefix)
-	if got := rec.Transfers("get", "ok"); got != 1 {
+	transfers := reg.CounterVec(gridftp.ClientMetricsPrefix+"_transfers_total", "", "direction", "outcome")
+	if got := transfers.WithLabelValues("get", "ok").Value(); got != 1 {
 		t.Errorf("client transfers{get,ok} = %d, want 1", got)
 	}
-	if got := rec.Transfers("get", "error"); got != 0 {
+	if got := transfers.WithLabelValues("get", "error").Value(); got != 0 {
 		t.Errorf("client transfers{get,error} = %d, want 0", got)
 	}
-	if got := rec.Bytes("get"); got != size {
+	if got := reg.CounterVec(gridftp.ClientMetricsPrefix+"_bytes_total", "", "direction").WithLabelValues("get").Value(); got != size {
 		t.Errorf("client bytes{get} = %d, want exactly %d", got, size)
 	}
 
@@ -127,7 +128,7 @@ func TestTransferAccountingExact(t *testing.T) {
 // counters by exactly one increment, on exactly the lookup series.
 func TestCatalogLookupSingleOpCounter(t *testing.T) {
 	reg := obs.NewRegistry()
-	cat := replica.NewCatalogWithMetrics(reg)
+	cat := replica.New(replica.Options{Registry: reg})
 	if err := cat.Register("lfn://t/one", map[string]string{replica.AttrSize: "1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +158,11 @@ func TestCatalogLookupSingleOpCounter(t *testing.T) {
 	if after-before != 1 {
 		t.Errorf("lookup moved op counters by %v, want exactly 1", after-before)
 	}
-	if got := cat.OpCount("lookup", "ok"); got != 1 {
+	ops := reg.CounterVec(replica.CatalogMetricsPrefix+"_ops_total", "", "op", "outcome")
+	if got := ops.WithLabelValues("lookup", "ok").Value(); got != 1 {
 		t.Errorf("ops{lookup,ok} = %d, want 1", got)
 	}
-	if got := cat.OpCount("lookup", "error"); got != 0 {
+	if got := ops.WithLabelValues("lookup", "error").Value(); got != 0 {
 		t.Errorf("ops{lookup,error} = %d, want 0", got)
 	}
 	// The latency histogram saw the same single operation.
@@ -239,8 +241,21 @@ func TestSiteMetricsEndToEnd(t *testing.T) {
 	}
 
 	// The same dump is served remotely (what `gdmp stats` renders).
-	remote, err := anl.RemoteMetrics(cern.Addr())
+	cred, err := g.CA.Issue("operator", time.Hour)
 	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := rpc.DialContext(context.Background(), cern.Addr(), cred, g.Roots, rpc.WithTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d, err := cl.CallContext(context.Background(), core.MethodMetrics, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := d.String()
+	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if got := metricValue(remote, core.SiteMetricsPrefix+`_publishes_total{outcome="ok"}`); got != 1 {

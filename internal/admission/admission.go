@@ -10,10 +10,9 @@
 //     queue wait exceeds its remaining deadline is rejected immediately
 //     with a typed Overloaded error carrying a server-suggested
 //     retry-after, so callers back off instead of amplifying the storm;
-//   - shed-first ordering: requests that are already past their propagated
-//     deadline are never executed, and when the queue is full the waiter
-//     with the highest retry attempt is displaced first — the hottest
-//     retriers cool first;
+//   - dead-on-arrival shedding: requests that are already past their
+//     propagated deadline are never executed, and a request that finds
+//     the queue full is refused with a retry-after;
 //   - a brownout mode driven by a load signal (queue depth blended with an
 //     admission-latency EWMA): under pressure, background work (scrub,
 //     anti-entropy, digest pushes, prefetch) defers until load subsides.
@@ -76,7 +75,7 @@ var ErrDraining = errors.New("admission: draining")
 // the RPC wire, so remote callers see the same type local callers do.
 type Overloaded struct {
 	Class  string        // admission class label ("control", "bulk", ...)
-	Reason string        // "queue_full", "deadline", "expired", "shed", "draining"
+	Reason string        // "queue_full", "deadline", "expired", "draining"
 	After  time.Duration // server-suggested minimum backoff before retrying
 }
 
@@ -103,10 +102,6 @@ type Request struct {
 	// already past it are shed without executing; requests whose estimated
 	// queue wait overruns it are rejected immediately.
 	Deadline time.Time
-	// Attempt is the caller's retry attempt number (0 = first try). When
-	// the queue is full, the waiter with the highest attempt is displaced
-	// first.
-	Attempt uint32
 }
 
 // Config tunes a Controller. Zero fields take the stated defaults.
@@ -115,7 +110,7 @@ type Config struct {
 	BulkSlots       int // concurrent bulk executions (default 8)
 	BackgroundSlots int // concurrent background executions (default 2)
 
-	ControlQueue    int // waiting control requests before shedding (default 256)
+	ControlQueue    int // waiting control requests before refusing (default 256)
 	BulkQueue       int // waiting bulk requests (default 64)
 	BackgroundQueue int // waiting background requests (default 16)
 
@@ -198,25 +193,23 @@ func (c *Config) withDefaults() Config {
 
 // Counters is the exact settlement accounting of one class. Every request
 // that enters Admit settles in exactly one bucket, so at quiescence
-// Requested == Admitted + Rejected + Expired + Shed + Drained + Canceled.
+// Requested == Admitted + Rejected + Expired + Drained + Canceled.
 type Counters struct {
 	Requested uint64 // entered Admit
 	Admitted  uint64 // granted a slot (immediately or from the queue)
 	Rejected  uint64 // refused: queue full, or estimated wait overran the deadline
 	Expired   uint64 // shed: dead on arrival or expired while queued
-	Shed      uint64 // displaced from a full queue by a lower-attempt arrival
 	Drained   uint64 // refused because the controller is draining
 	Canceled  uint64 // caller context canceled while queued
 }
 
 func (c Counters) settled() uint64 {
-	return c.Admitted + c.Rejected + c.Expired + c.Shed + c.Drained + c.Canceled
+	return c.Admitted + c.Rejected + c.Expired + c.Drained + c.Canceled
 }
 
 type waiter struct {
 	ready    chan error // buffered 1; nil = admitted
 	deadline time.Time
-	attempt  uint32
 	enq      time.Time
 }
 
@@ -354,31 +347,13 @@ func (c *Controller) Admit(ctx context.Context, class Class, req Request) (func(
 		return nil, c.overloaded(cs, "deadline", est)
 	}
 	if len(cs.queue) >= cs.queueCap {
-		// Full queue: displace the hottest retrier — the waiter with the
-		// highest attempt number has burned the most budget already and
-		// backs off hardest when told to. Only a strictly cooler arrival
-		// may displace it; otherwise the newcomer is refused.
-		vi := -1
-		for i, w := range cs.queue {
-			if vi < 0 || w.attempt > cs.queue[vi].attempt {
-				vi = i
-			}
-		}
-		if vi >= 0 && cs.queue[vi].attempt > req.Attempt {
-			victim := cs.queue[vi]
-			cs.queue = append(cs.queue[:vi], cs.queue[vi+1:]...)
-			cs.counts.Shed++
-			c.met.rejected.WithLabelValues(cs.class.String(), "shed").Inc()
-			victim.ready <- c.overloaded(cs, "shed", est)
-		} else {
-			cs.counts.Rejected++
-			c.met.rejected.WithLabelValues(cs.class.String(), "queue_full").Inc()
-			c.updateLoadLocked(now)
-			c.mu.Unlock()
-			return nil, c.overloaded(cs, "queue_full", est)
-		}
+		cs.counts.Rejected++
+		c.met.rejected.WithLabelValues(cs.class.String(), "queue_full").Inc()
+		c.updateLoadLocked(now)
+		c.mu.Unlock()
+		return nil, c.overloaded(cs, "queue_full", est)
 	}
-	w := &waiter{ready: make(chan error, 1), deadline: deadline, attempt: req.Attempt, enq: now}
+	w := &waiter{ready: make(chan error, 1), deadline: deadline, enq: now}
 	cs.queue = append(cs.queue, w)
 	c.met.queueDepth.WithLabelValues(cs.class.String()).Set(int64(len(cs.queue)))
 	c.updateLoadLocked(now)
@@ -571,13 +546,6 @@ func (c *Controller) Drain() {
 	}
 }
 
-// Draining reports whether Drain has been called.
-func (c *Controller) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
 // Browned reports whether brownout is active, refreshing the load signal
 // first.
 func (c *Controller) Browned() bool {
@@ -600,20 +568,6 @@ func (c *Controller) ClassStats(class Class) Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.classes[class].counts
-}
-
-// Queued returns the number of requests waiting in class.
-func (c *Controller) Queued(class Class) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.classes[class].queue)
-}
-
-// InFlight returns the number of slots held in class.
-func (c *Controller) InFlight(class Class) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.classes[class].inUse
 }
 
 // Settled reports whether every request that entered Admit has settled

@@ -18,6 +18,16 @@ func newTestController(t *testing.T, cfg Config) *Controller {
 	return New(cfg)
 }
 
+// queueDepth and inFlight read the control class's gdmp_admission_queue_depth
+// and gdmp_admission_in_flight series off the controller's registry.
+func queueDepth(c *Controller) int64 {
+	return c.cfg.Registry.GaugeVec("gdmp_admission_queue_depth", "", "class").WithLabelValues("control").Value()
+}
+
+func inFlight(c *Controller) int64 {
+	return c.cfg.Registry.GaugeVec("gdmp_admission_in_flight", "", "class").WithLabelValues("control").Value()
+}
+
 func TestAdmitImmediateAndRelease(t *testing.T) {
 	c := newTestController(t, Config{ControlSlots: 2})
 	rel1, err := c.Admit(context.Background(), Control, Request{})
@@ -28,13 +38,13 @@ func TestAdmitImmediateAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("admit 2: %v", err)
 	}
-	if got := c.InFlight(Control); got != 2 {
+	if got := inFlight(c); got != 2 {
 		t.Fatalf("in flight = %d, want 2", got)
 	}
 	rel1()
 	rel1() // double release must be a no-op
 	rel2()
-	if got := c.InFlight(Control); got != 0 {
+	if got := inFlight(c); got != 0 {
 		t.Fatalf("in flight after release = %d, want 0", got)
 	}
 	st := c.ClassStats(Control)
@@ -57,7 +67,7 @@ func TestAdmitQueuesAndPromotes(t *testing.T) {
 		}
 		got <- err
 	}()
-	waitFor(t, func() bool { return c.Queued(Control) == 1 })
+	waitFor(t, func() bool { return queueDepth(c) == 1 })
 	rel()
 	if err := <-got; err != nil {
 		t.Fatalf("queued admit: %v", err)
@@ -93,7 +103,7 @@ func TestExpiredWhileQueuedNeverExecutes(t *testing.T) {
 		_, err := c.Admit(context.Background(), Control, Request{Deadline: time.Now().Add(30 * time.Millisecond)})
 		got <- err
 	}()
-	waitFor(t, func() bool { return c.Queued(Control) == 1 })
+	waitFor(t, func() bool { return queueDepth(c) == 1 })
 	time.Sleep(60 * time.Millisecond) // let the queued deadline lapse
 	rel()
 	err = <-got
@@ -136,51 +146,46 @@ func TestWaitEstimateRejectsHopelessDeadline(t *testing.T) {
 	}
 }
 
-func TestQueueFullShedsHighestAttemptFirst(t *testing.T) {
+func TestQueueFullRefusesNewcomer(t *testing.T) {
 	c := newTestController(t, Config{ControlSlots: 1, ControlQueue: 2})
 	rel, err := c.Admit(context.Background(), Control, Request{})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
-	defer rel()
 
-	type result struct {
-		attempt uint32
-		err     error
-	}
-	results := make(chan result, 2)
-	for _, attempt := range []uint32{1, 5} {
-		attempt := attempt
+	order := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		i := i
 		go func() {
-			_, err := c.Admit(context.Background(), Control, Request{Attempt: attempt})
-			results <- result{attempt, err}
+			rel, err := c.Admit(context.Background(), Control, Request{})
+			if err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+				order <- -1
+				return
+			}
+			order <- i
+			rel()
 		}()
-		waitFor(t, func() bool { return c.Queued(Control) >= 1 })
+		waitFor(t, func() bool { return queueDepth(c) == int64(i+1) })
 	}
-	waitFor(t, func() bool { return c.Queued(Control) == 2 })
 
-	// A first-try arrival displaces the attempt-5 waiter, not attempt-1.
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Admit(context.Background(), Control, Request{Attempt: 0})
-		done <- err
-	}()
-	r := <-results
-	if r.attempt != 5 {
-		t.Fatalf("shed attempt %d, want 5", r.attempt)
-	}
+	_, err = c.Admit(context.Background(), Control, Request{})
 	var ov *Overloaded
-	if !errors.As(r.err, &ov) || ov.Reason != "shed" {
-		t.Fatalf("shed err = %v, want shed Overloaded", r.err)
-	}
-	// An equal-attempt arrival cannot displace anyone: queue is full again.
-	_, err = c.Admit(context.Background(), Control, Request{Attempt: 1})
 	if !errors.As(err, &ov) || ov.Reason != "queue_full" {
 		t.Fatalf("err = %v, want queue_full Overloaded", err)
 	}
-	c.Drain() // unblock the remaining waiters
-	<-results
-	<-done
+	rel()
+	for want := 0; want < 2; want++ {
+		if got := <-order; got != want {
+			t.Fatalf("admitted waiter %d, want %d (FIFO)", got, want)
+		}
+	}
+	if !c.Settled() {
+		t.Fatalf("accounting not settled: %+v", c.ClassStats(Control))
+	}
+	if st := c.ClassStats(Control); st.Admitted != 3 || st.Rejected != 1 {
+		t.Fatalf("stats = %+v, want 3 admitted / 1 rejected", st)
+	}
 }
 
 func TestCancelWhileQueued(t *testing.T) {
@@ -195,7 +200,7 @@ func TestCancelWhileQueued(t *testing.T) {
 		_, err := c.Admit(ctx, Control, Request{})
 		got <- err
 	}()
-	waitFor(t, func() bool { return c.Queued(Control) == 1 })
+	waitFor(t, func() bool { return queueDepth(c) == 1 })
 	cancel()
 	if err := <-got; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -223,7 +228,7 @@ func TestDrainRejectsQueuedAndNew(t *testing.T) {
 			got <- err
 		}()
 	}
-	waitFor(t, func() bool { return c.Queued(Control) == queued })
+	waitFor(t, func() bool { return queueDepth(c) == queued })
 	c.Drain()
 	for i := 0; i < queued; i++ {
 		if err := <-got; !errors.Is(err, ErrDraining) {
@@ -265,7 +270,7 @@ func TestBrownoutHysteresisAndDecay(t *testing.T) {
 		_, err := c.Admit(context.Background(), Control, Request{})
 		got <- err
 	}()
-	waitFor(t, func() bool { return c.Queued(Control) == 1 })
+	waitFor(t, func() bool { return queueDepth(c) == 1 })
 	clock = clock.Add(300 * time.Millisecond) // the waiter has now waited 300ms
 	rel()
 	if err := <-got; err != nil {
@@ -306,7 +311,7 @@ func TestExactAccountingUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ctx := context.Background()
-			req := Request{Attempt: uint32(i % 7)}
+			var req Request
 			if i%5 == 0 {
 				req.Deadline = time.Now().Add(time.Duration(i%3) * 5 * time.Millisecond)
 			}

@@ -79,17 +79,6 @@ func outcomeOf(err error) string {
 // obs.Default).
 func (s *Site) Metrics() *obs.Registry { return s.metrics }
 
-// RemoteMetrics fetches another site's metrics dump (Prometheus text
-// format) over the Request Manager.
-func (s *Site) RemoteMetrics(remoteAddr string) (string, error) {
-	d, err := s.call(s.ctx, remoteAddr, MethodMetrics, nil)
-	if err != nil {
-		return "", err
-	}
-	text := d.String()
-	return text, d.Finish()
-}
-
 // registerMetricsHandler wires MethodMetrics into the Request Manager.
 func (s *Site) registerMetricsHandler() {
 	s.gdmpSrv.Handle(MethodMetrics, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {

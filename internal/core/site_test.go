@@ -107,7 +107,7 @@ func TestCloseDuringNotifyStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl, err := rpc.Dial(anl.Addr(), cred, g.Roots)
+			cl, err := rpc.DialContext(context.Background(), anl.Addr(), cred, g.Roots)
 			if err != nil {
 				return // the site is already gone
 			}
@@ -124,7 +124,7 @@ func TestCloseDuringNotifyStorm(t *testing.T) {
 				e.String("")
 				e.String("flat")
 				e.String(string(core.StateDisk))
-				if _, err := cl.Call(core.MethodNotify, &e); err != nil {
+				if _, err := cl.CallContext(context.Background(), core.MethodNotify, &e); err != nil {
 					return // the closing site hung up
 				}
 			}

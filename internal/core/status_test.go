@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"gdmp/internal/core"
 	"gdmp/internal/obs"
+	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
 )
 
@@ -67,15 +69,36 @@ func TestTransferHistoryAndStatus(t *testing.T) {
 		t.Fatalf("local files gauge = %d, want 2", got)
 	}
 
-	remote, err := cern.RemoteMetrics(anl.Addr())
-	if err != nil {
-		t.Fatalf("RemoteMetrics: %v", err)
-	}
+	remote := remoteMetrics(t, g, anl)
 	for series, v := range want {
 		if got := seriesValue(remote, series); got != v {
 			t.Errorf("remote %s = %d, want %d", series, got, v)
 		}
 	}
+}
+
+// remoteMetrics fetches a site's exposition over its Request Manager, as
+// `gdmp status` does.
+func remoteMetrics(t *testing.T, g *testbed.Grid, site *core.Site) string {
+	t.Helper()
+	cred, err := g.CA.Issue("operator", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := rpc.DialContext(context.Background(), site.Addr(), cred, g.Roots, rpc.WithTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	d, err := cl.CallContext(context.Background(), core.MethodMetrics, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", core.MethodMetrics, err)
+	}
+	text := d.String()
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
 // seriesValue reads one series from exposition text, -1 when it is absent.

@@ -137,12 +137,13 @@ func TestReliableGetFileResumesVerifiedPrefix(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch after resumed transfer")
 	}
-	rec := obs.NewTransferRecorder(reg, ClientMetricsPrefix)
-	if rec.Resumes() != 1 {
-		t.Fatalf("resumes = %d, want 1", rec.Resumes())
+	resumes := reg.Counter(ClientMetricsPrefix+"_resumes_total", "").Value()
+	resumedBytes := reg.Counter(ClientMetricsPrefix+"_resumed_bytes_total", "").Value()
+	if resumes != 1 {
+		t.Fatalf("resumes = %d, want 1", resumes)
 	}
-	if rec.ResumedBytes() != 150_000 {
-		t.Fatalf("resumed bytes = %d, want 150000", rec.ResumedBytes())
+	if resumedBytes != 150_000 {
+		t.Fatalf("resumed bytes = %d, want 150000", resumedBytes)
 	}
 	// Only the missing suffix crossed the wire.
 	if stats.Bytes != 250_000 {
@@ -169,9 +170,9 @@ func TestReliableGetFileRejectsCorruptPrefix(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch after prefix rejection")
 	}
-	rec := obs.NewTransferRecorder(reg, ClientMetricsPrefix)
-	if rec.Resumes() != 0 {
-		t.Fatalf("corrupt prefix was resumed (%d resumes)", rec.Resumes())
+	resumes := reg.Counter(ClientMetricsPrefix+"_resumes_total", "").Value()
+	if resumes != 0 {
+		t.Fatalf("corrupt prefix was resumed (%d resumes)", resumes)
 	}
 	if stats.Bytes != 300_000 {
 		t.Fatalf("transferred %d bytes, want the full 300000 after restart", stats.Bytes)
@@ -234,11 +235,12 @@ func TestReliableGetFileInterruptThenResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch after interrupt + resume")
 	}
-	rec := obs.NewTransferRecorder(reg, ClientMetricsPrefix)
-	if rec.Resumes() == 0 || rec.ResumedBytes() == 0 {
-		t.Fatalf("resume not recorded: resumes=%d bytes=%d", rec.Resumes(), rec.ResumedBytes())
+	resumes := reg.Counter(ClientMetricsPrefix+"_resumes_total", "").Value()
+	resumedBytes := reg.Counter(ClientMetricsPrefix+"_resumed_bytes_total", "").Value()
+	if resumes == 0 || resumedBytes == 0 {
+		t.Fatalf("resume not recorded: resumes=%d bytes=%d", resumes, resumedBytes)
 	}
-	t.Logf("resumed from offset %d of %d", rec.ResumedBytes(), len(want))
+	t.Logf("resumed from offset %d of %d", resumedBytes, len(want))
 }
 
 // TestReliableGetFileCrossSourceResumeAgreement is the hedged-pull
@@ -334,9 +336,9 @@ func TestReliableGetFileCrossSourcePrefixDisagreement(t *testing.T) {
 	if stats.Bytes != 400_000 {
 		t.Fatalf("transferred %d bytes, want the full 400000 after restart", stats.Bytes)
 	}
-	rec := obs.NewTransferRecorder(reg, ClientMetricsPrefix)
-	if rec.Resumes() != 0 {
-		t.Fatalf("disagreeing prefix was resumed (%d resumes)", rec.Resumes())
+	resumes := reg.Counter(ClientMetricsPrefix+"_resumes_total", "").Value()
+	if resumes != 0 {
+		t.Fatalf("disagreeing prefix was resumed (%d resumes)", resumes)
 	}
 	if !strings.Contains(reg.Text(), ClientMetricsPrefix+"_resume_rejected_total 1") {
 		t.Fatalf("prefix rejection not recorded:\n%s", reg.Text())

@@ -1,6 +1,7 @@
 package gsi_test
 
 import (
+	"context"
 	"errors"
 	"io"
 	"log"
@@ -114,7 +115,7 @@ func TestPreTLSRefusals(t *testing.T) {
 	}()
 	dials := map[string]func() error{
 		"rpc": func() error {
-			_, err := rpc.Dial(old.Addr().String(), cred, roots, rpc.WithTimeout(10*time.Second))
+			_, err := rpc.DialContext(context.Background(), old.Addr().String(), cred, roots, rpc.WithTimeout(10*time.Second))
 			return err
 		},
 		"gridftp": func() error {

@@ -581,23 +581,3 @@ func Healthier(a, b Score) bool {
 	}
 	return a.BandwidthBps > b.BandwidthBps
 }
-
-// StateOf returns a peer's breaker state (closed for unknown peers).
-func (b *Board) StateOf(addr string) State {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p, ok := b.peers[addr]; ok {
-		return p.state
-	}
-	return StateClosed
-}
-
-// ConsecutiveFailures returns a peer's current failure streak.
-func (b *Board) ConsecutiveFailures(addr string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if p, ok := b.peers[addr]; ok {
-		return p.consecFails
-	}
-	return 0
-}

@@ -35,6 +35,16 @@ func (c *clock) Advance(d time.Duration) {
 
 var errLeg = errors.New("leg failed")
 
+// stateOf and consecutiveFailures read a peer's gdmp_health_state and
+// gdmp_health_consecutive_failures series off the board's registry.
+func stateOf(b *Board, addr string) State {
+	return State(b.cfg.Registry.GaugeVec(MetricsPrefix+"_state", "", "peer").WithLabelValues(addr).Value())
+}
+
+func consecutiveFailures(b *Board, addr string) int64 {
+	return b.cfg.Registry.GaugeVec(MetricsPrefix+"_consecutive_failures", "", "peer").WithLabelValues(addr).Value()
+}
+
 // fail runs one failed leg against addr.
 func fail(t *testing.T, b *Board, addr string) {
 	t.Helper()
@@ -69,16 +79,16 @@ func TestBreakerLifecycle(t *testing.T) {
 	// Two failures: still closed (below threshold).
 	fail(t, b, peer)
 	fail(t, b, peer)
-	if got := b.StateOf(peer); got != StateClosed {
+	if got := stateOf(b, peer); got != StateClosed {
 		t.Fatalf("state after 2 failures = %v, want closed", got)
 	}
-	if got := b.ConsecutiveFailures(peer); got != 2 {
+	if got := consecutiveFailures(b, peer); got != 2 {
 		t.Fatalf("consecutive failures = %d, want 2", got)
 	}
 
 	// Third consecutive failure opens the breaker.
 	fail(t, b, peer)
-	if got := b.StateOf(peer); got != StateOpen {
+	if got := stateOf(b, peer); got != StateOpen {
 		t.Fatalf("state after threshold = %v, want open", got)
 	}
 
@@ -107,7 +117,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !ok {
 		t.Fatal("probe not admitted after reopen delay")
 	}
-	if got := b.StateOf(peer); got != StateHalfOpen {
+	if got := stateOf(b, peer); got != StateHalfOpen {
 		t.Fatalf("state during probe = %v, want half-open", got)
 	}
 	if _, ok := b.Begin(peer); ok {
@@ -116,10 +126,10 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Probe succeeds: closed again, failure streak reset.
 	end(1<<20, time.Second, nil)
-	if got := b.StateOf(peer); got != StateClosed {
+	if got := stateOf(b, peer); got != StateClosed {
 		t.Fatalf("state after probe success = %v, want closed", got)
 	}
-	if got := b.ConsecutiveFailures(peer); got != 0 {
+	if got := consecutiveFailures(b, peer); got != 0 {
 		t.Fatalf("consecutive failures after success = %d, want 0", got)
 	}
 }
@@ -137,7 +147,7 @@ func TestFailedProbeReopensWithLongerDecorrelatedDelay(t *testing.T) {
 	const peer = "site-b:2811"
 
 	fail(t, b, peer) // threshold 1: open immediately
-	if got := b.StateOf(peer); got != StateOpen {
+	if got := stateOf(b, peer); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
 
@@ -151,7 +161,7 @@ func TestFailedProbeReopensWithLongerDecorrelatedDelay(t *testing.T) {
 			t.Fatalf("round %d: probe not admitted", round)
 		}
 		end(0, 0, errLeg)
-		if got := b.StateOf(peer); got != StateOpen {
+		if got := stateOf(b, peer); got != StateOpen {
 			t.Fatalf("round %d: state after failed probe = %v, want open", round, got)
 		}
 		b.mu.Lock()
@@ -218,11 +228,11 @@ func TestBeginForcedConvertsOpenBreakerIntoEarlyProbe(t *testing.T) {
 	if !ok {
 		t.Fatal("BeginForced refused")
 	}
-	if got := b.StateOf("only-source"); got != StateHalfOpen {
+	if got := stateOf(b, "only-source"); got != StateHalfOpen {
 		t.Fatalf("state during forced probe = %v, want half-open", got)
 	}
 	end(1024, time.Millisecond, nil)
-	if got := b.StateOf("only-source"); got != StateClosed {
+	if got := stateOf(b, "only-source"); got != StateClosed {
 		t.Fatalf("state after forced probe success = %v, want closed", got)
 	}
 }
@@ -238,13 +248,13 @@ func TestControlPlaneObserveFeedsBreakerAndRecovers(t *testing.T) {
 	})
 	b.Observe("ctl:4811", 0, errLeg)
 	b.Observe("ctl:4811", 0, errLeg)
-	if got := b.StateOf("ctl:4811"); got != StateOpen {
+	if got := stateOf(b, "ctl:4811"); got != StateOpen {
 		t.Fatalf("state after 2 observed failures = %v, want open", got)
 	}
 	// A success observed through another path while open closes the
 	// breaker directly — the peer is demonstrably back.
 	b.Observe("ctl:4811", 3*time.Millisecond, nil)
-	if got := b.StateOf("ctl:4811"); got != StateClosed {
+	if got := stateOf(b, "ctl:4811"); got != StateClosed {
 		t.Fatalf("state after observed success = %v, want closed", got)
 	}
 }
@@ -472,10 +482,10 @@ func TestObserveOverloadCoolsPeerWithoutBreakerAdvance(t *testing.T) {
 	if b.Usable(addr) {
 		t.Fatal("peer should be cooling after a typed overload rejection")
 	}
-	if got := b.StateOf(addr); got != StateClosed {
+	if got := stateOf(b, addr); got != StateClosed {
 		t.Fatalf("state = %v, want closed (overload must not advance the breaker)", got)
 	}
-	if got := b.ConsecutiveFailures(addr); got != 0 {
+	if got := consecutiveFailures(b, addr); got != 0 {
 		t.Fatalf("consecutive failures = %d, want 0", got)
 	}
 	ck.Advance(600 * time.Millisecond)

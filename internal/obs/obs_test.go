@@ -141,13 +141,13 @@ func TestTransferRecorder(t *testing.T) {
 	})
 	rec.CRCFailure()
 
-	if got := rec.Transfers("get", "ok"); got != 1 {
+	if got := rec.transfers.WithLabelValues("get", "ok").Value(); got != 1 {
 		t.Fatalf("get/ok = %d", got)
 	}
-	if got := rec.Transfers("put", "error"); got != 1 {
+	if got := rec.transfers.WithLabelValues("put", "error").Value(); got != 1 {
 		t.Fatalf("put/error = %d", got)
 	}
-	if got := rec.Bytes("get"); got != 1<<20 {
+	if got := rec.bytes.WithLabelValues("get").Value(); got != 1<<20 {
 		t.Fatalf("bytes get = %d", got)
 	}
 	if got := rec.restarts.Value(); got != 1 {

@@ -44,13 +44,6 @@ func NewPoolMetrics(r *Registry) *PoolMetrics {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) of the observed
-// distribution from the bucket counts (see BucketQuantile).
-func (h *Histogram) Quantile(q float64) float64 {
-	bounds, counts := h.Snapshot()
-	return BucketQuantile(bounds, counts, q)
-}
-
 // BucketQuantile estimates the q-quantile (0 < q <= 1) of a histogram
 // given as bucket upper bounds and per-bucket counts — Snapshot's shape,
 // or the _bucket series of its exposition made non-cumulative —

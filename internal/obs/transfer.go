@@ -149,19 +149,3 @@ func (t *TransferRecorder) Resumed(bytes int64) {
 // ResumeRejected counts a partial file whose prefix checksum did not
 // match the source, forcing a restart from byte 0.
 func (t *TransferRecorder) ResumeRejected() { t.resumeRejected.Inc() }
-
-// Resumes returns the resumed-download count (test hook).
-func (t *TransferRecorder) Resumes() int64 { return t.resumes.Value() }
-
-// ResumedBytes returns the bytes skipped by resumes (test hook).
-func (t *TransferRecorder) ResumedBytes() int64 { return t.resumedBytes.Value() }
-
-// Transfers returns the count for a direction/outcome pair (test hook).
-func (t *TransferRecorder) Transfers(direction, outcome string) int64 {
-	return t.transfers.WithLabelValues(direction, outcome).Value()
-}
-
-// Bytes returns the byte count for a direction (test hook).
-func (t *TransferRecorder) Bytes(direction string) int64 {
-	return t.bytes.WithLabelValues(direction).Value()
-}

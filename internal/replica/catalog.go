@@ -164,12 +164,6 @@ func NewCatalog() *Catalog {
 	return New(Options{})
 }
 
-// NewCatalogWithMetrics creates an empty catalog recording operation
-// counts and latencies into the given registry (obs.Default when nil).
-func NewCatalogWithMetrics(r *obs.Registry) *Catalog {
-	return New(Options{Registry: r})
-}
-
 // ShardCount reports the number of hash partitions.
 func (c *Catalog) ShardCount() int { return len(c.shards) }
 

@@ -33,11 +33,6 @@ func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots [
 	return &Client{rc: cl}, nil
 }
 
-// DialTimeout is Dial with an explicit per-call timeout.
-func DialTimeout(addr string, cred *gsi.Credential, roots []*gsi.Certificate, d time.Duration) (*Client, error) {
-	return Dial(addr, cred, roots, rpc.WithTimeout(d))
-}
-
 // Close releases the client's sessions.
 func (c *Client) Close() error { return c.rc.Close() }
 

@@ -318,6 +318,3 @@ func (pf *presentFilter) Match(f *LogicalFile) bool {
 }
 
 func (pf *presentFilter) String() string { return "(" + pf.attr + "=*)" }
-
-// MatchAll is the filter that matches every entry: "(name=*)".
-func MatchAll() Filter { return &presentFilter{attr: "name"} }

@@ -227,12 +227,6 @@ func TestWildcardMatchProperty(t *testing.T) {
 	}
 }
 
-func TestMatchAll(t *testing.T) {
-	if !MatchAll().Match(lf("anything", nil)) {
-		t.Fatal("MatchAll should match any entry")
-	}
-}
-
 func TestCatalogQuery(t *testing.T) {
 	c := NewCatalog()
 	c.Register("lfn://cern.ch/big.db", map[string]string{AttrSize: "1000000", AttrFileType: "objectivity"})

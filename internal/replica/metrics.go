@@ -68,16 +68,10 @@ func (m *catalogMetrics) record(op string, start time.Time, errp *error) {
 	m.latency.WithLabelValues(op).ObserveDuration(time.Since(start))
 }
 
-// OpCount returns the count for an operation/outcome pair (test hook).
-func (c *Catalog) OpCount(op, outcome string) int64 {
-	return c.met.ops.WithLabelValues(op, outcome).Value()
-}
-
 // rlsCatalogMetrics instruments the shard engine: per-shard lookup and
 // update counters (the counters are resolved once at construction so the
-// hot path is a single atomic add, no label-map lookup) plus a
-// lookup-latency histogram whose Quantile backs the p99 surfaced in
-// gdmp status.
+// hot path is a single atomic add, no label-map lookup) plus the
+// lookup-latency histogram gdmp_rls_lookup_seconds.
 type rlsCatalogMetrics struct {
 	shardLookups []*obs.Counter
 	shardUpdates []*obs.Counter
@@ -107,20 +101,4 @@ func (m *rlsCatalogMetrics) update(shard int) { m.shardUpdates[shard].Inc() }
 
 func (m *rlsCatalogMetrics) lookup(start time.Time) {
 	m.lookupSec.ObserveDuration(time.Since(start))
-}
-
-// LookupQuantile reports the q-quantile (0..1) of LRC lookup latency in
-// seconds, from the gdmp_rls_lookup_seconds histogram.
-func (c *Catalog) LookupQuantile(q float64) float64 { return c.rls.lookupSec.Quantile(q) }
-
-// ShardOpCounts returns per-shard (lookups, updates) counters (test and
-// status hook).
-func (c *Catalog) ShardOpCounts() (lookups, updates []int64) {
-	lookups = make([]int64, len(c.rls.shardLookups))
-	updates = make([]int64, len(c.rls.shardUpdates))
-	for i := range lookups {
-		lookups[i] = c.rls.shardLookups[i].Value()
-		updates[i] = c.rls.shardUpdates[i].Value()
-	}
-	return lookups, updates
 }

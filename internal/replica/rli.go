@@ -196,8 +196,3 @@ func newRLIMetrics(r *obs.Registry) *rliMetrics {
 			"Candidate sites returned across all RLI queries."),
 	}
 }
-
-// PushCount returns the push counter for an outcome (test hook).
-func (x *RLI) PushCount(outcome string) int64 {
-	return x.met.pushes.WithLabelValues(outcome).Value()
-}

@@ -38,7 +38,8 @@ func TestRLIPushAndWhich(t *testing.T) {
 }
 
 func TestRLIStalePushRejected(t *testing.T) {
-	x := NewRLI(time.Minute, obs.NewRegistry())
+	reg := obs.NewRegistry()
+	x := NewRLI(time.Minute, reg)
 	x.Update("cern.ch", "cern:38000", 5, digestOf("new"), 0)
 	if got, _ := x.Update("cern.ch", "cern:38000", 3, digestOf("old"), 0); got != PushStale {
 		t.Fatalf("stale push = %q, want %q", got, PushStale)
@@ -47,8 +48,8 @@ func TestRLIStalePushRejected(t *testing.T) {
 	if got := x.MightHold("new"); len(got) != 1 {
 		t.Fatalf("MightHold(new) = %v", got)
 	}
-	if x.PushCount(PushStale) != 1 {
-		t.Fatalf("stale counter = %d", x.PushCount(PushStale))
+	if got := reg.CounterVec(RLSMetricsPrefix+"_rli_pushes_total", "", "outcome").WithLabelValues(PushStale).Value(); got != 1 {
+		t.Fatalf("stale counter = %d", got)
 	}
 }
 

@@ -62,7 +62,7 @@ func dialTestClient(t *testing.T, addr string) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DialTimeout(addr, clientCred, []*gsi.Certificate{ca.Certificate()}, 5*time.Second)
+	cl, err := Dial(addr, clientCred, []*gsi.Certificate{ca.Certificate()}, rpc.WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestUnauthorizedCatalogAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := DialTimeout(ln.Addr().String(), cred, roots, 5*time.Second)
+	cl, err := Dial(ln.Addr().String(), cred, roots, rpc.WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

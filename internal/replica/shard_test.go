@@ -145,7 +145,8 @@ func TestShardRebalanceProperty(t *testing.T) {
 }
 
 func TestConcurrentShardedMutation(t *testing.T) {
-	c := New(Options{Shards: 8, Registry: obs.NewRegistry()})
+	reg := obs.NewRegistry()
+	c := New(Options{Shards: 8, Registry: reg})
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -177,11 +178,12 @@ func TestConcurrentShardedMutation(t *testing.T) {
 	if st.Files != workers*per || st.Replicas != workers*per {
 		t.Fatalf("Stats() = %+v", st)
 	}
-	lookups, updates := c.ShardOpCounts()
+	lookups := reg.CounterVec(RLSMetricsPrefix+"_shard_lookups_total", "", "shard")
+	updates := reg.CounterVec(RLSMetricsPrefix+"_shard_updates_total", "", "shard")
 	var l, u int64
-	for i := range lookups {
-		l += lookups[i]
-		u += updates[i]
+	for i := 0; i < c.ShardCount(); i++ {
+		l += lookups.WithLabelValues(strconv.Itoa(i)).Value()
+		u += updates.WithLabelValues(strconv.Itoa(i)).Value()
 	}
 	if l < workers*per || u < 2*workers*per {
 		t.Fatalf("shard op counts: %d lookups, %d updates", l, u)

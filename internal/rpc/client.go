@@ -35,7 +35,7 @@ type Client struct {
 	closed bool
 }
 
-// DialOption customizes Dial.
+// DialOption customizes DialContext.
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
@@ -54,32 +54,10 @@ func WithDialer(d func(network, addr string) (net.Conn, error)) DialOption {
 	return func(c *dialConfig) { c.dialer = d }
 }
 
-// attemptKey carries the caller's retry attempt number in a context.
-type attemptKey struct{}
-
-// WithAttempt tags ctx with the caller's retry attempt number (0 = first
-// try). Every request frame carries it, letting overloaded servers shed
-// the hottest retriers first.
-func WithAttempt(ctx context.Context, attempt int) context.Context {
-	return context.WithValue(ctx, attemptKey{}, attempt)
-}
-
-func attemptOf(ctx context.Context) uint32 {
-	if v, ok := ctx.Value(attemptKey{}).(int); ok && v > 0 {
-		return uint32(v)
-	}
-	return 0
-}
-
-// Dial connects to a Request Manager server at addr, authenticating with
-// cred and verifying the server against roots.
-func Dial(addr string, cred *gsi.Credential, roots []*gsi.Certificate, opts ...DialOption) (*Client, error) {
-	return DialContext(context.Background(), addr, cred, roots, opts...)
-}
-
-// DialContext is Dial bound to a context: cancellation or expiry of ctx
-// aborts the dial and the security handshake of the first session, which
-// is dialed here so that a wrong address or wrong trust roots fail now.
+// DialContext connects to a Request Manager server at addr, authenticating
+// with cred and verifying the server against roots. Cancellation or expiry
+// of ctx aborts the dial and the security handshake of the first session,
+// which is dialed here so that a wrong address or wrong trust roots fail now.
 // The returned client itself is not bound to ctx; pass a context to
 // CallContext per call.
 func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots []*gsi.Certificate, opts ...DialOption) (*Client, error) {
@@ -139,17 +117,12 @@ func (c *Client) drop() {
 // ServerIdentity returns the authenticated identity of the server.
 func (c *Client) ServerIdentity() gsi.Identity { return c.id }
 
-// Call invokes method with the encoded args and returns a decoder over the
-// response payload. A *RemoteError is returned when the handler failed.
-func (c *Client) Call(method string, args *Encoder) (*Decoder, error) {
-	return c.CallContext(context.Background(), method, args)
-}
-
-// CallContext is Call bound to a context: cancellation closes the
-// session, unblocking the exchange immediately; a context deadline
-// earlier than the client's own timeout wins. Every call carries the
-// remaining deadline budget and retry attempt (see WithAttempt), and a
-// typed *admission.Overloaded is returned when the server sheds the call.
+// CallContext invokes method with the encoded args and returns a decoder
+// over the response payload. A *RemoteError is returned when the handler
+// failed. Cancellation of ctx closes the session, unblocking the exchange
+// immediately; a context deadline earlier than the client's own timeout
+// wins. Every call carries the remaining deadline budget, and a typed
+// *admission.Overloaded is returned when the server refuses the call.
 func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) (*Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -175,7 +148,7 @@ func (c *Client) CallContext(ctx context.Context, method string, args *Encoder) 
 		}
 	}()
 
-	req := request{method: method, attempt: attemptOf(ctx)}
+	req := request{method: method}
 	if args != nil {
 		req.args = args.Bytes()
 	}

@@ -16,7 +16,7 @@ func FuzzRequestFrame(f *testing.F) {
 	for _, req := range []request{
 		{method: "gdmp.ping"},
 		{method: "gdmp.metrics", budget: 2_500_000},
-		{method: "rc.lookup", args: args.Bytes(), budget: 30_000_000, attempt: 3},
+		{method: "rc.lookup", args: args.Bytes(), budget: 30_000_000},
 	} {
 		frame := req.encode()
 		f.Add(frame)

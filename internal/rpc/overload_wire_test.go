@@ -32,7 +32,7 @@ func TestWireMetadataReachesHandler(t *testing.T) {
 	cl := dialAs(t, addr, "alice")
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	if _, err := cl.CallContext(WithAttempt(ctx, 2), "meta", nil); err != nil {
+	if _, err := cl.CallContext(ctx, "meta", nil); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	budget := <-gotDeadline
@@ -65,14 +65,16 @@ func TestDispatchOverloadTypedError(t *testing.T) {
 	})
 	defer close(release)
 
-	// First call occupies the slot; a second queues; a third must be shed
+	// First call occupies the slot; a second queues; a third must be refused
 	// with the typed overloaded status carrying a retry-after.
-	go dialAs(t, addr, "a").Call("slow", nil)
+	go dialAs(t, addr, "a").CallContext(context.Background(), "slow", nil)
 	<-started
-	go dialAs(t, addr, "b").Call("slow", nil)
-	waitUntil(t, func() bool { return ctrl.Queued(admission.Control) == 1 })
+	go dialAs(t, addr, "b").CallContext(context.Background(), "slow", nil)
+	waitUntil(t, func() bool {
+		return reg.GaugeVec("gdmp_admission_queue_depth", "", "class").WithLabelValues("control").Value() == 1
+	})
 
-	_, err := dialAs(t, addr, "c").Call("slow", nil)
+	_, err := dialAs(t, addr, "c").CallContext(context.Background(), "slow", nil)
 	if !errors.Is(err, admission.ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -130,7 +132,7 @@ func TestAcceptBackoffOnTemporaryErrors(t *testing.T) {
 
 	// The loop must survive the transient failures and still serve.
 	cl := dialAs(t, ln.Addr().String(), "alice")
-	if _, err := cl.Call("ping", nil); err != nil {
+	if _, err := cl.CallContext(context.Background(), "ping", nil); err != nil {
 		t.Fatalf("call after accept errors: %v", err)
 	}
 	if got := reg.Counter("gdmp_rpc_accept_errors_total", "").Value(); got != 3 {
@@ -149,7 +151,7 @@ func TestMaxConnsRefusesDialFlood(t *testing.T) {
 		s.Handle("ping", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error { return nil })
 	})
 	cl := dialAs(t, addr, "alice")
-	if _, err := cl.Call("ping", nil); err != nil {
+	if _, err := cl.CallContext(context.Background(), "ping", nil); err != nil {
 		t.Fatalf("first conn: %v", err)
 	}
 	// The second connection is accepted and immediately closed before the
@@ -158,7 +160,7 @@ func TestMaxConnsRefusesDialFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second)); err == nil {
+	if _, err := DialContext(context.Background(), addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second)); err == nil {
 		t.Fatal("second dial succeeded past the connection cap")
 	}
 	if got := reg.Counter(ServerMetricsPrefix+"_conns_rejected_total", "").Value(); got < 1 {
@@ -167,12 +169,12 @@ func TestMaxConnsRefusesDialFlood(t *testing.T) {
 	// Releasing the first connection frees the slot.
 	cl.Close()
 	waitUntil(t, func() bool {
-		c, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second))
+		c, err := DialContext(context.Background(), addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second))
 		if err != nil {
 			return false
 		}
 		defer c.Close()
-		_, err = c.Call("ping", nil)
+		_, err = c.CallContext(context.Background(), "ping", nil)
 		return err == nil
 	})
 }

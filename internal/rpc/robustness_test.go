@@ -28,14 +28,14 @@ func TestCallTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()},
+	cl, err := DialContext(context.Background(), addr, cred, []*gsi.Certificate{ca(t).Certificate()},
 		WithTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	start := time.Now()
-	_, err = cl.Call("hang", nil)
+	_, err = cl.CallContext(context.Background(), "hang", nil)
 	if err == nil {
 		t.Fatal("hung call returned successfully")
 	}
@@ -44,7 +44,7 @@ func TestCallTimeout(t *testing.T) {
 	}
 	// The timed-out call dropped the session: the next call on the same
 	// client dials a fresh one.
-	if _, err := cl.Call("echo", nil); err != nil {
+	if _, err := cl.CallContext(context.Background(), "echo", nil); err != nil {
 		t.Fatalf("second call after timeout: %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestServerRequestTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(ln.Addr().String(), cred, []*gsi.Certificate{ca(t).Certificate()},
+	cl, err := DialContext(context.Background(), ln.Addr().String(), cred, []*gsi.Certificate{ca(t).Certificate()},
 		WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -80,11 +80,11 @@ func TestServerRequestTimeout(t *testing.T) {
 	defer cl.Close()
 	// First call succeeds, then the client idles past the deadline; the
 	// server hangs up and the next call fails.
-	if _, err := cl.Call("echo", nil); err != nil {
+	if _, err := cl.CallContext(context.Background(), "echo", nil); err != nil {
 		t.Fatalf("first call: %v", err)
 	}
 	time.Sleep(400 * time.Millisecond)
-	if _, err := cl.Call("echo", nil); err == nil {
+	if _, err := cl.CallContext(context.Background(), "echo", nil); err == nil {
 		t.Fatal("call after server-side idle timeout succeeded")
 	}
 }
@@ -126,7 +126,7 @@ func TestCorruptFrameDisconnects(t *testing.T) {
 		t.Fatal("server answered a corrupt frame instead of hanging up")
 	}
 	// The server still serves new connections.
-	cl, err := Dial(ln.Addr().String(), cred, []*gsi.Certificate{ca(t).Certificate()},
+	cl, err := DialContext(context.Background(), ln.Addr().String(), cred, []*gsi.Certificate{ca(t).Certificate()},
 		WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatalf("server wedged after corrupt frame: %v", err)
@@ -177,11 +177,11 @@ func TestTruncatedErrorReplyRefused(t *testing.T) {
 	}
 	for cut := 1; cut <= len(reply); cut++ {
 		replies <- reply[:cut]
-		cl, err := Dial(ln.Addr().String(), cred, roots, WithTimeout(5*time.Second))
+		cl, err := DialContext(context.Background(), ln.Addr().String(), cred, roots, WithTimeout(5*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = cl.Call("rc.lookup", nil)
+		_, err = cl.CallContext(context.Background(), "rc.lookup", nil)
 		cl.Close()
 		var re *RemoteError
 		if cut < len(reply) && !errors.Is(err, ErrCorrupt) {

@@ -230,7 +230,7 @@ func dialAs(t *testing.T, addr, user string) *Client {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(5*time.Second))
+	cl, err := DialContext(context.Background(), addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestCallRoundTrip(t *testing.T) {
 	cl := dialAs(t, addr, "alice")
 	var args Encoder
 	args.String("hello")
-	d, err := cl.Call("echo", &args)
+	d, err := cl.CallContext(context.Background(), "echo", &args)
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestMultipleSequentialCalls(t *testing.T) {
 	})
 	cl := dialAs(t, addr, "bob")
 	for i := 1; i <= 10; i++ {
-		d, err := cl.Call("inc", nil)
+		d, err := cl.CallContext(context.Background(), "inc", nil)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -310,7 +310,7 @@ func TestConcurrentCallsSerialized(t *testing.T) {
 			defer wg.Done()
 			var args Encoder
 			args.Uint64(i)
-			d, err := cl.Call("work", &args)
+			d, err := cl.CallContext(context.Background(), "work", &args)
 			if err != nil {
 				errs <- err
 				return
@@ -336,7 +336,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 		})
 	})
 	cl := dialAs(t, addr, "dave")
-	_, err := cl.Call("fail", nil)
+	_, err := cl.CallContext(context.Background(), "fail", nil)
 	var re *RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("expected RemoteError, got %v", err)
@@ -345,7 +345,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 		t.Fatalf("error message lost: %q", re.Msg)
 	}
 	// The connection survives a handler error.
-	if _, err := cl.Call("fail", nil); err == nil {
+	if _, err := cl.CallContext(context.Background(), "fail", nil); err == nil {
 		t.Fatal("second call should also fail remotely")
 	}
 }
@@ -353,7 +353,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 func TestUnknownMethod(t *testing.T) {
 	addr := startServer(t, nil, func(s *Server) {})
 	cl := dialAs(t, addr, "erin")
-	_, err := cl.Call("no-such-method", nil)
+	_, err := cl.CallContext(context.Background(), "no-such-method", nil)
 	var re *RemoteError
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, "unknown method") {
 		t.Fatalf("expected unknown-method error, got %v", err)
@@ -370,14 +370,14 @@ func TestUnauthorizedCallRejected(t *testing.T) {
 		})
 	})
 	cl := dialAs(t, addr, "intruder")
-	_, err := cl.Call("secret", nil)
+	_, err := cl.CallContext(context.Background(), "secret", nil)
 	var re *RemoteError
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, "unauthorized") {
 		t.Fatalf("expected authorization failure, got %v", err)
 	}
 	// An authorized caller succeeds on the same server.
 	admin := dialAs(t, addr, "admin")
-	d, err := admin.Call("secret", nil)
+	d, err := admin.CallContext(context.Background(), "secret", nil)
 	if err != nil {
 		t.Fatalf("admin call: %v", err)
 	}
@@ -403,12 +403,12 @@ func TestProxyCredentialAuthorizedAsBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Dial(addr, proxy, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(5*time.Second))
+	cl, err := DialContext(context.Background(), addr, proxy, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatalf("Dial with proxy: %v", err)
 	}
 	defer cl.Close()
-	d, err := cl.Call("op", nil)
+	d, err := cl.CallContext(context.Background(), "op", nil)
 	if err != nil {
 		t.Fatalf("proxy call: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestDialRejectsWrongTrust(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Client trusts only EvilGrid; the server's chain will not verify.
-	_, err = Dial(addr, cred, []*gsi.Certificate{evil.Certificate()}, WithTimeout(2*time.Second))
+	_, err = DialContext(context.Background(), addr, cred, []*gsi.Certificate{evil.Certificate()}, WithTimeout(2*time.Second))
 	if err == nil {
 		t.Fatal("handshake with mismatched trust roots should fail")
 	}
@@ -457,12 +457,12 @@ func TestRefusedClientLearnsAtFirstCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The client trusts the server's CA; the server does not trust EvilGrid.
-	cl, err := Dial(addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second))
+	cl, err := DialContext(context.Background(), addr, cred, []*gsi.Certificate{ca(t).Certificate()}, WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatalf("Dial: %v; want success, the refusal arriving at the first read", err)
 	}
 	defer cl.Close()
-	_, err = cl.Call("echo", nil)
+	_, err = cl.CallContext(context.Background(), "echo", nil)
 	var re *RemoteError
 	if err == nil || errors.As(err, &re) {
 		t.Fatalf("first call of a refused client: %v; want a transport error", err)
@@ -480,7 +480,7 @@ func TestClientClosedCalls(t *testing.T) {
 	})
 	cl := dialAs(t, addr, "grace")
 	cl.Close()
-	if _, err := cl.Call("echo", nil); err == nil {
+	if _, err := cl.CallContext(context.Background(), "echo", nil); err == nil {
 		t.Fatal("call on closed client should fail")
 	}
 }
@@ -572,7 +572,7 @@ func TestCanceledCallSparesItsNeighbour(t *testing.T) {
 	<-entered
 	bDone := make(chan error, 1)
 	go func() {
-		_, err := cl.Call("echo", nil)
+		_, err := cl.CallContext(context.Background(), "echo", nil)
 		bDone <- err
 	}()
 	// Let B queue behind A on the client's session. B must succeed
@@ -585,7 +585,7 @@ func TestCanceledCallSparesItsNeighbour(t *testing.T) {
 	if err := <-bDone; err != nil {
 		t.Fatalf("neighbour of a canceled call: %v", err)
 	}
-	if _, err := cl.Call("echo", nil); err != nil {
+	if _, err := cl.CallContext(context.Background(), "echo", nil); err != nil {
 		t.Fatalf("call after the cancellation: %v", err)
 	}
 }
@@ -638,7 +638,7 @@ func TestHandlerContextCanceledOnServerClose(t *testing.T) {
 	cl := dialAs(t, addr, "grace")
 	done := make(chan struct{})
 	go func() {
-		cl.Call("watch", nil) // fails once the server shuts down
+		cl.CallContext(context.Background(), "watch", nil) // fails once the server shuts down
 		close(done)
 	}()
 	time.Sleep(50 * time.Millisecond)

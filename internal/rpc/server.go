@@ -66,16 +66,14 @@ type request struct {
 	// budget is the caller's remaining deadline in microseconds at send
 	// time (a duration, not an instant, so clock skew between sites cannot
 	// corrupt it); zero means no deadline.
-	budget  uint64
-	attempt uint32 // the caller's retry attempt (0 = first try)
+	budget uint64
 }
 
 func (r request) encode() []byte {
-	e := Encoder{buf: make([]byte, 0, 4+len(r.method)+4+len(r.args)+8+4)}
+	e := Encoder{buf: make([]byte, 0, 4+len(r.method)+4+len(r.args)+8)}
 	e.String(r.method)
 	e.Bytes32(r.args)
 	e.Uint64(r.budget)
-	e.Uint32(r.attempt)
 	return e.Bytes()
 }
 
@@ -83,7 +81,7 @@ func (r request) encode() []byte {
 // bytes left over is corrupt.
 func decodeRequest(frame []byte) (request, error) {
 	d := NewDecoder(frame)
-	r := request{method: d.String(), args: d.Bytes32(), budget: d.Uint64(), attempt: d.Uint32()}
+	r := request{method: d.String(), args: d.Bytes32(), budget: d.Uint64()}
 	return r, d.Finish()
 }
 
@@ -362,7 +360,7 @@ func (s *Server) dispatch(ctx context.Context, peer *gsi.Peer, req request) []by
 		if s.classify != nil {
 			class = s.classify(method)
 		}
-		release, err := s.admit.Admit(ctx, class, admission.Request{Deadline: absDeadline, Attempt: req.attempt})
+		release, err := s.admit.Admit(ctx, class, admission.Request{Deadline: absDeadline})
 		if err != nil {
 			var ov *admission.Overloaded
 			if !errors.As(err, &ov) {

@@ -70,28 +70,14 @@ func (l *Limiter) Wait(ctx context.Context, n int) error {
 // limiter paces smoothly, large enough that syscall overhead is noise.
 const scanChunk = 256 << 10
 
-// CRC32File recomputes the IEEE CRC-32 of a file at the limiter's pace,
-// returning the checksum and how many bytes were read. ctx aborts the
-// scan between chunks (shutdown must not wait out a long file).
-func CRC32File(ctx context.Context, path string, lim *Limiter) (uint32, int64, error) {
-	crc, _, n, err := blockCRC32File(ctx, path, 0, lim)
-	return crc, n, err
-}
-
-// BlockCRC32File is CRC32File's per-block digest mode: one paced pass
-// computes both the whole-file CRC and the CRC of every blockSize-sized
-// block (the last block covers only the remaining bytes). The parity layer
+// BlockCRC32File recomputes the IEEE CRC-32 of a file at the limiter's
+// pace, returning the checksum, the CRC of every blockSize-sized block
+// (the last block covers only the remaining bytes; none when blockSize
+// <= 0), and how many bytes were read, all in one pass. The parity layer
 // compares the block digests against a sidecar's recorded CRCs to localise
-// damage to individual blocks instead of condemning the whole file.
+// damage to individual blocks instead of condemning the whole file. ctx
+// aborts the scan between chunks (shutdown must not wait out a long file).
 func BlockCRC32File(ctx context.Context, path string, blockSize int64, lim *Limiter) (uint32, []uint32, int64, error) {
-	if blockSize <= 0 {
-		crc, n, err := CRC32File(ctx, path, lim)
-		return crc, nil, n, err
-	}
-	return blockCRC32File(ctx, path, blockSize, lim)
-}
-
-func blockCRC32File(ctx context.Context, path string, blockSize int64, lim *Limiter) (uint32, []uint32, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, 0, err

@@ -81,6 +81,8 @@ func TestLimiterNilAndCancel(t *testing.T) {
 	}
 }
 
+// TestCRC32File checks BlockCRC32File's whole-file mode (blockSize 0):
+// the CRC and byte count of a multi-chunk file, and a missing file.
 func TestCRC32File(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "blob")
@@ -91,9 +93,9 @@ func TestCRC32File(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sum, n, err := CRC32File(context.Background(), path, nil)
+	sum, blocks, n, err := BlockCRC32File(context.Background(), path, 0, nil)
 	if err != nil {
-		t.Fatalf("CRC32File: %v", err)
+		t.Fatalf("BlockCRC32File: %v", err)
 	}
 	if n != int64(len(data)) {
 		t.Fatalf("read %d bytes, want %d", n, len(data))
@@ -101,7 +103,10 @@ func TestCRC32File(t *testing.T) {
 	if want := crc32.ChecksumIEEE(data); sum != want {
 		t.Fatalf("crc = %08x, want %08x", sum, want)
 	}
-	if _, _, err := CRC32File(context.Background(), filepath.Join(dir, "absent"), nil); !os.IsNotExist(err) {
+	if blocks != nil {
+		t.Fatalf("blocks = %v, want none in whole-file mode", blocks)
+	}
+	if _, _, _, err := BlockCRC32File(context.Background(), filepath.Join(dir, "absent"), 0, nil); !os.IsNotExist(err) {
 		t.Fatalf("absent file err = %v, want not-exist", err)
 	}
 }
@@ -143,7 +148,7 @@ func TestBlockCRC32File(t *testing.T) {
 			t.Fatalf("block %d crc = %08x, want %08x", i, got, want)
 		}
 	}
-	// blockSize <= 0 degrades to the whole-file mode.
+	// blockSize <= 0 is the whole-file mode.
 	sum2, blocks2, _, err := BlockCRC32File(context.Background(), path, 0, nil)
 	if err != nil || sum2 != sum || blocks2 != nil {
 		t.Fatalf("blockSize=0: sum=%08x blocks=%v err=%v", sum2, blocks2, err)

@@ -107,7 +107,7 @@ func TestDrainTimeoutReportsAbandoned(t *testing.T) {
 		<-release
 		return nil
 	})
-	waitFor(t, func() bool { return s.QueueDepth() == 0 })
+	waitFor(t, func() bool { return queueDepth(s) == 0 })
 	s.Submit("stuck-queued", 0, func(ctx context.Context) error {
 		<-release
 		return nil

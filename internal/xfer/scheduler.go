@@ -448,13 +448,6 @@ func (s *Scheduler) Holds(key string) bool {
 	return ok
 }
 
-// QueueDepth reports jobs admitted but not yet running.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.Len()
-}
-
 // Draining reports whether Drain has been called.
 func (s *Scheduler) Draining() bool {
 	s.mu.Lock()

@@ -146,7 +146,7 @@ func TestPriorityOrdering(t *testing.T) {
 	})
 	// Wait until the blocker actually occupies the worker, or the
 	// later submissions could race it into the queue.
-	for s.QueueDepth() > 0 {
+	for queueDepth(s) > 0 {
 		time.Sleep(time.Millisecond)
 	}
 	low1 := s.Submit("low1", 0, record("low1"))
@@ -449,7 +449,7 @@ func TestMaxQueuePriorityAwareRejection(t *testing.T) {
 
 	low := s.Submit("low", -1, noop)
 	mid := s.Submit("mid", 0, noop)
-	if got := s.QueueDepth(); got != 2 {
+	if got := queueDepth(s); got != 2 {
 		t.Fatalf("queue depth = %d, want 2", got)
 	}
 
@@ -464,7 +464,7 @@ func TestMaxQueuePriorityAwareRejection(t *testing.T) {
 	if err := low.Wait(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("displaced job err = %v, want ErrQueueFull", err)
 	}
-	if got := s.QueueDepth(); got != 2 {
+	if got := queueDepth(s); got != 2 {
 		t.Fatalf("queue depth after displacement = %d, want 2", got)
 	}
 
@@ -476,12 +476,18 @@ func TestMaxQueuePriorityAwareRejection(t *testing.T) {
 	}
 }
 
-func waitQueueDrainTo(t *testing.T, s *Scheduler, depth int) {
+// queueDepth reads the scheduler's gdmp_xfer_queue_depth series off its
+// registry.
+func queueDepth(s *Scheduler) int64 {
+	return s.cfg.Registry.Gauge(MetricsPrefix+"_queue_depth", "").Value()
+}
+
+func waitQueueDrainTo(t *testing.T, s *Scheduler, depth int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() > depth {
+	for queueDepth(s) > depth {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue stuck at %d, want <= %d", s.QueueDepth(), depth)
+			t.Fatalf("queue stuck at %d, want <= %d", queueDepth(s), depth)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -88,7 +88,7 @@ func overloadRig(t *testing.T, methods []string, configure func(*rpc.Server)) (a
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl, err := rpc.Dial(ln.Addr().String(), cred, roots, rpc.WithTimeout(10*time.Second))
+		cl, err := rpc.DialContext(context.Background(), ln.Addr().String(), cred, roots, rpc.WithTimeout(10*time.Second))
 		if err != nil {
 			t.Fatalf("dial %s: %v", name, err)
 		}
@@ -179,8 +179,8 @@ func TestOverloadGoodputUnderRetryStorm(t *testing.T) {
 			<-start
 			for op := 0; op < opsPer; op++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				err := pol.Do(ctx, func(attempt int) error {
-					_, err := cl.CallContext(rpc.WithAttempt(ctx, attempt), "work", nil)
+				err := pol.Do(ctx, func(int) error {
+					_, err := cl.CallContext(ctx, "work", nil)
 					return err
 				})
 				cancel()
@@ -203,7 +203,7 @@ func TestOverloadGoodputUnderRetryStorm(t *testing.T) {
 	}
 	waitUntil(t, 5*time.Second, "admission settled", ctrl.Settled)
 	cs := ctrl.ClassStats(admission.Control)
-	if cs.Rejected+cs.Shed+cs.Expired == 0 {
+	if cs.Rejected+cs.Expired == 0 {
 		t.Error("a 10x storm produced zero admission rejections; the controller is not limiting")
 	}
 	if cs.Admitted != uint64(executed.Load()) {
@@ -219,8 +219,8 @@ func TestOverloadGoodputUnderRetryStorm(t *testing.T) {
 	if p99 := histQuantile(wait, 0.99); p99 > 0.25 {
 		t.Errorf("p99 admission wait %.3fs, want <= 0.25s (bounded by the queue)", p99)
 	}
-	t.Logf("storm: %d/%d succeeded, %d executed, %d rejected/shed/expired, %d backoff floors, p99 wait <= %.3gs",
-		succeeded.Load(), total, executed.Load(), cs.Rejected+cs.Shed+cs.Expired, floors, histQuantile(wait, 0.99))
+	t.Logf("storm: %d/%d succeeded, %d executed, %d rejected/expired, %d backoff floors, p99 wait <= %.3gs",
+		succeeded.Load(), total, executed.Load(), cs.Rejected+cs.Expired, floors, histQuantile(wait, 0.99))
 }
 
 // TestOverloadBrownoutShedsBackgroundAndRecovers storms a site's GridFTP
@@ -338,7 +338,7 @@ func TestOverloadBrownoutShedsBackgroundAndRecovers(t *testing.T) {
 	rejected := reg.CounterVec("gdmp_admission_rejected_total", "", "class", "reason")
 	var rejections int64
 	for _, class := range []string{"control", "bulk", "background"} {
-		for _, reason := range []string{"deadline", "queue_full", "expired", "shed", "draining"} {
+		for _, reason := range []string{"deadline", "queue_full", "expired", "draining"} {
 			rejections += rejected.WithLabelValues(class, reason).Value()
 		}
 	}
@@ -472,7 +472,7 @@ func TestOverloadDrainRejectsQueuedKeepsInFlight(t *testing.T) {
 
 	inflight := make(chan error, 1)
 	go func() {
-		d, err := holder.Call("hold", nil)
+		d, err := holder.CallContext(context.Background(), "hold", nil)
 		if err == nil && d.String() != "done" {
 			err = fmt.Errorf("unexpected reply")
 		}
@@ -481,10 +481,10 @@ func TestOverloadDrainRejectsQueuedKeepsInFlight(t *testing.T) {
 	<-entered
 
 	queued := make(chan error, 2)
-	go func() { _, err := waiter0.Call("hold", nil); queued <- err }()
-	go func() { _, err := waiter1.Call("hold", nil); queued <- err }()
+	go func() { _, err := waiter0.CallContext(context.Background(), "hold", nil); queued <- err }()
+	go func() { _, err := waiter1.CallContext(context.Background(), "hold", nil); queued <- err }()
 	waitUntil(t, 3*time.Second, "two queued waiters", func() bool {
-		return ctrl.Queued(admission.Control) == 2
+		return reg.GaugeVec("gdmp_admission_queue_depth", "", "class").WithLabelValues("control").Value() == 2
 	})
 
 	ctrl.Drain()
@@ -497,7 +497,7 @@ func TestOverloadDrainRejectsQueuedKeepsInFlight(t *testing.T) {
 			t.Fatalf("queued waiter %d error = %v, want ErrOverloaded too", i, err)
 		}
 	}
-	if _, err := late.Call("hold", nil); !errors.Is(err, admission.ErrDraining) {
+	if _, err := late.CallContext(context.Background(), "hold", nil); !errors.Is(err, admission.ErrDraining) {
 		t.Fatalf("post-drain call error = %v, want ErrDraining", err)
 	}
 

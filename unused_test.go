@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,17 +22,16 @@ var keptUnused = []struct{ why, names string }{
 		core.GetCollection core.GetWithAssociated core.PublishAll core.RebuildLocalCatalog core.DeleteLogical
 		core.RegisterFileType core.UnsubscribeFrom core.ProcessPending core.Ping core.Locate
 		objectstore.Navigate objectstore.AssociationClosure objectstore.FindObjects objectstore.Detach
-		objrep.ReplicateFromSites mss.PutTape`},
-	{"state the seeded harnesses and package tests assert on",
-		`admission.Draining admission.Browned admission.ClassStats admission.Queued admission.InFlight admission.Settled
-		core.RemoteMetrics core.DigestGeneration core.RepairQuiesce core.SuspectSubscribers
-		core.TransferHistory gridftp.Ranges gridftp.Covered gsi.Entries gsi.Revoke
-		health.StateOf health.ConsecutiveFailures mss.Used mss.Free mss.PoolContents obs.Resumes obs.Transfers
-		replica.EstimatedFPRate replica.Digest replica.LookupQuantile replica.ShardOpCounts replica.OpCount
-		replica.PushCount rpc.ServerIdentity xfer.QueueDepth xfer.Draining`},
-	{"knobs only tests turn: fixed clocks, per-test registries, reference policies, the wire's retry attempt (the overload harness's storm)",
-		`gridftp.WithBlockSize replica.SetClock replica.NewCatalogWithMetrics replica.MatchAll
-		rpc.Call rpc.WithAttempt mss.LRU parity.DefaultK parity.DefaultM`},
+		objrep.ReplicateFromSites mss.PutTape wan.CERNtoANL`},
+	{"state no registry series holds: Browned re-evaluates the decayed load before it answers; ClassStats and Settled are the exact settlement accounting (ROADMAP item 9's conservation inputs); DigestGeneration's gauge moves only on a successful push; SuspectSubscribers returns names, not a count",
+		`admission.Browned admission.ClassStats admission.Settled core.DigestGeneration core.SuspectSubscribers`},
+	{"state and barriers the seeded harnesses and package tests assert on (TransferHistory: ROADMAP item 7)",
+		`core.RepairQuiesce core.TransferHistory gridftp.Ranges gridftp.Covered gsi.Entries gsi.Revoke
+		mss.Used mss.Free mss.PoolContents replica.EstimatedFPRate replica.Digest rpc.ServerIdentity xfer.Draining`},
+	{"knobs only tests turn: fixed clocks, reference policies",
+		`gridftp.WithBlockSize replica.SetClock mss.LRU parity.DefaultK parity.DefaultM`},
+	{"the in-memory parity encoder golden_test.go holds the streaming one to",
+		`parity.Create`},
 	{"fault injection and the in-process grid exist for the harnesses",
 		`faults.* testbed.*`},
 	{"models and generators only the figure and cache benchmarks (bench_test.go, ablation_test.go, cachesoak_test.go) drive",
@@ -44,23 +44,31 @@ var keptUnused = []struct{ why, names string }{
 }
 
 // TestNoUnusedExports fails on an exported func, method, type, const or
-// package-level var declared in a non-test file under internal/ whose name
-// no non-test file under internal/, cmd/, examples/ or bench/ mentions
-// outside its own declaration. Matching is by name, not by type: a name
-// any package uses counts as used everywhere, so the check under-reports
-// rather than flags live code. One mention does not count: the call
-// inside a method whose whole body forwards to another method of its own
-// receiver (`func (s *Site) Get(l string) error { return s.GetCtx(s.ctx, l) }`), or
+// package-level var declared in a non-test file under internal/ that no
+// non-test file under internal/, cmd/, examples/ or bench/ mentions outside
+// its own declaration. A package-level name is matched by package: a
+// `pkg.Name` selector counts for the package its import path names, and a
+// bare `Name` counts only inside the declaring package, so a dead export
+// cannot hide behind a live one of the same name elsewhere. A method is
+// matched by name alone, not by type: a method name any package uses
+// counts as used everywhere, so the check under-reports rather than flags
+// live code. One mention does not count: the call inside a method whose
+// whole body forwards to another method of its own receiver
+// (`func (s *Site) Get(l string) error { return s.GetCtx(s.ctx, l) }`), or
 // a fork that only its own plain-named wrapper calls would pass as used.
 func TestNoUnusedExports(t *testing.T) {
 	fset := token.NewFileSet()
 	type export struct {
-		pkg, name string
-		pos       token.Pos
+		pkg, dir, name string
+		method         bool
+		pos            token.Pos
 	}
-	var decls []export           // exported declarations under internal/
-	declared := map[string]int{} // exported name -> how many declarations carry it
-	mentions := map[string]int{} // identifier -> occurrences, declarations included
+	type pkgName struct{ dir, name string } // dir is the package's directory
+	var decls []export                      // exported declarations under internal/
+	declared := map[string]int{}            // exported name -> how many declarations carry it
+	declaredIn := map[pkgName]int{}         // exported package-level name -> how many declarations carry it
+	mentions := map[string]int{}            // identifier -> occurrences anywhere, declarations included
+	mentionsOf := map[pkgName]int{}         // package-level name -> occurrences that refer to its package
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -70,25 +78,51 @@ func TestNoUnusedExports(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			dir := filepath.ToSlash(filepath.Dir(path))
+			imported := map[string]string{} // local package name -> directory, for this module's imports
+			for _, imp := range file.Imports {
+				ipath, _ := strconv.Unquote(imp.Path.Value)
+				rel, ok := strings.CutPrefix(ipath, "gdmp/")
+				if !ok {
+					continue
+				}
+				name := rel[strings.LastIndex(rel, "/")+1:]
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				imported[name] = rel
+			}
 			ast.Inspect(file, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					mentions[id.Name]++
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+						mentions[n.Sel.Name]++
+						mentionsOf[pkgName{imported[x.Name], n.Sel.Name}]++
+						return false
+					}
+				case *ast.Ident:
+					mentions[n.Name]++
+					mentionsOf[pkgName{dir, n.Name}]++
 				}
 				return true
 			})
 			if root != "internal" {
 				return nil
 			}
-			declare := func(id *ast.Ident) {
-				if id.IsExported() {
-					decls = append(decls, export{file.Name.Name, id.Name, id.Pos()})
-					declared[id.Name]++
+			declare := func(id *ast.Ident, method bool) {
+				if !id.IsExported() {
+					return
+				}
+				decls = append(decls, export{file.Name.Name, dir, id.Name, method, id.Pos()})
+				declared[id.Name]++
+				if !method {
+					declaredIn[pkgName{dir, id.Name}]++
 				}
 			}
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					declare(d.Name)
+					declare(d.Name, d.Recv != nil)
 					if name := forwardedTo(d); name != "" {
 						mentions[name]--
 					}
@@ -96,10 +130,10 @@ func TestNoUnusedExports(t *testing.T) {
 					for _, spec := range d.Specs {
 						switch s := spec.(type) {
 						case *ast.TypeSpec:
-							declare(s.Name)
+							declare(s.Name, false)
 						case *ast.ValueSpec:
 							for _, id := range s.Names {
-								declare(id)
+								declare(id, false)
 							}
 						}
 					}
@@ -118,7 +152,10 @@ func TestNoUnusedExports(t *testing.T) {
 		}
 	}
 	for _, d := range decls {
-		if mentions[d.name] > declared[d.name] {
+		if d.method && mentions[d.name] > declared[d.name] {
+			continue
+		}
+		if k := (pkgName{d.dir, d.name}); !d.method && mentionsOf[k] > declaredIn[k] {
 			continue
 		}
 		exact, all := d.pkg+"."+d.name, d.pkg+".*"
