@@ -540,7 +540,7 @@ func (w writerAtBuffer) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func BenchmarkReplicaCatalogOps(b *testing.B) {
-	cat := replica.NewCatalog()
+	cat := replica.New(replica.Options{})
 	for i := 0; i < 10_000; i++ {
 		cat.Register(fmt.Sprintf("lfn://bench/f%06d", i), map[string]string{
 			replica.AttrSize: fmt.Sprint(i * 1000),

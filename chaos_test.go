@@ -347,7 +347,7 @@ func TestRecoverWithMidTransferFailure(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +420,12 @@ func TestProcessPendingRequeuesRemainder(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
-		Metrics: obs.NewRegistry(),
-		Retry:   fastRetry(2),
+		Retry: fastRetry(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -135,22 +135,16 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		if err != nil {
 			return err
 		}
-		n := d.Uint32()
-		fmt.Printf("%d files:\n", n)
-		for i := uint32(0); i < n; i++ {
-			lfn := d.String()
-			path := d.String()
-			size := d.Int64()
-			crc := d.String()
-			ftype := d.String()
-			state := d.String()
-			if err := d.Err(); err != nil {
-				return err
-			}
-			fmt.Printf("  %s  path=%s size=%d crc=%s type=%s state=%s\n",
-				lfn, path, size, crc, ftype, state)
+		files, err := core.DecodeCatalogReply(d)
+		if err != nil {
+			return err
 		}
-		return d.Finish()
+		fmt.Printf("%d files:\n", len(files))
+		for _, fi := range files {
+			fmt.Printf("  %s  path=%s size=%d crc=%s type=%s state=%s\n",
+				fi.LFN, fi.Path, fi.Size, fi.CRC32, fi.FileType, fi.State)
+		}
+		return nil
 
 	case "subscribe":
 		if len(args) != 4 {

@@ -76,12 +76,11 @@ func publish(t *testing.T, g *testbed.Grid, site *core.Site, rel string, size in
 // reads must be registered with help text, and every block prints.
 func TestStatusFamiliesRegistered(t *testing.T) {
 	g := newGrid(t)
-	cern, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	cern, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fnal, err := g.AddSite("fnal.gov", testbed.SiteOptions{
-		Metrics:   obs.NewRegistry(),
 		Durable:   true,
 		WithMSS:   true,
 		ParityK:   parity.DefaultK,

@@ -267,3 +267,95 @@ func TestSiteMetricsEndToEnd(t *testing.T) {
 		t.Errorf("rpc requests_total{gdmp.metrics,ok} = %v, want >= 1", got)
 	}
 }
+
+// TestJournaledSiteAndCatalogKeepTheirSeries opens a journaled site and a
+// journaled catalog service in one process, gives neither a registry, and
+// registers five files (each a register and an add-replica, two catalog
+// journal appends) through a catalog client: the site's journal series
+// must not move, because the catalog's journal records into the
+// catalog's own registry.
+func TestJournaledSiteAndCatalogKeepTheirSeries(t *testing.T) {
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	site, err := g.AddSite("cern.ch", testbed.SiteOptions{Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostCred, err := g.CA.Issue("replicad/second", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := replica.StartHost(replica.HostConfig{
+		Listen:     "127.0.0.1:0",
+		StateDir:   filepath.Join(t.TempDir(), "catalog"),
+		Cred:       hostCred,
+		TrustRoots: g.Roots,
+		ACL:        g.ACL,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	cred, err := g.CA.Issue("operator", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := replica.Dial(host.Addr().String(), cred, g.Roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	appends := func() float64 { return metricValue(site.Metrics().Text(), "gdmp_journal_appends_total") }
+	before := appends()
+	if before < 0 {
+		t.Fatal("the journaled site registers no gdmp_journal_appends_total")
+	}
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		lfn := fmt.Sprintf("lfn://registry/f%d", i)
+		if err := rc.Register(ctx, lfn, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.AddReplica(ctx, lfn, "gridftp://127.0.0.1:1/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := appends(); after != before {
+		t.Errorf("site gdmp_journal_appends_total went %v -> %v over five catalog registrations; want it unmoved", before, after)
+	}
+}
+
+// TestSitesInOneGridKeepTheirSeries builds two sites with no registry in
+// one grid: one publishes, and only its own publish counter moves.
+func TestSitesInOneGridKeepTheirSeries(t *testing.T) {
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	cern, err := g.AddSite("cern.ch", testbed.SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anl, err := g.AddSite("anl.gov", testbed.SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteSiteFile("cern.ch", "one.db", testbed.MakeData(1000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cern.Publish("one.db", core.PublishOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	series := core.SiteMetricsPrefix + `_publishes_total{outcome="ok"}`
+	if got := metricValue(cern.Metrics().Text(), series); got != 1 {
+		t.Errorf("publisher %s = %v, want 1", series, got)
+	}
+	if got := metricValue(anl.Metrics().Text(), series); got > 0 {
+		t.Errorf("the other site's %s = %v, want 0", series, got)
+	}
+}

@@ -134,7 +134,7 @@ type Config struct {
 	DecayHalfLife time.Duration
 
 	// Registry receives the gdmp_admission_* and gdmp_brownout_* metrics
-	// (default obs.Default).
+	// (default: a private one).
 	Registry *obs.Registry
 
 	// Now substitutes the clock (tests).
@@ -183,7 +183,7 @@ func (c *Config) withDefaults() Config {
 		out.DecayHalfLife = 2 * time.Second
 	}
 	if out.Registry == nil {
-		out.Registry = obs.Default
+		out.Registry = obs.NewRegistry()
 	}
 	if out.Now == nil {
 		out.Now = time.Now

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gdmp/internal/core"
-	"gdmp/internal/obs"
 	"gdmp/internal/parity"
 	"gdmp/internal/testbed"
 )
@@ -160,7 +159,6 @@ func TestRebuildLocalCatalogLandsLikeAPublish(t *testing.T) {
 	const capacity = 1 << 20
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{
 		WithMSS: true, MSSCapacity: capacity, ParityK: parity.DefaultK, ParityM: parity.DefaultM,
-		Metrics: obs.NewRegistry(),
 	})
 	disk := publish(t, g, cern, "run/disk.db", testbed.MakeData(100_000, 1), core.PublishOptions{})
 	tape := publish(t, g, cern, "run/tape.db", testbed.MakeData(100_000, 2), core.PublishOptions{})

@@ -75,8 +75,8 @@ func outcomeOf(err error) string {
 	return "ok"
 }
 
-// Metrics returns the registry this site records into (Config.Metrics, or
-// obs.Default).
+// Metrics returns the registry this site records into: Config.Metrics,
+// or the private one NewSite made when that was nil.
 func (s *Site) Metrics() *obs.Registry { return s.metrics }
 
 // registerMetricsHandler wires MethodMetrics into the Request Manager.

@@ -487,6 +487,12 @@ func (s *Site) RemoteCatalog(remoteAddr string) ([]FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	return DecodeCatalogReply(d)
+}
+
+// DecodeCatalogReply reads one complete gdmp.catalog reply: the one
+// decoder of its layout, shared with the gdmp CLI.
+func DecodeCatalogReply(d *rpc.Decoder) ([]FileInfo, error) {
 	files := decodeFileInfos(d)
 	return files, d.Finish()
 }

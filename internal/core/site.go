@@ -251,12 +251,9 @@ type Config struct {
 	// DialFunc substitutes the transport dialer (WAN emulation).
 	DialFunc func(network, addr string) (net.Conn, error)
 
-	// ListenHost is the host to bind servers on (default 127.0.0.1).
-	ListenHost string
-
 	// GDMPListen and FTPListen optionally pin the two servers to fixed
-	// "host:port" addresses (daemons); empty picks ephemeral ports under
-	// ListenHost (tests and in-process grids).
+	// "host:port" addresses (daemons); empty binds that server to
+	// 127.0.0.1:0 (tests and in-process grids).
 	GDMPListen string
 	FTPListen  string
 
@@ -264,7 +261,7 @@ type Config struct {
 	Logger *log.Logger
 
 	// Metrics is the registry the site (and its GridFTP and Request
-	// Manager servers) records instrumentation into; nil uses obs.Default.
+	// Manager servers) records instrumentation into; nil makes a private one.
 	Metrics *obs.Registry
 
 	// Admission tunes the site's overload-protection controller: per-class
@@ -402,14 +399,11 @@ func NewSite(cfg Config) (*Site, error) {
 	if cfg.NotifyFailureThreshold <= 0 {
 		cfg.NotifyFailureThreshold = DefaultNotifyFailureThreshold
 	}
-	if cfg.ListenHost == "" {
-		cfg.ListenHost = "127.0.0.1"
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = obs.Default
+		cfg.Metrics = obs.NewRegistry()
 	}
 	if cfg.HedgeDeadline == 0 {
 		cfg.HedgeDeadline = DefaultHedgeDeadline
@@ -496,7 +490,7 @@ func NewSite(cfg Config) (*Site, error) {
 	}
 	ftpListen := cfg.FTPListen
 	if ftpListen == "" {
-		ftpListen = net.JoinHostPort(cfg.ListenHost, "0")
+		ftpListen = "127.0.0.1:0"
 	}
 	s.ftpSrv = ftpSrv
 	s.ftpLn, err = net.Listen("tcp", ftpListen)
@@ -507,11 +501,10 @@ func NewSite(cfg Config) (*Site, error) {
 
 	gdmpListen := cfg.GDMPListen
 	if gdmpListen == "" {
-		gdmpListen = net.JoinHostPort(cfg.ListenHost, "0")
+		gdmpListen = "127.0.0.1:0"
 	}
-	s.gdmpSrv = rpc.NewServer(cfg.Cred, cfg.TrustRoots, cfg.ACL)
+	s.gdmpSrv = rpc.NewServer(cfg.Cred, cfg.TrustRoots, cfg.ACL, cfg.Metrics)
 	s.gdmpSrv.SetLogger(s.logger)
-	s.gdmpSrv.SetMetrics(cfg.Metrics)
 	s.gdmpSrv.SetAdmission(s.admit, classifyMethod)
 	s.gdmpSrv.MaxConns = cfg.RPCMaxConns
 	s.registerHandlers()

@@ -152,8 +152,8 @@ type Injector struct {
 // Option customizes New.
 type Option func(*Injector)
 
-// WithMetrics registers the injected-fault counters in r instead of
-// obs.Default.
+// WithMetrics registers the injected-fault counters in r instead of a
+// private registry.
 func WithMetrics(r *obs.Registry) Option {
 	return func(in *Injector) {
 		in.metrics = r.CounterVec(MetricsPrefix+"_injected_total",
@@ -179,7 +179,7 @@ func New(seed int64, script Script, opts ...Option) *Injector {
 		o(in)
 	}
 	if in.metrics == nil {
-		WithMetrics(obs.Default)(in)
+		WithMetrics(obs.NewRegistry())(in)
 	}
 	return in
 }

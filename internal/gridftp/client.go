@@ -106,7 +106,7 @@ func WithTimeout(d time.Duration) ClientOption {
 }
 
 // WithMetrics directs the client's integrated instrumentation into a
-// specific registry (default obs.Default).
+// specific registry (default: a private one).
 func WithMetrics(r *obs.Registry) ClientOption {
 	return func(c *Client) { c.metrics = r }
 }
@@ -181,7 +181,7 @@ func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots [
 		o(c)
 	}
 	if c.metrics == nil {
-		c.metrics = obs.Default
+		c.metrics = obs.NewRegistry()
 	}
 	c.rec = obs.NewTransferRecorder(c.metrics, ClientMetricsPrefix)
 	if c.parallelism < 1 || c.parallelism > MaxParallelism {

@@ -91,8 +91,8 @@ type ServerConfig struct {
 	// Logger receives diagnostics; nil discards them.
 	Logger *log.Logger
 
-	// Metrics receives the server's integrated instrumentation; nil uses
-	// obs.Default.
+	// Metrics receives the server's integrated instrumentation; nil makes
+	// a private registry.
 	Metrics *obs.Registry
 
 	// Admit, when non-nil, gates the data-moving verbs (RETR, ERET, STOR,
@@ -147,7 +147,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	if cfg.Metrics == nil {
-		cfg.Metrics = obs.Default
+		cfg.Metrics = obs.NewRegistry()
 	}
 	return &Server{
 		cfg:   cfg,

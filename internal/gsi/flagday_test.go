@@ -63,7 +63,7 @@ func TestPreTLSRefusals(t *testing.T) {
 	}
 	roots := []*gsi.Certificate{ca.Certificate()}
 	logs := make(logLines, 16)
-	rpcSrv := rpc.NewServer(cred, roots, nil)
+	rpcSrv := rpc.NewServer(cred, roots, nil, nil)
 	rpcSrv.SetLogger(log.New(logs, "", 0))
 	ftpSrv, err := gridftp.NewServer(gridftp.ServerConfig{Root: t.TempDir(), Cred: cred, TrustRoots: roots, Logger: log.New(logs, "", 0)})
 	if err != nil {

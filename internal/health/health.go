@@ -104,7 +104,7 @@ type Config struct {
 	// non-zero (chaos harnesses log it so failures replay exactly).
 	Seed int64
 
-	// Registry receives the gdmp_health_* metrics (obs.Default when nil).
+	// Registry receives the gdmp_health_* metrics (private when nil).
 	Registry *obs.Registry
 
 	// Now substitutes the clock in tests.
@@ -145,7 +145,7 @@ func (c Config) withDefaults() Config {
 		c.HedgeMax = 30 * time.Second
 	}
 	if c.Registry == nil {
-		c.Registry = obs.Default
+		c.Registry = obs.NewRegistry()
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -97,7 +97,7 @@ type Options struct {
 	// may set it; durable deployments must not.
 	NoSync bool
 
-	// Registry receives the gdmp_journal_* metrics (obs.Default when nil).
+	// Registry receives the gdmp_journal_* metrics (private when nil).
 	Registry *obs.Registry
 
 	// Replay, when set, is handed the records that rebuild the state, in
@@ -128,7 +128,7 @@ type metrics struct {
 
 func metricsFor(r *obs.Registry) *metrics {
 	if r == nil {
-		r = obs.Default
+		r = obs.NewRegistry()
 	}
 	return &metrics{
 		appends: r.Counter(MetricsPrefix+"_appends_total",

@@ -25,12 +25,11 @@ type PoolMetrics struct {
 }
 
 // NewPoolMetrics registers (or finds) the pool family in a registry; nil
-// uses Default. Registration is idempotent, so two sites sharing one
-// registry share one family — give each site its own registry when the
-// numbers must stay apart.
+// makes a private one. Registration is idempotent, so two pools sharing
+// one registry share one family.
 func NewPoolMetrics(r *Registry) *PoolMetrics {
 	if r == nil {
-		r = Default
+		r = NewRegistry()
 	}
 	return &PoolMetrics{
 		Occupancy:    r.Gauge("gdmp_pool_occupancy_bytes", "Bytes of disk-pool capacity held by resident files."),

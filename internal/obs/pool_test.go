@@ -35,7 +35,7 @@ func TestPoolMetricsFamily(t *testing.T) {
 		}
 	}
 
-	// nil registry falls back to Default without panicking.
+	// A nil registry gets a private one without panicking.
 	if NewPoolMetrics(nil) == nil {
 		t.Fatal("NewPoolMetrics(nil) returned nil")
 	}

@@ -57,8 +57,9 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*entry)}
 }
 
-// Default is the process-wide registry used when components are not given
-// an explicit one; daemons expose it.
+// Default is no component's fallback. Only testbed.NewGrid's catalog
+// records into it, because bench/run.go reads that catalog server's
+// request count here.
 var Default = NewRegistry()
 
 func (r *Registry) getOrRegister(name, help string, kind metricKind, mk func() interface{}) interface{} {

@@ -118,6 +118,7 @@ type Catalog struct {
 	collections map[string]map[string]bool // collection -> set of LFNs
 	serial      atomic.Uint64              // for LFN auto-generation
 	onMutate    func(Mutation) error
+	reg         *obs.Registry // the catalog's; its server records here too
 	met         *catalogMetrics
 	rls         *rlsCatalogMetrics
 }
@@ -128,7 +129,8 @@ type Options struct {
 	// two, DefaultShards when zero. 1 degenerates to the historical
 	// single-mutex catalog (the bench baseline).
 	Shards int
-	// Registry receives catalog metrics (obs.Default when nil).
+	// Registry receives the catalog's metrics and those of the Server
+	// that serves it (a private one when nil).
 	Registry *obs.Registry
 }
 
@@ -145,11 +147,12 @@ func New(opts Options) *Catalog {
 	}
 	r := opts.Registry
 	if r == nil {
-		r = obs.Default
+		r = obs.NewRegistry()
 	}
 	c := &Catalog{
 		shards:      make([]*catShard, p),
 		collections: make(map[string]map[string]bool),
+		reg:         r,
 		met:         newCatalogMetrics(r),
 		rls:         newRLSCatalogMetrics(r, p),
 	}
@@ -157,11 +160,6 @@ func New(opts Options) *Catalog {
 		c.shards[i] = newCatShard()
 	}
 	return c
-}
-
-// NewCatalog creates an empty catalog recording into obs.Default.
-func NewCatalog() *Catalog {
-	return New(Options{})
 }
 
 // ShardCount reports the number of hash partitions.

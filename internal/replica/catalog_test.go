@@ -19,7 +19,7 @@ import (
 
 func newTestCatalog(t *testing.T) *Catalog {
 	t.Helper()
-	return NewCatalog()
+	return New(Options{})
 }
 
 func mustRegister(t *testing.T, c *Catalog, name string, attrs map[string]string) {

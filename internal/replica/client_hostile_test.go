@@ -41,7 +41,7 @@ func TestClientQueryHostileCount(t *testing.T) {
 			}
 			acl := gsi.NewACL()
 			AllowCatalogUseAll(acl)
-			srv := rpc.NewServer(cred, roots, acl)
+			srv := rpc.NewServer(cred, roots, acl, nil)
 			srv.Handle(MethodQuery, func(_ context.Context, _ *gsi.Peer, _ *rpc.Decoder, resp *rpc.Encoder) error {
 				tc.reply(resp)
 				return nil

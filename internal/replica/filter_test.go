@@ -228,7 +228,7 @@ func TestWildcardMatchProperty(t *testing.T) {
 }
 
 func TestCatalogQuery(t *testing.T) {
-	c := NewCatalog()
+	c := New(Options{})
 	c.Register("lfn://cern.ch/big.db", map[string]string{AttrSize: "1000000", AttrFileType: "objectivity"})
 	c.Register("lfn://cern.ch/small.db", map[string]string{AttrSize: "10", AttrFileType: "objectivity"})
 	c.Register("lfn://cern.ch/notes.txt", map[string]string{AttrSize: "10", AttrFileType: "flat"})

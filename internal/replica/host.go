@@ -38,8 +38,8 @@ type HostConfig struct {
 
 // Host is a running catalog service: the sharded catalog, its journaled
 // store, the authenticated server with the co-hosted RLI, and the
-// compaction loop. replicad and gdmpd's embedded catalog are both one
-// Host.
+// compaction loop, all recording into the catalog's registry. replicad
+// is one Host.
 type Host struct {
 	cfg   HostConfig
 	ln    net.Listener
@@ -64,7 +64,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
 			return nil, err
 		}
-		store, err := OpenStore(cfg.StateDir, catalog, StoreOptions{})
+		store, err := OpenStore(cfg.StateDir, catalog, StoreOptions{Registry: catalog.reg})
 		if err != nil {
 			return nil, fmt.Errorf("open catalog store: %w", err)
 		}
@@ -81,7 +81,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	h.ln = ln
-	h.srv = NewServerWithRLI(catalog, NewRLI(cfg.RLITTL, nil), cfg.Cred, cfg.TrustRoots, cfg.ACL)
+	h.srv = NewServerWithRLI(catalog, NewRLI(cfg.RLITTL, catalog.reg), cfg.Cred, cfg.TrustRoots, cfg.ACL)
 	cfg.Logger.Printf("replica catalog %s listening on %s (%d shards)",
 		cfg.Cred.Identity(), ln.Addr(), catalog.ShardCount())
 	go func() {

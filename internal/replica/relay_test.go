@@ -26,7 +26,7 @@ func TestRelayCannotInjectCatalogCall(t *testing.T) {
 	}
 	acl := gsi.NewACL()
 	AllowCatalogUseAll(acl)
-	cat := NewCatalog()
+	cat := New(Options{})
 	srv := NewServer(cat, serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

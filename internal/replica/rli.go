@@ -43,7 +43,7 @@ const (
 )
 
 // NewRLI creates an empty index with the given soft-state TTL
-// (DefaultRLITTL when zero) recording into r (obs.Default when nil).
+// (DefaultRLITTL when zero) recording into r (private when nil).
 func NewRLI(ttl time.Duration, r *obs.Registry) *RLI {
 	if ttl <= 0 {
 		ttl = DefaultRLITTL
@@ -181,7 +181,7 @@ type rliMetrics struct {
 
 func newRLIMetrics(r *obs.Registry) *rliMetrics {
 	if r == nil {
-		r = obs.Default
+		r = obs.NewRegistry()
 	}
 	return &rliMetrics{
 		pushes: r.CounterVec(RLSMetricsPrefix+"_rli_pushes_total",

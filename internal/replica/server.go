@@ -92,15 +92,17 @@ type Server struct {
 }
 
 // NewServer wraps catalog in an authenticated RPC server, co-hosting an
-// RLI with the default soft-state TTL.
+// RLI with the default soft-state TTL. Both record into the catalog's
+// registry.
 func NewServer(catalog *Catalog, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
-	return NewServerWithRLI(catalog, NewRLI(0, nil), cred, roots, acl)
+	return NewServerWithRLI(catalog, NewRLI(0, catalog.reg), cred, roots, acl)
 }
 
 // NewServerWithRLI is NewServer with a caller-configured index tier
-// (custom TTL or metrics registry).
+// (custom TTL or metrics registry). The RPC server records into the
+// catalog's registry.
 func NewServerWithRLI(catalog *Catalog, rli *RLI, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
-	s := &Server{catalog: catalog, rli: rli, rpc: rpc.NewServer(cred, roots, acl)}
+	s := &Server{catalog: catalog, rli: rli, rpc: rpc.NewServer(cred, roots, acl, catalog.reg)}
 	s.register()
 	return s
 }

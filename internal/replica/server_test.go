@@ -43,7 +43,7 @@ func startCatalog(t *testing.T) (*Client, *Catalog) {
 	acl := gsi.NewACL()
 	AllowCatalogUseAll(acl)
 
-	cat := NewCatalog()
+	cat := New(Options{})
 	srv := NewServer(cat, serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -258,7 +258,7 @@ func TestUnauthorizedCatalogAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	acl := gsi.NewACL() // nobody is allowed anything
-	srv := NewServer(NewCatalog(), serverCred, roots, acl)
+	srv := NewServer(New(Options{}), serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // (internal/core), indexed by the RLI this catalog's server hosts (see
 // rli.go).
 
-// DefaultShards is the shard count used by NewCatalog. It must be a
+// DefaultShards is the shard count a zero Options.Shards takes. It must be a
 // power of two so the shard pick is a mask, not a modulo.
 const DefaultShards = 64
 

@@ -65,7 +65,8 @@ type Policy struct {
 	// Empty disables instrumentation (used by pure backoff computations).
 	Op string
 
-	// Registry receives the instrumentation (obs.Default when nil).
+	// Registry receives the instrumentation; nil disables it, as an
+	// empty Op does.
 	Registry *obs.Registry
 
 	// Seed makes jitter deterministic when non-zero (fault-injection
@@ -170,9 +171,6 @@ type metrics struct {
 }
 
 func metricsFor(r *obs.Registry) *metrics {
-	if r == nil {
-		r = obs.Default
-	}
 	return &metrics{
 		attempts: r.CounterVec(MetricsPrefix+"_attempts_total",
 			"Individual attempts made under a retry policy, by operation and outcome.",
@@ -266,7 +264,7 @@ func (p Policy) Do(ctx context.Context, fn func(attempt int) error) error {
 		retryable = DefaultRetryable
 	}
 	var m *metrics
-	if p.Op != "" {
+	if p.Op != "" && p.Registry != nil {
 		m = metricsFor(p.Registry)
 	}
 	sleep := p.sleep

@@ -19,7 +19,7 @@ func TestWireMetadataReachesHandler(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("meta")
 	gotDeadline := make(chan time.Duration, 1)
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("meta", func(ctx context.Context, _ *gsi.Peer, args *Decoder, resp *Encoder) error {
 			if d, ok := ctx.Deadline(); ok {
 				gotDeadline <- time.Until(d)
@@ -54,8 +54,7 @@ func TestDispatchOverloadTypedError(t *testing.T) {
 	})
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	addr := startServer(t, acl, func(s *Server) {
-		s.SetMetrics(reg)
+	addr := startServer(t, acl, reg, func(s *Server) {
 		s.SetAdmission(ctrl, nil)
 		s.Handle("slow", func(ctx context.Context, _ *gsi.Peer, args *Decoder, resp *Encoder) error {
 			started <- struct{}{}
@@ -118,8 +117,7 @@ func TestAcceptBackoffOnTemporaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl)
-	srv.SetMetrics(reg)
+	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl, reg)
 	srv.Handle("ping", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error { return nil })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -145,8 +143,7 @@ func TestMaxConnsRefusesDialFlood(t *testing.T) {
 	acl.AllowAll("ping")
 	reg := obs.NewRegistry()
 	var addr string
-	addr = startServer(t, acl, func(s *Server) {
-		s.SetMetrics(reg)
+	addr = startServer(t, acl, reg, func(s *Server) {
 		s.MaxConns = 1
 		s.Handle("ping", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error { return nil })
 	})

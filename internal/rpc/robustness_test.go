@@ -17,7 +17,7 @@ func TestCallTimeout(t *testing.T) {
 	acl.AllowAll("hang", "echo")
 	block := make(chan struct{})
 	defer close(block)
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("hang", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			<-block
 			return nil
@@ -58,7 +58,7 @@ func TestServerRequestTimeout(t *testing.T) {
 	}
 	acl := gsi.NewACL()
 	acl.AllowAll("echo")
-	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl)
+	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl, nil)
 	srv.TimeoutD = 150 * time.Millisecond
 	srv.Handle("echo", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error { return nil })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -96,7 +96,7 @@ func TestCorruptFrameDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, nil)
+	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, nil, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

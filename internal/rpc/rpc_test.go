@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"gdmp/internal/gsi"
+	"gdmp/internal/obs"
 )
 
 // --- codec ---------------------------------------------------------------
@@ -207,13 +208,13 @@ func ca(t *testing.T) *gsi.CA {
 
 // startServer brings up a server on a loopback listener and returns its
 // address plus a cleanup-registered shutdown.
-func startServer(t *testing.T, acl *gsi.ACL, register func(*Server)) string {
+func startServer(t *testing.T, acl *gsi.ACL, reg *obs.Registry, register func(*Server)) string {
 	t.Helper()
 	serverCred, err := ca(t).Issue("gdmp/test-server", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl)
+	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, acl, reg)
 	register(srv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,7 +242,7 @@ func dialAs(t *testing.T, addr, user string) *Client {
 func TestCallRoundTrip(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("echo")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("echo", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			msg := args.String()
 			if err := args.Finish(); err != nil {
@@ -271,7 +272,7 @@ func TestMultipleSequentialCalls(t *testing.T) {
 	acl.AllowAll("inc")
 	var mu sync.Mutex
 	count := 0
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("inc", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			mu.Lock()
 			count++
@@ -295,7 +296,7 @@ func TestMultipleSequentialCalls(t *testing.T) {
 func TestConcurrentCallsSerialized(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("work")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("work", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			resp.Uint64(args.Uint64() * 2)
 			return nil
@@ -330,7 +331,7 @@ func TestConcurrentCallsSerialized(t *testing.T) {
 func TestRemoteErrorPropagation(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("fail")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("fail", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			return errors.New("stage request refused: tape library offline")
 		})
@@ -351,7 +352,7 @@ func TestRemoteErrorPropagation(t *testing.T) {
 }
 
 func TestUnknownMethod(t *testing.T) {
-	addr := startServer(t, nil, func(s *Server) {})
+	addr := startServer(t, nil, nil, func(s *Server) {})
 	cl := dialAs(t, addr, "erin")
 	_, err := cl.CallContext(context.Background(), "no-such-method", nil)
 	var re *RemoteError
@@ -363,7 +364,7 @@ func TestUnknownMethod(t *testing.T) {
 func TestUnauthorizedCallRejected(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.Allow(gsi.Identity{Organization: "DataGrid", CommonName: "admin"}, "secret")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("secret", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			resp.String("classified")
 			return nil
@@ -389,7 +390,7 @@ func TestUnauthorizedCallRejected(t *testing.T) {
 func TestProxyCredentialAuthorizedAsBase(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.Allow(gsi.Identity{Organization: "DataGrid", CommonName: "frank"}, "op")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("op", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			resp.String(peer.Identity.CommonName)
 			return nil
@@ -418,7 +419,7 @@ func TestProxyCredentialAuthorizedAsBase(t *testing.T) {
 }
 
 func TestDialRejectsWrongTrust(t *testing.T) {
-	addr := startServer(t, nil, func(s *Server) {})
+	addr := startServer(t, nil, nil, func(s *Server) {})
 	evil, err := gsi.NewCA("EvilGrid", time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +443,7 @@ func TestRefusedClientLearnsAtFirstCall(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("echo")
 	var dispatched atomic.Int32
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("echo", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error {
 			dispatched.Add(1)
 			return nil
@@ -475,7 +476,7 @@ func TestRefusedClientLearnsAtFirstCall(t *testing.T) {
 func TestClientClosedCalls(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("echo")
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("echo", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error { return nil })
 	})
 	cl := dialAs(t, addr, "grace")
@@ -490,7 +491,7 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, nil)
+	srv := NewServer(serverCred, []*gsi.Certificate{ca(t).Certificate()}, nil, nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +518,7 @@ func TestCallContextCancellationUnblocksCall(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("slow")
 	release := make(chan struct{})
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("slow", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			<-release
 			return nil
@@ -551,7 +552,7 @@ func TestCanceledCallSparesItsNeighbour(t *testing.T) {
 	acl.AllowAll("slow", "echo")
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("slow", func(context.Context, *gsi.Peer, *Decoder, *Encoder) error {
 			close(entered)
 			<-release
@@ -594,7 +595,7 @@ func TestCallContextDeadlineExceeded(t *testing.T) {
 	acl := gsi.NewACL()
 	acl.AllowAll("slow")
 	release := make(chan struct{})
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		s.Handle("slow", func(_ context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			<-release
 			return nil
@@ -627,7 +628,7 @@ func TestHandlerContextCanceledOnServerClose(t *testing.T) {
 	acl.AllowAll("watch")
 	sawCancel := make(chan struct{})
 	var srv *Server
-	addr := startServer(t, acl, func(s *Server) {
+	addr := startServer(t, acl, nil, func(s *Server) {
 		srv = s
 		s.Handle("watch", func(ctx context.Context, peer *gsi.Peer, args *Decoder, resp *Encoder) error {
 			<-ctx.Done()

@@ -140,8 +140,12 @@ type Server struct {
 }
 
 // NewServer creates a Request Manager server using the given service
-// credential, trust roots, and authorization table.
-func NewServer(cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
+// credential, trust roots, and authorization table, recording into r (a
+// private registry when nil).
+func NewServer(cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL, r *obs.Registry) *Server {
+	if r == nil {
+		r = obs.NewRegistry()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		cred:       cred,
@@ -150,18 +154,9 @@ func NewServer(cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Se
 		handlers:   make(map[string]Handler),
 		conns:      make(map[net.Conn]struct{}),
 		logger:     log.New(logDiscard{}, "", 0),
-		met:        newRPCServerMetrics(obs.Default),
+		met:        newRPCServerMetrics(r),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-	}
-}
-
-// SetMetrics rebinds the server's instrumentation to the given registry
-// (tests use a private registry; the default is obs.Default). Call before
-// Serve.
-func (s *Server) SetMetrics(r *obs.Registry) {
-	if r != nil {
-		s.met = newRPCServerMetrics(r)
 	}
 }
 

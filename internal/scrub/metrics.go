@@ -52,10 +52,10 @@ type Metrics struct {
 	RepairBytesRepulled *obs.Counter
 }
 
-// NewMetrics registers the self-healing series in r (obs.Default if nil).
+// NewMetrics registers the self-healing series in r (private if nil).
 func NewMetrics(r *obs.Registry) *Metrics {
 	if r == nil {
-		r = obs.Default
+		r = obs.NewRegistry()
 	}
 	return &Metrics{
 		ScrubScanned: r.Counter(ScrubMetricsPrefix+"_files_scanned_total",

@@ -110,8 +110,8 @@ type SiteOptions struct {
 	// Select overrides the replica selection policy.
 	Select core.ReplicaSelector
 
-	// Metrics gives the site a private instrumentation registry, keeping
-	// test assertions isolated from obs.Default.
+	// Metrics is the registry the site records into; nil lets the site
+	// make its own, which Site.Metrics returns.
 	Metrics *obs.Registry
 
 	// Durable gives the site a state directory (under the grid's base
@@ -200,7 +200,8 @@ func NewGrid(baseDir string) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	catalog := replica.NewCatalog()
+	// bench/run.go reads this catalog server's request count in obs.Default.
+	catalog := replica.New(replica.Options{Registry: obs.Default})
 	catalogSrv := replica.NewServer(catalog, catalogCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

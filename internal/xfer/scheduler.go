@@ -69,7 +69,7 @@ type Config struct {
 	// ErrQueueFull); otherwise the arrival itself is rejected.
 	MaxQueue int
 
-	// Registry receives the gdmp_xfer_* metrics (obs.Default when nil).
+	// Registry receives the gdmp_xfer_* metrics (private when nil).
 	Registry *obs.Registry
 }
 
@@ -85,7 +85,7 @@ type metrics struct {
 
 func metricsFor(r *obs.Registry) *metrics {
 	if r == nil {
-		r = obs.Default
+		r = obs.NewRegistry()
 	}
 	return &metrics{
 		queueDepth: r.Gauge(MetricsPrefix+"_queue_depth",

@@ -59,7 +59,7 @@ func overloadSeed(t *testing.T) int64 {
 // overloadRig brings up a bare Request Manager server with its own CA so
 // admission behavior can be asserted without a full site around it.
 // Clients must be dialed from the test goroutine (dial calls t.Fatal).
-func overloadRig(t *testing.T, methods []string, configure func(*rpc.Server)) (addr string, dial func(name string) *rpc.Client) {
+func overloadRig(t *testing.T, methods []string, reg *obs.Registry, configure func(*rpc.Server)) (addr string, dial func(name string) *rpc.Client) {
 	t.Helper()
 	ca, err := gsi.NewCA("Overload Test CA", time.Hour)
 	if err != nil {
@@ -74,7 +74,7 @@ func overloadRig(t *testing.T, methods []string, configure func(*rpc.Server)) (a
 	for _, m := range methods {
 		acl.AllowAll(gsi.Operation(m))
 	}
-	srv := rpc.NewServer(serverCred, roots, acl)
+	srv := rpc.NewServer(serverCred, roots, acl, reg)
 	configure(srv)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -137,8 +137,7 @@ func TestOverloadGoodputUnderRetryStorm(t *testing.T) {
 		Registry:      reg,
 	})
 	var executed, lateExecs atomic.Int64
-	_, dial := overloadRig(t, []string{"work"}, func(s *rpc.Server) {
-		s.SetMetrics(reg)
+	_, dial := overloadRig(t, []string{"work"}, reg, func(s *rpc.Server) {
 		s.SetAdmission(ctrl, nil)
 		s.Handle("work", func(ctx context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
 			// The post-deadline accounting: the wire-propagated budget
@@ -369,7 +368,7 @@ func TestOverloadNoSpaceReleasesReservation(t *testing.T) {
 	}
 	defer g.Close()
 
-	producer, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	producer, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +430,7 @@ func TestOverloadNoSpaceReleasesReservation(t *testing.T) {
 	}
 
 	// The producer's replica must be untouched: a healthy consumer pulls it.
-	cons2, err := g.AddSite("fnal.gov", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	cons2, err := g.AddSite("fnal.gov", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,8 +454,7 @@ func TestOverloadDrainRejectsQueuedKeepsInFlight(t *testing.T) {
 	})
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	_, dial := overloadRig(t, []string{"hold"}, func(s *rpc.Server) {
-		s.SetMetrics(reg)
+	_, dial := overloadRig(t, []string{"hold"}, reg, func(s *rpc.Server) {
 		s.SetAdmission(ctrl, nil)
 		s.Handle("hold", func(ctx context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
 			entered <- struct{}{}

@@ -231,8 +231,7 @@ func TestParityPartitionedSiteHealsLocally(t *testing.T) {
 
 	consReg := obs.NewRegistry()
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
-		Metrics: obs.NewRegistry(),
-		Retry:   fastRetry(2),
+		Retry: fastRetry(2),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,13 +66,13 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 	}
 	defer g.Close()
 
-	// Two producers with private registries; both end up holding every
-	// file, giving the consumer a primary and a hedge target.
-	p1, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	// Two producers; both end up holding every file, giving the consumer
+	// a primary and a hedge target.
+	p1, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := g.AddSite("fnal.gov", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	p2, err := g.AddSite("fnal.gov", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"gdmp/internal/obs"
 	"gdmp/internal/testbed"
 	"gdmp/internal/wan"
 )
@@ -64,7 +63,7 @@ func TestPullSchedulerBenchmark(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Close()
-		prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+		prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +76,6 @@ func TestPullSchedulerBenchmark(t *testing.T) {
 			return wanDial(network, addr)
 		}
 		cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
-			Metrics:     obs.NewRegistry(),
 			DialFunc:    dial,
 			PullWorkers: workers,
 		})

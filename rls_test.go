@@ -55,7 +55,7 @@ func TestRLSReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := g.AddSite("fnal.gov", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	cons, err := g.AddSite("fnal.gov", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRLSRLIFallbackAfterLocationLoss(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,6 @@ func TestRLSFalsePositivesNeverWrongAnswer(t *testing.T) {
 	// A deliberately sloppy digest (10% FP target) makes false positives
 	// likely enough to exercise the deny path within a few hundred probes.
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
-		Metrics:      obs.NewRegistry(),
 		DigestFPRate: 0.10,
 	})
 	if err != nil {
@@ -228,7 +227,6 @@ func TestRLSDigestCrashRestartConverges(t *testing.T) {
 
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
 		Durable: true,
-		Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +292,6 @@ func TestRLSDigestTTLAgesOutDeadSite(t *testing.T) {
 	defer g.Close()
 
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
-		Metrics:   obs.NewRegistry(),
 		DigestTTL: 80 * time.Millisecond,
 	})
 	if err != nil {
@@ -326,7 +323,6 @@ func TestRLSDigestLoopPushesPeriodically(t *testing.T) {
 	defer g.Close()
 
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
-		Metrics:        obs.NewRegistry(),
 		DigestInterval: 30 * time.Millisecond,
 	})
 	if err != nil {

@@ -33,7 +33,7 @@ func TestConcurrentGetsCoalesce(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestConcurrentGetsShareRealError(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +177,12 @@ func TestRecoverContinuesPastFailedFetch(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{
-		Metrics: obs.NewRegistry(),
-		Retry:   fastRetry(2),
+		Retry: fastRetry(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +230,7 @@ func TestGetCancellationAbortsMidTransfer(t *testing.T) {
 	}
 	defer g.Close()
 
-	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{Metrics: obs.NewRegistry()})
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

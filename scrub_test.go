@@ -219,7 +219,6 @@ func TestAntiEntropyConvergenceProperty(t *testing.T) {
 
 	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{
 		Durable: true,
-		Metrics: obs.NewRegistry(),
 		Retry:   fastRetry(3),
 	})
 	if err != nil {
@@ -227,7 +226,6 @@ func TestAntiEntropyConvergenceProperty(t *testing.T) {
 	}
 	cons, err := g.AddSite("fnal.gov", testbed.SiteOptions{
 		Durable: true,
-		Metrics: obs.NewRegistry(),
 		Retry:   fastRetry(3),
 	})
 	if err != nil {

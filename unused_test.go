@@ -52,7 +52,9 @@ var keptUnused = []struct{ why, names string }{
 // cannot hide behind a live one of the same name elsewhere. A method is
 // matched by name alone, not by type: a method name any package uses
 // counts as used everywhere, so the check under-reports rather than flags
-// live code. One mention does not count: the call inside a method whose
+// live code. Two kinds of mention do not count: a method's receiver type
+// (`func (T) Close()` does not use T), or a type that only its own methods
+// and tests name would pass as used; and the call inside a method whose
 // whole body forwards to another method of its own receiver
 // (`func (s *Site) Get(l string) error { return s.GetCtx(s.ctx, l) }`), or
 // a fork that only its own plain-named wrapper calls would pass as used.
@@ -106,6 +108,15 @@ func TestNoUnusedExports(t *testing.T) {
 				}
 				return true
 			})
+			// A method's receiver names its own type, which is no use of it.
+			for _, decl := range file.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok {
+					if id := recvType(d); id != nil {
+						mentions[id.Name]--
+						mentionsOf[pkgName{dir, id.Name}]--
+					}
+				}
+			}
 			if root != "internal" {
 				return nil
 			}
@@ -171,6 +182,32 @@ func TestNoUnusedExports(t *testing.T) {
 	for name, used := range kept {
 		if !used {
 			t.Errorf("keptUnused lists %s, which is gone or used by non-test code now: drop the entry", name)
+		}
+	}
+}
+
+// recvType returns the identifier naming d's receiver type, with a
+// pointer, parentheses and a type-parameter index stripped, or nil when d
+// is no method.
+func recvType(d *ast.FuncDecl) *ast.Ident {
+	if d.Recv == nil || len(d.Recv.List) != 1 {
+		return nil
+	}
+	t := d.Recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.ParenExpr:
+			t = x.X
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
+		case *ast.Ident:
+			return x
+		default:
+			return nil
 		}
 	}
 }
