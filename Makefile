@@ -118,15 +118,16 @@ bench-catalog:
 
 # RLS suite: the sharded-catalog + bloom-digest Replica Location Service
 # tests — shard rebalance and concurrency properties, RLI soft-state
-# semantics, journaled-store recovery and snapshots, refused appends, and
-# the grid-level read-your-writes, RLI-fallback, false-positive, and
-# crash-convergence scenarios. Race detector on. The seed is logged by
+# semantics, journaled-store recovery and snapshots, refused appends, the
+# served lookup's op counters, and the grid-level read-your-writes,
+# RLI-fallback, false-positive, and crash-convergence scenarios. Race
+# detector on. The seed is logged by
 # every property test; replay a run with `make catalog RLS_SEED=7`.
 RLS_SEED ?= 20260809
 catalog:
 	@echo "rls seed: $(RLS_SEED)"
 	RLS_SEED=$(RLS_SEED) $(GO) test -race -v \
-		-run 'TestRLS|TestRLI|TestShard|TestStore|TestSnapshot|TestCatalogRefusedAppendChangesNothing|TestBloom|TestReadEntry|TestConcurrentShardedMutation' \
+		-run 'TestRLS|TestRLI|TestShard|TestStore|TestSnapshot|TestCatalogRefusedAppendChangesNothing|TestBloom|TestReadEntry|TestConcurrentShardedMutation|TestCatalogLookupSingleOpCounter' \
 		./internal/replica .
 
 # Fault-injection suite: scripted fault schedules through internal/faults,

@@ -13,6 +13,7 @@ import (
 	"gdmp/internal/netsim"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/objrep"
+	"gdmp/internal/obs"
 	"gdmp/internal/workload"
 )
 
@@ -144,6 +145,8 @@ func BenchmarkPoolEvictionPolicy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		pm := obs.NewPoolMetrics(obs.NewRegistry())
+		m.SetMetrics(pm)
 		payload := make([]byte, fileSize)
 		for i := 0; i < files; i++ {
 			if err := m.PutTape(fmt.Sprintf("f%03d", i), payload); err != nil {
@@ -161,8 +164,8 @@ func BenchmarkPoolEvictionPolicy(b *testing.B) {
 				}
 				m.Release(name)
 			}
-			st := m.Stats()
-			hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
+			hits, misses := pm.Hits.Value(), pm.Misses.Value()
+			hitRate = float64(hits) / float64(hits+misses)
 		}
 		b.ReportMetric(hitRate*100, "%hit")
 	}
@@ -190,6 +193,8 @@ func TestLRUBeatsFIFOUnderZipf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pm := obs.NewPoolMetrics(obs.NewRegistry())
+		m.SetMetrics(pm)
 		payload := make([]byte, fileSize)
 		for i := 0; i < files; i++ {
 			if err := m.PutTape(fmt.Sprintf("f%03d", i), payload); err != nil {
@@ -205,8 +210,8 @@ func TestLRUBeatsFIFOUnderZipf(t *testing.T) {
 			// FIFO victims need distinguishable stage times.
 			time.Sleep(time.Microsecond)
 		}
-		st := m.Stats()
-		return float64(st.Hits) / float64(st.Hits+st.Misses)
+		hits, misses := pm.Hits.Value(), pm.Misses.Value()
+		return float64(hits) / float64(hits+misses)
 	}
 	lru := hitRate(mss.LRU)
 	fifo := hitRate(mss.FIFO)

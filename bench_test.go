@@ -548,7 +548,7 @@ func BenchmarkReplicaCatalogOps(b *testing.B) {
 	}
 	b.Run("lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cat.Lookup(fmt.Sprintf("lfn://bench/f%06d", i%10_000)); err != nil {
+			if err := cat.ReadEntry(fmt.Sprintf("lfn://bench/f%06d", i%10_000), func(*replica.LogicalFile) {}); err != nil {
 				b.Fatal(err)
 			}
 		}

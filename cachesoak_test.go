@@ -101,16 +101,15 @@ func runCacheSoak(t *testing.T, seed int64, policy mss.EvictionPolicy, polName s
 		t.Fatal(err)
 	}
 
-	// Both consumers share one registry: the gdmp_pool_* family then
-	// carries the run's aggregate, which is what the bench reports.
-	reg := obs.NewRegistry()
+	// Each consumer records its gdmp_pool_* family into its own registry;
+	// the run's figures, which the bench reports, are their sums.
+	const capacity = soakPoolFiles * soakFileBytes
 	consumers := make(map[string]*core.Site, 2)
 	for _, name := range tr.Cfg.Sites {
 		c, err := g.AddSite(name, testbed.SiteOptions{
 			WithMSS:     true,
-			MSSCapacity: soakPoolFiles * soakFileBytes,
+			MSSCapacity: capacity,
 			MSSPolicy:   policy,
-			Metrics:     reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -140,23 +139,43 @@ func runCacheSoak(t *testing.T, seed int64, policy mss.EvictionPolicy, polName s
 		if err := c.Get(lfns[a.File]); err != nil {
 			t.Fatalf("access %d: get %s at %s: %v", i, lfns[a.File], a.Site, err)
 		}
-		if used, capacity := c.Pool().Used(), c.Pool().Capacity(); used > capacity {
+		if used := c.Pool().Used(); used > capacity {
 			t.Fatalf("access %d: pool occupancy %d exceeds capacity %d at %s", i, used, capacity, a.Site)
 		}
 	}
 
 	var hits, misses, evictions int
+	var stageBounds []float64
+	var stageCounts []int64
 	for name, c := range consumers {
-		st := c.Pool().Stats()
-		hits += st.Hits
-		misses += st.Misses
-		evictions += st.Evictions
+		pm := obs.NewPoolMetrics(c.Metrics())
+		siteMisses, siteEvictions := int(pm.Misses.Value()), int(pm.Evictions.Value())
+		hits += int(pm.Hits.Value())
+		misses += siteMisses
+		evictions += siteEvictions
 
 		// Eviction accounting closes exactly: every miss added one file
 		// to the pool, so what is not resident now was evicted.
-		if want := st.Misses - len(c.Pool().PoolContents()); st.Evictions != want {
+		if want := siteMisses - len(c.Pool().PoolContents()); siteEvictions != want {
 			t.Errorf("%s: %d evictions, want %d (= %d misses - %d residents)",
-				name, st.Evictions, want, st.Misses, len(c.Pool().PoolContents()))
+				name, siteEvictions, want, siteMisses, len(c.Pool().PoolContents()))
+		}
+
+		// One stage-latency observation per miss (each miss is one WAN
+		// pull whose fetch latency was recorded), and the capacity gauge
+		// holds the configured size.
+		if got := pm.StageSeconds.Count(); got != int64(siteMisses) {
+			t.Errorf("%s: gdmp_pool_stage_seconds_count = %d, want %d", name, got, siteMisses)
+		}
+		if got := pm.Capacity.Value(); got != capacity {
+			t.Errorf("%s: gdmp_pool_capacity_bytes = %d, want %d", name, got, capacity)
+		}
+		bounds, counts := pm.StageSeconds.Snapshot()
+		if stageCounts == nil {
+			stageBounds, stageCounts = bounds, make([]int64, len(counts))
+		}
+		for i, n := range counts {
+			stageCounts[i] += n
 		}
 
 		// Eviction ↔ RC-withdrawal consistency: the replica catalog lists
@@ -183,24 +202,7 @@ func runCacheSoak(t *testing.T, seed int64, policy mss.EvictionPolicy, polName s
 		t.Errorf("hits %d + misses %d != %d accesses", hits, misses, soakRequests)
 	}
 
-	// The metric family agrees with the MSS counters, including the
-	// stage-latency histogram: one observation per miss (each miss is one
-	// WAN pull whose fetch latency was recorded).
-	text := reg.Text()
-	for series, want := range map[string]float64{
-		"gdmp_pool_hits_total":          float64(hits),
-		"gdmp_pool_misses_total":        float64(misses),
-		"gdmp_pool_evictions_total":     float64(evictions),
-		"gdmp_pool_stage_seconds_count": float64(misses),
-		"gdmp_pool_capacity_bytes":      float64(soakPoolFiles * soakFileBytes),
-	} {
-		if got := metricValue(text, series); got != want {
-			t.Errorf("%s = %v, want %v", series, got, want)
-		}
-	}
-
-	// The shared histogram yields the run's latency quantiles.
-	pm := obs.NewPoolMetrics(reg)
+	// The summed histograms yield the run's latency quantiles.
 	res := cacheRunResult{
 		Policy:     polName,
 		ZipfS:      zipfS,
@@ -209,8 +211,8 @@ func runCacheSoak(t *testing.T, seed int64, policy mss.EvictionPolicy, polName s
 		Misses:     misses,
 		Evictions:  evictions,
 		HitRate:    float64(hits) / float64(soakRequests),
-		StageP50Ms: bucketQuantile(pm.StageSeconds, 0.50) * 1000,
-		StageP99Ms: bucketQuantile(pm.StageSeconds, 0.99) * 1000,
+		StageP50Ms: obs.BucketQuantile(stageBounds, stageCounts, 0.50) * 1000,
+		StageP99Ms: obs.BucketQuantile(stageBounds, stageCounts, 0.99) * 1000,
 	}
 	t.Logf("%s s=%.1f: %.1f%% hit rate (%d hits, %d misses, %d evictions), stage p50 %.2fms p99 %.2fms",
 		polName, zipfS, 100*res.HitRate, hits, misses, evictions, res.StageP50Ms, res.StageP99Ms)

@@ -156,7 +156,7 @@ func TestCatalogBenchmark(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 100))
 			for i := 0; i < perWorker; i++ {
-				if _, err := sharded.Lookup(catBenchLFN(rng.Intn(catBenchLFNs))); err != nil {
+				if err := sharded.ReadEntry(catBenchLFN(rng.Intn(catBenchLFNs)), func(*replica.LogicalFile) {}); err != nil {
 					t.Error(err)
 					return
 				}

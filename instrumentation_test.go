@@ -124,14 +124,43 @@ func TestTransferAccountingExact(t *testing.T) {
 	}
 }
 
-// TestCatalogLookupSingleOpCounter asserts one catalog lookup moves the op
-// counters by exactly one increment, on exactly the lookup series.
+// TestCatalogLookupSingleOpCounter serves one hit and one miss through a
+// catalog client: together they move the op counters by exactly two
+// increments, one on each lookup outcome's series, and the latency
+// histogram sees both.
 func TestCatalogLookupSingleOpCounter(t *testing.T) {
 	reg := obs.NewRegistry()
 	cat := replica.New(replica.Options{Registry: reg})
 	if err := cat.Register("lfn://t/one", map[string]string{replica.AttrSize: "1"}); err != nil {
 		t.Fatal(err)
 	}
+	ca, err := gsi.NewCA("obs-test", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []*gsi.Certificate{ca.Certificate()}
+	serverCred, err := ca.Issue("replicad/obs", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientCred, err := ca.Issue("obs-client", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acl := gsi.NewACL()
+	replica.AllowCatalogUseAll(acl)
+	srv := replica.NewServer(cat, replica.NewRLI(0, reg), serverCred, roots, acl)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	cl, err := replica.Dial(ln.Addr().String(), clientCred, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
 
 	sumOps := func() float64 {
 		var total float64
@@ -150,24 +179,28 @@ func TestCatalogLookupSingleOpCounter(t *testing.T) {
 	}
 
 	before := sumOps()
-	if _, err := cat.Lookup("lfn://t/one"); err != nil {
+	ctx := context.Background()
+	if _, err := cl.Lookup(ctx, "lfn://t/one"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := cl.Lookup(ctx, "lfn://t/missing"); err == nil {
+		t.Fatal("lookup of an unregistered LFN succeeded")
 	}
 	after := sumOps()
 
-	if after-before != 1 {
-		t.Errorf("lookup moved op counters by %v, want exactly 1", after-before)
+	if after-before != 2 {
+		t.Errorf("two lookups moved op counters by %v, want exactly 2", after-before)
 	}
 	ops := reg.CounterVec(replica.CatalogMetricsPrefix+"_ops_total", "", "op", "outcome")
 	if got := ops.WithLabelValues("lookup", "ok").Value(); got != 1 {
 		t.Errorf("ops{lookup,ok} = %d, want 1", got)
 	}
-	if got := ops.WithLabelValues("lookup", "error").Value(); got != 0 {
-		t.Errorf("ops{lookup,error} = %d, want 0", got)
+	if got := ops.WithLabelValues("lookup", "error").Value(); got != 1 {
+		t.Errorf("ops{lookup,error} = %d, want 1", got)
 	}
-	// The latency histogram saw the same single operation.
-	if got := metricValue(reg.Text(), replica.CatalogMetricsPrefix+`_op_seconds_count{op="lookup"}`); got != 1 {
-		t.Errorf("op_seconds_count{op=lookup} = %v, want 1", got)
+	// The latency histogram saw the same two operations.
+	if got := metricValue(reg.Text(), replica.CatalogMetricsPrefix+`_op_seconds_count{op="lookup"}`); got != 2 {
+		t.Errorf("op_seconds_count{op=lookup} = %v, want 2", got)
 	}
 }
 

@@ -555,14 +555,6 @@ func (c *Controller) Browned() bool {
 	return c.brown
 }
 
-// Load returns the current load signal in [0,1].
-func (c *Controller) Load() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.updateLoadLocked(c.now())
-	return c.load
-}
-
 // ClassStats returns the exact settlement accounting of one class.
 func (c *Controller) ClassStats(class Class) Counters {
 	c.mu.Lock()

@@ -277,7 +277,7 @@ func TestBrownoutHysteresisAndDecay(t *testing.T) {
 		t.Fatalf("queued admit: %v", err)
 	}
 	if !c.Browned() {
-		t.Fatalf("load %.2f: brownout should be active after a 300ms admission wait", c.Load())
+		t.Fatalf("load %.2f: brownout should be active after a 300ms admission wait", c.load)
 	}
 	if c.Allow("scrub") {
 		t.Fatalf("Allow during brownout must defer")
@@ -291,7 +291,7 @@ func TestBrownoutHysteresisAndDecay(t *testing.T) {
 	// With no further grants the wait component decays; brownout exits.
 	clock = clock.Add(2 * time.Second)
 	if c.Browned() {
-		t.Fatalf("load %.2f: brownout should have decayed away", c.Load())
+		t.Fatalf("load %.2f: brownout should have decayed away", c.load)
 	}
 	if !c.Allow("scrub") {
 		t.Fatalf("Allow after brownout exit must pass")

@@ -3,12 +3,14 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"gdmp/internal/core"
 	"gdmp/internal/objectstore"
+	"gdmp/internal/replica"
 	"gdmp/internal/testbed"
 )
 
@@ -69,20 +71,23 @@ func TestPublishRecordsAssociationAttributes(t *testing.T) {
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{WithFederation: true})
 	lfns := buildChainedDBs(t, g, cern)
 
-	entry, err := g.Catalog.Lookup(lfns[1])
-	if err != nil {
-		t.Fatal(err)
+	attrsOf := func(lfn string) (attrs map[string]string) {
+		t.Helper()
+		if err := g.Catalog.ReadEntry(lfn, func(f *replica.LogicalFile) { attrs = maps.Clone(f.Attrs) }); err != nil {
+			t.Fatal(err)
+		}
+		return attrs
 	}
-	if entry.Attrs[core.AttrDBID] != "1" {
-		t.Fatalf("dbid attr = %q", entry.Attrs[core.AttrDBID])
+	attrs := attrsOf(lfns[1])
+	if attrs[core.AttrDBID] != "1" {
+		t.Fatalf("dbid attr = %q", attrs[core.AttrDBID])
 	}
-	if entry.Attrs[core.AttrAssocDBs] != "2" {
-		t.Fatalf("assocdbs attr = %q", entry.Attrs[core.AttrAssocDBs])
+	if attrs[core.AttrAssocDBs] != "2" {
+		t.Fatalf("assocdbs attr = %q", attrs[core.AttrAssocDBs])
 	}
 	// The standalone db has no assocdbs attribute.
-	entry4, _ := g.Catalog.Lookup(lfns[4])
-	if _, ok := entry4.Attrs[core.AttrAssocDBs]; ok {
-		t.Fatalf("db4 should have no assocdbs, got %q", entry4.Attrs[core.AttrAssocDBs])
+	if v, ok := attrsOf(lfns[4])[core.AttrAssocDBs]; ok {
+		t.Fatalf("db4 should have no assocdbs, got %q", v)
 	}
 }
 

@@ -138,7 +138,7 @@ func FuzzSiteRecord(f *testing.F) {
 func FuzzFsckReply(f *testing.F) {
 	var e rpc.Encoder
 	encodeFsckReply(&e, scrub.Report{Scanned: 12, Bytes: 1 << 33, Corrupt: 3, Missing: 1, Repairs: 4, Rebuilt: 2, Fallbacks: 1})
-	for cut := 0; cut <= e.Len(); cut++ {
+	for cut := 0; cut <= len(e.Bytes()); cut++ {
 		f.Add(e.Bytes()[:cut])
 	}
 	f.Add(append(e.Bytes(), 0))

@@ -7,6 +7,7 @@ import (
 
 	"gdmp/internal/core"
 	"gdmp/internal/parity"
+	"gdmp/internal/replica"
 	"gdmp/internal/testbed"
 )
 
@@ -100,7 +101,7 @@ func TestDeleteLogical(t *testing.T) {
 		t.Fatalf("DeleteLogical: %v", err)
 	}
 	// The logical file is gone from the Grid entirely.
-	if _, err := g.Catalog.Lookup(pf.LFN); err == nil {
+	if err := g.Catalog.ReadEntry(pf.LFN, func(*replica.LogicalFile) {}); err == nil {
 		t.Fatal("catalog entry survived DeleteLogical")
 	}
 	if cern.HasFile(pf.LFN) {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"gdmp/internal/health"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/obs"
+	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
 	"gdmp/internal/testbed"
@@ -148,12 +150,12 @@ func TestPublishRegistersEverything(t *testing.T) {
 		t.Fatalf("Size = %d", pf.Size)
 	}
 	// Central catalog has the entry, attrs, replica, and collection.
-	entry, err := g.Catalog.Lookup(pf.LFN)
-	if err != nil {
+	var attrs map[string]string
+	if err := g.Catalog.ReadEntry(pf.LFN, func(f *replica.LogicalFile) { attrs = maps.Clone(f.Attrs) }); err != nil {
 		t.Fatal(err)
 	}
-	if entry.Attrs["size"] != "50000" || entry.Attrs["filetype"] != "flat" || entry.Attrs["site"] != "cern.ch" {
-		t.Fatalf("attrs = %v", entry.Attrs)
+	if attrs["size"] != "50000" || attrs["filetype"] != "flat" || attrs["site"] != "cern.ch" {
+		t.Fatalf("attrs = %v", attrs)
 	}
 	locs, err := g.Catalog.Locations(pf.LFN)
 	if err != nil || len(locs) != 1 {

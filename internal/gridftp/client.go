@@ -377,70 +377,6 @@ func (c *Client) checksumCmd(format string, args ...interface{}) (uint32, error)
 	return uint32(v), err
 }
 
-// ListEntry is one remote file in a listing.
-type ListEntry struct {
-	Name string
-	Size int64
-}
-
-// List returns the files under an optional prefix directory.
-func (c *Client) List(prefix string) ([]ListEntry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	code, text, err := c.roundTrip("NLST %s", prefix)
-	if err != nil {
-		return nil, err
-	}
-	if code != codeOpening {
-		return nil, &ReplyError{Verb: "NLST", Code: code, Text: text}
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(text))
-	if err != nil || n < 0 {
-		return nil, fmt.Errorf("%w: NLST count %q", ErrProtocol, text)
-	}
-	entries := make([]ListEntry, 0, min(n, 4096)) // cap wire-supplied preallocation
-	defer c.clearDeadline()
-	for i := 0; i < n; i++ {
-		c.armDeadline()
-		line, err := c.ctl.readLine()
-		if err != nil {
-			return nil, err
-		}
-		name, sizeStr, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("%w: NLST line %q", ErrProtocol, line)
-		}
-		size, err := strconv.ParseInt(sizeStr, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: NLST size %q", ErrProtocol, sizeStr)
-		}
-		entries = append(entries, ListEntry{Name: name, Size: size})
-	}
-	c.armDeadline()
-	code, text, err = c.ctl.readReply()
-	if err != nil {
-		return nil, err
-	}
-	if code != codeComplete {
-		return nil, fmt.Errorf("%w: NLST end: %d %s", ErrProtocol, code, text)
-	}
-	return entries, nil
-}
-
-// Delete removes a remote file.
-func (c *Client) Delete(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.simpleCmd(codeFileOK, "DELE %s", path)
-}
-
-// Mkdir creates a remote directory tree.
-func (c *Client) Mkdir(path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.simpleCmd(257, "MKD %s", path)
-}
-
 // Noop pings the server.
 func (c *Client) Noop() error {
 	c.mu.Lock()

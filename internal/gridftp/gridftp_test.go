@@ -291,50 +291,6 @@ func TestZeroByteFile(t *testing.T) {
 	}
 }
 
-func TestListDeleteMkdir(t *testing.T) {
-	addr, root := startServer(t, nil)
-	makeFile(t, root, "a/x.db", 100, 7)
-	makeFile(t, root, "a/y.db", 200, 8)
-	makeFile(t, root, "z.db", 300, 9)
-	cl := dial(t, addr)
-
-	entries, err := cl.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("List = %v", entries)
-	}
-	if entries[0].Name != "a/x.db" || entries[0].Size != 100 {
-		t.Fatalf("first entry = %+v", entries[0])
-	}
-	sub, err := cl.List("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub) != 2 {
-		t.Fatalf("List(a) = %v", sub)
-	}
-	if err := cl.Delete("z.db"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Size("z.db"); err == nil {
-		t.Fatal("deleted file still has a size")
-	}
-	if err := cl.Delete("z.db"); err == nil {
-		t.Fatal("double delete should fail")
-	}
-	if err := cl.Mkdir("new/deep/dir"); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := os.Stat(filepath.Join(root, "new", "deep", "dir")); err != nil || !info.IsDir() {
-		t.Fatalf("Mkdir did not create directory: %v", err)
-	}
-	if err := cl.Noop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPathTraversalRejected(t *testing.T) {
 	addr, root := startServer(t, nil)
 	// Plant a file *outside* the root.
@@ -362,9 +318,6 @@ func TestUnauthorizedOperations(t *testing.T) {
 		t.Fatalf("read should be allowed: %v", err)
 	}
 	// Writes are denied.
-	if err := cl.Delete("f.db"); err == nil {
-		t.Fatal("delete should be denied")
-	}
 	if _, err := cl.Put("up.db", bytes.NewReader([]byte("hi")), 2); err == nil {
 		t.Fatal("put should be denied")
 	}

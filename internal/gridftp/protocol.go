@@ -189,7 +189,7 @@ func newControlConn(rw io.ReadWriter) *controlConn {
 // sendLine writes one CRLF-terminated line in a single write. A line that
 // itself holds a CR or LF is refused with ErrProtocol before a byte is
 // written: its arguments would end the command early and smuggle a second
-// one (a path "x\r\nDELE y" deleting y), and every verb passes here.
+// one, and every verb passes here.
 func (c *controlConn) sendLine(format string, args ...interface{}) error {
 	c.line = fmt.Appendf(c.line[:0], format, args...)
 	if bytes.ContainsAny(c.line, "\r\n") {

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,8 +55,8 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 	}
 }
 
-// ACL operations checked by the server. Read covers RETR/ERET/SIZE/CKSM/
-// NLST; write covers STOR/ESTO/DELE/MKD.
+// ACL operations checked by the server. Read covers RETR/ERET/SIZE/CKSM;
+// write covers STOR/ESTO.
 const (
 	OpRead  gsi.Operation = "gridftp.read"
 	OpWrite gsi.Operation = "gridftp.write"
@@ -390,8 +389,6 @@ func (se *session) dispatch(verb, args string) error {
 		return se.cmdSIZE(args)
 	case "CKSM":
 		return se.cmdCKSM(args)
-	case "NLST":
-		return se.cmdNLST(args)
 	case "RETR":
 		return se.cmdRETR(args)
 	case "ERET":
@@ -400,10 +397,6 @@ func (se *session) dispatch(verb, args string) error {
 		return se.cmdSTOR(args, false)
 	case "ESTO":
 		return se.cmdSTOR(args, true)
-	case "DELE":
-		return se.cmdDELE(args)
-	case "MKD":
-		return se.cmdMKD(args)
 	default:
 		return se.reply(codeBadCmd, "unknown command %q", verb)
 	}
@@ -511,75 +504,6 @@ func (se *session) cmdCKSM(args string) error {
 		return se.reply(codeLocalErr, "read: %v", err)
 	}
 	return se.reply(codeStat, "%08x", sum)
-}
-
-func (se *session) cmdNLST(args string) error {
-	if !se.authorize(OpRead) {
-		return se.reply(codeDenied, "not authorized for read")
-	}
-	dir := se.srv.cfg.Root
-	if strings.TrimSpace(args) != "" {
-		p, err := se.resolve(args)
-		if err != nil {
-			return se.reply(codeBadArgs, "bad path: %v", err)
-		}
-		dir = p
-	}
-	var entries []string
-	err := filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() {
-			return nil
-		}
-		rel, err := filepath.Rel(se.srv.cfg.Root, p)
-		if err != nil {
-			return nil
-		}
-		entries = append(entries, fmt.Sprintf("%s\t%d", filepath.ToSlash(rel), info.Size()))
-		return nil
-	})
-	if err != nil {
-		return se.reply(codeLocalErr, "list: %v", err)
-	}
-	sort.Strings(entries)
-	se.ctlMu.Lock()
-	defer se.ctlMu.Unlock()
-	if err := se.ctl.reply(codeOpening, "%d", len(entries)); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := se.ctl.sendLine("%s", e); err != nil {
-			return err
-		}
-	}
-	return se.ctl.reply(codeComplete, "listing complete")
-}
-
-func (se *session) cmdDELE(args string) error {
-	if !se.authorize(OpWrite) {
-		return se.reply(codeDenied, "not authorized for write")
-	}
-	p, err := se.resolve(args)
-	if err != nil {
-		return se.reply(codeBadArgs, "bad path: %v", err)
-	}
-	if err := os.Remove(p); err != nil {
-		return se.reply(codeNoFile, "delete: %v", err)
-	}
-	return se.reply(codeFileOK, "deleted")
-}
-
-func (se *session) cmdMKD(args string) error {
-	if !se.authorize(OpWrite) {
-		return se.reply(codeDenied, "not authorized for write")
-	}
-	p, err := se.resolve(args)
-	if err != nil {
-		return se.reply(codeBadArgs, "bad path: %v", err)
-	}
-	if err := os.MkdirAll(p, 0o755); err != nil {
-		return se.reply(codeLocalErr, "mkdir: %v", err)
-	}
-	return se.reply(257, "created")
 }
 
 // --- data transfers --------------------------------------------------------

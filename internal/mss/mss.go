@@ -116,15 +116,6 @@ type Config struct {
 	Policy EvictionPolicy
 }
 
-// Stats counts MSS activity.
-type Stats struct {
-	Hits        int   // stage requests satisfied from the pool
-	Misses      int   // stage requests that went to tape
-	Evictions   int   // files evicted from the pool
-	BytesStaged int64 // bytes moved tape -> disk
-	StageTime   time.Duration
-}
-
 // poolEntry tracks one disk-pool resident file.
 type poolEntry struct {
 	name       string
@@ -149,9 +140,8 @@ type MSS struct {
 	lruList  *list.List // front = most recently used
 	used     int64
 	reserved int64
-	stats    Stats
 	onEvict  func(name string, size int64)
-	met      *obs.PoolMetrics
+	met      *obs.PoolMetrics // a private family until SetMetrics
 }
 
 // New creates an MSS over the configured directories, creating them if
@@ -168,11 +158,13 @@ func New(cfg Config) (*MSS, error) {
 			return nil, fmt.Errorf("mss: create %s: %w", dir, err)
 		}
 	}
-	return &MSS{
+	m := &MSS{
 		cfg:     cfg,
 		entries: make(map[string]*poolEntry),
 		lruList: list.New(),
-	}, nil
+	}
+	m.SetMetrics(obs.NewPoolMetrics(nil))
+	return m, nil
 }
 
 // safeJoin resolves a file name inside dir, rejecting escapes.
@@ -221,20 +213,15 @@ func (m *MSS) SetOnEvict(fn func(name string, size int64)) {
 	m.mu.Unlock()
 }
 
-// SetMetrics points the pool at a gdmp_pool_* metric family and primes
-// the capacity and occupancy gauges.
+// SetMetrics points the pool at a gdmp_pool_* metric family (non-nil)
+// and primes the capacity and occupancy gauges.
 func (m *MSS) SetMetrics(pm *obs.PoolMetrics) {
 	m.mu.Lock()
 	m.met = pm
-	if pm != nil {
-		pm.Capacity.Set(m.cfg.PoolCapacity)
-	}
+	pm.Capacity.Set(m.cfg.PoolCapacity)
 	m.gaugesLocked()
 	m.mu.Unlock()
 }
-
-// Capacity returns the configured pool size in bytes.
-func (m *MSS) Capacity() int64 { return m.cfg.PoolCapacity }
 
 // Protect marks a pool entry as never evictable, regardless of pins — the
 // treatment producer originals get, so cache pressure from pulled
@@ -262,9 +249,6 @@ func (m *MSS) Attach(dataName, attachName string) {
 
 // gaugesLocked refreshes the occupancy gauges; the caller holds m.mu.
 func (m *MSS) gaugesLocked() {
-	if m.met == nil {
-		return
-	}
 	m.met.Occupancy.Set(m.used)
 	m.met.Reserved.Set(m.reserved)
 }
@@ -277,20 +261,12 @@ func (m *MSS) gaugesLocked() {
 func (m *MSS) NoteAccess(hit bool, d time.Duration) {
 	m.mu.Lock()
 	met := m.met
-	if hit {
-		m.stats.Hits++
-	} else {
-		m.stats.Misses++
-		m.stats.StageTime += d
-	}
 	m.mu.Unlock()
-	if met != nil {
-		if hit {
-			met.Hits.Inc()
-		} else {
-			met.Misses.Inc()
-			met.StageSeconds.Observe(d.Seconds())
-		}
+	if hit {
+		met.Hits.Inc()
+	} else {
+		met.Misses.Inc()
+		met.StageSeconds.Observe(d.Seconds())
 	}
 }
 
@@ -348,10 +324,7 @@ func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 		if _, err := os.Stat(p); err == nil {
 			e.pins++
 			m.touchLocked(e)
-			m.stats.Hits++
-			if m.met != nil {
-				m.met.Hits.Inc()
-			}
+			m.met.Hits.Inc()
 			m.mu.Unlock()
 			return p, nil
 		}
@@ -359,10 +332,7 @@ func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 		delete(m.entries, name)
 		m.used -= e.size
 	}
-	m.stats.Misses++
-	if m.met != nil {
-		m.met.Misses.Inc()
-	}
+	m.met.Misses.Inc()
 	m.gaugesLocked()
 	m.mu.Unlock()
 
@@ -416,13 +386,9 @@ func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 		m.reserved -= size
 		e.pins++
 		m.touchLocked(e)
-		m.stats.BytesStaged += size
-		m.stats.StageTime += elapsed
 		m.gaugesLocked()
 		m.mu.Unlock()
-		if met != nil {
-			met.StageSeconds.Observe(elapsed.Seconds())
-		}
+		met.StageSeconds.Observe(elapsed.Seconds())
 		return dst, nil
 	}
 	// Convert the reservation into real usage; the release closure is
@@ -432,13 +398,9 @@ func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 	e := &poolEntry{name: name, size: size, pins: 1, staged: time.Now()}
 	e.lru = m.lruList.PushFront(e)
 	m.entries[name] = e
-	m.stats.BytesStaged += size
-	m.stats.StageTime += elapsed
 	m.gaugesLocked()
 	m.mu.Unlock()
-	if met != nil {
-		met.StageSeconds.Observe(elapsed.Seconds())
-	}
+	met.StageSeconds.Observe(elapsed.Seconds())
 	return dst, nil
 }
 
@@ -560,10 +522,7 @@ func (m *MSS) evictLocked(size int64) ([]evicted, error) {
 		m.lruList.Remove(victim.lru)
 		delete(m.entries, victim.name)
 		m.used -= victim.size
-		m.stats.Evictions++
-		if m.met != nil {
-			m.met.Evictions.Inc()
-		}
+		m.met.Evictions.Inc()
 		out = append(out, evicted{victim.name, victim.size})
 		out = append(out, m.detachLocked(victim.name)...)
 	}
@@ -678,13 +637,6 @@ func (m *MSS) Free() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.cfg.PoolCapacity - m.used - m.reserved
-}
-
-// Stats returns a copy of the activity counters.
-func (m *MSS) Stats() Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // PoolContents lists the staged files, sorted.

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gdmp/internal/obs"
 )
 
 func newMSS(t *testing.T, capacity int64, policy EvictionPolicy) *MSS {
@@ -24,6 +26,14 @@ func newMSS(t *testing.T, capacity int64, policy EvictionPolicy) *MSS {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// withMetrics binds m to a gdmp_pool_* family in a fresh registry and
+// returns it.
+func withMetrics(m *MSS) *obs.PoolMetrics {
+	pm := obs.NewPoolMetrics(obs.NewRegistry())
+	m.SetMetrics(pm)
+	return pm
 }
 
 func putTape(t *testing.T, m *MSS, name string, size int) []byte {
@@ -46,6 +56,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestStageFromTape(t *testing.T) {
 	m := newMSS(t, 1<<20, LRU)
+	pm := withMetrics(m)
 	want := putTape(t, m, "run1.db", 1000)
 	if m.OnDisk("run1.db") {
 		t.Fatal("file on disk before staging")
@@ -64,16 +75,15 @@ func TestStageFromTape(t *testing.T) {
 	if !m.OnDisk("run1.db") {
 		t.Fatal("file not recorded on disk")
 	}
-	st := m.Stats()
-	if st.Misses != 1 || st.Hits != 0 || st.BytesStaged != 1000 {
-		t.Fatalf("stats = %+v", st)
+	if misses, hits, occ := pm.Misses.Value(), pm.Hits.Value(), pm.Occupancy.Value(); misses != 1 || hits != 0 || occ != 1000 {
+		t.Fatalf("misses %d, hits %d, occupancy %d", misses, hits, occ)
 	}
 	// Second stage is a cache hit.
 	if _, err := m.Stage("run1.db"); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Hits != 1 {
-		t.Fatalf("stats after hit = %+v", st)
+	if hits := pm.Hits.Value(); hits != 1 {
+		t.Fatalf("hits after a hit = %d", hits)
 	}
 	m.Release("run1.db")
 	m.Release("run1.db")
@@ -88,6 +98,7 @@ func TestStageUnknownFile(t *testing.T) {
 
 func TestEvictionLRU(t *testing.T) {
 	m := newMSS(t, 2500, LRU)
+	pm := withMetrics(m)
 	putTape(t, m, "a", 1000)
 	putTape(t, m, "b", 1000)
 	putTape(t, m, "c", 1000)
@@ -113,8 +124,8 @@ func TestEvictionLRU(t *testing.T) {
 	if !m.OnDisk("a") || !m.OnDisk("c") {
 		t.Fatalf("pool contents = %v", m.PoolContents())
 	}
-	if st := m.Stats(); st.Evictions != 1 {
-		t.Fatalf("stats = %+v", st)
+	if ev := pm.Evictions.Value(); ev != 1 {
+		t.Fatalf("evictions = %d", ev)
 	}
 }
 

@@ -11,13 +11,15 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gdmp/internal/obs"
 )
 
 // poolScript drives one MSS through a random stage/release/reserve/evict
 // sequence and checks the pool's safety invariants after every step:
 // pinned and protected files are never evicted, occupancy never exceeds
-// capacity, and the Stats counters reconcile exactly with the operation
-// log the script kept on the side.
+// capacity, and the gdmp_pool_* counters reconcile exactly with the
+// operation log the script kept on the side.
 func poolScript(t *testing.T, seed int64) error {
 	const capacity = 1000
 	dir, err := os.MkdirTemp("", "mssprop")
@@ -34,6 +36,8 @@ func poolScript(t *testing.T, seed int64) error {
 	if err != nil {
 		return err
 	}
+	pm := obs.NewPoolMetrics(obs.NewRegistry())
+	m.SetMetrics(pm)
 
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, 8)
@@ -64,9 +68,8 @@ func poolScript(t *testing.T, seed int64) error {
 		delete(pins, name)
 	})
 
-	// Operation log totals the Stats counters must reconcile with.
-	stageCalls, noteHits, noteMisses := 0, 0, 0
-	var bytesStaged int64
+	// Operation log totals the pool counters must reconcile with.
+	stageCalls, tapeStages, noteHits, noteMisses := 0, 0, 0, 0
 	var held []func() // reservations deliberately kept open
 	addSeq := 0
 
@@ -79,7 +82,7 @@ func poolScript(t *testing.T, seed int64) error {
 			if _, err := m.Stage(name); err == nil {
 				pins[name]++
 				if !onDisk {
-					bytesStaged += sizes[name]
+					tapeStages++
 				}
 			}
 		case 4, 5, 6: // release
@@ -142,16 +145,17 @@ func poolScript(t *testing.T, seed int64) error {
 		}
 	}
 
-	st := m.Stats()
-	if st.Hits+st.Misses != stageCalls+noteHits+noteMisses {
+	hits, misses := int(pm.Hits.Value()), int(pm.Misses.Value())
+	if hits+misses != stageCalls+noteHits+noteMisses {
 		return fmt.Errorf("seed %d: hits %d + misses %d != %d stage calls + %d noted",
-			seed, st.Hits, st.Misses, stageCalls, noteHits+noteMisses)
+			seed, hits, misses, stageCalls, noteHits+noteMisses)
 	}
-	if st.Evictions != evictions {
-		return fmt.Errorf("seed %d: Stats.Evictions %d, callback saw %d", seed, st.Evictions, evictions)
+	if ev := int(pm.Evictions.Value()); ev != evictions {
+		return fmt.Errorf("seed %d: evictions counter %d, callback saw %d", seed, ev, evictions)
 	}
-	if st.BytesStaged != bytesStaged {
-		return fmt.Errorf("seed %d: BytesStaged %d, log says %d", seed, st.BytesStaged, bytesStaged)
+	// Each completed tape stage and each noted miss timed one fetch.
+	if n := int(pm.StageSeconds.Count()); n != tapeStages+noteMisses {
+		return fmt.Errorf("seed %d: %d stage latencies, log says %d tape stages + %d noted misses", seed, n, tapeStages, noteMisses)
 	}
 
 	// Releasing every held reservation restores Free to exactly what the

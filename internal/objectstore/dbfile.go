@@ -64,9 +64,6 @@ func Create(path string, dbid uint32) (*Writer, error) {
 	return w, nil
 }
 
-// DBID returns the database id being written.
-func (w *Writer) DBID() uint32 { return w.dbid }
-
 // Add appends one object. The object's OID.DB must match the writer's id
 // (or be zero, in which case it is stamped); slots must be unique.
 func (w *Writer) Add(obj *Object) error {

@@ -93,18 +93,6 @@ func (fed *Federation) Databases() []uint32 {
 	return out
 }
 
-// Path returns the file path of an attached database — the object-to-file
-// catalog lookup of Figure 1.
-func (fed *Federation) Path(dbid uint32) (string, error) {
-	fed.mu.RLock()
-	defer fed.mu.RUnlock()
-	p, ok := fed.dbs[dbid]
-	if !ok {
-		return "", fmt.Errorf("%w: db %d", ErrNotAttached, dbid)
-	}
-	return p, nil
-}
-
 // db returns the open reader for an attached database.
 func (fed *Federation) db(dbid uint32) (*DB, error) {
 	fed.mu.RLock()

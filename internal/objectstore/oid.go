@@ -39,9 +39,6 @@ func (o OID) String() string {
 	return fmt.Sprintf("%d:%d", o.DB, o.Slot)
 }
 
-// IsZero reports whether the OID is the zero value (no object).
-func (o OID) IsZero() bool { return o.DB == 0 && o.Slot == 0 }
-
 // ParseOID parses the "db:slot" form.
 func ParseOID(s string) (OID, error) {
 	dbStr, slotStr, ok := strings.Cut(s, ":")

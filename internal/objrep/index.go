@@ -33,11 +33,6 @@ func NewIndex() *Index {
 	return &Index{locs: make(map[objectstore.OID]map[string]objectstore.OID)}
 }
 
-// Add records that a site holds the object under its original identifier.
-func (ix *Index) Add(oid objectstore.OID, site string) {
-	ix.AddAt(oid, site, oid)
-}
-
 // AddAt records that a site holds the object under a (possibly renumbered)
 // local identifier.
 func (ix *Index) AddAt(orig objectstore.OID, site string, local objectstore.OID) {
@@ -57,39 +52,6 @@ func (ix *Index) LocalOID(orig objectstore.OID, site string) (objectstore.OID, b
 	defer ix.mu.RUnlock()
 	local, ok := ix.locs[orig][site]
 	return local, ok
-}
-
-// Remove drops a site's replica of the object.
-func (ix *Index) Remove(oid objectstore.OID, site string) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if set := ix.locs[oid]; set != nil {
-		delete(set, site)
-		if len(set) == 0 {
-			delete(ix.locs, oid)
-		}
-	}
-}
-
-// Sites returns the sorted sites holding the object.
-func (ix *Index) Sites(oid objectstore.OID) []string {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	set := ix.locs[oid]
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Has reports whether a site holds the object.
-func (ix *Index) Has(oid objectstore.OID, site string) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	_, ok := ix.locs[oid][site]
-	return ok
 }
 
 // Missing filters the set down to objects the site does not hold — the

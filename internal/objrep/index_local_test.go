@@ -15,7 +15,7 @@ func TestIndexLocalOIDs(t *testing.T) {
 	renum := objectstore.OID{DB: 0x80000001, Slot: 3}
 
 	// The producing site holds the object under its original identifier.
-	ix.Add(orig, "cern.ch")
+	ix.AddAt(orig, "cern.ch", orig)
 	// A destination holds it under a renumbered identifier (extraction).
 	ix.AddAt(orig, "anl.gov", renum)
 
@@ -37,7 +37,7 @@ func TestIndexLocalOIDsSurviveSaveLoad(t *testing.T) {
 	ix := objrep.NewIndex()
 	orig := objectstore.OID{DB: 2, Slot: 9}
 	renum := objectstore.OID{DB: 0x90000000, Slot: 1}
-	ix.Add(orig, "cern.ch")
+	ix.AddAt(orig, "cern.ch", orig)
 	ix.AddAt(orig, "anl.gov", renum)
 
 	var buf bytes.Buffer
@@ -83,7 +83,7 @@ func TestSecondHopUsesLocalOIDs(t *testing.T) {
 	var oids []objectstore.OID
 	cern.Federation().Scan(func(m objectstore.Meta) bool {
 		if m.Type == "esd" && len(oids) < 6 {
-			ix.Add(m.OID, "cern.ch")
+			ix.AddAt(m.OID, "cern.ch", m.OID)
 			oids = append(oids, m.OID)
 		}
 		return true

@@ -59,7 +59,7 @@ func multiSourceGrid(t *testing.T) (*testbed.Grid, *objrep.Index, []objectstore.
 		// tracks its renumbered local identifiers).
 		if i == 0 {
 			site.Federation().Scan(func(m objectstore.Meta) bool {
-				ix.Add(m.OID, name)
+				ix.AddAt(m.OID, name, m.OID)
 				all = append(all, m.OID)
 				return true
 			})
@@ -87,7 +87,7 @@ func TestReplicateFromSites(t *testing.T) {
 		t.Fatalf("stage 1: %v", err)
 	}
 	for _, oid := range half {
-		if !ix.Has(oid, "fnal.gov") {
+		if !has(ix, oid, "fnal.gov") {
 			t.Fatalf("index missing %v at fnal", oid)
 		}
 	}

@@ -15,6 +15,12 @@ import (
 
 // objGrid builds a grid with a producer holding a generated dataset and a
 // consumer with an empty federation.
+// has reports whether ix resolves oid at site.
+func has(ix *objrep.Index, oid objectstore.OID, site string) bool {
+	_, ok := ix.LocalOID(oid, site)
+	return ok
+}
+
 func objGrid(t *testing.T) (*testbed.Grid, *workload.Dataset) {
 	t.Helper()
 	g, err := testbed.NewGrid(t.TempDir())
@@ -194,7 +200,7 @@ func TestReplicateEndToEnd(t *testing.T) {
 	}
 	// The index records the new replicas.
 	for _, oid := range oids {
-		if !ix.Has(oid, "anl.gov") {
+		if !has(ix, oid, "anl.gov") {
 			t.Fatalf("index missing %v at destination", oid)
 		}
 	}
@@ -254,10 +260,10 @@ func TestIndexBasics(t *testing.T) {
 	ix := objrep.NewIndex()
 	a := objectstore.OID{DB: 1, Slot: 1}
 	b := objectstore.OID{DB: 1, Slot: 2}
-	ix.Add(a, "cern.ch")
-	ix.Add(a, "anl.gov")
-	ix.Add(b, "cern.ch")
-	if !ix.Has(a, "cern.ch") || ix.Has(b, "anl.gov") {
+	ix.AddAt(a, "cern.ch", a)
+	ix.AddAt(a, "anl.gov", a)
+	ix.AddAt(b, "cern.ch", b)
+	if !has(ix, a, "cern.ch") || has(ix, b, "anl.gov") {
 		t.Fatal("Has wrong")
 	}
 	if got := ix.Sites(a); len(got) != 2 || got[0] != "anl.gov" {
@@ -272,7 +278,7 @@ func TestIndexBasics(t *testing.T) {
 		t.Fatalf("CollectiveLookup = %v", groups)
 	}
 	ix.Remove(a, "anl.gov")
-	if ix.Has(a, "anl.gov") {
+	if has(ix, a, "anl.gov") {
 		t.Fatal("Remove failed")
 	}
 	ix.Remove(a, "cern.ch")
@@ -284,9 +290,9 @@ func TestIndexBasics(t *testing.T) {
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	ix := objrep.NewIndex()
 	for i := uint32(1); i <= 50; i++ {
-		ix.Add(objectstore.OID{DB: i % 3, Slot: i}, "cern.ch")
+		ix.AddAt(objectstore.OID{DB: i % 3, Slot: i}, "cern.ch", objectstore.OID{DB: i % 3, Slot: i})
 		if i%2 == 0 {
-			ix.Add(objectstore.OID{DB: i % 3, Slot: i}, "anl.gov")
+			ix.AddAt(objectstore.OID{DB: i % 3, Slot: i}, "anl.gov", objectstore.OID{DB: i % 3, Slot: i})
 		}
 	}
 	var buf bytes.Buffer
@@ -300,7 +306,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if restored.Len() != ix.Len() {
 		t.Fatalf("restored %d entries, want %d", restored.Len(), ix.Len())
 	}
-	if !restored.Has(objectstore.OID{DB: 2, Slot: 2}, "anl.gov") {
+	if !has(restored, objectstore.OID{DB: 2, Slot: 2}, "anl.gov") {
 		t.Fatal("entry lost in round trip")
 	}
 	// Deterministic output.
@@ -327,8 +333,8 @@ func TestIndexReplicatedAsFile(t *testing.T) {
 	dest := g.Site("anl.gov")
 
 	ix := objrep.NewIndex()
-	ix.Add(objectstore.OID{DB: 1, Slot: 7}, "cern.ch")
-	ix.Add(objectstore.OID{DB: 2, Slot: 9}, "cern.ch")
+	ix.AddAt(objectstore.OID{DB: 1, Slot: 7}, "cern.ch", objectstore.OID{DB: 1, Slot: 7})
+	ix.AddAt(objectstore.OID{DB: 2, Slot: 9}, "cern.ch", objectstore.OID{DB: 2, Slot: 9})
 
 	pf, err := ix.PublishTo(src, "index/objects.idx", "lfn://cern.ch/index/objects.idx")
 	if err != nil {
@@ -338,7 +344,7 @@ func TestIndexReplicatedAsFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FetchFrom: %v", err)
 	}
-	if fetched.Len() != 2 || !fetched.Has(objectstore.OID{DB: 1, Slot: 7}, "cern.ch") {
+	if fetched.Len() != 2 || !has(fetched, objectstore.OID{DB: 1, Slot: 7}, "cern.ch") {
 		t.Fatalf("fetched index = %d entries", fetched.Len())
 	}
 }

@@ -91,7 +91,7 @@ func TestReclusterByTypePreservesContent(t *testing.T) {
 		}
 		return true
 	})
-	if tagOID.IsZero() {
+	if tagOID == (objectstore.OID{}) {
 		t.Fatal("no tag with association found after reclustering")
 	}
 	target, err := newFed.Navigate(tagOID, 0)

@@ -107,7 +107,7 @@ func TestTimerObserves(t *testing.T) {
 func TestExpositionParses(t *testing.T) {
 	r := NewRegistry()
 	NewTransferRecorder(r, "x").Record(TransferSample{
-		Direction: "get", Bytes: 10, Streams: 2, Attempts: 1, Elapsed: time.Second,
+		Direction: "get", Bytes: 10, Streams: 2, Elapsed: time.Second,
 	})
 	for _, line := range strings.Split(strings.TrimSuffix(r.Text(), "\n"), "\n") {
 		if strings.HasPrefix(line, "# ") {

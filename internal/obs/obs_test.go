@@ -19,11 +19,11 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	var g Gauge
 	g.Set(10)
-	g.Add(-3)
 	g.Inc()
 	g.Dec()
-	if got := g.Value(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
+	g.Dec()
+	if got := g.Value(); got != 9 {
+		t.Fatalf("gauge = %d, want 9", got)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestConcurrentHammer(t *testing.T) {
 			label := string(rune('a' + w%4))
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				g.Dec()
 				h.Observe(float64(i%100) / 100)
 				cv.WithLabelValues(label).Inc()
@@ -132,11 +132,12 @@ func TestTransferRecorder(t *testing.T) {
 	rec := NewTransferRecorder(r, "test_xfer")
 	done := rec.Start()
 	done(TransferSample{
-		Direction: "get", Bytes: 1 << 20, Streams: 4, Attempts: 2,
+		Direction: "get", Bytes: 1 << 20, Streams: 4,
 		Elapsed: time.Second,
 	})
+	rec.Restart()
 	rec.Record(TransferSample{
-		Direction: "put", Bytes: 100, Streams: 1, Attempts: 1,
+		Direction: "put", Bytes: 100, Streams: 1,
 		Elapsed: time.Millisecond, Err: errFake{},
 	})
 	rec.CRCFailure()

@@ -11,8 +11,8 @@ var bandwidthBuckets = ExponentialBuckets(0.1, 2, 18)
 
 // TransferSample is the per-transfer record fed to a TransferRecorder:
 // the same quantities GridFTP's integrated instrumentation reports per
-// transfer (bytes moved, stream and stripe counts, restart attempts,
-// elapsed time).
+// transfer (bytes moved, stream count, elapsed time). Restarts and
+// stripes are counted by Restart and Striped.
 type TransferSample struct {
 	// Direction is "get" or "put" (or "3rd-party").
 	Direction string
@@ -22,14 +22,6 @@ type TransferSample struct {
 
 	// Streams is the parallel TCP stream count used.
 	Streams int
-
-	// Stripes is the number of source hosts for a striped transfer
-	// (0 or 1 for a plain transfer).
-	Stripes int
-
-	// Attempts is the total attempt count; attempts beyond the first are
-	// counted as restarts.
-	Attempts int
 
 	// Elapsed is the wall-clock transfer time.
 	Elapsed time.Duration
@@ -116,12 +108,6 @@ func (t *TransferRecorder) Record(s TransferSample) {
 	t.bytes.WithLabelValues(s.Direction).Add(s.Bytes)
 	if s.Streams > 0 {
 		t.streams.Observe(float64(s.Streams))
-	}
-	if s.Stripes > 1 {
-		t.stripes.Observe(float64(s.Stripes))
-	}
-	if s.Attempts > 1 {
-		t.restarts.Add(int64(s.Attempts - 1))
 	}
 	if s.Err == nil && s.Bytes > 0 && s.Elapsed > 0 {
 		t.bandwidth.Observe(s.RateMbps())

@@ -221,28 +221,12 @@ func (c *Catalog) GenerateLFN(site, base string, attrs map[string]string) (lfn s
 	}
 }
 
-// Lookup returns a copy of the logical file entry. Internal hot paths
-// that only need to read should prefer ReadEntry, which skips the deep
-// copy.
-func (c *Catalog) Lookup(name string) (f *LogicalFile, err error) {
-	defer c.met.record(opLookup, time.Now(), &err)
-	defer c.rls.lookup(time.Now())
-	sh, i := c.shardFor(name)
-	c.rls.shardLookups[i].Inc()
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	lf, ok := sh.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: logical file %q", ErrNotFound, name)
-	}
-	return lf.clone(), nil
-}
-
 // ReadEntry runs fn on the live logical-file entry under the shard read
-// lock, without cloning — the copy-free read path for internal callers
-// on the lookup hot path. The entry is only valid for the duration of
+// lock, without cloning: the catalog's one lookup path, which the
+// rc.lookup handler serves. The entry is only valid for the duration of
 // fn and must not be mutated or retained.
 func (c *Catalog) ReadEntry(name string, fn func(f *LogicalFile)) (err error) {
+	defer c.met.record(opLookup, time.Now(), &err)
 	defer c.rls.lookup(time.Now())
 	sh, i := c.shardFor(name)
 	c.rls.shardLookups[i].Inc()

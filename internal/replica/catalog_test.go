@@ -29,10 +29,16 @@ func mustRegister(t *testing.T, c *Catalog, name string, attrs map[string]string
 	}
 }
 
+// lookup returns a copy of name's entry, read through ReadEntry.
+func lookup(c *Catalog, name string) (f *LogicalFile, err error) {
+	err = c.ReadEntry(name, func(lf *LogicalFile) { f = lf.clone() })
+	return f, err
+}
+
 func TestRegisterAndLookup(t *testing.T) {
 	c := newTestCatalog(t)
 	mustRegister(t, c, "lfn://cern.ch/run42.db", map[string]string{AttrSize: "1024", AttrOwner: "alice"})
-	f, err := c.Lookup("lfn://cern.ch/run42.db")
+	f, err := lookup(c, "lfn://cern.ch/run42.db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +68,13 @@ func TestRegisterValidatesNames(t *testing.T) {
 	}
 }
 
-func TestLookupCopiesAttrs(t *testing.T) {
+func TestQueryCopiesAttrs(t *testing.T) {
 	c := newTestCatalog(t)
 	mustRegister(t, c, "f", map[string]string{"k": "v"})
-	f, _ := c.Lookup("f")
-	f.Attrs["k"] = "mutated"
-	g, _ := c.Lookup("f")
-	if g.Attrs["k"] != "v" {
-		t.Fatal("Lookup leaked internal state")
+	fs, _ := c.Query("(k=v)")
+	fs[0].Attrs["k"] = "mutated"
+	if gs, _ := c.Query("(k=v)"); len(gs) != 1 || gs[0].Attrs["k"] != "v" {
+		t.Fatal("Query leaked internal state")
 	}
 }
 
@@ -85,7 +90,7 @@ func TestGenerateLFNUnique(t *testing.T) {
 			t.Fatalf("GenerateLFN repeated %q", lfn)
 		}
 		seen[lfn] = true
-		if _, err := c.Lookup(lfn); err != nil {
+		if _, err := lookup(c, lfn); err != nil {
 			t.Fatalf("generated LFN not registered: %v", err)
 		}
 	}
@@ -97,7 +102,7 @@ func TestSetAttrsAndDelete(t *testing.T) {
 	if err := c.SetAttrs("f", map[string]string{"b": "2"}); err != nil {
 		t.Fatal(err)
 	}
-	f, _ := c.Lookup("f")
+	f, _ := lookup(c, "f")
 	if f.Attrs["a"] != "1" || f.Attrs["b"] != "2" {
 		t.Fatalf("attrs after merge = %v", f.Attrs)
 	}
@@ -107,7 +112,7 @@ func TestSetAttrsAndDelete(t *testing.T) {
 	if err := c.Delete("f"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup("f"); !errors.Is(err, ErrNotFound) {
+	if _, err := lookup(c, "f"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Lookup after delete: %v", err)
 	}
 	if err := c.Delete("f"); !errors.Is(err, ErrNotFound) {
@@ -253,7 +258,7 @@ func TestConcurrentCatalogAccess(t *testing.T) {
 func dumpCatalog(c *Catalog) string {
 	var b strings.Builder
 	for _, n := range c.Files() {
-		f, _ := c.Lookup(n)
+		f, _ := lookup(c, n)
 		locs, _ := c.Locations(n)
 		fmt.Fprintf(&b, "file %q %q %q\n", n, f.Attrs, locs)
 	}
@@ -337,7 +342,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if st, want := restored.Stats(), c.Stats(); st != want {
 		t.Fatalf("restored stats %+v, want %+v", st, want)
 	}
-	f, err := restored.Lookup("lfn://cern.ch/run1.db")
+	f, err := lookup(restored, "lfn://cern.ch/run1.db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +362,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Lookup(lfn); err == nil {
+	if _, err := lookup(c, lfn); err == nil {
 		t.Fatalf("restored catalog reused serial: %q", lfn)
 	}
 }
@@ -448,7 +453,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 			// bytes of header and the record itself.
 			var e rpc.Encoder
 			encodeMutation(&e, Mutation{Op: MutAddReplica, LFN: "lfn://cern.ch/a", PFN: "pfn"})
-			rewriteSnapshot(t, dir, func(b []byte) []byte { return b[:len(b)-8-e.Len()] })
+			rewriteSnapshot(t, dir, func(b []byte) []byte { return b[:len(b)-8-len(e.Bytes())] })
 		}, "2 of 3 records"},
 		{"truncated snapshot payload", func(t *testing.T, dir string) {
 			recompact(t, dir, func(old [][]byte) [][]byte {
@@ -514,7 +519,7 @@ func TestSnapshotPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, n := range r.Files() {
-			lf, err := r.Lookup(n)
+			lf, err := lookup(r, n)
 			if err != nil || lf.Attrs["attr"] != attr {
 				return false
 			}

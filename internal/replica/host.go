@@ -81,7 +81,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	h.ln = ln
-	h.srv = NewServerWithRLI(catalog, NewRLI(cfg.RLITTL, catalog.reg), cfg.Cred, cfg.TrustRoots, cfg.ACL)
+	h.srv = NewServer(catalog, NewRLI(cfg.RLITTL, catalog.reg), cfg.Cred, cfg.TrustRoots, cfg.ACL)
 	cfg.Logger.Printf("replica catalog %s listening on %s (%d shards)",
 		cfg.Cred.Identity(), ln.Addr(), catalog.ShardCount())
 	go func() {

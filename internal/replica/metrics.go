@@ -83,7 +83,7 @@ func newRLSCatalogMetrics(r *obs.Registry, shards int) *rlsCatalogMetrics {
 		shardLookups: make([]*obs.Counter, shards),
 		shardUpdates: make([]*obs.Counter, shards),
 		lookupSec: r.Histogram(RLSMetricsPrefix+"_lookup_seconds",
-			"LRC lookup latency (Lookup/ReadEntry/Locations) across all shards.", nil),
+			"LRC lookup latency (ReadEntry/Locations) across all shards.", nil),
 	}
 	lv := r.CounterVec(RLSMetricsPrefix+"_shard_lookups_total",
 		"LRC lookups by shard.", "shard")

@@ -27,7 +27,7 @@ func TestRelayCannotInjectCatalogCall(t *testing.T) {
 	acl := gsi.NewACL()
 	AllowCatalogUseAll(acl)
 	cat := New(Options{})
-	srv := NewServer(cat, serverCred, roots, acl)
+	srv := NewServer(cat, NewRLI(0, nil), serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestRelayCannotInjectCatalogCall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Error("the server kept the session up after the injected frame")
 	}
-	if _, err := cat.Lookup(lfn); err != nil {
+	if _, err := lookup(cat, lfn); err != nil {
 		t.Fatalf("the injected delete was applied: %v", err)
 	}
 	if _, err := cl.Lookup(ctx, lfn); err == nil {

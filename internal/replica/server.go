@@ -91,24 +91,13 @@ type Server struct {
 	rpc     *rpc.Server
 }
 
-// NewServer wraps catalog in an authenticated RPC server, co-hosting an
-// RLI with the default soft-state TTL. Both record into the catalog's
-// registry.
-func NewServer(catalog *Catalog, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
-	return NewServerWithRLI(catalog, NewRLI(0, catalog.reg), cred, roots, acl)
-}
-
-// NewServerWithRLI is NewServer with a caller-configured index tier
-// (custom TTL or metrics registry). The RPC server records into the
-// catalog's registry.
-func NewServerWithRLI(catalog *Catalog, rli *RLI, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
+// NewServer wraps catalog in an authenticated RPC server that co-hosts
+// the index tier rli. The RPC server records into the catalog's registry.
+func NewServer(catalog *Catalog, rli *RLI, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
 	s := &Server{catalog: catalog, rli: rli, rpc: rpc.NewServer(cred, roots, acl, catalog.reg)}
 	s.register()
 	return s
 }
-
-// RLI returns the co-hosted index tier.
-func (s *Server) RLI() *RLI { return s.rli }
 
 // Serve accepts connections on ln until Close.
 func (s *Server) Serve(ln net.Listener) error { return s.rpc.Serve(ln) }

@@ -60,7 +60,7 @@ func TestStoreRecoversFromWAL(t *testing.T) {
 
 	c2, st2 := openTestStore(t, dir, 8)
 	defer st2.Close()
-	f, err := c2.Lookup("lfn://cern.ch/a")
+	f, err := lookup(c2, "lfn://cern.ch/a")
 	if err != nil {
 		t.Fatalf("recovered Lookup: %v", err)
 	}
@@ -100,10 +100,10 @@ func TestStoreCompactAndRecover(t *testing.T) {
 	if got := len(c2.Files()); got != 100 {
 		t.Fatalf("recovered %d files, want 100", got)
 	}
-	if _, err := c2.Lookup("lfn://cern.ch/f000"); err == nil {
+	if _, err := lookup(c2, "lfn://cern.ch/f000"); err == nil {
 		t.Fatal("deleted file resurrected")
 	}
-	if _, err := c2.Lookup("lfn://cern.ch/after"); err != nil {
+	if _, err := lookup(c2, "lfn://cern.ch/after"); err != nil {
 		t.Fatalf("post-compact register lost: %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestStoreRebalanceAcrossShardCounts(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		lfn := fmt.Sprintf("lfn://cern.ch/f%03d", i)
-		f, err := c2.Lookup(lfn)
+		f, err := lookup(c2, lfn)
 		if err != nil {
 			t.Fatalf("rebalanced Lookup(%s): %v", lfn, err)
 		}
@@ -282,7 +282,7 @@ func FuzzDecodeMutation(f *testing.F) {
 		var e rpc.Encoder
 		encodeMutation(&e, m)
 		f.Add(e.Bytes())
-		f.Add(e.Bytes()[:e.Len()-1])
+		f.Add(e.Bytes()[:len(e.Bytes())-1])
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		var m Mutation

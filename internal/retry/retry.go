@@ -4,8 +4,8 @@
 // so that partial failures — the dominant failure mode reported for the EU
 // DataGrid testbed — are absorbed the same way everywhere.
 //
-// A Policy describes exponential backoff with jitter, an attempt cap, an
-// overall wall-clock budget, and a retryable-error classification. Do runs
+// A Policy describes exponential backoff with jitter, an attempt cap, and
+// a retryable-error classification. Do runs
 // a function under the policy, sleeping between attempts (context-aware:
 // cancellation interrupts both the attempt gate and the backoff sleep).
 // Every attempt and every finished operation is recorded in the
@@ -32,13 +32,12 @@ const (
 	OutcomeOK        = "ok"        // the operation eventually succeeded
 	OutcomePermanent = "permanent" // a non-retryable error stopped it
 	OutcomeExhausted = "exhausted" // the attempt cap was reached
-	OutcomeBudget    = "budget"    // the wall-clock budget ran out
 	OutcomeCanceled  = "canceled"  // the context was canceled
 )
 
 // Policy describes how an operation is retried. The zero value is usable:
 // defaults are three attempts, 50 ms initial backoff doubling to a 2 s
-// ceiling, 20% jitter, no overall budget, and "retry everything except
+// ceiling, 20% jitter, and "retry everything except
 // permanent and context errors".
 type Policy struct {
 	// Attempts caps the total number of tries (first try included).
@@ -52,11 +51,6 @@ type Policy struct {
 
 	// Jitter spreads each backoff uniformly over [d*(1-J), d*(1+J)].
 	Jitter float64
-
-	// Budget bounds the overall wall clock of Do, sleeps included; a
-	// backoff that would overrun it fails the operation instead. Zero
-	// means no budget.
-	Budget time.Duration
 
 	// Retryable classifies errors; nil uses DefaultRetryable.
 	Retryable func(error) bool
@@ -254,7 +248,7 @@ func Sleep(ctx context.Context, d time.Duration) error {
 
 // Do runs fn under the policy. fn receives the 1-based attempt number.
 // Attempts stop on success, on a non-retryable error, when the attempt cap
-// or wall-clock budget is reached, or when ctx is done; the final error is
+// is reached, or when ctx is done; the final error is
 // an *ExhaustedError wrapping the last attempt's error (or the error
 // itself when classified permanent).
 func (p Policy) Do(ctx context.Context, fn func(attempt int) error) error {
@@ -271,11 +265,6 @@ func (p Policy) Do(ctx context.Context, fn func(attempt int) error) error {
 	if sleep == nil {
 		sleep = Sleep
 	}
-	var deadline time.Time
-	if p.Budget > 0 {
-		deadline = time.Now().Add(p.Budget)
-	}
-
 	finish := func(outcome string) {
 		if m != nil {
 			m.ops.WithLabelValues(p.Op, outcome).Inc()
@@ -316,10 +305,6 @@ func (p Policy) Do(ctx context.Context, fn func(attempt int) error) error {
 			if m != nil {
 				m.floors.WithLabelValues(p.Op).Inc()
 			}
-		}
-		if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
-			finish(OutcomeBudget)
-			return &ExhaustedError{Op: p.Op, Attempts: attempt, Reason: OutcomeBudget, Last: err}
 		}
 		if m != nil {
 			m.backoffs.WithLabelValues(p.Op).Inc()

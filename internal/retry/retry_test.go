@@ -118,21 +118,6 @@ func TestDoContextCancel(t *testing.T) {
 	}
 }
 
-func TestDoBudget(t *testing.T) {
-	p := Policy{
-		Attempts:  100,
-		BaseDelay: 40 * time.Millisecond,
-		MaxDelay:  40 * time.Millisecond,
-		Jitter:    0,
-		Budget:    60 * time.Millisecond,
-	}
-	err := p.Do(context.Background(), func(int) error { return errors.New("transient") })
-	var ex *ExhaustedError
-	if !errors.As(err, &ex) || ex.Reason != OutcomeBudget {
-		t.Fatalf("want budget exhaustion, got %v", err)
-	}
-}
-
 func TestDelayGrowthAndCap(t *testing.T) {
 	p := Policy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond, Multiplier: 2, Jitter: 0}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}

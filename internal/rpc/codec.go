@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 )
 
@@ -43,15 +42,8 @@ type Encoder struct {
 // Bytes returns the encoded message.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the current encoded length.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Reset discards the buffer contents, retaining capacity.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
-// Grow makes room for n more bytes, so a message whose size is known
-// ahead is encoded without reallocating.
-func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Uint8 appends a single byte.
 func (e *Encoder) Uint8(v uint8) { e.buf = append(e.buf, v) }
@@ -81,9 +73,6 @@ func (e *Encoder) Uint64(v uint64) {
 
 // Int64 appends a signed 64-bit integer.
 func (e *Encoder) Int64(v int64) { e.Uint64(uint64(v)) }
-
-// Float64 appends an IEEE-754 double.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(v string) {
@@ -172,9 +161,6 @@ func (d *Decoder) Uint64() uint64 {
 
 // Int64 reads a signed 64-bit integer.
 func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
-
-// Float64 reads an IEEE-754 double.
-func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string {

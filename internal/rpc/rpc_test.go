@@ -29,7 +29,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.Uint32(0xDEADBEEF)
 	e.Uint64(1 << 60)
 	e.Int64(-42)
-	e.Float64(3.14159)
 	e.String("logical/file/name")
 	e.Bytes32([]byte{1, 2, 3})
 	e.StringList([]string{"a", "", "ccc"})
@@ -49,9 +48,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if got := d.Int64(); got != -42 {
 		t.Errorf("Int64 = %d", got)
-	}
-	if got := d.Float64(); got != 3.14159 {
-		t.Errorf("Float64 = %v", got)
 	}
 	if got := d.String(); got != "logical/file/name" {
 		t.Errorf("String = %q", got)

@@ -179,9 +179,6 @@ func (s *Server) Handle(method string, h Handler) {
 	s.handlers[method] = h
 }
 
-// Identity returns the server's own identity.
-func (s *Server) Identity() gsi.Identity { return s.cred.Identity() }
-
 // SetAdmission installs an admission controller consulted before every
 // dispatch; classify maps method names onto admission classes (nil maps
 // everything to Control). Call before Serve.

@@ -37,6 +37,7 @@ type Grid struct {
 	Catalog     *replica.Catalog
 	CatalogSrv  *replica.Server
 	CatalogAddr string
+	RLI         *replica.RLI // the catalog server's index tier
 
 	Sites map[string]*core.Site
 
@@ -202,7 +203,8 @@ func NewGrid(baseDir string) (*Grid, error) {
 	}
 	// bench/run.go reads this catalog server's request count in obs.Default.
 	catalog := replica.New(replica.Options{Registry: obs.Default})
-	catalogSrv := replica.NewServer(catalog, catalogCred, roots, acl)
+	rli := replica.NewRLI(0, obs.Default)
+	catalogSrv := replica.NewServer(catalog, rli, catalogCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -215,6 +217,7 @@ func NewGrid(baseDir string) (*Grid, error) {
 		ACL:         acl,
 		Catalog:     catalog,
 		CatalogSrv:  catalogSrv,
+		RLI:         rli,
 		CatalogAddr: ln.Addr().String(),
 		Sites:       make(map[string]*core.Site),
 		baseDir:     baseDir,

@@ -66,9 +66,6 @@ func (l *Link) acquire(n int) time.Duration {
 	return wait
 }
 
-// RTT returns the emulated round-trip time.
-func (l *Link) RTT() time.Duration { return l.rtt }
-
 // Wrap shapes an existing connection through the link.
 func (l *Link) Wrap(c net.Conn) net.Conn {
 	return &conn{Conn: c, link: l}

@@ -200,8 +200,8 @@ func TestPropagationDelayOnIdleBurst(t *testing.T) {
 
 func TestCERNtoANLDefaults(t *testing.T) {
 	l := CERNtoANL()
-	if l.RTT() != 125*time.Millisecond {
-		t.Fatalf("RTT = %v", l.RTT())
+	if l.rtt != 125*time.Millisecond {
+		t.Fatalf("RTT = %v", l.rtt)
 	}
 	if l.rateBytesPerSec != 25e6/8 {
 		t.Fatalf("rate = %v", l.rateBytesPerSec)

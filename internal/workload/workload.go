@@ -214,12 +214,6 @@ func Generate(cfg Config) (*Dataset, error) {
 	return ds, nil
 }
 
-// Lookup returns the OID of an (event, type) pair.
-func (ds *Dataset) Lookup(event uint64, typ string) (objectstore.OID, bool) {
-	oid, ok := ds.index[ObjectKey{event, typ}]
-	return oid, ok
-}
-
 // ObjectsFor maps a selected event set to the OIDs of one object type —
 // the collective lookup a data-intensive HEP application performs up front
 // (Section 5.2).
@@ -248,15 +242,6 @@ func (ds *Dataset) FilesTouched(oids []objectstore.OID) (files int, bytes int64)
 		}
 	}
 	return files, bytes
-}
-
-// TotalBytes is the dataset's full size.
-func (ds *Dataset) TotalBytes() int64 {
-	var n int64
-	for _, fm := range ds.Files {
-		n += fm.Bytes
-	}
-	return n
 }
 
 // SelectEvents draws a fresh random subset of m events from [1, total] —

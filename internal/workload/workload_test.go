@@ -47,8 +47,10 @@ func TestGenerateCountsAndIndex(t *testing.T) {
 		t.Fatalf("files = %d", len(ds.Files))
 	}
 	total := 0
+	var bytes int64
 	for _, fm := range ds.Files {
 		total += fm.Objects
+		bytes += fm.Bytes
 	}
 	if total != 100 {
 		t.Fatalf("objects = %d", total)
@@ -56,17 +58,17 @@ func TestGenerateCountsAndIndex(t *testing.T) {
 	// Every (event, type) pair resolves.
 	for ev := uint64(1); ev <= 50; ev++ {
 		for _, typ := range []string{"tag", "esd"} {
-			if _, ok := ds.Lookup(ev, typ); !ok {
+			if _, ok := ds.index[ObjectKey{ev, typ}]; !ok {
 				t.Fatalf("Lookup(%d, %s) missed", ev, typ)
 			}
 		}
 	}
-	if _, ok := ds.Lookup(999, "tag"); ok {
+	if _, ok := ds.index[ObjectKey{999, "tag"}]; ok {
 		t.Fatal("Lookup of absent event succeeded")
 	}
 	// Expected bytes: 50*10 + 50*100.
-	if ds.TotalBytes() != 50*10+50*100 {
-		t.Fatalf("TotalBytes = %d", ds.TotalBytes())
+	if bytes != 50*10+50*100 {
+		t.Fatalf("total bytes = %d", bytes)
 	}
 }
 
@@ -85,7 +87,7 @@ func TestGeneratedFilesAreReadable(t *testing.T) {
 			t.Fatalf("dbid %d != %d", id, fm.DBID)
 		}
 	}
-	oid, _ := ds.Lookup(7, "esd")
+	oid := ds.index[ObjectKey{7, "esd"}]
 	obj, err := fed.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestGeneratedFilesAreReadable(t *testing.T) {
 		t.Fatalf("object = %+v", obj)
 	}
 	// LinkTypes: the tag object navigates to the esd object.
-	tagOID, _ := ds.Lookup(7, "tag")
+	tagOID := ds.index[ObjectKey{7, "tag"}]
 	target, err := fed.Navigate(tagOID, 0)
 	if err != nil {
 		t.Fatalf("Navigate: %v", err)

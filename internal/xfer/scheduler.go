@@ -153,13 +153,6 @@ func (t *Ticket) Wait(ctx context.Context) error {
 	}
 }
 
-// Done exposes the completion channel for select-based callers; Err is
-// valid once Done is closed.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
-// Err returns the job's error; only meaningful after Done is closed.
-func (t *Ticket) Err() error { return t.err }
-
 // abandon drops one waiter's interest; at zero waiters the job is canceled.
 func (t *Ticket) abandon() {
 	s := t.s
@@ -270,9 +263,6 @@ func New(cfg Config) *Scheduler {
 	}
 	return s
 }
-
-// Workers reports the pool size.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
 // Submit admits a job under a dedup key. If a job with the same key is
 // already queued or running, the submission coalesces onto it (fn is

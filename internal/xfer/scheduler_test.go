@@ -192,12 +192,12 @@ func TestAbandonedQueuedJobNeverRuns(t *testing.T) {
 	close(gate)
 	// The victim's ticket must already be finished with Canceled.
 	select {
-	case <-tk.Done():
+	case <-tk.done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("abandoned ticket never completed")
 	}
-	if !errors.Is(tk.Err(), context.Canceled) {
-		t.Fatalf("ticket err = %v, want context.Canceled", tk.Err())
+	if !errors.Is(tk.err, context.Canceled) {
+		t.Fatalf("ticket err = %v, want context.Canceled", tk.err)
 	}
 	if ran.Load() {
 		t.Fatal("abandoned queued job still ran")
@@ -374,9 +374,9 @@ func TestResubmitAfterAbandonedRunningJobStartsFresh(t *testing.T) {
 		t.Fatal("fresh job never ran")
 	}
 	// The old ticket still reports its own cancellation.
-	<-t1.Done()
-	if !errors.Is(t1.Err(), context.Canceled) {
-		t.Fatalf("abandoned job outcome = %v, want canceled", t1.Err())
+	<-t1.done
+	if !errors.Is(t1.err, context.Canceled) {
+		t.Fatalf("abandoned job outcome = %v, want canceled", t1.err)
 	}
 }
 
@@ -416,7 +416,7 @@ func TestAbandonedJobCompletionDoesNotEvictSuccessor(t *testing.T) {
 
 	// Let the abandoned job finish now, while the successor is running.
 	close(exit)
-	<-t1.Done()
+	<-t1.done
 
 	// A third submission must coalesce onto the live successor.
 	t3 := s.Submit("lfn://hot", 0, job2)

@@ -63,7 +63,7 @@ func TestRLSReadYourWrites(t *testing.T) {
 	pf := publishData(t, g, prod, "rls/own.db", testbed.MakeData(8_000, 1))
 
 	// No digest was ever pushed; the RLI has never heard of cern.ch.
-	if got := g.CatalogSrv.RLI().Sites(); len(got) != 0 {
+	if got := g.RLI.Sites(); len(got) != 0 {
 		t.Fatalf("RLI unexpectedly populated: %v", got)
 	}
 	pfns, source, err := prod.Locate(ctx, pf.LFN)
@@ -188,7 +188,7 @@ func TestRLSFalsePositivesNeverWrongAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rli := g.CatalogSrv.RLI()
+	rli := g.RLI
 	candidates := 0
 	for i := 0; i < 300; i++ {
 		lfn := fmt.Sprintf("lfn://nowhere.ch/absent-%d", rng.Int63())
@@ -272,7 +272,7 @@ func TestRLSDigestCrashRestartConverges(t *testing.T) {
 	if outcome != replica.PushRefresh {
 		t.Fatalf("converging push = %q, want %q", outcome, replica.PushRefresh)
 	}
-	sites := g.CatalogSrv.RLI().Sites()
+	sites := g.RLI.Sites()
 	if len(sites) != 1 || sites[0].Gen <= preGen {
 		t.Fatalf("RLI after convergence = %+v, want gen > %d", sites, preGen)
 	}
@@ -301,13 +301,13 @@ func TestRLSDigestTTLAgesOutDeadSite(t *testing.T) {
 	if _, err := prod.PushDigest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.CatalogSrv.RLI().MightHold(pf.LFN); len(got) != 1 {
+	if got := g.RLI.MightHold(pf.LFN); len(got) != 1 {
 		t.Fatalf("MightHold before TTL = %v", got)
 	}
 	waitUntil(t, 5*time.Second, "RLI entry to age out", func() bool {
-		return len(g.CatalogSrv.RLI().Sites()) == 0
+		return len(g.RLI.Sites()) == 0
 	})
-	if got := g.CatalogSrv.RLI().MightHold(pf.LFN); len(got) != 0 {
+	if got := g.RLI.MightHold(pf.LFN); len(got) != 0 {
 		t.Fatalf("MightHold after TTL = %v", got)
 	}
 }
@@ -329,11 +329,11 @@ func TestRLSDigestLoopPushesPeriodically(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, "first automatic digest push", func() bool {
-		return len(g.CatalogSrv.RLI().Sites()) == 1
+		return len(g.RLI.Sites()) == 1
 	})
 
 	pf := publishData(t, g, prod, "rls/auto.db", testbed.MakeData(2_000, 30))
 	waitUntil(t, 5*time.Second, "digest refresh to index the new LFN", func() bool {
-		return len(g.CatalogSrv.RLI().MightHold(pf.LFN)) == 1
+		return len(g.RLI.MightHold(pf.LFN)) == 1
 	})
 }
