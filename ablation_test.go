@@ -4,6 +4,7 @@
 package gdmp_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -159,7 +160,7 @@ func BenchmarkPoolEvictionPolicy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, idx := range sequence {
 				name := fmt.Sprintf("f%03d", idx)
-				if _, err := m.Stage(name); err != nil {
+				if _, err := m.StageContext(context.Background(), name); err != nil {
 					b.Fatal(err)
 				}
 				m.Release(name)
@@ -203,7 +204,7 @@ func TestLRUBeatsFIFOUnderZipf(t *testing.T) {
 		}
 		for _, idx := range workload.SampleZipf(files, 1.2, accesses, 11) {
 			name := fmt.Sprintf("f%03d", idx)
-			if _, err := m.Stage(name); err != nil {
+			if _, err := m.StageContext(context.Background(), name); err != nil {
 				t.Fatal(err)
 			}
 			m.Release(name)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -152,8 +153,10 @@ func TestRebuildLocalCatalogAfterRestart(t *testing.T) {
 
 // TestRebuildLocalCatalogLandsLikeAPublish: a restored entry enters the
 // site through land, like a publish. A disk-resident original is back in
-// the pool, pinned against eviction, with a journaled parity sidecar; a
-// tape-resident one is at tape residency, outside the pool, without one.
+// the pool, pinned against eviction, with its parity sidecar written and
+// pooled beside it; a tape-resident one is at tape residency, outside the
+// pool, without one: the sidecar left next to its deleted bytes goes with
+// the first scrub pass's orphan sweep.
 func TestRebuildLocalCatalogLandsLikeAPublish(t *testing.T) {
 	g := newGrid(t)
 	const capacity = 1 << 20
@@ -178,9 +181,10 @@ func TestRebuildLocalCatalogLandsLikeAPublish(t *testing.T) {
 		t.Fatalf("RebuildLocalCatalog = %d, %v; want 2", n, err)
 	}
 	pool := reborn.Pool()
-	if !pool.OnDisk(disk.PFN.Path) || !reborn.SidecarJournaled(disk.LFN) {
-		t.Fatalf("restored disk file: in pool %v, sidecar journaled %v; want both",
-			pool.OnDisk(disk.PFN.Path), reborn.SidecarJournaled(disk.LFN))
+	diskSidecar := disk.PFN.Path + parity.Suffix
+	if !pool.OnDisk(disk.PFN.Path) || !pool.OnDisk(diskSidecar) || !reborn.SidecarOnDisk(disk.PFN.Path) {
+		t.Fatalf("restored disk file: in pool %v, sidecar in pool %v, sidecar on disk %v; want all three",
+			pool.OnDisk(disk.PFN.Path), pool.OnDisk(diskSidecar), reborn.SidecarOnDisk(disk.PFN.Path))
 	}
 	// Pinned: a reservation that needs one byte more than is free finds
 	// nothing it may evict.
@@ -198,8 +202,20 @@ func TestRebuildLocalCatalogLandsLikeAPublish(t *testing.T) {
 			state = fi.State
 		}
 	}
-	if state != core.StateTape || pool.OnDisk(tape.PFN.Path) || reborn.SidecarJournaled(tape.LFN) {
-		t.Fatalf("restored tape file: state %q, in pool %v, sidecar journaled %v; want tape, false, false",
-			state, pool.OnDisk(tape.PFN.Path), reborn.SidecarJournaled(tape.LFN))
+	if state != core.StateTape || pool.OnDisk(tape.PFN.Path) || pool.OnDisk(tape.PFN.Path+parity.Suffix) {
+		t.Fatalf("restored tape file: state %q, in pool %v, sidecar in pool %v; want tape, false, false",
+			state, pool.OnDisk(tape.PFN.Path), pool.OnDisk(tape.PFN.Path+parity.Suffix))
+	}
+	if !reborn.SidecarOnDisk(tape.PFN.Path) {
+		t.Fatal("the sidecar published with the tape file's bytes is gone before any sweep")
+	}
+	if _, err := reborn.ScrubPass(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if reborn.SidecarOnDisk(tape.PFN.Path) {
+		t.Fatal("the scrub pass's orphan sweep left the sidecar next to the deleted bytes")
+	}
+	if !reborn.SidecarOnDisk(disk.PFN.Path) {
+		t.Fatal("the scrub pass dropped the disk file's sidecar")
 	}
 }

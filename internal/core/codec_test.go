@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"gdmp/internal/journal"
 	"gdmp/internal/obs"
 	"gdmp/internal/rpc"
 	"gdmp/internal/scrub"
@@ -80,30 +79,15 @@ func TestDecodeFileInfosHostileInput(t *testing.T) {
 // of records that rebuilds the tables, every snapshot record too. It must
 // never panic, nor allocate for what a length or count claims rather than
 // for the bytes present; and a record it accepts leaves tables whose
-// snapshot replays to the same tables. Seeds are the WAL of the golden
-// crash sequence (all fifteen tags) and the snapshot of the golden
-// graceful one, each record also cut short by a byte; `make fuzz-smoke`
-// mutates them.
+// snapshot replays to the same tables. Seeds are the records of the
+// parent's crash image (all fifteen tags, the retired ones included) and of
+// its graceful snapshot (testdata/parent-journal), each record also cut
+// short by a byte; `make fuzz-smoke` mutates them.
 func FuzzSiteRecord(f *testing.F) {
-	dir := f.TempDir()
-	p := testPersist(f, dir)
-	goldenCrashSequence(p)
-	p.close(false)
 	var seeds [][]byte
-	j, _, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{Registry: obs.NewRegistry(), Replay: func(r []byte) error {
-		seeds = append(seeds, append([]byte(nil), r...))
-		return nil
-	}})
-	if err != nil {
-		f.Fatal(err)
+	for _, image := range []string{"crash", "graceful"} {
+		seeds = append(seeds, journalRecords(f, filepath.Join("testdata", "parent-journal", image))...)
 	}
-	j.Close()
-	q := testPersist(f, "")
-	goldenGracefulSequence(q)
-	q.st.records(func(r []byte) bool {
-		seeds = append(seeds, append([]byte(nil), r...))
-		return true
-	})
 	for _, r := range seeds {
 		f.Add(r)
 		f.Add(r[:len(r)-1])

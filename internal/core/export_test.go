@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"os"
 	"sync"
 
 	"gdmp/internal/admission"
+	"gdmp/internal/parity"
 	"gdmp/internal/scrub"
 )
 
@@ -24,23 +26,25 @@ func (s *Site) LocateForPull(ctx context.Context, lfn string) ([]PFN, error) {
 // disk, without the disk).
 func (s *Site) SeverJournal() { s.persist.j.Close() }
 
-// SidecarJournaled reports whether the sidecar registry holds a record
-// for lfn.
-func (s *Site) SidecarJournaled(lfn string) bool {
-	s.persist.st.tabMu.Lock()
-	defer s.persist.st.tabMu.Unlock()
-	_, ok := s.persist.st.parity[lfn]
-	return ok
+// SidecarOnDisk reports whether a parity sidecar file lies next to the
+// replica at the site-relative path.
+func (s *Site) SidecarOnDisk(path string) bool {
+	localPath, err := s.resolveLocal(path)
+	if err != nil {
+		return false
+	}
+	_, err = os.Stat(parity.SidecarPath(localPath))
+	return err == nil
 }
 
 // RewriteSidecar drops lfn's parity sidecar and runs the landing path's
 // sidecar step again on whatever bytes the replica holds now. It reports
-// whether the registry holds a sidecar for lfn afterwards.
+// whether a sidecar file lies next to the replica afterwards.
 func (s *Site) RewriteSidecar(lfn string) bool {
 	fi, _ := s.local.get(lfn)
 	s.dropParitySidecar(fi)
 	s.writeParitySidecar(fi)
-	return s.SidecarJournaled(lfn)
+	return s.SidecarOnDisk(fi.Path)
 }
 
 // PeriodicScrubPass is the pass startLoops runs on the scrub interval.

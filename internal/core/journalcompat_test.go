@@ -7,13 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"gdmp/internal/journal"
 	"gdmp/internal/obs"
 )
 
-// goldenCrashSequence commits every record kind at least once, including
-// the idempotent no-ops that must leave no record.
+// goldenCrashSequence commits every record kind this build writes at least
+// once, including the idempotent no-ops that must leave no record.
 func goldenCrashSequence(p *sitePersistence) {
 	a := FileInfo{LFN: "lfn://cern.ch/run1/a.db", Path: "run1/a.db", Size: 10, CRC32: "0000000a", FileType: "flat", State: StateDisk}
 	b := FileInfo{LFN: "lfn://cern.ch/run1/b.db", Path: "run1/b.db", Size: 20, CRC32: "0000000b", FileType: "objectivity", State: StateTape}
@@ -41,11 +43,6 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.producerRemove("127.0.0.1:4000")
 	p.scrubCursor(a.LFN)
 	p.scrubCursor(a.LFN) // unchanged, no record
-	p.paritySet(a.LFN, "deadbeef")
-	p.paritySet(a.LFN, "deadbeef") // unchanged, no record
-	p.paritySet(b.LFN, "feedface")
-	p.parityDrop(b.LFN)
-	p.parityDrop(b.LFN) // already gone, no record
 }
 
 // goldenGracefulSequence leaves at least two entries in every table, and
@@ -67,22 +64,65 @@ func goldenGracefulSequence(p *sitePersistence) {
 	p.producerAdd("127.0.0.1:4000")
 	p.producerAdd("127.0.0.1:3000")
 	p.scrubCursor(a.LFN)
-	p.paritySet(b.LFN, "feedface")
-	p.paritySet(a.LFN, "deadbeef")
+}
+
+// copyJournal copies the journal of the state directory src into a fresh
+// one and returns it: opening a journal may rewrite it.
+func copyJournal(t testing.TB, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	names, err := filepath.Glob(filepath.Join(src, "journal", "*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("journal %s: %v, %d files", src, err, len(names))
+	}
+	if err := os.MkdirAll(filepath.Join(dst, "journal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, "journal", filepath.Base(name)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// journalRecords returns the records the journal of the state directory
+// dir replays, snapshot first, without applying them.
+func journalRecords(t testing.TB, dir string) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	j, _, err := journal.Open(filepath.Join(copyJournal(t, dir), "journal"), journal.Options{Registry: obs.NewRegistry(), Replay: func(r []byte) error {
+		recs = append(recs, slices.Clone(r))
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	return recs
 }
 
 // TestJournalBytesMatchParent pins the on-disk format. The state
-// directories under testdata/parent-journal were written by the two
-// sequences above: a crash image (WAL only, all fifteen record tags),
-// written at 9fd26eb, the parent of the commit that put every hook behind
-// sitePersistence.record; and a graceful close (a snapshot), re-pinned by
-// the child of 6eec715, the flag day on which a snapshot became the run of
+// directories under testdata/parent-journal were written by an older
+// build running the two sequences above, when each still ended in parity
+// sidecar records: a crash image (WAL only, all fifteen record tags,
+// retired recParitySet and recParityDrop included), written at 9fd26eb,
+// the parent of the commit that put every hook behind
+// sitePersistence.record; and a graceful close (a snapshot) written by the
+// child of 6eec715, the flag day on which a snapshot became the run of
 // records that rebuilds the tables (an older build's snapshot is refused:
-// TestPersistRefusesOlderSnapshot). Running the same sequences here must
-// produce the same files byte for byte — so a journal written on either
-// side replays on the other — and opening the pinned directories must
-// reconstruct the tables the sequences leave behind.
+// TestPersistRefusesOlderSnapshot). Both are replay-only inputs now: each
+// must open here to the tables this build's sequence leaves. The bytes are
+// pinned too. The crash WAL written here is the parent's with its trailing
+// parity records cut, record for record and byte for byte, so the parent
+// replays it; the graceful snapshot is pinned in testdata/journal, written
+// by the commit that retired the parity records.
 func TestJournalBytesMatchParent(t *testing.T) {
+	retired := func(r []byte) bool { return r[0] == recParitySet || r[0] == recParityDrop }
 	for _, tc := range []struct {
 		name     string
 		sequence func(*sitePersistence)
@@ -92,19 +132,28 @@ func TestJournalBytesMatchParent(t *testing.T) {
 		{"graceful", goldenGracefulSequence, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			golden := filepath.Join("testdata", "parent-journal", tc.name)
+			parent := filepath.Join("testdata", "parent-journal", tc.name)
 			mine := t.TempDir()
 			p := testPersist(t, mine)
 			tc.sequence(p)
 			p.close(tc.graceful)
 
-			theirs := t.TempDir() // opening a journal may rewrite it: work on a copy
-			names, err := filepath.Glob(filepath.Join(golden, "journal", "*"))
-			if err != nil || len(names) == 0 {
-				t.Fatalf("golden journal %s: %v, %d files", golden, err, len(names))
+			theirs := journalRecords(t, parent)
+			if !slices.ContainsFunc(theirs, retired) {
+				t.Fatalf("the parent's %s image holds no parity record", tc.name)
 			}
-			if err := os.MkdirAll(filepath.Join(theirs, "journal"), 0o755); err != nil {
-				t.Fatal(err)
+			if want, got := slices.DeleteFunc(slices.Clone(theirs), retired), journalRecords(t, mine); !reflect.DeepEqual(got, want) {
+				t.Errorf("this commit's records are not the parent's without its parity records:\n%x\nwant\n%x", got, want)
+			}
+			// The bytes: the crash WAL is a strict prefix of the parent's, the
+			// graceful image equals its pin.
+			pinned := filepath.Join("testdata", "journal", tc.name)
+			if !tc.graceful {
+				pinned = parent
+			}
+			names, _ := filepath.Glob(filepath.Join(pinned, "journal", "*"))
+			if written, _ := filepath.Glob(filepath.Join(mine, "journal", "*")); len(written) != len(names) {
+				t.Errorf("this commit wrote %v, the pin holds %v", written, names)
 			}
 			for _, name := range names {
 				want, err := os.ReadFile(name)
@@ -113,20 +162,18 @@ func TestJournalBytesMatchParent(t *testing.T) {
 				}
 				got, err := os.ReadFile(filepath.Join(mine, "journal", filepath.Base(name)))
 				if err != nil {
-					t.Fatalf("the parent wrote %s, this commit did not: %v", filepath.Base(name), err)
+					t.Fatalf("the pin holds %s, this commit did not write it: %v", filepath.Base(name), err)
 				}
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s differs from the parent's bytes (%d vs %d bytes)", filepath.Base(name), len(got), len(want))
+				same := bytes.Equal(got, want)
+				if !tc.graceful {
+					same = len(got) < len(want) && bytes.HasPrefix(want, got)
 				}
-				if err := os.WriteFile(filepath.Join(theirs, "journal", filepath.Base(name)), want, 0o644); err != nil {
-					t.Fatal(err)
+				if !same {
+					t.Errorf("%s differs from the pinned bytes (%d vs %d bytes)", filepath.Base(name), len(got), len(want))
 				}
-			}
-			if written, _ := filepath.Glob(filepath.Join(mine, "journal", "*")); len(written) != len(names) {
-				t.Errorf("this commit wrote %v, the parent %v", written, names)
 			}
 
-			q, torn, err := openPersistence(theirs, obs.NewRegistry(), log.New(io.Discard, "", 0))
+			q, torn, err := openPersistence(copyJournal(t, parent), obs.NewRegistry(), log.New(io.Discard, "", 0))
 			if err != nil || torn != 0 {
 				t.Fatalf("replaying the parent's journal: %v, %d torn bytes", err, torn)
 			}

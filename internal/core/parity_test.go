@@ -14,9 +14,9 @@ import (
 
 // TestNoSidecarForRottedBytes: bytes that rot between landing and the
 // sidecar step get no sidecar — nothing staged, nothing renamed, nothing
-// registered, journaled or counted — where they used to get one that
-// enshrined the rot until the next scrub pass threw it away. The same step
-// on healthy bytes writes all four.
+// counted — where they used to get one that enshrined the rot until the
+// next scrub pass threw it away. The same step on healthy bytes writes the
+// sidecar and counts it.
 func TestNoSidecarForRottedBytes(t *testing.T) {
 	g := newGrid(t)
 	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
@@ -30,32 +30,32 @@ func TestNoSidecarForRottedBytes(t *testing.T) {
 	}
 	replica := filepath.Join(anl.DataDir(), "rot.db")
 	sidecar := parity.SidecarPath(replica)
-	if _, err := os.Stat(sidecar); err != nil || !anl.SidecarJournaled(pf.LFN) || sidecars() != 1 {
-		t.Fatalf("landing left no journaled sidecar: %v", err)
+	if _, err := os.Stat(sidecar); err != nil || sidecars() != 1 {
+		t.Fatalf("landing left no sidecar: %v", err)
 	}
 
 	if _, err := faults.FlipBlocks(replica, 1, 4096, 1); err != nil {
 		t.Fatal(err)
 	}
 	if anl.RewriteSidecar(pf.LFN) {
-		t.Fatal("rotted bytes have a registered sidecar")
+		t.Fatal("rotted bytes have a sidecar")
 	}
 	for _, p := range []string{sidecar, sidecar + ".part"} {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Fatalf("%s exists after a refused encode (%v)", p, err)
 		}
 	}
-	if anl.SidecarJournaled(pf.LFN) || sidecars() != 1 {
-		t.Fatalf("refused encode was journaled or counted (gdmp_parity_sidecars_total %d)", sidecars())
+	if sidecars() != 1 {
+		t.Fatalf("refused encode was counted (gdmp_parity_sidecars_total %d)", sidecars())
 	}
 
 	if err := os.WriteFile(replica, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !anl.RewriteSidecar(pf.LFN) || !anl.SidecarJournaled(pf.LFN) || sidecars() != 2 {
+	if !anl.RewriteSidecar(pf.LFN) || sidecars() != 2 {
 		t.Fatal("healthy bytes were refused a sidecar")
 	}
-	if _, err := os.Stat(sidecar); err != nil {
+	if _, _, err := parity.Load(sidecar); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -23,13 +23,15 @@ const RecoveryMetricsPrefix = "gdmp_recovery"
 
 // Journal record tags. Every mutation of durable site state — the local
 // file catalog, the subscriber registry with its undelivered notification
-// queues, the set of notified-but-unfinished pulls, the producer set, the
-// scrub cursor and the parity-sidecar registry — is one tagged record,
+// queues, the set of notified-but-unfinished pulls, the producer set and the
+// scrub cursor — is one tagged record,
 // appended to the journal and then applied to the site's tables, and
 // re-applied in order at replay. Records are deltas, so their per-key
 // ordering matters; the journal's per-generation WAL guarantees a record
 // is only ever replayed against the snapshot it was appended after, never
-// double-applied.
+// double-applied. The tags are fixed on disk: a retired one keeps its
+// number, and apply still decodes and ignores it, so an older build's
+// journal replays here.
 const (
 	recPutFile uint8 = iota + 1
 	recRemoveFile
@@ -44,6 +46,8 @@ const (
 	recProducerAdd
 	recProducerRemove
 	recScrubCursor
+	// Retired: an older build's parity-sidecar registry (set: lfn, sidecar
+	// CRC; drop: lfn). A sidecar now proves itself (parity.Load).
 	recParitySet
 	recParityDrop
 )
@@ -82,7 +86,7 @@ type persistState struct {
 	subMu sync.Mutex
 	subs  map[string]*subscriberState // site name -> delivery state
 
-	// tabMu guards the four small tables below.
+	// tabMu guards the three small tables below.
 	tabMu sync.Mutex
 
 	pulls map[string]FileInfo // notified or admitted, not yet replicated
@@ -96,15 +100,6 @@ type persistState struct {
 	// current pass ("" = no pass in progress), letting a restart resume
 	// mid-scan instead of re-reading the files it already verified.
 	scrubCursor string
-
-	// parity maps LFN → hex CRC32 of that file's parity sidecar;
-	// loadSidecar checks a sidecar against it before trusting it for a
-	// rebuild. A sidecar is journaled only after its bytes are renamed
-	// into place, so a process crash leaves at most a sidecar file with no
-	// record (readopted or swept at recovery). The rename is not synced:
-	// after a power cut the record can outlive the file or name an older
-	// one, and loadSidecar drops it for scrub to regenerate the sidecar.
-	parity map[string]string
 }
 
 // sitePersistence couples the site's tables with the journal that makes
@@ -129,7 +124,6 @@ func openPersistence(stateDir string, reg *obs.Registry, logger *log.Logger) (p 
 		subs:      make(map[string]*subscriberState),
 		pulls:     make(map[string]FileInfo),
 		producers: make(map[string]bool),
-		parity:    make(map[string]string),
 	}}
 	if stateDir == "" {
 		return p, 0, nil
@@ -308,23 +302,7 @@ func (p *sitePersistence) scrubCursor(lfn string) error {
 	return p.record(func(st *persistState) bool { return st.scrubCursor == lfn }, scrubCursorRecord(lfn))
 }
 
-// paritySet records that lfn has a parity sidecar whose file bytes hash
-// to crcHex; a regenerated sidecar just overwrites the entry.
-func (p *sitePersistence) paritySet(lfn, crcHex string) error {
-	return p.record(func(st *persistState) bool { return st.parity[lfn] == crcHex },
-		paritySetRecord(lfn, crcHex))
-}
-
-// parityDrop forgets lfn's parity sidecar (file withdrawn, sidecar
-// invalid, or sidecar evicted with its file).
-func (p *sitePersistence) parityDrop(lfn string) error {
-	return p.record(func(st *persistState) bool {
-		_, has := st.parity[lfn]
-		return !has
-	}, stringsRecord(recParityDrop, lfn))
-}
-
-// --- the records: the snapshot's eight tags have one encoder each, shared
+// --- the records: the snapshot's seven tags have one encoder each, shared
 // by the hooks above and records below --------------------------------------
 
 // A recWriter writes one record: its tag, then its fields.
@@ -362,7 +340,6 @@ func notifyDropRecord(name string) recWriter      { return stringsRecord(recNoti
 func pullQueuedRecord(fi FileInfo) recWriter      { return fileRecord(recPullQueued, fi) }
 func producerAddRecord(addr string) recWriter     { return stringsRecord(recProducerAdd, addr) }
 func scrubCursorRecord(lfn string) recWriter      { return stringsRecord(recScrubCursor, lfn) }
-func paritySetRecord(lfn, crc string) recWriter   { return stringsRecord(recParitySet, lfn, crc) }
 
 // records pushes the run of records that rebuilds the tables from empty —
 // the journal's snapshot — each table in sorted key order, so equal tables
@@ -398,9 +375,6 @@ func (st *persistState) records(yield func([]byte) bool) {
 	}
 	if st.scrubCursor != "" {
 		emit(scrubCursorRecord(st.scrubCursor))
-	}
-	for _, lfn := range sortedKeys(st.parity) {
-		emit(paritySetRecord(lfn, st.parity[lfn]))
 	}
 }
 
@@ -584,14 +558,10 @@ func (st *persistState) apply(rec []byte) error {
 		if lfn := d.String(); d.Err() == nil {
 			st.scrubCursor = lfn
 		}
-	case recParitySet:
-		lfn := d.String()
-		crc := d.String()
-		if d.Err() == nil {
-			st.parity[lfn] = crc
-		}
-	case recParityDrop:
-		delete(st.parity, d.String())
+	case recParitySet: // retired: decoded, then ignored
+		_, _ = d.String(), d.String()
+	case recParityDrop: // retired: decoded, then ignored
+		_ = d.String()
 	default:
 		return fmt.Errorf("unknown record tag %d", tag)
 	}
@@ -667,8 +637,8 @@ func (s *Site) restoreFromJournal(tornBytes int64) error {
 	if err := s.reconcileDataDir(&rs); err != nil {
 		return err
 	}
-	// Parity reconciliation runs after the catalog has settled, so sidecar
-	// records for replicas the reconciliation just dropped are cleaned too.
+	// Parity reconciliation runs after the catalog has settled: only the
+	// replicas that survived it have their sidecars checked.
 	s.recoverParity()
 	s.recovery = rs
 	return nil

@@ -41,13 +41,12 @@ type durableTables struct {
 	pulls       map[string]FileInfo
 	producers   map[string]bool
 	scrubCursor string
-	parity      map[string]string
 }
 
 func (p *sitePersistence) tables() durableTables {
 	t := durableTables{
 		files: p.st.files.byLFN, byPath: p.st.files.byPath, subs: map[string]durableSub{},
-		pulls: p.st.pulls, producers: p.st.producers, scrubCursor: p.st.scrubCursor, parity: p.st.parity,
+		pulls: p.st.pulls, producers: p.st.producers, scrubCursor: p.st.scrubCursor,
 	}
 	for name, sub := range p.st.subs {
 		t.subs[name] = durableSub{sub.addr, sub.suspect, append([]FileInfo(nil), sub.queue...)}
@@ -295,7 +294,7 @@ func TestPersistSameTablesWithoutJournal(t *testing.T) {
 			t.Fatalf("%s: a record after close = %v, applied %v; want refused", tc.name, err, p.st.files.has("late"))
 		}
 	}
-	if len(got[0].files) != 2 || len(got[0].subs) != 1 || len(got[0].pulls) != 1 || len(got[0].parity) != 1 {
+	if len(got[0].files) != 2 || len(got[0].subs) != 1 || len(got[0].pulls) != 1 || len(got[0].producers) != 1 {
 		t.Fatalf("golden sequence left %+v", got[0])
 	}
 	for i, name := range []string{"no state dir", "replayed"} {
@@ -376,7 +375,7 @@ func TestPersistSnapshotReplaysTables(t *testing.T) {
 			for n := 0; n < 40; n++ {
 				name := names[rng.Intn(len(names))]
 				addr := fmt.Sprintf("127.0.0.1:%d", 1000+rng.Intn(2))
-				switch rng.Intn(15) {
+				switch rng.Intn(14) {
 				case 0, 1:
 					p.putFile(file())
 				case 2:
@@ -413,12 +412,6 @@ func TestPersistSnapshotReplaysTables(t *testing.T) {
 					}
 				case 13:
 					p.scrubCursor([]string{"", file().LFN}[rng.Intn(2)])
-				case 14:
-					if fi := file(); rng.Intn(2) == 0 {
-						p.paritySet(fi.LFN, fi.CRC32)
-					} else {
-						p.parityDrop(fi.LFN)
-					}
 				}
 			}
 			tables[i] = p.tables()

@@ -61,8 +61,8 @@ func (s *Site) onPoolEvict(name string, size int64) {
 		if err := s.persist.setState(fi.LFN, StateTape); err != nil {
 			s.logger.Printf("gdmp[%s]: eviction of %s to tape: %v", s.cfg.Name, fi.LFN, err)
 		}
-		// The attached sidecar's bytes left the pool with the file; forget
-		// the registry entry too. A re-stage regenerates parity on the next
+		// The attached sidecar's bytes left the pool with the file; drop
+		// what is left of it. A re-stage regenerates parity on the next
 		// scrub pass.
 		s.dropParitySidecar(fi)
 		s.logger.Printf("gdmp[%s]: pool evicted %s (%d bytes) to tape residency", s.cfg.Name, fi.LFN, size)

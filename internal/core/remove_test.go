@@ -43,9 +43,8 @@ func testRemoveLocal(t *testing.T, consumer testbed.SiteOptions) {
 		}
 	}
 
-	// The consumer drops its replica: bytes gone, sidecar gone with its
-	// journal record, catalog location gone; the logical file and the
-	// producer's replica survive.
+	// The consumer drops its replica: bytes gone, sidecar gone, catalog
+	// location gone; the logical file and the producer's replica survive.
 	if err := anl.RemoveLocal(pf.LFN); err != nil {
 		t.Fatalf("RemoveLocal: %v", err)
 	}
@@ -57,9 +56,6 @@ func testRemoveLocal(t *testing.T, consumer testbed.SiteOptions) {
 	}
 	if _, err := os.Stat(sidecar); err == nil {
 		t.Fatal("parity sidecar outlived its replica")
-	}
-	if consumer.Durable && anl.SidecarJournaled(pf.LFN) {
-		t.Fatal("journal still holds the removed replica's sidecar record")
 	}
 	locs, err := g.Catalog.Locations(pf.LFN)
 	if err != nil || len(locs) != 1 {
@@ -74,8 +70,8 @@ func testRemoveLocal(t *testing.T, consumer testbed.SiteOptions) {
 		if anl, err = g.RestartSite("anl.gov"); err != nil {
 			t.Fatalf("restart: %v", err)
 		}
-		if anl.HasFile(pf.LFN) || anl.SidecarJournaled(pf.LFN) {
-			t.Fatal("removed replica or its sidecar record came back with the restart")
+		if _, err := os.Stat(sidecar); anl.HasFile(pf.LFN) || err == nil {
+			t.Fatal("removed replica or its sidecar came back with the restart")
 		}
 	}
 	// The file can be fetched again afterwards.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -253,8 +254,12 @@ func (s *Site) rliSources(ctx context.Context, lfn string) []PFN {
 // answers first (tier "catalog"), minus this site's own endpoint; when that
 // is empty (withdrawal race, partial registration, foreign publisher) the
 // RLI tier does ("rli", see rliSources). With no source at all the location
-// table's error, if any, is returned.
+// table's error, if any, is returned. Every call counts its tier ("miss"
+// for none) and its latency in the gdmp_rls_locate_* families.
 func (s *Site) remoteSources(ctx context.Context, lfn string) (pfns []PFN, tier string, err error) {
+	defer func(start time.Time) {
+		s.noteLocate(cmp.Or(tier, "miss"), start)
+	}(time.Now())
 	locs, err := s.rc.locations(ctx, lfn)
 	for _, p := range locs {
 		if p.Addr != s.DataAddr() {
@@ -270,27 +275,28 @@ func (s *Site) remoteSources(ctx context.Context, lfn string) (pfns []PFN, tier 
 	return nil, "", err
 }
 
+// noteLocate counts one locate answered by tier and observes its latency.
+func (s *Site) noteLocate(tier string, start time.Time) {
+	s.rlsMet.locates.WithLabelValues(tier).Inc()
+	s.rlsMet.locateSec.ObserveDuration(time.Since(start))
+}
+
 // Locate resolves an LFN RLS-style and reports which tier answered:
 // "lrc" — this site's own Local Replica Catalog (the read-your-writes
 // tier: a just-published file is visible here no matter how stale every
 // digest is); "catalog" — the central replica catalog's location table;
 // "rli" — index candidates confirmed by LRC point queries.
 func (s *Site) Locate(ctx context.Context, lfn string) (pfns []PFN, source string, err error) {
-	defer func(start time.Time) {
-		s.rlsMet.locateSec.ObserveDuration(time.Since(start))
-	}(time.Now())
-
+	start := time.Now()
 	if fi, ok := s.local.get(lfn); ok {
-		s.rlsMet.locates.WithLabelValues("lrc").Inc()
+		s.noteLocate("lrc", start)
 		return []PFN{{Addr: s.DataAddr(), Path: fi.Path}}, "lrc", nil
 	}
 	pfns, source, err = s.remoteSources(ctx, lfn)
-	if len(pfns) > 0 {
-		s.rlsMet.locates.WithLabelValues(source).Inc()
+	switch {
+	case len(pfns) > 0:
 		return pfns, source, nil
-	}
-	s.rlsMet.locates.WithLabelValues("miss").Inc()
-	if err != nil {
+	case err != nil:
 		return nil, "", fmt.Errorf("core: locate %s: %w", lfn, err)
 	}
 	return nil, "", fmt.Errorf("core: no known replica of %s", lfn)

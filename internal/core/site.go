@@ -222,8 +222,9 @@ type Config struct {
 	// ParityK and ParityM enable erasure-coded local repair: every
 	// published or pool-landed file gets a Reed-Solomon parity sidecar of
 	// ParityM parity blocks over ParityK data blocks, written next to the
-	// file and journaled. The scrubber then rebuilds up to ParityM damaged
-	// blocks locally instead of re-pulling the whole file over the WAN.
+	// file and checksummed block by block. The scrubber then rebuilds up
+	// to ParityM damaged blocks locally instead of re-pulling the whole
+	// file over the WAN.
 	// Both zero (the default) disables parity; parity.DefaultK/DefaultM
 	// give the stock 8+2 geometry.
 	ParityK int
@@ -302,7 +303,7 @@ type Site struct {
 
 	// persist holds the site's durable tables (local file catalog,
 	// subscribers and their notice queues, unfinished pulls, producers,
-	// scrub cursor, parity sidecars) and the journal behind them; local is
+	// scrub cursor) and the journal behind them; local is
 	// its file table, persist.st.files, under the name its readers use.
 	persist *sitePersistence
 	local   *localCatalog

@@ -13,9 +13,7 @@
 //   - a disk pool with bounded capacity, pinning (files in active transfer
 //     cannot be evicted), LRU or FIFO eviction for the ablation benches,
 //     and explicit space reservation — the allocate_storage(datasize) API
-//     the paper cites from [FRS00] as the natural extension point;
-//   - the StorageManager interface, the package's HRM analogue: "a common
-//     interface to be used to access different Mass Storage Systems".
+//     the paper cites from [FRS00] as the natural extension point.
 //
 // Physical bytes are kept on the local filesystem (tape directory and pool
 // directory), so staged files are ordinary files a GridFTP server can
@@ -52,27 +50,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// StorageManager is the HRM-style uniform interface GDMP plugs into.
-type StorageManager interface {
-	// Stage ensures the named file is on disk, staging from tape if
-	// necessary, and returns its disk path with the file pinned. Callers
-	// must Release the file when their transfer completes.
-	Stage(name string) (string, error)
-
-	// Release unpins a previously staged file.
-	Release(name string)
-
-	// OnDisk reports whether the file is currently in the disk pool.
-	OnDisk(name string) bool
-
-	// Archive copies a disk-pool file to tape for permanent storage.
-	Archive(name string) error
-
-	// Reserve sets aside capacity ahead of an incoming transfer and
-	// returns a release function. It fails if the space cannot be freed.
-	Reserve(size int64) (func(), error)
 }
 
 // EvictionPolicy selects which unpinned pool entry is evicted first.
@@ -301,15 +278,13 @@ func (m *MSS) DiskPath(name string) (string, error) {
 	return safeJoin(m.cfg.PoolDir, name)
 }
 
-// Stage ensures the file is on disk and pins it. By default a file is
-// "first looked for on its disk location and if it is not there, it is
-// assumed to be available in the Mass Storage System" and staged.
-func (m *MSS) Stage(name string) (string, error) {
-	return m.StageContext(context.Background(), name)
-}
-
-// StageContext is Stage bounded by a context: cancellation interrupts the
-// simulated mount and tape-drain waits instead of sleeping them out.
+// StageContext ensures the file is on disk, staging it from tape if
+// necessary, and returns its disk path with the file pinned; callers must
+// Release it when their transfer completes. By default a file is "first
+// looked for on its disk location and if it is not there, it is assumed to
+// be available in the Mass Storage System" and staged. Cancellation
+// interrupts the simulated mount and tape-drain waits instead of sleeping
+// them out.
 func (m *MSS) StageContext(ctx context.Context, name string) (string, error) {
 	m.mu.Lock()
 	if e, ok := m.entries[name]; ok {
@@ -675,5 +650,3 @@ func (m *MSS) copyFile(src, dst string) error {
 	}
 	return durable.SyncDir(dir)
 }
-
-var _ StorageManager = (*MSS)(nil)

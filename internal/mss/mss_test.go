@@ -2,6 +2,7 @@ package mss
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -61,7 +62,7 @@ func TestStageFromTape(t *testing.T) {
 	if m.OnDisk("run1.db") {
 		t.Fatal("file on disk before staging")
 	}
-	path, err := m.Stage("run1.db")
+	path, err := m.StageContext(context.Background(), "run1.db")
 	if err != nil {
 		t.Fatalf("Stage: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestStageFromTape(t *testing.T) {
 		t.Fatalf("misses %d, hits %d, occupancy %d", misses, hits, occ)
 	}
 	// Second stage is a cache hit.
-	if _, err := m.Stage("run1.db"); err != nil {
+	if _, err := m.StageContext(context.Background(), "run1.db"); err != nil {
 		t.Fatal(err)
 	}
 	if hits := pm.Hits.Value(); hits != 1 {
@@ -91,7 +92,7 @@ func TestStageFromTape(t *testing.T) {
 
 func TestStageUnknownFile(t *testing.T) {
 	m := newMSS(t, 1<<20, LRU)
-	if _, err := m.Stage("ghost.db"); !errors.Is(err, ErrNotOnTape) {
+	if _, err := m.StageContext(context.Background(), "ghost.db"); !errors.Is(err, ErrNotOnTape) {
 		t.Fatalf("Stage(ghost): %v", err)
 	}
 }
@@ -104,17 +105,17 @@ func TestEvictionLRU(t *testing.T) {
 	putTape(t, m, "c", 1000)
 
 	for _, n := range []string{"a", "b"} {
-		if _, err := m.Stage(n); err != nil {
+		if _, err := m.StageContext(context.Background(), n); err != nil {
 			t.Fatal(err)
 		}
 		m.Release(n)
 	}
 	// Touch "a" so "b" becomes the LRU victim.
-	if _, err := m.Stage("a"); err != nil {
+	if _, err := m.StageContext(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	m.Release("a")
-	if _, err := m.Stage("c"); err != nil {
+	if _, err := m.StageContext(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}
 	m.Release("c")
@@ -135,18 +136,18 @@ func TestEvictionFIFO(t *testing.T) {
 	putTape(t, m, "b", 1000)
 	putTape(t, m, "c", 1000)
 	for _, n := range []string{"a", "b"} {
-		if _, err := m.Stage(n); err != nil {
+		if _, err := m.StageContext(context.Background(), n); err != nil {
 			t.Fatal(err)
 		}
 		m.Release(n)
 		time.Sleep(time.Millisecond) // order FIFO timestamps
 	}
 	// Touching "a" does NOT save it under FIFO.
-	if _, err := m.Stage("a"); err != nil {
+	if _, err := m.StageContext(context.Background(), "a"); err != nil {
 		t.Fatal(err)
 	}
 	m.Release("a")
-	if _, err := m.Stage("c"); err != nil {
+	if _, err := m.StageContext(context.Background(), "c"); err != nil {
 		t.Fatal(err)
 	}
 	m.Release("c")
@@ -162,16 +163,16 @@ func TestPinnedFilesSurviveEviction(t *testing.T) {
 	m := newMSS(t, 2500, LRU)
 	putTape(t, m, "pinned", 2000)
 	putTape(t, m, "new", 1000)
-	if _, err := m.Stage("pinned"); err != nil {
+	if _, err := m.StageContext(context.Background(), "pinned"); err != nil {
 		t.Fatal(err)
 	}
 	// "pinned" is still pinned; staging "new" (1000 bytes into 500 free)
 	// must fail rather than evict it.
-	if _, err := m.Stage("new"); !errors.Is(err, ErrNoSpace) {
+	if _, err := m.StageContext(context.Background(), "new"); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("Stage over pinned file: %v", err)
 	}
 	m.Release("pinned")
-	if _, err := m.Stage("new"); err != nil {
+	if _, err := m.StageContext(context.Background(), "new"); err != nil {
 		t.Fatalf("Stage after release: %v", err)
 	}
 	if m.OnDisk("pinned") {
@@ -254,7 +255,7 @@ func TestStageTimingCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := m.Stage("slow.db"); err != nil {
+	if _, err := m.StageContext(context.Background(), "slow.db"); err != nil {
 		t.Fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -264,7 +265,7 @@ func TestStageTimingCharges(t *testing.T) {
 	m.Release("slow.db")
 	// A warm hit is fast.
 	start = time.Now()
-	if _, err := m.Stage("slow.db"); err != nil {
+	if _, err := m.StageContext(context.Background(), "slow.db"); err != nil {
 		t.Fatal(err)
 	}
 	if warm := time.Since(start); warm > 20*time.Millisecond {
@@ -286,7 +287,7 @@ func TestConcurrentStaging(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				name := fmt.Sprintf("f%d", i)
-				p, err := m.Stage(name)
+				p, err := m.StageContext(context.Background(), name)
 				if err != nil {
 					errs <- err
 					return

@@ -79,7 +79,7 @@ func poolScript(t *testing.T, seed int64) error {
 		case 0, 1, 2, 3: // stage (the common operation)
 			onDisk := m.OnDisk(name)
 			stageCalls++
-			if _, err := m.Stage(name); err == nil {
+			if _, err := m.StageContext(context.Background(), name); err == nil {
 				pins[name]++
 				if !onDisk {
 					tapeStages++
@@ -234,7 +234,7 @@ func TestConcurrentDuplicateStageAccounting(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := m.Stage("dup.dat"); err != nil {
+			if _, err := m.StageContext(context.Background(), "dup.dat"); err != nil {
 				t.Errorf("stage: %v", err)
 			}
 		}()

@@ -2,6 +2,7 @@ package parity
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -165,7 +166,7 @@ func TestSidecarFileRoundTrip(t *testing.T) {
 		got.DataSize != sc.DataSize || got.DataCRC != sc.DataCRC {
 		t.Fatalf("header mismatch: %+v vs %+v", got, sc)
 	}
-	// Load is header-only: the payload stays on disk, after the header.
+	// Load leaves the payload on disk, after the header.
 	enc, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +229,39 @@ func TestLoadRejectsCorruptHeader(t *testing.T) {
 	}
 	if _, _, err := Load(path); err == nil {
 		t.Fatal("truncated parity payload accepted")
+	}
+}
+
+// TestLoadRejectsCorruptPayload: a bit flip inside any parity block makes
+// Load fail with ErrSidecarCorrupt, though the header still verifies — a
+// sidecar that loads is whole.
+func TestLoadRejectsCorruptPayload(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(13))
+	orig := make([]byte, 9_000)
+	rng.Read(orig)
+	sc, err := Create(orig, DefaultK, DefaultM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "f"+Suffix)
+	if _, err := sc.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hl := int(headerLen(sc.K, sc.M))
+	for _, off := range []int{hl, hl + int(sc.BlockSize) - 1, hl + int(sc.BlockSize), len(enc) - 1} {
+		bad := append([]byte(nil), enc...)
+		bad[off] ^= 0x40
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(path); !errors.Is(err, ErrSidecarCorrupt) {
+			t.Fatalf("corrupt payload byte %d: Load = %v, want ErrSidecarCorrupt", off, err)
+		}
 	}
 }
 

@@ -23,8 +23,8 @@ var sidecarMagic = [8]byte{'G', 'D', 'M', 'P', 'P', 'A', 'R', 1}
 
 var (
 	// ErrSidecarCorrupt means the sidecar file itself failed validation
-	// (bad magic, header checksum, or impossible geometry) and cannot be
-	// used for repair.
+	// (bad magic, header checksum, impossible geometry, or a parity block
+	// that fails its CRC) and cannot be used for repair.
 	ErrSidecarCorrupt = errors.New("parity: sidecar corrupt")
 
 	// ErrTooDamaged means the file cannot be reconstructed locally: more
@@ -165,19 +165,18 @@ func CreateFile(dataPath string, k, m int) (*Sidecar, error) {
 // straight into the staged sidecar, the header last, and nothing larger than
 // the stripe loop's chunk set is held in memory. When wantCRC (the cataloged
 // hex CRC of the content) is non-empty and the bytes read do not hash to it,
-// nothing is written: a sidecar must not enshrine rot. It returns the hex
-// CRC of the sidecar file, which the caller journals so recovery can tell a
-// current sidecar from a stale one.
-func ProtectFile(dataPath string, k, m int, wantCRC string) (crcHex string, err error) {
+// nothing is written: a sidecar must not enshrine rot.
+func ProtectFile(dataPath string, k, m int, wantCRC string) error {
 	src, size, err := openSized(dataPath)
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer src.Close()
-	// No directory fsync makes the rename durable, on purpose: the journaled
-	// CRC is checked at load, so a rename lost to a power cut costs one
-	// regeneration by scrub, never a wrong repair.
-	err = durable.WriteAtomic(SidecarPath(dataPath), func(f *os.File) error {
+	// No directory fsync makes the rename durable, on purpose: Load checks
+	// every byte of a sidecar against its header, and the header against the
+	// catalog's CRC, so a rename lost to a power cut costs one regeneration
+	// by scrub, never a wrong repair.
+	return durable.WriteAtomic(SidecarPath(dataPath), func(f *os.File) error {
 		sc, err := encode(src, size, k, m, f, headerLen(k, m))
 		if err != nil {
 			return err
@@ -185,16 +184,9 @@ func ProtectFile(dataPath string, k, m int, wantCRC string) (crcHex string, err 
 		if got := fmt.Sprintf("%08x", sc.DataCRC); wantCRC != "" && got != wantCRC {
 			return fmt.Errorf("parity: content has crc %s, catalog says %s", got, wantCRC)
 		}
-		hdr := sc.header()
-		sum := crc32.ChecksumIEEE(hdr)
-		for _, c := range sc.ParityCRCs {
-			sum = crcCombine(sum, c, sc.BlockSize)
-		}
-		crcHex = fmt.Sprintf("%08x", sum)
-		_, err = f.WriteAt(hdr, 0)
+		_, err = f.WriteAt(sc.header(), 0)
 		return err
 	})
-	return crcHex, err
 }
 
 func openSized(path string) (*os.File, int64, error) {
@@ -251,32 +243,39 @@ func (sc *Sidecar) WriteFile(path string) (string, error) {
 
 // Load reads and validates a sidecar's header — magic, header checksum,
 // geometry, and the payload length the header implies against the file's
-// size — and streams the file once for its CRC; the payload itself stays on
-// disk. Per-parity-block CRCs are deliberately NOT enforced here — a rebuild
-// treats a rotted parity block as one more erasure rather than giving up on
-// the whole sidecar. The returned hex CRC is of the entire file, for
-// comparison against the journalled value.
+// size — and then streams each parity block once, checking it against the
+// CRC the header records for it. A sidecar that loads is whole; one with any
+// rotted byte is ErrSidecarCorrupt. The payload itself stays on disk. The
+// returned hex CRC is of the entire file, combined from the header's and the
+// blocks' CRCs.
 func Load(path string) (*Sidecar, string, error) {
 	f, size, err := openSized(path)
 	if err != nil {
 		return nil, "", err
 	}
 	defer f.Close()
-	whole := &block{src: f, n: size}
-	if err := stripe(size, []*block{whole}, nil); err != nil {
-		return nil, "", err
-	}
-	fileCRC := fmt.Sprintf("%08x", whole.crc)
 	hdr := make([]byte, min(size, headerLen(255, 0)))
 	if _, err := f.ReadAt(hdr, 0); err != nil && err != io.EOF {
-		return nil, fileCRC, err
+		return nil, "", err
 	}
 	sc, err := parseHeader(hdr, size)
 	if err != nil {
-		return nil, fileCRC, err
+		return nil, "", err
+	}
+	hl := headerLen(sc.K, sc.M)
+	sum := crc32.ChecksumIEEE(hdr[:hl])
+	for r, want := range sc.ParityCRCs {
+		b := &block{src: f, off: hl + int64(r)*sc.BlockSize, n: sc.BlockSize}
+		if err := stripe(sc.BlockSize, []*block{b}, nil); err != nil {
+			return nil, "", err
+		}
+		if b.crc != want {
+			return nil, "", fmt.Errorf("%w: parity block %d fails its CRC", ErrSidecarCorrupt, r)
+		}
+		sum = crcCombine(sum, b.crc, sc.BlockSize)
 	}
 	sc.path = path
-	return sc, fileCRC, nil
+	return sc, fmt.Sprintf("%08x", sum), nil
 }
 
 // parseHeader decodes and validates a sidecar header against the size of the

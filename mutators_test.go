@@ -191,7 +191,7 @@ var durableTables = []struct {
 	dir             string
 	fields, writers []string
 }{
-	{"internal/core", []string{"byLFN", "byPath", "subs", "pulls", "producers", "parity", "scrubCursor", "queue", "suspect"}, []string{"apply"}},
+	{"internal/core", []string{"byLFN", "byPath", "subs", "pulls", "producers", "scrubCursor", "queue", "suspect"}, []string{"apply"}},
 	{"internal/replica", []string{"files", "locations", "collections"}, []string{"apply"}},
 }
 

@@ -305,10 +305,9 @@ func TestParityPartitionedSiteHealsLocally(t *testing.T) {
 
 // TestParityCrashMidSidecarWrite pins the crash-safety ordering around
 // sidecar writes: after an abrupt kill, restart recovery quarantines
-// sidecar staging debris, drops journaled sidecars that no longer verify,
-// re-adopts a valid sidecar the crash left unjournaled (bytes renamed,
-// journal record never committed), and the next scrub passes regenerate
-// and rebuild as if nothing happened.
+// sidecar staging debris and drops sidecars that no longer verify, a valid
+// sidecar found later is adopted, and the next scrub passes regenerate and
+// rebuild as if nothing happened.
 func TestParityCrashMidSidecarWrite(t *testing.T) {
 	const (
 		k    = 4
@@ -349,7 +348,7 @@ func TestParityCrashMidSidecarWrite(t *testing.T) {
 
 	site.Kill()
 
-	// The crash left a mess: both journaled sidecars rotted on disk, and a
+	// The crash left a mess: both sidecars rotted on disk, and a
 	// sidecar write died mid-stage, leaving .part debris.
 	if _, err := faults.FlipBytes(parity.SidecarPath(aPath), seed+3, 4); err != nil {
 		t.Fatal(err)
@@ -380,9 +379,9 @@ func TestParityCrashMidSidecarWrite(t *testing.T) {
 		t.Fatalf("unverifiable sidecars survived recovery: %v", scs)
 	}
 
-	// The other crash window: sidecar bytes renamed into place, journal
-	// record never committed. Plant exactly that state for b, then rot b's
-	// data within budget — the pass must re-adopt the sidecar and rebuild.
+	// A valid sidecar that no write of this site's life made (renamed into
+	// place before the crash, say). Plant it for b, then rot b's data
+	// within budget — the pass must adopt the sidecar and rebuild.
 	sc, err := parity.CreateFile(bPath, k, m)
 	if err != nil {
 		t.Fatal(err)

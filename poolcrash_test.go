@@ -166,7 +166,7 @@ func TestCrashRestartPoolEvictionWithdrawal(t *testing.T) {
 		t.Fatal(err)
 	}
 	breaker.block()
-	if _, err := cons.Pool().Stage("scratch/t1.dat"); err != nil {
+	if _, err := cons.Pool().StageContext(context.Background(), "scratch/t1.dat"); err != nil {
 		t.Fatalf("stage with catalog dark: %v", err)
 	}
 	cons.Pool().Release("scratch/t1.dat")

@@ -259,22 +259,22 @@ func TestDurableFlushCounts(t *testing.T) {
 		files, dirs, appends int
 	}{
 		// Publish, with no subscriber to notify: the sidecar's staged
-		// write, and the journal's entry and sidecar appends.
+		// write, and the journal's entry append.
 		{"publish", "cern.ch", func() {
 			pf, err := prod.Publish("runs/b.db", core.PublishOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			second = pf.LFN
-		}, 3, 0, 2},
+		}, 2, 0, 1},
 		// Pull: the landed file and its directory, the sidecar's staged
-		// write, and the journal's four appends (intent, entry, sidecar,
-		// done), journal.appends_per_pull of bulk_pull and small_drain.
+		// write, and the journal's three appends (intent, entry, done),
+		// journal.appends_per_pull of bulk_pull and small_drain.
 		{"pull", "anl.gov", func() {
 			if err := cons.Get(second); err != nil {
 				t.Fatal(err)
 			}
-		}, 6, 1, 4},
+		}, 5, 1, 3},
 	} {
 		files, dirs, appends := flushes(tc.site, tc.op)
 		if files != tc.files || dirs != tc.dirs || appends != tc.appends {

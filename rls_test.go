@@ -83,6 +83,42 @@ func TestRLSReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestRLSPullLocateCounted: a pull locates its sources through the same
+// tiers as Locate and is counted the same way, so a deployment's
+// gdmp_rls_locate_* families (and `gdmp status`'s locate p99) move with
+// its pulls: one Get is one catalog-tier locate and one latency sample.
+func TestRLSPullLocateCounted(t *testing.T) {
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cons, err := g.AddSite("fnal.gov", testbed.SiteOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := publishData(t, g, prod, "rls/pulled.db", testbed.MakeData(8_000, 3))
+	counts := func() (catalog, samples float64) {
+		text := reg.Text()
+		return max(0, metricValue(text, `gdmp_rls_locate_total{source="catalog"}`)),
+			metricValue(text, "gdmp_rls_locate_seconds_count")
+	}
+	if catalog, samples := counts(); catalog != 0 || samples != 0 {
+		t.Fatalf("before the pull: %v catalog locates, %v latency samples; want 0, 0", catalog, samples)
+	}
+	if err := cons.Get(pf.LFN); err != nil {
+		t.Fatal(err)
+	}
+	if catalog, samples := counts(); catalog != 1 || samples != 1 {
+		t.Fatalf("after one pull: %v catalog locates, %v latency samples; want 1, 1", catalog, samples)
+	}
+}
+
 // TestRLSRLIFallbackAfterLocationLoss is the acceptance scenario for the
 // third tier: when the central catalog's location table loses a replica
 // (withdrawal race, partial registration), a pull still succeeds by

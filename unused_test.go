@@ -84,13 +84,16 @@ type (
 // argument, return, composite literal, send or conversion), the standard
 // library's run-time ones (dynamicSrc) and those non-test code asserts to
 // included. A field counts as set by a keyed or positional composite
-// literal, an assignment or increment, or by taking its address. Two kinds
-// of use do not count: the receiver type of a method (`func (T) Close()`
-// does not use T), or a type that only its own methods and tests name
-// would pass as used; and the call inside a method whose whole body
+// literal, an assignment or increment, or by taking its address. Three
+// kinds of use do not count: the receiver type of a method (`func (T)
+// Close()` does not use T), or a type that only its own methods and tests
+// name would pass as used; the call inside a method whose whole body
 // forwards to another method of its own receiver
 // (`func (s *Site) Get(l string) error { return s.GetCtx(s.ctx, l) }`), or
-// a fork that only its own plain-named wrapper calls would pass as used.
+// a fork that only its own plain-named wrapper calls would pass as used;
+// and a blank declaration `var _ I = (*T)(nil)`, which asserts at compile
+// time that T implements I, or an interface that only its own assertion
+// names would pass as used, with every method of T it reaches.
 func TestNoUnusedExports(t *testing.T) {
 	scan := &exportScan{
 		fset: token.NewFileSet(),
@@ -188,10 +191,21 @@ func TestNoUnusedExports(t *testing.T) {
 		span[d.obj] = d
 	}
 
-	// Uses that do not count: a method's receiver type, and the call a
-	// forwarding method makes.
+	// Uses that do not count: a method's receiver type, the call a
+	// forwarding method makes, and a blank assertion's names.
 	ignored := map[*ast.Ident]bool{}
 	for _, f := range scan.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if spec, ok := n.(*ast.ValueSpec); ok && blankAssertion(spec) {
+				ast.Inspect(spec, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						ignored[id] = true
+					}
+					return true
+				})
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
 			if !ok || d.Recv == nil {
@@ -428,6 +442,9 @@ func (c *conversions) walk(root ast.Node, sig *types.Signature) {
 				c.setField(n.X)
 			}
 		case *ast.ValueSpec:
+			if blankAssertion(n) {
+				return false
+			}
 			if n.Type != nil {
 				for _, v := range c.typesOf(n.Values) {
 					c.conv(info.TypeOf(n.Type), v)
@@ -570,6 +587,20 @@ func recvName(fn *types.Func) string {
 		t = p.Elem()
 	}
 	return t.(*types.Named).Obj().Name()
+}
+
+// blankAssertion reports whether spec declares only blank names with an
+// explicit type (`var _ I = (*T)(nil)`): a compile-time check, not a use.
+func blankAssertion(spec *ast.ValueSpec) bool {
+	if spec.Type == nil {
+		return false
+	}
+	for _, id := range spec.Names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // forwardedTo returns the method identifier m when d is a method whose
