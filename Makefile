@@ -167,7 +167,7 @@ crash:
 	CRASH_SEED=$(CRASH_SEED) CRASH_MODE=process CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR)/process \
 		$(GO) test -race -v -run 'TestCrashRestart' .
 	CRASH_SEED=$(CRASH_SEED) CRASH_MODE=power CRASH_ARTIFACT_DIR=$(CRASH_ARTIFACT_DIR)/power \
-		$(GO) test -race -v -run 'TestCrashRestart|TestPowerCut|TestDurableFlushCounts' .
+		$(GO) test -race -v -run 'TestCrashRestart|TestPowerCut|TestDurableFlushCounts|TestLandingReadPasses' .
 	$(GO) test -race -count=3 -run 'TestPersist|TestJournalBytesMatchParent' ./internal/core
 	$(GO) test -race -count=3 ./internal/journal
 

@@ -166,6 +166,14 @@ func main() {
 	}
 }
 
+// Bounds on what a metrics client may hold: a connection that has not sent
+// its request headers within metricsHeaderTimeout, or sits idle between
+// requests past metricsIdleTimeout, is closed.
+const (
+	metricsHeaderTimeout = 5 * time.Second
+	metricsIdleTimeout   = time.Minute
+)
+
 // serveMetrics exposes a registry at /metrics on addr, Prometheus-style.
 // It returns the bound listener so the caller can close it on shutdown.
 func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
@@ -178,7 +186,8 @@ func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteText(w)
 	})
-	go http.Serve(ln, mux)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: metricsHeaderTimeout, IdleTimeout: metricsIdleTimeout}
+	go srv.Serve(ln)
 	return ln, nil
 }
 

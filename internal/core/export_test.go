@@ -37,13 +37,14 @@ func (s *Site) SidecarOnDisk(path string) bool {
 	return err == nil
 }
 
-// RewriteSidecar drops lfn's parity sidecar and runs the landing path's
-// sidecar step again on whatever bytes the replica holds now. It reports
+// RewriteSidecar drops lfn's parity sidecar and runs scrub's regeneration
+// (write, then pool) on whatever bytes the replica holds now. It reports
 // whether a sidecar file lies next to the replica afterwards.
 func (s *Site) RewriteSidecar(lfn string) bool {
 	fi, _ := s.local.get(lfn)
 	s.dropParitySidecar(fi)
 	s.writeParitySidecar(fi)
+	s.poolSidecar(fi)
 	return s.SidecarOnDisk(fi.Path)
 }
 

@@ -157,7 +157,9 @@ func (c *localCatalog) len() int {
 
 // land makes verified on-disk bytes part of this site: local catalog
 // entry (recPutFile, durable before anything is acknowledged), disk pool,
-// parity sidecar. The entry goes in before the pool sees the file —
+// and the pool's share of the parity sidecar that the caller's one read of
+// the bytes already wrote (poolSidecar). The entry goes in before the pool
+// sees the file —
 // the pool may evict it at once, and onPoolEvict keeps the catalog
 // consistent only for entries it can find — and is revealed to HasFile and
 // WaitForFile last, so whoever is told the file is here finds it
@@ -185,7 +187,7 @@ func (s *Site) land(fi FileInfo, reservation func()) error {
 			s.storage.Protect(fi.Path)
 		}
 	}
-	s.writeParitySidecar(fi)
+	s.poolSidecar(fi)
 	return nil
 }
 

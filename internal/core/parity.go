@@ -2,20 +2,23 @@ package core
 
 // Erasure-coded local repair: the site-side half of internal/parity.
 // Every published or landed replica gets a checksummed parity sidecar
-// next to its bytes; the sidecar proves itself (parity.Load checks every
-// byte of it), so nothing but the file records it. When scrub finds
-// corruption, the damaged blocks are rebuilt locally from the surviving
-// blocks plus parity — quarantine and the scrubber's WAN re-pull remain
-// only for damage that exceeds the parity budget or for sidecars that are
-// themselves unusable.
+// next to its bytes, encoded by the landing's one read of them (protect);
+// the sidecar proves itself (parity.Load checks every byte of it), so
+// nothing but the file records it, and it is neither fsynced nor its
+// rename made durable. When scrub finds corruption, the damaged blocks are
+// rebuilt locally from the surviving blocks plus parity — quarantine and
+// the scrubber's WAN re-pull remain only for damage that exceeds the parity
+// budget or for sidecars that are themselves unusable.
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"gdmp/internal/gridftp"
 	"gdmp/internal/parity"
 )
 
@@ -24,32 +27,73 @@ func (s *Site) parityParams() parity.Params {
 	return parity.Params{K: s.cfg.ParityK, M: s.cfg.ParityM}
 }
 
-// writeParitySidecar generates and persists the parity sidecar for a
-// freshly published or landed replica (atomic .part→rename). The rename is
-// not synced: after a power cut the sidecar may be missing, or an older one
-// may stand in its place; loadSidecar refuses any that does not describe
-// the cataloged content, and scrub regenerates it.
-// Failures are logged, not fatal: a replica without a sidecar simply
-// falls back to WAN repair, exactly as before this layer existed.
-func (s *Site) writeParitySidecar(fi FileInfo) {
-	pp := s.parityParams()
-	if !pp.Enabled() || fi.Size <= 0 || fi.State != StateDisk {
-		return
+// protect is the one read a landing makes of its bytes: with parity on and
+// bytes to protect it encodes the parity sidecar of the size bytes at src
+// as dataPath's, and otherwise it makes a plain CRC pass. It returns the
+// content's CRC. When want (a hex CRC) is non-empty and the content does
+// not hash to it, the error wraps gridftp.ErrChecksum and no sidecar is
+// left: a sidecar must not enshrine rot. src is dataPath itself, or a
+// download's staging file that is renamed to it once this check passes.
+// A sidecar that cannot be written is logged and the CRC pass stands in:
+// the replica falls back to WAN repair until scrub regenerates it.
+func (s *Site) protect(src, dataPath string, size int64, want string) (uint32, error) {
+	if pp := s.parityParams(); pp.Enabled() && size > 0 {
+		crc, err := parity.ProtectFile(src, parity.SidecarPath(dataPath), pp.K, pp.M, want)
+		if errors.Is(err, parity.ErrCRCMismatch) {
+			return crc, fmt.Errorf("%w: %v", gridftp.ErrChecksum, err)
+		}
+		if err == nil {
+			return crc, nil
+		}
+		s.logger.Printf("gdmp[%s]: parity: sidecar for %s: %v", s.cfg.Name, dataPath, err)
+	}
+	crc, err := gridftp.CRC32File(src)
+	if got := fmt.Sprintf("%08x", crc); err == nil && want != "" && got != want {
+		err = fmt.Errorf("%w: content has crc %s, expected %s", gridftp.ErrChecksum, got, want)
+	}
+	return crc, err
+}
+
+// protectable returns the local path of fi's bytes when they take a parity
+// sidecar: parity is on, and fi is a non-empty disk-resident replica.
+func (s *Site) protectable(fi FileInfo) (string, bool) {
+	if !s.parityParams().Enabled() || fi.Size <= 0 || fi.State != StateDisk {
+		return "", false
 	}
 	localPath, err := s.resolveLocal(fi.Path)
-	if err != nil {
+	return localPath, err == nil
+}
+
+// writeParitySidecar regenerates the parity sidecar of a landed replica
+// from its bytes on disk, held to its cataloged CRC: protect writes nothing
+// for bytes that do not match, and the replica takes the no-sidecar path
+// until scrub has dealt with the rot. Failures are logged, not fatal: a
+// replica without a sidecar simply falls back to WAN repair, exactly as
+// before this layer existed. The caller pools what it wrote (land, or
+// poolSidecar directly).
+func (s *Site) writeParitySidecar(fi FileInfo) {
+	localPath, ok := s.protectable(fi)
+	if !ok {
 		return
 	}
-	// The encoder ends holding the CRC of the bytes it read: when they are
-	// not the cataloged content it writes nothing, and the replica takes the
-	// no-sidecar path until scrub has dealt with the rot.
-	if err := parity.ProtectFile(localPath, pp.K, pp.M, fi.CRC32); err != nil {
+	if _, err := s.protect(localPath, localPath, fi.Size, fi.CRC32); err != nil {
 		s.logger.Printf("gdmp[%s]: parity: sidecar for %s: %v", s.cfg.Name, fi.LFN, err)
+	}
+}
+
+// poolSidecar is land's parity step: the sidecar the landing's one read
+// left next to the replica (protect, writeParitySidecar) joins the pool
+// and is counted. Sidecars are pool residents too: they count against
+// capacity and are attached to their data file, so they leave the pool
+// with it and are never eviction victims on their own.
+func (s *Site) poolSidecar(fi FileInfo) {
+	localPath, ok := s.protectable(fi)
+	if !ok {
 		return
 	}
-	// Sidecars are pool residents too: they count against capacity and are
-	// attached to their data file, so they leave the pool with it and are
-	// never eviction victims on their own.
+	if _, err := os.Stat(parity.SidecarPath(localPath)); err != nil {
+		return // none was written
+	}
 	if s.storage != nil && s.storage.OnDisk(fi.Path) {
 		rel := fi.Path + parity.Suffix
 		if err := s.storage.AddToPool(rel); err != nil {

@@ -12,8 +12,8 @@ import (
 	"gdmp/internal/testbed"
 )
 
-// TestNoSidecarForRottedBytes: bytes that rot between landing and the
-// sidecar step get no sidecar — nothing staged, nothing renamed, nothing
+// TestNoSidecarForRottedBytes: bytes that rot after landing get no sidecar
+// when it is regenerated — nothing staged, nothing renamed, nothing
 // counted — where they used to get one that enshrined the rot until the
 // next scrub pass threw it away. The same step on healthy bytes writes the
 // sidecar and counts it.

@@ -8,8 +8,8 @@ import (
 	"strconv"
 	"time"
 
-	"gdmp/internal/gridftp"
 	"gdmp/internal/gsi"
+	"gdmp/internal/parity"
 	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
@@ -108,7 +108,8 @@ func (s *Site) publish(relPaths []string, opts PublishOptions) ([]PublishedFile,
 }
 
 // publishFile runs the per-file stages: resolve the path and file type,
-// checksum, register with the replica catalog, land here.
+// checksum (and parity-protect), register with the replica catalog, land
+// here.
 func (s *Site) publishFile(relPath string, opts PublishOptions) (FileInfo, error) {
 	localPath, err := s.resolveLocal(relPath)
 	if err != nil {
@@ -131,7 +132,9 @@ func (s *Site) publishFile(relPath string, opts PublishOptions) (FileInfo, error
 		lfn = "lfn://" + s.cfg.Name + "/" + pfn.Path
 	}
 
-	crc, err := gridftp.CRC32File(localPath)
+	// The checksum stage is the one read of the bytes: with parity on, the
+	// sidecar's encode yields the CRC.
+	crc, err := s.protect(localPath, localPath, info.Size(), "")
 	if err != nil {
 		return FileInfo{}, err
 	}
@@ -159,8 +162,12 @@ func (s *Site) publishFile(relPath string, opts PublishOptions) (FileInfo, error
 		}
 	}
 	// Register before land: a name already taken in the global namespace
-	// fails the publish before this site has journaled anything.
+	// fails the publish before this site has journaled anything, and takes
+	// the sidecar along unless the path already lands a replica here.
 	if err := s.rc.publishFile(s.ctx, lfn, attrs, pfn, opts.Collection); err != nil {
+		if _, landed := s.local.getByPath(pfn.Path); !landed {
+			os.Remove(parity.SidecarPath(localPath))
+		}
 		return FileInfo{}, err
 	}
 	if err := s.land(fi, nil); err != nil {
@@ -213,6 +220,7 @@ func (s *Site) RebuildLocalCatalog() (int, error) {
 			FileType: entry.Attrs[replica.AttrFileType],
 			State:    state,
 		}
+		s.writeParitySidecar(fi)
 		if err := s.land(fi, nil); err != nil {
 			return restored, err
 		}

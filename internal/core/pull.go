@@ -25,8 +25,9 @@ import (
 //
 // locate, reserve, fetch and commit run once per pull, in that order, from
 // replicate. rank runs at the top of every fetch attempt (the scoreboard
-// moves between attempts), and verify closes every transfer leg (a source
-// whose bytes fail the catalog's CRC must fail over like a dead one).
+// moves between attempts), and verify closes every transfer leg, on the
+// staged bytes before they are renamed into place (a source whose bytes
+// fail the catalog's CRC must fail over like a dead one).
 // hedge.go is the fetch stage's stall watchdog.
 
 // ReplicaSelector names the replica to prefer among equally healthy
@@ -357,12 +358,11 @@ func (p *pull) replicateFrom(ctx context.Context, src PFN, alive func()) (gridft
 	pol := s.retryPolicy("gridftp.get")
 	pol.Attempts = s.cfg.TransferAttempts
 	pol.Retryable = nil // transfer failures are all retryable
-	stats, err := gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, p.localPath, pol,
-		gridftp.GetFileOptions{Progress: func(int64) { alive() }, Opening: alive, WrapWriter: s.cfg.StageWriter})
-	if err != nil {
-		return stats, err
+	opts := gridftp.GetFileOptions{Progress: func(int64) { alive() }, Opening: alive, WrapWriter: s.cfg.StageWriter}
+	if p.entry.Attrs[replica.AttrCRC] != "" {
+		opts.Verify = p.verify
 	}
-	return stats, p.verify(stats)
+	return gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, p.localPath, pol, opts)
 }
 
 // ftpConnect builds the dial closure for one source's GridFTP endpoint:
@@ -418,20 +418,20 @@ func (s *Site) bufferFor(addr string) int {
 	return s.tunedBuf[addr]
 }
 
-// verify holds the landed bytes to the catalog's published CRC, not only
-// to the source's current content (which the transfer already checked end
-// to end): it is the guard against catalog/file drift. The transfer's own
-// verification pass computed the CRC, so no byte is read again. A
-// mismatch removes the local file and returns a retryable error, so the
-// caller fails over to another replica.
-func (p *pull) verify(stats gridftp.TransferStats) error {
-	want := p.entry.Attrs[replica.AttrCRC]
-	got := fmt.Sprintf("%08x", stats.CRC32)
-	if want == "" || got == want {
-		return nil
+// verify is the landing check of every leg whose file the catalog gives a
+// CRC: it holds the staged bytes to that published CRC — the guard against
+// catalog/file drift, and the end-to-end check, so the source is not asked
+// for a whole-file CKSM — in the landing's one read of them (protect),
+// which with parity on also encodes their sidecar. It runs before the
+// staged file is renamed into place and journaled; a mismatch leaves no
+// sidecar and fails the leg with ErrChecksum, so the caller fails over to
+// another replica. A catalog entry without a CRC takes the source's CKSM.
+func (p *pull) verify(staged string) error {
+	size, _ := p.entry.Size()
+	if _, err := p.s.protect(staged, p.localPath, size, p.entry.Attrs[replica.AttrCRC]); err != nil {
+		return fmt.Errorf("%s: %w", p.lfn, err)
 	}
-	os.Remove(p.localPath)
-	return fmt.Errorf("%w: %s catalog=%s local=%s", gridftp.ErrChecksum, p.lfn, want, got)
+	return nil
 }
 
 // commit makes the verified file a replica: landed locally (journaled)

@@ -349,6 +349,7 @@ func (s *Site) scrubOne(ctx context.Context, fi FileInfo) (scrubVerdict, int64) 
 			// sidecar rot, or post-fallback re-pull): regenerate now, while
 			// the content is known good.
 			s.writeParitySidecar(fi)
+			s.poolSidecar(fi)
 		}
 		return scrubOK, n
 	}

@@ -20,8 +20,10 @@ import (
 	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/health"
+	"gdmp/internal/journal"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/obs"
+	"gdmp/internal/parity"
 	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/rpc"
@@ -182,6 +184,34 @@ func TestPublishEnforcesGlobalNamespace(t *testing.T) {
 	_, err := cern.Publish("b.db", core.PublishOptions{LFN: "lfn://x/dup"})
 	if err == nil || !strings.Contains(err.Error(), "already taken") {
 		t.Fatalf("duplicate LFN: %v", err)
+	}
+}
+
+// TestRefusedPublishLeavesNothing: a publish whose register is refused
+// (its LFN is taken) read the file once and wrote its parity sidecar, and
+// leaves neither that sidecar nor a pool entry nor a journal record.
+func TestRefusedPublishLeavesNothing(t *testing.T) {
+	g := newGrid(t)
+	reg := obs.NewRegistry()
+	cern := addSite(t, g, "cern.ch", testbed.SiteOptions{
+		Durable: true, WithMSS: true, Metrics: reg, ParityK: parity.DefaultK, ParityM: parity.DefaultM,
+	})
+	publish(t, g, cern, "a.db", testbed.MakeData(100_000, 1), core.PublishOptions{LFN: "lfn://x/dup"})
+	if _, err := g.WriteSiteFile("cern.ch", "b.db", testbed.MakeData(100_000, 2)); err != nil {
+		t.Fatal(err)
+	}
+	appends := reg.Counter(journal.MetricsPrefix+"_appends_total", "")
+	before := appends.Value()
+	if _, err := cern.Publish("b.db", core.PublishOptions{LFN: "lfn://x/dup"}); err == nil {
+		t.Fatal("duplicate LFN accepted")
+	}
+	pool := cern.Pool()
+	if cern.SidecarOnDisk("b.db") || pool.OnDisk("b.db") || pool.OnDisk("b.db"+parity.Suffix) || appends.Value() != before {
+		t.Fatalf("refused publish left: sidecar %v, pool entry %v, pooled sidecar %v, %d journal appends",
+			cern.SidecarOnDisk("b.db"), pool.OnDisk("b.db"), pool.OnDisk("b.db"+parity.Suffix), appends.Value()-before)
+	}
+	if !cern.SidecarOnDisk("a.db") {
+		t.Fatal("the refusal took the landed replica's sidecar")
 	}
 }
 
@@ -659,10 +689,10 @@ func TestLocateStage(t *testing.T) {
 }
 
 // TestCatalogCRCDrift pins the verify stage. The producer's file is
-// overwritten after publish, so the source's own CKSM matches the bytes it
-// serves and the transfer's end-to-end check passes; only the comparison
-// against the catalog's published CRC can reject the leg. The rejected
-// leg must be one failed transfer everywhere it is recorded.
+// overwritten after publish, so the source's own CKSM would match the bytes
+// it serves; only the comparison against the catalog's published CRC can
+// reject the leg. The rejected leg must be one failed transfer everywhere
+// it is recorded, and leaves no parity sidecar behind.
 func TestCatalogCRCDrift(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -689,6 +719,7 @@ func TestCatalogCRCDrift(t *testing.T) {
 			reg := obs.NewRegistry()
 			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
 				Metrics: reg,
+				ParityK: parity.DefaultK, ParityM: parity.DefaultM,
 				Select: func(_ string, cands []core.PFN) core.PFN {
 					for _, c := range cands {
 						if c.Addr == cern.DataAddr() {
@@ -702,10 +733,11 @@ func TestCatalogCRCDrift(t *testing.T) {
 
 			failed, ok := transfers(reg, "error"), transfers(reg, "ok")
 			replicated := reg.Counter(core.SiteMetricsPrefix+"_transfer_bytes_total", "").Value()
+			crcFails := reg.Counter(gridftp.ClientMetricsPrefix+"_crc_failures_total", "").Value()
 			hist := anl.TransferHistory()
-			if failed < 1 || len(hist) == 0 || !hist[0].Failed ||
+			if failed < 1 || crcFails != failed || len(hist) == 0 || !hist[0].Failed ||
 				hist[0].Source != cern.DataAddr() || !strings.Contains(hist[0].Error, "checksum") {
-				t.Fatalf("drifted leg not recorded as failed: %d failed legs counted, history %+v", failed, hist)
+				t.Fatalf("drifted leg not recorded as failed: %d failed legs counted, %d CRC failures, history %+v", failed, crcFails, hist)
 			}
 			dest := filepath.Join(anl.DataDir(), "runs", "drift.db")
 			if _, serr := os.Stat(dest + gridftp.PartSuffix); !os.IsNotExist(serr) {
@@ -737,6 +769,11 @@ func TestCatalogCRCDrift(t *testing.T) {
 			}
 			if _, serr := os.Stat(dest); !os.IsNotExist(serr) {
 				t.Fatalf("drifted bytes left at destination: %v", serr)
+			}
+			for _, p := range []string{parity.SidecarPath(dest), parity.SidecarPath(dest) + gridftp.PartSuffix} {
+				if _, serr := os.Stat(p); !os.IsNotExist(serr) {
+					t.Fatalf("drifted bytes left a sidecar: %s (%v)", p, serr)
+				}
 			}
 			if ok != 0 || replicated != 0 || anl.HasFile(pf.LFN) || registered {
 				t.Fatalf("transfer legs %d ok, %d bytes replicated, has %v, registered %v", ok, replicated, anl.HasFile(pf.LFN), registered)

@@ -22,7 +22,21 @@ const PartSuffix = ".part"
 // content or all of the new, never a mix. Any failure removes the staging
 // file. The rename survives a power cut once the directory is synced
 // (SyncDir); a caller that skips that says why.
-func WriteAtomic(path string, fill func(*os.File) error) (err error) {
+func WriteAtomic(path string, fill func(*os.File) error) error {
+	return writeStaged(path, fill, true)
+}
+
+// WriteChecked is WriteAtomic without the fsync, for a file whose reader
+// checks every byte of it and whose loss costs only its regeneration (a
+// parity sidecar): after a power cut path may hold its old content, or a
+// torn or empty file, which the reader must refuse.
+func WriteChecked(path string, fill func(*os.File) error) error {
+	return writeStaged(path, fill, false)
+}
+
+// writeStaged fills path+PartSuffix, fsyncs it if sync is set, and renames
+// it over path; any failure removes the staging file.
+func writeStaged(path string, fill func(*os.File) error, sync bool) (err error) {
 	tmp := path + PartSuffix
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -34,7 +48,7 @@ func WriteAtomic(path string, fill func(*os.File) error) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if err = fill(f); err == nil {
+	if err = fill(f); err == nil && sync {
 		err = Sync(f)
 	}
 	if err == nil {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gdmp/internal/faults"
@@ -394,5 +397,82 @@ func TestReliableGetFileProgressCallback(t *testing.T) {
 	}
 	if last := seen[len(seen)-1]; last != 300_000 {
 		t.Fatalf("final progress = %d, want 300000", last)
+	}
+}
+
+// cksmCounter counts the whole-file CKSM commands a session sends.
+type cksmCounter struct {
+	w io.Writer
+	n *atomic.Int32
+}
+
+func (c cksmCounter) Write(p []byte) (int, error) {
+	if bytes.HasPrefix(p, []byte("CKSM /")) {
+		c.n.Add(1)
+	}
+	return c.w.Write(p)
+}
+
+// TestLandingCheck pins who vouches for a download's bytes. A caller that
+// holds no CRC of its own (gurlcopy, gdmp fetch) has the source's
+// whole-file CKSM checked, once per get; a caller that supplies a landing
+// check asks for none, and its check sees the staged file before the
+// rename: a refusal wrapping ErrChecksum leaves neither the file nor its
+// staging copy and counts as a CRC failure.
+func TestLandingCheck(t *testing.T) {
+	addr, root := startServer(t, nil)
+	_, want := makeFile(t, root, "f.db", 300_000, 5)
+	reg := obs.NewRegistry()
+	var cksms atomic.Int32
+	dial := connector(t, addr, reg, nil)
+	connect := func(ctx context.Context) (*Client, error) {
+		c, err := dial(ctx)
+		if err == nil {
+			c.ctl.w = cksmCounter{c.ctl.w, &cksms}
+		}
+		return c, err
+	}
+	get := func(dest string, verify func(string) error) error {
+		_, err := ReliableGetFileOpts(context.Background(), connect, "f.db", dest, fastPolicy(1), GetFileOptions{Verify: verify})
+		return err
+	}
+
+	dir := t.TempDir()
+	if err := get(filepath.Join(dir, "plain.db"), nil); err != nil || cksms.Load() != 1 {
+		t.Fatalf("get without a landing check: %v, %d CKSMs; want 1", err, cksms.Load())
+	}
+	c, err := connect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.GetFile("f.db", filepath.Join(dir, "single.db"))
+	c.Close()
+	if err != nil || cksms.Load() != 2 {
+		t.Fatalf("GetFile: %v, %d CKSMs in all; want 2", err, cksms.Load())
+	}
+
+	var checked []byte
+	dest := filepath.Join(dir, "checked.db")
+	err = get(dest, func(staged string) (err error) {
+		checked, err = os.ReadFile(staged)
+		return err
+	})
+	if got, _ := os.ReadFile(dest); err != nil || cksms.Load() != 2 || !bytes.Equal(checked, want) || !bytes.Equal(got, want) {
+		t.Fatalf("get with a landing check: %v, %d CKSMs in all (want 2), check saw the file %v, landed %v",
+			err, cksms.Load(), bytes.Equal(checked, want), bytes.Equal(got, want))
+	}
+
+	dest = filepath.Join(dir, "refused.db")
+	err = get(dest, func(string) error { return fmt.Errorf("%w: not the expected bytes", ErrChecksum) })
+	if !errors.Is(err, ErrChecksum) {
+		t.Fatalf("refused landing = %v, want ErrChecksum", err)
+	}
+	for _, p := range []string{dest, dest + PartSuffix} {
+		if _, serr := os.Stat(p); !os.IsNotExist(serr) {
+			t.Fatalf("refused landing left %s (%v)", p, serr)
+		}
+	}
+	if n := reg.Counter(ClientMetricsPrefix+"_crc_failures_total", "").Value(); n != 1 {
+		t.Fatalf("crc failures = %d, want 1", n)
 	}
 }

@@ -51,11 +51,6 @@ type TransferStats struct {
 	// pulls report.
 	ResumedBytes   int64
 	DiscardedBytes int64
-
-	// CRC32 is the landed file's IEEE CRC-32 as the end-to-end verification
-	// pass computed it, valid when the transfer returned no error: a caller
-	// with its own expectation (a catalog's CRC) compares, not re-reads.
-	CRC32 uint32
 }
 
 // RateMbps returns the achieved rate in megabits per second.
@@ -106,9 +101,13 @@ func WithTimeout(d time.Duration) ClientOption {
 }
 
 // WithMetrics directs the client's integrated instrumentation into a
-// specific registry (default: a private one).
+// registry. A client dialled without one records nothing.
 func WithMetrics(r *obs.Registry) ClientOption {
-	return func(c *Client) { c.metrics = r }
+	return func(c *Client) {
+		if r != nil {
+			c.rec = obs.NewTransferRecorder(r, ClientMetricsPrefix)
+		}
+	}
 }
 
 // Client is a GridFTP control-channel session, the programmatic equivalent
@@ -124,8 +123,7 @@ type Client struct {
 	timeout     time.Duration
 	dial        func(network, addr string) (net.Conn, error)
 
-	metrics *obs.Registry
-	rec     *obs.TransferRecorder
+	rec *obs.TransferRecorder // nil without WithMetrics: records nothing
 
 	mu     sync.Mutex // serializes commands
 	closed bool
@@ -180,10 +178,6 @@ func DialContext(ctx context.Context, addr string, cred *gsi.Credential, roots [
 	for _, o := range opts {
 		o(c)
 	}
-	if c.metrics == nil {
-		c.metrics = obs.NewRegistry()
-	}
-	c.rec = obs.NewTransferRecorder(c.metrics, ClientMetricsPrefix)
 	if c.parallelism < 1 || c.parallelism > MaxParallelism {
 		return nil, fmt.Errorf("gridftp: parallelism %d out of range", c.parallelism)
 	}
@@ -658,21 +652,23 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 		return TransferStats{}, err
 	}
 	stats, err := c.Get(remotePath, f)
-	stats.CRC32, err = landStaged(f, err, c, remotePath, localPath, false)
-	return stats, err
+	return stats, landStaged(f, err, c, remotePath, localPath, false, nil)
 }
 
 // landStaged is the landing tail every file download ends with: fsync and
-// close the staging file f, verify it end to end on session cl, rename it
-// to localPath and fsync the directory (a failure of either fsync fails the
-// download). err is the download's outcome so far; cl may be nil when it is
-// not. A resumable download keeps the staging file of a failed transfer as
-// its restart marker (recovery quarantines it if orphaned), with two
+// close the staging file f, verify it end to end, rename it to localPath
+// and fsync the directory (a failure of either fsync fails the download).
+// verify is the caller's landing check (GetFileOptions.Verify); nil asks
+// the source on session cl for the whole file's CKSM and compares it with
+// a local CRC pass. A mismatch is ErrChecksum and counts as a CRC failure.
+// err is the download's outcome so far; cl may be nil when it is not. A
+// resumable download keeps the staging file of a failed transfer as its
+// restart marker (recovery quarantines it if orphaned), with two
 // exceptions: after ENOSPC the partial file is worthless as a marker
 // (resuming onto a full disk fails the same way) and holding it only
 // deepens the space crisis, and staged bytes that failed verification are
 // dropped so the next attempt starts clean instead of resuming corruption.
-func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string, resumable bool) (uint32, error) {
+func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string, resumable bool, verify func(staged string) error) error {
 	part := f.Name()
 	if err == nil {
 		err = durable.Sync(f)
@@ -684,38 +680,42 @@ func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string,
 		if !resumable || errors.Is(err, syscall.ENOSPC) {
 			os.Remove(part)
 		}
-		return 0, err
+		return err
 	}
-	crc, err := cl.verifyLocal(remotePath, part)
-	if err != nil {
+	if verify == nil {
+		verify = func(staged string) error { return cl.verifyLocal(remotePath, staged) }
+	}
+	if err := verify(part); err != nil {
+		if errors.Is(err, ErrChecksum) {
+			cl.rec.CRCFailure()
+		}
 		os.Remove(part)
-		return 0, err
+		return err
 	}
 	if err := durable.Rename(part, localPath); err != nil {
 		if !resumable {
 			os.Remove(part)
 		}
-		return 0, err
+		return err
 	}
-	return crc, durable.SyncDir(filepath.Dir(localPath))
+	return durable.SyncDir(filepath.Dir(localPath))
 }
 
-// verifyLocal compares the server CRC with a locally computed one and
-// returns the verified value.
-func (c *Client) verifyLocal(remotePath, localPath string) (uint32, error) {
+// verifyLocal compares the server's CRC of remotePath with a local CRC
+// pass over localPath.
+func (c *Client) verifyLocal(remotePath, localPath string) error {
 	want, err := c.Checksum(remotePath)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	got, err := CRC32File(localPath)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if got != want {
-		c.rec.CRCFailure()
-		return 0, fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
+		return fmt.Errorf("%w: local %08x, remote %08x", ErrChecksum, got, want)
 	}
-	return got, nil
+	return nil
 }
 
 // CRC32File computes the IEEE CRC-32 of a local file.
@@ -765,10 +765,11 @@ func transferRetryable(err error) bool {
 //     any prefix an earlier call left staged (see trustPrefix);
 //   - ERET of exactly the byte ranges not yet on disk: the restart map
 //     outlives a failed attempt, so the next one re-requests only the gaps;
-//   - the landing CKSM (landStaged): the payload lands at
-//     localPath+PartSuffix and is renamed into place only after the CRC
-//     matches, so the destination never holds a truncated or unverified
-//     file.
+//   - the landing check (landStaged): the payload lands at
+//     localPath+PartSuffix and is renamed into place only after its CRC
+//     matches the source's whole-file CKSM, or passes the caller's own
+//     check (GetFileOptions.Verify), so the destination never holds a
+//     truncated or unverified file.
 //
 // A failed attempt's session is closed before the policy's backoff, and
 // canceling ctx severs the active session's connections and stops further
@@ -800,6 +801,17 @@ type GetFileOptions struct {
 	// failures (e.g. faults.Injector.NoSpaceWriter) without touching the
 	// real filesystem behavior.
 	WrapWriter func(io.WriterAt) io.WriterAt
+
+	// Verify, when non-nil, is the landing check in place of the source's
+	// whole-file CKSM and the local CRC pass it is compared with: it gets
+	// the staged file, fsynced and closed, before the rename into place,
+	// and fails with an error wrapping ErrChecksum when the bytes are not
+	// the ones the caller expects. A caller that knows the content's CRC
+	// from elsewhere (a site holds the replica catalog's) checks against
+	// it, and may read the file for its own ends in the same pass; one that
+	// knows none leaves Verify nil and the source vouches for its bytes.
+	// The ranged CKSM that judges a resumed prefix is asked either way.
+	Verify func(staged string) error
 }
 
 // progressWriterAt reports cumulative bytes written through it.
@@ -861,7 +873,7 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 				}
 			} else if staged > 0 {
 				// Best-effort: ERET rewrites [0, size) regardless, and a
-				// longer leftover fails the landing CKSM.
+				// longer leftover fails the landing check.
 				f.Truncate(0)
 				stats.DiscardedBytes = staged
 			}
@@ -902,8 +914,7 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 	} else {
 		defer cl.Close()
 	}
-	stats.CRC32, err = landStaged(f, err, cl, remotePath, localPath, true)
-	return stats, err
+	return stats, landStaged(f, err, cl, remotePath, localPath, true, opt.Verify)
 }
 
 // trustPrefix judges the first have bytes of the staging file f against

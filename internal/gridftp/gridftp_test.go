@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gdmp/internal/gsi"
+	"gdmp/internal/obs"
 	"gdmp/internal/retry"
 	"gdmp/internal/wan"
 )
@@ -711,5 +712,28 @@ func TestReliableGetAbortsOnContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled transfer did not abort")
+	}
+}
+
+// TestDialWithoutRegistryRecordsNothing: a client dialled with no registry
+// builds no transfer recorder and no private registry for it, so its dial
+// allocates well under one that records into a fresh registry (by about
+// fifty allocations, of about a thousand the handshake costs both).
+func TestDialWithoutRegistryRecordsNothing(t *testing.T) {
+	addr, _ := startServer(t, nil)
+	c, r := cred(t, "user/allocs"), roots(t)
+	allocs := func(opts func() []ClientOption) float64 {
+		return testing.AllocsPerRun(20, func() {
+			cl, err := Dial(addr, c, r, opts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.Close()
+		})
+	}
+	bare := allocs(func() []ClientOption { return nil })
+	recorded := allocs(func() []ClientOption { return []ClientOption{WithMetrics(obs.NewRegistry())} })
+	if bare+25 > recorded {
+		t.Fatalf("a registry-less dial allocates %v times, one into a fresh registry %v; want at least 25 fewer", bare, recorded)
 	}
 }

@@ -42,7 +42,7 @@ func (s TransferSample) RateMbps() float64 {
 // transfer and byte counts by direction and outcome, stream/stripe
 // utilization, restart counts, CRC failures, and effective bandwidth.
 // All names are prefixed with the owning subsystem, e.g.
-// "gdmp_gridftp_client".
+// "gdmp_gridftp_client". A nil *TransferRecorder records nothing.
 type TransferRecorder struct {
 	transfers *CounterVec // {direction, outcome}
 	bytes     *CounterVec // {direction}
@@ -91,6 +91,9 @@ func NewTransferRecorder(r *Registry, prefix string) *TransferRecorder {
 // Start marks a transfer as in flight and returns a function that records
 // the finished sample (and decrements the in-flight gauge).
 func (t *TransferRecorder) Start() func(TransferSample) {
+	if t == nil {
+		return func(TransferSample) {}
+	}
 	t.inFlight.Inc()
 	return func(s TransferSample) {
 		t.inFlight.Dec()
@@ -116,22 +119,40 @@ func (t *TransferRecorder) Record(s TransferSample) {
 
 // Restart counts one reliable-transfer restart directly (used when the
 // restart spans multiple client sessions).
-func (t *TransferRecorder) Restart() { t.restarts.Inc() }
+func (t *TransferRecorder) Restart() {
+	if t != nil {
+		t.restarts.Inc()
+	}
+}
 
 // Striped observes the source-host count of one striped transfer whose
 // constituent range fetches are recorded individually.
-func (t *TransferRecorder) Striped(hosts int) { t.stripes.Observe(float64(hosts)) }
+func (t *TransferRecorder) Striped(hosts int) {
+	if t != nil {
+		t.stripes.Observe(float64(hosts))
+	}
+}
 
 // CRCFailure counts one end-to-end checksum mismatch.
-func (t *TransferRecorder) CRCFailure() { t.crcFails.Inc() }
+func (t *TransferRecorder) CRCFailure() {
+	if t != nil {
+		t.crcFails.Inc()
+	}
+}
 
 // Resumed records one download resumed from a verified partial file of
 // the given length (the bytes the resume did not have to move again).
 func (t *TransferRecorder) Resumed(bytes int64) {
-	t.resumes.Inc()
-	t.resumedBytes.Add(bytes)
+	if t != nil {
+		t.resumes.Inc()
+		t.resumedBytes.Add(bytes)
+	}
 }
 
 // ResumeRejected counts a partial file whose prefix checksum did not
 // match the source, forcing a restart from byte 0.
-func (t *TransferRecorder) ResumeRejected() { t.resumeRejected.Inc() }
+func (t *TransferRecorder) ResumeRejected() {
+	if t != nil {
+		t.resumeRejected.Inc()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -80,8 +81,12 @@ func TestGoldenSidecars(t *testing.T) {
 			dataPath := filepath.Join(dir, "f.db")
 			writeFile(t, dataPath, data)
 
-			if err := parity.ProtectFile(dataPath, g.k, g.m, fmt.Sprintf("%08x", crc32.ChecksumIEEE(data))); err != nil {
+			crc, err := parity.ProtectFile(dataPath, parity.SidecarPath(dataPath), g.k, g.m, fmt.Sprintf("%08x", crc32.ChecksumIEEE(data)))
+			if err != nil {
 				t.Fatal(err)
+			}
+			if crc != crc32.ChecksumIEEE(data) {
+				t.Fatalf("ProtectFile returned crc %08x, content has %08x", crc, crc32.ChecksumIEEE(data))
 			}
 			if got := readFile(t, parity.SidecarPath(dataPath)); !bytes.Equal(got, want) {
 				t.Fatalf("file-to-file encode differs from the parent's sidecar (%d vs %d bytes)", len(got), len(want))
@@ -149,7 +154,7 @@ func TestGoldenSidecars(t *testing.T) {
 }
 
 // TestProtectFileRefusesRot: the encoder writes nothing, staged or final,
-// for bytes that do not hash to the cataloged CRC.
+// for bytes that do not hash to the cataloged CRC, and says why.
 func TestProtectFileRefusesRot(t *testing.T) {
 	dir := t.TempDir()
 	data := testbed.MakeData(300_000, 9)
@@ -157,8 +162,8 @@ func TestProtectFileRefusesRot(t *testing.T) {
 	catalogCRC := fmt.Sprintf("%08x", crc32.ChecksumIEEE(data))
 	data[123_456] ^= 4
 	writeFile(t, dataPath, data)
-	if err := parity.ProtectFile(dataPath, 8, 2, catalogCRC); err == nil {
-		t.Fatal("rotted content was given a sidecar")
+	if _, err := parity.ProtectFile(dataPath, parity.SidecarPath(dataPath), 8, 2, catalogCRC); !errors.Is(err, parity.ErrCRCMismatch) {
+		t.Fatalf("rotted content: ProtectFile = %v, want ErrCRCMismatch", err)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil || len(ents) != 1 {
@@ -204,7 +209,7 @@ func TestFixedMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc = allocated(func() {
-			if err = parity.ProtectFile(path, k, m, ""); err != nil {
+			if _, err = parity.ProtectFile(path, parity.SidecarPath(path), k, m, ""); err != nil {
 				t.Fatal(err)
 			}
 		})

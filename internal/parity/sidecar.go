@@ -33,6 +33,10 @@ var (
 	// back to a whole-file re-pull; a partial or unverified rebuild is
 	// never returned.
 	ErrTooDamaged = errors.New("parity: damage exceeds local repair budget")
+
+	// ErrCRCMismatch means the content ProtectFile read does not hash to
+	// the CRC its caller expected; no sidecar was written.
+	ErrCRCMismatch = errors.New("parity: content does not match its expected CRC")
 )
 
 // Params configures the erasure code: K data blocks protected by M parity
@@ -161,32 +165,39 @@ func CreateFile(dataPath string, k, m int) (*Sidecar, error) {
 	return encode(f, size, k, m, nil, 0)
 }
 
-// ProtectFile encodes dataPath's sidecar file-to-file: parity chunks go
-// straight into the staged sidecar, the header last, and nothing larger than
-// the stripe loop's chunk set is held in memory. When wantCRC (the cataloged
-// hex CRC of the content) is non-empty and the bytes read do not hash to it,
-// nothing is written: a sidecar must not enshrine rot.
-func ProtectFile(dataPath string, k, m int, wantCRC string) error {
-	src, size, err := openSized(dataPath)
+// ProtectFile encodes the parity sidecar of the file at src into
+// sidecarPath, file to file: parity chunks go straight into the staged
+// sidecar, the header last, and nothing larger than the stripe loop's chunk
+// set is held in memory. The encode is the one read of the content it needs:
+// it returns the content's CRC, combined from the per-block ones. When
+// wantCRC (the expected hex CRC) is non-empty and the bytes read do not hash
+// to it, nothing is written and the error wraps ErrCRCMismatch: a sidecar
+// must not enshrine rot. src may be a staged file that is renamed to the
+// described data file once this check has passed.
+func ProtectFile(src, sidecarPath string, k, m int, wantCRC string) (uint32, error) {
+	f, size, err := openSized(src)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer src.Close()
-	// No directory fsync makes the rename durable, on purpose: Load checks
+	defer f.Close()
+	// Neither the content nor the rename is synced, on purpose: Load checks
 	// every byte of a sidecar against its header, and the header against the
-	// catalog's CRC, so a rename lost to a power cut costs one regeneration
-	// by scrub, never a wrong repair.
-	return durable.WriteAtomic(SidecarPath(dataPath), func(f *os.File) error {
-		sc, err := encode(src, size, k, m, f, headerLen(k, m))
+	// catalog's CRC, so a sidecar torn, emptied or lost by a power cut costs
+	// one regeneration by scrub, never a wrong repair.
+	var crc uint32
+	err = durable.WriteChecked(sidecarPath, func(out *os.File) error {
+		sc, err := encode(f, size, k, m, out, headerLen(k, m))
 		if err != nil {
 			return err
 		}
-		if got := fmt.Sprintf("%08x", sc.DataCRC); wantCRC != "" && got != wantCRC {
-			return fmt.Errorf("parity: content has crc %s, catalog says %s", got, wantCRC)
+		crc = sc.DataCRC
+		if got := fmt.Sprintf("%08x", crc); wantCRC != "" && got != wantCRC {
+			return fmt.Errorf("%w: content has crc %s, expected %s", ErrCRCMismatch, got, wantCRC)
 		}
-		_, err = f.WriteAt(sc.header(), 0)
+		_, err = out.WriteAt(sc.header(), 0)
 		return err
 	})
+	return crc, err
 }
 
 func openSized(path string) (*os.File, int64, error) {
@@ -226,10 +237,11 @@ func (sc *Sidecar) header() []byte {
 }
 
 // WriteFile persists an in-memory sidecar atomically (stage to ".part",
-// fsync, rename) and returns the hex CRC of the sidecar file itself.
+// rename; unsynced, as ProtectFile's) and returns the hex CRC of the
+// sidecar file itself.
 func (sc *Sidecar) WriteFile(path string) (string, error) {
 	var sum uint32
-	err := durable.WriteAtomic(path, func(f *os.File) error {
+	err := durable.WriteChecked(path, func(f *os.File) error {
 		for _, p := range append([][]byte{sc.header()}, sc.Parity...) {
 			sum = crc32.Update(sum, crc32.IEEETable, p)
 			if _, err := f.Write(p); err != nil {

@@ -6,19 +6,25 @@ package gdmp_test
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"gdmp/internal/core"
 	"gdmp/internal/durable"
+	"gdmp/internal/faults"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/journal"
 	"gdmp/internal/mss"
 	"gdmp/internal/objectstore"
 	"gdmp/internal/obs"
+	"gdmp/internal/parity"
 	"gdmp/internal/testbed"
 )
 
@@ -258,28 +264,182 @@ func TestDurableFlushCounts(t *testing.T) {
 		op                   func()
 		files, dirs, appends int
 	}{
-		// Publish, with no subscriber to notify: the sidecar's staged
-		// write, and the journal's entry append.
+		// Publish, with no subscriber to notify: the journal's entry
+		// append. The sidecar proves itself to parity.Load and is not
+		// synced.
 		{"publish", "cern.ch", func() {
 			pf, err := prod.Publish("runs/b.db", core.PublishOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			second = pf.LFN
-		}, 2, 0, 1},
-		// Pull: the landed file and its directory, the sidecar's staged
-		// write, and the journal's three appends (intent, entry, done),
-		// journal.appends_per_pull of bulk_pull and small_drain.
+		}, 1, 0, 1},
+		// Pull: the landed file and its directory, and the journal's three
+		// appends (intent, entry, done), journal.appends_per_pull of
+		// bulk_pull and small_drain. The sidecar is not synced.
 		{"pull", "anl.gov", func() {
 			if err := cons.Get(second); err != nil {
 				t.Fatal(err)
 			}
-		}, 5, 1, 3},
+		}, 4, 1, 3},
 	} {
 		files, dirs, appends := flushes(tc.site, tc.op)
 		if files != tc.files || dirs != tc.dirs || appends != tc.appends {
 			t.Errorf("one %s: %d file fsyncs (%d of them journal appends), %d directory fsyncs; want %d (%d), %d",
 				tc.what, files, appends, dirs, tc.files, tc.appends, tc.dirs)
 		}
+	}
+}
+
+// readBytes is the process's rchar: every byte its read syscalls returned,
+// from files and sockets alike.
+func readBytes(t *testing.T) int64 {
+	t.Helper()
+	io, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		t.Skipf("no per-process I/O accounting here: %v", err)
+	}
+	for _, line := range strings.Split(string(io), "\n") {
+		if v, ok := strings.CutPrefix(line, "rchar: "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("/proc/self/io has no rchar")
+	return 0
+}
+
+// TestLandingReadPasses pins how often one publish and one pull of a 4 MiB
+// file read its payload, durable with 8+2 parity and no periodic pass
+// running, counted in the bytes the process's reads returned (both sites
+// and the catalog share it). A publish reads the file once: the sidecar's
+// encode yields the CRC. A pull reads it three times: the producer's RETR,
+// the consumer's socket reads, and the encode of the staged file, which
+// holds it to the catalog's CRC in place of the source's whole-file CKSM.
+// The control traffic beside them is far below a quarter of the file.
+func TestLandingReadPasses(t *testing.T) {
+	const size = 4 << 20
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, name := range []string{"cern.ch", "anl.gov"} {
+		if _, err := g.AddSite(name, testbed.SiteOptions{Durable: true, ParityK: 8, ParityM: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prod, cons := g.Site("cern.ch"), g.Site("anl.gov")
+	// A first publish and pull warm up the sessions both measured ones reuse.
+	first := publishData(t, g, prod, "runs/a.db", testbed.MakeData(100_000, 1))
+	if err := cons.Get(first.LFN); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteSiteFile("cern.ch", "runs/b.db", testbed.MakeData(size, 2)); err != nil {
+		t.Fatal(err)
+	}
+	passes := func(op func()) float64 {
+		before := readBytes(t)
+		op()
+		return float64(readBytes(t)-before) / size
+	}
+	var lfn string
+	for _, tc := range []struct {
+		what string
+		op   func()
+		want float64
+	}{
+		{"publish", func() {
+			pf, err := prod.Publish("runs/b.db", core.PublishOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lfn = pf.LFN
+		}, 1},
+		{"pull", func() {
+			if err := cons.Get(lfn); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
+	} {
+		if got := passes(tc.op); math.Abs(got-tc.want) > 0.25 {
+			t.Errorf("one %s read its payload %.2f times; want %v", tc.what, got, tc.want)
+		}
+	}
+}
+
+// TestPowerCutUnsyncedSidecar: a parity sidecar is neither fsynced nor
+// renamed durably on its own, so once a later landing in its directory has
+// synced its name a power cut leaves it empty. Recovery drops it, the next
+// scrub pass regenerates one that loads, and damage within the parity
+// budget after that is rebuilt in place with no byte re-pulled.
+func TestPowerCutUnsyncedSidecar(t *testing.T) {
+	const k, m = 8, 2
+	ctx := context.Background()
+	g, err := testbed.NewGrid(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	prod, err := g.AddSite("cern.ch", testbed.SiteOptions{ParityK: k, ParityM: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cons, err := g.AddSite("anl.gov", testbed.SiteOptions{Durable: true, RecordSyncs: true, Metrics: reg, ParityK: k, ParityM: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testbed.MakeData(300_000, 1)
+	first := publishData(t, g, prod, "runs/a.db", data)
+	second := publishData(t, g, prod, "runs/b.db", testbed.MakeData(300_000, 2))
+	for _, lfn := range []string{first.LFN, second.LFN} {
+		if err := cons.Get(lfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replica := filepath.Join(cons.DataDir(), "runs", "a.db")
+	sidecar := parity.SidecarPath(replica)
+
+	if err := g.PowerCut("anl.gov"); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(sidecar); err != nil || st.Size() != 0 {
+		t.Fatalf("after the power cut the sidecar is %v (%v); want an empty file", st, err)
+	}
+	if cons, err = g.RestartSite("anl.gov"); err != nil {
+		t.Fatal(err)
+	}
+	if !cons.HasFile(first.LFN) {
+		t.Fatal("the landed replica did not survive the power cut")
+	}
+	if _, err := os.Stat(sidecar); !os.IsNotExist(err) {
+		t.Fatalf("recovery kept the empty sidecar (%v)", err)
+	}
+
+	if _, err := cons.ScrubPass(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sc, _, err := parity.Load(sidecar)
+	if err != nil {
+		t.Fatalf("scrub regenerated no sidecar that loads: %v", err)
+	}
+
+	if _, err := faults.FlipBlocks(replica, 3, sc.BlockSize, m); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cons.ScrubPass(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(replica); err != nil || !bytes.Equal(got, data) || rep.Rebuilt != 1 {
+		t.Fatalf("within-budget damage: rebuilt %d, replica restored %v (%v)", rep.Rebuilt, bytes.Equal(got, data), err)
+	}
+	text := reg.Text()
+	if local, repulled := metricValue(text, "gdmp_repair_bytes_local_total"), metricValue(text, "gdmp_repair_bytes_repulled_total"); local != float64(m*sc.BlockSize) || repulled != 0 {
+		t.Fatalf("repair bytes: %v local, %v re-pulled; want %d and 0", local, repulled, m*sc.BlockSize)
 	}
 }
