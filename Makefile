@@ -159,7 +159,9 @@ chaos:
 # $(CRASH_ARTIFACT_DIR)/<mode> for inspection. The unit-level durability
 # tests (record semantics, torn tails, byte-compatibility with the pinned
 # journals, and the journal package's own: a crash at each step of a
-# compaction, corrupt snapshots) run with the suite, three times over.
+# compaction, corrupt snapshots) run with the suite, three times over, and
+# the GridFTP landing tail's tests twenty times, so the race detector sees
+# the staged file's fsync joined beside its check on every exit path.
 CRASH_SEED ?= 20260805
 CRASH_ARTIFACT_DIR ?= crash-artifacts
 crash:
@@ -170,6 +172,7 @@ crash:
 		$(GO) test -race -v -run 'TestCrashRestart|TestPowerCut|TestDurableFlushCounts|TestLandingReadPasses' .
 	$(GO) test -race -count=3 -run 'TestPersist|TestJournalBytesMatchParent' ./internal/core
 	$(GO) test -race -count=3 ./internal/journal
+	$(GO) test -race -count=20 -run 'TestLanding' ./internal/gridftp
 
 # Partition chaos suite: a seeded asymmetric partition wedges the
 # primary replica source mid-stream; every pull must still complete from

@@ -164,17 +164,23 @@ func (s *Site) parityRebuild(fi FileInfo, localPath string, sc *parity.Sidecar) 
 }
 
 // sweepOrphanSidecars removes on-disk parity sidecars next to no data
-// file. Runs with the quarantine retention sweep at the end of every scrub
-// pass, so a sidecar never outlives its replica by more than one pass even
-// when the deletion path that should have dropped it was interrupted.
+// file and no staged download of one. Runs with the quarantine retention
+// sweep at the end of every scrub pass, so a sidecar never outlives its
+// replica by more than one pass even when the deletion path that should
+// have dropped it was interrupted.
 func (s *Site) sweepOrphanSidecars() {
 	err := filepath.WalkDir(s.cfg.DataDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !parity.IsSidecar(d.Name()) {
 			return err
 		}
+		// A pull's landing check writes the sidecar while the bytes are
+		// still staged and renames them into place after it, so the staging
+		// file is looked for first: a landing in flight keeps its sidecar.
 		dataPath := strings.TrimSuffix(path, parity.Suffix)
-		if _, serr := os.Stat(dataPath); serr == nil {
-			return nil
+		for _, p := range []string{dataPath + gridftp.PartSuffix, dataPath} {
+			if _, serr := os.Stat(p); serr == nil {
+				return nil
+			}
 		}
 		s.logger.Printf("gdmp[%s]: parity: sweeping orphaned sidecar %s", s.cfg.Name, path)
 		if rerr := os.Remove(path); rerr != nil && !os.IsNotExist(rerr) {

@@ -13,6 +13,7 @@ import (
 	"gdmp/internal/durable"
 	"gdmp/internal/gridftp"
 	"gdmp/internal/health"
+	"gdmp/internal/parity"
 	"gdmp/internal/replica"
 	"gdmp/internal/retry"
 	"gdmp/internal/xfer"
@@ -362,7 +363,16 @@ func (p *pull) replicateFrom(ctx context.Context, src PFN, alive func()) (gridft
 	if p.entry.Attrs[replica.AttrCRC] != "" {
 		opts.Verify = p.verify
 	}
-	return gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, p.localPath, pol, opts)
+	stats, err := gridftp.ReliableGetFileOpts(ctx, s.ftpConnect(src), src.Path, p.localPath, pol, opts)
+	if err != nil {
+		// A landing that failed after its check (the fsync or the rename)
+		// takes the sidecar the check wrote along, unless the path already
+		// lands a replica here.
+		if _, landed := s.local.getByPath(s.pfnFor(p.rel).Path); !landed {
+			os.Remove(parity.SidecarPath(p.localPath))
+		}
+	}
+	return stats, err
 }
 
 // ftpConnect builds the dial closure for one source's GridFTP endpoint:
@@ -422,10 +432,11 @@ func (s *Site) bufferFor(addr string) int {
 // CRC: it holds the staged bytes to that published CRC — the guard against
 // catalog/file drift, and the end-to-end check, so the source is not asked
 // for a whole-file CKSM — in the landing's one read of them (protect),
-// which with parity on also encodes their sidecar. It runs before the
-// staged file is renamed into place and journaled; a mismatch leaves no
-// sidecar and fails the leg with ErrChecksum, so the caller fails over to
-// another replica. A catalog entry without a CRC takes the source's CKSM.
+// which with parity on also encodes their sidecar. It runs while the
+// staged file is fsynced, before it is renamed into place and journaled; a
+// mismatch leaves no sidecar and fails the leg with ErrChecksum, so the
+// caller fails over to another replica. A catalog entry without a CRC
+// takes the source's CKSM.
 func (p *pull) verify(staged string) error {
 	size, _ := p.entry.Size()
 	if _, err := p.s.protect(staged, p.localPath, size, p.entry.Attrs[replica.AttrCRC]); err != nil {

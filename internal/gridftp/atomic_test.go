@@ -8,11 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
+	"gdmp/internal/durable"
 	"gdmp/internal/faults"
 	"gdmp/internal/obs"
 )
@@ -474,5 +478,130 @@ func TestLandingCheck(t *testing.T) {
 	}
 	if n := reg.Counter(ClientMetricsPrefix+"_crc_failures_total", "").Value(); n != 1 {
 		t.Fatalf("crc failures = %d, want 1", n)
+	}
+}
+
+// TestLandingSyncBesideCheck pins that a landing's check does not wait for
+// the staged file's fsync: an observer holds the .part's fsync back until
+// the check has been entered (for at most a bounded wait), and the check
+// finds no staged fsync returned when it starts. The fsync still runs once
+// and the file lands.
+func TestLandingSyncBesideCheck(t *testing.T) {
+	addr, root := startServer(t, nil)
+	_, want := makeFile(t, root, "f.db", 300_000, 6)
+	dest := filepath.Join(t.TempDir(), "f.db")
+	entered := make(chan struct{})
+	var synced atomic.Int32
+	durable.Observe(func(op durable.Op, path, _ string) {
+		if op != durable.OpSync || path != dest+PartSuffix {
+			return
+		}
+		select {
+		case <-entered:
+		case <-time.After(2 * time.Second):
+		}
+		synced.Add(1)
+	})
+	t.Cleanup(func() { durable.Observe(func(durable.Op, string, string) {}) })
+
+	syncedBeforeCheck := int32(-1)
+	verify := func(staged string) error {
+		syncedBeforeCheck = synced.Load()
+		close(entered)
+		got, err := os.ReadFile(staged)
+		if err == nil && !bytes.Equal(got, want) {
+			err = fmt.Errorf("%w: staged bytes differ", ErrChecksum)
+		}
+		return err
+	}
+	_, err := ReliableGetFileOpts(context.Background(), connector(t, addr, obs.NewRegistry(), nil), "f.db", dest, fastPolicy(1), GetFileOptions{Verify: verify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if syncedBeforeCheck != 0 {
+		t.Fatalf("the check started after %d staged fsyncs, want 0", syncedBeforeCheck)
+	}
+	if n := synced.Load(); n != 1 {
+		t.Fatalf("%d staged fsyncs, want 1", n)
+	}
+	if got, _ := os.ReadFile(dest); !bytes.Equal(got, want) {
+		t.Fatal("landed bytes are not the source's")
+	}
+}
+
+// TestLandingFailures is landStaged's failure table, with and without a
+// resumable download: which error wins (a failed fsync over the check's
+// verdict), whether the staging file stays as a restart marker, whether a
+// CRC failure is counted, and that the fsync running beside the check is
+// joined on every path. A staging file closed before landing is a sync
+// that fails.
+func TestLandingFailures(t *testing.T) {
+	refuse := func(string) error { return fmt.Errorf("%w: not the expected bytes", ErrChecksum) }
+	pass := func(string) error { return nil }
+	cases := []struct {
+		name      string
+		closed    bool // the staging file's fsync fails
+		occupied  bool // a non-empty directory sits at the destination
+		verify    func(string) error
+		want      error
+		keepsPart bool // a resumable download keeps its .part
+		crcFails  int64
+	}{
+		{name: "lands", verify: pass},
+		{name: "sync", closed: true, verify: pass, want: os.ErrClosed, keepsPart: true},
+		{name: "check", verify: refuse, want: ErrChecksum, crcFails: 1},
+		{name: "both", closed: true, verify: refuse, want: os.ErrClosed, keepsPart: true},
+		{name: "rename", occupied: true, verify: pass, want: syscall.EEXIST, keepsPart: true},
+	}
+	for _, tc := range cases {
+		for _, resumable := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/resumable=%v", tc.name, resumable), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				cl := &Client{rec: obs.NewTransferRecorder(reg, ClientMetricsPrefix)}
+				dest := filepath.Join(t.TempDir(), "f.db")
+				part := dest + PartSuffix
+				data := []byte("staged payload")
+				f, err := os.Create(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(data); err != nil {
+					t.Fatal(err)
+				}
+				if tc.closed {
+					f.Close()
+				}
+				if tc.occupied {
+					if err := os.MkdirAll(filepath.Join(dest, "resident"), 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				base := runtime.NumGoroutine()
+				err = landStaged(f, nil, cl, "f.db", dest, resumable, tc.verify)
+				if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+					t.Fatalf("landStaged = %v, want %v", err, tc.want)
+				}
+				_, serr := os.Stat(part)
+				if kept, wantKept := serr == nil, tc.want != nil && resumable && tc.keepsPart; kept != wantKept {
+					t.Fatalf("staging file kept %v, want %v (%v)", kept, wantKept, serr)
+				}
+				if tc.want == nil {
+					if got, _ := os.ReadFile(dest); !bytes.Equal(got, data) {
+						t.Fatal("landed bytes are not the staged ones")
+					}
+				}
+				if n := reg.Counter(ClientMetricsPrefix+"_crc_failures_total", "").Value(); n != tc.crcFails {
+					t.Fatalf("crc failures = %d, want %d", n, tc.crcFails)
+				}
+				// The joined fsync goroutine may take a moment to exit
+				// after its result is taken; one never joined blocks.
+				for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after landing, %d before", runtime.NumGoroutine(), base)
+					}
+				}
+			})
+		}
 	}
 }

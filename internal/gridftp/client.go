@@ -643,9 +643,9 @@ const PartSuffix = durable.PartSuffix
 // end to end (Section 4.3's integrity check beyond TCP checksums). It is
 // the single-session, non-resuming form of the landing tail
 // ReliableGetFile shares (landStaged): the payload is staged at
-// localPath+PartSuffix and renamed into place only after verification on
-// this same session; any failure removes the staging file and never
-// touches the destination.
+// localPath+PartSuffix, verified on this same session while its fsync
+// runs, and renamed into place only once both have succeeded; any failure
+// removes the staging file and never touches the destination.
 func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 	f, err := os.Create(localPath + PartSuffix)
 	if err != nil {
@@ -655,14 +655,17 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 	return stats, landStaged(f, err, c, remotePath, localPath, false, nil)
 }
 
-// landStaged is the landing tail every file download ends with: fsync and
-// close the staging file f, verify it end to end, rename it to localPath
-// and fsync the directory (a failure of either fsync fails the download).
-// verify is the caller's landing check (GetFileOptions.Verify); nil asks
-// the source on session cl for the whole file's CKSM and compares it with
-// a local CRC pass. A mismatch is ErrChecksum and counts as a CRC failure.
-// err is the download's outcome so far; cl may be nil when it is not. A
-// resumable download keeps the staging file of a failed transfer as its
+// landStaged is the landing tail every file download ends with: fsync the
+// complete staging file f while verifying it end to end (neither needs the
+// other until the rename, so the disk takes the bytes while the check
+// reads them back), then close it, rename it to localPath and fsync the
+// directory (a failure of either fsync fails the download). verify is the
+// caller's landing check (GetFileOptions.Verify); nil asks the source on
+// session cl for the whole file's CKSM and compares it with a local CRC
+// pass. A mismatch is ErrChecksum and counts as a CRC failure; a failed
+// fsync or close wins over the check's verdict and counts none. err is the
+// download's outcome so far; cl may be nil when it is not. A resumable
+// download keeps the staging file of a failed transfer or fsync as its
 // restart marker (recovery quarantines it if orphaned), with two
 // exceptions: after ENOSPC the partial file is worthless as a marker
 // (resuming onto a full disk fails the same way) and holding it only
@@ -670,8 +673,15 @@ func (c *Client) GetFile(remotePath, localPath string) (TransferStats, error) {
 // dropped so the next attempt starts clean instead of resuming corruption.
 func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string, resumable bool, verify func(staged string) error) error {
 	part := f.Name()
+	var checkErr error
 	if err == nil {
-		err = durable.Sync(f)
+		if verify == nil {
+			verify = func(staged string) error { return cl.verifyLocal(remotePath, staged) }
+		}
+		synced := make(chan error, 1)
+		go func() { synced <- durable.Sync(f) }()
+		checkErr = verify(part)
+		err = <-synced
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -682,15 +692,12 @@ func landStaged(f *os.File, err error, cl *Client, remotePath, localPath string,
 		}
 		return err
 	}
-	if verify == nil {
-		verify = func(staged string) error { return cl.verifyLocal(remotePath, staged) }
-	}
-	if err := verify(part); err != nil {
-		if errors.Is(err, ErrChecksum) {
+	if checkErr != nil {
+		if errors.Is(checkErr, ErrChecksum) {
 			cl.rec.CRCFailure()
 		}
 		os.Remove(part)
-		return err
+		return checkErr
 	}
 	if err := durable.Rename(part, localPath); err != nil {
 		if !resumable {
@@ -766,10 +773,11 @@ func transferRetryable(err error) bool {
 //   - ERET of exactly the byte ranges not yet on disk: the restart map
 //     outlives a failed attempt, so the next one re-requests only the gaps;
 //   - the landing check (landStaged): the payload lands at
-//     localPath+PartSuffix and is renamed into place only after its CRC
-//     matches the source's whole-file CKSM, or passes the caller's own
-//     check (GetFileOptions.Verify), so the destination never holds a
-//     truncated or unverified file.
+//     localPath+PartSuffix, whose fsync runs while its CRC is matched
+//     against the source's whole-file CKSM, or while the caller's own
+//     check (GetFileOptions.Verify) reads it; it is renamed into place
+//     only after both succeed, so the destination never holds a
+//     truncated, unverified or unsynced file.
 //
 // A failed attempt's session is closed before the policy's backoff, and
 // canceling ctx severs the active session's connections and stops further
@@ -804,13 +812,15 @@ type GetFileOptions struct {
 
 	// Verify, when non-nil, is the landing check in place of the source's
 	// whole-file CKSM and the local CRC pass it is compared with: it gets
-	// the staged file, fsynced and closed, before the rename into place,
-	// and fails with an error wrapping ErrChecksum when the bytes are not
-	// the ones the caller expects. A caller that knows the content's CRC
-	// from elsewhere (a site holds the replica catalog's) checks against
-	// it, and may read the file for its own ends in the same pass; one that
-	// knows none leaves Verify nil and the source vouches for its bytes.
-	// The ranged CKSM that judges a resumed prefix is asked either way.
+	// the path of the complete staged file before the rename into place,
+	// while the file's fsync runs beside it, and fails with an error
+	// wrapping ErrChecksum when the bytes are not the ones the caller
+	// expects. It must not write to the staged file. A caller that knows
+	// the content's CRC from elsewhere (a site holds the replica catalog's)
+	// checks against it, and may read the file for its own ends in the
+	// same pass; one that knows none leaves Verify nil and the source
+	// vouches for its bytes. The ranged CKSM that judges a resumed prefix
+	// is asked either way.
 	Verify func(staged string) error
 }
 
