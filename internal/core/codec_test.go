@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,30 +77,43 @@ func TestDecodeFileInfosHostileInput(t *testing.T) {
 
 // FuzzSiteRecord feeds hostile bytes to persistState.apply, the one decoder
 // of the site's journal: every WAL record and, since a snapshot is the run
-// of records that rebuilds the tables, every snapshot record too. It must
-// never panic, nor allocate for what a length or count claims rather than
-// for the bytes present; and a record it accepts leaves tables whose
-// snapshot replays to the same tables. Seeds are the records of the
-// parent's crash image (all fifteen tags, the retired ones included) and of
-// its graceful snapshot (testdata/parent-journal), each record also cut
-// short by a byte; `make fuzz-smoke` mutates them.
+// of records that rebuilds the tables, every snapshot record too. Each
+// record is applied on top of the tables the parent's crash image replays
+// to, so it meets a catalog, a subscriber, an intent and a producer. It
+// must never panic, nor allocate for what a length or count claims rather
+// than for the bytes present; a record it accepts leaves tables whose
+// snapshot replays to the same tables, and in which no intent names a
+// cataloged LFN. Seeds are the records of the parent's crash image (all
+// fifteen tags, the retired ones included) and of its graceful snapshot
+// (testdata/parent-journal), each record also cut short by a byte, and an
+// intent for the image's cataloged a.db; `make fuzz-smoke` mutates them.
 func FuzzSiteRecord(f *testing.F) {
-	var seeds [][]byte
-	for _, image := range []string{"crash", "graceful"} {
-		seeds = append(seeds, journalRecords(f, filepath.Join("testdata", "parent-journal", image))...)
-	}
-	for _, r := range seeds {
+	base := journalRecords(f, filepath.Join("testdata", "parent-journal", "crash"))
+	for _, r := range slices.Concat(base, journalRecords(f, filepath.Join("testdata", "parent-journal", "graceful"))) {
 		f.Add(r)
 		f.Add(r[:len(r)-1])
 	}
+	var intent rpc.Encoder
+	pullQueuedRecord(FileInfo{LFN: "lfn://cern.ch/run1/a.db"})(&intent)
+	f.Add(intent.Bytes())
 	f.Fuzz(func(t *testing.T, r []byte) {
 		p := testPersist(t, "")
+		for _, rec := range base {
+			if err := p.st.apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
 		var err error
 		if cost := allocatedBy(func() { err = p.st.apply(r) }); cost >= 64<<10+16*uint64(len(r)) {
 			t.Fatalf("applying a %d-byte record allocated %d bytes", len(r), cost)
 		}
 		if err != nil {
 			return
+		}
+		for lfn := range p.st.pulls {
+			if _, ok := p.st.files.byLFN[lfn]; ok {
+				t.Fatalf("after %x an intent names the cataloged %s", r, lfn)
+			}
 		}
 		replay := testPersist(t, "")
 		p.st.records(func(r []byte) bool {

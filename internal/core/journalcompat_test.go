@@ -32,11 +32,13 @@ func goldenCrashSequence(p *sitePersistence) {
 	p.notifyQueue("fnal.gov", []FileInfo{a})
 	p.notifyDrop(p.st.subs["fnal.gov"])
 	p.unsubscribe("fnal.gov")
-	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p1", Path: "y/p1.db", Size: 5})
-	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p1"}) // no downgrade, no record
+	p1 := FileInfo{LFN: "lfn://anl.gov/p1", Path: "y/p1.db", Size: 5, CRC32: "00000005", FileType: "flat", State: StateDisk}
+	p.pullQueued(FileInfo{LFN: p1.LFN, Path: p1.Path, Size: p1.Size})
+	p.pullQueued(FileInfo{LFN: p1.LFN}) // no downgrade, no record
 	p.pullQueued(FileInfo{LFN: "lfn://anl.gov/p2"})
-	p.pullDone("lfn://anl.gov/p1")
-	p.pullDone("lfn://anl.gov/p1") // already done, no record
+	p.putFile(p1)                       // the landing retires p1's intent
+	p.pullQueued(FileInfo{LFN: p1.LFN}) // cataloged, no record
+	p.removeFile(p1.LFN)
 	p.producerAdd("127.0.0.1:3000")
 	p.producerAdd("127.0.0.1:3000") // already there, no record
 	p.producerAdd("127.0.0.1:4000")
@@ -106,23 +108,53 @@ func journalRecords(t testing.TB, dir string) [][]byte {
 	return recs
 }
 
+// parentTables are the tables the older build's images under
+// testdata/parent-journal replay to, written out: the crash image's WAL
+// and the graceful image's snapshot are replay-only inputs, and a change to
+// what they open to is a change to how an older journal replays.
+func parentTables(image string) durableTables {
+	a := FileInfo{LFN: "lfn://cern.ch/run1/a.db", Path: "run1/a.db", Size: 10, CRC32: "0000000a", FileType: "flat", State: StateDisk}
+	b := FileInfo{LFN: "lfn://cern.ch/run1/b.db", Path: "run1/b.db", Size: 20, CRC32: "0000000b", FileType: "objectivity", State: StateTape}
+	t := durableTables{
+		files:  map[string]FileInfo{a.LFN: a, b.LFN: b},
+		byPath: map[string]string{a.Path: a.LFN, b.Path: b.LFN},
+		subs: map[string]durableSub{
+			"anl.gov":  {addr: "127.0.0.1:1000", queue: []FileInfo{a, b}},
+			"fnal.gov": {addr: "127.0.0.1:2000", suspect: true, queue: []FileInfo{b}},
+		},
+		pulls: map[string]FileInfo{
+			"lfn://anl.gov/p2": {LFN: "lfn://anl.gov/p2", Path: "y/p2.db", Size: 7},
+			"lfn://anl.gov/p3": {LFN: "lfn://anl.gov/p3"},
+		},
+		producers:   map[string]bool{"127.0.0.1:3000": true, "127.0.0.1:4000": true},
+		scrubCursor: a.LFN,
+	}
+	if image == "crash" {
+		onDisk := b
+		onDisk.State = StateDisk
+		t.files[b.LFN] = onDisk
+		t.subs = map[string]durableSub{"anl.gov": {addr: "127.0.0.1:1000", queue: []FileInfo{b}}}
+		t.pulls = map[string]FileInfo{"lfn://anl.gov/p2": {LFN: "lfn://anl.gov/p2"}}
+		t.producers = map[string]bool{"127.0.0.1:3000": true}
+	}
+	return t
+}
+
 // TestJournalBytesMatchParent pins the on-disk format. The state
-// directories under testdata/parent-journal were written by an older
-// build running the two sequences above, when each still ended in parity
-// sidecar records: a crash image (WAL only, all fifteen record tags,
-// retired recParitySet and recParityDrop included), written at 9fd26eb,
-// the parent of the commit that put every hook behind
-// sitePersistence.record; and a graceful close (a snapshot) written by the
-// child of 6eec715, the flag day on which a snapshot became the run of
-// records that rebuilds the tables (an older build's snapshot is refused:
-// TestPersistRefusesOlderSnapshot). Both are replay-only inputs now: each
-// must open here to the tables this build's sequence leaves. The bytes are
-// pinned too. The crash WAL written here is the parent's with its trailing
-// parity records cut, record for record and byte for byte, so the parent
-// replays it; the graceful snapshot is pinned in testdata/journal, written
-// by the commit that retired the parity records.
+// directories under testdata/journal hold what this build writes for the
+// two sequences above, byte for byte: the crash image (a WAL of every
+// record kind it writes) and the graceful close (a snapshot). Each must
+// replay to the tables its sequence left. The state directories under
+// testdata/parent-journal were written by an older build running older
+// versions of the same sequences: a crash image with all fifteen record
+// tags, the retired recPullDone, recParitySet and recParityDrop included,
+// written at 9fd26eb, the parent of the commit that put every hook behind
+// sitePersistence.record; and a graceful close written by the child of
+// 6eec715, the flag day on which a snapshot became the run of records that
+// rebuilds the tables (an older build's snapshot is refused:
+// TestPersistRefusesOlderSnapshot). Both are replay-only inputs now, and
+// each must open to the tables it always opened to (parentTables).
 func TestJournalBytesMatchParent(t *testing.T) {
-	retired := func(r []byte) bool { return r[0] == recParitySet || r[0] == recParityDrop }
 	for _, tc := range []struct {
 		name     string
 		sequence func(*sitePersistence)
@@ -132,25 +164,12 @@ func TestJournalBytesMatchParent(t *testing.T) {
 		{"graceful", goldenGracefulSequence, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			parent := filepath.Join("testdata", "parent-journal", tc.name)
 			mine := t.TempDir()
 			p := testPersist(t, mine)
 			tc.sequence(p)
 			p.close(tc.graceful)
 
-			theirs := journalRecords(t, parent)
-			if !slices.ContainsFunc(theirs, retired) {
-				t.Fatalf("the parent's %s image holds no parity record", tc.name)
-			}
-			if want, got := slices.DeleteFunc(slices.Clone(theirs), retired), journalRecords(t, mine); !reflect.DeepEqual(got, want) {
-				t.Errorf("this commit's records are not the parent's without its parity records:\n%x\nwant\n%x", got, want)
-			}
-			// The bytes: the crash WAL is a strict prefix of the parent's, the
-			// graceful image equals its pin.
 			pinned := filepath.Join("testdata", "journal", tc.name)
-			if !tc.graceful {
-				pinned = parent
-			}
 			names, _ := filepath.Glob(filepath.Join(pinned, "journal", "*"))
 			if written, _ := filepath.Glob(filepath.Join(mine, "journal", "*")); len(written) != len(names) {
 				t.Errorf("this commit wrote %v, the pin holds %v", written, names)
@@ -164,22 +183,26 @@ func TestJournalBytesMatchParent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("the pin holds %s, this commit did not write it: %v", filepath.Base(name), err)
 				}
-				same := bytes.Equal(got, want)
-				if !tc.graceful {
-					same = len(got) < len(want) && bytes.HasPrefix(want, got)
-				}
-				if !same {
+				if !bytes.Equal(got, want) {
 					t.Errorf("%s differs from the pinned bytes (%d vs %d bytes)", filepath.Base(name), len(got), len(want))
 				}
 			}
 
-			q, torn, err := openPersistence(copyJournal(t, parent), obs.NewRegistry(), log.New(io.Discard, "", 0))
-			if err != nil || torn != 0 {
-				t.Fatalf("replaying the parent's journal: %v, %d torn bytes", err, torn)
-			}
-			defer q.close(false)
-			if !reflect.DeepEqual(q.tables(), p.tables()) {
-				t.Errorf("parent's journal replays to\n%+v\nwant\n%+v", q.tables(), p.tables())
+			for _, img := range []struct {
+				dir  string
+				want durableTables
+			}{
+				{pinned, p.tables()},
+				{filepath.Join("testdata", "parent-journal", tc.name), parentTables(tc.name)},
+			} {
+				q, torn, err := openPersistence(copyJournal(t, img.dir), obs.NewRegistry(), log.New(io.Discard, "", 0))
+				if err != nil || torn != 0 {
+					t.Fatalf("replaying %s: %v, %d torn bytes", img.dir, err, torn)
+				}
+				if got := q.tables(); !reflect.DeepEqual(got, img.want) {
+					t.Errorf("%s replays to\n%+v\nwant\n%+v", img.dir, got, img.want)
+				}
+				q.close(false)
 			}
 		})
 	}

@@ -42,7 +42,7 @@ const (
 	recNotifyAck
 	recNotifyDrop
 	recPullQueued
-	recPullDone
+	recPullDone // no writer: recPutFile retires the intent; apply honours it
 	recProducerAdd
 	recProducerRemove
 	recScrubCursor
@@ -78,7 +78,8 @@ type subscriberState struct {
 // table lock innermost; nothing appends (fsyncs) while it holds a table
 // lock, no read path takes the journal lock, and whoever holds the journal
 // lock may read the durable fields without a table lock (the predicates,
-// records).
+// records). One record changes two tables: recPutFile retires the LFN's
+// pull, taking tabMu inside localCatalog.mu, so that is their order.
 type persistState struct {
 	// files is the local file catalog, under its own lock.
 	files *localCatalog
@@ -89,7 +90,7 @@ type persistState struct {
 	// tabMu guards the three small tables below.
 	tabMu sync.Mutex
 
-	pulls map[string]FileInfo // notified or admitted, not yet replicated
+	pulls map[string]FileInfo // notified or admitted, not yet cataloged
 
 	// producers are the ctl addresses of sites this site has subscribed
 	// to. Anti-entropy exchanges digests with them after a restart, so the
@@ -265,21 +266,15 @@ func (p *sitePersistence) notifyDrop(sub *subscriberState) error {
 	return p.record(replaced(sub), notifyDropRecord(sub.name))
 }
 
-// pullQueued records an unfinished pull. It is idempotent by LFN and
-// never downgrades: a record that already carries the file's path is not
-// replaced by a bare-LFN admission for the same file.
+// pullQueued records an unfinished pull, none for a cataloged LFN. It is
+// idempotent by LFN and never downgrades: a record that already carries the
+// file's path is not replaced by a bare-LFN admission for the same file.
 func (p *sitePersistence) pullQueued(fi FileInfo) error {
 	return p.record(func(st *persistState) bool {
+		_, here := st.files.byLFN[fi.LFN]
 		existing, ok := st.pulls[fi.LFN]
-		return ok && (existing.Path != "" || fi.Path == "")
+		return here || ok && (existing.Path != "" || fi.Path == "")
 	}, pullQueuedRecord(fi))
-}
-
-func (p *sitePersistence) pullDone(lfn string) error {
-	return p.record(func(st *persistState) bool {
-		_, queued := st.pulls[lfn]
-		return !queued
-	}, stringsRecord(recPullDone, lfn))
 }
 
 // producerAdd records that this site subscribed to a producer at addr.
@@ -461,8 +456,11 @@ func (st *persistState) tableLock(tag uint8) sync.Locker {
 // apply runs one record against the tables, the only writer they have.
 // record calls it after a successful append and replay calls it for every
 // recovered record — the snapshot's, then the WAL's — in order, so a
-// running site and a restarted one share one transition function. The caller holds the journal lock (at replay, the
-// only reference); apply takes the lock of the table it changes.
+// running site and a restarted one share one transition function. The
+// caller holds the journal lock (at replay, the only reference); apply
+// takes the lock of the table it changes. It keeps one rule across two
+// tables: no intent names a cataloged LFN (an older build's journal may);
+// and one in the catalog: a path holds one entry.
 func (st *persistState) apply(rec []byte) error {
 	d := rpc.NewDecoder(rec)
 	tag := d.Uint8()
@@ -479,8 +477,17 @@ func (st *persistState) apply(rec []byte) error {
 		if had && old.Path != fi.Path {
 			delete(c.byPath, old.Path)
 		}
+		if other, ok := c.byPath[fi.Path]; ok && other != fi.LFN {
+			// One path holds one file: the landing replaced the bytes the
+			// other entry described.
+			delete(c.byLFN, other)
+			delete(c.landing, other)
+		}
 		c.byLFN[fi.LFN] = fi
 		c.byPath[fi.Path] = fi.LFN
+		st.tabMu.Lock()
+		delete(st.pulls, fi.LFN)
+		st.tabMu.Unlock()
 		if !had {
 			// A new entry is still landing (pool, parity sidecar): the
 			// table knows it at once — the pool's eviction callback must
@@ -543,7 +550,7 @@ func (st *persistState) apply(rec []byte) error {
 		}
 	case recPullQueued:
 		fi := decodeFileInfo(d)
-		if d.Err() == nil {
+		if _, here := c.byLFN[fi.LFN]; !here && d.Err() == nil {
 			st.pulls[fi.LFN] = fi
 		}
 	case recPullDone:

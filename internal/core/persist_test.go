@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"gdmp/internal/journal"
 	"gdmp/internal/obs"
+	"gdmp/internal/rpc"
 )
 
 func testPersist(t testing.TB, dir string) *sitePersistence {
@@ -73,7 +75,8 @@ func TestPersistCrashRoundTrip(t *testing.T) {
 	p.unsubscribe("fnal.gov")
 	p.pullQueued(FileInfo{LFN: "p1", Path: "y/p1.db", Size: 5})
 	p.pullQueued(FileInfo{LFN: "p2"})
-	p.pullDone("p1")
+	p.putFile(FileInfo{LFN: "p1", Path: "y/p1.db", Size: 5, State: StateDisk}) // retires p1's intent
+	p.removeFile("p1")
 	p.close(false) // crash: only fsync'd WAL records survive
 
 	q, torn, err := openPersistence(dir, obs.NewRegistry(), log.New(io.Discard, "", 0))
@@ -199,10 +202,103 @@ func TestPersistPullQueuedNeverDowngrades(t *testing.T) {
 	if fi := p.st.pulls["g"]; fi.Path != "d/g.db" {
 		t.Fatalf("bare pull not upgraded: %+v", fi)
 	}
-	p.pullDone("f")
-	p.pullDone("f") // done on an absent pull is a no-op, not a new record
-	if n := p.j.Records(); n != 4 {
-		t.Fatalf("journal holds %d records, want 4 (dups and no-ops elided)", n)
+	if n := p.j.Records(); n != 3 {
+		t.Fatalf("journal holds %d records, want 3 (dups and no-ops elided)", n)
+	}
+}
+
+// TestPersistLandingRetiresIntent pins the rule apply keeps across two
+// tables, that no intent names a cataloged LFN: the landing's recPutFile
+// retires the file's intent, in the live tables and in what a crash (the
+// WAL) and a graceful close (the snapshot) replay to.
+func TestPersistLandingRetiresIntent(t *testing.T) {
+	for _, graceful := range []bool{false, true} {
+		dir := t.TempDir()
+		p := testPersist(t, dir)
+		p.pullQueued(FileInfo{LFN: "p1", Path: "y/p1.db", Size: 5})
+		p.pullQueued(FileInfo{LFN: "p2"})
+		p.putFile(FileInfo{LFN: "p1", Path: "y/p1.db", Size: 5, State: StateDisk})
+		check := func(when string, q *sitePersistence) {
+			t.Helper()
+			if pulls := q.st.incompletePulls(); len(pulls) != 1 || pulls[0].LFN != "p2" {
+				t.Errorf("%s: intents %+v, want just p2", when, pulls)
+			}
+			if _, ok := q.st.files.byLFN["p1"]; !ok {
+				t.Errorf("%s: p1 is not cataloged", when)
+			}
+		}
+		check("live", p)
+		p.close(graceful)
+		q := testPersist(t, dir)
+		check(fmt.Sprintf("replayed, graceful close %v", graceful), q)
+		q.close(false)
+	}
+}
+
+// TestPersistOnePathOneEntry: a landing at a path another entry holds
+// replaced that entry's bytes, so the entry goes with them; byPath stays
+// the inverse of the catalog, and a crash and a graceful close replay to
+// the same tables (the snapshot names no owner of a path).
+func TestPersistOnePathOneEntry(t *testing.T) {
+	for _, graceful := range []bool{false, true} {
+		dir := t.TempDir()
+		p := testPersist(t, dir)
+		p.putFile(FileInfo{LFN: "lfn://cern.ch/runs/a.db", Path: "runs/a.db", Size: 5, State: StateDisk})
+		p.putFile(FileInfo{LFN: "lfn://fnal.gov/runs/a.db", Path: "runs/a.db", Size: 7, State: StateDisk})
+		want := p.tables()
+		if len(want.files) != 1 || want.byPath["runs/a.db"] != "lfn://fnal.gov/runs/a.db" {
+			t.Fatalf("two entries at one path: %+v", want)
+		}
+		p.close(graceful)
+		q := testPersist(t, dir)
+		if got := q.tables(); !reflect.DeepEqual(got, want) {
+			t.Errorf("graceful close %v: replayed to\n%+v\nwant\n%+v", graceful, got, want)
+		}
+		q.close(false)
+	}
+}
+
+// TestPersistNoIntentForCatalogedFile: pullQueued for an LFN the catalog
+// holds — landed, or still landing — appends nothing and queues nothing,
+// bare or with its path.
+func TestPersistNoIntentForCatalogedFile(t *testing.T) {
+	p := testPersist(t, t.TempDir())
+	defer p.close(false)
+	p.putFile(FileInfo{LFN: "f", Path: "d/f.db", Size: 7, State: StateDisk})
+	n := p.j.Records()
+	for _, fi := range []FileInfo{{LFN: "f"}, {LFN: "f", Path: "d/f.db", Size: 7}} {
+		if err := p.pullQueued(fi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.j.Records(); got != n || len(p.st.pulls) != 0 {
+		t.Fatalf("intents for a cataloged file: %d records appended, intents %+v", got-n, p.st.pulls)
+	}
+}
+
+// TestPersistOlderJournalIntentAfterLanding: an older build could journal
+// an intent for a file it already held (a pull admitted for a cataloged
+// LFN), after the file's recPutFile. Replay ignores it, so the restarted
+// site owes no pull for that file.
+func TestPersistOlderJournalIntentAfterLanding(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi := FileInfo{LFN: "f", Path: "d/f.db", Size: 7, State: StateDisk}
+	for _, rec := range []recWriter{putFileRecord(fi), pullQueuedRecord(FileInfo{LFN: "f"}), pullQueuedRecord(FileInfo{LFN: "g"})} {
+		var e rpc.Encoder
+		rec(&e)
+		if err := j.Append(e.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	p := testPersist(t, dir)
+	defer p.close(false)
+	if pulls := p.st.incompletePulls(); len(pulls) != 1 || pulls[0].LFN != "g" {
+		t.Fatalf("replayed intents %+v, want just g", pulls)
 	}
 }
 
@@ -376,7 +472,7 @@ func TestPersistSnapshotReplaysTables(t *testing.T) {
 				name := names[rng.Intn(len(names))]
 				addr := fmt.Sprintf("127.0.0.1:%d", 1000+rng.Intn(2))
 				switch rng.Intn(14) {
-				case 0, 1:
+				case 0, 1, 11:
 					p.putFile(file())
 				case 2:
 					p.removeFile(file().LFN)
@@ -402,8 +498,6 @@ func TestPersistSnapshotReplaysTables(t *testing.T) {
 						fi = FileInfo{LFN: fi.LFN}
 					}
 					p.pullQueued(fi)
-				case 11:
-					p.pullDone(file().LFN)
 				case 12:
 					if rng.Intn(2) == 0 {
 						p.producerAdd(addr)
@@ -415,6 +509,11 @@ func TestPersistSnapshotReplaysTables(t *testing.T) {
 				}
 			}
 			tables[i] = p.tables()
+			for lfn := range tables[i].pulls {
+				if _, ok := tables[i].files[lfn]; ok {
+					t.Fatalf("seed %d: the intent for %s outlived its landing", seed, lfn)
+				}
+			}
 			p.close(graceful)
 			q := testPersist(t, dir)
 			if got := q.tables(); !reflect.DeepEqual(got, tables[i]) {

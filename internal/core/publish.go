@@ -415,9 +415,9 @@ func (s *Site) takeOn(files []FileInfo) {
 }
 
 // Pending lists the journaled intents (accepted notices, admitted pulls)
-// whose file is absent and that the scheduler neither queues nor runs, in
-// LFN order. A failed pull stays pending because its intent stays
-// journaled, in this life as after a restart.
+// that the scheduler neither queues nor runs, in LFN order; no intent
+// names a file the site holds. A failed pull stays pending because its
+// intent stays journaled, in this life as after a restart.
 func (s *Site) Pending() []FileInfo { return s.pending("") }
 
 // pending is Pending, refreshing gdmp_site_pending_queue_depth: every
@@ -426,7 +426,7 @@ func (s *Site) Pending() []FileInfo { return s.pending("") }
 func (s *Site) pending(ending string) []FileInfo {
 	var out []FileInfo
 	for _, fi := range s.persist.st.incompletePulls() {
-		if s.HasFile(fi.LFN) || (fi.LFN != ending && s.sched.Holds(fi.LFN)) {
+		if fi.LFN != ending && s.sched.Holds(fi.LFN) {
 			continue
 		}
 		out = append(out, fi)
@@ -454,8 +454,6 @@ func (s *Site) pullAll(files []FileInfo, priority int, op string) ([]string, err
 	var tickets []*xfer.Ticket
 	for _, fi := range files {
 		if s.HasFile(fi.LFN) {
-			// Already here: any journaled pull intent for it is satisfied.
-			s.journalPullDone(fi.LFN)
 			continue
 		}
 		lfns = append(lfns, fi.LFN)

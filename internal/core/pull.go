@@ -74,15 +74,15 @@ func (s *Site) GetCtx(ctx context.Context, lfn string) error {
 func (s *Site) submitGet(lfn string, priority int) *xfer.Ticket {
 	// Admission is durable: a crash between here and replication requeues
 	// the pull at restart (no-op when the LFN is already journaled with
-	// richer detail from its notification). A journal failure degrades the
-	// pull to memory-only — the caller still holds the ticket and no ack
-	// has gone to anyone yet, so losing it in a crash is safe.
+	// richer detail from its notification, or cataloged). A journal
+	// failure degrades the pull to memory-only — the caller still holds
+	// the ticket and no ack has gone to anyone yet, so losing it in a
+	// crash is safe. The landing retires the intent (recPutFile).
 	if err := s.persist.pullQueued(FileInfo{LFN: lfn}); err != nil {
 		s.logger.Printf("gdmp[%s]: journal pull admission %s: %v", s.cfg.Name, lfn, err)
 	}
 	tk := s.sched.Submit(lfn, priority, func(jobCtx context.Context) error {
 		if s.HasFile(lfn) {
-			s.journalPullDone(lfn)
 			return nil
 		}
 		err := s.replicate(jobCtx, lfn)
@@ -91,22 +91,11 @@ func (s *Site) submitGet(lfn string, priority int) *xfer.Ticket {
 			// The intent stays journaled: pending once this job ends.
 			s.logger.Printf("gdmp[%s]: pull %s: %v", s.cfg.Name, lfn, err)
 			s.pending(lfn)
-			return err
 		}
-		s.journalPullDone(lfn)
-		return nil
+		return err
 	})
 	s.pending("")
 	return tk
-}
-
-// journalPullDone retires a pull's journal record. Best-effort: a record
-// that outlives its pull merely requeues at the next restart, where the
-// already-present file retires it for good.
-func (s *Site) journalPullDone(lfn string) {
-	if err := s.persist.pullDone(lfn); err != nil {
-		s.logger.Printf("gdmp[%s]: journal pull-done %s: %v", s.cfg.Name, lfn, err)
-	}
 }
 
 // pull is one replication's working state, filled in stage by stage.

@@ -297,20 +297,6 @@ func (c *Client) roundTrip(format string, args ...interface{}) (int, string, err
 	return c.ctl.readReply()
 }
 
-// SetParallelism renegotiates the stream count for subsequent transfers.
-func (c *Client) SetParallelism(n int) error {
-	if n < 1 || n > MaxParallelism {
-		return fmt.Errorf("gridftp: parallelism %d out of range", n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.simpleCmd(codeOK, "OPTS PARALLEL %d", n); err != nil {
-		return err
-	}
-	c.parallelism = n
-	return nil
-}
-
 // SetBufferSize renegotiates the TCP buffer size (SBUF).
 func (c *Client) SetBufferSize(n int) error {
 	c.mu.Lock()

@@ -380,14 +380,15 @@ func TestSBUFAndOPTSValidation(t *testing.T) {
 	if err := cl.SetBufferSize(10); err == nil {
 		t.Fatal("absurd SBUF accepted")
 	}
-	if err := cl.SetParallelism(8); err != nil {
-		t.Fatalf("SetParallelism: %v", err)
-	}
-	if err := cl.SetParallelism(0); err == nil {
-		t.Fatal("parallelism 0 accepted")
-	}
-	if err := cl.SetParallelism(MaxParallelism + 1); err == nil {
-		t.Fatal("excessive parallelism accepted")
+	// The stream count is set at dial (WithParallelism); the server's own
+	// range check is what a raw OPTS PARALLEL meets.
+	for _, tc := range []struct {
+		arg  string
+		code int
+	}{{"8", codeOK}, {"0", codeBadArgs}, {fmt.Sprint(MaxParallelism + 1), codeBadArgs}, {"x", codeBadArgs}} {
+		if code, text, err := cl.roundTrip("OPTS PARALLEL %s", tc.arg); err != nil || code != tc.code {
+			t.Errorf("OPTS PARALLEL %s = %d %q, %v; want %d", tc.arg, code, text, err, tc.code)
+		}
 	}
 }
 

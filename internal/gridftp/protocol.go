@@ -119,12 +119,17 @@ const (
 	flagEOD = 0x01 // no more blocks on this data connection
 )
 
+// putBlockHeader writes an extended block's header into hdr.
+func putBlockHeader(hdr []byte, flags byte, offset int64, n int) {
+	hdr[0] = flags
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(offset))
+	binary.BigEndian.PutUint32(hdr[9:13], uint32(n))
+}
+
 // writeBlock sends one extended block (possibly empty, e.g. a bare EOD).
 func writeBlock(w io.Writer, flags byte, offset int64, payload []byte) error {
 	var hdr [blockHeaderLen]byte
-	hdr[0] = flags
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(offset))
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
+	putBlockHeader(hdr[:], flags, offset, len(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

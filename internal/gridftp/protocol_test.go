@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"net"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,54 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 	if flags != flagEOD || off != 123456789 || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip = flags %x, off %d, %q", flags, off, got)
+	}
+}
+
+// writeCounter is a data connection that keeps what is written to it and
+// counts the Write calls: each is a syscall, and under TCP_NODELAY a
+// segment of its own.
+type writeCounter struct {
+	net.Conn
+	sent   bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.sent.Write(p)
+}
+
+// TestSendBlocksOneWritePerBlock: sendBlocks hands each block's header and
+// payload to the connection as one Write, and the bare end-of-data block as
+// one more, so a stream of n blocks costs n+1 writes; the blocks it writes
+// still read back to the source.
+func TestSendBlocksOneWritePerBlock(t *testing.T) {
+	src := make([]byte, 300_000)
+	rand.New(rand.NewSource(5)).Read(src)
+	const blockSize = 64 << 10
+	ranges := Range{0, int64(len(src))}.split(2)
+	conns := []*writeCounter{{}, {}}
+	if _, err := sendBlocks([]net.Conn{conns[0], conns[1]}, bytes.NewReader(src), ranges, blockSize, nil); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(src))
+	for i, c := range conns {
+		if blocks := int((ranges[i].Len() + blockSize - 1) / blockSize); c.writes != blocks+1 {
+			t.Errorf("stream %d: %d writes for %d blocks, want %d", i, c.writes, blocks, blocks+1)
+		}
+		for {
+			flags, off, payload, err := readBlock(&c.sent, nil)
+			if err != nil {
+				t.Fatalf("stream %d: %v", i, err)
+			}
+			copy(got[off:], payload)
+			if flags&flagEOD != 0 {
+				break
+			}
+		}
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatal("the blocks sent do not read back to the source")
 	}
 }
 

@@ -84,22 +84,25 @@ func recvBlocks(conns []net.Conn, dst io.WriterAt, window Range, onBlock blockFu
 
 // sendBlocks cuts ranges of src into blocks of at most blockSize bytes and
 // writes them to the data connections, range i going to stream i modulo
-// the stream count. Every stream ends with a bare end-of-data block
-// carrying the offset it stopped at.
+// the stream count, each block as one Write of its header and payload.
+// Every stream ends with a bare end-of-data block carrying the offset it
+// stopped at.
 func sendBlocks(conns []net.Conn, src io.ReaderAt, ranges []Range, blockSize int, onBlock blockFunc) ([]int64, error) {
 	return eachStream(conns, onBlock, func(stream int, c net.Conn, moved func(off, n int64)) error {
 		var longest, pos int64 // the buffer is sized to the work: a 4 KiB file needs no 64 KiB block
 		for i := stream; i < len(ranges); i += len(conns) {
 			longest = max(longest, ranges[i].End-ranges[i].Start)
 		}
-		buf := make([]byte, min(int64(blockSize), longest))
+		buf := make([]byte, blockHeaderLen+min(int64(blockSize), longest))
+		payload := buf[blockHeaderLen:]
 		for i := stream; i < len(ranges); i += len(conns) {
 			for pos = ranges[i].Start; pos < ranges[i].End; {
-				chunk := min(int64(len(buf)), ranges[i].End-pos)
-				if _, err := src.ReadAt(buf[:chunk], pos); err != nil {
+				chunk := min(int64(len(payload)), ranges[i].End-pos)
+				if _, err := src.ReadAt(payload[:chunk], pos); err != nil {
 					return fmt.Errorf("read at %d: %w", pos, err)
 				}
-				if err := writeBlock(c, 0, pos, buf[:chunk]); err != nil {
+				putBlockHeader(buf, 0, pos, int(chunk))
+				if _, err := c.Write(buf[:blockHeaderLen+chunk]); err != nil {
 					return fmt.Errorf("send at %d: %w", pos, err)
 				}
 				moved(pos, chunk)

@@ -7,7 +7,10 @@
 // damage exceeds the parity budget or the sidecar itself is corrupt.
 package parity
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // GF(2^8) arithmetic with the AES-adjacent primitive polynomial x^8 + x^4 +
 // x^3 + x^2 + 1 (0x11d), the polynomial every RS storage codec uses. Every
@@ -133,12 +136,39 @@ func (a matrix) invert() (matrix, bool) {
 	return out, false
 }
 
-// codingMatrix builds the systematic (k+m)×k encoding matrix: a Vandermonde
-// matrix row-reduced so the top k×k block is the identity. The Vandermonde
-// property survives the reduction, so every k×k submatrix formed from any k
-// of the k+m rows is invertible — which is exactly what lets reconstruction
-// pick an arbitrary set of k surviving blocks.
+// codingMatrices caches codingMatrix by geometry. A matrix is shared
+// read-only (invert copies its input). A site codes with one geometry, and
+// a new geometry that finds the cache full empties it, so the cache stays
+// small whatever geometries the sidecars on disk name.
+var codingMatrices = struct {
+	sync.Mutex
+	byGeometry map[[2]int]matrix
+}{byGeometry: make(map[[2]int]matrix)}
+
+// codingMatrix returns the systematic (k+m)×k encoding matrix, built once
+// per geometry.
 func codingMatrix(k, m int) matrix {
+	c := &codingMatrices
+	c.Lock()
+	defer c.Unlock()
+	key := [2]int{k, m}
+	mat, ok := c.byGeometry[key]
+	if !ok {
+		if len(c.byGeometry) >= 8 {
+			clear(c.byGeometry)
+		}
+		mat = buildCodingMatrix(k, m)
+		c.byGeometry[key] = mat
+	}
+	return mat
+}
+
+// buildCodingMatrix builds the systematic (k+m)×k encoding matrix: a
+// Vandermonde matrix row-reduced so the top k×k block is the identity. The
+// Vandermonde property survives the reduction, so every k×k submatrix
+// formed from any k of the k+m rows is invertible — which is exactly what
+// lets reconstruction pick an arbitrary set of k surviving blocks.
+func buildCodingMatrix(k, m int) matrix {
 	vand := newMatrix(k+m, k)
 	for r := 0; r < k+m; r++ {
 		e := byte(1)

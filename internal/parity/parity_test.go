@@ -313,7 +313,7 @@ func TestDamagedBlocksMatchesDigest(t *testing.T) {
 	}
 }
 
-// TestCRCCombineProperty: crcCombine agrees with a CRC of the concatenation
+// TestCRCCombineProperty: CRCCombine agrees with a CRC of the concatenation
 // for random splits, empty halves included.
 func TestCRCCombineProperty(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -329,7 +329,7 @@ func TestCRCCombineProperty(t *testing.T) {
 			cut = rng.Intn(len(ab) + 1)
 		}
 		a, b := ab[:cut], ab[cut:]
-		return crcCombine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), int64(len(b))) == crc32.ChecksumIEEE(ab)
+		return CRCCombine(crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), int64(len(b))) == crc32.ChecksumIEEE(ab)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestCRCCombineProperty(t *testing.T) {
 }
 
 // TestX2nModPWraps: squaring the last x^(2^n) gives the first, x^(2^32) =
-// x, which is what lets crcCombine index the table modulo 32 for lengths
+// x, which is what lets CRCCombine index the table modulo 32 for lengths
 // of 2^29 bytes and more.
 func TestX2nModPWraps(t *testing.T) {
 	for n := range x2nModP {
@@ -359,7 +359,7 @@ func BenchmarkCRCCombine(b *testing.B) {
 	}{{"512B", 512}, {"1MiB", 1 << 20}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				crcSink = crcCombine(crcSink, 0x9abcdef0, bc.n)
+				crcSink = CRCCombine(crcSink, 0x9abcdef0, bc.n)
 			}
 		})
 	}
@@ -475,5 +475,20 @@ func BenchmarkMulSlice(b *testing.B) {
 	b.SetBytes(chunkSize)
 	for i := 0; i < b.N; i++ {
 		gfMulSlice(byte(i)|2, in, out)
+	}
+}
+
+// TestCreateAllocs: the coding matrix is built once per geometry, so a
+// Create of 4 KiB at 8+2 allocates only what its own walk needs.
+func TestCreateAllocs(t *testing.T) {
+	data := make([]byte, 4<<10)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Create(data, 8, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per Create", allocs)
+	if allocs > 22 {
+		t.Errorf("a 4 KiB Create at 8+2 allocates %.0f times, want at most 22", allocs)
 	}
 }

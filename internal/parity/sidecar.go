@@ -136,7 +136,7 @@ func encode(src io.ReaderAt, size int64, k, m int, payload io.WriterAt, base int
 	}
 	for _, b := range in {
 		sc.DataCRCs = append(sc.DataCRCs, b.crc)
-		sc.DataCRC = crcCombine(sc.DataCRC, b.crc, b.n)
+		sc.DataCRC = CRCCombine(sc.DataCRC, b.crc, b.n)
 	}
 	for _, b := range out {
 		sc.ParityCRCs = append(sc.ParityCRCs, b.crc)
@@ -284,7 +284,7 @@ func Load(path string) (*Sidecar, string, error) {
 		if b.crc != want {
 			return nil, "", fmt.Errorf("%w: parity block %d fails its CRC", ErrSidecarCorrupt, r)
 		}
-		sum = crcCombine(sum, b.crc, sc.BlockSize)
+		sum = CRCCombine(sum, b.crc, sc.BlockSize)
 	}
 	sc.path = path
 	return sc, fmt.Sprintf("%08x", sum), nil
@@ -454,7 +454,7 @@ func (sc *Sidecar) rebuild(src io.ReaderAt, srcSize int64, dst io.WriterAt) ([]i
 		if b.crc != want[i] {
 			return nil, fmt.Errorf("%w: rebuilt block %d failed its CRC", ErrTooDamaged, i)
 		}
-		sum = crcCombine(sum, b.crc, b.n)
+		sum = CRCCombine(sum, b.crc, b.n)
 	}
 	if sum != sc.DataCRC {
 		return nil, fmt.Errorf("%w: rebuilt content failed end-to-end CRC", ErrTooDamaged)

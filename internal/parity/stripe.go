@@ -88,14 +88,16 @@ type memory []byte
 
 func (m memory) WriteAt(p []byte, off int64) (int, error) { return copy(m[off:], p), nil }
 
-// crcCombine returns the IEEE CRC of a‖b given crc(a), crc(b) and len(b) —
+// CRCCombine returns the IEEE CRC of a‖b given crc(a), crc(b) and len(b) —
 // zlib's crc32_combine, which hash/crc32 does not export. It lets the stripe
 // loop, which sees a file as k interleaved block streams, produce the
-// whole-file CRC (and Load the sidecar-file CRC) without a second read. Appending len(b) zero bytes to a multiplies crc(a) by
+// whole-file CRC (Load the sidecar-file CRC, and the scrub a file's CRC
+// from its block CRCs) without a second pass. Appending len(b) zero bytes
+// to a multiplies crc(a) by
 // x^(8·len(b)) modulo the CRC polynomial; that power is the product of the
 // tabled x^(2^n) its bits select (zlib ≥ 1.2.12's x2nmodp), at most 64
 // multiplications where squaring a 32×32 GF(2) operator per bit took ~1,000.
-func crcCombine(crcA, crcB uint32, lenB int64) uint32 {
+func CRCCombine(crcA, crcB uint32, lenB int64) uint32 {
 	if lenB <= 0 {
 		return crcA
 	}

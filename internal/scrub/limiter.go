@@ -2,12 +2,13 @@ package scrub
 
 import (
 	"context"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
 	"sync"
 	"time"
+
+	"gdmp/internal/parity"
 )
 
 // Limiter is a token-bucket byte-rate limiter. The scrubber reads every
@@ -75,25 +76,22 @@ const scanChunk = 256 << 10
 // (the last block covers only the remaining bytes; none when blockSize
 // <= 0), and how many bytes were read, all in one pass. The parity layer
 // compares the block digests against a sidecar's recorded CRCs to localise
-// damage to individual blocks instead of condemning the whole file. ctx
-// aborts the scan between chunks (shutdown must not wait out a long file).
+// damage to individual blocks instead of condemning the whole file. Each
+// byte is hashed once: with blocks, the whole-file CRC is theirs combined
+// (parity.CRCCombine). ctx aborts the scan between chunks (shutdown must
+// not wait out a long file).
 func BlockCRC32File(ctx context.Context, path string, blockSize int64, lim *Limiter) (uint32, []uint32, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, 0, err
 	}
 	defer f.Close()
-	h := crc32.NewIEEE()
 	var (
-		blocks  []uint32
-		bh      hash.Hash32
-		inBlock int64
+		sum, block     uint32 // the whole file's CRC; the current block's
+		blocks         []uint32
+		inBlock, total int64
 	)
-	if blockSize > 0 {
-		bh = crc32.NewIEEE()
-	}
 	buf := make([]byte, scanChunk)
-	var total int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return 0, nil, total, err
@@ -103,31 +101,27 @@ func BlockCRC32File(ctx context.Context, path string, blockSize int64, lim *Limi
 			if werr := lim.Wait(ctx, n); werr != nil {
 				return 0, nil, total, werr
 			}
-			h.Write(buf[:n])
-			if bh != nil {
-				chunk := buf[:n]
-				for len(chunk) > 0 {
-					take := blockSize - inBlock
-					if take > int64(len(chunk)) {
-						take = int64(len(chunk))
-					}
-					bh.Write(chunk[:take])
-					chunk = chunk[take:]
-					inBlock += take
-					if inBlock == blockSize {
-						blocks = append(blocks, bh.Sum32())
-						bh.Reset()
-						inBlock = 0
-					}
+			if blockSize <= 0 {
+				sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+			}
+			for chunk := buf[:n]; blockSize > 0 && len(chunk) > 0; {
+				take := min(blockSize-inBlock, int64(len(chunk)))
+				block = crc32.Update(block, crc32.IEEETable, chunk[:take])
+				chunk = chunk[take:]
+				if inBlock += take; inBlock == blockSize {
+					blocks = append(blocks, block)
+					sum = parity.CRCCombine(sum, block, blockSize)
+					block, inBlock = 0, 0
 				}
 			}
 			total += int64(n)
 		}
 		if err == io.EOF {
-			if bh != nil && inBlock > 0 {
-				blocks = append(blocks, bh.Sum32())
+			if inBlock > 0 {
+				blocks = append(blocks, block)
+				sum = parity.CRCCombine(sum, block, inBlock)
 			}
-			return h.Sum32(), blocks, total, nil
+			return sum, blocks, total, nil
 		}
 		if err != nil {
 			return 0, nil, total, err

@@ -274,14 +274,15 @@ func TestDurableFlushCounts(t *testing.T) {
 			}
 			second = pf.LFN
 		}, 1, 0, 1},
-		// Pull: the landed file and its directory, and the journal's three
-		// appends (intent, entry, done), journal.appends_per_pull of
-		// bulk_pull and small_drain. The sidecar is not synced.
+		// Pull: the landed file and its directory, and the journal's two
+		// appends (intent, and the entry that retires it),
+		// journal.appends_per_pull of bulk_pull and small_drain. The
+		// sidecar is not synced.
 		{"pull", "anl.gov", func() {
 			if err := cons.Get(second); err != nil {
 				t.Fatal(err)
 			}
-		}, 4, 1, 3},
+		}, 3, 1, 2},
 	} {
 		files, dirs, appends := flushes(tc.site, tc.op)
 		if files != tc.files || dirs != tc.dirs || appends != tc.appends {

@@ -24,7 +24,7 @@ import (
 // purpose.
 var keptUnused = []struct{ why, names string }{
 	{"features of the paper that only their tests and EXPERIMENTS.md exercise (the replica.Client catalog operations: §4.2; Federation.Save writes the federation catalog objcopier loads)",
-		`gridftp.StripedGet gridftp.Client.PutRegion gridftp.Client.SetParallelism
+		`gridftp.StripedGet gridftp.Client.PutRegion
 		core.Site.GetCollection core.Site.GetWithAssociated core.Site.PublishAll core.Site.RebuildLocalCatalog core.Site.DeleteLogical
 		core.Site.RegisterFileType core.Site.UnsubscribeFrom core.Site.ProcessPending core.Site.Ping core.Site.Locate
 		objectstore.Federation.Navigate objectstore.Federation.AssociationClosure objectstore.Federation.FindObjects objectstore.Federation.Detach
