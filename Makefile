@@ -53,7 +53,7 @@ check: fmt vet build race
 # chain an unauthenticated peer presents in its TLS handshake, of the Request Manager
 # frame and the fsck reply an authenticated peer sends, of the metrics
 # exposition `gdmp status` reads back from a site, of the
-# catalog query filter and the bloom digest a catalog client or site sends,
+# catalog query filter a catalog client sends,
 # and of what a rotting disk controls: the parity sidecar header, the journal's snapshot
 # file, and the site's and the replica catalog's journal records, WAL and
 # snapshot alike), plus a differential target that holds the SIMD
@@ -75,7 +75,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMulSlice$$' -fuzztime 10s ./internal/parity
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMutation$$' -fuzztime 10s ./internal/replica
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFilter$$' -fuzztime 10s ./internal/replica
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalBloom$$' -fuzztime 10s ./internal/replica
 
 # Size report: non-test Go lines under internal/ and cmd/ per package,
 # their total, and each daemon's flag count — the numbers a pruning PR
@@ -107,27 +106,25 @@ BENCH_PULL_OUT ?= BENCH_pull.json
 bench-pull:
 	BENCH_PULL_OUT=$(BENCH_PULL_OUT) $(GO) test -run TestPullSchedulerBenchmark -v .
 
-# Catalog RLS benchmark: loads 1M LFNs into the sharded central catalog,
-# sustains a lookup storm (>=10k/sec floor), compares lookup throughput
+# Catalog benchmark: loads 1M LFNs into the sharded central catalog,
+# sustains a lookup storm (>=10k/sec floor), and compares lookup throughput
 # under journaled write load against the single-mutex baseline (sharded
-# must win), and asserts the bloom digest's false-positive rate stays
-# under its bound. Results land in $(BENCH_CATALOG_OUT).
+# must win). Results land in $(BENCH_CATALOG_OUT).
 BENCH_CATALOG_OUT ?= BENCH_catalog.json
 bench-catalog:
 	BENCH_CATALOG_OUT=$(BENCH_CATALOG_OUT) $(GO) test -run TestCatalogBenchmark -v .
 
-# RLS suite: the sharded-catalog + bloom-digest Replica Location Service
-# tests — shard rebalance and concurrency properties, RLI soft-state
-# semantics, journaled-store recovery and snapshots, refused appends, the
-# served lookup's op counters, and the grid-level read-your-writes,
-# RLI-fallback, false-positive, and crash-convergence scenarios. Race
-# detector on. The seed is logged by
-# every property test; replay a run with `make catalog RLS_SEED=7`.
+# Catalog suite: the sharded central catalog's tests — shard rebalance and
+# concurrency properties, journaled-store recovery and snapshots, refused
+# appends, the served lookup's op counters — and the grid-level
+# read-your-writes, locate-counting and scrub-healed location-loss
+# scenarios. Race detector on. The seed is logged by every property test;
+# replay a run with `make catalog RLS_SEED=7`.
 RLS_SEED ?= 20260809
 catalog:
 	@echo "rls seed: $(RLS_SEED)"
 	RLS_SEED=$(RLS_SEED) $(GO) test -race -v \
-		-run 'TestRLS|TestRLI|TestShard|TestStore|TestSnapshot|TestCatalogRefusedAppendChangesNothing|TestBloom|TestReadEntry|TestConcurrentShardedMutation|TestCatalogLookupSingleOpCounter' \
+		-run 'TestRLS|TestShard|TestStore|TestSnapshot|TestCatalogRefusedAppendChangesNothing|TestReadEntry|TestConcurrentShardedMutation|TestCatalogLookupSingleOpCounter' \
 		./internal/replica .
 
 # Fault-injection suite: scripted fault schedules through internal/faults,
@@ -227,10 +224,12 @@ parity:
 # Disk-pool cache soak: a seeded Zipf trace drives two consumer sites
 # through a capacity-bounded pool, comparing LRU vs FIFO at two skews and
 # asserting hit-rate floors, capacity bounds, and eviction/RC-withdrawal
-# consistency. Results land in $(BENCH_CACHE_OUT). The seed is logged;
+# consistency. With BENCH_CACHE_OUT set (`make cache
+# BENCH_CACHE_OUT=BENCH_cache.json`, as CI runs it) the results land in
+# that file; by default the soak writes nothing. The seed is logged;
 # replay a run with `make cache CACHE_SEED=7`.
 CACHE_SEED ?= 20260805
-BENCH_CACHE_OUT ?= BENCH_cache.json
+BENCH_CACHE_OUT ?=
 cache:
 	@echo "cache seed: $(CACHE_SEED)"
 	CACHE_SEED=$(CACHE_SEED) BENCH_CACHE_OUT=$(BENCH_CACHE_OUT) \

@@ -14,8 +14,6 @@
 //	unsubscribe <producer-ctl> <myname>
 //	stage       <site-ctl-addr> <lfn>            stage a file onto disk
 //	locations   -rc <addr> <lfn>                 all replicas of a file
-//	which       -rc <addr> <lfn>                 RLI: sites that might hold a file
-//	rli         -rc <addr>                       RLI: live site digests
 //	query       -rc <addr> <filter>              LDAP-style catalog search
 //	register    -rc <addr> <lfn> <pfn>           record a replica in the catalog
 //	fetch       <pfn> <local-path> [-p N]        reliable GridFTP download
@@ -249,55 +247,6 @@ func run(ctx context.Context, credPath, caPath, rcAddr string, parallel, pullWor
 		}
 		for _, l := range locs {
 			fmt.Println(l)
-		}
-		return nil
-
-	case "which":
-		// which <lfn>: ask the RLI which sites' Local Replica Catalogs
-		// might hold the file. Bloom-digest based, so false positives are
-		// possible; confirm with an LRC point query (gdmp catalog or a
-		// pull) before trusting a hit.
-		if rcAddr == "" || len(args) != 2 {
-			return fmt.Errorf("usage: -rc <addr> which <lfn>")
-		}
-		rc, err := replica.DialContext(ctx, rcAddr, cred, roots)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		sites, err := rc.Which(ctx, args[1])
-		if err != nil {
-			return err
-		}
-		if len(sites) == 0 {
-			fmt.Printf("no site digest matches %s\n", args[1])
-			return nil
-		}
-		for _, s := range sites {
-			fmt.Printf("%s  ctl=%s gen=%d\n", s.Name, s.Addr, s.Gen)
-		}
-		return nil
-
-	case "rli":
-		// rli: list the live entries of the Replica Location Index — each
-		// site's last pushed digest generation, LFN count, and remaining
-		// soft-state lifetime.
-		if rcAddr == "" || len(args) != 1 {
-			return fmt.Errorf("usage: -rc <addr> rli")
-		}
-		rc, err := replica.DialContext(ctx, rcAddr, cred, roots)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		sites, err := rc.RLISites(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d live site digests:\n", len(sites))
-		for _, s := range sites {
-			fmt.Printf("  %s  ctl=%s gen=%d lfns=%d expires-in=%v\n",
-				s.Name, s.Addr, s.Gen, s.Count, s.ExpiresIn.Round(time.Second))
 		}
 		return nil
 

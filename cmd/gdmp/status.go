@@ -143,11 +143,9 @@ func renderStatus(w io.Writer, site string, m *exposition) {
 	bytesLocal := m.sum("gdmp_repair_bytes_local_total")
 	bytesRepulled := m.sum("gdmp_repair_bytes_repulled_total")
 
-	digestGen := m.sum("gdmp_rls_digest_generation")
-	digestLFNs := m.sum("gdmp_rls_digest_lfns")
-	pushes := m.sum("gdmp_rls_digest_pushes_ok_total")
-	rliQueries := m.sum("gdmp_rls_rli_which_total")
-	falsePos := m.sum("gdmp_rls_rli_false_positives_total")
+	lrcLocates := m.sum("gdmp_rls_locate_total", "source", "lrc")
+	catalogLocates := m.sum("gdmp_rls_locate_total", "source", "catalog")
+	missedLocates := m.sum("gdmp_rls_locate_total", "source", "miss")
 	locateP99 := int64(m.quantile("gdmp_rls_locate_seconds", 0.99) * 1e6)
 
 	breaker := m.byLabel("gdmp_health_state", "peer")
@@ -191,9 +189,9 @@ func renderStatus(w io.Writer, site string, m *exposition) {
 		fmt.Fprintf(w, "parity: %d sidecars, %d local rebuilds (%d bytes), %d fallbacks, %d bytes re-pulled\n",
 			sidecars, rebuilds, bytesLocal, fallbacks, bytesRepulled)
 	}
-	if digestGen+pushes+rliQueries > 0 {
-		fmt.Fprintf(w, "rls: digest gen %d (%d LFNs, %d pushes), %d RLI queries (%d false positives), locate p99 %dus\n",
-			digestGen, digestLFNs, pushes, rliQueries, falsePos, locateP99)
+	if m.sum("gdmp_rls_locate_total") > 0 {
+		fmt.Fprintf(w, "locate: %d lrc, %d catalog, %d miss, p99 %dus\n",
+			lrcLocates, catalogLocates, missedLocates, locateP99)
 	}
 	if len(breaker) > 0 {
 		peers := make([]string, 0, len(breaker))

@@ -72,7 +72,7 @@ func publish(t *testing.T, g *testbed.Grid, site *core.Site, rel string, size in
 // TestStatusFamiliesRegistered guards the string coupling between the
 // status view and the registry: a metric family renamed on the site side
 // would otherwise print as zeros. On a site with parity, an MSS pool, a
-// journal, RLS digests and admission control on, every family the view
+// journal and admission control on, every family the view
 // reads must be registered with help text, and every block prints.
 func TestStatusFamiliesRegistered(t *testing.T) {
 	g := newGrid(t)
@@ -94,16 +94,13 @@ func TestStatusFamiliesRegistered(t *testing.T) {
 	if err := fnal.Get(pf.LFN); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fnal.PushDigest(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 
 	cl := dialSite(t, g, fnal)
 	m := scrape(t, cl)
 	var out strings.Builder
 	renderStatus(&out, fnal.Name(), m)
-	if len(m.read) < 30 {
-		t.Fatalf("the view read %d families, want every one it renders", len(m.read))
+	if len(m.read) != 33 {
+		t.Fatalf("the view read %d families, want the 33 it renders", len(m.read))
 	}
 	for name := range m.read {
 		if !m.Typed[name] || m.Help[name] == "" {
@@ -116,7 +113,7 @@ func TestStatusFamiliesRegistered(t *testing.T) {
 		"journal: ok",
 		"pool: ",
 		"parity: 1 sidecars",
-		"rls: digest gen 1 (1 LFNs, 1 pushes)",
+		"locate: 0 lrc, 1 catalog, 0 miss, p99 ",
 		"peer health:\n",
 		"  " + cern.DataAddr() + ": breaker closed",
 		", since ",

@@ -54,14 +54,6 @@
 // up to m damaged blocks in place from local bytes, falling back to the
 // WAN re-pull only when the damage exceeds the parity budget or the
 // sidecar itself is unusable.
-//
-// With -digest-interval, the site joins the Replica Location Index: every
-// interval it condenses its local catalog into a bloom digest and pushes
-// it to the RLI co-hosted with the catalog server, where it lives as soft
-// state for three intervals. Peers whose central lookups come up empty
-// then ask the RLI which sites might hold the file and confirm with
-// per-site LRC point queries (a digest false positive — rate tuned by
-// -digest-fp — costs one wasted query, never a wrong answer).
 package main
 
 import (
@@ -141,8 +133,6 @@ func registerFlags(fs *flag.FlagSet, s *settings) {
 	fs.IntVar(&c.ParityK, "parity-k", 0, "parity sidecar data blocks per file (0 = parity off)")
 	fs.IntVar(&c.ParityM, "parity-m", 0, "parity blocks per file; scrub heals up to this many damaged blocks locally")
 	fs.DurationVar(&s.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM lets in-flight transfers finish")
-	fs.DurationVar(&c.DigestInterval, "digest-interval", 0, "RLI digest push period; a digest lives three periods (0 = off)")
-	fs.Float64Var(&c.DigestFPRate, "digest-fp", core.DefaultDigestFPRate, "bloom digest false-positive rate")
 	fs.DurationVar(&c.HedgeDeadline, "hedge-deadline", core.DefaultHedgeDeadline, "cold-start stall deadline before a pull hedges to a second replica (negative = off)")
 	fs.IntVar(&c.Health.FailureThreshold, "breaker-failures", health.DefaultFailureThreshold, "consecutive failures that open a peer's circuit breaker")
 	fs.DurationVar(&c.Health.ReopenBase, "breaker-reopen", health.DefaultReopenBase, "base delay before an open breaker admits a probe")

@@ -5,16 +5,12 @@
 // per Grid, as the paper does with its single LDAP server.
 //
 // The catalog is LFN-sharded internally (-shards, rounded up to a power of
-// two) so concurrent lookups and mutations spread over per-shard locks,
-// and the server co-hosts the Replica Location Index: sites periodically
-// push bloom digests of their Local Replica Catalogs (soft state, expiring
-// after -rli-ttl without a refresh), and peers ask it which sites might
-// hold an LFN.
+// two) so concurrent lookups and mutations spread over per-shard locks.
 //
 // Usage:
 //
 //	replicad -listen :39000 -cred certs/replicad.pem -ca certs/ca.pem \
-//	         [-state-dir /var/lib/replicad] [-shards 64] [-rli-ttl 5m] \
+//	         [-state-dir /var/lib/replicad] [-shards 64] \
 //	         [-gridmap gridmap]
 //
 // With -state-dir, the catalog is journaled: every mutation is appended to
@@ -50,7 +46,6 @@ func registerFlags(fs *flag.FlagSet, s *settings) {
 	fs.StringVar(&s.caPath, "ca", "", "trust anchor certificate (required)")
 	fs.StringVar(&s.host.StateDir, "state-dir", "", "journaled store directory (crash-safe persistence; empty = memory only)")
 	fs.IntVar(&s.host.Shards, "shards", replica.DefaultShards, "catalog shard count (rounded up to a power of two)")
-	fs.DurationVar(&s.host.RLITTL, "rli-ttl", replica.DefaultRLITTL, "RLI digest soft-state lifetime")
 	fs.StringVar(&s.gridmap, "gridmap", "", "authorization gridmap file (default: allow all)")
 }
 

@@ -149,7 +149,7 @@ func TestCatalogLookupSingleOpCounter(t *testing.T) {
 	}
 	acl := gsi.NewACL()
 	replica.AllowCatalogUseAll(acl)
-	srv := replica.NewServer(cat, replica.NewRLI(0, reg), serverCred, roots, acl)
+	srv := replica.NewServer(cat, serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

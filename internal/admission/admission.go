@@ -15,7 +15,7 @@
 //     the queue full is refused with a retry-after;
 //   - a brownout mode driven by a load signal (queue depth blended with an
 //     admission-latency EWMA): under pressure, background work (scrub,
-//     anti-entropy, digest pushes, prefetch) defers until load subsides.
+//     anti-entropy, prefetch) defers until load subsides.
 //
 // The controller is deliberately dependency-light (only obs) so the RPC
 // and GridFTP layers can both thread through it.
@@ -509,7 +509,7 @@ func (c *Controller) updateLoadLocked(now time.Time) {
 }
 
 // Allow asks whether a unit of background work (named for metrics:
-// "scrub", "antientropy", "digest", "prefetch") may run now. During
+// "scrub", "antientropy", "prefetch") may run now. During
 // brownout or drain it is deferred and counted; the caller should skip
 // the round and retry on its next tick.
 func (c *Controller) Allow(work string) bool {

@@ -87,3 +87,13 @@ func (s *Site) PeerUsable(addr string) bool { return s.health.Usable(addr) }
 // ShedBackground makes admission refuse all background work from now on,
 // as it does in a brownout.
 func (s *Site) ShedBackground() { s.admit.Drain() }
+
+// ExchangeWith runs one anti-entropy exchange with the subscriber at
+// control address addr, serving from dataAddr, as if its gdmp.digest reply
+// had been entries: a digest the test took earlier stands in for one that
+// a landing overtook in flight.
+func (s *Site) ExchangeWith(ctx context.Context, addr, dataAddr string, entries []scrub.Entry) scrub.ExchangeReport {
+	var rep scrub.ExchangeReport
+	s.exchange(ctx, antiEntropyPeer{addr: addr}, dataAddr, entries, &rep)
+	return rep
+}

@@ -33,6 +33,11 @@ const (
 
 	// MethodFsck runs a full scrub pass on demand and returns its report.
 	MethodFsck = "gdmp.fsck"
+
+	// MethodLRCQuery asks whether the site's local catalog holds one LFN:
+	// anti-entropy's live re-check before it withdraws a location its
+	// peer's digest lacks.
+	MethodLRCQuery = "gdmp.lrc"
 )
 
 // initScrub builds the self-healing runtime: metrics and the rate
@@ -47,9 +52,9 @@ func (s *Site) initScrub() {
 }
 
 // startLoops starts the site's periodic work, each on its own interval
-// (zero = off): the scrub pass, the anti-entropy round and the RLI digest
-// push. It runs after recovery, so recovered pulls are queued before the
-// first pass can look for gaps. Periodic passes yield to brownout and the
+// (zero = off): the scrub pass and the anti-entropy round. It runs after
+// recovery, so recovered pulls are queued before the first pass can look
+// for gaps. Periodic passes yield to brownout and the
 // next tick tries again, so integrity work is deferred, never lost; an
 // operator's Fsck or an explicit pass is not gated.
 func (s *Site) startLoops() {
@@ -78,16 +83,6 @@ func (s *Site) startLoops() {
 				s.cfg.Name, rep.Peers, rep.Failed, rep.Missing, rep.Stale, rep.Dangling, rep.Repairs)
 		}
 	})
-	if s.cfg.DigestInterval > 0 {
-		// The first push goes out at once, so the site is RLI-routable as
-		// soon as it is up.
-		s.loops.Add(1)
-		go func() {
-			defer s.loops.Done()
-			s.pushDigestLogged()
-		}()
-	}
-	s.every(s.cfg.DigestInterval, s.pushDigestLogged)
 }
 
 // every runs pass on each tick of interval until the site closes; a zero
@@ -551,72 +546,92 @@ func (s *Site) AntiEntropyPass(ctx context.Context) (scrub.ExchangeReport, error
 			continue
 		}
 		s.scrubMet.AEPeers.WithLabelValues("ok").Inc()
-		diff := scrub.Compare(s.localDigest(), entries)
+		s.exchange(ctx, peer, peerData, entries, &rep)
+	}
+	return rep, nil
+}
 
-		if peer.producer {
-			for _, e := range diff.Missing {
-				rep.Missing++
-				s.scrubMet.AEDiffs.WithLabelValues(scrub.DiffMissing).Inc()
-				// Both digests in the diff are snapshots: a pull of this
-				// LFN may have landed since ours was taken. Re-check the
-				// live catalog immediately before acting, or a freshly
-				// registered location gets withdrawn as dangling and the
-				// replica turns invisible to the grid.
-				lfn := e.LFN
-				if s.HasFile(lfn) {
-					continue
-				}
-				if s.dropDanglingLocation(ctx, lfn, s.DataAddr(), func() bool {
-					return !s.HasFile(lfn)
-				}) {
-					rep.Dangling++
-				}
-				if s.repair(lfn) {
+// exchange converges on the differences between this site's digest and
+// entries, the digest peer sent from its GridFTP endpoint peerData.
+func (s *Site) exchange(ctx context.Context, peer antiEntropyPeer, peerData string, entries []scrub.Entry, rep *scrub.ExchangeReport) {
+	diff := scrub.Compare(s.localDigest(), entries)
+
+	if peer.producer {
+		for _, e := range diff.Missing {
+			rep.Missing++
+			s.scrubMet.AEDiffs.WithLabelValues(scrub.DiffMissing).Inc()
+			// Both digests in the diff are snapshots: a pull of this
+			// LFN may have landed since ours was taken. Re-check the
+			// live catalog immediately before acting, or a freshly
+			// registered location gets withdrawn as dangling and the
+			// replica turns invisible to the grid.
+			lfn := e.LFN
+			if s.HasFile(lfn) {
+				continue
+			}
+			if s.dropDanglingLocation(ctx, lfn, s.DataAddr(), func() bool {
+				return !s.HasFile(lfn)
+			}) {
+				rep.Dangling++
+			}
+			if s.repair(lfn) {
+				rep.Repairs++
+			}
+		}
+	}
+	for _, e := range diff.Stale {
+		rep.Stale++
+		s.scrubMet.AEDiffs.WithLabelValues(scrub.DiffStale).Inc()
+		// Serialized with the background scrubber: both paths
+		// quarantine and withdraw, and racing them on the same file
+		// double-counts corrupt/missing metrics. The entry is re-read
+		// under the lock so a replica the scrubber already withdrew
+		// is not withdrawn twice.
+		s.scrubMu.Lock()
+		if fi, ok := s.local.get(e.LFN); ok {
+			if verdict, _ := s.scrubOne(ctx, fi); verdict == scrubCorrupt || verdict == scrubMissing {
+				if s.repair(fi.LFN) {
 					rep.Repairs++
 				}
 			}
 		}
-		for _, e := range diff.Stale {
-			rep.Stale++
-			s.scrubMet.AEDiffs.WithLabelValues(scrub.DiffStale).Inc()
-			// Serialized with the background scrubber: both paths
-			// quarantine and withdraw, and racing them on the same file
-			// double-counts corrupt/missing metrics. The entry is re-read
-			// under the lock so a replica the scrubber already withdrew
-			// is not withdrawn twice.
-			s.scrubMu.Lock()
-			if fi, ok := s.local.get(e.LFN); ok {
-				if verdict, _ := s.scrubOne(ctx, fi); verdict == scrubCorrupt || verdict == scrubMissing {
-					if s.repair(fi.LFN) {
-						rep.Repairs++
-					}
-				}
+		s.scrubMu.Unlock()
+	}
+	// A location pointing at the peer for a file its digest lacks is
+	// dangling: a consumer routed there would fail its pull. The
+	// digest may predate a pull that has since landed there, so the
+	// peer is point-queried right before the withdrawal and the
+	// location left alone unless its LRC confirms the file is absent —
+	// a skipped withdrawal waits one round, a wrong one orphans a valid
+	// replica.
+	for _, e := range diff.Extra {
+		lfn := e.LFN
+		if s.dropDanglingLocation(ctx, lfn, peerData, func() bool {
+			has, err := s.peerHolds(ctx, peer.addr, lfn)
+			if err != nil {
+				s.logger.Printf("gdmp[%s]: anti-entropy: re-verify %s at %s: %v",
+					s.cfg.Name, lfn, peer.addr, err)
+				return false
 			}
-			s.scrubMu.Unlock()
-		}
-		// A location pointing at the peer for a file its digest lacks is
-		// dangling: a consumer routed there would fail its pull. The
-		// digest may predate a pull that has since landed there, so the
-		// peer is point-queried right before the withdrawal and the
-		// location left alone unless its LRC confirms the file is absent —
-		// a skipped withdrawal waits one round, a wrong one orphans a valid
-		// replica.
-		for _, e := range diff.Extra {
-			lfn := e.LFN
-			if s.dropDanglingLocation(ctx, lfn, peerData, func() bool {
-				ans, err := s.LRCQuery(ctx, peer.addr, lfn)
-				if err != nil {
-					s.logger.Printf("gdmp[%s]: anti-entropy: re-verify %s at %s: %v",
-						s.cfg.Name, lfn, peer.addr, err)
-					return false
-				}
-				return !ans.Has
-			}) {
-				rep.Dangling++
-			}
+			return !has
+		}) {
+			rep.Dangling++
 		}
 	}
-	return rep, nil
+}
+
+// peerHolds point-queries the local catalog of the site at control address
+// addr for lfn over gdmp.lrc. A reply that does not decode (a peer of
+// another version) is an error, so the caller's veto keeps the location.
+func (s *Site) peerHolds(ctx context.Context, addr, lfn string) (bool, error) {
+	var e rpc.Encoder
+	e.String(lfn)
+	d, err := s.call(ctx, addr, MethodLRCQuery, &e)
+	if err != nil {
+		return false, err
+	}
+	has := d.Bool()
+	return has, d.Finish()
 }
 
 // dropDanglingLocation withdraws the replica-catalog location of lfn at
@@ -655,8 +670,8 @@ func (s *Site) dropDanglingLocation(ctx context.Context, lfn, dataAddr string, c
 
 // --- RPC handlers -----------------------------------------------------------
 
-// registerScrubHandlers wires the digest and fsck verbs into the Request
-// Manager (called from registerHandlers).
+// registerScrubHandlers wires the digest, fsck and point-query verbs into
+// the Request Manager (called from registerHandlers).
 func (s *Site) registerScrubHandlers() {
 	s.gdmpSrv.Handle(MethodDigest, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
 		if err := args.Finish(); err != nil {
@@ -671,6 +686,15 @@ func (s *Site) registerScrubHandlers() {
 			resp.Int64(e.Size)
 			resp.String(e.CRC32)
 		}
+		return nil
+	})
+	s.gdmpSrv.Handle(MethodLRCQuery, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
+		lfn := args.String()
+		if err := args.Finish(); err != nil {
+			return err
+		}
+		_, ok := s.local.get(lfn)
+		resp.Bool(ok)
 		return nil
 	})
 	s.gdmpSrv.Handle(MethodFsck, func(ctx context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {

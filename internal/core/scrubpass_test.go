@@ -199,3 +199,50 @@ func TestPeriodicLoopTicksAndStops(t *testing.T) {
 		t.Fatalf("anti-entropy rounds went %d -> %d after Close", n, got)
 	}
 }
+
+// TestDanglingLocationVeto pins anti-entropy's point query: a location at
+// a peer whose digest lacks the file is withdrawn only once the peer's own
+// catalog confirms it lacks the file too. The digest is taken before the
+// landing, as one a pull overtakes in flight would be.
+func TestDanglingLocationVeto(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		landed  bool // the peer's catalog holds the file by the time of the exchange
+		dangles int
+	}{
+		{"the peer's catalog holds the file, so the location stays", true, 0},
+		{"the peer's catalog lacks the file, so the location is withdrawn", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGrid(t)
+			cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
+			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
+			pf := publish(t, g, cern, "runs/veto.db", testbed.MakeData(2_000, 50), core.PublishOptions{})
+			atPeer := "gridftp://" + anl.DataAddr() + "/" + pf.PFN.Path
+			if tc.landed {
+				if err := anl.Get(pf.LFN); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := g.Catalog.AddReplica(pf.LFN, atPeer); err != nil {
+				t.Fatal(err)
+			}
+
+			rep := cern.ExchangeWith(ctx, anl.Addr(), anl.DataAddr(), nil)
+			if rep.Dangling != tc.dangles {
+				t.Fatalf("%d dangling locations withdrawn, want %d", rep.Dangling, tc.dangles)
+			}
+			locs, err := g.Catalog.Locations(pf.LFN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listed := false
+			for _, l := range locs {
+				listed = listed || l == atPeer
+			}
+			if listed != tc.landed {
+				t.Fatalf("locations = %v; location at the peer listed = %v, want %v", locs, listed, tc.landed)
+			}
+		})
+	}
+}

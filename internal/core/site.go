@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gdmp/internal/admission"
@@ -99,7 +98,6 @@ const (
 	DefaultTransferAttempts       = 3
 	DefaultNotifyFailureThreshold = 3
 	DefaultHedgeDeadline          = 10 * time.Second
-	DefaultDigestFPRate           = 0.01
 )
 
 // Config assembles one GDMP site.
@@ -195,23 +193,6 @@ type Config struct {
 	// subscribers that catches missed notifications and dangling catalog
 	// locations. Zero disables the loop.
 	AntiEntropyInterval time.Duration
-
-	// DigestInterval paces the RLS digest pusher: every interval the site
-	// condenses its Local Replica Catalog into a bloom filter and pushes
-	// it to the Replica Location Index co-hosted with the replica catalog
-	// server, keeping itself routable for peers' lookups. Zero disables
-	// the loop (the site still answers LRC point queries).
-	DigestInterval time.Duration
-
-	// DigestTTL is the soft-state lifetime requested for pushed digests
-	// (default 3x DigestInterval, so one missed push never ages the site
-	// out of the index). The RLI caps it at its own TTL.
-	DigestTTL time.Duration
-
-	// DigestFPRate is the bloom digest's target false-positive rate
-	// (default 0.01). False positives cost peers one extra LRC point
-	// query; they never produce a wrong answer.
-	DigestFPRate float64
 
 	// QuarantineMaxAge and QuarantineMaxCount bound the growth of
 	// <StateDir>/quarantine: entries older than MaxAge are swept, and the
@@ -344,12 +325,8 @@ type Site struct {
 	// loops joins the periodic passes (startLoops).
 	loops sync.WaitGroup
 
-	// RLS runtime (rls.go): the digest pusher's generation counter and
-	// change-detection hash.
-	rlsMet         *rlsSiteMetrics
-	digestGen      atomic.Uint64
-	digestMu       sync.Mutex
-	lastDigestHash uint64
+	// rlsMet counts locates by answering tier (rls.go).
+	rlsMet *rlsSiteMetrics
 
 	// health is the per-peer scoreboard and circuit-breaker bank gating
 	// the pull path; hedgeMet counts hedged-pull outcomes (hedge.go).
@@ -470,7 +447,7 @@ func NewSite(cfg Config) (*Site, error) {
 	// and fsck handlers use it, and producer tracking restores from the
 	// journal replay above.
 	s.initScrub()
-	s.initRLS()
+	s.rlsMet = newRLSSiteMetrics(s.metrics)
 
 	ftpSrv, err := gridftp.NewServer(gridftp.ServerConfig{
 		Root:       cfg.DataDir,
@@ -753,6 +730,5 @@ func (s *Site) registerHandlers() {
 		return err
 	})
 	s.registerScrubHandlers()
-	s.registerRLSHandlers()
 	s.registerMetricsHandler()
 }

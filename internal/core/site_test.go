@@ -642,42 +642,47 @@ func TestReplicaSelectorFallsBackFromDeadReplica(t *testing.T) {
 }
 
 // TestLocateStage drives the pull pipeline's locate stage alone against
-// doctored catalog state.
+// doctored catalog state: the location table is the only remote tier, so
+// a table with no other site's endpoint is a miss.
 func TestLocateStage(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		name   string
-		doctor func(g *testbed.Grid, cern, anl *core.Site, pf core.PublishedFile) error
+		doctor func(g *testbed.Grid, anl *core.Site, pf core.PublishedFile) error
+		found  bool
 	}{
 		{"own endpoint in the location table is never a source",
-			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
+			func(g *testbed.Grid, anl *core.Site, pf core.PublishedFile) error {
 				return g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path)
-			}},
-		{"empty location table falls back to the RLI",
-			func(g *testbed.Grid, _, _ *core.Site, pf core.PublishedFile) error {
+			}, true},
+		{"an empty remote location table is a miss",
+			func(g *testbed.Grid, _ *core.Site, pf core.PublishedFile) error {
 				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
-			}},
-		{"only the own endpoint listed still falls back to the RLI",
-			func(g *testbed.Grid, _, anl *core.Site, pf core.PublishedFile) error {
+			}, false},
+		{"only the own endpoint listed is a miss",
+			func(g *testbed.Grid, anl *core.Site, pf core.PublishedFile) error {
 				if err := g.Catalog.AddReplica(pf.LFN, "gridftp://"+anl.DataAddr()+"/"+pf.PFN.Path); err != nil {
 					return err
 				}
 				return g.Catalog.RemoveReplica(pf.LFN, pf.PFN.String())
-			}},
+			}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := newGrid(t)
 			cern := addSite(t, g, "cern.ch", testbed.SiteOptions{})
 			anl := addSite(t, g, "anl.gov", testbed.SiteOptions{})
 			pf := publish(t, g, cern, "runs/loc.db", testbed.MakeData(1_000, 40), core.PublishOptions{})
-			if _, err := cern.PushDigest(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.doctor(g, cern, anl, pf); err != nil {
+			if err := tc.doctor(g, anl, pf); err != nil {
 				t.Fatal(err)
 			}
 
 			sources, err := anl.LocateForPull(ctx, pf.LFN)
+			if !tc.found {
+				if err == nil || !strings.Contains(err.Error(), "no remote replica") {
+					t.Fatalf("sources = %v, err = %v; want no remote replica", sources, err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}

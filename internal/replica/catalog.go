@@ -22,12 +22,9 @@
 //
 // The GDMP paper deploys a single central catalog per Grid, and the
 // Catalog is that central catalog (see server.go): an LFN-sharded table —
-// hash-partitioned shards, each with its own lock and journal hook. The
-// RLS split of the EU DataGrid retrospectives sits around it. Each site's
-// Local Replica Catalog (LRC) is that site's own local catalog
-// (internal/core, rls.go), and the catalog server also hosts the Replica
-// Location Index (RLI, rli.go) that aggregates soft-state site membership
-// from the bloom-filter digests the LRCs push (bloom.go).
+// hash-partitioned shards, each with its own lock and journal hook. Each
+// site's own local catalog (internal/core) is the other place a replica is
+// found: a site's scrub pass re-asserts its replicas' locations here.
 package replica
 
 import (
@@ -106,10 +103,9 @@ func (f *LogicalFile) Size() (int64, bool) {
 	return n, true
 }
 
-// Catalog is the in-memory central replica catalog, served beside the
-// RLI it hosts: the file table is hash-partitioned across shards (see
-// shard.go), each guarded by its own RWMutex, so operations on different
-// LFNs proceed in parallel.
+// Catalog is the in-memory central replica catalog: the file table is
+// hash-partitioned across shards (see shard.go), each guarded by its own
+// RWMutex, so operations on different LFNs proceed in parallel.
 // Collections group LFNs across shards and keep a separate lock. Safe
 // for concurrent use.
 type Catalog struct {
@@ -487,27 +483,6 @@ func (c *Catalog) Stats() Stats {
 	s.Collections = len(c.collections)
 	c.collMu.RUnlock()
 	return s
-}
-
-// Digest builds a bloom filter over every LFN currently in the catalog,
-// sized for the given false-positive rate. Sites push these to the RLI
-// tier as their soft-state membership digest.
-func (c *Catalog) Digest(fpRate float64) *Bloom {
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		n += len(sh.files)
-		sh.mu.RUnlock()
-	}
-	b := NewBloom(n, fpRate)
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		for name := range sh.files {
-			b.Add(name)
-		}
-		sh.mu.RUnlock()
-	}
-	return b
 }
 
 // Timestamp formats a time the way catalog attributes store it (RFC3339).

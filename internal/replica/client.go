@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"errors"
-	"time"
 
 	"gdmp/internal/gsi"
 	"gdmp/internal/rpc"
@@ -233,86 +232,6 @@ func (c *Client) Collections(ctx context.Context) ([]string, error) {
 	}
 	colls := d.StringList()
 	return colls, d.Finish()
-}
-
-// PushDigest sends a site's bloom digest of its LRC contents to the RLI
-// tier: site/addr identify the pusher (addr is the control address
-// peers use for LRC point queries), gen is the digest generation, and
-// ttl suggests the soft-state lifetime (the server caps it at its own).
-// Returns the server's outcome (PushNew/PushRefresh/PushStale) and the
-// generation the RLI now indexes for the site — on a stale rejection the
-// newer indexed one, which the pusher adopts so its next push supersedes
-// it (a restarted site's generation counter starts over at zero).
-func (c *Client) PushDigest(ctx context.Context, site, addr string, gen uint64, filter *Bloom, ttl time.Duration) (string, uint64, error) {
-	var e rpc.Encoder
-	e.String(site)
-	e.String(addr)
-	e.Uint64(gen)
-	e.Bytes32(filter.Marshal())
-	e.Int64(ttl.Milliseconds())
-	d, err := c.call(ctx, MethodRLIPush, &e)
-	if err != nil {
-		return "", 0, err
-	}
-	outcome := d.String()
-	idxGen := d.Uint64()
-	return outcome, idxGen, d.Finish()
-}
-
-// Which asks the RLI which sites might hold the LFN (false positives
-// possible; confirm with an LRC point query), each with its digest
-// generation.
-func (c *Client) Which(ctx context.Context, lfn string) ([]Site, error) {
-	var e rpc.Encoder
-	e.String(lfn)
-	d, err := c.call(ctx, MethodRLIWhich, &e)
-	if err != nil {
-		return nil, err
-	}
-	n := d.Uint32()
-	capN := n
-	if capN > 4096 {
-		capN = 4096 // cap wire-supplied preallocation
-	}
-	out := make([]Site, 0, capN)
-	for i := uint32(0); i < n; i++ {
-		out = append(out, Site{Name: d.String(), Addr: d.String()})
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for i := range out {
-		out[i].Gen = d.Uint64()
-	}
-	return out, d.Finish()
-}
-
-// RLISites lists the live RLI entries.
-func (c *Client) RLISites(ctx context.Context) ([]SiteStatus, error) {
-	d, err := c.call(ctx, MethodRLISites, nil)
-	if err != nil {
-		return nil, err
-	}
-	n := d.Uint32()
-	capN := n
-	if capN > 4096 {
-		capN = 4096
-	}
-	out := make([]SiteStatus, 0, capN)
-	for i := uint32(0); i < n; i++ {
-		st := SiteStatus{
-			Name:  d.String(),
-			Addr:  d.String(),
-			Gen:   d.Uint64(),
-			Count: d.Uint64(),
-		}
-		st.ExpiresIn = time.Duration(d.Int64()) * time.Millisecond
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		out = append(out, st)
-	}
-	return out, d.Finish()
 }
 
 // Stats returns catalog entry counts.

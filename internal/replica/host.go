@@ -24,9 +24,6 @@ type HostConfig struct {
 	StateDir string
 	// Shards is the catalog's hash-partition count (see Options.Shards).
 	Shards int
-	// RLITTL caps the soft-state lifetime of pushed digests
-	// (DefaultRLITTL when zero).
-	RLITTL time.Duration
 
 	Cred       *gsi.Credential
 	TrustRoots []*gsi.Certificate
@@ -37,9 +34,8 @@ type HostConfig struct {
 }
 
 // Host is a running catalog service: the sharded catalog, its journaled
-// store, the authenticated server with the co-hosted RLI, and the
-// compaction loop, all recording into the catalog's registry. replicad
-// is one Host.
+// store, the authenticated server and the compaction loop, all recording
+// into the catalog's registry. replicad is one Host.
 type Host struct {
 	cfg   HostConfig
 	ln    net.Listener
@@ -81,7 +77,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		return nil, err
 	}
 	h.ln = ln
-	h.srv = NewServer(catalog, NewRLI(cfg.RLITTL, catalog.reg), cfg.Cred, cfg.TrustRoots, cfg.ACL)
+	h.srv = NewServer(catalog, cfg.Cred, cfg.TrustRoots, cfg.ACL)
 	cfg.Logger.Printf("replica catalog %s listening on %s (%d shards)",
 		cfg.Cred.Identity(), ln.Addr(), catalog.ShardCount())
 	go func() {

@@ -10,8 +10,8 @@ import (
 // CatalogMetricsPrefix prefixes every replica catalog metric.
 const CatalogMetricsPrefix = "gdmp_replica_catalog"
 
-// RLSMetricsPrefix prefixes every Replica Location Service metric (shard
-// engine, RLI tier, and the site-side digest pusher in internal/core).
+// RLSMetricsPrefix prefixes every Replica Location Service metric (the
+// shard engine here, the site-side locate in internal/core).
 const RLSMetricsPrefix = "gdmp_rls"
 
 // Operation labels recorded by catalog instrumentation; one per public

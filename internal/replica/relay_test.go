@@ -27,7 +27,7 @@ func TestRelayCannotInjectCatalogCall(t *testing.T) {
 	acl := gsi.NewACL()
 	AllowCatalogUseAll(acl)
 	cat := New(Options{})
-	srv := NewServer(cat, NewRLI(0, nil), serverCred, roots, acl)
+	srv := NewServer(cat, serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"net"
-	"time"
 
 	"gdmp/internal/gsi"
 	"gdmp/internal/rpc"
@@ -29,12 +28,6 @@ const (
 	MethodListCollection   = "rc.list_collection"
 	MethodCollections      = "rc.collections"
 	MethodStats            = "rc.stats"
-
-	// RLI tier: sites push bloom digests of their LRC contents and query
-	// which sites might hold an LFN (see rli.go).
-	MethodRLIPush  = "rli.push"
-	MethodRLIWhich = "rli.which"
-	MethodRLISites = "rli.sites"
 )
 
 // Methods lists every RPC method the catalog server exposes.
@@ -44,7 +37,6 @@ var Methods = []string{
 	MethodRemoveReplica, MethodLocations, MethodCreateCollection,
 	MethodDeleteCollection, MethodAddToCollection, MethodRemoveFromColl,
 	MethodListCollection, MethodCollections, MethodStats,
-	MethodRLIPush, MethodRLIWhich, MethodRLISites,
 }
 
 // AllowCatalogUseAll grants every authenticated identity every catalog
@@ -80,21 +72,17 @@ func decodeAttrs(d *rpc.Decoder) map[string]string {
 	return attrs
 }
 
-// Server exposes a Catalog over the Request Manager RPC layer, together
-// with the RLI index tier. The paper's deployment shape — one central
-// Replica Catalog service per Grid — still works, but the served catalog
-// is now just the central site's LRC, and the co-hosted RLI routes
-// lookups to every other site's LRC via pushed digests.
+// Server exposes a Catalog over the Request Manager RPC layer: the paper's
+// deployment shape, one central Replica Catalog service per Grid.
 type Server struct {
 	catalog *Catalog
-	rli     *RLI
 	rpc     *rpc.Server
 }
 
-// NewServer wraps catalog in an authenticated RPC server that co-hosts
-// the index tier rli. The RPC server records into the catalog's registry.
-func NewServer(catalog *Catalog, rli *RLI, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
-	s := &Server{catalog: catalog, rli: rli, rpc: rpc.NewServer(cred, roots, acl, catalog.reg)}
+// NewServer wraps catalog in an authenticated RPC server. The RPC server
+// records into the catalog's registry.
+func NewServer(catalog *Catalog, cred *gsi.Credential, roots []*gsi.Certificate, acl *gsi.ACL) *Server {
+	s := &Server{catalog: catalog, rpc: rpc.NewServer(cred, roots, acl, catalog.reg)}
 	s.register()
 	return s
 }
@@ -263,57 +251,6 @@ func (s *Server) register() {
 		resp.Uint64(uint64(st.Files))
 		resp.Uint64(uint64(st.Replicas))
 		resp.Uint64(uint64(st.Collections))
-		return nil
-	})
-	s.rpc.Handle(MethodRLIPush, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		site := args.String()
-		addr := args.String()
-		gen := args.Uint64()
-		blob := args.Bytes32()
-		ttlMs := args.Int64()
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		filter, err := UnmarshalBloom(blob)
-		if err != nil {
-			return err
-		}
-		outcome, idxGen := s.rli.Update(site, addr, gen, filter, time.Duration(ttlMs)*time.Millisecond)
-		resp.String(outcome)
-		// A stale-rejected pusher adopts the indexed generation so its next
-		// push supersedes the stale entry (restart convergence).
-		resp.Uint64(idxGen)
-		return nil
-	})
-	s.rpc.Handle(MethodRLIWhich, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		lfn := args.String()
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		sites := s.rli.MightHold(lfn)
-		resp.Uint32(uint32(len(sites)))
-		for _, st := range sites {
-			resp.String(st.Name)
-			resp.String(st.Addr)
-		}
-		for _, st := range sites {
-			resp.Uint64(st.Gen)
-		}
-		return nil
-	})
-	s.rpc.Handle(MethodRLISites, func(_ context.Context, _ *gsi.Peer, args *rpc.Decoder, resp *rpc.Encoder) error {
-		if err := args.Finish(); err != nil {
-			return err
-		}
-		sites := s.rli.Sites()
-		resp.Uint32(uint32(len(sites)))
-		for _, st := range sites {
-			resp.String(st.Name)
-			resp.String(st.Addr)
-			resp.Uint64(st.Gen)
-			resp.Uint64(st.Count)
-			resp.Int64(st.ExpiresIn.Milliseconds())
-		}
 		return nil
 	})
 }

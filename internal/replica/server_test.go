@@ -44,7 +44,7 @@ func startCatalog(t *testing.T) (*Client, *Catalog) {
 	AllowCatalogUseAll(acl)
 
 	cat := New(Options{})
-	srv := NewServer(cat, NewRLI(0, nil), serverCred, roots, acl)
+	srv := NewServer(cat, serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestUnauthorizedCatalogAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	acl := gsi.NewACL() // nobody is allowed anything
-	srv := NewServer(New(Options{}), NewRLI(0, nil), serverCred, roots, acl)
+	srv := NewServer(New(Options{}), serverCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

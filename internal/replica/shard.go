@@ -8,10 +8,7 @@ import (
 
 // The catalog's file table is hash-partitioned into shards, each with
 // its own lock, so lookups and replica updates for different LFNs never
-// serialize on one mutex. The sharded table is the central catalog's;
-// the sites' Local Replica Catalogs are their own local catalogs
-// (internal/core), indexed by the RLI this catalog's server hosts (see
-// rli.go).
+// serialize on one mutex.
 
 // DefaultShards is the shard count a zero Options.Shards takes. It must be a
 // power of two so the shard pick is a mask, not a modulo.

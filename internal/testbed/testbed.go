@@ -37,7 +37,6 @@ type Grid struct {
 	Catalog     *replica.Catalog
 	CatalogSrv  *replica.Server
 	CatalogAddr string
-	RLI         *replica.RLI // the catalog server's index tier
 
 	Sites map[string]*core.Site
 
@@ -144,15 +143,6 @@ type SiteOptions struct {
 	ParityK int
 	ParityM int
 
-	// DigestInterval enables the site's RLS digest pusher: every interval
-	// the site condenses its Local Replica Catalog into a bloom digest and
-	// pushes it to the catalog server's Replica Location Index (zero
-	// disables the loop). DigestTTL and DigestFPRate tune the soft-state
-	// lifetime and bloom false-positive rate.
-	DigestInterval time.Duration
-	DigestTTL      time.Duration
-	DigestFPRate   float64
-
 	// GDMPListen and FTPListen pin the site's two servers to fixed
 	// addresses; empty picks ephemeral ports. RestartSite pins them
 	// automatically so a reborn site keeps its identity (PFNs in the
@@ -203,8 +193,7 @@ func NewGrid(baseDir string) (*Grid, error) {
 	}
 	// bench/run.go reads this catalog server's request count in obs.Default.
 	catalog := replica.New(replica.Options{Registry: obs.Default})
-	rli := replica.NewRLI(0, obs.Default)
-	catalogSrv := replica.NewServer(catalog, rli, catalogCred, roots, acl)
+	catalogSrv := replica.NewServer(catalog, catalogCred, roots, acl)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -217,7 +206,6 @@ func NewGrid(baseDir string) (*Grid, error) {
 		ACL:         acl,
 		Catalog:     catalog,
 		CatalogSrv:  catalogSrv,
-		RLI:         rli,
 		CatalogAddr: ln.Addr().String(),
 		Sites:       make(map[string]*core.Site),
 		baseDir:     baseDir,
@@ -281,9 +269,6 @@ func (g *Grid) AddSite(name string, opts SiteOptions) (*core.Site, error) {
 		ParityK:                opts.ParityK,
 		ParityM:                opts.ParityM,
 		PrefetchThreshold:      opts.Prefetch,
-		DigestInterval:         opts.DigestInterval,
-		DigestTTL:              opts.DigestTTL,
-		DigestFPRate:           opts.DigestFPRate,
 		Health:                 opts.Health,
 		HedgeDeadline:          opts.HedgeDeadline,
 		Admission:              opts.Admission,

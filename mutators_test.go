@@ -280,55 +280,93 @@ func TestNoAppendUnderTableLock(t *testing.T) {
 
 	locked := 0
 	for _, fn := range funcs {
-		ownsMu := fn.Name.Name == "apply" || (fn.Recv != nil && strings.Contains(exprString(fn.Recv.List[0].Type), "localCatalog"))
-		type event struct {
-			pos  token.Pos
-			kind string // "lock", "unlock", or the name of a callee that reaches record
-		}
-		var events []event
-		deferred, spawned := map[*ast.CallExpr]bool{}, map[*ast.CallExpr]bool{}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.DeferStmt:
-				deferred[n.Call] = true
-			case *ast.GoStmt:
-				spawned[n.Call] = true // runs on its own goroutine, not under this lock hold
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			lock, verb := lastTwoSelectors(call.Fun)
-			isTableLock := slices.Contains(tableLocks, lock) && (lock != "mu" || ownsMu)
-			switch {
-			case isTableLock && (verb == "Lock" || verb == "RLock"):
-				events = append(events, event{call.Pos(), "lock"})
-			case isTableLock && (verb == "Unlock" || verb == "RUnlock") && !deferred[call]:
-				events = append(events, event{call.Pos(), "unlock"})
-			case reaches[calleeName(call.Fun)] && !spawned[call]:
-				events = append(events, event{call.Pos(), calleeName(call.Fun)})
-			}
-			return true
-		})
-		sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-		held := false
-		for _, ev := range events {
-			switch ev.kind {
-			case "lock":
-				held = true
-				locked++
-			case "unlock":
-				held = false
-			default:
-				if held {
-					t.Errorf("%s: %s calls %s, which can append to the journal, while it holds a table lock",
-						fset.Position(ev.pos), fn.Name.Name, ev.kind)
-				}
-			}
+		locks, bad := appendsUnderLock(fn, reaches)
+		locked += locks
+		for _, call := range bad {
+			t.Errorf("%s: %s calls %s, which can append to the journal, while it holds a table lock",
+				fset.Position(call.Pos()), fn.Name.Name, calleeName(call.Fun))
 		}
 	}
 	if locked < 10 {
 		t.Errorf("found %d table-lock acquisitions in internal/core; tableLocks no longer names the locks", locked)
+	}
+}
+
+// appendsUnderLock reads fn top to bottom and returns how many table locks
+// it takes and each call of a function in reaches made while it holds at
+// least one. Locks nest, so the walk counts depth: an inner Unlock leaves
+// the outer lock held. A deferred Unlock holds to the end of the function,
+// and a call on its own goroutine runs outside this hold.
+func appendsUnderLock(fn *ast.FuncDecl, reaches map[string]bool) (locks int, bad []*ast.CallExpr) {
+	ownsMu := fn.Name.Name == "apply" || (fn.Recv != nil && strings.Contains(exprString(fn.Recv.List[0].Type), "localCatalog"))
+	type event struct {
+		call  *ast.CallExpr
+		delta int // +1 a lock, -1 an unlock, 0 a call that reaches record
+	}
+	var events []event
+	deferred, spawned := map[*ast.CallExpr]bool{}, map[*ast.CallExpr]bool{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			deferred[n.Call] = true
+		case *ast.GoStmt:
+			spawned[n.Call] = true
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		lock, verb := lastTwoSelectors(call.Fun)
+		isTableLock := slices.Contains(tableLocks, lock) && (lock != "mu" || ownsMu)
+		switch {
+		case isTableLock && (verb == "Lock" || verb == "RLock"):
+			events = append(events, event{call, +1})
+		case isTableLock && (verb == "Unlock" || verb == "RUnlock") && !deferred[call]:
+			events = append(events, event{call, -1})
+		case reaches[calleeName(call.Fun)] && !spawned[call]:
+			events = append(events, event{call, 0})
+		}
+		return true
+	})
+	sort.Slice(events, func(i, j int) bool { return events[i].call.Pos() < events[j].call.Pos() })
+	depth := 0
+	for _, ev := range events {
+		switch {
+		case ev.delta > 0:
+			locks++
+			depth++
+		case ev.delta < 0:
+			// An Unlock on each branch of an if reads as two in a row.
+			depth = max(0, depth-1)
+		case depth > 0:
+			bad = append(bad, ev.call)
+		}
+	}
+	return locks, bad
+}
+
+// TestAppendUnderNestedLock holds appendsUnderLock to nested locks: the
+// record call below runs after the inner tabMu is released but while the
+// file table's mu is still held, so it is flagged.
+func TestAppendUnderNestedLock(t *testing.T) {
+	const src = `package core
+
+func (c *localCatalog) nested(p *sitePersistence) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p.st.tabMu.Lock()
+	p.st.tabMu.Unlock()
+	p.record(nil)
+}
+`
+	file, err := parser.ParseFile(token.NewFileSet(), "nested.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := file.Decls[0].(*ast.FuncDecl)
+	locks, bad := appendsUnderLock(fn, map[string]bool{"record": true})
+	if locks != 2 || len(bad) != 1 || calleeName(bad[0].Fun) != "record" {
+		t.Fatalf("appendsUnderLock = %d locks, %d flagged calls; want 2 locks and the record call flagged", locks, len(bad))
 	}
 }
 

@@ -31,14 +31,14 @@ var keptUnused = []struct{ why, names string }{
 		objectstore.Federation.Save objrep.ReplicateFromSites mss.MSS.PutTape wan.CERNtoANL
 		replica.Client.GenerateLFN replica.Client.Files replica.Client.DeleteCollection replica.Client.RemoveFromCollection
 		replica.Client.Collections replica.Client.Stats`},
-	{"state no registry series holds: Browned re-evaluates the decayed load before it answers; ClassStats and Settled are the exact settlement accounting (ROADMAP item 9's conservation inputs); DigestGeneration's gauge moves only on a successful push; SuspectSubscribers returns names, not a count",
-		`admission.Controller.Browned admission.Controller.ClassStats admission.Controller.Settled core.Site.DigestGeneration core.Site.SuspectSubscribers`},
+	{"state no registry series holds: Browned re-evaluates the decayed load before it answers; ClassStats and Settled are the exact settlement accounting (ROADMAP item 9's conservation inputs); SuspectSubscribers returns names, not a count",
+		`admission.Controller.Browned admission.Controller.ClassStats admission.Controller.Settled core.Site.SuspectSubscribers`},
 	{"state and barriers the seeded harnesses and package tests assert on (TransferHistory: ROADMAP item 7; Site.Pool reaches the pool's state, Host.Addr a catalog bound to port 0)",
 		`core.Site.RepairQuiesce core.Site.TransferHistory core.Site.Pool gridftp.RangeSet.Ranges gridftp.RangeSet.Covered gsi.ACL.Entries gsi.ACL.Revoke
-		mss.MSS.Used mss.MSS.Free mss.MSS.PoolContents replica.Bloom.EstimatedFPRate replica.Catalog.Digest replica.Host.Addr
+		mss.MSS.Used mss.MSS.Free mss.MSS.PoolContents replica.Host.Addr
 		rpc.Client.ServerIdentity xfer.Scheduler.Draining`},
 	{"knobs only tests turn: fixed clocks, reference policies, jitter seeds, a catalog store without fsync, a per-request deadline no server in the program sets",
-		`gridftp.WithBlockSize replica.RLI.SetClock mss.LRU parity.DefaultK parity.DefaultM
+		`gridftp.WithBlockSize mss.LRU parity.DefaultK parity.DefaultM
 		retry.Policy.Seed health.Config.Seed replica.StoreOptions.NoSync rpc.Server.TimeoutD`},
 	{"the in-memory parity encoder golden_test.go holds the streaming one to",
 		`parity.Create`},
