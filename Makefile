@@ -172,18 +172,23 @@ crash:
 	$(GO) test -race -count=20 -run 'TestLanding' ./internal/gridftp
 
 # Partition chaos suite: a seeded asymmetric partition wedges the
-# primary replica source mid-stream; every pull must still complete from
-# the secondary via a hedged transfer that resumes the CRC-verified
-# .part prefix cross-source, the dead peer's circuit breaker must shed
-# all load until its reopen probe, and breaker transitions, hedge
-# outcomes, and wasted bytes are asserted exactly. Race detector on. The
-# seed is logged by every test; replay a run with
-# `make partition PARTITION_SEED=7`.
+# primary replica source mid-stream; the stall watchdog must cut the
+# wedged leg and every pull must still complete from the secondary, whose
+# one failover session resumes the CRC-verified .part prefix
+# cross-source; the dead peer's circuit breaker must shed all load until
+# its reopen probe; breaker transitions, the failed attempt and the
+# resumed bytes are asserted exactly. Race detector on. The seed is
+# logged by every test; replay a run with `make partition
+# PARTITION_SEED=7`. The fetch stage's unit tests (source order across
+# attempts, the watchdog's stall verdicts) run with it, three times over.
 PARTITION_SEED ?= 20260809
 partition:
 	@echo "partition seed: $(PARTITION_SEED)"
 	PARTITION_SEED=$(PARTITION_SEED) $(GO) test -race -v \
 		-run 'TestPartition' .
+	$(GO) test -race -count=3 \
+		-run 'TestRank|TestStalledLegIsRecordedAsStall|TestSilentSourceIsCutAsStall|TestSlowSetUpIsNotAStall' \
+		./internal/core
 
 # Overload chaos suite: a ~10x offered load plus a synchronized retry
 # storm against the admission controller — goodput and p99 admission

@@ -133,7 +133,7 @@ func registerFlags(fs *flag.FlagSet, s *settings) {
 	fs.IntVar(&c.ParityK, "parity-k", 0, "parity sidecar data blocks per file (0 = parity off)")
 	fs.IntVar(&c.ParityM, "parity-m", 0, "parity blocks per file; scrub heals up to this many damaged blocks locally")
 	fs.DurationVar(&s.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM lets in-flight transfers finish")
-	fs.DurationVar(&c.HedgeDeadline, "hedge-deadline", core.DefaultHedgeDeadline, "cold-start stall deadline before a pull hedges to a second replica (negative = off)")
+	fs.DurationVar(&c.StallDeadline, "stall-deadline", core.DefaultStallDeadline, "cold-start deadline after which a pull moving no bytes fails over to another replica (negative = off)")
 	fs.IntVar(&c.Health.FailureThreshold, "breaker-failures", health.DefaultFailureThreshold, "consecutive failures that open a peer's circuit breaker")
 	fs.DurationVar(&c.Health.ReopenBase, "breaker-reopen", health.DefaultReopenBase, "base delay before an open breaker admits a probe")
 	fs.DurationVar(&c.Health.ReopenMax, "breaker-reopen-max", health.DefaultReopenMax, "ceiling on the decorrelated reopen delay")

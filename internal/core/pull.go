@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"gdmp/internal/durable"
@@ -29,7 +30,6 @@ import (
 // moves between attempts), and verify closes every transfer leg, on the
 // staged bytes before they are renamed into place (a source whose bytes
 // fail the catalog's CRC must fail over like a dead one).
-// hedge.go is the fetch stage's stall watchdog.
 
 // ReplicaSelector names the replica to prefer among equally healthy
 // sources. The paper leaves "replica selection based on cost functions" as
@@ -115,7 +115,9 @@ type pull struct {
 	localPath string
 	release   func()
 
-	// fetch: wall time across all attempts, the pool's miss latency.
+	// fetch: the sources tried in the current round (pick), and the wall
+	// time across all attempts, the pool's miss latency.
+	tried        []string
 	fetchElapsed time.Duration
 }
 
@@ -237,10 +239,10 @@ func (p *pull) reserve() error {
 	return nil
 }
 
-// fetch is the transfer step. Attempts rotate through the replica
-// locations, so a dead or corrupt source fails over to the next one under
-// the same backoff policy. Each attempt re-ranks by live health; the
-// healthiest other usable peer stands by as the hedge target. A source
+// fetch is the transfer step. Each attempt runs one leg under the stall
+// watchdog against the source pick chooses, under one backoff policy, so a
+// dead, stalled or corrupt source fails over to the next one, and the next
+// leg resumes the CRC-verified .part prefix the last one left. A source
 // that refused the file (runLeg drops it) is not asked again, and once
 // every source has refused, the pull stops.
 func (p *pull) fetch(ctx context.Context) error {
@@ -250,17 +252,9 @@ func (p *pull) fetch(ctx context.Context) error {
 	}
 	pol.Attempts = max(pol.Attempts, len(p.sources)) // visit every replica at least once
 	start := time.Now()
-	err := pol.Do(ctx, func(attempt int) error {
-		avail, forced := p.rank()
-		src := avail[(attempt-1)%len(avail)]
-		var backup *PFN
-		for i := range avail {
-			if avail[i].Addr != src.Addr && p.s.health.Usable(avail[i].Addr) {
-				backup = &avail[i]
-				break
-			}
-		}
-		err := p.fetchHedged(ctx, src, backup, forced)
+	err := pol.Do(ctx, func(int) error {
+		src, forced := p.pick()
+		err := p.watchLeg(ctx, src, forced)
 		if len(p.sources) == 0 {
 			return retry.Permanent(err)
 		}
@@ -270,15 +264,103 @@ func (p *pull) fetch(ctx context.Context) error {
 	return err
 }
 
+// pick is one attempt's source: the best-ranked source this pull has not
+// tried in the current round. rank runs anew each time, so a source whose
+// breaker opened meanwhile is shed and one whose probe came due leads; a
+// source that just failed is not retried while another usable one is
+// untried. Once every ranked source has had its turn, a new round starts.
+func (p *pull) pick() (PFN, bool) {
+	avail, forced := p.rank()
+	src := avail[0]
+	if i := slices.IndexFunc(avail, func(c PFN) bool { return !slices.Contains(p.tried, c.Addr) }); i >= 0 {
+		src = avail[i]
+	} else {
+		p.tried = p.tried[:0]
+	}
+	p.tried = append(p.tried, src.Addr)
+	return src, forced
+}
+
+// errStalled marks a pull leg whose byte stream went quiet past the stall
+// deadline. It is deliberately a plain (retryable) error: the leg was
+// canceled by our own watchdog, and surfacing the underlying
+// context.Canceled would stop the failover loop dead.
+var errStalled = errors.New("core: transfer stalled")
+
+// errBreakerOpen marks a source refused by its circuit breaker. Retryable:
+// the next attempt re-ranks and picks a different replica.
+var errBreakerOpen = errors.New("core: source circuit breaker open")
+
+// stallDeadline is the stall deadline for a pull from addr: the
+// scoreboard's p99-derived value once the peer has history, the configured
+// cold-start default before that, 0 when the watchdog is off.
+func (s *Site) stallDeadline(addr string) time.Duration {
+	if s.cfg.StallDeadline < 0 {
+		return 0
+	}
+	if d := s.health.StallDeadline(addr); d > 0 {
+		return d
+	}
+	return s.cfg.StallDeadline
+}
+
+// watchLeg runs one leg under the stall watchdog. The stall clock starts
+// when the source accepts the transfer (its 150 reply): from then on bytes
+// are due, so a source that opens its data streams and sends nothing is
+// cut as surely as one that dies mid-stream. Before it the leg is setting
+// up — the dial, the security handshake, the GridFTP session — and each of
+// those exchanges is bounded by the session's own timeout (ftpConnect's),
+// not by a deadline learned from earlier legs' byte streams: a loaded host
+// that is slow to shake hands is not a stalled source. A leg that moves no
+// bytes for the deadline is scored as a stall and canceled with errStalled
+// as the cause, so it fails like any other leg.
+func (p *pull) watchLeg(ctx context.Context, src PFN, forced bool) error {
+	s := p.s
+	legCtx, cancelLeg := context.WithCancelCause(ctx)
+	defer cancelLeg(nil)
+
+	// Zero until the source accepts the transfer, then the time of the
+	// latest landed bytes.
+	var lastProgress atomic.Int64
+	alive := func() { lastProgress.Store(time.Now().UnixNano()) }
+
+	done := make(chan error, 1)
+	go func() { done <- p.runLeg(legCtx, src, forced, alive) }()
+	deadline := s.stallDeadline(src.Addr)
+	if deadline <= 0 {
+		return <-done
+	}
+	timer := time.NewTimer(deadline)
+	defer timer.Stop()
+	for {
+		select {
+		case err := <-done:
+			return err
+		case <-timer.C:
+		}
+		last := lastProgress.Load()
+		if last == 0 {
+			timer.Reset(deadline) // still setting up: not the watchdog's
+			continue
+		}
+		if idle := time.Since(time.Unix(0, last)); idle < deadline {
+			timer.Reset(deadline - idle)
+			continue
+		}
+		s.health.ObserveStall(src.Addr)
+		cancelLeg(fmt.Errorf("%w: %s moved no bytes for %v pulling %s",
+			errStalled, src.Addr, deadline, p.lfn))
+		return <-done
+	}
+}
+
 // runLeg is one transfer leg against one source, begin to end: breaker
 // admission, the source's concurrency slot, the transfer, and the leg's
 // single outcome — one TransferRecord built after verify, told to the
-// transfer log, the health board and the operator log alike. The primary
-// leg and a hedge takeover both go through it. A leg canceled with a cause
-// (the stall watchdog's) fails with that cause, not the cancellation. The
-// stats are returned even on failure — the hedge watchdog's wasted-bytes
-// ledger needs the partial byte counts.
-func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (gridftp.TransferStats, error) {
+// transfer log, the health board and the operator log alike. A leg
+// canceled with a cause (the stall watchdog's) fails with that cause, not
+// the cancellation.
+func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) error {
 	s := p.s
 	begin := s.health.Begin
 	if forced {
@@ -286,7 +368,7 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (
 	}
 	end, ok := begin(src.Addr)
 	if !ok {
-		return gridftp.TransferStats{}, fmt.Errorf("%w: %s", errBreakerOpen, src.Addr)
+		return fmt.Errorf("%w: %s", errBreakerOpen, src.Addr)
 	}
 	// The source is only known here, after ranking, so the per-source
 	// concurrency cap is enforced at this layer rather than at admission.
@@ -334,7 +416,7 @@ func (p *pull) runLeg(ctx context.Context, src PFN, forced bool, alive func()) (
 		s.xferLog.add(rec)
 	}
 	end(stats.Bytes, stats.Elapsed, err)
-	return stats, err
+	return err
 }
 
 // replicateFrom moves the bytes for one leg: the Data Mover's secure,
@@ -366,8 +448,8 @@ func (p *pull) replicateFrom(ctx context.Context, src PFN, alive func()) (gridft
 
 // ftpConnect builds the dial closure for one source's GridFTP endpoint:
 // session options, per-source buffer tuning, and a scoreboard latency
-// sample per successful dial. The transfer legs (one session per attempt)
-// and the hedge's reachability check both use it.
+// sample per successful dial. Every transfer leg dials through it, one
+// session per attempt.
 func (s *Site) ftpConnect(src PFN) func(ctx context.Context) (*gridftp.Client, error) {
 	return func(ctx context.Context) (*gridftp.Client, error) {
 		opts := []gridftp.ClientOption{

@@ -84,3 +84,57 @@ func TestRank(t *testing.T) {
 		})
 	}
 }
+
+// TestRankFailoverOrder drives pick across one pull's failing attempts
+// against a scripted scoreboard with a fake clock: each attempt takes the
+// best-ranked source the pull has not tried in its current round, so a
+// re-rank between attempts cannot send the next one back to the source
+// that just failed.
+func TestRankFailoverOrder(t *testing.T) {
+	a := PFN{Addr: "a.example:2811", Path: "f"}
+	b := PFN{Addr: "b.example:2811", Path: "f"}
+	c := PFN{Addr: "c.example:2811", Path: "f"}
+	const reopen = 10 * time.Second
+	failed := errors.New("leg failed")
+	fail := func(hb *health.Board, peer PFN) {
+		end, _ := hb.Begin(peer.Addr)
+		end(0, 0, failed)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		before  []PFN         // legs that fail before the pull starts
+		between time.Duration // clock advance after each failed attempt
+		want    []PFN         // each attempt's source; every attempt fails
+	}{
+		{name: "a probe-due peer goes before the source that just failed",
+			// The default threshold of 3 opens c's breaker; a's one
+			// failure leaves a closed and ranked ahead of b. c's probe
+			// comes due after attempt 1, so rank gives [c, a, b].
+			before: []PFN{c, c, c}, between: reopen, want: []PFN{a, c, b}},
+		{name: "a new round starts once every source has had its turn",
+			want: []PFN{a, b, c, a}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1_000_000, 0)
+			hb := health.New(health.Config{
+				ReopenBase: reopen, ReopenMax: reopen,
+				Registry: obs.NewRegistry(), Now: func() time.Time { return now },
+			})
+			for _, peer := range tc.before {
+				fail(hb, peer)
+			}
+			p := &pull{s: &Site{health: hb}, lfn: "lfn://x/f", sources: []PFN{a, b, c}}
+			var got []PFN
+			for range tc.want {
+				src, _ := p.pick()
+				got = append(got, src)
+				fail(hb, src)
+				now = now.Add(tc.between)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("attempt sources = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

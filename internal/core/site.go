@@ -97,7 +97,7 @@ const (
 	DefaultParallelism            = 2
 	DefaultTransferAttempts       = 3
 	DefaultNotifyFailureThreshold = 3
-	DefaultHedgeDeadline          = 10 * time.Second
+	DefaultStallDeadline          = 10 * time.Second
 )
 
 // Config assembles one GDMP site.
@@ -217,13 +217,13 @@ type Config struct {
 	// replayable reopen jitter in tests.
 	Health health.Config
 
-	// HedgeDeadline is the stall deadline for pulls from sources the
+	// StallDeadline is the stall deadline for pulls from sources the
 	// scoreboard has no history for: a transfer moving no bytes for this
-	// long starts (or fails over to) a second replica, resuming the
-	// verified .part prefix cross-source. Once a source has history its
-	// p99-derived deadline wins. Zero takes the default (10s); negative
-	// disables stall detection and hedging.
-	HedgeDeadline time.Duration
+	// long is canceled, and the next attempt fails over to another
+	// replica, resuming the verified .part prefix cross-source. Once a
+	// source has history its p99-derived deadline wins. Zero takes the
+	// default (10s); negative disables stall detection.
+	StallDeadline time.Duration
 
 	// Select names the replica a pull should prefer among equally healthy
 	// sources (nil = catalog order). The health ranking still applies on
@@ -329,9 +329,8 @@ type Site struct {
 	rlsMet *rlsSiteMetrics
 
 	// health is the per-peer scoreboard and circuit-breaker bank gating
-	// the pull path; hedgeMet counts hedged-pull outcomes (hedge.go).
-	health   *health.Board
-	hedgeMet *hedgeMetrics
+	// the pull path.
+	health *health.Board
 
 	// admit is the overload-protection controller shared by the GDMP RPC
 	// server (per-method classes), the GridFTP server (bulk class), and
@@ -383,8 +382,8 @@ func NewSite(cfg Config) (*Site, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.HedgeDeadline == 0 {
-		cfg.HedgeDeadline = DefaultHedgeDeadline
+	if cfg.StallDeadline == 0 {
+		cfg.StallDeadline = DefaultStallDeadline
 	}
 	if err := (parity.Params{K: cfg.ParityK, M: cfg.ParityM}).Validate(); err != nil {
 		return nil, err
@@ -409,7 +408,6 @@ func NewSite(cfg Config) (*Site, error) {
 	hcfg := cfg.Health
 	hcfg.Registry = cfg.Metrics
 	s.health = health.New(hcfg)
-	s.hedgeMet = newHedgeMetrics(cfg.Metrics)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	acfg := cfg.Admission
 	acfg.Registry = cfg.Metrics

@@ -813,7 +813,7 @@ func TestStalledLegIsRecordedAsStall(t *testing.T) {
 	})
 	reg := obs.NewRegistry()
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
-		Faults: inj, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond, Metrics: reg,
+		Faults: inj, Parallelism: 1, StallDeadline: 200 * time.Millisecond, Metrics: reg,
 		Retry: retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err := anl.Get(pf.LFN); err != nil {
@@ -854,7 +854,7 @@ func TestSilentSourceIsCutAsStall(t *testing.T) {
 		return c, nil
 	}
 	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{
-		DialFunc: dial, Parallelism: 1, HedgeDeadline: 200 * time.Millisecond,
+		DialFunc: dial, Parallelism: 1, StallDeadline: 200 * time.Millisecond,
 		Retry: retry.Policy{Attempts: 3, BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond},
 	})
 	if err := anl.Get(pf.LFN); err != nil {
@@ -899,7 +899,7 @@ func TestSlowSetUpIsNotAStall(t *testing.T) {
 		return faults.Plan{}
 	})
 	reg := obs.NewRegistry()
-	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Faults: inj, HedgeDeadline: 200 * time.Millisecond, Metrics: reg})
+	anl := addSite(t, g, "anl.gov", testbed.SiteOptions{Faults: inj, StallDeadline: 200 * time.Millisecond, Metrics: reg})
 	if err := anl.Get(pf.LFN); err != nil {
 		t.Fatalf("pull with a slow dial: %v", err)
 	}

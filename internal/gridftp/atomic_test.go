@@ -83,15 +83,15 @@ func TestReliableGetFileOneSessionPerAttempt(t *testing.T) {
 	addr, root := startServer(t, nil)
 	_, want := makeFile(t, root, "big.db", 2_000_000, 17)
 	for _, tc := range []struct {
-		name                      string
-		staged                    int
-		refused                   int
-		connects                  int
-		resumed, discarded, moved int64
+		name           string
+		staged         int
+		refused        int
+		connects       int
+		resumed, moved int64
 	}{
-		{"fresh download", 0, 0, 1, 0, 0, 2_000_000},
-		{"verified half-file resumed", 1_000_000, 0, 1, 1_000_000, 0, 1_000_000},
-		{"first dial refused, prefix kept", 1_000_000, 1, 2, 1_000_000, 0, 1_000_000},
+		{"fresh download", 0, 0, 1, 0, 2_000_000},
+		{"verified half-file resumed", 1_000_000, 0, 1, 1_000_000, 1_000_000},
+		{"first dial refused, prefix kept", 1_000_000, 1, 2, 1_000_000, 1_000_000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dest := filepath.Join(t.TempDir(), "big.db")
@@ -100,7 +100,8 @@ func TestReliableGetFileOneSessionPerAttempt(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dial := connector(t, addr, obs.NewRegistry(), nil)
+			reg := obs.NewRegistry()
+			dial := connector(t, addr, reg, nil)
 			connects := 0
 			connect := func(ctx context.Context) (*Client, error) {
 				if connects++; connects <= tc.refused {
@@ -118,9 +119,11 @@ func TestReliableGetFileOneSessionPerAttempt(t *testing.T) {
 			if connects != tc.connects {
 				t.Errorf("connects = %d, want %d", connects, tc.connects)
 			}
-			if stats.ResumedBytes != tc.resumed || stats.DiscardedBytes != tc.discarded || stats.Bytes != tc.moved {
-				t.Errorf("resumed/discarded/moved = %d/%d/%d, want %d/%d/%d", stats.ResumedBytes,
-					stats.DiscardedBytes, stats.Bytes, tc.resumed, tc.discarded, tc.moved)
+			resumed := reg.Counter(ClientMetricsPrefix+"_resumed_bytes_total", "").Value()
+			rejected := reg.Counter(ClientMetricsPrefix+"_resume_rejected_total", "").Value()
+			if resumed != tc.resumed || rejected != 0 || stats.Bytes != tc.moved {
+				t.Errorf("resumed/rejected/moved = %d/%d/%d, want %d/0/%d", resumed,
+					rejected, stats.Bytes, tc.resumed, tc.moved)
 			}
 		})
 	}
@@ -250,9 +253,9 @@ func TestReliableGetFileInterruptThenResume(t *testing.T) {
 	t.Logf("resumed from offset %d of %d", resumedBytes, len(want))
 }
 
-// TestReliableGetFileCrossSourceResumeAgreement is the hedged-pull
-// takeover happy path: a prefix downloaded from source A is resumed
-// against source B holding identical content. B's CKSM range vouches for
+// TestReliableGetFileCrossSourceResumeAgreement is the failover happy
+// path: a prefix downloaded from source A is resumed against source B
+// holding identical content. B's CKSM range vouches for
 // the prefix, so zero already-verified bytes are re-downloaded.
 func TestReliableGetFileCrossSourceResumeAgreement(t *testing.T) {
 	addrA, rootA := startServer(t, nil)
@@ -277,7 +280,7 @@ func TestReliableGetFileCrossSourceResumeAgreement(t *testing.T) {
 	}
 	prefix := info.Size()
 
-	// Take over from source B: the prefix must be verified via B's CKSM
+	// Fail over to source B: the prefix must be verified via B's CKSM
 	// and reused, not re-downloaded.
 	stats, err := ReliableGetFile(context.Background(), connector(t, addrB, reg, nil),
 		"x.db", dest, fastPolicy(3))
@@ -288,9 +291,10 @@ func TestReliableGetFileCrossSourceResumeAgreement(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch after cross-source resume")
 	}
-	if stats.ResumedBytes != prefix || stats.DiscardedBytes != 0 {
-		t.Fatalf("resumed/discarded = %d/%d, want %d/0",
-			stats.ResumedBytes, stats.DiscardedBytes, prefix)
+	resumed := reg.Counter(ClientMetricsPrefix+"_resumed_bytes_total", "").Value()
+	rejected := reg.Counter(ClientMetricsPrefix+"_resume_rejected_total", "").Value()
+	if resumed != prefix || rejected != 0 {
+		t.Fatalf("resumed bytes/rejected = %d/%d, want %d/0", resumed, rejected, prefix)
 	}
 	if stats.Bytes != 500_000-prefix {
 		t.Fatalf("re-downloaded %d bytes, want only the missing %d",
@@ -298,12 +302,12 @@ func TestReliableGetFileCrossSourceResumeAgreement(t *testing.T) {
 	}
 }
 
-// TestReliableGetFileCrossSourcePrefixDisagreement covers the takeover
+// TestReliableGetFileCrossSourcePrefixDisagreement covers the failover
 // unhappy path: the new source holds *different* content under the same
 // name, so its CKSM range disagrees with the staged prefix. The transfer
-// must restart from zero against that source — counting the discarded
-// prefix as wasted — and must never quarantine or strand the local
-// .part (the staging file is reused in place and consumed by the rename).
+// must restart from zero against that source — moving the whole file
+// again — and must never quarantine or strand the local .part (the
+// staging file is reused in place and consumed by the rename).
 func TestReliableGetFileCrossSourcePrefixDisagreement(t *testing.T) {
 	addrA, rootA := startServer(t, nil)
 	addrB, rootB := startServer(t, nil)
@@ -335,10 +339,10 @@ func TestReliableGetFileCrossSourcePrefixDisagreement(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("destination does not match the source that completed the pull")
 	}
-	// The disagreeing prefix was discarded, never resumed.
-	if stats.ResumedBytes != 0 || stats.DiscardedBytes != prefix {
-		t.Fatalf("resumed/discarded = %d/%d, want 0/%d",
-			stats.ResumedBytes, stats.DiscardedBytes, prefix)
+	// The disagreeing prefix was discarded, never resumed: the whole file
+	// moved again.
+	if resumed := reg.Counter(ClientMetricsPrefix+"_resumed_bytes_total", "").Value(); resumed != 0 {
+		t.Fatalf("resumed %d bytes of a disagreeing %d-byte prefix", resumed, prefix)
 	}
 	if stats.Bytes != 400_000 {
 		t.Fatalf("transferred %d bytes, want the full 400000 after restart", stats.Bytes)
@@ -364,8 +368,8 @@ func TestReliableGetFileCrossSourcePrefixDisagreement(t *testing.T) {
 	}
 }
 
-// TestReliableGetFileProgressCallback checks the liveness signal hedged
-// pulls watch: cumulative byte progress, monotonic, seeded with the
+// TestReliableGetFileProgressCallback checks the liveness signal the
+// stall watchdog watches: cumulative byte progress, monotonic, seeded with the
 // resumed prefix, ending at the full file size.
 func TestReliableGetFileProgressCallback(t *testing.T) {
 	addr, root := startServer(t, nil)

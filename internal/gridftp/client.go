@@ -43,14 +43,6 @@ type TransferStats struct {
 	PerStream []int64 // bytes moved by each stream
 	Markers   []Marker
 	Attempts  int // >1 when a reliable transfer had to restart
-
-	// ResumedBytes counts staged-prefix bytes reused instead of
-	// re-downloaded after the source confirmed their CKSM range;
-	// DiscardedBytes counts staged bytes thrown away because the source
-	// disagreed (or could not be asked) — the wasted-work ledger hedged
-	// pulls report.
-	ResumedBytes   int64
-	DiscardedBytes int64
 }
 
 // RateMbps returns the achieved rate in megabits per second.
@@ -780,13 +772,13 @@ type GetFileOptions struct {
 	// cumulative number of bytes present in the staging file (a verified
 	// resumed prefix counts, reported before the first new byte lands).
 	// Calls arrive from transfer goroutines; the callback must be cheap
-	// and safe for concurrent use. Hedged pulls use it as the liveness
-	// signal their stall watchdog watches.
+	// and safe for concurrent use. It is the liveness signal the stall
+	// watchdog watches.
 	Progress func(total int64)
 
 	// Opening, when non-nil, is called each time the source accepts a
 	// ranged transfer (its 150 reply), before the data streams are
-	// dialed: from then on bytes are due. Hedged pulls start their stall
+	// dialed: from then on bytes are due. The stall watchdog starts its
 	// clock there.
 	Opening func()
 
@@ -862,7 +854,6 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 			size = sz
 			if staged > 0 && c.trustPrefix(remotePath, f, staged, size) {
 				rs.Add(0, staged)
-				stats.ResumedBytes = staged
 				if pw != nil {
 					pw.total.Store(staged)
 					opt.Progress(staged)
@@ -871,7 +862,6 @@ func ReliableGetFileOpts(ctx context.Context, connect func(context.Context) (*Cl
 				// Best-effort: ERET rewrites [0, size) regardless, and a
 				// longer leftover fails the landing check.
 				f.Truncate(0)
-				stats.DiscardedBytes = staged
 			}
 		}
 		for _, missing := range rs.Missing(size) {

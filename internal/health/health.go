@@ -20,11 +20,12 @@
 // (min(cap, base + u·(3·prev − base))) so a fleet of consumers does not
 // re-probe a recovering site in lockstep.
 //
-// The scoreboard also derives the hedged-pull stall deadline: a transfer
-// that moves no bytes for longer than a peer's p99-flavored deadline
-// (mean + 3σ of observed latency, floored by the time the peer's EWMA
-// bandwidth needs to move one progress quantum, times HedgeMultiplier)
-// is considered stalled and worth racing against another replica.
+// The scoreboard also derives the pull watchdog's stall deadline: a
+// transfer that moves no bytes for longer than a peer's p99-flavored
+// deadline (mean + 3σ of observed latency, floored by the time the peer's
+// EWMA bandwidth needs to move one progress quantum, times
+// StallMultiplier) is considered stalled, canceled, and failed over to
+// another replica.
 //
 // Everything is soft state: nothing is journaled, and a restarted site
 // rebuilds its scoreboard from live traffic.
@@ -93,12 +94,12 @@ type Config struct {
 	// (default 0.3; higher weighs recent samples more).
 	Alpha float64
 
-	// HedgeMultiplier scales the p99 progress estimate into the stall
-	// deadline; HedgeMin and HedgeMax clamp the result (defaults 4,
+	// StallMultiplier scales the p99 progress estimate into the stall
+	// deadline; StallMin and StallMax clamp the result (defaults 4,
 	// 250ms, 30s).
-	HedgeMultiplier float64
-	HedgeMin        time.Duration
-	HedgeMax        time.Duration
+	StallMultiplier float64
+	StallMin        time.Duration
+	StallMax        time.Duration
 
 	// Seed makes the decorrelated reopen jitter deterministic when
 	// non-zero (chaos harnesses log it so failures replay exactly).
@@ -135,14 +136,14 @@ func (c Config) withDefaults() Config {
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3
 	}
-	if c.HedgeMultiplier <= 0 {
-		c.HedgeMultiplier = 4
+	if c.StallMultiplier <= 0 {
+		c.StallMultiplier = 4
 	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 250 * time.Millisecond
+	if c.StallMin <= 0 {
+		c.StallMin = 250 * time.Millisecond
 	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 30 * time.Second
+	if c.StallMax <= 0 {
+		c.StallMax = 30 * time.Second
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -186,7 +187,7 @@ func metricsFor(r *obs.Registry) *metrics {
 		probes: r.CounterVec(MetricsPrefix+"_probes_total",
 			"Reopen probe legs admitted through an open breaker, by outcome.", "peer", "outcome"),
 		stalls: r.CounterVec(MetricsPrefix+"_stalls_total",
-			"Transfers declared stalled past the peer's hedge deadline.", "peer"),
+			"Transfers declared stalled past the peer's stall deadline.", "peer"),
 		overloads: r.CounterVec(MetricsPrefix+"_overloads_total",
 			"Typed overload rejections recorded against a peer.", "peer"),
 	}
@@ -496,10 +497,10 @@ func (b *Board) ObserveStall(addr string) {
 	b.met.stalls.WithLabelValues(addr).Inc()
 }
 
-// StallDeadline derives the hedge deadline for a peer: HedgeMultiplier
+// StallDeadline derives the stall deadline for a peer: StallMultiplier
 // times the larger of (time to move one progress quantum at the EWMA
 // bandwidth) and (mean + 3σ of dial latency), clamped to
-// [HedgeMin, HedgeMax]. Zero when the scoreboard has no samples yet —
+// [StallMin, StallMax]. Zero when the scoreboard has no samples yet —
 // the caller falls back to its configured default.
 func (b *Board) StallDeadline(addr string) time.Duration {
 	b.mu.Lock()
@@ -517,12 +518,12 @@ func (b *Board) StallDeadline(addr string) time.Duration {
 			est = p99
 		}
 	}
-	d := time.Duration(b.cfg.HedgeMultiplier * est * float64(time.Second))
-	if d < b.cfg.HedgeMin {
-		d = b.cfg.HedgeMin
+	d := time.Duration(b.cfg.StallMultiplier * est * float64(time.Second))
+	if d < b.cfg.StallMin {
+		d = b.cfg.StallMin
 	}
-	if d > b.cfg.HedgeMax {
-		d = b.cfg.HedgeMax
+	if d > b.cfg.StallMax {
+		d = b.cfg.StallMax
 	}
 	return d
 }
@@ -540,7 +541,7 @@ type Score struct {
 }
 
 // rank orders scores for source selection: probe-due peers first (their
-// probe rides the next pull, hedging covers a still-dead peer), then
+// probe rides the next pull, failover covers a still-dead peer), then
 // closed peers by measured bandwidth, then half-open, then open.
 func (s Score) rank() int {
 	if s.ProbeDue {

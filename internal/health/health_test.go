@@ -293,9 +293,9 @@ func TestRankingPrefersProbeDueThenBandwidth(t *testing.T) {
 
 func TestStallDeadlineDerivation(t *testing.T) {
 	b := New(Config{
-		HedgeMultiplier: 4,
-		HedgeMin:        100 * time.Millisecond,
-		HedgeMax:        10 * time.Second,
+		StallMultiplier: 4,
+		StallMin:        100 * time.Millisecond,
+		StallMax:        10 * time.Second,
 		Seed:            1,
 		Registry:        obs.NewRegistry(),
 	})
@@ -308,15 +308,15 @@ func TestStallDeadlineDerivation(t *testing.T) {
 	if d := b.StallDeadline("measured"); d != time.Second {
 		t.Fatalf("deadline = %v, want 1s", d)
 	}
-	// A very fast peer clamps to HedgeMin.
+	// A very fast peer clamps to StallMin.
 	succeed(t, b, "fast", 10<<30, time.Second)
 	if d := b.StallDeadline("fast"); d != 100*time.Millisecond {
-		t.Fatalf("fast deadline = %v, want HedgeMin", d)
+		t.Fatalf("fast deadline = %v, want StallMin", d)
 	}
-	// A glacial peer clamps to HedgeMax.
+	// A glacial peer clamps to StallMax.
 	succeed(t, b, "glacial", 64, time.Second)
 	if d := b.StallDeadline("glacial"); d != 10*time.Second {
-		t.Fatalf("glacial deadline = %v, want HedgeMax", d)
+		t.Fatalf("glacial deadline = %v, want StallMax", d)
 	}
 	// Latency-only knowledge still yields a deadline (mean + 3σ, ×4).
 	b.ObserveLatency("lat-only", 50*time.Millisecond)
@@ -418,7 +418,7 @@ func TestHealthMetricsGolden(t *testing.T) {
 		`# HELP gdmp_health_probes_total Reopen probe legs admitted through an open breaker, by outcome.`,
 		`# TYPE gdmp_health_probes_total counter`,
 		`gdmp_health_probes_total{peer="site-b",outcome="ok"} 1`,
-		`# HELP gdmp_health_stalls_total Transfers declared stalled past the peer's hedge deadline.`,
+		`# HELP gdmp_health_stalls_total Transfers declared stalled past the peer's stall deadline.`,
 		`# TYPE gdmp_health_stalls_total counter`,
 		`gdmp_health_stalls_total{peer="site-a"} 1`,
 		`# HELP gdmp_health_state Circuit-breaker state by peer: 0 closed, 1 half-open, 2 open.`,

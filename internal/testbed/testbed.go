@@ -155,9 +155,9 @@ type SiteOptions struct {
 	// replayable reopen jitter.
 	Health health.Config
 
-	// HedgeDeadline sets the cold-start stall deadline for hedged pulls
-	// (0 = the core default, negative disables hedging).
-	HedgeDeadline time.Duration
+	// StallDeadline sets the cold-start stall deadline of the pull
+	// watchdog (0 = the core default, negative disables it).
+	StallDeadline time.Duration
 
 	// Admission tunes the site's overload-protection controller; zero
 	// fields take the admission package defaults.
@@ -270,7 +270,7 @@ func (g *Grid) AddSite(name string, opts SiteOptions) (*core.Site, error) {
 		ParityM:                opts.ParityM,
 		PrefetchThreshold:      opts.Prefetch,
 		Health:                 opts.Health,
-		HedgeDeadline:          opts.HedgeDeadline,
+		StallDeadline:          opts.StallDeadline,
 		Admission:              opts.Admission,
 		RPCMaxConns:            opts.RPCMaxConns,
 		MaxQueuedPulls:         opts.MaxQueuedPulls,

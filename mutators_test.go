@@ -68,6 +68,10 @@ var soleCallers = map[string][]string{
 	"sched.Submit": {"submitGet"},
 	// Periodic work runs on one loop runner.
 	"time.NewTicker": {"every"},
+	// A pull has one leg path: the fetch loop's attempt runs one leg
+	// under the stall watchdog, and the leg moves its bytes in one place.
+	".runLeg":                     {"watchLeg"},
+	"gridftp.ReliableGetFileOpts": {"replicateFrom"},
 }
 
 // TestSoleCallers fails when a call listed in soleCallers is made from any

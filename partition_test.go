@@ -1,11 +1,12 @@
 // Partition chaos harness: a seeded asymmetric network partition wedges
 // the primary replica source mid-stream, and every pull must still
-// complete from the secondary — the stall watchdog hedges to it, the
-// cross-source resume reuses the CRC-verified .part prefix without
-// re-downloading a byte, the primary's circuit breaker opens and sheds
-// all load until its decorrelated reopen probe, and the probe (carried by
-// live traffic) closes it again. Breaker transitions, hedge outcomes, and
-// wasted bytes are all asserted exactly.
+// complete from the secondary — the stall watchdog cuts the wedged leg,
+// the retry loop fails over, the cross-source resume reuses the
+// CRC-verified .part prefix without re-downloading a byte, the primary's
+// circuit breaker opens and sheds all load until its decorrelated reopen
+// probe, and the probe (carried by live traffic) closes it again. Breaker
+// transitions, the failed attempt, and the resumed bytes are all asserted
+// exactly.
 //
 // The run logs its seed; set PARTITION_SEED to replay one.
 package gdmp_test
@@ -52,8 +53,9 @@ func partitionSeed(t *testing.T) int64 {
 // still flow — only reads stall, the nastiest WAN failure mode). The
 // consumer must:
 //
-//  1. hedge the stalled pull to the secondary and finish it there,
-//     resuming the verified .part prefix with zero re-downloaded bytes;
+//  1. cut the stalled leg and fail over to the secondary, finishing the
+//     pull there by resuming the verified .part prefix with zero
+//     re-downloaded bytes;
 //  2. open the primary's breaker (threshold 1) and route every further
 //     pull straight to the secondary with no new dials to the dead peer;
 //  3. after the partition heals and the reopen delay passes, send the
@@ -67,7 +69,7 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 	defer g.Close()
 
 	// Two producers; both end up holding every file, giving the consumer
-	// a primary and a hedge target.
+	// a primary and a failover target.
 	p1, err := g.AddSite("cern.ch", testbed.SiteOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +95,11 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 
 	// The consumer's injector: control channels and the secondary run
 	// clean; dials to both GridFTP endpoints are tallied (the primary's are
-	// the shed-load proof, the secondary's the hedge's session count); and
-	// while the partition is up, the first passive-mode data connection
-	// black-holes its reads after 160 KiB — enough wire bytes for two
-	// complete 64 KiB extended blocks to land in the .part, so the
-	// takeover has a verified prefix to resume.
+	// the shed-load proof, the secondary's the failover's session count);
+	// and while the partition is up, the first passive-mode data
+	// connection black-holes its reads after 160 KiB — enough wire bytes
+	// for two complete 64 KiB extended blocks to land in the .part, so the
+	// failover leg has a verified prefix to resume.
 	// Writes are untouched — the partition is asymmetric.
 	var partitionOn atomic.Bool
 	var mu sync.Mutex
@@ -135,7 +137,7 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 		PullWorkers: 1,
 		// The catalog reports replica locations in no particular order;
 		// pin the selector to the primary so the partition script
-		// deterministically wedges cern.ch and hedges to fnal.gov.
+		// deterministically wedges cern.ch and fails over to fnal.gov.
 		Select: func(_ string, cands []core.PFN) core.PFN {
 			for _, c := range cands {
 				if c.Addr == p1FTP {
@@ -145,18 +147,18 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 			return cands[0]
 		},
 		// One stall opens the breaker; the reopen delay is long enough
-		// that the shed-load phase cannot race a probe, and HedgeMin
+		// that the shed-load phase cannot race a probe, and StallMin
 		// keeps healthy loopback pulls from ever stalling spuriously.
 		Health: health.Config{
 			FailureThreshold: 1,
 			ReopenBase:       reopenBase,
 			ReopenMax:        8 * time.Second,
-			HedgeMin:         time.Second,
+			StallMin:         time.Second,
 			Seed:             seed,
 		},
 		// Cold-start stall deadline: the partitioned first pull has no
 		// scoreboard history yet, so this is the fuse that fires.
-		HedgeDeadline: 300 * time.Millisecond,
+		StallDeadline: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,22 +166,23 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 
 	// --- Phase 1: partition the primary mid-stream on the first pull. ---
 	partitionOn.Store(true)
+	pullStart := time.Now()
 	if err := cons.Get(pfs[0].LFN); err != nil {
 		t.Fatalf("partitioned pull must complete from the secondary: %v", err)
 	}
 	breakerOpenedAt := time.Now()
+	t.Logf("partitioned pull took %v", breakerOpenedAt.Sub(pullStart))
 
 	mu.Lock()
-	dialsAfterFirst, hedgeDials := p1Dials, p2Dials
+	dialsAfterFirst, failoverDials := p1Dials, p2Dials
 	mu.Unlock()
 	if dialsAfterFirst != 1 {
 		t.Fatalf("primary FTP dials after first pull = %d, want 1", dialsAfterFirst)
 	}
-	// The hedge dials its target twice: the warm-up's reachability check,
-	// then the takeover's one session, which judges the prefix, moves the
-	// rest and verifies the landed file.
-	if hedgeDials != 2 {
-		t.Fatalf("secondary FTP dials during the hedged pull = %d, want 2 (prep + takeover)", hedgeDials)
+	// The failover leg dials the secondary once: its one session judges
+	// the prefix, moves the rest and verifies the landed file.
+	if failoverDials != 1 {
+		t.Fatalf("secondary FTP dials during the stalled pull = %d, want 1", failoverDials)
 	}
 	if n := consFaults.Injected(faults.KindPartition); n != 1 {
 		t.Fatalf("injected partitions = %d, want 1", n)
@@ -199,14 +202,13 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 			dialsDuringShed-dialsAfterFirst)
 	}
 
-	// Mid-run accounting: one hedge started, won by the hedge leg, with
-	// zero wasted bytes — the takeover resumed every CRC-verified byte
-	// the stalled primary had landed.
+	// Mid-run accounting: the stall went through the one retry loop — one
+	// failed attempt, one failed transfer leg — and the failover leg
+	// resumed every CRC-verified byte the stalled primary had landed.
 	text := consReg.Text()
 	for series, want := range map[string]float64{
-		`gdmp_xfer_hedge_started_total`:                                        1,
-		`gdmp_xfer_hedge_wins_total{winner="hedge"}`:                           1,
-		`gdmp_xfer_hedge_wasted_bytes_total`:                                   0,
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`:       1,
+		`gdmp_site_transfers_total{outcome="error"}`:                           1,
 		`gdmp_gridftp_client_resumes_total`:                                    1,
 		`gdmp_gridftp_client_resume_rejected_total`:                            0,
 		`gdmp_faults_injected_total{kind="partition"}`:                         1,
@@ -262,9 +264,8 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 		fmt.Sprintf(`gdmp_health_state{peer=%q}`, p1FTP):                            0,
 		// -1 = series absent: the secondary's breaker never transitioned.
 		fmt.Sprintf(`gdmp_health_transitions_total{peer=%q,to="open"}`, p2FTP): -1,
-		`gdmp_xfer_hedge_started_total`:                                        1,
-		`gdmp_xfer_hedge_wins_total{winner="hedge"}`:                           1,
-		`gdmp_xfer_hedge_wasted_bytes_total`:                                   0,
+		`gdmp_retry_attempts_total{op="core.replicate",outcome="error"}`:       1,
+		`gdmp_site_transfers_total{outcome="error"}`:                           1,
 		`gdmp_site_replications_total{outcome="ok"}`:                           nFiles,
 		`gdmp_retry_ops_total{op="core.replicate",outcome="ok"}`:               nFiles,
 	} {
@@ -275,7 +276,7 @@ func TestPartitionHedgedPullsSurvive(t *testing.T) {
 
 	// The scoreboard rows `gdmp status` renders: the healed primary shows
 	// a closed breaker with its transition stamped, and the secondary
-	// shows the bandwidth EWMA that made it the ranked hedge target.
+	// shows the bandwidth EWMA its pulls measured.
 	series := func(family, peer string) float64 {
 		return metricValue(text, fmt.Sprintf(`%s{peer=%q}`, family, peer))
 	}
